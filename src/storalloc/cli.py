@@ -27,16 +27,26 @@ from .formats import (
 from .util import derived_rng, frac_str, to_fraction
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=("theory", "practical"), default="theory")
-    p.add_argument("--kappa", default=None, help="practical-mode tail granularity (a/b or float)")
-    p.add_argument("--l-cap", type=int, default=None, help="practical-mode cap on L")
-    p.add_argument("--c-l", default="1", help="constant in the L formula")
-    p.add_argument("--mc-constant", default="1", help="constant in sample-size formulas")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--exact-eval-max-n", type=int, default=22)
-    p.add_argument("--state-space-limit", type=int, default=5_000_000)
+_DEFAULTS = SolverConfig()
+
+# Every solver flag; solve and bench take them all, the other commands only
+# the ones they read.
+_SOLVER_FLAGS = {
+    "--mode": dict(choices=("theory", "practical"), default=_DEFAULTS.mode),
+    "--kappa": dict(default=None, help="practical-mode tail granularity (a/b or float)"),
+    "--l-cap": dict(type=int, default=None, help="practical-mode cap on L"),
+    "--c-l": dict(default=str(_DEFAULTS.c_L), help="constant in the L formula"),
+    "--mc-constant": dict(default=str(_DEFAULTS.mc_constant), help="constant in sample-size formulas"),
+    "--seed": dict(type=int, default=_DEFAULTS.seed),
+    "--threads": dict(type=int, default=1),
+    "--exact-eval-max-n": dict(type=int, default=_DEFAULTS.exact_eval_max_n),
+    "--state-space-limit": dict(type=int, default=_DEFAULTS.state_space_limit),
+}
+
+
+def _add_solver_flags(p: argparse.ArgumentParser, names=tuple(_SOLVER_FLAGS)):
+    for name in names:
+        p.add_argument(name, **_SOLVER_FLAGS[name])
 
 
 def _config(args) -> SolverConfig:
@@ -68,7 +78,6 @@ def _cmd_solve(args) -> int:
         delta,
         config=_config(args),
         threads=args.threads,
-        head_mode=args.head_mode,
     )
     _emit(report.to_json(include_timings=args.timings), args.out)
     return 0
@@ -215,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--out", default=None)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-    p.add_argument("--head-mode", choices=("chain", "literal"), default="chain")
     _add_solver_flags(p)
     p.set_defaults(fn=_cmd_solve)
 
@@ -224,20 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help='comma-separated, e.g. "1/4,1/4,1/2"')
     p.add_argument("--mc", type=int, default=None, help="Monte-Carlo sample count (default: exact)")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
+    _add_solver_flags(p, ("--seed", "--threads", "--exact-eval-max-n"))
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("oracle", help="exact optimum for tiny n")
     p.add_argument("instance")
     p.add_argument("--allow-grid-n5", action="store_true")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
+    _add_solver_flags(p, ("--threads",))
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("baseline", help="uniform k-split values")
     p.add_argument("instance")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("counterexample", help="reproduce the non-uniform counterexample")

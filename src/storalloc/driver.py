@@ -33,7 +33,7 @@ from .core import (
     preprocess,
 )
 from .errors import GuardError, InputError
-from .evaluate import ObjectiveEstimate, _pattern_counts, _unpack, exact_objective_probs
+from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_hit_counts
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
 from .small_ci import case3_kappa, find_near_opt_small_ci
@@ -134,17 +134,10 @@ def shared_mc_estimates(
     threads: int = 1,
 ) -> list[ObjectiveEstimate]:
     """Score every member on one shared sample set (exact classification)."""
-    counts = _pattern_counts(instance.probs, m, seed, threads)
-    patterns = [(_unpack(key, instance.n), cnt) for key, cnt in counts.items()]
-    out = []
-    for member in members:
-        hits = 0
-        for bits, cnt in patterns:
-            dot = sum((w for w, b in zip(member.weights, bits) if b), Fraction(0))
-            if dot >= instance.theta:
-                hits += cnt
-        out.append(ObjectiveEstimate(value=Fraction(hits, m), kind="monte_carlo", m=m, seed=seed))
-    return out
+    hits = mc_hit_counts(
+        instance.probs, [member.weights for member in members], instance.theta, m, seed, threads
+    )
+    return [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
 
 
 def _check_feasible(weights: Sequence[Fraction]):
@@ -184,21 +177,19 @@ def solve(
     delta,
     config: Optional[SolverConfig] = None,
     threads: int = 1,
-    head_mode: str = "chain",
 ) -> SolveReport:
     """Full pipeline on raw inputs; see solve_instance for the main path."""
     config = config or SolverConfig()
     pre = preprocess(p_raw, theta, epsilon, delta)
     if pre.is_trivial:
         return _trivial_report(pre.shortcut, len(p_raw), theta, epsilon, delta, config)
-    return solve_instance(pre.instance, config, threads=threads, head_mode=head_mode)
+    return solve_instance(pre.instance, config, threads=threads)
 
 
 def solve_instance(
     instance: ProblemInstance,
     config: Optional[SolverConfig] = None,
     threads: int = 1,
-    head_mode: str = "chain",
 ) -> SolveReport:
     config = config or SolverConfig()
     timings: dict = {}
@@ -229,7 +220,6 @@ def solve_instance(
             instance.delta / (2 * L),
             kappa3,
             config,
-            mode=head_mode,
             threads=threads,
         )
         counts[f"smallCI({K})"] = len(cands)

@@ -29,10 +29,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GuardError, InputError
-from .core import ProblemInstance
+from .core import ProblemInstance, SolverConfig
 from .util import derived_rng, ordered_map, to_fraction
 
 SAMPLE_CHUNK = 1 << 15
+
+# Default cap on outcome enumeration; the value is SolverConfig's default.
+EXACT_EVAL_MAX_N = SolverConfig.exact_eval_max_n
 
 # Enumeration guards: widest allowed product of (group size + 1) factors and
 # the most distinct weight values the grouping path accepts.
@@ -177,7 +180,7 @@ def exact_objective_probs(
     probs: Sequence,
     weights: Sequence,
     theta,
-    max_n: int = 22,
+    max_n: int = EXACT_EVAL_MAX_N,
 ) -> Fraction:
     """Exact Pr[w . X >= theta] for arbitrary probability vectors.
 
@@ -247,10 +250,11 @@ def exact_objective_probs(
     return success_prob(0, Fraction(0))
 
 
-def exact_objective(instance: ProblemInstance, weights: Sequence, max_n: Optional[int] = None) -> ObjectiveEstimate:
+def exact_objective(
+    instance: ProblemInstance, weights: Sequence, max_n: int = EXACT_EVAL_MAX_N
+) -> ObjectiveEstimate:
     """Exact Obj(w) for an instance, as an ObjectiveEstimate."""
-    limit = max_n if max_n is not None else 22
-    value = exact_objective_probs(instance.probs, weights, instance.theta, max_n=limit)
+    value = exact_objective_probs(instance.probs, weights, instance.theta, max_n=max_n)
     return ObjectiveEstimate(value=value, kind="exact")
 
 
@@ -316,6 +320,28 @@ def _unpack(key: bytes, n: int) -> tuple[int, ...]:
     return tuple(int(b) for b in bits)
 
 
+def mc_hit_counts(
+    probs: Sequence[Fraction],
+    weight_vectors: Sequence[Sequence[Fraction]],
+    theta: Fraction,
+    m: int,
+    seed: int,
+    threads: int = 1,
+) -> list[int]:
+    """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
+
+    Every vector is classified exactly on the same draws, so the counts of
+    different vectors are comparable draw for draw.
+    """
+    hits = [0] * len(weight_vectors)
+    for key, cnt in _pattern_counts(probs, m, seed, threads).items():
+        bits = _unpack(key, len(probs))
+        for i, weights in enumerate(weight_vectors):
+            if sum((w for w, b in zip(weights, bits) if b), Fraction(0)) >= theta:
+                hits[i] += cnt
+    return hits
+
+
 def mc_estimate_probs(
     probs: Sequence,
     weights: Sequence,
@@ -335,13 +361,7 @@ def mc_estimate_probs(
     theta = to_fraction(theta)
     if len(weights) != len(probs):
         raise InputError("weight vector length mismatch")
-    counts = _pattern_counts(probs, m, seed, threads)
-    hits = 0
-    for key, cnt in counts.items():
-        x = _unpack(key, len(probs))
-        dot = sum((w for w, b in zip(weights, x) if b), Fraction(0))
-        if dot >= theta:
-            hits += cnt
+    (hits,) = mc_hit_counts(probs, [weights], theta, m, seed, threads)
     return ObjectiveEstimate(value=Fraction(hits, m), kind="monte_carlo", m=m, seed=seed)
 
 

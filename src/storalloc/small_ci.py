@@ -23,13 +23,16 @@ head vector realizes, per sampled point t_i, the event set
 nested, so instead of all |S|^m tuples it suffices to enumerate nested
 chains of upward-closed realizable sets, certify each chain by an exact LP
 (with a maximized slack variable keeping boundary patterns honest), and
-score the witness's true event probability.  The literal tuple-enumeration
-mode remains available as a cross-check.
+score the witness's true event probability.
+
+Case 3 yields candidates only when eps'^2 floor(1/kappa) >= 1, hence only
+when kappa <= eps'^2: otherwise no nonzero granular tail is regular (proof in
+construct_achievable_regular_tails).  The solver's eps' = eps gamma/100 is
+below 1/200 (eps < 1, gamma <= 1/2), so this needs kappa < 1/40000.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +96,11 @@ def construct_achievable_regular_tails(
 
     The zero tail is excluded: regularity is undefined at D = 0, and
     junta-style solutions cover it anyway.
+
+    Without running the DP, the result is empty when eps'^2 floor(1/kappa) < 1.
+    A nonzero tail has E >= 1 and C <= floor(1/kappa), so D = sum j^2 <= E C
+    <= E floor(1/kappa).  Regularity E^2 <= eps'^2 D then gives
+    1 <= E <= eps'^2 floor(1/kappa).
     """
     config = config or SolverConfig()
     kappa = to_fraction(kappa)
@@ -103,6 +111,8 @@ def construct_achievable_regular_tails(
         raise InputError("eps_prime must be positive")
     if not 1 <= K <= instance.n:
         raise InputError(f"K={K} outside [1, n]")
+    if eps_prime * eps_prime * math.floor(1 / kappa) < 1:
+        return []
 
     inv_grid = 1 / instance.grid  # = 4n/eps
 
@@ -154,7 +164,6 @@ class HeadResult:
     weights: tuple[Fraction, ...]
     value: Fraction
     patterns_examined: int
-    mode: str
 
 
 def _compress_points(points) -> tuple[list[Fraction], list[int], int]:
@@ -189,7 +198,6 @@ def find_best_head(
     points,
     W,
     theta,
-    mode: str = "chain",
     max_patterns: int = 200_000,
     threads: int = 1,
 ) -> HeadResult:
@@ -211,12 +219,7 @@ def find_best_head(
     def dots_of(u):
         return [sum((w for w, b in zip(u, bits) if b), Fraction(0)) for bits in cube]
 
-    if mode == "chain":
-        candidates = _chain_candidates(values, k, W, theta, max_patterns, threads)
-    elif mode == "literal":
-        candidates = _literal_candidates(values, counts, k, W, theta, max_patterns, threads)
-    else:
-        raise InputError(f"unknown head mode {mode!r}")
+    candidates = _chain_candidates(values, k, W, theta, max_patterns, threads)
 
     best = None
     examined = 0
@@ -231,8 +234,8 @@ def find_best_head(
     if best is None:
         zero = (Fraction(0),) * k
         value = _witness_value(dots_of(zero), point_probs, theta, values, counts, m)
-        return HeadResult(zero, value, examined, mode)
-    return HeadResult(tuple(best[1]), best[2], examined, mode)
+        return HeadResult(zero, value, examined)
+    return HeadResult(tuple(best[1]), best[2], examined)
 
 
 def _chain_lp(chain, values, k: int, W: Fraction, theta: Fraction):
@@ -299,44 +302,6 @@ def _chain_candidates(values, k, W, theta, max_patterns, threads):
     return ordered_map(lambda ch: _chain_lp(ch, values, k, W, theta), chains, threads)
 
 
-def _literal_lp(tup, expanded, k: int, W: Fraction, theta: Fraction):
-    """Paper-literal LP for one tuple in S^m: membership constraints only."""
-    cons = []
-    if k:
-        cons.append(([Fraction(1)] * k, "<=", W))
-    else:
-        cons.append(([Fraction(0)], "<=", W))
-    nv = max(k, 1)
-    for mask, t in zip(tup, expanded):
-        for x in range(1 << k):
-            if (mask >> x) & 1:
-                row = [Fraction(b) for b in point_bits(x, k)] or [Fraction(0)]
-                cons.append((row, ">=", theta - t))
-    res = lp_solve(LinearProgram(nv, cons, objective=None))
-    if res.status != "optimal":
-        return None
-    return tuple(res.x[:k])
-
-
-def _literal_candidates(values, counts, k, W, theta, max_patterns, threads):
-    sets = enumerate_halfspace_sets(k)
-    masks = [s.mask for s in sets]
-    expanded = []
-    for v, c in zip(values, counts):
-        expanded.extend([v] * c)
-    total = len(masks) ** len(expanded)
-    if total > max_patterns:
-        raise GuardError(
-            f"literal enumeration needs {total} tuples",
-            estimate=total,
-            limit=max_patterns,
-        )
-    tuples = list(itertools.product(masks, repeat=len(expanded)))
-    return ordered_map(
-        lambda tup: _literal_lp(tup, expanded, k, W, theta), tuples, threads
-    )
-
-
 @dataclass(frozen=True)
 class ApproxHeadResult:
     head: HeadResult
@@ -358,7 +323,6 @@ def find_approximately_best_head(
     delta_prime,
     seed: int,
     mc_constant=Fraction(1),
-    mode: str = "chain",
     max_patterns: int = 200_000,
     threads: int = 1,
 ) -> ApproxHeadResult:
@@ -386,7 +350,6 @@ def find_approximately_best_head(
         samples,
         budget,
         instance.theta,
-        mode=mode,
         max_patterns=max_patterns,
         threads=threads,
     )
@@ -409,7 +372,6 @@ def find_near_opt_small_ci(
     delta,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
-    mode: str = "chain",
     threads: int = 1,
 ) -> list[SmallCICandidate]:
     """Case-3 pool for one K: regular tails completed by sampled-best heads.
@@ -439,7 +401,6 @@ def find_near_opt_small_ci(
             delta_head,
             seed,
             mc_constant=config.mc_constant,
-            mode=mode,
         )
         weights = approx.head.weights + q.witness
         return SmallCICandidate(quintuple=q, head=approx, weights=weights)

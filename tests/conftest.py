@@ -16,6 +16,8 @@ from fractions import Fraction
 import pytest
 
 from storalloc.core import ProblemInstance
+from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
+from storalloc.lp import LinearProgram, lp_solve
 
 
 def naive_objective(probs, weights, theta) -> Fraction:
@@ -128,6 +130,54 @@ def grid_best_head_value(head_probs, points, W, theta, step=Fraction(1, 64)) -> 
                 (pr for i, pr in enumerate(point_pr) if (mask >> i) & 1), Fraction(0)
             )
         best = max(best, value / m)
+    return best
+
+
+def _literal_lp(masks, points, k: int, W: Fraction, theta: Fraction):
+    """Head u >= 0, sum(u) <= W, realizing event ``masks[i]`` at ``points[i]``.
+
+    Membership constraints only, as in the paper: x in masks[i] needs
+    u . x >= theta - points[i].  Returns u, or None when infeasible.
+    """
+    nv = max(k, 1)
+    cons = [([Fraction(1)] * k if k else [Fraction(0)], "<=", W)]
+    for mask, t in zip(masks, points):
+        for x in range(1 << k):
+            if (mask >> x) & 1:
+                row = [Fraction(b) for b in point_bits(x, k)] or [Fraction(0)]
+                cons.append((row, ">=", theta - t))
+    res = lp_solve(LinearProgram(nv, cons, objective=None))
+    if res.status != "optimal":
+        return None
+    return tuple(res.x[:k])
+
+
+def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
+    """Max of Pr[u . X + R >= theta] by the paper's literal search.
+
+    Every tuple in S^m of halfspace sets (one per sampled point) gets a
+    feasibility LP; each feasible witness is scored by full enumeration.
+    Exponential in m, so for micro-instances only.
+    """
+    head_probs = [Fraction(p) for p in head_probs]
+    points = sorted(Fraction(t) for t in points)
+    W, theta = Fraction(W), Fraction(theta)
+    k = len(head_probs)
+    outcomes, point_pr = _outcome_probs(head_probs)
+
+    def value(u):
+        total = Fraction(0)
+        for x, pr in zip(outcomes, point_pr):
+            dot = sum((w for w, b in zip(u, x) if b), Fraction(0))
+            total += pr * sum(1 for t in points if dot + t >= theta)
+        return total / len(points)
+
+    masks = [s.mask for s in enumerate_halfspace_sets(k)]
+    best = value((Fraction(0),) * k)
+    for tup in itertools.product(masks, repeat=len(points)):
+        u = _literal_lp(tup, points, k, W, theta)
+        if u is not None:
+            best = max(best, value(u))
     return best
 
 

@@ -27,7 +27,12 @@ from storalloc.large_ci import construct_achievable_tails
 from storalloc.lp import canonicalize_tail
 from storalloc.small_ci import construct_achievable_regular_tails, find_best_head
 
-from conftest import granular_instance, grid_best_head_value, with_one_retry
+from conftest import (
+    granular_instance,
+    grid_best_head_value,
+    literal_best_head_value,
+    with_one_retry,
+)
 from test_large_ci import brute_force_triples
 from test_lp import event_members, random_sorted_unit_weights
 from test_small_ci import brute_force_quintuples
@@ -215,11 +220,11 @@ def test_criterion_7_find_best_head_optimality():
             for pts in itertools.combinations_with_replacement(point_pool, m):
                 for theta in (F(1, 4), F(1, 2), F(3, 4)):
                     for W in (F(1, 2), F(1)):
-                        chain = find_best_head(probs, pts, W, theta, mode="chain")
-                        literal = find_best_head(probs, pts, W, theta, mode="literal")
+                        chain = find_best_head(probs, pts, W, theta)
+                        literal = literal_best_head_value(probs, pts, W, theta)
                         grid = grid_best_head_value(probs, pts, W, theta)
-                        assert chain.value == literal.value == grid, (
-                            k, pts, theta, W, chain.value, literal.value, grid,
+                        assert chain.value == literal == grid, (
+                            k, pts, theta, W, chain.value, literal, grid,
                         )
                         checked += 1
     elapsed = time.time() - t0

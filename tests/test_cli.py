@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import storalloc
 from storalloc.cli import main
 from storalloc.formats import load_instance, parse_weights, save_instance
 
@@ -142,6 +145,18 @@ class TestCommands:
         assert data["reason"] == "high_prob_shortcut"
         assert data["pool_size"] == 1
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("baseline", "--seed"), ("oracle", "--mode"), ("eval", "--kappa")],
+    )
+    def test_unread_solver_flags_rejected(self, inst_file, command, flag):
+        args = [command, inst_file, flag, "1"]
+        if command == "eval":
+            args += ["--weights", "1/2,1/4,1/4"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+
     def test_exit_code_invalid_input(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert run_cli(["solve", missing]) == 2
@@ -168,11 +183,16 @@ class TestDeterminismBytes:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_entry_point_subprocess(self, inst_file):
-        # the installed console script behaves like main()
+        # the installed console script behaves like main(); the child
+        # imports the same package as this process
+        src = str(Path(storalloc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "storalloc.cli", "baseline", str(inst_file)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best_k"] >= 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -118,3 +119,27 @@ class TestSolve:
         m = selection_sample_size(F(1, 4), F(1, 20), 10, F(1))
         assert m == math.ceil(16 * math.log(10 / 0.05))
         assert selection_sample_size(F(1, 4), F(1, 20), 1, F(1)) >= 1
+
+
+class TestReportBytes:
+    # sha256 of to_json() for two practical solves: any change to a report
+    # byte fails here, so update a digest only for an intended format change
+    @pytest.mark.parametrize(
+        "probs, L_cap, digest",
+        [
+            (
+                [0.62, 0.45, 0.31, 0.58, 0.5],
+                2,
+                "d1a6a267112beb7004109d237bcc8f1b2796f934503f8b6b3fed56dcdfcef0cc",
+            ),
+            (
+                [0.62, 0.45, 0.31, 0.58, 0.5, 0.41],
+                3,
+                "51b5a96f352ae096c9d15f44db318c9dfc47b05fa0de918f790dc04c40f579ba",
+            ),
+        ],
+    )
+    def test_practical_report_digest_pinned(self, probs, L_cap, digest):
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=3)
+        rep = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg)
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest

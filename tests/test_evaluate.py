@@ -13,6 +13,8 @@ from storalloc.evaluate import (
     kolmogorov_distance,
     linear_form_dist,
     mc_estimate,
+    mc_estimate_probs,
+    mc_hit_counts,
     sample_tail_empirical,
 )
 
@@ -179,6 +181,18 @@ class TestSampling:
         assert a.value == b.value
         c = mc_estimate(inst, w, 50_000, seed=12)
         assert a.value != c.value  # different seed, almost surely different
+
+    def test_hit_counts_match_single_vector_estimates(self):
+        probs = [F(3, 5), F(1, 2), F(2, 5)]
+        vectors = [
+            (F(1, 2), F(1, 2), F(0)),
+            (F(1, 3), F(1, 3), F(1, 3)),
+            (F(1), F(0), F(0)),
+        ]
+        hits = mc_hit_counts(probs, vectors, F(1, 2), 3_000, seed=4)
+        for w, h in zip(vectors, hits):
+            assert F(h, 3_000) == mc_estimate_probs(probs, w, F(1, 2), 3_000, seed=4).value
+        assert len(set(hits)) == 3  # the vectors really differ on this sample
 
     def test_theta_zero_like_event_always_succeeds(self):
         # weights summing over theta for every outcome with a 1 anywhere is
