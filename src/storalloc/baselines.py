@@ -2,10 +2,11 @@
 
 The brute-force oracle is the junta solver run at full dimension: when L
 equals n there is no tail, so the head enumeration is exhaustive over all
-realizable event sets and the result is exactly optimal.  Desk scale caps
-this at n = 4 through the function-enumeration path; n = 5 is available
-behind a flag through the weight-grid path (validated by realized-set
-counts, see halfspaces).
+realizable event sets and the result is exactly optimal.  The event sets
+come from the halfspace weight grid, whose completeness the tests check
+against an exact LP separability oracle for n <= 4 and by count at n = 5.
+Desk scale caps the oracle at n = 4; n = 5 (3287 upward-closed sets) is
+available behind a flag.
 
 The uniform k-split baseline and the n=5 counterexample that beats it are
 kept here for benchmarking: with five nodes at p = 0.9 and theta = 5/12,
@@ -30,11 +31,10 @@ class OracleResult:
     opt_value: Fraction
     witness: tuple[Fraction, ...]  # sorted-instance order
     sets_examined: int
-    method: str
 
 
-ORACLE_FUNCTION_MAX_N = 4
-ORACLE_GRID_MAX_N = 5
+ORACLE_DEFAULT_MAX_N = 4
+ORACLE_FLAG_MAX_N = 5
 
 
 def brute_force_optimum(
@@ -42,23 +42,17 @@ def brute_force_optimum(
 ) -> OracleResult:
     """Exactly optimal allocation by exhaustive event-set enumeration.
 
-    n <= 4 uses the function-enumeration oracle; n = 5 requires
-    ``allow_grid_n5`` (weight-grid enumeration, count-validated).
+    n = 5 requires ``allow_grid_n5``.
     """
     n = instance.n
-    if n > ORACLE_GRID_MAX_N:
-        raise InputError(f"oracle supports n <= {ORACLE_GRID_MAX_N}; got n={n}")
-    if n == ORACLE_GRID_MAX_N and not allow_grid_n5:
-        raise InputError(
-            "n=5 oracle uses the weight-grid enumeration; pass allow_grid_n5=True"
-        )
-    method = "functions" if n <= ORACLE_FUNCTION_MAX_N else "grid(count-validated)"
-    sets = enumerate_halfspace_sets(
-        n, method="functions" if n <= ORACLE_FUNCTION_MAX_N else "grid", monotone=True
-    )
+    if n > ORACLE_FLAG_MAX_N:
+        raise InputError(f"oracle supports n <= {ORACLE_FLAG_MAX_N}; got n={n}")
+    if n == ORACLE_FLAG_MAX_N and not allow_grid_n5:
+        raise InputError("n=5 oracle requires allow_grid_n5=True")
+    sets = enumerate_halfspace_sets(n, monotone=True)
     # n=5 has thousands of monotone sets; the probability-ordered scan stops
     # at the first feasible one, which already carries the optimal value.
-    strategy = "exhaustive" if n <= ORACLE_FUNCTION_MAX_N else "first_feasible"
+    strategy = "exhaustive" if n <= ORACLE_DEFAULT_MAX_N else "first_feasible"
     result = find_optimal_junta(
         JuntaRequest(instance.probs, instance.theta, Fraction(1)),
         sets=sets,
@@ -69,7 +63,6 @@ def brute_force_optimum(
         opt_value=result.value,
         witness=result.weights,
         sets_examined=len(sets),
-        method=method,
     )
 
 

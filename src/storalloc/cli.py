@@ -123,7 +123,6 @@ def _cmd_oracle(args) -> int:
         "opt_value_float": float(res.opt_value),
         "witness": [frac_str(w) for w in instance.to_original_order(res.witness)],
         "sets_examined": res.sets_examined,
-        "method": res.method,
     }
     _emit(json.dumps(result, indent=2) + "\n", args.out)
     return 0
@@ -283,6 +282,8 @@ def main(argv=None) -> int:
         return 2
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        guard = {"guard": str(exc), "estimate": exc.estimate, "limit": exc.limit}
+        print(json.dumps(guard), file=sys.stderr)
         return 3
 
 

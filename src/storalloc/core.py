@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
+from .halfspaces import MAX_K
 from .util import to_fraction
 
 logger = logging.getLogger(__name__)
@@ -67,8 +68,11 @@ class SolverConfig:
             raise InputError("c_L and mc_constant must be positive")
         if self.kappa_override is not None and self.kappa_override <= 0:
             raise InputError("kappa_override must be positive")
-        if self.L_cap is not None and self.L_cap < 1:
-            raise InputError("L_cap must be >= 1")
+        if self.L_cap is not None and not 1 <= self.L_cap <= MAX_K:
+            raise InputError(
+                f"L_cap (--l-cap) must lie in [1, {MAX_K}], the head sizes "
+                f"halfspace enumeration covers; got {self.L_cap}"
+            )
         if self.state_space_limit < 1 or self.exact_eval_max_n < 1:
             raise InputError("limits must be positive")
         if self.mode == "theory" and (self.kappa_override is not None or self.L_cap is not None):

@@ -1,21 +1,16 @@
 """Enumeration of threshold-realizable subsets of the Boolean cube.
 
 A subset S of {0,1}^k is threshold-realizable when S = {x : u.x >= c} for
-some weights u and threshold c; integer (u, c) always exist.  Two
-enumeration paths:
-
-  * functions (k <= 4): walk all 2^(2^k) Boolean functions, discard the
-    non-unate ones cheaply (thresholdness implies unateness), and decide
-    the survivors by an exact LP separability test with unit margin off S.
-    Complete by construction; this is also the counting oracle.
-  * grid (k <= 5): enumerate canonical sorted non-negative integer weight
-    vectors up to a per-k bound, sweep thresholds across their subset
-    sums, then close under coordinate permutations and flips.  Bounds are
-    validated by matching the functions path for k <= 4 and the realized
-    distinct-set count at k = 5.
+some weights u and threshold c; integer (u, c) always exist.  Sets are
+enumerated from canonical sorted non-negative integer weight vectors up to
+a per-k bound, sweeping thresholds across their subset sums, then closing
+under coordinate permutations and flips.  The bounds are checked by the
+tests: for k <= 4 the family equals, as an ordered list of masks, the one
+an exact LP separability test picks out of all 2^(2^k) Boolean functions,
+and at k = 5 the counts match the known ones.
 
 Counts by dimension (distinct realizable sets, k = 0..5):
-2, 4, 14, 104, 1882, 94572.
+2, 4, 14, 104, 1882, 94572; upward-closed ones: 2, 3, 6, 20, 150, 3287.
 
 Points are indexed by integers x in [0, 2^k) with coordinate j equal to
 (x >> j) & 1; sets are bitmasks over point indices.
@@ -24,81 +19,21 @@ Points are indexed by integers x in [0, 2^k) with coordinate j equal to
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
-from .lp import LinearProgram, lp_solve
 
-# Weight bounds for the grid path, validated against the functions path
-# (k <= 4) and count stability (k = 5); see tests.
+# Per-k weight bounds for the grid; see the module docstring for how they
+# are checked.
 GRID_BOUND = {1: 1, 2: 1, 3: 2, 4: 3, 5: 9}
 
-KNOWN_COUNTS = {0: 2, 1: 4, 2: 14, 3: 104, 4: 1882, 5: 94572}
-
-FUNCTION_PATH_MAX_K = 4
-GRID_PATH_MAX_K = 5
+MAX_K = max(GRID_BOUND)
 
 
 def point_bits(x: int, k: int) -> tuple[int, ...]:
     return tuple((x >> j) & 1 for j in range(k))
-
-
-@lru_cache(maxsize=None)
-def _low_masks(k: int) -> tuple[int, ...]:
-    """Per coordinate, the bitmask of points with that coordinate = 0."""
-    out = []
-    for j in range(k):
-        low = 0
-        for x in range(1 << k):
-            if not (x >> j) & 1:
-                low |= 1 << x
-        out.append(low)
-    return tuple(out)
-
-
-def _direction(mask: int, k: int, j: int) -> Optional[int]:
-    """+1 if non-decreasing in coordinate j, -1 if non-increasing (prefers
-    +1 when both), None if neither."""
-    full = (1 << (1 << k)) - 1
-    low = _low_masks(k)[j]
-    step = 1 << j
-    if ((mask & low) << step) & ~mask & full == 0:
-        return 1
-    if ((mask & ~low & full) >> step) & ~mask & full == 0:
-        return -1
-    return None
-
-
-def is_unate(mask: int, k: int) -> bool:
-    """Monotone non-decreasing or non-increasing in every coordinate."""
-    return all(_direction(mask, k, j) is not None for j in range(k))
-
-
-def _orient(mask: int, k: int) -> Optional[tuple[int, int]]:
-    """Flip set making the function monotone non-decreasing, or None.
-
-    Returns (monotone_mask, flips); flipping coordinate j permutes point
-    indices by XOR with bit j.
-    """
-    flips = 0
-    for j in range(k):
-        d = _direction(mask, k, j)
-        if d is None:
-            return None
-        if d < 0:
-            flips |= 1 << j
-    if flips == 0:
-        return mask, 0
-    mono = 0
-    for y in range(1 << k):
-        if (mask >> (y ^ flips)) & 1:
-            mono |= 1 << y
-    return mono, flips
 
 
 def is_upward_closed(mask: int, k: int) -> bool:
@@ -111,61 +46,18 @@ def is_upward_closed(mask: int, k: int) -> bool:
     return True
 
 
-def _separate(mask: int, k: int) -> Optional[tuple[tuple[int, ...], int]]:
-    """Integer (u, c) with S = {x : u.x >= c}, or None if not realizable.
-
-    Feasibility LP over free (u, c): u.x >= c on S, u.x <= c - 1 off S.
-    Integrality of witnesses comes from scaling the rational solution; a
-    positive integer scale preserves both sides (t*(c-1) <= t*c - 1).
-    """
-    if k == 0:
-        return ((), 0 if mask & 1 else 1)
-    nv = k + 1
-    cons = []
-    for x in range(1 << k):
-        bits = point_bits(x, k)
-        row = [Fraction(b) for b in bits] + [Fraction(-1)]
-        if (mask >> x) & 1:
-            cons.append((row, ">=", Fraction(0)))
-        else:
-            cons.append((row, "<=", Fraction(-1)))
-    lp = LinearProgram(nv, cons, objective=None, free=tuple(range(nv)))
-    res = lp_solve(lp)
-    if res.status != "optimal":
-        return None
-    scale = lcm(*(v.denominator for v in res.x))
-    u = tuple(int(v * scale) for v in res.x[:k])
-    c = int(res.x[k] * scale)
-    assert realize_mask(u, c, k) == mask
-    return u, c
-
-
-def realize_mask(u, c, k: int) -> int:
-    mask = 0
-    for x in range(1 << k):
-        dot = sum(uj for j, uj in enumerate(u) if (x >> j) & 1)
-        if dot >= c:
-            mask |= 1 << x
-    return mask
-
-
 class HalfspaceSet:
-    """One realizable subset; integer weights materialize lazily."""
+    """One realizable subset of {0,1}^k, as a bitmask over point indices."""
 
-    __slots__ = ("k", "mask", "_u", "_c")
+    __slots__ = ("k", "mask")
 
-    def __init__(self, k: int, mask: int, u=None, c=None):
+    def __init__(self, k: int, mask: int):
         self.k = k
         self.mask = mask
-        self._u = u
-        self._c = c
 
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(x for x in range(1 << self.k) if (self.mask >> x) & 1)
-
-    def member_bits(self) -> list[tuple[int, ...]]:
-        return [point_bits(x, self.k) for x in self.members]
 
     def minimal_members(self) -> tuple[int, ...]:
         """Members none of whose single-bit-down neighbors are members."""
@@ -180,49 +72,8 @@ class HalfspaceSet:
                 out.append(x)
         return tuple(out)
 
-    @property
-    def u(self) -> tuple[int, ...]:
-        self._materialize()
-        return self._u
-
-    @property
-    def c(self) -> int:
-        self._materialize()
-        return self._c
-
-    def _materialize(self):
-        if self._u is None:
-            sep = _separate(self.mask, self.k)
-            if sep is None:
-                raise AssertionError("enumerated set is not realizable")
-            self._u, self._c = sep
-
     def __repr__(self):
         return f"HalfspaceSet(k={self.k}, mask={self.mask:#x}, size={len(self.members)})"
-
-
-def _enumerate_functions(k: int) -> list[HalfspaceSet]:
-    """Brute force over all 2^(2^k) functions, decided by LP separability.
-
-    Thresholdness is invariant under coordinate flips, so each unate
-    function is decided through its monotone reorientation; distinct
-    monotone representatives number only Dedekind(k), which keeps the
-    exact-LP count tiny without weakening the oracle.
-    """
-    decided: dict[int, bool] = {}
-    out = []
-    for mask in range(1 << (1 << k)):
-        oriented = _orient(mask, k)
-        if oriented is None:
-            continue  # not unate, hence not a threshold function
-        mono, _ = oriented
-        verdict = decided.get(mono)
-        if verdict is None:
-            verdict = _separate(mono, k) is not None
-            decided[mono] = verdict
-        if verdict:
-            out.append(HalfspaceSet(k, mask))
-    return out
 
 
 def _canonical_grid_masks(k: int, bound: int) -> set[int]:
@@ -277,29 +128,18 @@ def _expand(masks: set[int], k: int, flips: bool) -> set[int]:
     return out
 
 
-def _enumerate_grid(k: int, monotone: bool) -> list[HalfspaceSet]:
-    bound = GRID_BOUND[k]
-    canonical = _canonical_grid_masks(k, bound)
+@lru_cache(maxsize=None)
+def _cached(k: int, monotone: bool) -> tuple[HalfspaceSet, ...]:
+    canonical = _canonical_grid_masks(k, GRID_BOUND[k])
     closed = _expand(canonical, k, flips=not monotone)
     if monotone:
         closed = {m for m in closed if is_upward_closed(m, k)}
-    return [HalfspaceSet(k, m) for m in sorted(closed)]
+    return tuple(HalfspaceSet(k, m) for m in sorted(closed))
 
 
-@lru_cache(maxsize=None)
-def _cached(k: int, method: str, monotone: bool) -> tuple[HalfspaceSet, ...]:
-    if method == "functions":
-        sets = _enumerate_functions(k)
-        if monotone:
-            sets = [s for s in sets if is_upward_closed(s.mask, k)]
-        return tuple(sorted(sets, key=lambda s: s.mask))
-    return tuple(sorted(_enumerate_grid(k, monotone), key=lambda s: s.mask))
-
-
-def enumerate_halfspace_sets(
-    k: int, method: str = "auto", monotone: bool = False
-) -> list[HalfspaceSet]:
-    """All threshold-realizable subsets of {0,1}^k, one per distinct set.
+def enumerate_halfspace_sets(k: int, monotone: bool = False) -> list[HalfspaceSet]:
+    """All threshold-realizable subsets of {0,1}^k, one per distinct set,
+    in increasing mask order.
 
     ``monotone=True`` restricts to upward-closed sets (exactly the sets
     realizable with non-negative weights, which is all that matters when
@@ -307,21 +147,8 @@ def enumerate_halfspace_sets(
     """
     if k < 0:
         raise InputError("dimension must be non-negative")
+    if k > MAX_K:
+        raise InputError(f"halfspace enumeration supports k <= {MAX_K}; got k={k}")
     if k == 0:
-        return [HalfspaceSet(0, 0, (), 1), HalfspaceSet(0, 1, (), 0)]
-    if method == "auto":
-        method = "functions" if k <= FUNCTION_PATH_MAX_K else "grid"
-    if method == "functions":
-        if k > FUNCTION_PATH_MAX_K:
-            raise InputError(
-                f"function enumeration handles k <= {FUNCTION_PATH_MAX_K} "
-                f"(2^(2^k) functions); got k={k}"
-            )
-    elif method == "grid":
-        if k > GRID_PATH_MAX_K:
-            raise InputError(
-                f"halfspace enumeration supports k <= {GRID_PATH_MAX_K}; got k={k}"
-            )
-    else:
-        raise InputError(f"unknown enumeration method {method!r}")
-    return list(_cached(k, method, monotone))
+        return [HalfspaceSet(0, 0), HalfspaceSet(0, 1)]
+    return list(_cached(k, monotone))

@@ -104,14 +104,15 @@ def _sort_key(weights: Sequence[Fraction]) -> tuple:
 def find_optimal_junta(
     req: JuntaRequest,
     sets: Optional[Sequence[HalfspaceSet]] = None,
-    monotone: bool = True,
     threads: int = 1,
     strategy: str = "exhaustive",
 ) -> JuntaResult:
     """Exact maximizer of Pr[w . X >= tau] over heads with sum(w) <= W.
 
-    Ties between equally good witnesses break toward the lexicographically
-    smallest descending-sorted weight vector.
+    ``sets`` defaults to the upward-closed realizable sets of the head cube,
+    which lose nothing (see the module docstring).  Ties between equally
+    good witnesses break toward the lexicographically smallest
+    descending-sorted weight vector.
 
     strategy="first_feasible" scans sets by event probability descending and
     stops at the first feasible one.  Any witness's value is the probability
@@ -130,7 +131,7 @@ def find_optimal_junta(
         return JuntaResult((Fraction(0),) * L, Fraction(1), full, 0)
 
     if sets is None:
-        sets = enumerate_halfspace_sets(L, monotone=monotone)
+        sets = enumerate_halfspace_sets(L, monotone=True)
 
     def quick_reject(set_: HalfspaceSet) -> bool:
         if set_.mask and tau > W:

@@ -1,17 +1,21 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's optimized paths: the
-naive objective enumerates all 2^n outcomes with itertools, and the grid
-oracles scan dense 1/64-step weight grids.  They exist so that every
-optimized routine is checked against an implementation too simple to share
-its bugs.
+naive objective enumerates all 2^n outcomes with itertools, the grid
+oracles scan dense 1/64-step weight grids, and the threshold-set oracle
+decides every Boolean function on {0,1}^k by an exact separation LP.  They
+exist so that every optimized routine is checked against an implementation
+too simple to share its bugs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Optional
 
 import pytest
 
@@ -179,6 +183,123 @@ def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
         if u is not None:
             best = max(best, value(u))
     return best
+
+
+def realize_mask(u, c, k: int) -> int:
+    """Bitmask of the points x of {0,1}^k with u . x >= c."""
+    mask = 0
+    for x in range(1 << k):
+        dot = sum(uj for j, uj in enumerate(u) if (x >> j) & 1)
+        if dot >= c:
+            mask |= 1 << x
+    return mask
+
+
+def lp_separation(mask: int, k: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """Integer (u, c) with mask = {x : u . x >= c}, or None if there is none.
+
+    One feasibility LP over free (u, c): u . x >= c on the set and
+    u . x <= c - 1 off it.  Scaling the rational solution by the lcm of its
+    denominators keeps both sides (t(c - 1) <= tc - 1 for integer t >= 1).
+    """
+    nv = k + 1
+    cons = []
+    for x in range(1 << k):
+        row = [Fraction(b) for b in point_bits(x, k)] + [Fraction(-1)]
+        if (mask >> x) & 1:
+            cons.append((row, ">=", Fraction(0)))
+        else:
+            cons.append((row, "<=", Fraction(-1)))
+    res = lp_solve(LinearProgram(nv, cons, objective=None, free=tuple(range(nv))))
+    if res.status != "optimal":
+        return None
+    scale = lcm(*(v.denominator for v in res.x))
+    u = tuple(int(v * scale) for v in res.x[:k])
+    c = int(res.x[k] * scale)
+    assert realize_mask(u, c, k) == mask
+    return u, c
+
+
+@functools.lru_cache(maxsize=None)
+def _low_masks(k: int) -> tuple[int, ...]:
+    """Per coordinate, the bitmask of points with that coordinate = 0."""
+    out = []
+    for j in range(k):
+        low = 0
+        for x in range(1 << k):
+            if not (x >> j) & 1:
+                low |= 1 << x
+        out.append(low)
+    return tuple(out)
+
+
+def _direction(mask: int, k: int, j: int) -> Optional[int]:
+    """+1 if non-decreasing in coordinate j, -1 if non-increasing (prefers
+    +1 when both), None if neither."""
+    full = (1 << (1 << k)) - 1
+    low = _low_masks(k)[j]
+    step = 1 << j
+    if ((mask & low) << step) & ~mask & full == 0:
+        return 1
+    if ((mask & ~low & full) >> step) & ~mask & full == 0:
+        return -1
+    return None
+
+
+def is_unate(mask: int, k: int) -> bool:
+    """Monotone non-decreasing or non-increasing in every coordinate."""
+    return all(_direction(mask, k, j) is not None for j in range(k))
+
+
+def _orient(mask: int, k: int) -> Optional[tuple[int, int]]:
+    """Flip set making the function monotone non-decreasing, or None.
+
+    Returns (monotone_mask, flips); flipping coordinate j permutes point
+    indices by XOR with bit j.  flips == 0 exactly when the set is
+    upward-closed.
+    """
+    flips = 0
+    for j in range(k):
+        d = _direction(mask, k, j)
+        if d is None:
+            return None
+        if d < 0:
+            flips |= 1 << j
+    if flips == 0:
+        return mask, 0
+    mono = 0
+    for y in range(1 << k):
+        if (mask >> (y ^ flips)) & 1:
+            mono |= 1 << y
+    return mono, flips
+
+
+@functools.lru_cache(maxsize=None)
+def lp_threshold_masks(k: int, monotone: bool = False) -> tuple[int, ...]:
+    """Every threshold-realizable subset of {0,1}^k, as increasing masks.
+
+    Walks all 2^(2^k) Boolean functions (k <= 4).  Non-unate ones are not
+    threshold functions; thresholdness is invariant under coordinate flips,
+    so each unate function is decided by ``lp_separation`` on its monotone
+    reorientation, which keeps the LP count at Dedekind(k).
+    ``monotone=True`` keeps the upward-closed sets only.  Cached for the
+    session: k = 4 solves 168 exact LPs.
+    """
+    if monotone:
+        return tuple(m for m in lp_threshold_masks(k) if _orient(m, k)[1] == 0)
+    decided: dict[int, bool] = {}
+    out = []
+    for mask in range(1 << (1 << k)):
+        oriented = _orient(mask, k)
+        if oriented is None:
+            continue
+        mono, _ = oriented
+        verdict = decided.get(mono)
+        if verdict is None:
+            verdict = decided[mono] = lp_separation(mono, k) is not None
+        if verdict:
+            out.append(mask)
+    return tuple(out)
 
 
 def with_one_retry(check, seeds=(0, 1)):

@@ -31,6 +31,7 @@ from conftest import (
     granular_instance,
     grid_best_head_value,
     literal_best_head_value,
+    lp_threshold_masks,
     with_one_retry,
 )
 from test_large_ci import brute_force_triples
@@ -128,13 +129,13 @@ def test_criterion_4_ltf_enumeration_counts():
     t0 = time.time()
     expected = {1: 4, 2: 14, 3: 104, 4: 1882}
     for k, count in expected.items():
-        f = enumerate_halfspace_sets(k, method="functions")
-        g = enumerate_halfspace_sets(k, method="grid")
-        assert len(f) == count, f"functions path k={k}: {len(f)} != {count}"
-        assert {s.mask for s in f} == {s.mask for s in g}
+        f = lp_threshold_masks(k)
+        g = [s.mask for s in enumerate_halfspace_sets(k)]
+        assert len(f) == count, f"LP oracle k={k}: {len(f)} != {count}"
+        assert list(f) == g
     elapsed = time.time() - t0
     assert elapsed < 120
-    report(4, f"counts 4/14/104/1882 for k=1..4, both paths identical, {elapsed:.1f}s")
+    report(4, f"counts 4/14/104/1882 for k=1..4, grid and LP oracle identical, {elapsed:.1f}s")
 
 
 def test_criterion_5_canonicalizer_suite():

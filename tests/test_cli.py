@@ -167,6 +167,19 @@ class TestCommands:
              "--l-cap", "2"]
         )
         assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("guard: ")
+        guard = json.loads(lines[1])
+        assert guard["guard"] == lines[0][len("guard: "):]
+        assert isinstance(guard["estimate"], int) and isinstance(guard["limit"], int)
+        assert guard["estimate"] > guard["limit"] == 5_000_000
+
+    def test_l_cap_above_enumeration_limit_is_input_error(self, inst_file, capsys):
+        code = run_cli(
+            ["solve", inst_file, "--mode", "practical", "--kappa", "1/8", "--l-cap", "6"]
+        )
+        assert code == 2
+        assert "--l-cap" in capsys.readouterr().err
 
 
 class TestDeterminismBytes:

@@ -17,6 +17,7 @@ from storalloc.core import (
 )
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
+from storalloc.halfspaces import MAX_K
 
 from conftest import granular_instance
 
@@ -148,6 +149,12 @@ class TestDerivedParameters:
         )
         cfg = SolverConfig(mode="practical", L_cap=4)
         assert compute_L(inst, cfg) <= 4
+
+    def test_L_cap_bounded_by_head_enumeration(self):
+        assert SolverConfig(mode="practical", L_cap=MAX_K).L_cap == MAX_K
+        for bad in (0, MAX_K + 1):
+            with pytest.raises(InputError, match="--l-cap"):
+                SolverConfig(mode="practical", L_cap=bad)
 
     def test_theory_mode_forbids_overrides(self):
         with pytest.raises(InputError):

@@ -1,108 +1,91 @@
-from fractions import Fraction as F
-
 import pytest
 
+from conftest import is_unate, lp_separation, lp_threshold_masks, realize_mask
 from storalloc.errors import InputError
 from storalloc.halfspaces import (
+    MAX_K,
     HalfspaceSet,
     enumerate_halfspace_sets,
-    is_unate,
     is_upward_closed,
-    realize_mask,
 )
-from storalloc.lp import LinearProgram, lp_solve
 
 
-def lp_separable(mask: int, k: int) -> bool:
-    """Reference separability test: one LP per function, no shortcuts."""
-    nv = k + 1
-    cons = []
-    for x in range(1 << k):
-        row = [F((x >> j) & 1) for j in range(k)] + [F(-1)]
-        if (mask >> x) & 1:
-            cons.append((row, ">=", F(0)))
-        else:
-            cons.append((row, "<=", F(-1)))
-    res = lp_solve(LinearProgram(nv, cons, None, free=tuple(range(nv))))
-    return res.status == "optimal"
+def masks(k, monotone=False):
+    return [s.mask for s in enumerate_halfspace_sets(k, monotone=monotone)]
 
 
 class TestEnumeration:
     def test_k1_sets(self):
-        sets = enumerate_halfspace_sets(1)
-        masks = {s.mask for s in sets}
         # empty, {x=1}, {x=0}, full
-        assert masks == {0b00, 0b10, 0b01, 0b11}
+        assert set(masks(1)) == {0b00, 0b10, 0b01, 0b11}
 
     def test_k2_count_and_xor_rejected(self):
-        sets = enumerate_halfspace_sets(2)
-        assert len(sets) == 14
-        masks = {s.mask for s in sets}
+        got = set(masks(2))
+        assert len(got) == 14
         xor = 0b0110  # points 01 and 10
         xnor = 0b1001
-        assert xor not in masks and xnor not in masks
+        assert xor not in got and xnor not in got
         # so exactly the 16 functions minus the two parities
-        assert masks == set(range(16)) - {xor, xnor}
+        assert got == set(range(16)) - {xor, xnor}
 
     def test_counts_k3(self):
         assert len(enumerate_halfspace_sets(3)) == 104
 
     def test_paths_agree_k_small(self):
+        # the grid against the LP oracle, as ordered mask lists
         for k in (1, 2, 3):
-            f = {s.mask for s in enumerate_halfspace_sets(k, method="functions")}
-            g = {s.mask for s in enumerate_halfspace_sets(k, method="grid")}
-            assert f == g
+            for monotone in (False, True):
+                assert masks(k, monotone) == list(lp_threshold_masks(k, monotone))
+
+    def test_monotone_paths_agree_k3_k4(self):
+        for k in (3, 4):
+            assert masks(k, monotone=True) == list(lp_threshold_masks(k, monotone=True))
+
+    def test_counts_k5(self):
+        # OEIS A000609 and A000617 at k = 5; no LP oracle reaches this far
+        assert len(enumerate_halfspace_sets(5)) == 94572
+        assert len(enumerate_halfspace_sets(5, monotone=True)) == 3287
 
     def test_function_path_matches_reference_lp_at_k2(self):
-        # every one of the 16 functions gets the plain one-LP test
-        expected = {m for m in range(16) if lp_separable(m, 2)}
-        got = {s.mask for s in enumerate_halfspace_sets(2, method="functions")}
-        assert got == expected
+        # every one of the 16 functions gets the plain one-LP test, without
+        # the oracle's unateness and reorientation shortcuts
+        expected = tuple(m for m in range(16) if lp_separation(m, 2) is not None)
+        assert lp_threshold_masks(2) == expected
 
     def test_witnesses_realize_their_sets(self):
         for k in (1, 2, 3):
             for s in enumerate_halfspace_sets(k):
-                assert realize_mask(s.u, s.c, k) == s.mask
-                assert all(isinstance(v, int) for v in s.u)
-                assert isinstance(s.c, int)
+                u, c = lp_separation(s.mask, k)
+                assert realize_mask(u, c, k) == s.mask
+                assert all(isinstance(v, int) for v in u)
+                assert isinstance(c, int)
 
     def test_witness_magnitudes_within_mtt_style_bound(self):
         # integer realizations stay within the k^Theta(k) envelope; the
         # LP-scaled witnesses actually come out much smaller (<= 3 at k=4).
-        # k=4 samples every 29th set: materializing u costs an LP per set.
+        # k=4 samples every 29th set: each witness costs an LP.
         for k, stride in ((2, 1), (3, 1), (4, 29)):
-            sets = enumerate_halfspace_sets(k)
-            for s in sets[::stride]:
-                assert all(abs(v) <= k**k for v in s.u)
-                assert abs(s.c) <= (k + 1) ** (k + 1)
+            for s in enumerate_halfspace_sets(k)[::stride]:
+                u, c = lp_separation(s.mask, k)
+                assert all(abs(v) <= k**k for v in u)
+                assert abs(c) <= (k + 1) ** (k + 1)
 
     def test_k0(self):
-        sets = enumerate_halfspace_sets(0)
-        assert {s.mask for s in sets} == {0, 1}
+        assert masks(0) == [0, 1]
+        assert masks(0, monotone=True) == [0, 1]
 
     def test_limits(self):
+        assert MAX_K == 5
         with pytest.raises(InputError):
-            enumerate_halfspace_sets(5, method="functions")
+            enumerate_halfspace_sets(MAX_K + 1)
         with pytest.raises(InputError):
-            enumerate_halfspace_sets(6)
-        with pytest.raises(InputError):
-            enumerate_halfspace_sets(2, method="mystery")
+            enumerate_halfspace_sets(-1)
 
     def test_monotone_filter(self):
         mono = enumerate_halfspace_sets(2, monotone=True)
         assert all(is_upward_closed(s.mask, 2) for s in mono)
-        full = enumerate_halfspace_sets(2)
-        expected = {s.mask for s in full if is_upward_closed(s.mask, 2)}
-        assert {s.mask for s in mono} == expected
-        # grid path agrees on the monotone family
-        grid_mono = enumerate_halfspace_sets(2, method="grid", monotone=True)
-        assert {s.mask for s in grid_mono} == expected
-
-    def test_monotone_paths_agree_k3_k4(self):
-        for k in (3, 4):
-            f = {s.mask for s in enumerate_halfspace_sets(k, method="functions", monotone=True)}
-            g = {s.mask for s in enumerate_halfspace_sets(k, method="grid", monotone=True)}
-            assert f == g
+        expected = [m for m in masks(2) if is_upward_closed(m, 2)]
+        assert [s.mask for s in mono] == expected
 
 
 class TestPredicates:

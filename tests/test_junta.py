@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from storalloc.errors import InputError
+from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.junta import JuntaRequest, find_optimal_junta
 
 from conftest import grid_junta_value
@@ -93,8 +94,10 @@ class TestProperties:
             )
             tau = F(rng.randint(1, 12), 12)
             W = F(rng.randint(4, 12), 12)
-            a = find_optimal_junta(JuntaRequest(probs, tau, W), monotone=True)
-            b = find_optimal_junta(JuntaRequest(probs, tau, W), monotone=False)
+            a = find_optimal_junta(JuntaRequest(probs, tau, W))
+            b = find_optimal_junta(
+                JuntaRequest(probs, tau, W), sets=enumerate_halfspace_sets(L)
+            )
             assert a.value == b.value
 
     def test_threads_do_not_change_result(self):
