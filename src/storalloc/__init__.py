@@ -1,122 +1,41 @@
 """storalloc: fault-tolerant storage allocation.
 
 Maximize Pr[w . X >= theta] over non-negative allocations with unit budget,
-where X is a product of Bernoulli node-survival indicators.  Provides the
-case-split approximation pipeline, exact evaluation oracles, an exact
-brute-force optimizer for tiny instances, and benchmarking baselines.
+where X is a product of Bernoulli node-survival indicators.  The root
+exports the solve and oracle API: the case-split approximation pipeline,
+preprocessing, exact and Monte-Carlo evaluation, the exact brute-force
+optimizer for tiny instances, and the baselines.  The case solvers and
+their building blocks live in the submodules; the checkers for the
+paper's structural lemmas live in ``storalloc.lemmas``.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    ProblemInstance,
-    RegularityReport,
-    SolverConfig,
-    TrivialSolution,
-    WeightVector,
-    compute_gamma,
-    compute_L,
-    critical_index,
-    is_regular,
-    preprocess,
-)
+from .core import ProblemInstance, SolverConfig, preprocess
 from .errors import GuardError, InputError, StorallocError
-from .evaluate import (
-    DiscreteDist,
-    EmpiricalDist,
-    ObjectiveEstimate,
-    exact_objective,
-    exact_objective_probs,
-    kolmogorov_distance,
-    linear_form_dist,
-    mc_estimate,
-    mc_estimate_probs,
-    sample_tail_empirical,
-)
-from .halfspaces import HalfspaceSet, enumerate_halfspace_sets
-from .junta import JuntaRequest, JuntaResult, find_optimal_junta
-from .lp import (
-    CanonicalizeResult,
-    LfpVertexSolution,
-    LinearProgram,
-    LPResult,
-    canonicalize_tail,
-    lp_solve,
-)
-from .large_ci import (
-    TailTriple,
-    case2_kappa,
-    construct_achievable_tails,
-    find_near_opt_large_ci,
-)
-from .small_ci import (
-    HeadResult,
-    RegularTailQuintuple,
-    case3_kappa,
-    construct_achievable_regular_tails,
-    find_approximately_best_head,
-    find_best_head,
-    find_near_opt_small_ci,
-)
+from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_estimate_probs
 from .baselines import (
     OracleResult,
     brute_force_optimum,
     kleinberg_counterexample,
     uniform_split_baseline,
 )
-from .driver import PoolMember, SolveReport, solve, solve_instance
+from .driver import SolveReport, solve, solve_instance
 
 __all__ = [
-    "CanonicalizeResult",
-    "DiscreteDist",
-    "EmpiricalDist",
     "GuardError",
-    "HalfspaceSet",
-    "HeadResult",
     "InputError",
-    "JuntaRequest",
-    "JuntaResult",
-    "LPResult",
-    "LfpVertexSolution",
-    "LinearProgram",
     "ObjectiveEstimate",
     "OracleResult",
-    "PoolMember",
     "ProblemInstance",
-    "RegularTailQuintuple",
-    "RegularityReport",
     "SolveReport",
     "SolverConfig",
     "StorallocError",
-    "TailTriple",
-    "TrivialSolution",
-    "WeightVector",
     "brute_force_optimum",
-    "canonicalize_tail",
-    "case2_kappa",
-    "case3_kappa",
-    "compute_L",
-    "compute_gamma",
-    "construct_achievable_regular_tails",
-    "construct_achievable_tails",
-    "critical_index",
-    "enumerate_halfspace_sets",
-    "exact_objective",
     "exact_objective_probs",
-    "find_approximately_best_head",
-    "find_best_head",
-    "find_near_opt_large_ci",
-    "find_near_opt_small_ci",
-    "find_optimal_junta",
-    "is_regular",
     "kleinberg_counterexample",
-    "kolmogorov_distance",
-    "linear_form_dist",
-    "lp_solve",
-    "mc_estimate",
     "mc_estimate_probs",
     "preprocess",
-    "sample_tail_empirical",
     "solve",
     "solve_instance",
     "uniform_split_baseline",

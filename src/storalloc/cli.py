@@ -90,7 +90,7 @@ def _cmd_eval(args) -> int:
         "weights": [frac_str(w) for w in weights],
         "theta": frac_str(theta),
     }
-    if args.mc:
+    if args.mc is not None:
         est = mc_estimate_probs(probs, weights, theta, args.mc, args.seed, args.threads)
         result["mc_estimate"] = frac_str(est.value)
         result["mc_estimate_float"] = float(est.value)

@@ -17,9 +17,8 @@ Degenerate thresholds (theta in {0,1}) and near-certain nodes
 (max p >= 1 - eps) short-circuit to closed-form solutions before any
 rounding happens.
 
-This module also carries the two structural quantities the case split is
-built on: tau-regularity (no weight dominates the l2 norm) and the
-critical index (first suffix that is regular).
+It also derives the quantities every case solver reads: gamma (the
+instance's distance from {0,1}) and the head-size cutoff L of Eq. (1).
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .halfspaces import MAX_K
 from .util import to_fraction
 
 logger = logging.getLogger(__name__)
-
-INFINITE_INDEX = math.inf
 
 
 @dataclass(frozen=True)
@@ -123,58 +120,12 @@ class ProblemInstance:
     def gamma(self) -> Fraction:
         return compute_gamma(self)
 
-    @property
-    def L(self) -> int:
-        """Eq.-(1) cutoff under the default configuration."""
-        return compute_L(self, SolverConfig())
-
     def to_original_order(self, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a sorted-order weight vector back to the caller's index order."""
         out = [Fraction(0)] * self.n
         for slot, w in enumerate(weights):
             out[self.permutation[slot]] = Fraction(w)
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A feasible allocation: w >= 0 with sum(w) <= 1.
-
-    split_index marks the head/tail boundary when a case solver produced
-    the vector (head = weights[:split_index]).
-    """
-
-    weights: tuple[Fraction, ...]
-    split_index: Optional[int] = None
-
-    def __post_init__(self):
-        w = tuple(to_fraction(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        if any(x < 0 for x in w):
-            raise InputError("weights must be non-negative")
-        if sum(w, Fraction(0)) > 1:
-            raise InputError("weights must sum to at most 1")
-        if self.split_index is not None and not 0 <= self.split_index <= len(w):
-            raise InputError("split index out of range")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @property
-    def head(self) -> tuple[Fraction, ...]:
-        return self.weights[: self.split_index] if self.split_index is not None else self.weights
-
-    @property
-    def tail(self) -> tuple[Fraction, ...]:
-        return self.weights[self.split_index:] if self.split_index is not None else ()
-
-    @property
-    def is_canonical(self) -> bool:
-        """Sorted non-increasing, the normal form for sorted instances."""
-        return all(
-            self.weights[i] >= self.weights[i + 1] for i in range(self.n - 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -285,74 +236,3 @@ def compute_L(instance: ProblemInstance, config: SolverConfig) -> int:
     if config.mode == "practical" and config.L_cap is not None:
         L = min(L, config.L_cap)
     return L
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Critical-index computation for one weight vector.
-
-    sigma_sq[k] = sum_{i>=k} w_i^2 (0-based, exact); critical_index is
-    1-based against the zero-stripped vector, math.inf when no suffix is
-    regular; stripped counts the removed zero entries.
-    """
-
-    tau: Fraction
-    sigma_sq: tuple[Fraction, ...]
-    critical_index: float  # int-valued or math.inf
-    stripped: int
-
-    @property
-    def sigma(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(float(s)) for s in self.sigma_sq)
-
-
-def _validated_weights(w: Sequence) -> list[Fraction]:
-    vec = [to_fraction(x) for x in w]
-    if not vec:
-        raise InputError("empty weight vector")
-    return vec
-
-
-def critical_index(w: Sequence, tau) -> RegularityReport:
-    """Smallest i (1-based) with |w_i| <= tau * sigma_i, inf if none.
-
-    Requires |w_1| >= ... >= |w_m| > 0 after stripping zero entries (zeros
-    sort last by magnitude and are removed first; the count is reported).
-    """
-    tau = to_fraction(tau)
-    vec = [abs(x) for x in _validated_weights(w)]
-    stripped = sum(1 for x in vec if x == 0)
-    vec = [x for x in vec if x != 0]
-    if not vec:
-        raise InputError("critical_index of an all-zero vector")
-    for i in range(1, len(vec)):
-        if vec[i] > vec[i - 1]:
-            raise InputError("weights must be sorted by non-increasing magnitude")
-
-    m = len(vec)
-    sigma_sq = [Fraction(0)] * m
-    acc = Fraction(0)
-    for i in range(m - 1, -1, -1):
-        acc += vec[i] * vec[i]
-        sigma_sq[i] = acc
-
-    c: float = INFINITE_INDEX
-    tau_sq = tau * tau
-    for i in range(m):
-        if vec[i] * vec[i] <= tau_sq * sigma_sq[i]:
-            c = i + 1
-            break
-    return RegularityReport(
-        tau=tau, sigma_sq=tuple(sigma_sq), critical_index=c, stripped=stripped
-    )
-
-
-def is_regular(w: Sequence, tau) -> bool:
-    """True iff max |w_i| <= tau * ||w||_2 (exact, via squares)."""
-    tau = to_fraction(tau)
-    vec = [abs(x) for x in _validated_weights(w)]
-    norm_sq = sum(x * x for x in vec)
-    if norm_sq == 0:
-        raise InputError("is_regular of a zero vector")
-    top = max(vec)
-    return top * top <= tau * tau * norm_sq

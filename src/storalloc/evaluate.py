@@ -74,9 +74,6 @@ class DiscreteDist:
         if sum(self.probs, Fraction(0)) != 1 or any(p < 0 for p in self.probs):
             raise InputError("probabilities must be non-negative and sum to 1")
 
-    def mass_at_least(self, t: Fraction) -> Fraction:
-        return sum((p for v, p in zip(self.values, self.probs) if v >= t), Fraction(0))
-
 
 @dataclass(frozen=True)
 class EmpiricalDist:
@@ -104,18 +101,8 @@ class EmpiricalDist:
                 counts.append(1)
         return cls(tuple(values), tuple(counts), len(pts))
 
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        out = []
-        for v, c in zip(self.values, self.counts):
-            out.extend([v] * c)
-        return tuple(out)
-
     def to_discrete(self) -> DiscreteDist:
         return DiscreteDist(self.values, tuple(Fraction(c, self.m) for c in self.counts))
-
-    def mean(self) -> Fraction:
-        return sum((v * c for v, c in zip(self.values, self.counts)), Fraction(0)) / self.m
 
 
 def _as_discrete(dist) -> DiscreteDist:
@@ -147,6 +134,19 @@ def kolmogorov_distance(d1, d2) -> Fraction:
             ib += 1
         best = max(best, abs(fa - fb))
     return best
+
+
+def _probs_and_weights(probs: Sequence, weights: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact copies of (probs, weights), checked: equal length, p in [0,1], w >= 0."""
+    probs = [to_fraction(p) for p in probs]
+    weights = [to_fraction(w) for w in weights]
+    if len(probs) != len(weights):
+        raise InputError("probs and weights length mismatch")
+    if any(not 0 <= p <= 1 for p in probs):
+        raise InputError("probabilities must lie in [0,1]")
+    if any(w < 0 for w in weights):
+        raise InputError("weights must be non-negative")
+    return probs, weights
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +186,8 @@ def exact_objective_probs(
 
     Raises GuardError when both exact paths are out of reach.
     """
-    probs = [to_fraction(p) for p in probs]
-    weights = [to_fraction(w) for w in weights]
+    probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
-    if len(probs) != len(weights):
-        raise InputError("probs and weights length mismatch")
-    if any(w < 0 for w in weights):
-        raise InputError("weights must be non-negative")
-    if any(not 0 <= p <= 1 for p in probs):
-        raise InputError("probabilities must lie in [0,1]")
 
     groups = _grouped(probs, weights)
     if len(groups) > MAX_GROUPS:
@@ -250,20 +243,9 @@ def exact_objective_probs(
     return success_prob(0, Fraction(0))
 
 
-def exact_objective(
-    instance: ProblemInstance, weights: Sequence, max_n: int = EXACT_EVAL_MAX_N
-) -> ObjectiveEstimate:
-    """Exact Obj(w) for an instance, as an ObjectiveEstimate."""
-    value = exact_objective_probs(instance.probs, weights, instance.theta, max_n=max_n)
-    return ObjectiveEstimate(value=value, kind="exact")
-
-
 def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 << 20) -> DiscreteDist:
     """Exact law of w . X over Bernoulli(probs), grouped by distinct weight."""
-    probs = [to_fraction(p) for p in probs]
-    weights = [to_fraction(w) for w in weights]
-    if len(probs) != len(weights):
-        raise InputError("probs and weights length mismatch")
+    probs, weights = _probs_and_weights(probs, weights)
     dist: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
     for w, ps in _grouped(probs, weights):
         pmf = _count_pmf(ps)
@@ -356,23 +338,10 @@ def mc_estimate_probs(
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    probs = [to_fraction(p) for p in probs]
-    weights = [to_fraction(w) for w in weights]
+    probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
-    if len(weights) != len(probs):
-        raise InputError("weight vector length mismatch")
     (hits,) = mc_hit_counts(probs, [weights], theta, m, seed, threads)
     return ObjectiveEstimate(value=Fraction(hits, m), kind="monte_carlo", m=m, seed=seed)
-
-
-def mc_estimate(
-    instance: ProblemInstance,
-    weights: Sequence,
-    m: int,
-    seed: int,
-    threads: int = 1,
-) -> ObjectiveEstimate:
-    return mc_estimate_probs(instance.probs, weights, instance.theta, m, seed, threads)
 
 
 def sample_tail_empirical(

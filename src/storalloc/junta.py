@@ -55,7 +55,6 @@ class JuntaRequest:
 class JuntaResult:
     weights: tuple[Fraction, ...]
     value: Fraction
-    realized_mask: int
     sets_examined: int
 
 
@@ -127,8 +126,7 @@ def find_optimal_junta(
 
     if tau <= 0:
         # Every outcome qualifies regardless of w; the zero head wins ties.
-        full = (1 << (1 << L)) - 1
-        return JuntaResult((Fraction(0),) * L, Fraction(1), full, 0)
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
 
     if sets is None:
         sets = enumerate_halfspace_sets(L, monotone=True)
@@ -153,8 +151,8 @@ def find_optimal_junta(
             realized = realized_event_mask(witness, tau, L)
             value = mask_probability(point_probs, realized)
             assert value == mask_probability(point_probs, set_.mask)
-            return JuntaResult(tuple(witness), value, realized, examined)
-        return JuntaResult((Fraction(0),) * L, Fraction(0), 0, examined)
+            return JuntaResult(tuple(witness), value, examined)
+        return JuntaResult((Fraction(0),) * L, Fraction(0), examined)
     if strategy != "exhaustive":
         raise InputError(f"unknown strategy {strategy!r}")
 
@@ -164,19 +162,18 @@ def find_optimal_junta(
         witness = _head_lp(set_, tau, W, L)
         if witness is None:
             return None
-        realized = realized_event_mask(witness, tau, L)
-        return witness, realized, mask_probability(point_probs, realized)
+        return witness, mask_probability(point_probs, realized_event_mask(witness, tau, L))
 
     results = ordered_map(examine, sets, threads)
     best: Optional[tuple] = None
     for item in results:
         if item is None:
             continue
-        witness, realized, value = item
+        witness, value = item
         key = (value, [-x for x in _sort_key(witness)])
         if best is None or key > best[0]:
-            best = (key, witness, realized, value)
+            best = (key, witness, value)
     if best is None:
         # Only the empty set was feasible: the zero head with value 0.
-        return JuntaResult((Fraction(0),) * L, Fraction(0), 0, len(sets))
-    return JuntaResult(tuple(best[1]), best[3], best[2], len(sets))
+        return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets))
+    return JuntaResult(tuple(best[1]), best[2], len(sets))

@@ -5,28 +5,19 @@ cycle-free).  Programs here have at most a few dozen variables and a few
 hundred constraints, so a dense tableau is the right tool; there is
 deliberately no floating-point path.
 
-When every variable is declared non-negative the returned optimum is a
-basic feasible solution, i.e. a vertex of the feasible polytope.  Free
-variables are handled by sign-splitting, which preserves feasibility and
-optimal value but not the vertex property; the one caller that needs a
-vertex (the tail canonicalizer below) keeps all variables non-negative.
-
-The module also hosts the constructive heavy-tail canonicalizer: given a
-feasible allocation w and a split index K, it rebuilds w through the
-Charnes-Cooper linearization of the associated linear-fractional program
-and returns an allocation that preserves every satisfying outcome, keeps
-the weight sum at 1, and is either supported on the first K coordinates or
-has tail mass at least (K+2)^(-(K+2)/2) of the head mass.
+Every variable is non-negative, and the returned optimum is a basic
+feasible solution, i.e. a vertex of the feasible polytope.  A caller that
+needs an unrestricted variable splits it into two non-negative columns
+itself.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import GuardError, InputError
+from .errors import InputError
 from .util import to_fraction
 
 RELATIONS = ("<=", ">=", "=")
@@ -43,14 +34,13 @@ class Constraint:
 class LinearProgram:
     """max/min of a linear objective over linear constraints.
 
-    Variables are non-negative unless listed in ``free``.  ``objective``
-    None means a pure feasibility problem.
+    Every variable is non-negative.  ``objective`` None means a pure
+    feasibility problem.
     """
 
     n_vars: int
     constraints: list
     objective: Optional[tuple] = None  # (coeffs, "max" | "min")
-    free: tuple = ()
 
     def normalized(self) -> "LinearProgram":
         if self.n_vars < 1:
@@ -71,10 +61,7 @@ class LinearProgram:
             if len(ocoeffs) != self.n_vars or direction not in ("max", "min"):
                 raise InputError("malformed objective")
             objective = (ocoeffs, direction)
-        free = tuple(sorted(set(self.free)))
-        if any(not 0 <= j < self.n_vars for j in free):
-            raise InputError("free-variable index out of range")
-        return LinearProgram(self.n_vars, rows, objective, free)
+        return LinearProgram(self.n_vars, rows, objective)
 
 
 @dataclass(frozen=True)
@@ -137,19 +124,8 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.  See module docstring for guarantees."""
     lp = lp.normalized()
 
-    # Column layout: structural columns (free vars split), then slacks,
-    # then artificials.
-    col_of: list[tuple[int, Optional[int]]] = []
-    ncols = 0
-    free = set(lp.free)
-    for j in range(lp.n_vars):
-        if j in free:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            col_of.append((ncols, None))
-            ncols += 1
-    n_struct = ncols
+    # Column layout: structural columns, then slacks, then artificials.
+    n_struct = lp.n_vars
 
     slack_count = sum(1 for c in lp.constraints if c.relation != "=")
     rows_spec = []
@@ -169,11 +145,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     art_at = n_struct + slack_count
     for coeffs, rel, rhs in rows_spec:
         row = [Fraction(0)] * (width + 1)
-        for j, cval in enumerate(coeffs):
-            pos, neg = col_of[j]
-            row[pos] += cval
-            if neg is not None:
-                row[neg] -= cval
+        row[:n_struct] = coeffs
         row[-1] = rhs
         if rel == "<=":
             row[slack_at] = Fraction(1)
@@ -223,12 +195,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     if lp.objective is not None:
         ocoeffs, direction = lp.objective
         sign = 1 if direction == "max" else -1
-        costs2 = [Fraction(0)] * width
-        for j, cval in enumerate(ocoeffs):
-            pos, neg = col_of[j]
-            costs2[pos] += sign * cval
-            if neg is not None:
-                costs2[neg] -= sign * cval
+        costs2 = [sign * cval for cval in ocoeffs] + [Fraction(0)] * (width - n_struct)
         obj = _price_out(costs2, rows, basis, width)
         status = _optimize(rows, obj, basis, non_art_cols)
         if status == "unbounded":
@@ -238,147 +205,4 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]
-    x = []
-    for j in range(lp.n_vars):
-        pos, neg = col_of[j]
-        x.append(point[pos] - (point[neg] if neg is not None else 0))
-    return LPResult(status="optimal", x=tuple(x), objective_value=value)
-
-
-# ---------------------------------------------------------------------------
-# Constructive heavy-tail canonicalization
-
-
-@dataclass(frozen=True)
-class LfpVertexSolution:
-    """Optimal vertex of the linearized program: (t*, s*, delta*)."""
-
-    t_star: Fraction
-    s_star: tuple[Fraction, ...]
-    delta_star: Fraction
-
-
-@dataclass(frozen=True)
-class CanonicalizeResult:
-    v: tuple[Fraction, ...]
-    case: int  # 0: tail already zero; 1: junta vertex (t*=0); 2: heavy tail
-    vertex: Optional[LfpVertexSolution]
-
-
-def _tail_sums(tail: Sequence[Fraction]) -> list[Fraction]:
-    sums = {Fraction(0)}
-    for w in tail:
-        sums |= {s + w for s in sums}
-    return sorted(sums)
-
-
-def canonicalize_tail(
-    w: Sequence,
-    K: int,
-    theta,
-    members: Optional[Sequence[Sequence[int]]] = None,
-    max_half_bits: int = 20,
-) -> CanonicalizeResult:
-    """Rebuild w into an equally-good allocation with a junta-or-heavy tail.
-
-    Preserves S = {x : w.x >= theta} pointwise (so the objective can only
-    improve), keeps the weight sum at 1 and the sorting, and guarantees
-    either a zero tail beyond K or head mass <= (K+2)^((K+2)/2) times the
-    tail mass.  ``members`` may supply S explicitly; otherwise it is derived
-    from subset sums (needs 2^K and 2^(n-K) within reach).
-    """
-    w = [to_fraction(x) for x in w]
-    n = len(w)
-    theta = to_fraction(theta)
-    if not 0 < theta < 1:
-        raise InputError("canonicalize_tail needs 0 < theta < 1")
-    if not 1 <= K <= n:
-        raise InputError(f"K={K} outside [1, n]")
-    if any(x < 0 for x in w) or any(w[i] < w[i + 1] for i in range(n - 1)):
-        raise InputError("weights must be sorted non-increasing and non-negative")
-    if sum(w) != 1:
-        raise InputError("weights must sum to exactly 1")
-
-    tail = w[K:]
-    W_T = sum(tail, Fraction(0))
-    if W_T == 0:
-        return CanonicalizeResult(v=tuple(w), case=0, vertex=None)
-
-    head = w[:K]
-    # Constraint rows of (i) depend only on (head bits, tail dot); with
-    # t >= 0 only the smallest tail dot per head pattern binds.
-    binding: dict[tuple[int, ...], Fraction] = {}
-    if members is not None:
-        for x in members:
-            x = tuple(int(b) for b in x)
-            if len(x) != n:
-                raise InputError("member length mismatch")
-            hd = x[:K]
-            td = sum((wi for wi, b in zip(tail, x[K:]) if b), Fraction(0))
-            if hd not in binding or td < binding[hd]:
-                binding[hd] = td
-    else:
-        if K > max_half_bits or n - K > max_half_bits:
-            raise GuardError(
-                f"set enumeration needs 2^{K} and 2^{n - K} patterns",
-                estimate=max(K, n - K),
-                limit=max_half_bits,
-            )
-        sums = _tail_sums(tail)
-        for hmask in range(1 << K):
-            hd = tuple((hmask >> j) & 1 for j in range(K))
-            hdot = sum((hw for hw, b in zip(head, hd) if b), Fraction(0))
-            need = theta - hdot
-            if need <= 0:
-                binding[hd] = Fraction(0)
-            else:
-                i = bisect.bisect_left(sums, need)
-                if i < len(sums):
-                    binding[hd] = sums[i]
-
-    # Charnes-Cooper linearization; variables t, s_1..s_K, delta, all >= 0
-    # (delta >= 0 and s_i >= 0 are redundant at the optimum but keep the
-    # program in non-negative form so the solution is a true vertex).
-    nv = K + 2
-    T, DELTA = 0, K + 1
-    cons = []
-    for hd, td in sorted(binding.items()):
-        row = [Fraction(0)] * nv
-        row[T] = td
-        for i, b in enumerate(hd):
-            if b:
-                row[1 + i] = Fraction(1)
-        row[DELTA] = Fraction(-1)
-        cons.append((row, ">=", Fraction(0)))
-    for i in range(K - 1):
-        row = [Fraction(0)] * nv
-        row[1 + i] = Fraction(1)
-        row[2 + i] = Fraction(-1)
-        cons.append((row, ">=", Fraction(0)))
-    row = [Fraction(0)] * nv
-    row[1 + K - 1] = Fraction(1)
-    row[T] = -w[K]
-    cons.append((row, ">=", Fraction(0)))
-    row = [Fraction(0)] * nv
-    row[T] = W_T
-    for i in range(K):
-        row[1 + i] = Fraction(1)
-    cons.append((row, "=", Fraction(1)))
-
-    objective = [Fraction(0)] * nv
-    objective[DELTA] = Fraction(1)
-    result = lp_solve(LinearProgram(nv, cons, (objective, "max")))
-    if result.status != "optimal":
-        raise AssertionError(f"canonicalization LP {result.status}; should never happen")
-    t_star = result.x[T]
-    s_star = result.x[1 : 1 + K]
-    delta_star = result.x[DELTA]
-    if delta_star < theta:
-        raise AssertionError("LP optimum below theta; (w, theta) was feasible for it")
-    vertex = LfpVertexSolution(t_star=t_star, s_star=tuple(s_star), delta_star=delta_star)
-
-    if t_star == 0:
-        v = tuple(s_star) + (Fraction(0),) * (n - K)
-        return CanonicalizeResult(v=v, case=1, vertex=vertex)
-    v = tuple(s_star) + tuple(t_star * wi for wi in tail)
-    return CanonicalizeResult(v=v, case=2, vertex=vertex)
+    return LPResult(status="optimal", x=tuple(point[:n_struct]), objective_value=value)

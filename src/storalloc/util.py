@@ -105,8 +105,6 @@ def ln_upper(q: Fraction) -> Fraction:
 # generators derived from explicit integer seed tuples, so results are
 # bit-identical across runs, platforms, and worker counts.
 
-RNG_KIND = "numpy PCG64 via SeedSequence"
-
 
 def derived_rng(*seed_parts: int) -> np.random.Generator:
     """Generator seeded from a tuple of non-negative integers."""

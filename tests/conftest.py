@@ -199,23 +199,27 @@ def lp_separation(mask: int, k: int) -> Optional[tuple[tuple[int, ...], int]]:
     """Integer (u, c) with mask = {x : u . x >= c}, or None if there is none.
 
     One feasibility LP over free (u, c): u . x >= c on the set and
-    u . x <= c - 1 off it.  Scaling the rational solution by the lcm of its
-    denominators keeps both sides (t(c - 1) <= tc - 1 for integer t >= 1).
+    u . x <= c - 1 off it.  Each free variable is split into interleaved
+    non-negative columns (u_1+, u_1-, ..., c+, c-).  Scaling the rational
+    solution by the lcm of its denominators keeps both sides
+    (t(c - 1) <= tc - 1 for integer t >= 1).
     """
     nv = k + 1
     cons = []
     for x in range(1 << k):
         row = [Fraction(b) for b in point_bits(x, k)] + [Fraction(-1)]
+        split = [part for a in row for part in (a, -a)]
         if (mask >> x) & 1:
-            cons.append((row, ">=", Fraction(0)))
+            cons.append((split, ">=", Fraction(0)))
         else:
-            cons.append((row, "<=", Fraction(-1)))
-    res = lp_solve(LinearProgram(nv, cons, objective=None, free=tuple(range(nv))))
+            cons.append((split, "<=", Fraction(-1)))
+    res = lp_solve(LinearProgram(2 * nv, cons, objective=None))
     if res.status != "optimal":
         return None
-    scale = lcm(*(v.denominator for v in res.x))
-    u = tuple(int(v * scale) for v in res.x[:k])
-    c = int(res.x[k] * scale)
+    x = [res.x[2 * j] - res.x[2 * j + 1] for j in range(nv)]
+    scale = lcm(*(v.denominator for v in x))
+    u = tuple(int(v * scale) for v in x[:k])
+    c = int(x[k] * scale)
     assert realize_mask(u, c, k) == mask
     return u, c
 

@@ -81,6 +81,24 @@ class TestCommands:
         mc = json.loads(capsys.readouterr().out)
         assert abs(mc["mc_estimate_float"] - exact["exact_objective_float"]) < 0.05
 
+    def test_eval_mc_zero_is_input_error(self, inst_file, capsys):
+        code = run_cli(["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "m must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("mc", [None, "1000"])
+    def test_eval_rejects_probs_outside_unit_interval(self, tmp_path, capsys, mc):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"probs": [1.5, 0.5, -0.2], "theta": 0.5, "epsilon": 0.25, "delta": 0.05}'
+        )
+        args = ["eval", path, "--weights", "1/2,1/4,1/4"]
+        if mc is not None:
+            args += ["--mc", mc]
+        assert run_cli(args) == 2
+        assert "[0,1]" in capsys.readouterr().err
+
     def test_oracle_and_baseline(self, inst_file, capsys):
         assert run_cli(["oracle", inst_file]) == 0
         orc = json.loads(capsys.readouterr().out)

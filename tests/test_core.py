@@ -10,14 +10,13 @@ from storalloc.core import (
     SolverConfig,
     compute_L,
     compute_gamma,
-    critical_index,
-    is_regular,
     preprocess,
     round_to_grid,
 )
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
+from storalloc.lemmas import critical_index, is_regular
 
 from conftest import granular_instance
 
@@ -215,19 +214,3 @@ class TestRegularity:
     def test_unsorted_weights_rejected(self):
         with pytest.raises(InputError):
             critical_index([1, 2], 1)
-
-
-class TestWeightVector:
-    def test_feasibility_enforced(self):
-        from storalloc.core import WeightVector
-
-        wv = WeightVector((F(1, 2), F(1, 4)), split_index=1)
-        assert wv.head == (F(1, 2),) and wv.tail == (F(1, 4),)
-        assert wv.is_canonical
-        assert not WeightVector((F(1, 4), F(1, 2))).is_canonical
-        with pytest.raises(InputError):
-            WeightVector((F(-1, 4), F(1, 4)))
-        with pytest.raises(InputError):
-            WeightVector((F(3, 4), F(1, 2)))  # sums past 1
-        with pytest.raises(InputError):
-            WeightVector((F(1, 2),), split_index=5)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from storalloc.core import SolverConfig, preprocess
-from storalloc.driver import selection_sample_size, solve
+from storalloc.driver import _check_feasible, selection_sample_size, solve
 from storalloc.errors import GuardError
 from storalloc.evaluate import exact_objective_probs
 
@@ -27,6 +27,13 @@ class TestTrivialPaths:
     def test_theta_zero(self):
         rep = solve([0.6, 0.5], 0, 0.25, 0.05, SolverConfig(**PRACTICAL))
         assert rep.provenance == "trivial" and rep.estimate.value == 1
+
+
+def test_candidate_feasibility_check():
+    _check_feasible((F(1, 2), F(1, 2), F(0)))
+    for bad in ((F(-1, 4), F(1, 4)), (F(3, 4), F(1, 2))):
+        with pytest.raises(AssertionError, match="infeasible candidate"):
+            _check_feasible(bad)
 
 
 class TestSolve:

@@ -8,11 +8,9 @@ from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
     DiscreteDist,
     EmpiricalDist,
-    exact_objective,
     exact_objective_probs,
     kolmogorov_distance,
     linear_form_dist,
-    mc_estimate,
     mc_estimate_probs,
     mc_hit_counts,
     sample_tail_empirical,
@@ -117,10 +115,9 @@ class TestExactObjective:
                 probs, w, theta
             )
 
-    def test_instance_wrapper(self):
-        est = exact_objective(small_instance(), [F(1, 2), F(1, 2)])
-        assert est.kind == "exact" and est.m == 0
-        assert est.value == F(1, 4)
+    def test_instance_probs_and_theta(self):
+        inst = small_instance()
+        assert exact_objective_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta) == F(1, 4)
 
     def test_too_large_raises(self):
         probs = [F(1, 2)] * 30
@@ -142,7 +139,8 @@ class TestLinearFormDist:
             w = [F(rng.randint(0, 6), 12) for _ in range(n)]
             theta = F(rng.randint(1, 12), 12)
             dist = linear_form_dist(w, probs)
-            assert dist.mass_at_least(theta) == naive_objective(probs, w, theta)
+            mass = sum(p for v, p in zip(dist.values, dist.probs) if v >= theta)
+            assert mass == naive_objective(probs, w, theta)
 
 
 class TestKolmogorov:
@@ -176,10 +174,10 @@ class TestSampling:
     def test_mc_deterministic_and_thread_invariant(self):
         inst = small_instance()
         w = [F(1, 2), F(1, 2)]
-        a = mc_estimate(inst, w, 50_000, seed=11, threads=1)
-        b = mc_estimate(inst, w, 50_000, seed=11, threads=4)
+        a = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11, threads=1)
+        b = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11, threads=4)
         assert a.value == b.value
-        c = mc_estimate(inst, w, 50_000, seed=12)
+        c = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=12)
         assert a.value != c.value  # different seed, almost surely different
 
     def test_hit_counts_match_single_vector_estimates(self):
@@ -198,13 +196,13 @@ class TestSampling:
         # weights summing over theta for every outcome with a 1 anywhere is
         # not guaranteed; use the all-weight vector with theta tiny instead
         inst = ProblemInstance((F(1, 2), F(1, 2)), F(1, 100), F(2, 5), F(1, 20), (0, 1))
-        est = mc_estimate(inst, [F(1, 2), F(1, 2)], 1000, seed=0)
+        est = mc_estimate_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta, 1000, seed=0)
         # only the all-zero outcome fails
         assert abs(float(est.value) - 0.75) < 0.05
 
     def test_single_sample_is_zero_or_one(self):
         inst = small_instance()
-        est = mc_estimate(inst, [F(1, 2), F(1, 2)], 1, seed=5)
+        est = mc_estimate_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta, 1, seed=5)
         assert est.value in (F(0), F(1))
 
     def test_mc_chernoff_example_m40000(self):
@@ -215,7 +213,7 @@ class TestSampling:
         def check(base):
             good = 0
             for s in range(100):
-                est = mc_estimate(inst, w, 40_000, seed=1000 * base + s)
+                est = mc_estimate_probs(inst.probs, w, inst.theta, 40_000, seed=1000 * base + s)
                 if abs(est.value - F(1, 4)) <= F(2, 100):
                     good += 1
             assert good >= 95
@@ -232,10 +230,9 @@ class TestSampling:
         exact = F(1, 4)
 
         def check(base):
-            good = sum(
-                abs(mc_estimate(inst, w, m, seed=7000 * (base + 1) + s).value - exact) <= F(1, 10)
-                for s in range(100)
-            )
+            seeds = [7000 * (base + 1) + s for s in range(100)]
+            estimates = [mc_estimate_probs(inst.probs, w, inst.theta, m, seed) for seed in seeds]
+            good = sum(abs(est.value - exact) <= F(1, 10) for est in estimates)
             assert good >= 90
 
         with_one_retry(check)
@@ -256,7 +253,8 @@ class TestSampling:
         probs = tuple([F(9, 10)] * 2)
         inst = ProblemInstance(probs, F(1, 2), F(1, 20), F(1, 20), (0, 1))
         d = sample_tail_empirical(inst, [F(3, 10), F(1, 5)], 100_000, seed=9)
-        assert abs(float(d.mean()) - 0.45) < 0.01
+        mean = sum(v * c for v, c in zip(d.values, d.counts)) / d.m
+        assert abs(float(mean) - 0.45) < 0.01
 
     def test_dkw_acceptance(self):
         # m = ceil(ln(2/delta')/(2 eps'^2)); failure fraction over 200 trials
@@ -282,9 +280,34 @@ class TestSampling:
     def test_errors(self):
         inst = small_instance()
         with pytest.raises(InputError):
-            mc_estimate(inst, [F(1, 2)], 10, seed=0)  # wrong length
+            mc_estimate_probs(inst.probs, [F(1, 2)], inst.theta, 10, seed=0)  # wrong length
         with pytest.raises(InputError):
-            mc_estimate(inst, [F(1, 2), F(1, 2)], 0, seed=0)
+            mc_estimate_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta, 0, seed=0)
+
+
+# Each entry point that takes (probs, weights) as given, with its other
+# arguments fixed.
+ENTRY_POINTS = {
+    "exact": lambda probs, w: exact_objective_probs(probs, w, F(1, 2)),
+    "linear_form_dist": lambda probs, w: linear_form_dist(w, probs),
+    "mc": lambda probs, w: mc_estimate_probs(probs, w, F(1, 2), 1000, seed=0),
+}
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_bad_probs_and_weights(self, entry):
+        call = ENTRY_POINTS[entry]
+        call([F(1, 2), 1, 0], [F(1, 2), F(1, 4), F(1, 4)])  # endpoints are valid
+        bad = [
+            ([F(1, 2), F(1, 2)], [F(1, 2)], "length mismatch"),
+            ([F(3, 2), F(1, 2), F(-1, 5)], [F(1, 3)] * 3, r"\[0,1\]"),
+            ([F(1, 2), F(-1, 5)], [F(1, 2), F(1, 2)], r"\[0,1\]"),
+            ([F(1, 2), F(1, 2)], [F(1, 2), F(-1, 4)], "non-negative"),
+        ]
+        for probs, w, message in bad:
+            with pytest.raises(InputError, match=message):
+                call(probs, w)
 
 
 class TestTypes:
@@ -296,7 +319,6 @@ class TestTypes:
 
     def test_empirical_roundtrip(self):
         d = EmpiricalDist.from_points([F(1, 2), 0, F(1, 2)])
-        assert d.points == (F(0), F(1, 2), F(1, 2))
-        assert d.m == 3
+        assert (d.values, d.counts, d.m) == ((F(0), F(1, 2)), (1, 2), 3)
         dd = d.to_discrete()
         assert dd.probs == (F(1, 3), F(2, 3))

@@ -3,14 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storalloc.errors import InputError
-from storalloc.lp import (
-    CanonicalizeResult,
-    LinearProgram,
-    canonicalize_tail,
-    lp_solve,
-)
+from storalloc.lemmas import CanonicalizeResult, canonicalize_tail
+from storalloc.lp import LinearProgram, lp_solve
 
 from conftest import naive_objective
 
@@ -46,12 +44,6 @@ class TestSimplex:
         r = lp_solve(LinearProgram(2, cons, ([F(3), F(1)], "min")))
         assert r.status == "optimal" and r.x == (F(1), F(1)) and r.objective_value == 4
 
-    def test_free_variables(self):
-        r = lp_solve(
-            LinearProgram(1, [([F(1)], ">=", F(-3))], ([F(1)], "min"), free=(0,))
-        )
-        assert r.status == "optimal" and r.x == (F(-3),)
-
     def test_malformed(self):
         with pytest.raises(InputError):
             lp_solve(LinearProgram(2, [([F(1)], "<=", F(1))], None))
@@ -78,29 +70,10 @@ class TestSimplex:
                 rows.append((e, "<=", F(5)))
             obj = [F(rng.randint(-3, 3)) for _ in range(3)]
             got = lp_solve(LinearProgram(3, rows, (obj, "max")))
-
-            # naive: all constraints as a.x <= b including nonnegativity
-            full = [(r[0], r[2]) for r in rows]
-            for j in range(3):
-                e = [F(0)] * 3
-                e[j] = F(-1)
-                full.append((e, F(0)))
-            best = None
-            for triple in itertools.combinations(range(len(full)), 3):
-                a = [full[i][0] for i in triple]
-                b = [full[i][1] for i in triple]
-                x = _solve3(a, b)
-                if x is None:
-                    continue
-                if all(
-                    sum(c * v for c, v in zip(coef, x)) <= rhs for coef, rhs in full
-                ):
-                    val = sum(c * v for c, v in zip(obj, x))
-                    best = val if best is None else max(best, val)
-            if best is None:
-                assert got.status == "infeasible"
-            else:
-                assert got.status == "optimal"
+            status, best = _brute_force_lp(3, rows, (obj, "max"))
+            assert status != "unbounded"
+            assert got.status == status
+            if status == "optimal":
                 assert got.objective_value == best
 
     def test_returned_point_is_vertex(self):
@@ -132,25 +105,98 @@ class TestSimplex:
             assert _rank3(tight) == 3
 
 
-def _solve3(a, b):
-    det = _det3(a)
-    if det == 0:
-        return None
-    xs = []
-    for col in range(3):
-        mod = [row[:] for row in a]
-        for i in range(3):
-            mod[i][col] = b[i]
-        xs.append(_det3(mod) / det)
-    return xs
+def _solve_square(a, b):
+    """The unique x with a x = b (exact Gauss-Jordan), None if a is singular."""
+    n = len(a)
+    mat = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        for i in range(n):
+            if i != col and mat[i][col] != 0:
+                f = mat[i][col] / mat[col][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+    return [mat[i][n] / mat[i][i] for i in range(n)]
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def _holds(coeffs, rel, rhs, x):
+    lhs = sum(c * v for c, v in zip(coeffs, x))
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[rel]
+
+
+def _vertices(n, rows):
+    """Every vertex of {x >= 0 : rows}, by solving each n-subset of the
+    constraints (rows and x_j >= 0) with equality and keeping feasible points."""
+    planes = [(tuple(F(c) for c in coeffs), F(rhs)) for coeffs, _, rhs in rows]
+    planes += [(tuple(F(int(i == j)) for i in range(n)), F(0)) for j in range(n)]
+    out = []
+    for subset in itertools.combinations(planes, n):
+        x = _solve_square([p[0] for p in subset], [p[1] for p in subset])
+        if x is not None and min(x) >= 0 and all(_holds(*row, x) for row in rows):
+            out.append(x)
+    return out
+
+
+def _brute_force_lp(n, rows, objective):
+    """(status, optimal value) of max/min objective over {x >= 0 : rows}.
+
+    The set has a vertex iff it is non-empty (x >= 0 rules out lines).  The
+    objective is unbounded iff some recession direction d >= 0 improves it;
+    scaled to sum(d) = 1 these directions form a polytope, so both questions
+    reduce to vertex enumeration.
+    """
+    points = _vertices(n, rows)
+    if not points:
+        return "infeasible", None
+    if objective is None:
+        return "optimal", None
+    coeffs, direction = objective
+    sign = 1 if direction == "max" else -1
+    cone = [(c, rel, 0) for c, rel, _ in rows] + [([1] * n, "=", 1)]
+    if any(sign * sum(c * d for c, d in zip(coeffs, v)) > 0 for v in _vertices(n, cone)):
+        return "unbounded", None
+    values = [sum(c * x for c, x in zip(coeffs, p)) for p in points]
+    return "optimal", max(values) if sign == 1 else min(values)
+
+
+small_int = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(small_int, min_size=n, max_size=n),
+                st.sampled_from(("<=", ">=", "=")),
+                st.integers(min_value=-4, max_value=4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
     )
+    objective = None
+    if draw(st.integers(min_value=0, max_value=3)):  # 0: a pure feasibility program
+        coeffs = draw(st.lists(small_int, min_size=n, max_size=n))
+        objective = (coeffs, draw(st.sampled_from(("max", "min"))))
+    return n, rows, objective
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(small_lps())
+def test_simplex_matches_vertex_enumeration(lp):
+    n, rows, objective = lp
+    got = lp_solve(LinearProgram(n, rows, objective))
+    status, value = _brute_force_lp(n, rows, objective)
+    assert got.status == status
+    if status == "optimal":
+        assert min(got.x) >= 0 and all(_holds(*row, got.x) for row in rows)
+        if objective is not None:
+            assert got.objective_value == value
+            assert sum(c * x for c, x in zip(objective[0], got.x)) == value
 
 
 def _rank3(rows):

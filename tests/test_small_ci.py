@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from storalloc.core import SolverConfig, is_regular
+from storalloc.core import SolverConfig
 from storalloc.errors import GuardError
+from storalloc.lemmas import is_regular
 from storalloc.small_ci import (
     case3_kappa,
     construct_achievable_regular_tails,
