@@ -55,25 +55,19 @@ class HalfspaceSet:
         self.k = k
         self.mask = mask
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(x for x in range(1 << self.k) if (self.mask >> x) & 1)
-
-    def minimal_members(self) -> tuple[int, ...]:
-        """Members none of whose single-bit-down neighbors are members."""
-        out = []
-        for x in self.members:
-            dominated = False
-            for j in range(self.k):
-                if (x >> j) & 1 and (self.mask >> (x & ~(1 << j))) & 1:
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(x)
-        return tuple(out)
-
     def __repr__(self):
-        return f"HalfspaceSet(k={self.k}, mask={self.mask:#x}, size={len(self.members)})"
+        return f"HalfspaceSet(k={self.k}, mask={self.mask:#x}, size={self.mask.bit_count()})"
+
+
+def minimal_members(mask: int, k: int) -> tuple[int, ...]:
+    """Members of ``mask`` none of whose single-bit-down neighbors are
+    members, in ascending point index."""
+    return tuple(
+        x
+        for x in range(1 << k)
+        if (mask >> x) & 1
+        and not any((x >> j) & 1 and (mask >> (x & ~(1 << j))) & 1 for j in range(k))
+    )
 
 
 def _canonical_grid_masks(k: int, bound: int) -> set[int]:

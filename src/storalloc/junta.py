@@ -8,6 +8,11 @@ be realized, and the upward closure of a feasible S is feasible with the
 same witness, so the enumeration is restricted to monotone sets without
 changing the optimum.
 
+The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
+sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
+completion against sampled tail points needs (small_ci.find_best_head); the
+junta is the one-level case.  Its rows are membership constraints only.
+
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
 the large-critical-index case with shifted thresholds and reduced budgets
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .halfspaces import HalfspaceSet, enumerate_halfspace_sets, point_bits
+from .halfspaces import HalfspaceSet, enumerate_halfspace_sets, minimal_members, point_bits
 from .lp import LinearProgram, lp_solve
 from .util import ordered_map, to_fraction
 
@@ -85,14 +90,32 @@ def realized_event_mask(weights: Sequence[Fraction], tau: Fraction, k: int) -> i
     return mask
 
 
-def _head_lp(set_: HalfspaceSet, tau: Fraction, W: Fraction, L: int) -> Optional[tuple[Fraction, ...]]:
-    """Feasible head for S, or None.  Only minimal members constrain (w >= 0)."""
+def chain_lp(
+    chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int
+) -> LinearProgram:
+    """Feasibility program for heads u >= 0, sum(u) <= W, reaching tau_i on
+    every member of the upward-closed S_i, for a chain S_1 <= ... <= S_r of
+    masks over {0,1}^k with taus descending.
+
+    Rows go level by level: u.x >= tau_i for each minimal member x of S_i
+    not already in S_{i-1}, in ascending point index; the budget row comes
+    last.  The rows left out are implied: u >= 0 lifts a minimal member's
+    bound to every member above it, and a member of S_{i-1} already reaches
+    tau_{i-1} >= tau_i.
+    """
     cons = []
-    for x in set_.minimal_members():
-        row = [Fraction(b) for b in point_bits(x, L)]
-        cons.append((row, ">=", tau))
-    cons.append(([Fraction(1)] * L, "<=", W))
-    res = lp_solve(LinearProgram(L, cons, objective=None))
+    prev = 0
+    for mask, tau in zip(chain, taus):
+        for x in minimal_members(mask, k):
+            if not (prev >> x) & 1:
+                cons.append(([Fraction(b) for b in point_bits(x, k)], ">=", tau))
+        prev = mask
+    cons.append(([Fraction(1)] * k, "<=", W))
+    return LinearProgram(k, cons, objective=None)
+
+
+def _head_witness(set_: HalfspaceSet, tau: Fraction, W: Fraction, L: int) -> Optional[tuple[Fraction, ...]]:
+    res = lp_solve(chain_lp((set_.mask,), (tau,), W, L))
     return res.x if res.status == "optimal" else None
 
 
@@ -145,7 +168,7 @@ def find_optimal_junta(
             if quick_reject(set_):
                 continue
             examined += 1
-            witness = _head_lp(set_, tau, W, L)
+            witness = _head_witness(set_, tau, W, L)
             if witness is None:
                 continue
             realized = realized_event_mask(witness, tau, L)
@@ -159,7 +182,7 @@ def find_optimal_junta(
     def examine(set_: HalfspaceSet):
         if quick_reject(set_):
             return None
-        witness = _head_lp(set_, tau, W, L)
+        witness = _head_witness(set_, tau, W, L)
         if witness is None:
             return None
         return witness, mask_probability(point_probs, realized_event_mask(witness, tau, L))

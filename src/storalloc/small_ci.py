@@ -21,9 +21,12 @@ empirical multiset R, and the best head against R is found exactly.  Any
 head vector realizes, per sampled point t_i, the event set
 {x : u.x >= theta - t_i}; with points sorted ascending these sets are
 nested, so instead of all |S|^m tuples it suffices to enumerate nested
-chains of upward-closed realizable sets, certify each chain by an exact LP
-(with a maximized slack variable keeping boundary patterns honest), and
-score the witness's true event probability.
+chains of upward-closed realizable sets, certify each chain by the junta's
+membership-only feasibility LP, and score the witness's true event
+probability.  A witness realizes a chain containing the certified one, so
+its score is at least the chain's value, and the optimum's own chain is
+enumerated and feasible; the best score is therefore exact (proof in
+find_best_head).
 
 Case 3 yields candidates only when eps'^2 floor(1/kappa) >= 1, hence only
 when kappa <= eps'^2: otherwise no nonzero granular tail is regular (proof in
@@ -41,10 +44,10 @@ from typing import Optional, Sequence
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import EmpiricalDist, sample_tail_empirical
-from .halfspaces import enumerate_halfspace_sets, point_bits
-from .junta import outcome_probabilities
+from .halfspaces import enumerate_halfspace_sets
+from .junta import _sort_key, chain_lp, mask_probability, outcome_probabilities, realized_event_mask
 from .large_ci import _state_space_estimate, _tail_dp, _witness
-from .lp import LinearProgram, lp_solve
+from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, ordered_map, to_fraction
 
 
@@ -173,26 +176,6 @@ def _compress_points(points) -> tuple[list[Fraction], list[int], int]:
     return list(dist.values), list(dist.counts), dist.m
 
 
-def _witness_value(
-    dots: Sequence[Fraction],
-    point_probs: Sequence[Fraction],
-    theta: Fraction,
-    values: Sequence[Fraction],
-    counts: Sequence[int],
-    m: int,
-) -> Fraction:
-    total = Fraction(0)
-    for t, cnt in zip(values, counts):
-        need = theta - t
-        mass = sum((pr for d, pr in zip(dots, point_probs) if d >= need), Fraction(0))
-        total += cnt * mass
-    return total / m
-
-
-def _sorted_key(weights):
-    return tuple(sorted(weights, reverse=True))
-
-
 def find_best_head(
     head_probs: Sequence[Fraction],
     points,
@@ -205,6 +188,17 @@ def find_best_head(
 
     ``head_probs`` are the probabilities of the K-1 head coordinates (may
     be empty).  Budget: u >= 0, sum(u) <= W.
+
+    Why the chain search is exact.  Take the distinct points ascending,
+    t_1 < ... < t_r, at thresholds tau_i = theta - t_i, and a nested chain
+    S_1 <= ... <= S_r of upward-closed realizable sets.  If the chain's
+    membership LP (junta.chain_lp) is feasible, its witness u realizes sets
+    R_i(u) = {x : u.x >= tau_i} containing S_i, so u's value is at least
+    the chain's.  The optimum u* realizes its own chain R(u*); that chain
+    is nested, upward-closed and realizable, so it is enumerated, and its
+    LP is feasible because u* satisfies it.  So the best witness value over
+    all chains is the optimum.  Ties break toward the lexicographically
+    smallest descending-sorted head, then the first chain enumerated.
     """
     head_probs = tuple(to_fraction(p) for p in head_probs)
     W = to_fraction(W)
@@ -212,94 +206,55 @@ def find_best_head(
     if W < 0:
         raise InputError("negative head budget")
     values, counts, m = _compress_points(points)
+    taus = [theta - t for t in values]
     k = len(head_probs)
-    point_probs = outcome_probabilities(head_probs) if k else (Fraction(1),)
-    cube = [point_bits(x, k) for x in range(1 << k)]
+    point_probs = outcome_probabilities(head_probs)
 
-    def dots_of(u):
-        return [sum((w for w, b in zip(u, bits) if b), Fraction(0)) for bits in cube]
+    def score(u) -> Fraction:
+        hits = sum(
+            (cnt * mask_probability(point_probs, realized_event_mask(u, tau, k))
+             for tau, cnt in zip(taus, counts)),
+            Fraction(0),
+        )
+        return hits / m
 
-    candidates = _chain_candidates(values, k, W, theta, max_patterns, threads)
+    if not k:  # no head coordinate, so no LP (it would have no variable)
+        return HeadResult((), score(()), 0)
 
-    best = None
-    examined = 0
-    for witness in candidates:
-        examined += 1
-        if witness is None:
-            continue
-        value = _witness_value(dots_of(witness), point_probs, theta, values, counts, m)
-        key = (value, [-x for x in _sorted_key(witness)])
-        if best is None or key > best[0]:
-            best = (key, witness, value)
-    if best is None:
-        zero = (Fraction(0),) * k
-        value = _witness_value(dots_of(zero), point_probs, theta, values, counts, m)
-        return HeadResult(zero, value, examined)
-    return HeadResult(tuple(best[1]), best[2], examined)
+    def certify(chain):
+        res = lp_solve(chain_lp(chain, taus, W, k))
+        return res.x if res.status == "optimal" else None
 
-
-def _chain_lp(chain, values, k: int, W: Fraction, theta: Fraction):
-    """LP certifying a nested chain; variables u_1..u_k, eta, all >= 0.
-
-    Membership binds at each point's entry level, non-membership at the
-    level just before entry (or the last level for points never entering),
-    with slack eta maximized; eta = 0 patterns are kept (ties favor
-    membership, matching the non-strict event).
-    """
-    nv = k + 1
-    eta = k
-    cons = []
-    if k:
-        cons.append(([Fraction(1)] * k + [Fraction(0)], "<=", W))
-    row = [Fraction(0)] * nv
-    row[eta] = Fraction(1)
-    cons.append((row, "<=", Fraction(1)))
-    r = len(values)
-    for x in range(1 << k):
-        bits = point_bits(x, k)
-        entry = next((lev for lev in range(r) if (chain[lev] >> x) & 1), None)
-        if entry is not None:
-            row = [Fraction(b) for b in bits] + [Fraction(0)]
-            cons.append((row, ">=", theta - values[entry]))
-        if entry != 0:
-            out_level = r - 1 if entry is None else entry - 1
-            row = [Fraction(b) for b in bits] + [Fraction(1)]
-            cons.append((row, "<=", theta - values[out_level]))
-    objective = [Fraction(0)] * nv
-    objective[eta] = Fraction(1)
-    res = lp_solve(LinearProgram(nv, cons, (objective, "max")))
-    if res.status != "optimal":
-        return None
-    return tuple(res.x[:k])
+    chains = _nested_chains(k, len(taus), max_patterns)
+    witnesses = ordered_map(certify, chains, threads)
+    # The all-empty chain is always feasible (u = 0), so some witness exists.
+    value, witness = max(
+        ((score(u), u) for u in witnesses if u is not None),
+        key=lambda item: (item[0], [-x for x in _sort_key(item[1])]),
+    )
+    return HeadResult(tuple(witness), value, len(chains))
 
 
-def _chain_candidates(values, k, W, theta, max_patterns, threads):
-    sets = enumerate_halfspace_sets(k, monotone=True)
-    masks = [s.mask for s in sets]
-    supersets = {
-        a: [b for b in masks if a & ~b == 0] for a in masks
-    }
-    r = len(values)
-    chains: list[tuple[int, ...]] = []
-
-    def grow(prefix):
-        if len(chains) > max_patterns:
-            raise GuardError(
-                f"nested-chain patterns exceed {max_patterns}",
-                estimate=len(chains),
-                limit=max_patterns,
-            )
-        if len(prefix) == r:
-            chains.append(tuple(prefix))
-            return
-        options = masks if not prefix else supersets[prefix[-1]]
-        for nxt in options:
-            prefix.append(nxt)
-            grow(prefix)
-            prefix.pop()
-
-    grow([])
-    return ordered_map(lambda ch: _chain_lp(ch, values, k, W, theta), chains, threads)
+def _nested_chains(k: int, r: int, max_patterns: int) -> list[tuple[int, ...]]:
+    """Every chain S_1 <= ... <= S_r of upward-closed realizable masks over
+    {0,1}^k, in lexicographic mask order; GuardError if there are more
+    than ``max_patterns``."""
+    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+    supersets = {a: [b for b in masks if a & ~b == 0] for a in masks}
+    ways = dict.fromkeys(masks, 1)  # chains of the remaining length starting at a
+    for _ in range(r - 1):
+        ways = {a: sum(ways[b] for b in supersets[a]) for a in masks}
+    total = sum(ways.values())
+    if total > max_patterns:
+        raise GuardError(
+            f"nested-chain patterns {total} exceed {max_patterns}",
+            estimate=total,
+            limit=max_patterns,
+        )
+    chains = [(a,) for a in masks]
+    for _ in range(r - 1):
+        chains = [ch + (b,) for ch in chains for b in supersets[ch[-1]]]
+    return chains
 
 
 @dataclass(frozen=True)

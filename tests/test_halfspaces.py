@@ -4,9 +4,9 @@ from conftest import is_unate, lp_separation, lp_threshold_masks, realize_mask
 from storalloc.errors import InputError
 from storalloc.halfspaces import (
     MAX_K,
-    HalfspaceSet,
     enumerate_halfspace_sets,
     is_upward_closed,
+    minimal_members,
 )
 
 
@@ -101,8 +101,11 @@ class TestPredicates:
 
     def test_minimal_members(self):
         # S = {x1=1} over k=2: points 1 and 3; minimal member is point 1
-        s = HalfspaceSet(2, 0b1010)
-        assert s.minimal_members() == (1,)
+        assert minimal_members(0b1010, 2) == (1,)
+        # S = {x : x1 + x2 + x3 >= 2}: the three weight-2 points
+        assert minimal_members(0b11101000, 3) == (3, 5, 6)
+        assert minimal_members(0, 3) == ()
+        assert minimal_members(1, 0) == (0,)
 
     def test_upward_closed(self):
         assert is_upward_closed(0b1000, 2)  # {11}

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -117,3 +118,25 @@ class TestProperties:
             JuntaRequest((F(1, 2), F(3, 4)), F(1, 2), F(1))  # unsorted
         with pytest.raises(InputError):
             JuntaRequest((F(1, 2),), F(1, 2), F(3, 2))  # budget > 1
+
+
+# sha256 of every witness, value and sets_examined over the grid below,
+# taken before the junta's LP was shared with the best-head chain search.
+PINNED_WITNESSES = "7f877eff5f758fe3c50836b5e28cff7c3084d29bb3286a0a57d531534b047783"
+
+
+def test_witnesses_pinned():
+    heads = {
+        1: (F(7, 10),),
+        2: (F(7, 10), F(3, 5)),
+        3: (F(3, 4), F(3, 5), F(2, 5)),
+        4: (F(4, 5), F(2, 3), F(1, 2), F(1, 3)),
+    }
+    h = hashlib.sha256()
+    for L, probs in heads.items():
+        for tau in (F(0), F(1, 8), F(1, 3), F(1, 2), F(3, 4), F(5, 4)):
+            for W in (F(1, 4), F(1, 2), F(1)):
+                r = find_optimal_junta(JuntaRequest(probs, tau, W))
+                weights = " ".join(map(str, r.weights))
+                h.update(f"{L} {tau} {W} {weights} {r.value} {r.sets_examined}\n".encode())
+    assert h.hexdigest() == PINNED_WITNESSES

@@ -205,6 +205,23 @@ class TestFindBestHead:
         pts = [F(j, 100) for j in range(40)]
         with pytest.raises(GuardError):
             find_best_head(probs, pts, F(1), F(1, 2), max_patterns=50)
+        # k = 1 has 3 upward-closed sets: 3 one-level chains, 6 two-level
+        for pts, count in (([F(1, 4)], 3), ([F(1, 4), F(1, 2)], 6)):
+            with pytest.raises(GuardError) as err:
+                find_best_head((F(3, 5),), pts, F(1), F(1, 2), max_patterns=count - 1)
+            assert (err.value.estimate, err.value.limit) == (count, count - 1)
+            r = find_best_head((F(3, 5),), pts, F(1), F(1, 2), max_patterns=count)
+            assert r.patterns_examined == count
+
+    def test_empty_head(self):
+        # k = 0: no head coordinates, only the tail points can reach theta
+        for pts in ([F(1, 4)], [F(0), F(1, 2)], [F(1, 8), F(3, 8), F(3, 4)]):
+            for theta in (F(-1, 4), F(0), F(3, 8), F(1, 2), F(1)):
+                for W in (F(0), F(1, 2), F(1)):
+                    r = find_best_head((), pts, W, theta)
+                    assert r.weights == ()
+                    assert r.value == literal_best_head_value((), pts, W, theta)
+        assert find_best_head((), [F(0), F(1, 2), F(1, 2)], F(1), F(1, 2)).value == F(2, 3)
 
 
 class TestApproximatelyBestHead:
