@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve | eval | oracle | baseline | bench | gen.
+``--log-level`` (before the subcommand) sets the storalloc log on stderr.
 Exit codes: 0 success, 2 invalid input, 3 resource guard tripped.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -217,6 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
         "exact oracle, and baselines.",
     )
     parser.add_argument("--version", action="version", version=f"storalloc {__version__}")
+    parser.add_argument(
+        "--log-level",
+        default="WARNING",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        help="level of the storalloc log on stderr (default: WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the full approximation pipeline")
@@ -275,6 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("storalloc")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous_level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
         return args.fn(args)
     except InputError as exc:
@@ -285,6 +299,9 @@ def main(argv=None) -> int:
         guard = {"guard": str(exc), "estimate": exc.estimate, "limit": exc.limit}
         print(json.dumps(guard), file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous_level)
 
 
 if __name__ == "__main__":

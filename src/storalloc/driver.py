@@ -54,7 +54,7 @@ class SolveReport:
     provenance: str
     chosen_weights: tuple[Fraction, ...]  # original index order
     estimate: ObjectiveEstimate
-    exact_objective: Optional[Fraction]
+    exact_objective: Optional[Fraction]  # under the probabilities rounded to the eps/(4n) grid
     pool_size: int
     per_case_counts: dict
     n: int

@@ -15,13 +15,20 @@ comparison is done in rational arithmetic: float dot products misclassify
 ties, which are common for granular weights.
 
 Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
-chunks (so results do not depend on worker count), then classifies the
-*unique* bit patterns exactly.  Everything is bit-reproducible from the
-seed.
+chunks (so results do not depend on worker count) and deduplicates them
+into distinct bit patterns with counts.  The patterns are classified in
+exact integer arithmetic: a weight vector and theta are scaled by the lcm
+D of their denominators, so w . x >= theta becomes (D w) . x >= D theta,
+computed by blocked numpy matmuls over many vectors at once.  A vector
+runs on int64 when sum |D w_j| and |D theta| are at most 2^63 - 1, so no
+dot can overflow, and on Python ints (dtype=object) otherwise.  Everything
+is bit-reproducible from the seed.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +38,8 @@ import numpy as np
 from .errors import GuardError, InputError
 from .core import ProblemInstance, SolverConfig
 from .util import derived_rng, ordered_map, to_fraction
+
+logger = logging.getLogger(__name__)
 
 SAMPLE_CHUNK = 1 << 15
 
@@ -269,37 +278,50 @@ def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 
 # ---------------------------------------------------------------------------
 # Sampling
 
+# Size budget for each temporary array of the classification kernel.
+BLOCK_BYTES = 1 << 20
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _pattern_counts(
     probs: Sequence[Fraction], m: int, seed: int, threads: int = 1
-) -> dict[bytes, int]:
-    """Counts of packed Bernoulli bit rows over m draws, chunked and seeded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed Bernoulli bit rows over m draws, with int64 counts.
 
     Chunk c uses the generator derived from (seed, c) regardless of how many
-    workers run, so the aggregate is worker-count independent.
+    workers run, so the aggregate is worker-count independent.  The packed
+    draws of all chunks (m * ceil(n/8) bytes) are deduplicated by one
+    np.unique; rows come out in ascending byte order.
     """
     n = len(probs)
     pf = np.array([float(p) for p in probs])
     n_chunks = (m + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
 
-    def one_chunk(c: int) -> dict[bytes, int]:
+    def one_chunk(c: int) -> np.ndarray:
         size = min(SAMPLE_CHUNK, m - c * SAMPLE_CHUNK)
         rng = derived_rng(seed, c)
-        bits = rng.random((size, n)) < pf
-        packed = np.packbits(bits, axis=1)
-        rows, counts = np.unique(packed, axis=0, return_counts=True)
-        return {rows[i].tobytes(): int(counts[i]) for i in range(len(rows))}
+        return np.packbits(rng.random((size, n)) < pf, axis=1)
 
-    total: dict[bytes, int] = {}
-    for part in ordered_map(one_chunk, range(n_chunks), threads):
-        for key, cnt in part.items():
-            total[key] = total.get(key, 0) + cnt
-    return total
+    packed = np.concatenate(ordered_map(one_chunk, range(n_chunks), threads))
+    rows, counts = np.unique(packed, axis=0, return_counts=True)
+    return rows, counts.astype(np.int64)
 
 
-def _unpack(key: bytes, n: int) -> tuple[int, ...]:
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8))[:n]
-    return tuple(int(b) for b in bits)
+def _lcm_scaled(values: Sequence) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) with D > 0 the lcm of the denominators."""
+    values = [to_fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _fits_int64(weights: Sequence[int], theta: int) -> bool:
+    """No partial sum of weights . x over x in {0,1}^n, nor theta, leaves int64."""
+    return sum(map(abs, weights)) <= _INT64_MAX and abs(theta) <= _INT64_MAX
+
+
+def _block_rows(n: int) -> int:
+    """Pattern rows per block, so an int64 block of n columns fits BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
 
 
 def mc_hit_counts(
@@ -314,14 +336,43 @@ def mc_hit_counts(
 
     Every vector is classified exactly on the same draws, so the counts of
     different vectors are comparable draw for draw.
+
+    The classification is integer arithmetic.  Let D > 0 be the lcm of
+    theta's and every w_j's denominator.  Then w . x >= theta holds iff
+    (D w) . x >= D theta, and both sides are integers.  A pattern x is 0/1,
+    so every partial sum of (D w) . x lies within +-sum_j |D w_j|.  A vector
+    therefore runs on int64 when that sum and |D theta| are both at most
+    2^63 - 1, where no sum can overflow, and on Python ints (dtype=object)
+    otherwise.  The dtype is chosen per vector; both groups take the same
+    path: hits = counts @ (bits @ W >= T), blocked over pattern rows and
+    vectors so no temporary exceeds about BLOCK_BYTES.
     """
-    hits = [0] * len(weight_vectors)
-    for key, cnt in _pattern_counts(probs, m, seed, threads).items():
-        bits = _unpack(key, len(probs))
-        for i, weights in enumerate(weight_vectors):
-            if sum((w for w, b in zip(weights, bits) if b), Fraction(0)) >= theta:
-                hits[i] += cnt
-    return hits
+    if m < 1:
+        raise InputError("m must be >= 1")
+    rows, counts = _pattern_counts(probs, m, seed, threads)
+    bits = np.unpackbits(rows, axis=1, count=len(probs))
+    scaled = []
+    for weights in weight_vectors:
+        _, ints = _lcm_scaled([*weights, theta])
+        scaled.append((ints[:-1], ints[-1]))
+    narrow = [_fits_int64(w, t) for w, t in scaled]
+    logger.debug(
+        "mc_hit_counts: m=%d, %d unique patterns, %d vectors, %d on object dtype",
+        m, len(rows), len(scaled), narrow.count(False),
+    )
+    rows_per_block = _block_rows(len(probs))
+    vectors_per_block = max(1, BLOCK_BYTES // (8 * min(rows_per_block, len(rows))))
+    hits = np.zeros(len(scaled), dtype=np.int64)
+    for dtype, fits in ((np.int64, True), (object, False)):
+        group = [i for i, ok in enumerate(narrow) if ok == fits]
+        for start in range(0, len(group), vectors_per_block):
+            block = group[start:start + vectors_per_block]
+            W = np.array([scaled[i][0] for i in block], dtype=dtype).T
+            T = np.array([scaled[i][1] for i in block], dtype=dtype)
+            for r in range(0, len(bits), rows_per_block):
+                x = bits[r:r + rows_per_block].astype(dtype)
+                hits[block] += counts[r:r + rows_per_block] @ (x @ W >= T)
+    return hits.tolist()
 
 
 def mc_estimate_probs(
@@ -336,8 +387,6 @@ def mc_estimate_probs(
 
     Deterministic given the seed; the pattern classification is exact.
     """
-    if m < 1:
-        raise InputError("m must be >= 1")
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
     (hits,) = mc_hit_counts(probs, [weights], theta, m, seed, threads)
@@ -355,7 +404,9 @@ def sample_tail_empirical(
 
     tail_weights pair with probs[n - len(tail_weights):] (tails are suffixes).
     Sample values are exact rationals, so jump points line up with the exact
-    tail law in Kolmogorov-distance comparisons.
+    tail law in Kolmogorov-distance comparisons.  Each distinct pattern's
+    value is the integer dot (D t) . x over D, D the lcm of the tail's
+    denominators, on int64 or Python ints by the rule of mc_hit_counts.
     """
     if m < 1:
         raise InputError("m must be >= 1")
@@ -365,13 +416,14 @@ def sample_tail_empirical(
     if len(tail) > instance.n:
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
-    if not tail:
-        return EmpiricalDist((Fraction(0),), (m,), m)
-    counts = _pattern_counts(probs, m, seed, threads)
-    agg: dict[Fraction, int] = {}
-    for key, cnt in counts.items():
-        x = _unpack(key, len(tail))
-        value = sum((w for w, b in zip(tail, x) if b), Fraction(0))
-        agg[value] = agg.get(value, 0) + cnt
-    values = tuple(sorted(agg))
-    return EmpiricalDist(values, tuple(agg[v] for v in values), m)
+    rows, counts = _pattern_counts(probs, m, seed, threads)
+    bits = np.unpackbits(rows, axis=1, count=len(tail))
+    d, scaled = _lcm_scaled(tail)
+    dtype = np.int64 if _fits_int64(scaled, 0) else object
+    w = np.array(scaled, dtype=dtype)
+    step = _block_rows(len(tail))
+    dots = np.concatenate([bits[r:r + step].astype(dtype) @ w for r in range(0, len(bits), step)])
+    values, inverse = np.unique(dots, return_inverse=True)
+    totals = np.zeros(len(values), dtype=np.int64)
+    np.add.at(totals, inverse, counts)
+    return EmpiricalDist(tuple(Fraction(v, d) for v in values.tolist()), tuple(totals.tolist()), m)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's optimized paths: the
 naive objective enumerates all 2^n outcomes with itertools, the grid
-oracles scan dense 1/64-step weight grids, and the threshold-set oracle
-decides every Boolean function on {0,1}^k by an exact separation LP.  They
+oracles scan dense 1/64-step weight grids, the threshold-set oracle
+decides every Boolean function on {0,1}^k by an exact separation LP, and
+the Fraction classifiers sum one Fraction per (vector, sampled pattern).  They
 exist so that every optimized routine is checked against an implementation
 too simple to share its bugs.
 """
@@ -17,9 +18,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from storalloc.core import ProblemInstance
+from storalloc.evaluate import _pattern_counts
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.lp import LinearProgram, lp_solve
 
@@ -37,6 +40,42 @@ def naive_objective(probs, weights, theta) -> Fraction:
         if sum(w * b for w, b in zip(weights, outcome)) >= theta:
             total += pr
     return total
+
+
+def _sampled_patterns(probs, m: int, seed: int):
+    """(bits as a list of ints, count) per distinct pattern the library draws."""
+    rows, counts = _pattern_counts(probs, m, seed)
+    for row, count in zip(rows, counts.tolist()):
+        yield np.unpackbits(row)[: len(probs)].tolist(), count
+
+
+def _fraction_dot(weights, bits) -> Fraction:
+    return sum((Fraction(w) for w, b in zip(weights, bits) if b), Fraction(0))
+
+
+def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
+    """mc_hit_counts by one Fraction sum per (vector, pattern).
+
+    The patterns come from the library's sampler, so this checks the
+    classification alone.
+    """
+    theta = Fraction(theta)
+    hits = [0] * len(vectors)
+    for bits, count in _sampled_patterns(probs, m, seed):
+        for i, weights in enumerate(vectors):
+            if _fraction_dot(weights, bits) >= theta:
+                hits[i] += count
+    return hits
+
+
+def fraction_tail_empirical(tail_probs, tail, m: int, seed: int):
+    """(values, counts) of sample_tail_empirical by one Fraction sum per pattern."""
+    agg: dict[Fraction, int] = {}
+    for bits, count in _sampled_patterns(tail_probs, m, seed):
+        value = _fraction_dot(tail, bits)
+        agg[value] = agg.get(value, 0) + count
+    values = sorted(agg)
+    return tuple(values), tuple(agg[v] for v in values)
 
 
 def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction(1, 20),

@@ -81,6 +81,16 @@ class TestCommands:
         mc = json.loads(capsys.readouterr().out)
         assert abs(mc["mc_estimate_float"] - exact["exact_objective_float"]) < 0.05
 
+    def test_log_level_debug_reports_kernel_on_stderr(self, inst_file, capsys):
+        args = ["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "100"]
+        assert run_cli(args) == 0
+        quiet = capsys.readouterr()
+        assert run_cli(["--log-level", "DEBUG", *args]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert quiet.err == ""
+        assert "mc_hit_counts: m=100," in loud.err and "on object dtype" in loud.err
+
     def test_eval_mc_zero_is_input_error(self, inst_file, capsys):
         code = run_cli(["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "0"])
         assert code == 2

@@ -1,11 +1,18 @@
+import logging
 import math
+from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storalloc.core import ProblemInstance
+from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
+    SAMPLE_CHUNK,
     DiscreteDist,
     EmpiricalDist,
     exact_objective_probs,
@@ -14,9 +21,11 @@ from storalloc.evaluate import (
     mc_estimate_probs,
     mc_hit_counts,
     sample_tail_empirical,
+    _pattern_counts,
 )
+from storalloc.util import derived_rng
 
-from conftest import naive_objective, with_one_retry
+from conftest import fraction_hit_counts, fraction_tail_empirical, naive_objective, with_one_retry
 
 
 def small_instance():
@@ -124,6 +133,39 @@ class TestExactObjective:
         w = [F(i + 1, 1000) for i in range(30)]  # 30 distinct values
         with pytest.raises(GuardError):
             exact_objective_probs(probs, w, F(1, 2), max_n=22)
+
+
+@st.composite
+def rationals(draw, lo, hi, max_den=1 << 40):
+    """A Fraction in [lo, hi]; small and huge denominators both occur."""
+    den = draw(st.one_of(st.integers(1, 64), st.integers(1, max_den)))
+    return F(draw(st.integers(math.ceil(lo * den), math.floor(hi * den))), den)
+
+
+grid_probs = st.integers(0, 20).map(lambda k: F(k, 20))
+
+
+@st.composite
+def exact_cases(draw):
+    n = draw(st.integers(0, 8))
+    probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # a few repeated values, so coordinates group
+        values = draw(st.lists(st.integers(0, 8).map(lambda k: F(k, 8 * max(n, 1))), min_size=1, max_size=3))
+        weights = [draw(st.sampled_from(values)) for _ in range(n)]
+    else:
+        # distinct values: every group is a singleton
+        weights = draw(st.lists(rationals(0, F(1, max(n, 1)), max_den=1 << 12), min_size=n, max_size=n, unique=True))
+    return probs, weights, draw(rationals(F(-1, 4), F(5, 4), max_den=64))
+
+
+# 13 distinct weights exceed MAX_GROUPS, so the singleton enumeration runs.
+@example(([F(k, 20) for k in range(3, 16)], [F(k, 120) for k in range(1, 14)], F(1, 2)))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(exact_cases())
+def test_exact_matches_naive_property(case):
+    probs, weights, theta = case
+    assert exact_objective_probs(probs, weights, theta) == naive_objective(probs, weights, theta)
 
 
 class TestLinearFormDist:
@@ -283,6 +325,98 @@ class TestSampling:
             mc_estimate_probs(inst.probs, [F(1, 2)], inst.theta, 10, seed=0)  # wrong length
         with pytest.raises(InputError):
             mc_estimate_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta, 0, seed=0)
+
+
+@st.composite
+def mc_cases(draw):
+    n = draw(st.integers(0, 12))
+    probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
+    weight = rationals(0, F(3, 2 * max(n, 1)))
+    vectors = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=6))
+    theta = draw(rationals(F(-1, 2), F(3, 2)))
+    return probs, vectors, theta, draw(st.integers(1, 300)), draw(st.integers(0, 1 << 32))
+
+
+HALVES = [F(1, 2)] * 3
+
+
+@example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(0), 50, 1))  # theta <= 0: all hit
+@example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(-1, 2), 50, 1))
+@example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(1) + F(1, 1 << 40), 50, 1))  # above every sum
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mc_cases())
+def test_hit_counts_match_fraction_oracle(case):
+    probs, vectors, theta, m, seed = case
+    assert mc_hit_counts(probs, vectors, theta, m, seed) == fraction_hit_counts(probs, vectors, theta, m, seed)
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(1, 12))
+    grid = F(1, 16 * n)  # eps/(4n) at eps = 1/4; p_1 < 3/4
+    probs = sorted(draw(st.lists(st.integers(1, 12 * n - 1), min_size=n, max_size=n)), reverse=True)
+    inst = ProblemInstance(tuple(grid * k for k in probs), F(1, 2), F(1, 4), F(1, 20), tuple(range(n)))
+    length = draw(st.integers(0, n))
+    tail = draw(st.lists(rationals(0, F(1, 2)), min_size=length, max_size=length))
+    return inst, tail, draw(st.integers(1, 300)), draw(st.integers(0, 1 << 32))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(tail_cases())
+def test_tail_sample_matches_fraction_oracle(case):
+    inst, tail, m, seed = case
+    values, counts = fraction_tail_empirical(inst.probs[inst.n - len(tail):], tail, m, seed)
+    assert sample_tail_empirical(inst, tail, m, seed) == EmpiricalDist(values, counts, m)
+
+
+class TestKernel:
+    def test_chunks_merge(self):
+        m = SAMPLE_CHUNK + 5_000
+        probs = [F(k, 12) for k in range(1, 11)]
+        rows, counts = _pattern_counts(probs, m, seed=17)
+        expected = Counter()
+        for c, size in enumerate((SAMPLE_CHUNK, m - SAMPLE_CHUNK)):
+            bits = derived_rng(17, c).random((size, len(probs))) < np.array([float(p) for p in probs])
+            expected.update(row.tobytes() for row in np.packbits(bits, axis=1))
+        assert {r.tobytes(): c for r, c in zip(rows, counts.tolist())} == expected
+        vectors = [[F(1, 10)] * 10, [F(k, 55) for k in range(1, 11)]]
+        theta = F(1, 2)
+        assert mc_hit_counts(probs, vectors, theta, m, 17) == fraction_hit_counts(probs, vectors, theta, m, 17)
+        inst = ProblemInstance(tuple(F(k, 40) for k in range(29, 19, -1)), theta, F(1, 4), F(1, 20), tuple(range(10)))
+        values, counts = fraction_tail_empirical(inst.probs, vectors[1], m, 17)
+        assert sample_tail_empirical(inst, vectors[1], m, 17) == EmpiricalDist(values, counts, m)
+
+    def _classify(self, caplog, vector, theta):
+        probs = [F(1, 2)] * 3
+        with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
+            got = mc_hit_counts(probs, [vector], theta, 2_000, seed=3)
+        assert got == fraction_hit_counts(probs, [vector], theta, 2_000, 3)
+        return got, caplog.records[-1].getMessage()
+
+    def test_scaled_sum_past_int64_goes_to_object(self, caplog):
+        # D = 2^63 + 1 is the lcm; each D w_j fits int64 but their sum does
+        # not, so an int64 dot of (1, 1, 1) would wrap below D theta.
+        d = (1 << 63) + 1
+        vector = [F(d // 3 - 1, d), F(d // 3 + 1, d), F(1, 3)]
+        (hits,), message = self._classify(caplog, vector, F(1, 3))
+        assert "1 vectors, 1 on object dtype" in message
+        assert hits > 0
+
+    def test_scaled_sum_at_int64_max_stays_int64(self, caplog):
+        d = (1 << 63) - 1  # the lcm; the scaled weights sum to exactly d
+        a = 2 * (d // 7) - 1
+        vector = [F(a, d), F(a, d), F(d - 2 * a, d)]
+        _, message = self._classify(caplog, vector, F(3, 7))
+        assert "1 vectors, 0 on object dtype" in message
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_nonpositive_m_is_input_error(self, m):
+        with pytest.raises(InputError, match="m must be >= 1"):
+            mc_hit_counts([F(1, 2)] * 3, [[F(1, 3)] * 3], F(1, 2), m, seed=1)
+        inst = ProblemInstance((F(1, 2), F(1, 2)), F(1, 2), F(1, 4), F(1, 20), (0, 1))
+        member = PoolMember(weights=(F(1, 2), F(1, 2)), provenance="junta", rank=0)
+        with pytest.raises(InputError, match="m must be >= 1"):
+            shared_mc_estimates(inst, [member], m, seed=1)
 
 
 # Each entry point that takes (probs, weights) as given, with its other
