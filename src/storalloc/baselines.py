@@ -1,8 +1,9 @@
 """Ground truth for tiny instances and the classical heuristic baseline.
 
 The brute-force oracle is the junta solver run at full dimension: when L
-equals n there is no tail, so the head enumeration is exhaustive over all
-realizable event sets and the result is exactly optimal.  The event sets
+equals n there is no tail, so the junta's scan over all upward-closed
+realizable event sets is exhaustive and the result is exactly optimal;
+``sets_examined`` is the number of sets that scan visited.  The event sets
 come from the halfspace weight grid, whose completeness the tests check
 against an exact LP separability oracle for n <= 4 and by count at n = 5.
 Desk scale caps the oracle at n = 4; n = 5 (3287 upward-closed sets) is
@@ -22,7 +23,6 @@ from fractions import Fraction
 from .core import ProblemInstance, preprocess
 from .errors import InputError
 from .evaluate import exact_objective_probs
-from .halfspaces import enumerate_halfspace_sets
 from .junta import JuntaRequest, find_optimal_junta
 
 
@@ -33,13 +33,10 @@ class OracleResult:
     sets_examined: int
 
 
-ORACLE_DEFAULT_MAX_N = 4
 ORACLE_FLAG_MAX_N = 5
 
 
-def brute_force_optimum(
-    instance: ProblemInstance, allow_grid_n5: bool = False, threads: int = 1
-) -> OracleResult:
+def brute_force_optimum(instance: ProblemInstance, allow_grid_n5: bool = False) -> OracleResult:
     """Exactly optimal allocation by exhaustive event-set enumeration.
 
     n = 5 requires ``allow_grid_n5``.
@@ -49,20 +46,11 @@ def brute_force_optimum(
         raise InputError(f"oracle supports n <= {ORACLE_FLAG_MAX_N}; got n={n}")
     if n == ORACLE_FLAG_MAX_N and not allow_grid_n5:
         raise InputError("n=5 oracle requires allow_grid_n5=True")
-    sets = enumerate_halfspace_sets(n, monotone=True)
-    # n=5 has thousands of monotone sets; the probability-ordered scan stops
-    # at the first feasible one, which already carries the optimal value.
-    strategy = "exhaustive" if n <= ORACLE_DEFAULT_MAX_N else "first_feasible"
-    result = find_optimal_junta(
-        JuntaRequest(instance.probs, instance.theta, Fraction(1)),
-        sets=sets,
-        threads=threads,
-        strategy=strategy,
-    )
+    result = find_optimal_junta(JuntaRequest(instance.probs, instance.theta, Fraction(1)))
     return OracleResult(
         opt_value=result.value,
         witness=result.weights,
-        sets_examined=len(sets),
+        sets_examined=result.sets_examined,
     )
 
 

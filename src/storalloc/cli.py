@@ -119,7 +119,7 @@ def _instance_or_shortcut(probs, theta, epsilon, delta):
 def _cmd_oracle(args) -> int:
     probs, theta, epsilon, delta = load_instance(args.instance)
     instance = _instance_or_shortcut(probs, theta, epsilon, delta)
-    res = brute_force_optimum(instance, allow_grid_n5=args.allow_grid_n5, threads=args.threads)
+    res = brute_force_optimum(instance, allow_grid_n5=args.allow_grid_n5)
     result = {
         "opt_value": frac_str(res.opt_value),
         "opt_value_float": float(res.opt_value),
@@ -190,7 +190,7 @@ def _cmd_bench(args) -> int:
             row["baseline_value"] = float(base.value)
             oracle_max = 5 if args.oracle_n5 else 4
             if instance.n <= oracle_max:
-                orc = brute_force_optimum(instance, allow_grid_n5=args.oracle_n5, threads=args.threads)
+                orc = brute_force_optimum(instance, allow_grid_n5=args.oracle_n5)
                 row["oracle_value"] = float(orc.opt_value)
                 row["gap_baseline"] = float(orc.opt_value - base.value)
                 if report.exact_objective is not None:
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--allow-grid-n5", action="store_true")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p, ("--threads",))
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("baseline", help="uniform k-split values")

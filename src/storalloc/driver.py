@@ -201,9 +201,7 @@ def solve_instance(
     pool: list[PoolMember] = []
     counts: dict = {}
 
-    junta = find_optimal_junta(
-        JuntaRequest(instance.probs[:L], theta, Fraction(1)), threads=threads
-    )
+    junta = find_optimal_junta(JuntaRequest(instance.probs[:L], theta, Fraction(1)))
     head = junta.weights + (Fraction(0),) * (n - L)
     pool.append(PoolMember(weights=head, provenance="junta", rank=0))
     counts["junta"] = 1

@@ -1,17 +1,33 @@
 """Head-only optimization: best allocation supported on the first L nodes.
 
-For every threshold-realizable S over the head cube, an LP feasibility
-check asks whether some head w >= 0 with sum(w) <= W reaches tau on all of
-S; the witness's realized event probability is computed exactly and the
-best witness wins.  With non-negative weights only upward-closed sets can
-be realized, and the upward closure of a feasible S is feasible with the
-same witness, so the enumeration is restricted to monotone sets without
-changing the optimum.
+The realized event {x : w.x >= tau} of a head w >= 0 is an upward-closed
+threshold-realizable subset S of the head cube {0,1}^L, and its value is
+P(S), the probability of S under the product law.  So the optimum is the
+most probable such S that some head with sum(w) <= W lifts to tau on all of
+S.  That is decided without an LP per request, by each set's margin
+
+    v(S) = max over u >= 0 with sum(u) <= 1 of min over x in min(S) of u.x,
+
+where min(S) are the minimal members of S, and u_S is the maximizer.  Both
+depend on (S, L) alone, so each is one LP solved once and cached.
+
+Why the scan is exact.  Take tau > 0.  The program "w >= 0, sum(w) <= W,
+w.x >= tau on min(S)" is homogeneous in (w, tau), so S is feasible iff
+tau <= W v(S) (LP duality, read as the value of a game), and then
+(tau / v(S)) u_S is a witness.  Members above a minimal one reach tau
+too, because w >= 0.  The witness so realizes an upward-closed,
+threshold-realizable superset R of S, and R is feasible.  The scan visits
+the non-empty sets by (-P(S), mask) and stops at the first feasible S; if
+P(R) > P(S), R would have come earlier and stopped the scan, so
+P(R) = P(S), and P(S) is the optimum.  A set holding the zero point has
+v = 0, and every v <= 1, so tau > W rejects every set and the zero head
+with value 0 is returned.  For tau <= 0 every outcome qualifies and the
+zero head has value 1.
 
 The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
 sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
-completion against sampled tail points needs (small_ci.find_best_head); the
-junta is the one-level case.  Its rows are membership constraints only.
+completion against sampled tail points needs (small_ci.find_best_head).
+Its rows are membership constraints only.
 
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
@@ -23,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import InputError
-from .halfspaces import HalfspaceSet, enumerate_halfspace_sets, minimal_members, point_bits
+from .halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
 from .lp import LinearProgram, lp_solve
-from .util import ordered_map, to_fraction
+from .util import to_fraction
 
 
 @dataclass(frozen=True)
@@ -114,89 +131,50 @@ def chain_lp(
     return LinearProgram(k, cons, objective=None)
 
 
-def _head_witness(set_: HalfspaceSet, tau: Fraction, W: Fraction, L: int) -> Optional[tuple[Fraction, ...]]:
-    res = lp_solve(chain_lp((set_.mask,), (tau,), W, L))
-    return res.x if res.status == "optimal" else None
+@lru_cache(maxsize=None)
+def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(v(S), u_S) for the upward-closed mask S over {0,1}^k: the largest
+    t with u.x >= t on every minimal member x of S, over u >= 0 with
+    sum(u) <= 1, and the u attaining it.  Variables are (u_1..u_k, t)."""
+    cons = [
+        ([Fraction(b) for b in point_bits(x, k)] + [Fraction(-1)], ">=", Fraction(0))
+        for x in minimal_members(mask, k)
+    ]
+    cons.append(([Fraction(1)] * k + [Fraction(0)], "<=", Fraction(1)))
+    objective = ([Fraction(0)] * k + [Fraction(1)], "max")
+    res = lp_solve(LinearProgram(k + 1, cons, objective))
+    return res.objective_value, res.x[:k]
 
 
-def _sort_key(weights: Sequence[Fraction]) -> tuple:
-    return tuple(sorted(weights, reverse=True))
-
-
-def find_optimal_junta(
-    req: JuntaRequest,
-    sets: Optional[Sequence[HalfspaceSet]] = None,
-    threads: int = 1,
-    strategy: str = "exhaustive",
-) -> JuntaResult:
-    """Exact maximizer of Pr[w . X >= tau] over heads with sum(w) <= W.
-
-    ``sets`` defaults to the upward-closed realizable sets of the head cube,
-    which lose nothing (see the module docstring).  Ties between equally
-    good witnesses break toward the lexicographically smallest
-    descending-sorted weight vector.
-
-    strategy="first_feasible" scans sets by event probability descending and
-    stops at the first feasible one.  Any witness's value is the probability
-    of its realized set, which is itself a feasible enumerated set, so the
-    first feasible set in this order already carries the optimal value; only
-    the tie-break among equally-good witnesses differs.  Used by the n=5
-    oracle, where the exhaustive scan costs thousands of LPs.
-    """
-    L = req.L
-    tau, W = req.tau, req.W
-    point_probs = outcome_probabilities(req.head_probs)
-
-    if tau <= 0:
-        # Every outcome qualifies regardless of w; the zero head wins ties.
-        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
-
-    if sets is None:
-        sets = enumerate_halfspace_sets(L, monotone=True)
-
-    def quick_reject(set_: HalfspaceSet) -> bool:
-        if set_.mask and tau > W:
-            return True  # w.x <= sum(w) <= W < tau for every x
-        return bool(set_.mask & 1)  # all-zeros point can never reach tau > 0
-
-    if strategy == "first_feasible":
-        order = sorted(
-            sets, key=lambda s: (-mask_probability(point_probs, s.mask), s.mask)
+@lru_cache(maxsize=4)
+def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[tuple[Fraction, int], ...]:
+    """(P(S), mask) of every non-empty upward-closed realizable set over the
+    head cube, by probability descending, then mask ascending.  The Case-2
+    requests of one solve share one head, so the order is kept across
+    calls."""
+    point_probs = outcome_probabilities(head_probs)
+    sets = enumerate_halfspace_sets(len(head_probs), monotone=True)
+    return tuple(
+        sorted(
+            ((mask_probability(point_probs, s.mask), s.mask) for s in sets if s.mask),
+            key=lambda item: (-item[0], item[1]),
         )
-        examined = 0
-        for set_ in order:
-            if quick_reject(set_):
-                continue
-            examined += 1
-            witness = _head_witness(set_, tau, W, L)
-            if witness is None:
-                continue
-            realized = realized_event_mask(witness, tau, L)
-            value = mask_probability(point_probs, realized)
-            assert value == mask_probability(point_probs, set_.mask)
-            return JuntaResult(tuple(witness), value, examined)
-        return JuntaResult((Fraction(0),) * L, Fraction(0), examined)
-    if strategy != "exhaustive":
-        raise InputError(f"unknown strategy {strategy!r}")
+    )
 
-    def examine(set_: HalfspaceSet):
-        if quick_reject(set_):
-            return None
-        witness = _head_witness(set_, tau, W, L)
-        if witness is None:
-            return None
-        return witness, mask_probability(point_probs, realized_event_mask(witness, tau, L))
 
-    results = ordered_map(examine, sets, threads)
-    best: Optional[tuple] = None
-    for item in results:
-        if item is None:
-            continue
-        witness, value = item
-        key = (value, [-x for x in _sort_key(witness)])
-        if best is None or key > best[0]:
-            best = (key, witness, value)
-    if best is None:
-        # Only the empty set was feasible: the zero head with value 0.
-        return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets))
-    return JuntaResult(tuple(best[1]), best[2], len(sets))
+def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
+    """Exact maximizer of Pr[w . X >= tau] over heads w >= 0, sum(w) <= W.
+
+    Returns (tau / v(S)) u_S for the first set S of the scan (see the module
+    docstring) that tau <= W v(S) admits, with value P(S); ``sets_examined``
+    counts the sets the scan visited.
+    """
+    L, tau, W = req.L, req.tau, req.W
+    if tau <= 0:
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
+    order = _scan_order(req.head_probs)
+    for examined, (prob, mask) in enumerate(order, 1):
+        v, u = set_margin(mask, L)
+        if tau <= W * v:
+            return JuntaResult(tuple(tau / v * x for x in u), prob, examined)
+    return JuntaResult((Fraction(0),) * L, Fraction(0), len(order))

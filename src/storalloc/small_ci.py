@@ -45,7 +45,7 @@ from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import EmpiricalDist, sample_tail_empirical
 from .halfspaces import enumerate_halfspace_sets
-from .junta import _sort_key, chain_lp, mask_probability, outcome_probabilities, realized_event_mask
+from .junta import chain_lp, mask_probability, outcome_probabilities, realized_event_mask
 from .large_ci import _state_space_estimate, _tail_dp, _witness
 from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, ordered_map, to_fraction
@@ -230,7 +230,7 @@ def find_best_head(
     # The all-empty chain is always feasible (u = 0), so some witness exists.
     value, witness = max(
         ((score(u), u) for u in witnesses if u is not None),
-        key=lambda item: (item[0], [-x for x in _sort_key(item[1])]),
+        key=lambda item: (item[0], [-x for x in sorted(item[1], reverse=True)]),
     )
     return HeadResult(tuple(witness), value, len(chains))
 

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's optimized paths: the
 naive objective enumerates all 2^n outcomes with itertools, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
-the Fraction classifiers sum one Fraction per (vector, sampled pattern).  They
+the Fraction classifiers sum one Fraction per (vector, sampled pattern), and
+the LP junta scan solves one feasibility LP per event set.  They
 exist so that every optimized routine is checked against an implementation
 too simple to share its bugs.
 """
@@ -24,6 +25,7 @@ import pytest
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import _pattern_counts
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
+from storalloc.junta import chain_lp
 from storalloc.lp import LinearProgram, lp_solve
 
 
@@ -152,6 +154,22 @@ def grid_junta_value(head_probs, tau, W, step=Fraction(1, 64)) -> Fraction:
             (pr for i, pr in enumerate(point_pr) if (mask >> i) & 1), Fraction(0)
         )
         best = max(best, value)
+    return best
+
+
+def lp_scan_junta(head_probs, tau, W, sets) -> Fraction:
+    """Max of Pr[w . X >= tau] over heads w >= 0, sum(w) <= W, by one
+    feasibility LP (``junta.chain_lp``) per event set in ``sets``; each
+    feasible set's witness is scored by full outcome enumeration, and the
+    zero head is always a candidate."""
+    head_probs = [Fraction(p) for p in head_probs]
+    tau, W = Fraction(tau), Fraction(W)
+    k = len(head_probs)
+    best = naive_objective(head_probs, [Fraction(0)] * k, tau)
+    for set_ in sets:
+        res = lp_solve(chain_lp((set_.mask,), (tau,), W, k))
+        if res.status == "optimal":
+            best = max(best, naive_objective(head_probs, res.x, tau))
     return best
 
 

@@ -10,6 +10,7 @@ from storalloc.baselines import (
 from storalloc.core import ProblemInstance, preprocess
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
+from storalloc.junta import JuntaRequest, find_optimal_junta
 
 from conftest import granular_instance, grid_junta_value
 
@@ -69,6 +70,9 @@ class TestOracle:
         assert (
             exact_objective_probs(inst.probs, res.witness, inst.theta) == res.opt_value
         )
+        # sets_examined is what the scan visited, not the 3287 sets it could
+        junta = find_optimal_junta(JuntaRequest(inst.probs, inst.theta, F(1)))
+        assert 1 <= res.sets_examined == junta.sets_examined < 3287
 
     def test_n6_rejected(self, rng):
         inst = granular_instance(rng, 6, F(1, 2), F(1, 4))

@@ -175,7 +175,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("baseline", "--seed"), ("oracle", "--mode"), ("eval", "--kappa")],
+        [("baseline", "--seed"), ("oracle", "--mode"), ("oracle", "--threads"), ("eval", "--kappa")],
     )
     def test_unread_solver_flags_rejected(self, inst_file, command, flag):
         args = [command, inst_file, flag, "1"]

@@ -1,13 +1,21 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import storalloc
 from storalloc.errors import InputError
-from storalloc.halfspaces import enumerate_halfspace_sets
-from storalloc.junta import JuntaRequest, find_optimal_junta
+from storalloc.halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
+from storalloc.junta import JuntaRequest, chain_lp, find_optimal_junta, set_margin
+from storalloc.lp import lp_solve
 
-from conftest import grid_junta_value
+from conftest import grid_junta_value, lp_scan_junta, naive_objective
 
 
 class TestSpecExamples:
@@ -88,6 +96,8 @@ class TestProperties:
             assert sum(r.weights) <= W
 
     def test_monotone_restriction_is_lossless(self, rng):
+        # The LP scan over every realizable set, upward-closed or not,
+        # finds nothing the library's upward-closed scan misses.
         for _ in range(20):
             L = rng.randint(1, 3)
             probs = tuple(
@@ -96,16 +106,7 @@ class TestProperties:
             tau = F(rng.randint(1, 12), 12)
             W = F(rng.randint(4, 12), 12)
             a = find_optimal_junta(JuntaRequest(probs, tau, W))
-            b = find_optimal_junta(
-                JuntaRequest(probs, tau, W), sets=enumerate_halfspace_sets(L)
-            )
-            assert a.value == b.value
-
-    def test_threads_do_not_change_result(self):
-        probs = (F(7, 10), F(3, 5), F(1, 2))
-        a = find_optimal_junta(JuntaRequest(probs, F(1, 2), F(1)), threads=1)
-        b = find_optimal_junta(JuntaRequest(probs, F(1, 2), F(1)), threads=4)
-        assert a == b
+            assert a.value == lp_scan_junta(probs, tau, W, enumerate_halfspace_sets(L))
 
     def test_nonpositive_threshold_degenerates_to_full_event(self):
         r = find_optimal_junta(JuntaRequest((F(1, 2),), F(-1, 4), F(1)))
@@ -120,9 +121,54 @@ class TestProperties:
             JuntaRequest((F(1, 2),), F(1, 2), F(3, 2))  # budget > 1
 
 
-# sha256 of every witness, value and sets_examined over the grid below,
-# taken before the junta's LP was shared with the best-head chain search.
-PINNED_WITNESSES = "7f877eff5f758fe3c50836b5e28cff7c3084d29bb3286a0a57d531534b047783"
+@st.composite
+def junta_requests(draw):
+    L = draw(st.integers(min_value=1, max_value=4))
+    probs = tuple(
+        sorted((F(draw(st.integers(1, 19)), 20) for _ in range(L)), reverse=True)
+    )
+    tau = F(draw(st.integers(-4, 52)), 40)  # [-1/10, 13/10]
+    W = F(draw(st.integers(0, 24)), 24)
+    return probs, tau, W
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(junta_requests())
+def test_scan_matches_lp_scan(request):
+    probs, tau, W = request
+    r = find_optimal_junta(JuntaRequest(probs, tau, W))
+    sets = enumerate_halfspace_sets(len(probs), monotone=True)
+    assert r.value == lp_scan_junta(probs, tau, W, sets)
+    assert all(w >= 0 for w in r.weights) and sum(r.weights) <= W
+    assert naive_objective(probs, r.weights, tau) == r.value
+
+
+def test_margin_decides_feasibility(rng):
+    # tau <= W v(S) iff the membership LP of S is feasible, for every
+    # non-empty upward-closed S with k <= 4, at random (tau > 0, W) and on
+    # the boundary tau = W v(S).
+    for k in range(1, 5):
+        for set_ in enumerate_halfspace_sets(k, monotone=True):
+            if not set_.mask:
+                continue
+            v, u = set_margin(set_.mask, k)
+            assert all(x >= 0 for x in u) and sum(u) <= 1
+            dots = [
+                sum((w for w, b in zip(u, point_bits(x, k)) if b), F(0))
+                for x in minimal_members(set_.mask, k)
+            ]
+            assert min(dots) == v
+            cases = [(F(rng.randint(1, 30), 24), F(rng.randint(0, 24), 24)) for _ in range(3)]
+            if v:
+                cases.append((v / 2, F(1, 2)))
+            for tau, W in cases:
+                res = lp_solve(chain_lp((set_.mask,), (tau,), W, k))
+                assert (tau <= W * v) == (res.status == "optimal"), (k, set_.mask, tau, W)
+
+
+# sha256 of every witness and value over the grid below, taken before the
+# junta scan used cached set margins; sets_examined is checked on its own.
+PINNED_WITNESSES = "39492b454b52b2b40f9cf70f0215504457942f948eb32a147279ac51cc452e56"
 
 
 def test_witnesses_pinned():
@@ -134,9 +180,68 @@ def test_witnesses_pinned():
     }
     h = hashlib.sha256()
     for L, probs in heads.items():
+        n_sets = sum(1 for s in enumerate_halfspace_sets(L, monotone=True) if s.mask)
         for tau in (F(0), F(1, 8), F(1, 3), F(1, 2), F(3, 4), F(5, 4)):
             for W in (F(1, 4), F(1, 2), F(1)):
                 r = find_optimal_junta(JuntaRequest(probs, tau, W))
                 weights = " ".join(map(str, r.weights))
-                h.update(f"{L} {tau} {W} {weights} {r.value} {r.sets_examined}\n".encode())
+                h.update(f"{L} {tau} {W} {weights} {r.value}\n".encode())
+                assert r.sets_examined <= n_sets
+                if tau > 0:
+                    assert r.sets_examined >= 1
     assert h.hexdigest() == PINNED_WITNESSES
+
+
+# Prints the results of a fixed list of requests and an n = 5 oracle;
+# with "warm", unrelated requests of every head length run first and
+# evict the list's heads from the scan-order cache.
+_CACHE_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from storalloc.baselines import brute_force_optimum
+from storalloc.core import preprocess
+from storalloc.junta import JuntaRequest, find_optimal_junta
+
+def run(requests):
+    return [find_optimal_junta(JuntaRequest(*req)) for req in requests]
+
+if sys.argv[1] == "warm":
+    run([
+        ((F(9, 10),), F(1, 3), F(1)),
+        ((F(3, 5), F(1, 2)), F(1, 4), F(1, 2)),
+        ((F(2, 3), F(1, 2), F(1, 4)), F(2, 3), F(1)),
+        ((F(4, 5), F(3, 5), F(2, 5), F(1, 5)), F(1, 2), F(3, 4)),
+        ((F(3, 5), F(11, 20), F(1, 2), F(9, 20), F(2, 5)), F(1, 3), F(1)),
+        ((F(1, 2), F(1, 2), F(1, 3)), F(9, 10), F(1)),
+    ])
+heads = [
+    (F(7, 10), F(3, 5)),
+    (F(3, 4), F(3, 5), F(2, 5)),
+    (F(4, 5), F(2, 3), F(1, 2), F(1, 3)),
+    (F(3, 5), F(3, 5), F(1, 2), F(2, 5)),
+    (F(9, 10), F(1, 10)),
+]
+requests = [(head, tau, W) for head in heads for tau in (F(1, 3), F(3, 5)) for W in (F(1, 2), F(1))]
+requests += requests[:4]  # the first head again, after it left the cache
+for r in run(requests):
+    print(r)
+pre = preprocess([0.55, 0.62, 0.41, 0.33, 0.7], 0.5, 0.25, 0.05)
+print(brute_force_optimum(pre.instance, allow_grid_n5=True))
+"""
+
+
+def test_results_do_not_depend_on_cache_state():
+    src = str(Path(storalloc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for mode in ("cold", "warm"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CACHE_SCRIPT, mode],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("JuntaResult") == 24 and "OracleResult" in outputs[0]
