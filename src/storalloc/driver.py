@@ -224,7 +224,7 @@ def solve_instance(
 
     t0 = time.perf_counter()
     if L < n:
-        cands = find_near_opt_large_ci(instance, L, kappa2, config, threads=threads)
+        cands = find_near_opt_large_ci(instance, L, kappa2, config)
         counts["largeCI"] = len(cands)
         for cand in cands:
             pool.append(PoolMember(weights=cand.weights, provenance="largeCI", rank=L + 1))

@@ -8,25 +8,48 @@ sharply concentrated, so only three integer statistics of the tail matter:
     C = sum w_i / kappa              (weight spent)
 
 A reachability DP over tail slots lists every achievable (A,B,C) with one
-witness tail each; for each triple the head is completed by the junta
-solver against the shifted threshold
+witness tail each.  A triple T asks the junta solver to complete the head
+against the shifted threshold and budget
 
-    theta - B kappa (eps/4n) + kappa * sqrt(ln(200/eps) * A)
+    tau_T = theta - mu + s,  mu = B kappa (eps/4n),  s = kappa sqrt(ln(200/eps) A)
+    W_T   = 1 - C kappa.
 
-with budget 1 - C kappa.  If the optimum really is of this type, one of
-the assembled candidates is within eps/2 of it.
+If the optimum really is of this type, one of the assembled candidates is
+within eps/2 of it.
+
+Only the (tau, W) dominance front is completed.  Head and tail are
+independent and Hoeffding gives Pr[tail < mu - s] <= (eps/200)^2, so T's
+candidate is worth at least headval(tau_T, W_T) (1 - (eps/200)^2), where
+headval is the junta optimum.  headval cannot rise as tau rises nor fall
+as W rises, so a triple with tau' <= tau_T and W' >= W_T keeps T's
+guarantee and T can go.  The front keeps tau ascending and W strictly
+rising (ties keep the first triple in (A,B,C) order) and is emitted in
+(A,B,C) order.  The zero triple has tau = theta and W = 1, the junta's own
+request, so it is always on the front and drops every triple with
+tau >= theta.
+
+The front is the zero triple alone unless some triple has mu > s.  By
+Cauchy-Schwarz mu <= sqrt(sum w^2) sqrt(sum_support p^2), while
+s >= sqrt(ln(200/eps) sum w^2).  A tail has at most min(n - L,
+floor(1/kappa)) non-zero slots and the tail p's are non-increasing, so
+
+    sum_{i=L+1}^{L+min(n-L, floor(1/kappa))} p_i^2 <= ln(200/eps)
+
+rules such triples out.  zero_tail_dominates evaluates it exactly against
+a rational lower bound on the log, and then Case 2 runs no DP at all.
+With p_1 < 1 - eps it holds at every kappa >= 1/9.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .junta import JuntaRequest, JuntaResult, find_optimal_junta
-from .util import half_power_ceil, ln_upper, ordered_map, sqrt_upper, to_fraction
+from .util import half_power_ceil, ln_lower, ln_upper, sqrt_upper, to_fraction
 
 
 @dataclass(frozen=True)
@@ -175,16 +198,63 @@ class LargeCICandidate:
     head_budget: Fraction
 
 
-def shifted_threshold(instance: ProblemInstance, triple: TailTriple) -> Fraction:
-    """theta - B kappa eps/(4n) + kappa sqrt(ln(200/eps) A), rounded up.
+def shifted_threshold(instance: ProblemInstance, triple: TailTriple, ln_bound: Fraction) -> Fraction:
+    """theta - B kappa eps/(4n) + kappa sqrt(ln_bound A), rounded up.
 
-    The upward rounding of the irrational shift only tightens the head
+    ``ln_bound`` is ln_upper(200/eps), computed once per Case-2 call.  The
+    upward rounding of the irrational shift only tightens the head
     problem, which the analysis tolerates.
     """
     kappa = triple.kappa
     mu = triple.B * kappa * instance.grid
-    shift = kappa * sqrt_upper(ln_upper(Fraction(200) / instance.epsilon) * triple.A)
+    shift = kappa * sqrt_upper(ln_bound * triple.A)
     return instance.theta - mu + shift
+
+
+def dominance_front(points: Sequence[tuple[Fraction, int]]) -> list[int]:
+    """Positions, ascending, of the (tau, C) points on the dominance front.
+
+    A point goes when another has tau' <= tau and C' <= C (so W' >= W);
+    of equal points the first stays.
+    """
+    kept = []
+    for i in sorted(range(len(points)), key=lambda i: points[i]):
+        if not kept or points[i][1] < points[kept[-1]][1]:
+            kept.append(i)
+    return sorted(kept)
+
+
+def zero_tail_dominates(instance: ProblemInstance, L: int, kappa: Fraction) -> bool:
+    """The closed-form test that no triple has tau < theta (module docstring)."""
+    slots = min(instance.n - L, int(1 / kappa))
+    top = instance.probs[L : L + slots]
+    return sum((p * p for p in top), Fraction(0)) <= ln_lower(Fraction(200) / instance.epsilon)
+
+
+def _complete(instance: ProblemInstance, L: int, triple: TailTriple, tau: Fraction) -> LargeCICandidate:
+    budget = 1 - triple.C * triple.kappa
+    head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
+    return LargeCICandidate(
+        triple=triple,
+        head=head,
+        weights=head.weights + triple.witness,
+        shifted_threshold=tau,
+        head_budget=budget,
+    )
+
+
+def front_candidates(
+    instance: ProblemInstance,
+    L: int,
+    kappa: Fraction,
+    config: Optional[SolverConfig] = None,
+) -> list[LargeCICandidate]:
+    """The DP path: every achievable triple, then one candidate per front triple."""
+    triples = construct_achievable_tails(instance, L, kappa, config)
+    ln_bound = ln_upper(Fraction(200) / instance.epsilon)
+    taus = [shifted_threshold(instance, t, ln_bound) for t in triples]
+    front = dominance_front([(tau, t.C) for tau, t in zip(taus, triples)])
+    return [_complete(instance, L, triples[i], taus[i]) for i in front]
 
 
 def find_near_opt_large_ci(
@@ -192,26 +262,18 @@ def find_near_opt_large_ci(
     L: int,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
-    threads: int = 1,
 ) -> list[LargeCICandidate]:
-    """One feasible candidate per achievable tail triple (Case 2 pool)."""
+    """One candidate per triple on the (tau, W) dominance front (Case 2 pool).
+
+    When zero_tail_dominates holds, that is the zero triple's candidate
+    alone, built without the DP.
+    """
     if not 1 <= L < instance.n:
         raise InputError("case 2 needs 1 <= L < n")
-    config = config or SolverConfig()
-    triples = construct_achievable_tails(instance, L, kappa, config)
-    head_probs = instance.probs[:L]
-
-    def complete(triple: TailTriple) -> LargeCICandidate:
-        tau = shifted_threshold(instance, triple)
-        budget = 1 - triple.C * triple.kappa
-        head = find_optimal_junta(JuntaRequest(head_probs, tau, budget))
-        weights = head.weights + triple.witness
-        return LargeCICandidate(
-            triple=triple,
-            head=head,
-            weights=weights,
-            shifted_threshold=tau,
-            head_budget=budget,
-        )
-
-    return ordered_map(complete, triples, threads)
+    kappa = to_fraction(kappa)
+    if not 0 < kappa <= 1:
+        raise InputError("kappa must lie in (0,1]")
+    if zero_tail_dominates(instance, L, kappa):
+        zero = TailTriple(A=0, B=0, C=0, kappa=kappa, witness=(Fraction(0),) * (instance.n - L))
+        return [_complete(instance, L, zero, instance.theta)]
+    return front_candidates(instance, L, kappa, config)

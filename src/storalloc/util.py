@@ -100,6 +100,18 @@ def ln_upper(q: Fraction) -> Fraction:
     return Fraction(math.log(q)) + Fraction(1, 1 << 40)
 
 
+def ln_lower(q: Fraction) -> Fraction:
+    """Rational lower bound on ln(q) for q > 1, the mirror of ln_upper.
+
+    Downward slack is harmless where this is used: it only makes the
+    Case-2 skip test (large_ci.zero_tail_dominates) stricter.
+    """
+    q = Fraction(q)
+    if q <= 1:
+        raise ValueError("ln_lower requires q > 1")
+    return Fraction(math.log(q)) - Fraction(1, 1 << 40)
+
+
 # ---------------------------------------------------------------------------
 # Reproducible randomness.  All sampling in the package goes through PCG64
 # generators derived from explicit integer seed tuples, so results are

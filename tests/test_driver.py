@@ -130,23 +130,40 @@ class TestSolve:
 
 class TestReportBytes:
     # sha256 of to_json() for two practical solves: any change to a report
-    # byte fails here, so update a digest only for an intended format change
+    # byte fails here, so update a digest only for an intended report change
     @pytest.mark.parametrize(
         "probs, L_cap, digest",
         [
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5],
                 2,
-                "d1a6a267112beb7004109d237bcc8f1b2796f934503f8b6b3fed56dcdfcef0cc",
+                "663833ffd65740111617f6cf1353ff0bc63c81435ad8e404914745f5252b8749",
             ),
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5, 0.41],
                 3,
-                "51b5a96f352ae096c9d15f44db318c9dfc47b05fa0de918f790dc04c40f579ba",
+                "fd79f5b701c9a20b55bc189372d2b39357f55a62f38d7f3aace539128d948d8b",
             ),
         ],
+        ids=["n5-L2", "n6-L3"],
     )
     def test_practical_report_digest_pinned(self, probs, L_cap, digest):
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=3)
         rep = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg)
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+    # The solutions behind the two digests, pinned on their own: a digest
+    # re-taken for a pool or estimate change must not hide a new solution.
+    @pytest.mark.parametrize(
+        "probs, L_cap, weights, exact",
+        [
+            ([0.62, 0.45, 0.31, 0.58, 0.5], 2, ["1/2", "0", "0", "1/2", "0"], "2673/3200"),
+            ([0.62, 0.45, 0.31, 0.58, 0.5, 0.41], 3, ["1/2", "0", "0", "1/2", "0", "0"], "7699/9216"),
+        ],
+        ids=["n5-L2", "n6-L3"],
+    )
+    def test_practical_report_solution_pinned(self, probs, L_cap, weights, exact):
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=3)
+        data = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
+        assert data["chosen_weights"] == weights
+        assert data["exact_objective"] == exact

@@ -2,15 +2,22 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from storalloc.core import SolverConfig
-from storalloc.errors import GuardError
+from storalloc.core import ProblemInstance, SolverConfig, preprocess
+from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import exact_objective_probs
+from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.large_ci import (
     case2_kappa,
     construct_achievable_tails,
+    dominance_front,
     find_near_opt_large_ci,
+    front_candidates,
+    shifted_threshold,
     theory_kappa_case2,
+    zero_tail_dominates,
 )
 from storalloc.util import ln_upper, sqrt_upper
 
@@ -29,6 +36,31 @@ def brute_force_triples(tail_probs, kappa, grid):
         C = sum(combo)
         out.setdefault((A, B, C), tuple(F(j) * kappa for j in combo))
     return out
+
+
+def brute_front(points):
+    """Positions of the (tau, C) points no other point dominates.
+
+    j dominates i when tau_j <= tau_i and C_j <= C_i; of equal points the
+    first one stays.
+    """
+    return [
+        i
+        for i, (tau, c) in enumerate(points)
+        if not any(
+            tj <= tau and cj <= c and ((tj, cj) != (tau, c) or j < i)
+            for j, (tj, cj) in enumerate(points)
+        )
+    ]
+
+
+def triple_points(inst, triples):
+    ln_bound = ln_upper(F(200) / inst.epsilon)
+    return [(shifted_threshold(inst, t, ln_bound), t.C) for t in triples]
+
+
+def headval(head_probs, tau, budget):
+    return find_optimal_junta(JuntaRequest(head_probs, tau, budget)).value
 
 
 class TestKappa:
@@ -94,7 +126,8 @@ class TestFindNearOptLargeCI:
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
         cands = find_near_opt_large_ci(inst, 2, F(1, 4))
         triples = construct_achievable_tails(inst, 2, F(1, 4))
-        assert len(cands) == len(triples)
+        front = brute_front(triple_points(inst, triples))
+        assert [c.triple for c in cands] == [triples[i] for i in front]
         for c in cands:
             assert all(w >= 0 for w in c.weights)
             assert sum(c.weights) <= 1
@@ -132,3 +165,112 @@ class TestFindNearOptLargeCI:
                 + [exact_objective_probs(inst.probs, junta.weights + (F(0), F(0)), inst.theta)]
             )
             assert best >= opt - F(3, 10)
+
+
+@st.composite
+def front_requests(draw):
+    L = draw(st.integers(min_value=1, max_value=3))
+    head = tuple(sorted((F(draw(st.integers(1, 19)), 20) for _ in range(L)), reverse=True))
+    jmax = draw(st.integers(min_value=1, max_value=6))
+    # a coarse tau grid and few C values, so ties and dominance both occur
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(-4, 12).map(lambda k: F(k, 8)), st.integers(0, jmax)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return head, F(1, jmax), points
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(front_requests())
+def test_front_drops_only_dominated_points(request):
+    head, kappa, points = request
+    kept = dominance_front(points)
+    assert kept == brute_front(points)
+    # tau ascending and W strictly rising along the front
+    by_tau = sorted(points[i] for i in kept)
+    assert all(a[0] < b[0] and a[1] > b[1] for a, b in zip(by_tau, by_tau[1:]))
+    for i, (tau, c) in enumerate(points):
+        if i in kept:
+            continue
+        keeper = next(points[j] for j in kept if points[j][0] <= tau and points[j][1] <= c)
+        # the kept head's junta value is at least the dropped one's
+        assert headval(head, keeper[0], 1 - keeper[1] * kappa) >= headval(head, tau, 1 - c * kappa)
+
+
+@st.composite
+def small_case2_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    eps = draw(st.sampled_from([F(1, 4), F(1, 10), F(3, 10)]))
+    grid = eps / (4 * n)
+    top = int((1 - eps) / grid) - 1  # keeps p_1 < 1 - eps
+    probs = tuple(sorted((grid * draw(st.integers(1, top)) for _ in range(n)), reverse=True))
+    theta = F(draw(st.integers(1, 9)), 10)
+    inst = ProblemInstance(probs, theta, eps, F(1, 20), tuple(range(n)))
+    L = draw(st.integers(min_value=1, max_value=n - 1))
+    kappa = F(1, draw(st.integers(min_value=1, max_value=6)))
+    return inst, L, kappa
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(small_case2_instances())
+def test_skip_matches_dp_path(case):
+    inst, L, kappa = case
+    # at most 5 tail slots with p < 1 - eps: the skip holds on every draw
+    assert zero_tail_dominates(inst, L, kappa)
+    triples = construct_achievable_tails(inst, L, kappa)
+    points = triple_points(inst, triples)
+    assert all(tau >= inst.theta for tau, _ in points)
+    skipped = find_near_opt_large_ci(inst, L, kappa)
+    assert skipped == front_candidates(inst, L, kappa)
+    assert [c.triple for c in skipped] == [triples[0]]
+
+
+# n = 16, p about 0.72 and kappa = 1/14: the 14 tail slots hold enough
+# p^2 that the skip test fails, and 1 of the 11308 triples has tau < theta.
+NONTRIVIAL_FRONT = (
+    (0.74, 0.73, 0.73, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.71, 0.71, 0.71, 0.70, 0.70),
+    2,
+    F(1, 14),
+)
+
+
+def test_nontrivial_front_pinned():
+    probs, L, kappa = NONTRIVIAL_FRONT
+    inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
+    assert not zero_tail_dominates(inst, L, kappa)
+    triples = construct_achievable_tails(inst, L, kappa)
+    points = triple_points(inst, triples)
+    assert len(triples) == 11308
+    assert sum(tau < inst.theta for tau, _ in points) == 1
+    cands = find_near_opt_large_ci(inst, L, kappa)
+    assert [(c.triple.A, c.triple.B, c.triple.C) for c in cands] == [(0, 0, 0), (14, 2559, 14)]
+    assert cands[1].shifted_threshold < inst.theta
+    kept = [(c.shifted_threshold, c.triple.C) for c in cands]
+    for tau, c in points:
+        assert any(kt <= tau and kc <= c for kt, kc in kept)
+
+
+def test_input_checks_precede_skip(rng):
+    inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
+    assert zero_tail_dominates(inst, 2, F(1, 4))
+    for kappa in (F(0), F(-1, 4), F(5, 4)):
+        with pytest.raises(InputError):
+            find_near_opt_large_ci(inst, 2, kappa)
+    for L in (0, 4, 5):
+        with pytest.raises(InputError):
+            find_near_opt_large_ci(inst, L, F(1, 4))
+
+
+@pytest.mark.parametrize("eps", [F(1, 100), F(1, 20), F(59, 1000), F(1, 10), F(1, 4), F(1, 2), F(9, 10)])
+def test_skip_holds_at_kappa_one_ninth(eps):
+    # p within two grid steps of the 1 - eps cap in every tail slot: the
+    # module docstring's claim that the skip holds at every kappa >= 1/9
+    n = 12
+    grid = eps / (4 * n)
+    p = grid * (int((1 - eps) / grid) - 1)
+    inst = ProblemInstance((p,) * n, F(1, 2), eps, F(1, 20), tuple(range(n)))
+    for kappa in (F(1, 9), F(1, 4), F(1)):
+        assert zero_tail_dominates(inst, 1, kappa)
