@@ -40,7 +40,6 @@ _SOLVER_FLAGS = {
     "--c-l": dict(default=str(_DEFAULTS.c_L), help="constant in the L formula"),
     "--mc-constant": dict(default=str(_DEFAULTS.mc_constant), help="constant in sample-size formulas"),
     "--seed": dict(type=int, default=_DEFAULTS.seed),
-    "--threads": dict(type=int, default=1),
     "--exact-eval-max-n": dict(type=int, default=_DEFAULTS.exact_eval_max_n),
     "--state-space-limit": dict(type=int, default=_DEFAULTS.state_space_limit),
 }
@@ -73,14 +72,7 @@ def _emit(text: str, out):
 
 def _cmd_solve(args) -> int:
     probs, theta, epsilon, delta = load_instance(args.instance)
-    report = solve(
-        probs,
-        theta,
-        epsilon,
-        delta,
-        config=_config(args),
-        threads=args.threads,
-    )
+    report = solve(probs, theta, epsilon, delta, config=_config(args))
     _emit(report.to_json(include_timings=args.timings), args.out)
     return 0
 
@@ -93,7 +85,7 @@ def _cmd_eval(args) -> int:
         "theta": frac_str(theta),
     }
     if args.mc is not None:
-        est = mc_estimate_probs(probs, weights, theta, args.mc, args.seed, args.threads)
+        est = mc_estimate_probs(probs, weights, theta, args.mc, args.seed)
         result["mc_estimate"] = frac_str(est.value)
         result["mc_estimate_float"] = float(est.value)
         result["m"] = est.m
@@ -165,7 +157,7 @@ def _cmd_bench(args) -> int:
     config = _config(args)
     for path in args.instances:
         probs, theta, epsilon, delta = load_instance(path)
-        report = solve(probs, theta, epsilon, delta, config=config, threads=args.threads)
+        report = solve(probs, theta, epsilon, delta, config=config)
         row = {
             "instance": str(path),
             "n": len(probs),
@@ -239,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help='comma-separated, e.g. "1/4,1/4,1/2"')
     p.add_argument("--mc", type=int, default=None, help="Monte-Carlo sample count (default: exact)")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p, ("--seed", "--threads", "--exact-eval-max-n"))
+    _add_solver_flags(p, ("--seed", "--exact-eval-max-n"))
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("oracle", help="exact optimum for tiny n")

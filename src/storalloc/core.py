@@ -63,8 +63,8 @@ class SolverConfig:
             object.__setattr__(self, "kappa_override", to_fraction(self.kappa_override))
         if self.c_L <= 0 or self.mc_constant <= 0:
             raise InputError("c_L and mc_constant must be positive")
-        if self.kappa_override is not None and self.kappa_override <= 0:
-            raise InputError("kappa_override must be positive")
+        if self.kappa_override is not None and not 0 < self.kappa_override <= 1:
+            raise InputError(f"kappa_override must lie in (0, 1]; got {self.kappa_override}")
         if self.L_cap is not None and not 1 <= self.L_cap <= MAX_K:
             raise InputError(
                 f"L_cap (--l-cap) must lie in [1, {MAX_K}], the head sizes "

@@ -31,8 +31,9 @@ from .core import (
     compute_L,
     preprocess,
 )
-from .errors import GuardError
+from .errors import GuardError, InputError
 from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_hit_counts
+from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
 from .small_ci import case3_kappa, find_near_opt_small_ci
@@ -130,12 +131,9 @@ def shared_mc_estimates(
     members: Sequence[PoolMember],
     m: int,
     seed: int,
-    threads: int = 1,
 ) -> list[ObjectiveEstimate]:
     """Score every member on one shared sample set (exact classification)."""
-    hits = mc_hit_counts(
-        instance.probs, [member.weights for member in members], instance.theta, m, seed, threads
-    )
+    hits = mc_hit_counts(instance.probs, [member.weights for member in members], instance.theta, m, seed)
     return [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
 
 
@@ -176,18 +174,21 @@ def solve(
     threads: int = 1,
 ) -> SolveReport:
     """Full pipeline on raw inputs; see solve_instance for the main path."""
+    if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
+        raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     config = config or SolverConfig()
     pre = preprocess(p_raw, theta, epsilon, delta)
     if pre.is_trivial:
         return _trivial_report(pre.shortcut, len(p_raw), theta, epsilon, delta, config)
-    return solve_instance(pre.instance, config, threads=threads)
+    return solve_instance(pre.instance, config)
 
 
-def solve_instance(
-    instance: ProblemInstance,
-    config: Optional[SolverConfig] = None,
-    threads: int = 1,
-) -> SolveReport:
+def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = None) -> SolveReport:
+    """Run every case, score the pool on one shared sample, report the winner.
+
+    GuardError before any case runs when the head cutoff L exceeds MAX_K,
+    the largest head the halfspace enumeration covers.
+    """
     config = config or SolverConfig()
     timings: dict = {}
     n = instance.n
@@ -195,6 +196,13 @@ def solve_instance(
 
     t0 = time.perf_counter()
     L = compute_L(instance, config)
+    if L > MAX_K:
+        raise GuardError(
+            f"head cutoff L={L} exceeds {MAX_K}, the largest head the halfspace "
+            f"enumeration covers; use practical mode with --l-cap",
+            estimate=L,
+            limit=MAX_K,
+        )
     kappa3 = case3_kappa(instance, L, config)
     kappa2 = case2_kappa(instance, L, config) if L < n else None
 
@@ -209,14 +217,7 @@ def solve_instance(
 
     t0 = time.perf_counter()
     for K in range(1, L + 1):
-        cands = find_near_opt_small_ci(
-            instance,
-            K,
-            instance.delta / (2 * L),
-            kappa3,
-            config,
-            threads=threads,
-        )
+        cands = find_near_opt_small_ci(instance, K, instance.delta / (2 * L), kappa3, config)
         counts[f"smallCI({K})"] = len(cands)
         for cand in cands:
             pool.append(PoolMember(weights=cand.weights, provenance=f"smallCI({K})", rank=K))
@@ -238,7 +239,7 @@ def solve_instance(
     t0 = time.perf_counter()
     m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
     select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
-    estimates = shared_mc_estimates(instance, pool, m_sel, select_seed, threads)
+    estimates = shared_mc_estimates(instance, pool, m_sel, select_seed)
     best_idx = min(
         range(len(pool)),
         key=lambda i: (-estimates[i].value, pool[i].rank, pool[i].weights),

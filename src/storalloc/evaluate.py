@@ -15,8 +15,8 @@ comparison is done in rational arithmetic: float dot products misclassify
 ties, which are common for granular weights.
 
 Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
-chunks (so results do not depend on worker count) and deduplicates them
-into distinct bit patterns with counts.  The patterns are classified in
+chunks, one generator per chunk, and deduplicates them into distinct bit
+patterns with counts.  The patterns are classified in
 exact integer arithmetic: a weight vector and theta are scaled by the lcm
 D of their denominators, so w . x >= theta becomes (D w) . x >= D theta,
 computed by blocked numpy matmuls over many vectors at once.  A vector
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance, SolverConfig
-from .util import derived_rng, ordered_map, to_fraction
+from .util import derived_rng, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -193,10 +193,15 @@ def exact_objective_probs(
 ) -> Fraction:
     """Exact Pr[w . X >= theta] for arbitrary probability vectors.
 
-    Raises GuardError when both exact paths are out of reach.
+    Thresholds at or below 0 give 1 and thresholds above sum(w) give 0;
+    otherwise GuardError when both exact paths are out of reach.
     """
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
+    if theta <= 0:
+        return Fraction(1)
+    if theta > sum(weights, Fraction(0)):
+        return Fraction(0)
 
     groups = _grouped(probs, weights)
     if len(groups) > MAX_GROUPS:
@@ -221,9 +226,6 @@ def exact_objective_probs(
                 estimate=combos,
                 limit=COMBO_LIMIT,
             )
-
-    if theta <= 0:
-        return Fraction(1)
 
     pmfs = [_count_pmf(ps) for _, ps in groups]
     gw = [w for w, _ in groups]
@@ -283,28 +285,26 @@ BLOCK_BYTES = 1 << 20
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _pattern_counts(
-    probs: Sequence[Fraction], m: int, seed: int, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed Bernoulli bit rows over m draws, with int64 counts.
 
-    Chunk c uses the generator derived from (seed, c) regardless of how many
-    workers run, so the aggregate is worker-count independent.  The packed
-    draws of all chunks (m * ceil(n/8) bytes) are deduplicated by one
-    np.unique over a 1-D void view of the rows, which compares each row as
-    one byte string (np.unique(axis=0) sorts field by field and is several
-    times slower); rows come out in ascending byte order.
+    Draws come in chunks of SAMPLE_CHUNK rows, chunk c from the generator
+    derived from (seed, c).  The chunks fix the random stream a seed
+    yields, so every sampled output (and the report pins) stays
+    bit-identical, and they bound each draw's float temporary to
+    SAMPLE_CHUNK * n = 32768 n doubles.  The packed draws of all chunks
+    (m * ceil(n/8) bytes) are deduplicated by one np.unique over a 1-D void
+    view of the rows, which compares each row as one byte string
+    (np.unique(axis=0) sorts field by field and is several times slower);
+    rows come out in ascending byte order.
     """
     n = len(probs)
     pf = np.array([float(p) for p in probs])
-    n_chunks = (m + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-
-    def one_chunk(c: int) -> np.ndarray:
-        size = min(SAMPLE_CHUNK, m - c * SAMPLE_CHUNK)
-        rng = derived_rng(seed, c)
-        return np.packbits(rng.random((size, n)) < pf, axis=1)
-
-    packed = np.concatenate(ordered_map(one_chunk, range(n_chunks), threads))
+    chunks = []
+    for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
+        draws = derived_rng(seed, c).random((min(SAMPLE_CHUNK, m - start), n))
+        chunks.append(np.packbits(draws < pf, axis=1))
+    packed = np.concatenate(chunks)
     width = packed.shape[1]
     if not width:  # n = 0: one empty pattern; a zero-width void view is wrong
         return packed[:1], np.array([m], dtype=np.int64)
@@ -336,7 +336,6 @@ def mc_hit_counts(
     theta: Fraction,
     m: int,
     seed: int,
-    threads: int = 1,
 ) -> list[int]:
     """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
 
@@ -355,7 +354,7 @@ def mc_hit_counts(
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    rows, counts = _pattern_counts(probs, m, seed, threads)
+    rows, counts = _pattern_counts(probs, m, seed)
     bits = np.unpackbits(rows, axis=1, count=len(probs))
     scaled = []
     for weights in weight_vectors:
@@ -393,9 +392,11 @@ def mc_estimate_probs(
 
     Deterministic given the seed; the pattern classification is exact.
     """
+    if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
+        raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
-    (hits,) = mc_hit_counts(probs, [weights], theta, m, seed, threads)
+    (hits,) = mc_hit_counts(probs, [weights], theta, m, seed)
     return ObjectiveEstimate(value=Fraction(hits, m), kind="monte_carlo", m=m, seed=seed)
 
 
@@ -414,6 +415,8 @@ def sample_tail_empirical(
     value is the integer dot (D t) . x over D, D the lcm of the tail's
     denominators, on int64 or Python ints by the rule of mc_hit_counts.
     """
+    if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
+        raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     if m < 1:
         raise InputError("m must be >= 1")
     tail = [to_fraction(w) for w in tail_weights]
@@ -422,7 +425,7 @@ def sample_tail_empirical(
     if len(tail) > instance.n:
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
-    rows, counts = _pattern_counts(probs, m, seed, threads)
+    rows, counts = _pattern_counts(probs, m, seed)
     bits = np.unpackbits(rows, axis=1, count=len(tail))
     d, scaled = _lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object

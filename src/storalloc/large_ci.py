@@ -77,27 +77,10 @@ def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstan
 
 
 def case2_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Fraction:
-    """Tail granularity for Case 2; practical mode may override it.
-
-    Refuses with the state-space estimate when the implied DP exceeds
-    config.state_space_limit.
-    """
+    """Tail granularity for Case 2; practical mode may override it."""
     if config.mode == "practical" and config.kappa_override is not None:
-        kappa = config.kappa_override
-    else:
-        kappa = theory_kappa_case2(instance.n, L)
-    if kappa > 1:
-        raise InputError(f"kappa={kappa} exceeds the unit budget")
-    estimate = _state_space_estimate(max(instance.n - L, 1), kappa, instance)
-    if estimate > config.state_space_limit:
-        raise GuardError(
-            f"case-2 tail DP needs ~{estimate} cells (limit "
-            f"{config.state_space_limit}); use practical mode with a coarser "
-            f"--kappa or raise --state-space-limit",
-            estimate=estimate,
-            limit=config.state_space_limit,
-        )
-    return kappa
+        return config.kappa_override
+    return theory_kappa_case2(instance.n, L)
 
 
 def _tail_dp(
@@ -114,8 +97,17 @@ def _tail_dp(
     ``extend(state, j, m_t)`` returns the successor after spending j kappa
     units on slot t with granular probability multiplier m_t.  States map
     to (slot, predecessor, j) for witness reconstruction; determinism comes
-    from sorted snapshots and ascending j.
+    from sorted snapshots and ascending j.  Refuses with the state-space
+    estimate, before any work, when it exceeds config.state_space_limit.
     """
+    estimate = _state_space_estimate(instance.n - start_slot + 1, kappa, instance)
+    if estimate > config.state_space_limit:
+        raise GuardError(
+            f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}); "
+            f"use practical mode with a coarser --kappa or raise --state-space-limit",
+            estimate=estimate,
+            limit=config.state_space_limit,
+        )
     grid = instance.grid
     jmax = int(1 / kappa)
     states: dict = {zero_state: (None, None, 0)}

@@ -28,10 +28,11 @@ its score is at least the chain's value, and the optimum's own chain is
 enumerated and feasible; the best score is therefore exact (proof in
 find_best_head).
 
-Case 3 yields candidates only when eps'^2 floor(1/kappa) >= 1, hence only
-when kappa <= eps'^2: otherwise no nonzero granular tail is regular (proof in
+Case 3 yields candidates only when eps'^2 min(floor(1/kappa), n - K + 1)
+>= 1: a regular tail needs at least 1/eps'^2 nonzero slots (proof in
 construct_achievable_regular_tails).  The solver's eps' = eps gamma/100 is
-below 1/200 (eps < 1, gamma <= 1/2), so this needs kappa < 1/40000.
+below 1/200 (eps < 1, gamma <= 1/2), so this needs more than 40000 tail
+slots and kappa < 1/40000.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .errors import GuardError, InputError
 from .evaluate import EmpiricalDist, sample_tail_empirical
 from .halfspaces import enumerate_halfspace_sets
 from .junta import chain_lp, mask_probability, outcome_probabilities, realized_event_mask
-from .large_ci import _state_space_estimate, _tail_dp, _witness
+from .large_ci import _tail_dp, _witness
 from .lp import lp_solve
-from .util import derive_seed, half_power_ceil, ordered_map, to_fraction
+from .util import derive_seed, half_power_ceil, to_fraction
 
 
 @dataclass(frozen=True)
@@ -71,21 +72,8 @@ def theory_kappa_case3(n: int, L: int, epsilon: Fraction, gamma: Fraction) -> Fr
 def case3_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Fraction:
     """Tail granularity for Case 3; practical mode may override it."""
     if config.mode == "practical" and config.kappa_override is not None:
-        kappa = config.kappa_override
-    else:
-        kappa = theory_kappa_case3(instance.n, L, instance.epsilon, instance.gamma)
-    if kappa > 1:
-        raise InputError(f"kappa={kappa} exceeds the unit budget")
-    estimate = _state_space_estimate(instance.n, kappa, instance)
-    if estimate > config.state_space_limit:
-        raise GuardError(
-            f"case-3 tail DP needs ~{estimate} cells (limit "
-            f"{config.state_space_limit}); use practical mode with a coarser "
-            f"--kappa or raise --state-space-limit",
-            estimate=estimate,
-            limit=config.state_space_limit,
-        )
-    return kappa
+        return config.kappa_override
+    return theory_kappa_case3(instance.n, L, instance.epsilon, instance.gamma)
 
 
 def construct_achievable_regular_tails(
@@ -100,10 +88,11 @@ def construct_achievable_regular_tails(
     The zero tail is excluded: regularity is undefined at D = 0, and
     junta-style solutions cover it anyway.
 
-    Without running the DP, the result is empty when eps'^2 floor(1/kappa) < 1.
-    A nonzero tail has E >= 1 and C <= floor(1/kappa), so D = sum j^2 <= E C
-    <= E floor(1/kappa).  Regularity E^2 <= eps'^2 D then gives
-    1 <= E <= eps'^2 floor(1/kappa).
+    Without running the DP, the result is empty when
+    eps'^2 min(floor(1/kappa), n - K + 1) < 1.  A nonzero tail with s
+    nonzero slots has D = sum j^2 <= s E^2, so regularity E^2 <= eps'^2 D
+    needs eps'^2 s >= 1.  Each nonzero slot spends at least one kappa unit
+    and there are n - K + 1 slots, so s <= min(floor(1/kappa), n - K + 1).
     """
     config = config or SolverConfig()
     kappa = to_fraction(kappa)
@@ -114,7 +103,7 @@ def construct_achievable_regular_tails(
         raise InputError("eps_prime must be positive")
     if not 1 <= K <= instance.n:
         raise InputError(f"K={K} outside [1, n]")
-    if eps_prime * eps_prime * math.floor(1 / kappa) < 1:
+    if eps_prime * eps_prime * min(math.floor(1 / kappa), instance.n - K + 1) < 1:
         return []
 
     inv_grid = 1 / instance.grid  # = 4n/eps
@@ -200,6 +189,8 @@ def find_best_head(
     all chains is the optimum.  Ties break toward the lexicographically
     smallest descending-sorted head, then the first chain enumerated.
     """
+    if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
+        raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     head_probs = tuple(to_fraction(p) for p in head_probs)
     W = to_fraction(W)
     theta = to_fraction(theta)
@@ -226,7 +217,7 @@ def find_best_head(
         return res.x if res.status == "optimal" else None
 
     chains = _nested_chains(k, len(taus), max_patterns)
-    witnesses = ordered_map(certify, chains, threads)
+    witnesses = [certify(chain) for chain in chains]
     # The all-empty chain is always feasible (u = 0), so some witness exists.
     value, witness = max(
         ((score(u), u) for u in witnesses if u is not None),
@@ -279,7 +270,6 @@ def find_approximately_best_head(
     seed: int,
     mc_constant=Fraction(1),
     max_patterns: int = 200_000,
-    threads: int = 1,
 ) -> ApproxHeadResult:
     """DKW-sampled head completion for a fixed tail.
 
@@ -300,14 +290,7 @@ def find_approximately_best_head(
         raise InputError("tail already exceeds the unit budget")
     m = sample_count(eps_prime, delta_prime, to_fraction(mc_constant))
     samples = sample_tail_empirical(instance, tail, m, seed)
-    head = find_best_head(
-        instance.probs[:k],
-        samples,
-        budget,
-        instance.theta,
-        max_patterns=max_patterns,
-        threads=threads,
-    )
+    head = find_best_head(instance.probs[:k], samples, budget, instance.theta, max_patterns=max_patterns)
     return ApproxHeadResult(head=head, samples=samples, m=m, seed=seed)
 
 
@@ -327,7 +310,6 @@ def find_near_opt_small_ci(
     delta,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
-    threads: int = 1,
 ) -> list[SmallCICandidate]:
     """Case-3 pool for one K: regular tails completed by sampled-best heads.
 
@@ -345,9 +327,8 @@ def find_near_opt_small_ci(
     if not triples:
         return []
     delta_head = delta / (2 * len(triples))
-
-    def complete(item):
-        idx, q = item
+    out = []
+    for idx, q in enumerate(triples):
         seed = derive_seed(config.seed, SMALL_CI_SEED_TAG, K, idx)
         approx = find_approximately_best_head(
             instance,
@@ -357,7 +338,5 @@ def find_near_opt_small_ci(
             seed,
             mc_constant=config.mc_constant,
         )
-        weights = approx.head.weights + q.witness
-        return SmallCICandidate(quintuple=q, head=approx, weights=weights)
-
-    return ordered_map(complete, list(enumerate(triples)), threads)
+        out.append(SmallCICandidate(quintuple=q, head=approx, weights=approx.head.weights + q.witness))
+    return out

@@ -7,9 +7,7 @@ crossings are the logarithms (bounded above explicitly) and reporting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,7 +113,7 @@ def ln_lower(q: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # Reproducible randomness.  All sampling in the package goes through PCG64
 # generators derived from explicit integer seed tuples, so results are
-# bit-identical across runs, platforms, and worker counts.
+# bit-identical across runs and platforms.
 
 
 def derived_rng(*seed_parts: int) -> np.random.Generator:
@@ -130,15 +128,3 @@ def derive_seed(*seed_parts: int) -> int:
     state = np.random.SeedSequence(parts).generate_state(2, dtype=np.uint64)
     return int(state[0])
 
-
-def ordered_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map preserving input order, optionally on a bounded thread pool.
-
-    The reduction is by position, so the result is identical for any
-    thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import pytest
 
+import storalloc
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import _pattern_counts
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
@@ -361,6 +364,13 @@ def lp_threshold_masks(k: int, monotone: bool = False) -> tuple[int, ...]:
         if verdict:
             out.append(mask)
     return tuple(out)
+
+
+def child_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports this storalloc."""
+    src = str(Path(storalloc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def with_one_retry(check, seeds=(0, 1)):

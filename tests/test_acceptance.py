@@ -7,6 +7,8 @@ criterion also enforces its runtime budget.
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -28,6 +30,7 @@ from storalloc.lemmas import canonicalize_tail, is_regular
 from storalloc.small_ci import construct_achievable_regular_tails, find_best_head
 
 from conftest import (
+    child_env,
     granular_instance,
     grid_best_head_value,
     literal_best_head_value,
@@ -235,16 +238,22 @@ def test_criterion_8_determinism(tmp_path):
     t0 = time.time()
     inst = tmp_path / "inst.json"
     save_instance(inst, [0.62, 0.45, 0.31, 0.58], 0.5, 0.25, 0.05)
-    blobs = []
-    for run, threads in ((0, "1"), (1, "4"), (2, "1")):
-        out = tmp_path / f"rep{run}.json"
-        code = cli_main(
-            ["solve", str(inst), "--mode", "practical", "--kappa", "1/8",
-             "--l-cap", "2", "--seed", "42", "--threads", threads,
-             "--out", str(out)]
+    args = ["solve", str(inst), "--mode", "practical", "--kappa", "1/8",
+            "--l-cap", "2", "--seed", "42", "--out"]
+    assert cli_main(args + [str(tmp_path / "rep0.json")]) == 0
+    for run, hash_seed in ((1, "1"), (2, "2")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "storalloc.cli", *args, str(tmp_path / f"rep{run}.json")],
+            capture_output=True,
+            text=True,
+            env=child_env(PYTHONHASHSEED=hash_seed),
         )
-        assert code == 0
-        blobs.append(out.read_bytes())
+        assert proc.returncode == 0, proc.stderr
+    blobs = [(tmp_path / f"rep{run}.json").read_bytes() for run in range(3)]
     assert blobs[0] == blobs[1] == blobs[2]
     elapsed = time.time() - t0
-    report(8, f"byte-identical reports across 3 runs, threads 1 and 4, {elapsed:.1f}s")
+    report(
+        8,
+        f"byte-identical reports across 3 runs (in-process, and fresh interpreters "
+        f"at PYTHONHASHSEED 1 and 2), {elapsed:.1f}s",
+    )

@@ -1,14 +1,13 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import storalloc
 from storalloc.cli import main
 from storalloc.formats import load_instance, parse_weights, save_instance
+
+from conftest import child_env
 
 
 @pytest.fixture
@@ -175,7 +174,15 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("baseline", "--seed"), ("oracle", "--mode"), ("oracle", "--threads"), ("eval", "--kappa")],
+        [
+            ("baseline", "--seed"),
+            ("oracle", "--mode"),
+            ("oracle", "--threads"),
+            ("eval", "--kappa"),
+            ("solve", "--threads"),
+            ("eval", "--threads"),
+            ("bench", "--threads"),
+        ],
     )
     def test_unread_solver_flags_rejected(self, inst_file, command, flag):
         args = [command, inst_file, flag, "1"]
@@ -189,10 +196,13 @@ class TestCommands:
         missing = tmp_path / "missing.json"
         assert run_cli(["solve", missing]) == 2
 
-    def test_exit_code_guard(self, inst_file, capsys):
+    def test_exit_code_guard(self, tmp_path, capsys):
+        # n=20 at p=0.72: 16 tail slots hold enough p^2 that Case 2 runs its
+        # tail DP at kappa 1/16, whose estimate is 22378018 cells
+        inst = tmp_path / "wide.json"
+        save_instance(inst, [0.72] * 20, 0.5, 0.25, 0.05)
         code = run_cli(
-            ["solve", inst_file, "--mode", "practical", "--kappa", "1/100000",
-             "--l-cap", "2"]
+            ["solve", inst, "--mode", "practical", "--kappa", "1/16", "--l-cap", "2"]
         )
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
@@ -200,7 +210,16 @@ class TestCommands:
         guard = json.loads(lines[1])
         assert guard["guard"] == lines[0][len("guard: "):]
         assert isinstance(guard["estimate"], int) and isinstance(guard["limit"], int)
-        assert guard["estimate"] > guard["limit"] == 5_000_000
+        assert guard["estimate"] == 22_378_018 > guard["limit"] == 5_000_000
+
+    @pytest.mark.parametrize("mode_args", [["--mode", "theory"], ["--mode", "practical", "--kappa", "1/8"]])
+    def test_exit_code_head_cutoff_guard(self, tmp_path, capsys, mode_args):
+        # n=6 without --l-cap: L = 6 exceeds the largest enumerable head
+        inst = tmp_path / "six.json"
+        save_instance(inst, [0.62, 0.45, 0.31, 0.58, 0.5, 0.4], 0.5, 0.25, 0.05)
+        assert run_cli(["solve", inst, *mode_args]) == 3
+        guard = json.loads(capsys.readouterr().err.splitlines()[1])
+        assert (guard["estimate"], guard["limit"]) == (6, 5)
 
     def test_l_cap_above_enumeration_limit_is_input_error(self, inst_file, capsys):
         code = run_cli(
@@ -211,29 +230,31 @@ class TestCommands:
 
 
 class TestDeterminismBytes:
-    def test_reports_byte_identical_across_runs_and_threads(self, inst_file, tmp_path):
-        blobs = []
-        for run, threads in ((0, "1"), (1, "4"), (2, "1")):
-            out = tmp_path / f"rep{run}.json"
-            code = run_cli(
-                ["solve", inst_file, "--mode", "practical", "--kappa", "1/8",
-                 "--l-cap", "2", "--seed", "42", "--threads", threads, "--out", out]
+    def test_reports_byte_identical_across_runs_and_interpreters(self, inst_file, tmp_path):
+        # run 1 in this process, runs 2 and 3 in fresh interpreters whose
+        # string hashing differs
+        args = ["solve", str(inst_file), "--mode", "practical", "--kappa", "1/8",
+                "--l-cap", "2", "--seed", "42", "--out"]
+        assert run_cli(args + [tmp_path / "rep0.json"]) == 0
+        for run, hash_seed in ((1, "1"), (2, "2")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "storalloc.cli", *args, str(tmp_path / f"rep{run}.json")],
+                capture_output=True,
+                text=True,
+                env=child_env(PYTHONHASHSEED=hash_seed),
             )
-            assert code == 0
-            blobs.append(out.read_bytes())
+            assert proc.returncode == 0, proc.stderr
+        blobs = [(tmp_path / f"rep{run}.json").read_bytes() for run in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_entry_point_subprocess(self, inst_file):
         # the installed console script behaves like main(); the child
         # imports the same package as this process
-        src = str(Path(storalloc.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "storalloc.cli", "baseline", str(inst_file)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best_k"] >= 1

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storalloc.core import (
     L_formula,
@@ -119,6 +121,60 @@ class TestPreprocess:
             assert exact_objective_probs(inst.probs, w_sorted, theta) == after
 
 
+def as_raw(draw, q):
+    """q as the caller may write it: a float or an "a/b" string."""
+    return draw(st.sampled_from([float(q), f"{q.numerator}/{q.denominator}"]))
+
+
+@st.composite
+def raw_instances(draw):
+    n = draw(st.integers(1, 8))
+    # coarse denominators make ties common; 0 and 1 occur at every one
+    den = draw(st.sampled_from([2, 3, 10, 97, 1000]))
+    # top = den // 2 keeps most draws clear of the high-probability shortcut
+    top = draw(st.sampled_from([den, den // 2]))
+    probs = draw(st.lists(st.integers(0, top).map(lambda k: F(k, den)), min_size=n, max_size=n))
+    theta = draw(st.integers(0, 20).map(lambda k: F(k, 20)))
+    eps = draw(st.sampled_from([F(1, 10), F(1, 4), F(3, 10), F(1, 2)]))
+    weights = draw(st.lists(st.integers(0, 9).map(lambda k: F(k, 9)), min_size=n, max_size=n))
+    raw = [as_raw(draw, q) for q in probs]
+    return probs, raw, theta, as_raw(draw, theta), eps, weights
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(raw_instances())
+def test_preprocess_round_trip(case):
+    probs, raw, theta, raw_theta, eps, weights = case
+    res = preprocess(raw, raw_theta, eps, F(1, 20))
+    if theta == 0:
+        reason = "theta_zero"
+    elif theta == 1:
+        reason = "theta_one"
+    elif max(probs) >= 1 - eps:
+        reason = "high_prob_shortcut"
+    else:
+        reason = None
+    assert res.is_trivial == (reason is not None)
+    if res.is_trivial:
+        assert res.shortcut.reason == reason
+        return
+    inst = res.instance
+    n, grid, perm = len(probs), eps / (4 * len(probs)), inst.permutation
+    assert inst.theta == theta
+    for slot, p in enumerate(inst.probs):
+        assert (p / grid).denominator == 1
+        assert slot == 0 or p <= inst.probs[slot - 1]
+        q = probs[perm[slot]]
+        # one grid step below the raw value, or the clamp of a raw value below one step
+        assert q - grid < p <= q or (p == grid and q < grid)
+    for a, b in zip(perm, perm[1:]):
+        assert probs[a] > probs[b] or (probs[a] == probs[b] and a < b)
+    # to_original_order inverts the sort
+    original = inst.to_original_order(weights)
+    assert [original[perm[slot]] for slot in range(n)] == weights
+    assert inst.to_original_order([weights[i] for i in perm]) == tuple(weights)
+
+
 class TestDerivedParameters:
     def test_gamma_examples(self):
         inst = ProblemInstance((F(17, 20), F(3, 5)), F(1, 2), F(1, 10), F(1, 20), (0, 1))
@@ -160,6 +216,12 @@ class TestDerivedParameters:
             SolverConfig(mode="theory", L_cap=2)
         with pytest.raises(InputError):
             SolverConfig(mode="theory", kappa_override=F(1, 8))
+
+    def test_kappa_override_within_unit_budget(self):
+        assert SolverConfig(mode="practical", kappa_override=F(1)).kappa_override == 1
+        for kappa in (F(0), F(-1, 8), F(9, 8), F(2)):
+            with pytest.raises(InputError, match="kappa_override"):
+                SolverConfig(mode="practical", kappa_override=kappa)
 
 
 class TestRegularity:

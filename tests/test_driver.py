@@ -7,7 +7,8 @@ import pytest
 
 from storalloc.core import SolverConfig, preprocess
 from storalloc.driver import _check_feasible, selection_sample_size, solve
-from storalloc.errors import GuardError
+from storalloc.errors import GuardError, InputError
+from storalloc.halfspaces import MAX_K
 from storalloc.evaluate import exact_objective_probs
 
 
@@ -58,14 +59,16 @@ class TestSolve:
         w = [F(s) for s in data["chosen_weights"]]
         assert sum(w) <= 1 and all(x >= 0 for x in w)
 
-    def test_same_seed_same_report_any_thread_count(self):
+    def test_same_seed_same_report(self):
         cfg = SolverConfig(**PRACTICAL, seed=123)
-        reports = [
-            solve([0.5, 0.62, 0.41, 0.33], 0.45, 0.25, 0.05, cfg, threads=t)
-            for t in (1, 4, 1)
-        ]
+        reports = [solve([0.5, 0.62, 0.41, 0.33], 0.45, 0.25, 0.05, cfg) for _ in range(3)]
         blobs = {r.to_json() for r in reports}
         assert len(blobs) == 1
+
+    def test_threads_other_than_one_rejected(self):
+        for threads in (0, 2, 4):
+            with pytest.raises(InputError, match="threads must be 1"):
+                solve([0.5, 0.6], 0.5, 0.25, 0.05, SolverConfig(**PRACTICAL), threads=threads)
 
     def test_different_seed_changes_estimate(self):
         a = solve([0.5, 0.6], 0.5, 0.25, 0.05, SolverConfig(**PRACTICAL, seed=1))
@@ -81,10 +84,45 @@ class TestSolve:
         assert exact_objective_probs(inst.probs, w_sorted, inst.theta) == rep.exact_objective
 
     def test_guard_propagates_with_context(self):
-        cfg = SolverConfig(mode="practical", kappa_override=F(1, 10**5), L_cap=2)
+        # n=20 at p=0.72: Case 2 fails its closed-form skip at kappa 1/16
+        # and its tail DP would need 22378018 cells
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
         with pytest.raises(GuardError) as err:
-            solve([0.5, 0.6, 0.55, 0.45], 0.5, 0.25, 0.05, cfg)
-        assert err.value.limit is not None
+            solve([0.72] * 20, 0.5, 0.25, 0.05, cfg)
+        assert err.value.estimate == 22_378_018 > err.value.limit == cfg.state_space_limit
+
+    def test_head_cutoff_guard_precedes_the_cases(self):
+        # L = n = 6 exceeds the largest enumerable head in theory mode and in
+        # practical mode without L_cap
+        for cfg in (SolverConfig(), SolverConfig(mode="practical", kappa_override=F(1, 8))):
+            with pytest.raises(GuardError) as err:
+                solve([0.62, 0.45, 0.31, 0.58, 0.5, 0.4], 0.5, 0.25, 0.05, cfg)
+            assert (err.value.estimate, err.value.limit) == (6, MAX_K)
+
+    @pytest.mark.parametrize("n, kappa", [(67, F(1, 8)), (128, F(1, 8)), (64, F(1, 9)), (8, F(1, 16))])
+    def test_wide_solves_run_no_tail_dp(self, n, kappa):
+        # each case's state-space estimate exceeds the default limit, but
+        # Case 3 returns in closed form and Case 2 skips its DP, so no guard
+        rng = random.Random(n)
+        p_raw = [round(rng.uniform(0.3, 0.7), 6) for _ in range(n)]
+        cfg = SolverConfig(mode="practical", kappa_override=kappa, L_cap=2, seed=7)
+        rep = solve(p_raw, F(1, 2), F(1, 4), F(1, 20), cfg)
+        assert rep.per_case_counts == {"junta": 1, "smallCI(1)": 0, "smallCI(2)": 0, "largeCI": 1}
+        assert rep.provenance == "junta"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_theory_mode_exact_at_small_n(self, n):
+        # L = n, so the junta is the exact optimum; Case 3 returns [] in
+        # closed form at any kappa because n slots are too few to be regular
+        from storalloc.baselines import brute_force_optimum
+
+        rng = random.Random(40 + n)
+        for _ in range(3):
+            p_raw = [round(rng.uniform(0.3, 0.7), 6) for _ in range(n)]
+            rep = solve(p_raw, F(1, 2), F(1, 4), F(1, 20), SolverConfig())
+            inst = preprocess(p_raw, F(1, 2), F(1, 4), F(1, 20)).instance
+            assert rep.L == n
+            assert rep.exact_objective == brute_force_optimum(inst).opt_value
 
     def test_junta_exact_when_L_equals_n(self):
         # tiny n: L=min(n, formula)=n makes the junta candidate exactly opt

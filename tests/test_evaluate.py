@@ -132,7 +132,18 @@ class TestExactObjective:
         probs = [F(1, 2)] * 30
         w = [F(i + 1, 1000) for i in range(30)]  # 30 distinct values
         with pytest.raises(GuardError):
-            exact_objective_probs(probs, w, F(1, 2), max_n=22)
+            # sum(w) = 0.465, so 1/5 is a threshold the vector can reach
+            exact_objective_probs(probs, w, F(1, 5), max_n=22)
+
+    def test_trivial_thresholds_answer_before_the_guards(self):
+        # the same out-of-reach vector as above: theta <= 0 is certain and
+        # theta > sum(w) impossible, whatever the guards say
+        probs = [F(1, 2)] * 30
+        w = [F(i + 1, 1000) for i in range(30)]
+        assert exact_objective_probs(probs, w, F(0), max_n=22) == 1
+        assert exact_objective_probs(probs, w, F(-1, 2), max_n=22) == 1
+        assert exact_objective_probs(probs, w, F(2), max_n=22) == 0
+        assert exact_objective_probs(probs, w, sum(w) + F(1, 10**9), max_n=22) == 0
 
 
 @st.composite
@@ -213,14 +224,22 @@ class TestKolmogorov:
 
 
 class TestSampling:
-    def test_mc_deterministic_and_thread_invariant(self):
+    def test_mc_deterministic(self):
         inst = small_instance()
         w = [F(1, 2), F(1, 2)]
-        a = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11, threads=1)
-        b = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11, threads=4)
+        a = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11)
+        b = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=11)
         assert a.value == b.value
         c = mc_estimate_probs(inst.probs, w, inst.theta, 50_000, seed=12)
         assert a.value != c.value  # different seed, almost surely different
+
+    def test_threads_other_than_one_rejected(self):
+        inst = small_instance()
+        for threads in (0, 2):
+            with pytest.raises(InputError, match="threads must be 1"):
+                mc_estimate_probs(inst.probs, [F(1), F(0)], inst.theta, 10, seed=1, threads=threads)
+            with pytest.raises(InputError, match="threads must be 1"):
+                sample_tail_empirical(inst, [F(1, 2)], 10, seed=1, threads=threads)
 
     def test_hit_counts_match_single_vector_estimates(self):
         probs = [F(3, 5), F(1, 2), F(2, 5)]

@@ -74,11 +74,13 @@ class TestKappa:
         assert case2_kappa(inst, 1, cfg) == F(1, 20)
 
     def test_guard_trips_on_tiny_kappa(self, rng):
+        # the guard sits in the DP, ahead of any state: choosing kappa is free
         inst = granular_instance(rng, 8, F(1, 2), F(1, 4))
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 10**6))
+        assert case2_kappa(inst, 2, cfg) == F(1, 10**6)
         with pytest.raises(GuardError) as err:
-            case2_kappa(inst, 2, cfg)
-        assert err.value.estimate > err.value.limit
+            construct_achievable_tails(inst, 2, F(1, 10**6), cfg)
+        assert err.value.estimate > err.value.limit == cfg.state_space_limit
 
 
 class TestConstructAchievableTails:
@@ -241,11 +243,16 @@ def test_nontrivial_front_pinned():
     probs, L, kappa = NONTRIVIAL_FRONT
     inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
     assert not zero_tail_dominates(inst, L, kappa)
-    triples = construct_achievable_tails(inst, L, kappa)
+    # the DP's state-space estimate is 10596630 cells, over the default limit
+    with pytest.raises(GuardError) as err:
+        construct_achievable_tails(inst, L, kappa)
+    assert err.value.estimate == 10_596_630 > err.value.limit
+    cfg = SolverConfig(state_space_limit=err.value.estimate)
+    triples = construct_achievable_tails(inst, L, kappa, cfg)
     points = triple_points(inst, triples)
     assert len(triples) == 11308
     assert sum(tau < inst.theta for tau, _ in points) == 1
-    cands = find_near_opt_large_ci(inst, L, kappa)
+    cands = find_near_opt_large_ci(inst, L, kappa, cfg)
     assert [(c.triple.A, c.triple.B, c.triple.C) for c in cands] == [(0, 0, 0), (14, 2559, 14)]
     assert cands[1].shifted_threshold < inst.theta
     kept = [(c.shifted_threshold, c.triple.C) for c in cands]

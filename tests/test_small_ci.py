@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from storalloc import small_ci
 from storalloc.core import SolverConfig
-from storalloc.errors import GuardError
+from storalloc.errors import GuardError, InputError
 from storalloc.lemmas import is_regular
 from storalloc.small_ci import (
     case3_kappa,
@@ -53,9 +54,13 @@ class TestKappa:
         assert case3_kappa(inst, 2, cfg) == F(1, 10)
 
     def test_theory_guard_trips_n10_L3(self, rng):
+        # theory kappa at n=10, L=3 is tiny; at eps'=1 the 10 slots pass the
+        # closed-form test, so the DP is about to run and its guard refuses
         inst = granular_instance(rng, 10, F(1, 2), F(1, 4))
-        with pytest.raises(GuardError):
-            case3_kappa(inst, 3, SolverConfig())
+        kappa = case3_kappa(inst, 3, SolverConfig())
+        with pytest.raises(GuardError) as err:
+            construct_achievable_regular_tails(inst, 1, kappa, F(1))
+        assert err.value.estimate > err.value.limit == SolverConfig().state_space_limit
 
 
 class TestRegularTails:
@@ -112,23 +117,32 @@ class TestRegularTails:
                 got = construct_achievable_regular_tails(inst, K, kappa, eps_p)
                 assert {(q.A, q.B, q.C) for q in got} == expected
 
-    def test_emptiness_bound_both_sides(self, rng):
+    def test_emptiness_bound_both_sides(self, rng, monkeypatch):
         # kappa=1/4 over 4 tail slots: eps'^2 floor(1/kappa) is 1 at eps'=1/2,
-        # where only w=(1/4,1/4,1/4,1/4) is regular, and below 1 at 49/100
+        # where only w=(1/4,1/4,1/4,1/4) is regular, and below 1 at 49/100.
+        # Over the last 2 slots eps'^2 * 2 < 1 at eps'=3/5, although
+        # eps'^2 floor(1/kappa) > 1: the slot count binds.
         inst = granular_instance(rng, 5, F(1, 2), F(1, 4))
         kappa = F(1, 4)
-        brute = brute_force_quintuples(inst.probs[1:], kappa, inst.grid)
+
+        def no_dp(*args):
+            raise AssertionError("the tail DP ran")
+
         sizes = {}
-        for eps_p in (F(1, 2), F(49, 100)):
+        for K, eps_p, closed_form in ((2, F(1, 2), False), (2, F(49, 100), True), (4, F(3, 5), True)):
+            brute = brute_force_quintuples(inst.probs[K - 1:], kappa, inst.grid)
             expected = {
                 (A, B, C)
                 for (A, B, C, D, E) in brute
                 if D > 0 and E * E <= eps_p * eps_p * D
             }
-            got = construct_achievable_regular_tails(inst, 2, kappa, eps_p)
+            if closed_form:
+                monkeypatch.setattr(small_ci, "_tail_dp", no_dp)
+            got = construct_achievable_regular_tails(inst, K, kappa, eps_p)
+            monkeypatch.undo()
             assert {(q.A, q.B, q.C) for q in got} == expected
             sizes[eps_p] = len(expected)
-        assert sizes == {F(1, 2): 1, F(49, 100): 0}
+        assert sizes == {F(1, 2): 1, F(49, 100): 0, F(3, 5): 0}
 
     def test_witnesses_reproduce_quintuples(self, rng):
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
@@ -146,6 +160,10 @@ class TestRegularTails:
 
 
 class TestFindBestHead:
+    def test_threads_other_than_one_rejected(self):
+        with pytest.raises(InputError, match="threads must be 1"):
+            find_best_head((F(4, 5),), [F(0)], F(1), F(1, 2), threads=2)
+
     def test_already_met_threshold(self):
         r = find_best_head((F(4, 5),), [F(3, 4)], F(1), F(1, 2))
         assert r.value == 1 and r.weights == (F(0),)

@@ -1,11 +1,11 @@
 """The package root exports the solve and oracle API and nothing else."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import storalloc
+
+from conftest import child_env
 
 ROOT_API = {
     "solve",
@@ -41,17 +41,17 @@ def test_star_import_resolves_every_name():
 
 
 def test_solver_and_cli_do_not_load_the_lemma_checkers():
-    src = str(Path(storalloc.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # nor a thread pool: the library runs on the calling thread (numpy
+    # alone does not load concurrent.futures)
     code = (
-        "import sys, storalloc.driver, storalloc.baselines, storalloc.cli; "
-        "print('storalloc.lemmas' in sys.modules)"
+        "import sys, storalloc.driver, storalloc.baselines, storalloc.cli, storalloc.evaluate; "
+        "print('storalloc.lemmas' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
