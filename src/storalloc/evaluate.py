@@ -1,18 +1,27 @@
 """Exact and Monte-Carlo evaluation of Pr[w . X >= theta].
 
-Exact evaluation is #P-hard in general, so two bounded exact paths are
-provided:
+Exact evaluation is #P-hard in general, so it is bounded: coordinates
+sharing a weight collapse into one success-count variable with a
+Poisson-binomial law, and the evaluation runs for at most MAX_GROUPS
+distinct weights (any n: uniform splits, granular tails) or, failing that,
+for n <= exact_eval_max_n with every coordinate its own group.  Either way
+the product of (group size + 1) must stay within COMBO_LIMIT.
 
-  * enumeration over outcomes for n <= exact_eval_max_n, run as a pruned
-    DFS with memoization on the partial weight sum;
-  * a grouping path for vectors with few distinct weight values (uniform
-    splits, granular tails): coordinates sharing a weight collapse into a
-    success-count variable with a Poisson-binomial law, shrinking the
-    search to products of group sizes.
+The evaluation is a meet-in-the-middle merge in integer arithmetic.  The
+weights and theta are scaled by the lcm D of their denominators; each
+group's count law is kept as integer numerators over the product of its
+probabilities' denominators.  The groups are split into two halves of
+balanced prod(size + 1), each half's law of the scaled partial sum becomes
+a dict from integer value to integer mass, and the right half is sorted
+with suffix sums of its masses.  Each left value v then finds its
+successes by one bisection for D theta - v, so about 2^(n/2) values are
+built instead of 2^n outcomes.  The result is one Fraction over the
+product of all denominators.  linear_form_dist builds its full law from
+the same integer group laws.
 
-The boundary w . x = theta counts as success everywhere, and every exact
-comparison is done in rational arithmetic: float dot products misclassify
-ties, which are common for granular weights.
+The boundary w . x = theta counts as success everywhere, and no exact
+comparison uses floats: float dot products misclassify ties, which are
+common for granular weights.
 
 Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
 chunks, one generator per chunk, and deduplicates them into distinct bit
@@ -29,8 +38,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,11 +54,12 @@ logger = logging.getLogger(__name__)
 
 SAMPLE_CHUNK = 1 << 15
 
-# Default cap on outcome enumeration; the value is SolverConfig's default.
+# Default cap on n when every coordinate is its own group; the value is
+# SolverConfig's default.
 EXACT_EVAL_MAX_N = SolverConfig.exact_eval_max_n
 
-# Enumeration guards: widest allowed product of (group size + 1) factors and
-# the most distinct weight values the grouping path accepts.
+# Exact-evaluation guards: widest allowed product of (group size + 1)
+# factors, and the most distinct weight values accepted at any n.
 MAX_GROUPS = 12
 COMBO_LIMIT = 1 << 24
 
@@ -162,18 +174,64 @@ def _probs_and_weights(probs: Sequence, weights: Sequence) -> tuple[list[Fractio
 # Exact evaluation
 
 
-def _count_pmf(ps: Sequence[Fraction]) -> list[Fraction]:
-    """Poisson-binomial PMF of the number of successes among Bernoulli(ps)."""
-    pmf = [Fraction(1)]
+def _count_law(ps: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Poisson-binomial law of the number of successes among Bernoulli(ps).
+
+    Returns (numerators, den) with Pr[count = k] = numerators[k] / den and
+    den the product of the ps' own denominators, not a power of their lcm,
+    so one huge denominator does not inflate every factor.
+    """
+    law, den = [1], 1
     for p in ps:
-        q = 1 - p
-        nxt = [Fraction(0)] * (len(pmf) + 1)
-        for k, mass in enumerate(pmf):
-            if mass:
-                nxt[k] += mass * q
-                nxt[k + 1] += mass * p
-        pmf = nxt
-    return pmf
+        a, b = p.numerator, p.denominator
+        nxt = [0] * (len(law) + 1)
+        for k, mass in enumerate(law):
+            nxt[k] += mass * (b - a)
+            nxt[k + 1] += mass * a
+        law, den = nxt, den * b
+    return law, den
+
+
+def _integer_groups(
+    scaled: Sequence[int], groups: Sequence[tuple[Fraction, list[Fraction]]]
+) -> tuple[list[tuple[int, list[int]]], int]:
+    """Each group's scaled weight with its count law, and the laws' common denominator.
+
+    scaled[g] is group g's weight times the lcm of the weights'
+    denominators; the common denominator is the product of every law's own.
+    """
+    out, den = [], 1
+    for w, (_, ps) in zip(scaled, groups):
+        counts, group_den = _count_law(ps)
+        out.append((w, counts))
+        den *= group_den
+    return out, den
+
+
+def _sum_law(groups: Sequence[tuple[int, list[int]]], support_limit: Optional[int] = None) -> dict[int, int]:
+    """Law of sum_g w_g C_g as {value: numerator}, positive masses only.
+
+    Each group is (integer weight w_g, numerators of the law of C_g), as
+    _integer_groups gives them.  With a support_limit, GuardError as soon as
+    the support outgrows it after a group.
+    """
+    law = {0: 1}
+    for w, counts in groups:
+        nxt: dict[int, int] = {}
+        for c, cmass in enumerate(counts):
+            if cmass:
+                shift = w * c
+                for value, mass in law.items():
+                    key = value + shift
+                    nxt[key] = nxt.get(key, 0) + mass * cmass
+        law = nxt
+        if support_limit is not None and len(law) > support_limit:
+            raise GuardError(
+                f"linear-form support exceeds {support_limit}",
+                estimate=len(law),
+                limit=support_limit,
+            )
+    return law
 
 
 def _grouped(probs: Sequence[Fraction], weights: Sequence[Fraction]):
@@ -193,8 +251,10 @@ def exact_objective_probs(
 ) -> Fraction:
     """Exact Pr[w . X >= theta] for arbitrary probability vectors.
 
-    Thresholds at or below 0 give 1 and thresholds above sum(w) give 0;
-    otherwise GuardError when both exact paths are out of reach.
+    Thresholds at or below 0 give 1 and thresholds above sum(w) give 0.
+    Otherwise GuardError when there are more than MAX_GROUPS distinct
+    weights and more than max_n nonzero ones, or when the product of
+    (group size + 1) exceeds COMBO_LIMIT (see the module docstring).
     """
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
@@ -213,9 +273,7 @@ def exact_objective_probs(
                 estimate=active,
                 limit=max_n,
             )
-        # singleton groups: plain outcome enumeration with pruning
-        groups = [(w, [p]) for w, p in sorted(
-            ((w, p) for p, w in zip(probs, weights) if w != 0), reverse=True)]
+        groups = [(w, [p]) for p, w in zip(probs, weights) if w != 0]  # singletons
 
     combos = 1
     for _, ps in groups:
@@ -227,54 +285,36 @@ def exact_objective_probs(
                 limit=COMBO_LIMIT,
             )
 
-    pmfs = [_count_pmf(ps) for _, ps in groups]
-    gw = [w for w, _ in groups]
-    max_rest = [Fraction(0)] * (len(groups) + 1)
-    for g in range(len(groups) - 1, -1, -1):
-        max_rest[g] = max_rest[g + 1] + gw[g] * (len(pmfs[g]) - 1)
-
-    memo: dict[tuple[int, Fraction], Fraction] = {}
-
-    def success_prob(g: int, partial: Fraction) -> Fraction:
-        if partial >= theta:
-            return Fraction(1)
-        if g == len(groups) or partial + max_rest[g] < theta:
-            return Fraction(0)
-        key = (g, partial)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = Fraction(0)
-        for count, mass in enumerate(pmfs[g]):
-            if mass:
-                acc += mass * success_prob(g + 1, partial + gw[g] * count)
-        memo[key] = acc
-        return acc
-
-    return success_prob(0, Fraction(0))
+    # Meet in the middle (module docstring): success mass is the sum over
+    # left values v of mass(v) * mass(right >= D theta - v).
+    _, scaled = _lcm_scaled([*(w for w, _ in groups), theta])
+    target = scaled.pop()
+    int_groups, den = _integer_groups(scaled, groups)
+    halves, sizes = ([], []), [1, 1]
+    for group in sorted(int_groups, key=lambda g: len(g[1]), reverse=True):
+        side = int(sizes[1] < sizes[0])
+        halves[side].append(group)
+        sizes[side] *= len(group[1])
+    left, right = map(_sum_law, halves)
+    logger.debug(
+        "exact_objective_probs: n=%d active, %d groups, half laws of %d and %d values",
+        sum(len(ps) for _, ps in groups), len(groups), len(left), len(right),
+    )
+    values = sorted(right)
+    tails = list(accumulate((right[v] for v in reversed(values)), initial=0))[::-1]
+    hits = sum(mass * tails[bisect_left(values, target - v)] for v, mass in left.items())
+    return Fraction(hits, den)
 
 
 def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 << 20) -> DiscreteDist:
     """Exact law of w . X over Bernoulli(probs), grouped by distinct weight."""
     probs, weights = _probs_and_weights(probs, weights)
-    dist: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    for w, ps in _grouped(probs, weights):
-        pmf = _count_pmf(ps)
-        nxt: dict[Fraction, Fraction] = {}
-        for value, mass in dist.items():
-            for count, cmass in enumerate(pmf):
-                if cmass:
-                    key = value + w * count
-                    nxt[key] = nxt.get(key, Fraction(0)) + mass * cmass
-        dist = nxt
-        if len(dist) > support_limit:
-            raise GuardError(
-                f"linear-form support exceeds {support_limit}",
-                estimate=len(dist),
-                limit=support_limit,
-            )
-    values = tuple(sorted(dist))
-    return DiscreteDist(values, tuple(dist[v] for v in values))
+    groups = _grouped(probs, weights)
+    d, scaled = _lcm_scaled([w for w, _ in groups])
+    int_groups, den = _integer_groups(scaled, groups)
+    law = _sum_law(int_groups, support_limit)
+    values = sorted(law)
+    return DiscreteDist(tuple(Fraction(v, d) for v in values), tuple(Fraction(law[v], den) for v in values))
 
 
 # ---------------------------------------------------------------------------

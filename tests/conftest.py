@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's optimized paths: the
-naive objective enumerates all 2^n outcomes with itertools, the grid
+naive objective enumerates all 2^n outcomes with itertools, the DFS
+objective walks grouped partial sums in Fractions, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern), and
@@ -45,6 +46,52 @@ def naive_objective(probs, weights, theta) -> Fraction:
         if sum(w * b for w, b in zip(weights, outcome)) >= theta:
             total += pr
     return total
+
+
+def _count_pmf(ps) -> list[Fraction]:
+    """Poisson-binomial PMF of the number of successes among Bernoulli(ps)."""
+    pmf = [Fraction(1)]
+    for p in ps:
+        nxt = [Fraction(0)] * (len(pmf) + 1)
+        for k, mass in enumerate(pmf):
+            if mass:
+                nxt[k] += mass * (1 - p)
+                nxt[k + 1] += mass * p
+        pmf = nxt
+    return pmf
+
+
+def dfs_objective(probs, weights, theta) -> Fraction:
+    """Pr[w . X >= theta] by a memoized DFS over Fraction partial sums.
+
+    Coordinates sharing a weight form one Poisson-binomial count; the DFS
+    takes the groups in descending weight, stops at partial >= theta, and
+    prunes once the remaining groups cannot reach theta.  No guards.
+    """
+    theta = Fraction(theta)
+    by_weight: dict[Fraction, list[Fraction]] = {}
+    for p, w in zip(probs, weights):
+        if Fraction(w) != 0:
+            by_weight.setdefault(Fraction(w), []).append(Fraction(p))
+    gw = sorted(by_weight, reverse=True)
+    pmfs = [_count_pmf(by_weight[w]) for w in gw]
+    max_rest = [Fraction(0)] * (len(gw) + 1)
+    for g in range(len(gw) - 1, -1, -1):
+        max_rest[g] = max_rest[g + 1] + gw[g] * (len(pmfs[g]) - 1)
+
+    @functools.lru_cache(maxsize=None)
+    def success_prob(g: int, partial: Fraction) -> Fraction:
+        if partial >= theta:
+            return Fraction(1)
+        if g == len(gw) or partial + max_rest[g] < theta:
+            return Fraction(0)
+        return sum(
+            (mass * success_prob(g + 1, partial + gw[g] * count)
+             for count, mass in enumerate(pmfs[g]) if mass),
+            Fraction(0),
+        )
+
+    return success_prob(0, Fraction(0))
 
 
 def _sampled_patterns(probs, m: int, seed: int):

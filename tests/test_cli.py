@@ -89,6 +89,9 @@ class TestCommands:
         assert loud.out == quiet.out
         assert quiet.err == ""
         assert "mc_hit_counts: m=100," in loud.err and "on object dtype" in loud.err
+        assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
+        exact = capsys.readouterr()
+        assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err
 
     def test_eval_mc_zero_is_input_error(self, inst_file, capsys):
         code = run_cli(["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "0"])

@@ -1,5 +1,6 @@
 import logging
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from storalloc.core import ProblemInstance
 from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
+    COMBO_LIMIT,
     SAMPLE_CHUNK,
     DiscreteDist,
     EmpiricalDist,
@@ -25,7 +27,14 @@ from storalloc.evaluate import (
 )
 from storalloc.util import derived_rng
 
-from conftest import fraction_hit_counts, fraction_tail_empirical, naive_objective, with_one_retry
+from conftest import (
+    dfs_objective,
+    fraction_hit_counts,
+    fraction_tail_empirical,
+    granular_instance,
+    naive_objective,
+    with_one_retry,
+)
 
 
 def small_instance():
@@ -145,6 +154,45 @@ class TestExactObjective:
         assert exact_objective_probs(probs, w, F(2), max_n=22) == 0
         assert exact_objective_probs(probs, w, sum(w) + F(1, 10**9), max_n=22) == 0
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_matches_dfs_on_distinct_weights(self, seed):
+        # shaped like the benchmark's n = 22 evaluations: distinct weights
+        # summing to 1 on eps/(4n)-grid probabilities, theta 1/2
+        rng = random.Random(seed)
+        n = rng.randint(20, 22)
+        probs = granular_instance(rng, n, F(1, 2), F(1, 4)).probs
+        raw = rng.sample(range(1, 1 << 10), n)
+        w = [F(v, sum(raw)) for v in raw]
+        assert exact_objective_probs(probs, w, F(1, 2)) == dfs_objective(probs, w, F(1, 2))
+
+    def test_combo_limit_edge(self):
+        # w . x = k / (2^24 - 1) for the integer k with binary digits x, and
+        # every k is equally likely: Pr[w . X >= t / (2^24 - 1)] = (2^24 - t) / 2^24.
+        # 2^24 outcomes are exactly COMBO_LIMIT.
+        n, top = 24, (1 << 24) - 1
+        w = [F(1 << i, top) for i in range(n)]
+        probs = [F(1, 2)] * n
+        for t in (1, 2, 3, 12_345, 1 << 23, top - 1, top):  # every t is a reachable sum
+            assert exact_objective_probs(probs, w, F(t, top), max_n=n) == F((1 << 24) - t, 1 << 24)
+        for t in (0, 12_345, top - 1):  # between two sums: the same as the next one up
+            assert exact_objective_probs(probs, w, F(2 * t + 1, 2 * top), max_n=n) == F((1 << 24) - t - 1, 1 << 24)
+        big = (1 << 25) - 1
+        with pytest.raises(GuardError) as info:
+            exact_objective_probs([F(1, 2)] * 25, [F(1 << i, big) for i in range(25)], F(1, 2), max_n=25)
+        assert (info.value.estimate, info.value.limit) == (1 << 25, COMBO_LIMIT)
+
+    def test_debug_line_reports_the_half_laws(self, caplog):
+        # 3 weights, 2 coordinates each: every group counts 0, 1 or 2.  The
+        # halves are {1/4, 1/16}, whose 4 c + c' (in 1/16 units) takes 9
+        # values, and {1/8}, which takes 3.
+        probs, w = [F(1, 2)] * 6, [F(1, 4), F(1, 4), F(1, 8), F(1, 8), F(1, 16), F(1, 16)]
+        with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
+            value = exact_objective_probs(probs, w, F(1, 2))
+        assert value == naive_objective(probs, w, F(1, 2))
+        assert caplog.records[-1].getMessage() == (
+            "exact_objective_probs: n=6 active, 3 groups, half laws of 9 and 3 values"
+        )
+
 
 @st.composite
 def rationals(draw, lo, hi, max_den=1 << 40):
@@ -158,8 +206,8 @@ grid_probs = st.integers(0, 20).map(lambda k: F(k, 20))
 
 @st.composite
 def exact_cases(draw):
-    n = draw(st.integers(0, 8))
-    probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
+    n = draw(st.integers(0, 10))
+    probs = draw(st.lists(st.one_of(grid_probs, rationals(0, 1)), min_size=n, max_size=n))
     if draw(st.booleans()):
         # a few repeated values, so coordinates group
         values = draw(st.lists(st.integers(0, 8).map(lambda k: F(k, 8 * max(n, 1))), min_size=1, max_size=3))
@@ -167,16 +215,25 @@ def exact_cases(draw):
     else:
         # distinct values: every group is a singleton
         weights = draw(st.lists(rationals(0, F(1, max(n, 1)), max_den=1 << 12), min_size=n, max_size=n, unique=True))
-    return probs, weights, draw(rationals(F(-1, 4), F(5, 4), max_den=64))
+    if draw(st.booleans()):
+        # a reachable sum, so some outcomes tie with theta
+        chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        theta = sum((w for w, b in zip(weights, chosen) if b), F(0))
+    else:
+        theta = draw(rationals(F(-1, 4), F(5, 4), max_den=64))
+    return probs, weights, theta
 
 
-# 13 distinct weights exceed MAX_GROUPS, so the singleton enumeration runs.
+# 13 distinct weights exceed MAX_GROUPS, so every coordinate is its own group.
 @example(([F(k, 20) for k in range(3, 16)], [F(k, 120) for k in range(1, 14)], F(1, 2)))
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(exact_cases())
 def test_exact_matches_naive_property(case):
     probs, weights, theta = case
-    assert exact_objective_probs(probs, weights, theta) == naive_objective(probs, weights, theta)
+    expected = naive_objective(probs, weights, theta)
+    assert exact_objective_probs(probs, weights, theta) == expected
+    law = linear_form_dist(weights, probs)
+    assert sum((p for v, p in zip(law.values, law.probs) if v >= theta), F(0)) == expected
 
 
 class TestLinearFormDist:
@@ -194,6 +251,13 @@ class TestLinearFormDist:
             dist = linear_form_dist(w, probs)
             mass = sum(p for v, p in zip(dist.values, dist.probs) if v >= theta)
             assert mass == naive_objective(probs, w, theta)
+
+    def test_support_limit_checked_after_each_group(self):
+        w, probs = [F(1, 2), F(1, 4), F(1, 8)], [F(1, 2)] * 3
+        assert len(linear_form_dist(w, probs, support_limit=8).values) == 8
+        with pytest.raises(GuardError) as info:
+            linear_form_dist(w, probs, support_limit=5)  # 2, 4, then 8 values
+        assert (info.value.estimate, info.value.limit) == (8, 5)
 
 
 class TestKolmogorov:
