@@ -24,10 +24,20 @@ v = 0, and every v <= 1, so tau > W rejects every set and the zero head
 with value 0 is returned.  For tau <= 0 every outcome qualifies and the
 zero head has value 1.
 
+The scan ranks sets on integers.  Every point x of the head cube has
+probability nums[x] / D, with D the product of the denominators of the
+p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S
+(``mask_numerator``).  All sets share the one D, so sorting by (-D P(S),
+mask) gives the same order as sorting by (-P(S), mask), and only the
+returned set's value becomes a Fraction.
+
 The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
 sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
 completion against sampled tail points needs (small_ci.find_best_head).
-Its rows are membership constraints only.
+Its rows are membership constraints only.  That search ranks chains on
+the same integer numerators and uses the cached margins as a pre-test:
+the chain's program can be feasible only if tau_i <= W v(S_i) at every
+level with tau_i > 0 and S_i non-empty.
 
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
@@ -80,31 +90,21 @@ class JuntaResult:
     sets_examined: int
 
 
-def outcome_probabilities(probs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact probability of every point of {0,1}^k under the product law."""
-    k = len(probs)
-    out = []
-    for x in range(1 << k):
-        pr = Fraction(1)
-        for j, p in enumerate(probs):
-            pr *= p if (x >> j) & 1 else 1 - p
-        out.append(pr)
-    return tuple(out)
+def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(nums, D): the probability of point x of {0,1}^k under the product
+    law is nums[x] / D, with D = prod(denominator of p_j).  Built by
+    doubling: coordinate j = a/b appends the points with bit j set."""
+    nums, D = [1], 1
+    for p in probs:
+        a, b = p.numerator, p.denominator
+        nums = [v * (b - a) for v in nums] + [v * a for v in nums]
+        D *= b
+    return tuple(nums), D
 
 
-def mask_probability(point_probs: Sequence[Fraction], mask: int) -> Fraction:
-    return sum(
-        (pr for x, pr in enumerate(point_probs) if (mask >> x) & 1), Fraction(0)
-    )
-
-
-def realized_event_mask(weights: Sequence[Fraction], tau: Fraction, k: int) -> int:
-    mask = 0
-    for x in range(1 << k):
-        dot = sum((w for w, b in zip(weights, point_bits(x, k)) if b), Fraction(0))
-        if dot >= tau:
-            mask |= 1 << x
-    return mask
+def mask_numerator(nums: Sequence[int], mask: int) -> int:
+    """Sum of the point numerators over the set bits of ``mask``."""
+    return sum(num for x, num in enumerate(nums) if (mask >> x) & 1)
 
 
 def chain_lp(
@@ -147,19 +147,19 @@ def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 @lru_cache(maxsize=4)
-def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[tuple[Fraction, int], ...]:
-    """(P(S), mask) of every non-empty upward-closed realizable set over the
-    head cube, by probability descending, then mask ascending.  The Case-2
-    requests of one solve share one head, so the order is kept across
-    calls."""
-    point_probs = outcome_probabilities(head_probs)
+def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(D, order): order lists (D P(S), mask) for every non-empty
+    upward-closed realizable set over the head cube, by probability
+    descending, then mask ascending; every set shares the one D.  The
+    Case-2 requests of one solve share one head, so the order is kept
+    across calls."""
+    nums, D = outcome_numerators(head_probs)
     sets = enumerate_halfspace_sets(len(head_probs), monotone=True)
-    return tuple(
-        sorted(
-            ((mask_probability(point_probs, s.mask), s.mask) for s in sets if s.mask),
-            key=lambda item: (-item[0], item[1]),
-        )
+    order = sorted(
+        ((mask_numerator(nums, s.mask), s.mask) for s in sets if s.mask),
+        key=lambda item: (-item[0], item[1]),
     )
+    return D, tuple(order)
 
 
 def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
@@ -172,9 +172,9 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
-    order = _scan_order(req.head_probs)
-    for examined, (prob, mask) in enumerate(order, 1):
+    D, order = _scan_order(req.head_probs)
+    for examined, (num, mask) in enumerate(order, 1):
         v, u = set_margin(mask, L)
         if tau <= W * v:
-            return JuntaResult(tuple(tau / v * x for x in u), prob, examined)
+            return JuntaResult(tuple(tau / v * x for x in u), Fraction(num, D), examined)
     return JuntaResult((Fraction(0),) * L, Fraction(0), len(order))

@@ -21,12 +21,16 @@ empirical multiset R, and the best head against R is found exactly.  Any
 head vector realizes, per sampled point t_i, the event set
 {x : u.x >= theta - t_i}; with points sorted ascending these sets are
 nested, so instead of all |S|^m tuples it suffices to enumerate nested
-chains of upward-closed realizable sets, certify each chain by the junta's
-membership-only feasibility LP, and score the witness's true event
-probability.  A witness realizes a chain containing the certified one, so
-its score is at least the chain's value, and the optimum's own chain is
-enumerated and feasible; the best score is therefore exact (proof in
-find_best_head).
+chains of upward-closed realizable sets.  Each chain has a value, the
+count-weighted mean of its sets' probabilities, taken as an integer over
+the product of the head's denominators.  The search visits the chains by
+value descending and returns the witness of the first one whose
+membership-only feasibility LP (the junta's) is feasible; a chain that
+fails the junta's cached margin test at some level is skipped without an
+LP.  A witness realizes a chain containing the certified one, so its
+value is at least the chain's, and the optimum's own chain is enumerated
+and feasible; the first feasible chain's value is therefore the optimum
+(proof in find_best_head).
 
 Case 3 yields candidates only when eps'^2 min(floor(1/kappa), n - K + 1)
 >= 1: a regular tail needs at least 1/eps'^2 nonzero slots (proof in
@@ -37,6 +41,7 @@ slots and kappa < 1/40000.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +51,12 @@ from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import EmpiricalDist, sample_tail_empirical
 from .halfspaces import enumerate_halfspace_sets
-from .junta import chain_lp, mask_probability, outcome_probabilities, realized_event_mask
+from .junta import chain_lp, mask_numerator, outcome_numerators, set_margin
 from .large_ci import _tail_dp, _witness
 from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, to_fraction
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -176,18 +183,28 @@ def find_best_head(
     """Exact maximizer of Pr[u . X + R >= theta], R uniform over the points.
 
     ``head_probs`` are the probabilities of the K-1 head coordinates (may
-    be empty).  Budget: u >= 0, sum(u) <= W.
+    be empty).  Budget: u >= 0, sum(u) <= W.  ``patterns_examined`` is the
+    number of chains enumerated.
 
-    Why the chain search is exact.  Take the distinct points ascending,
-    t_1 < ... < t_r, at thresholds tau_i = theta - t_i, and a nested chain
-    S_1 <= ... <= S_r of upward-closed realizable sets.  If the chain's
-    membership LP (junta.chain_lp) is feasible, its witness u realizes sets
-    R_i(u) = {x : u.x >= tau_i} containing S_i, so u's value is at least
-    the chain's.  The optimum u* realizes its own chain R(u*); that chain
-    is nested, upward-closed and realizable, so it is enumerated, and its
-    LP is feasible because u* satisfies it.  So the best witness value over
-    all chains is the optimum.  Ties break toward the lexicographically
-    smallest descending-sorted head, then the first chain enumerated.
+    Why the first feasible chain is exact.  Take the distinct points
+    ascending, t_1 < ... < t_r, with counts c_i, at thresholds
+    tau_i = theta - t_i.  A nested chain S_1 <= ... <= S_r of upward-closed
+    realizable sets has value sum(c_i P(S_i)) / m, and the chains are
+    visited by value descending, then enumeration order.  Let C be the
+    first chain whose membership LP (junta.chain_lp) is feasible, and u its
+    witness.  u realizes the sets R_i(u) = {x : u.x >= tau_i}; they contain
+    the S_i and form a nested chain of upward-closed realizable sets, which
+    is enumerated and feasible (u satisfies it), and u's value is R(u)'s
+    value.  That is at least C's value, and not more, or R(u) would have
+    been visited before C.  The optimum's own chain is enumerated and
+    feasible too, so its value, the optimum, is at most C's.  So u is
+    optimal, with C's value.  Ties go to the first chain in that order,
+    with the LP's vertex as the witness.
+
+    Before its LP, a chain is skipped when some level has tau_i > 0, S_i
+    non-empty and tau_i > W v(S_i), with v the cached junta.set_margin:
+    each level alone is then infeasible (junta module docstring), so the
+    test never skips a feasible chain.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -199,31 +216,35 @@ def find_best_head(
     values, counts, m = _compress_points(points)
     taus = [theta - t for t in values]
     k = len(head_probs)
-    point_probs = outcome_probabilities(head_probs)
+    if not k:  # the one point of {0,1}^0 reaches tau_i exactly when tau_i <= 0
+        hits = sum(cnt for tau, cnt in zip(taus, counts) if tau <= 0)
+        logger.debug("find_best_head: k=0, %d points, no chains", len(taus))
+        return HeadResult((), Fraction(hits, m), 0)
 
-    def score(u) -> Fraction:
-        hits = sum(
-            (cnt * mask_probability(point_probs, realized_event_mask(u, tau, k))
-             for tau, cnt in zip(taus, counts)),
-            Fraction(0),
-        )
-        return hits / m
-
-    if not k:  # no head coordinate, so no LP (it would have no variable)
-        return HeadResult((), score(()), 0)
-
-    def certify(chain):
-        res = lp_solve(chain_lp(chain, taus, W, k))
-        return res.x if res.status == "optimal" else None
-
+    nums, D = outcome_numerators(head_probs)
     chains = _nested_chains(k, len(taus), max_patterns)
-    witnesses = [certify(chain) for chain in chains]
-    # The all-empty chain is always feasible (u = 0), so some witness exists.
-    value, witness = max(
-        ((score(u), u) for u in witnesses if u is not None),
-        key=lambda item: (item[0], [-x for x in sorted(item[1], reverse=True)]),
+    set_num = {mask: mask_numerator(nums, mask) for mask in set().union(*chains)}
+    scores = [sum(cnt * set_num[mask] for cnt, mask in zip(counts, chain)) for chain in chains]
+
+    def margin_allows(mask, tau) -> bool:
+        return tau <= 0 or not mask or tau <= W * set_margin(mask, k)[0]
+
+    skipped = solved = 0
+    for rank, idx in enumerate(sorted(range(len(chains)), key=lambda i: (-scores[i], i)), 1):
+        chain = chains[idx]
+        if not all(margin_allows(mask, tau) for mask, tau in zip(chain, taus)):
+            skipped += 1
+            continue
+        solved += 1
+        res = lp_solve(chain_lp(chain, taus, W, k))
+        if res.status == "optimal":
+            break
+    # The all-empty chain is always feasible (u = 0), so the loop breaks.
+    logger.debug(
+        "find_best_head: k=%d, %d points, %d chains, %d skipped by margin, %d LPs, winner rank %d",
+        k, len(taus), len(chains), skipped, solved, rank,
     )
-    return HeadResult(tuple(witness), value, len(chains))
+    return HeadResult(tuple(res.x), Fraction(scores[idx], D * m), len(chains))
 
 
 def _nested_chains(k: int, r: int, max_patterns: int) -> list[tuple[int, ...]]:

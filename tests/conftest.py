@@ -5,8 +5,10 @@ naive objective enumerates all 2^n outcomes with itertools, the DFS
 objective walks grouped partial sums in Fractions, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
-the Fraction classifiers sum one Fraction per (vector, sampled pattern), and
-the LP junta scan solves one feasibility LP per event set.  They
+the Fraction classifiers sum one Fraction per (vector, sampled pattern),
+the LP junta scan solves one feasibility LP per event set, and the
+exhaustive best-head search certifies every nested chain by its LP and
+scores every witness by Fraction event probabilities.  They
 exist so that every optimized routine is checked against an implementation
 too simple to share its bugs.
 """
@@ -31,6 +33,7 @@ from storalloc.evaluate import _pattern_counts
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import chain_lp
 from storalloc.lp import LinearProgram, lp_solve
+from storalloc.small_ci import _nested_chains
 
 
 def naive_objective(probs, weights, theta) -> Fraction:
@@ -263,6 +266,18 @@ def _literal_lp(masks, points, k: int, W: Fraction, theta: Fraction):
     return tuple(res.x[:k])
 
 
+def head_value(head_probs, points, theta, u) -> Fraction:
+    """Pr[u . X + R >= theta] with R uniform over the points, by
+    enumerating every outcome of the head."""
+    outcomes, point_pr = _outcome_probs([Fraction(p) for p in head_probs])
+    theta = Fraction(theta)
+    total = Fraction(0)
+    for x, pr in zip(outcomes, point_pr):
+        dot = sum((w for w, b in zip(u, x) if b), Fraction(0))
+        total += pr * sum(1 for t in points if dot + Fraction(t) >= theta)
+    return total / len(points)
+
+
 def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
     """Max of Pr[u . X + R >= theta] by the paper's literal search.
 
@@ -274,22 +289,67 @@ def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
     points = sorted(Fraction(t) for t in points)
     W, theta = Fraction(W), Fraction(theta)
     k = len(head_probs)
-    outcomes, point_pr = _outcome_probs(head_probs)
-
-    def value(u):
-        total = Fraction(0)
-        for x, pr in zip(outcomes, point_pr):
-            dot = sum((w for w, b in zip(u, x) if b), Fraction(0))
-            total += pr * sum(1 for t in points if dot + t >= theta)
-        return total / len(points)
-
     masks = [s.mask for s in enumerate_halfspace_sets(k)]
-    best = value((Fraction(0),) * k)
+    best = head_value(head_probs, points, theta, (Fraction(0),) * k)
     for tup in itertools.product(masks, repeat=len(points)):
         u = _literal_lp(tup, points, k, W, theta)
         if u is not None:
-            best = max(best, value(u))
+            best = max(best, head_value(head_probs, points, theta, u))
     return best
+
+
+def outcome_probabilities(probs) -> tuple[Fraction, ...]:
+    """Probability of every point x of {0,1}^k (coordinate j is bit j of x)
+    under the product law, one Fraction product per point."""
+    k = len(probs)
+    out = []
+    for x in range(1 << k):
+        pr = Fraction(1)
+        for j, p in enumerate(probs):
+            pr *= Fraction(p) if (x >> j) & 1 else 1 - Fraction(p)
+        out.append(pr)
+    return tuple(out)
+
+
+def mask_probability(point_probs, mask: int) -> Fraction:
+    """Fraction sum of the point probabilities over the set bits of mask."""
+    return sum(
+        (pr for x, pr in enumerate(point_probs) if (mask >> x) & 1), Fraction(0)
+    )
+
+
+def exhaustive_best_head(head_probs, points, W, theta) -> tuple[Fraction, tuple]:
+    """(value, witness) of max Pr[u . X + R >= theta] over u >= 0 with
+    sum(u) <= W, by certifying every nested chain with its own
+    ``junta.chain_lp`` and scoring every feasible witness by the Fraction
+    probabilities of the event sets it realizes.  Keeps the best score, and
+    among equal scores the lexicographically smallest descending-sorted
+    head."""
+    head_probs = [Fraction(p) for p in head_probs]
+    W, theta = Fraction(W), Fraction(theta)
+    points = sorted(Fraction(t) for t in points)
+    k = len(head_probs)
+    if not k:
+        return head_value((), points, theta, ()), ()
+    taus = sorted({theta - t for t in points}, reverse=True)
+    point_pr = outcome_probabilities(head_probs)
+
+    def score(u) -> Fraction:
+        hits = sum(
+            (mask_probability(point_pr, realize_mask(u, theta - t, k)) for t in points),
+            Fraction(0),
+        )
+        return hits / len(points)
+
+    best = None
+    for chain in _nested_chains(k, len(taus), 10**9):
+        res = lp_solve(chain_lp(chain, taus, W, k))
+        if res.status != "optimal":
+            continue
+        key = (score(res.x), [-x for x in sorted(res.x, reverse=True)])
+        if best is None or key > best[0]:
+            best = (key, tuple(res.x))
+    return best[0][0], best[1]
 
 
 def realize_mask(u, c, k: int) -> int:

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,12 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storalloc
+from storalloc.baselines import brute_force_optimum
 from storalloc.errors import InputError
 from storalloc.halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
-from storalloc.junta import JuntaRequest, chain_lp, find_optimal_junta, set_margin
+from storalloc.junta import (
+    JuntaRequest,
+    chain_lp,
+    find_optimal_junta,
+    mask_numerator,
+    outcome_numerators,
+    set_margin,
+)
 from storalloc.lp import lp_solve
 
-from conftest import grid_junta_value, lp_scan_junta, naive_objective
+from conftest import (
+    granular_instance,
+    grid_junta_value,
+    lp_scan_junta,
+    mask_probability,
+    naive_objective,
+    outcome_probabilities,
+)
 
 
 class TestSpecExamples:
@@ -164,6 +181,34 @@ def test_margin_decides_feasibility(rng):
             for tau, W in cases:
                 res = lp_solve(chain_lp((set_.mask,), (tau,), W, k))
                 assert (tau <= W * v) == (res.status == "optimal"), (k, set_.mask, tau, W)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_integer_numerators_match_fraction_sums(k, data):
+    # P(S) = mask_numerator / D for every upward-closed S, at arbitrary
+    # (large) denominators; D is the product of the p_j's denominators.
+    probs = data.draw(st.lists(st.fractions(min_value=0, max_value=1), min_size=k, max_size=k))
+    nums, D = outcome_numerators(probs)
+    assert D == math.prod(p.denominator for p in probs) and sum(nums) == D
+    point_probs = outcome_probabilities(probs)
+    for set_ in enumerate_halfspace_sets(k, monotone=True):
+        assert F(mask_numerator(nums, set_.mask), D) == mask_probability(point_probs, set_.mask)
+
+
+@pytest.mark.parametrize(
+    "n, seed, theta", [(4, 0, F(1, 2)), (4, 1, F(3, 4)), (4, 2, F(1, 3)), (5, 0, F(3, 5))]
+)
+def test_oracle_matches_lp_scan(n, seed, theta):
+    # The exact oracle (the integer scan at full dimension) against one
+    # feasibility LP per upward-closed set, each witness scored by naive
+    # enumeration.
+    inst = granular_instance(random.Random(f"oracle-{n}-{seed}"), n, theta, F(1, 4))
+    res = brute_force_optimum(inst, allow_grid_n5=True)
+    sets = enumerate_halfspace_sets(n, monotone=True)
+    assert res.opt_value == lp_scan_junta(inst.probs, inst.theta, 1, sets)
+    assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
 
 
 # sha256 of every witness and value over the grid below, taken before the

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import logging
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storalloc import small_ci
 from storalloc.core import SolverConfig
@@ -17,7 +21,13 @@ from storalloc.small_ci import (
     theory_kappa_case3,
 )
 
-from conftest import granular_instance, grid_best_head_value, literal_best_head_value
+from conftest import (
+    exhaustive_best_head,
+    granular_instance,
+    grid_best_head_value,
+    head_value,
+    literal_best_head_value,
+)
 
 
 def brute_force_quintuples(tail_probs, kappa, grid):
@@ -240,6 +250,70 @@ class TestFindBestHead:
                     assert r.weights == ()
                     assert r.value == literal_best_head_value((), pts, W, theta)
         assert find_best_head((), [F(0), F(1, 2), F(1, 2)], F(1), F(1, 2)).value == F(2, 3)
+
+
+    def test_debug_line_counts_the_search(self, caplog):
+        # k = 1, p = 4/5, taus (1/2, 0): chain ({0,1}, {0,1}) ranks first
+        # and fails the margin test (it holds the zero point at tau 1/2);
+        # ({1}, {0,1}) ranks second and its LP is feasible.
+        with caplog.at_level(logging.DEBUG, logger="storalloc.small_ci"):
+            r = find_best_head((F(4, 5),), [F(0), F(1, 2)], F(1), F(1, 2))
+        assert r.value == F(9, 10)
+        assert caplog.records[-1].getMessage() == (
+            "find_best_head: k=1, 2 points, 6 chains, 1 skipped by margin, 1 LPs, winner rank 2"
+        )
+        with caplog.at_level(logging.DEBUG, logger="storalloc.small_ci"):
+            find_best_head((), [F(0), F(1, 2)], F(1), F(1, 2))
+        assert caplog.records[-1].getMessage() == "find_best_head: k=0, 2 points, no chains"
+
+
+# sha256 of every witness, value and chain count over the grid below: pins
+# the tie rule, the first feasible chain by (value desc, enumeration order)
+# with its LP vertex.  Heads with equal probabilities make ties occur.
+PINNED_HEADS = "39423337045e1febf4eb80e98cc7df97d9393c0b5c350cdfc1280661764583df"
+
+
+def test_best_head_witnesses_pinned():
+    heads = [(F(7, 10),), (F(7, 10), F(3, 5)), (F(3, 4), F(1, 2), F(1, 2))]
+    point_sets = [[F(1, 4)], [F(0), F(1, 2)], [F(1, 8), F(1, 8), F(5, 8)], [F(0), F(1, 4), F(3, 4)]]
+    h = hashlib.sha256()
+    for probs in heads:
+        for pts in point_sets:
+            for theta in (F(1, 2), F(3, 4)):
+                for W in (F(1, 4), F(3, 4)):
+                    r = find_best_head(probs, pts, W, theta)
+                    h.update(
+                        f"{' '.join(map(str, probs))} | {' '.join(map(str, pts))} | {theta} {W} | "
+                        f"{' '.join(map(str, r.weights))} {r.value} {r.patterns_examined}\n".encode()
+                    )
+    assert h.hexdigest() == PINNED_HEADS
+
+
+@st.composite
+def best_head_requests(draw):
+    """k <= 3 head coordinates from few distinct probabilities, and up to 3
+    points given by their thresholds tau = theta - t, from few values with
+    tau <= 0 (a point at or above theta) allowed, so that ties between
+    sets, chains and points occur."""
+    k = draw(st.integers(0, 3))
+    probs = tuple(sorted((F(draw(st.sampled_from((2, 5, 5, 7))), 10) for _ in range(k)), reverse=True))
+    theta = F(draw(st.integers(1, 8)), 8)
+    taus = draw(st.lists(st.integers(-2, 8), min_size=1, max_size=3))
+    points = [theta - F(tau, 8) for tau in taus]
+    W = F(draw(st.integers(0, 8)), 8)
+    return probs, points, W, theta
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(best_head_requests())
+def test_first_feasible_chain_matches_exhaustive_search(request):
+    probs, points, W, theta = request
+    r = find_best_head(probs, points, W, theta)
+    value, _ = exhaustive_best_head(probs, points, W, theta)
+    assert r.value == value
+    assert len(r.weights) == len(probs)
+    assert all(u >= 0 for u in r.weights) and sum(r.weights) <= W
+    assert head_value(probs, points, theta, r.weights) == r.value
 
 
 class TestApproximatelyBestHead:
