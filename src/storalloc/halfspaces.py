@@ -3,11 +3,17 @@
 A subset S of {0,1}^k is threshold-realizable when S = {x : u.x >= c} for
 some weights u and threshold c; integer (u, c) always exist.  Sets are
 enumerated from canonical sorted non-negative integer weight vectors up to
-a per-k bound, sweeping thresholds across their subset sums, then closing
-under coordinate permutations and flips.  The bounds are checked by the
-tests: for k <= 4 the family equals, as an ordered list of masks, the one
-an exact LP separability test picks out of all 2^(2^k) Boolean functions,
-and at k = 5 the counts match the known ones.
+a per-k bound.  Each vector takes one subset-sum sweep: its 2^k dot
+products are built by adding one weight to a smaller point's sum, and the
+points, taken by dot product descending, are ORed into a mask that is
+kept at every change of value, which gives every threshold's set at once.
+The family is then closed under coordinate permutations and flips.
+Non-negative weights give upward-closed sets and permutations keep them
+so, which makes the permutation closure alone exactly the upward-closed
+family.  The bounds are checked by the tests: for k <= 4 the family
+equals, as an ordered list of masks, the one an exact LP separability
+test picks out of all 2^(2^k) Boolean functions, and at k = 5 the counts
+match the known ones and the mask lists match pinned digests.
 
 Counts by dimension (distinct realizable sets, k = 0..5):
 2, 4, 14, 104, 1882, 94572; upward-closed ones: 2, 3, 6, 20, 150, 3287.
@@ -71,19 +77,27 @@ def minimal_members(mask: int, k: int) -> tuple[int, ...]:
 
 
 def _canonical_grid_masks(k: int, bound: int) -> set[int]:
-    """Masks from sorted non-negative integer weights up to ``bound``."""
-    masks: set[int] = set()
-    points = [point_bits(x, k) for x in range(1 << k)]
+    """Masks from sorted non-negative integer weights up to ``bound``.
+
+    One subset-sum sweep per weight vector u: dots[x] = dots[x without its
+    lowest bit] + u[that bit] gives every u.x, the points are bucketed by
+    that value (a counting sort), and ORing the buckets in from the top
+    value down yields {x : u.x >= c} at each value c; the empty mask
+    stands for any c above every sum."""
+    lows = [(x & (x - 1), (x & -x).bit_length() - 1) for x in range(1, 1 << k)]
+    masks: set[int] = {0}
     for u in itertools.combinations_with_replacement(range(bound, -1, -1), k):
-        dots = [sum(uj for uj, b in zip(u, bits) if b) for bits in points]
-        thresholds = sorted(set(dots))
-        thresholds.append(thresholds[-1] + 1)
-        for c in thresholds:
-            mask = 0
-            for x, d in enumerate(dots):
-                if d >= c:
-                    mask |= 1 << x
-            masks.add(mask)
+        dots = [0]
+        for rest, j in lows:
+            dots.append(dots[rest] + u[j])
+        level = [0] * (sum(u) + 1)
+        for x, dot in enumerate(dots):
+            level[dot] |= 1 << x
+        mask = 0
+        for bits in reversed(level):
+            if bits:
+                mask |= bits
+                masks.add(mask)
     return masks
 
 
@@ -125,9 +139,9 @@ def _expand(masks: set[int], k: int, flips: bool) -> set[int]:
 @lru_cache(maxsize=None)
 def _cached(k: int, monotone: bool) -> tuple[HalfspaceSet, ...]:
     canonical = _canonical_grid_masks(k, GRID_BOUND[k])
+    # Non-negative weights realize upward-closed sets, and coordinate
+    # permutations keep them so; only flips leave that family.
     closed = _expand(canonical, k, flips=not monotone)
-    if monotone:
-        closed = {m for m in closed if is_upward_closed(m, k)}
     return tuple(HalfspaceSet(k, m) for m in sorted(closed))
 
 

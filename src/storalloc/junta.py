@@ -27,9 +27,10 @@ zero head has value 1.
 The scan ranks sets on integers.  Every point x of the head cube has
 probability nums[x] / D, with D the product of the denominators of the
 p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S
-(``mask_numerator``).  All sets share the one D, so sorting by (-D P(S),
-mask) gives the same order as sorting by (-P(S), mask), and only the
-returned set's value becomes a Fraction.
+(``set_numerators``, one table lookup per byte of the mask).  All sets
+share the one D, so sorting by (-D P(S), mask) gives the same order as
+sorting by (-P(S), mask), and only the returned set's value becomes a
+Fraction.
 
 The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
 sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
@@ -102,9 +103,22 @@ def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]
     return tuple(nums), D
 
 
-def mask_numerator(nums: Sequence[int], mask: int) -> int:
-    """Sum of the point numerators over the set bits of ``mask``."""
-    return sum(num for x, num in enumerate(nums) if (mask >> x) & 1)
+def set_numerators(nums: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """The sum of the point numerators over each mask's set bits.
+
+    ``nums`` becomes one table of 256 partial sums per byte of a mask
+    (the sum over every subset of those eight points, each built from a
+    smaller subset's), so a mask costs one lookup per byte."""
+    masks = list(masks)
+    scores = [0] * len(masks)
+    for base in range(0, len(nums), 8):
+        chunk = nums[base : base + 8]
+        table = [0]
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table.append(table[v ^ low] + chunk[low.bit_length() - 1])
+        scores = [s + table[(m >> base) & 255] for s, m in zip(scores, masks)]
+    return scores
 
 
 def chain_lp(
@@ -154,11 +168,8 @@ def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int,
     Case-2 requests of one solve share one head, so the order is kept
     across calls."""
     nums, D = outcome_numerators(head_probs)
-    sets = enumerate_halfspace_sets(len(head_probs), monotone=True)
-    order = sorted(
-        ((mask_numerator(nums, s.mask), s.mask) for s in sets if s.mask),
-        key=lambda item: (-item[0], item[1]),
-    )
+    masks = [s.mask for s in enumerate_halfspace_sets(len(head_probs), monotone=True) if s.mask]
+    order = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
     return D, tuple(order)
 
 

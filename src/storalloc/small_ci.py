@@ -51,7 +51,7 @@ from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import EmpiricalDist, sample_tail_empirical
 from .halfspaces import enumerate_halfspace_sets
-from .junta import chain_lp, mask_numerator, outcome_numerators, set_margin
+from .junta import chain_lp, outcome_numerators, set_margin, set_numerators
 from .large_ci import _tail_dp, _witness
 from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, to_fraction
@@ -223,7 +223,8 @@ def find_best_head(
 
     nums, D = outcome_numerators(head_probs)
     chains = _nested_chains(k, len(taus), max_patterns)
-    set_num = {mask: mask_numerator(nums, mask) for mask in set().union(*chains)}
+    masks = set().union(*chains)
+    set_num = dict(zip(masks, set_numerators(nums, masks)))
     scores = [sum(cnt * set_num[mask] for cnt, mask in zip(counts, chain)) for chain in chains]
 
     def margin_allows(mask, tau) -> bool:

@@ -8,7 +8,8 @@ decides every Boolean function on {0,1}^k by an exact separation LP, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern),
 the LP junta scan solves one feasibility LP per event set, and the
 exhaustive best-head search certifies every nested chain by its LP and
-scores every witness by Fraction event probabilities.  They
+scores every witness by Fraction event probabilities, and the Fraction
+simplex pivots on rationals with no rescaling.  They
 exist so that every optimized routine is checked against an implementation
 too simple to share its bugs.
 """
@@ -32,7 +33,7 @@ from storalloc.core import ProblemInstance
 from storalloc.evaluate import _pattern_counts
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import chain_lp
-from storalloc.lp import LinearProgram, lp_solve
+from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains
 
 
@@ -471,6 +472,104 @@ def lp_threshold_masks(k: int, monotone: bool = False) -> tuple[int, ...]:
         if verdict:
             out.append(mask)
     return tuple(out)
+
+
+def _fraction_pivot(rows, obj, basis, r, c):
+    inv = 1 / rows[r][c]
+    rows[r] = [v * inv for v in rows[r]]
+    prow = rows[r]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    if obj[c] != 0:
+        f = obj[c]
+        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+    basis[r] = c
+
+
+def _fraction_optimize(rows, obj, basis, allowed) -> str:
+    """Maximize with Bland's rule; obj holds reduced costs z_j - c_j."""
+    while True:
+        enter = next((j for j in allowed if obj[j] < 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave, best = -1, None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return "unbounded"
+        _fraction_pivot(rows, obj, basis, leave, enter)
+
+
+def _fraction_price(costs, rows, basis):
+    obj = [-c for c in costs] + [Fraction(0)]
+    for row, b in zip(rows, basis):
+        if costs[b] != 0:
+            obj = [a + costs[b] * v for a, v in zip(obj, row)]
+    return obj
+
+
+def fraction_lp_solve(lp: LinearProgram) -> LPResult:
+    """``lp_solve`` on a Fraction tableau, unscaled: two-phase Bland simplex
+    with the same column layout (structural, slacks, artificials), phase-1
+    cost -1 on every artificial, and the same drive-out of artificials."""
+    lp = lp.normalized()
+    n = lp.n_vars
+    rows_spec = []
+    for con in lp.constraints:
+        coeffs, rel, rhs = con.coeffs, con.relation, con.rhs
+        if rhs < 0:
+            coeffs, rhs = tuple(-c for c in coeffs), -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows_spec.append((coeffs, rel, rhs))
+    slacks = sum(1 for _, rel, _ in rows_spec if rel != "=")
+    art_start = n + slacks
+    width = art_start + sum(1 for _, rel, _ in rows_spec if rel != "<=")
+    rows, basis = [], []
+    slack_at, art_at = n, art_start
+    for coeffs, rel, rhs in rows_spec:
+        row = list(coeffs) + [Fraction(0)] * (width - n) + [rhs]
+        if rel != "=":
+            row[slack_at] = Fraction(1 if rel == "<=" else -1)
+            slack_at += 1
+        if rel == "<=":
+            basis.append(slack_at - 1)
+        else:
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        rows.append(row)
+    if width > art_start:
+        costs = [Fraction(0)] * art_start + [Fraction(-1)] * (width - art_start)
+        obj = _fraction_price(costs, rows, basis)
+        assert _fraction_optimize(rows, obj, basis, range(width)) == "optimal"
+        if obj[-1] < 0:
+            return LPResult(status="infeasible")
+        for i in range(len(rows) - 1, -1, -1):
+            if basis[i] >= art_start:
+                col = next((j for j in range(art_start) if rows[i][j] != 0), None)
+                if col is None:
+                    rows.pop(i)
+                    basis.pop(i)
+                else:
+                    _fraction_pivot(rows, obj, basis, i, col)
+    value = None
+    if lp.objective is not None:
+        coeffs, direction = lp.objective
+        sign = 1 if direction == "max" else -1
+        costs = [sign * c for c in coeffs] + [Fraction(0)] * (width - n)
+        obj = _fraction_price(costs, rows, basis)
+        if _fraction_optimize(rows, obj, basis, range(art_start)) == "unbounded":
+            return LPResult(status="unbounded")
+        value = sign * obj[-1]
+    point = [Fraction(0)] * width
+    for row, b in zip(rows, basis):
+        point[b] = row[-1]
+    return LPResult(status="optimal", x=tuple(point[:n]), objective_value=value)
 
 
 def child_env(**extra) -> dict:

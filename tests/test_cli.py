@@ -261,3 +261,25 @@ class TestDeterminismBytes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best_k"] >= 1
+
+
+class TestColdOracle:
+    def test_n5_grid_oracle_in_a_fresh_interpreter(self, tmp_path):
+        # Every set margin and the k = 5 family are built cold here; the
+        # scan visits 1236 of the 3287 upward-closed sets.
+        path = tmp_path / "n5.json"
+        path.write_text(
+            '{"probs": ["53/80", "53/80", "9/16", "9/16", "7/16"],'
+            ' "theta": "3/5", "epsilon": "1/4", "delta": "1/20"}'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "storalloc.cli", "oracle", str(path), "--allow-grid-n5"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["opt_value"] == "35351/51200"
+        assert out["witness"] == ["3/10", "3/10", "3/10", "0", "0"]
+        assert out["sets_examined"] == 1236

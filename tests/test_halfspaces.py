@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import is_unate, lp_separation, lp_threshold_masks, realize_mask
@@ -40,6 +42,24 @@ class TestEnumeration:
     def test_monotone_paths_agree_k3_k4(self):
         for k in (3, 4):
             assert masks(k, monotone=True) == list(lp_threshold_masks(k, monotone=True))
+
+    # sha256 of " ".join(str(mask)) over each sorted k = 5 family, taken
+    # from the per-threshold scan before the subset-sum sweep replaced it.
+    K5_DIGESTS = {
+        True: "8f5cacdb6d7cf1df0d30427a4ab2bcc063e8338713a993e0dc1013e730910c56",
+        False: "45733e4d027d26c9cdef1a13ad0f09e521d4b09fe9f97161f0da486d1b5e8b99",
+    }
+
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_k5_family_pinned(self, monotone):
+        got = sorted(masks(5, monotone))
+        assert len(got) == (3287 if monotone else 94572)
+        digest = hashlib.sha256(" ".join(map(str, got)).encode()).hexdigest()
+        assert digest == self.K5_DIGESTS[monotone]
+
+    def test_k5_monotone_sets_are_upward_closed(self):
+        # the permutation closure of non-negative-weight sets needs no filter
+        assert all(is_upward_closed(m, 5) for m in masks(5, monotone=True))
 
     def test_counts_k5(self):
         # OEIS A000609 and A000617 at k = 5; no LP oracle reaches this far

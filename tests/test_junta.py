@@ -19,9 +19,9 @@ from storalloc.junta import (
     JuntaRequest,
     chain_lp,
     find_optimal_junta,
-    mask_numerator,
     outcome_numerators,
     set_margin,
+    set_numerators,
 )
 from storalloc.lp import lp_solve
 
@@ -187,14 +187,15 @@ def test_margin_decides_feasibility(rng):
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_integer_numerators_match_fraction_sums(k, data):
-    # P(S) = mask_numerator / D for every upward-closed S, at arbitrary
+    # P(S) = set_numerators / D for every upward-closed S, at arbitrary
     # (large) denominators; D is the product of the p_j's denominators.
     probs = data.draw(st.lists(st.fractions(min_value=0, max_value=1), min_size=k, max_size=k))
     nums, D = outcome_numerators(probs)
     assert D == math.prod(p.denominator for p in probs) and sum(nums) == D
     point_probs = outcome_probabilities(probs)
-    for set_ in enumerate_halfspace_sets(k, monotone=True):
-        assert F(mask_numerator(nums, set_.mask), D) == mask_probability(point_probs, set_.mask)
+    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+    for mask, num in zip(masks, set_numerators(nums, masks), strict=True):
+        assert F(num, D) == mask_probability(point_probs, mask)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from storalloc.errors import InputError
 from storalloc.lemmas import CanonicalizeResult, canonicalize_tail
 from storalloc.lp import LinearProgram, lp_solve
 
-from conftest import naive_objective
+from conftest import fraction_lp_solve, naive_objective
 
 
 class TestSimplex:
@@ -197,6 +198,93 @@ def test_simplex_matches_vertex_enumeration(lp):
         if objective is not None:
             assert got.objective_value == value
             assert sum(c * x for c, x in zip(objective[0], got.x)) == value
+
+
+# Coefficients with mixed small denominators, so rows scale by different
+# lcms; small numerators make tied ratios common.
+mixed = st.builds(F, st.integers(-5, 5), st.sampled_from((1, 1, 2, 3, 4, 6, 7)))
+
+
+@st.composite
+def rational_lps(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(
+        st.lists(mixed, min_size=n, max_size=n), st.sampled_from(("<=", ">=", "=")), mixed
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):  # duplicates, rescaled
+        coeffs, rel, rhs = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from((F(1), F(2), F(1, 3))))
+        rows.append(([k * c for c in coeffs], rel, k * rhs))
+    eqs = [r for r in rows if r[1] == "="]
+    if len(eqs) >= 2 and draw(st.booleans()):  # a redundant equality
+        (a, _, b), (c, _, d) = eqs[:2]
+        rows.append(([x + y for x, y in zip(a, c)], "=", b + d))
+    objective = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.lists(mixed, min_size=n, max_size=n), st.sampled_from(("max", "min"))),
+        )
+    )
+    return n, rows, objective
+
+
+def _solved(solve, lp):
+    res = solve(LinearProgram(*lp))
+    return res.status, res.x, res.objective_value
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(rational_lps())
+def test_integer_simplex_matches_fraction_simplex(lp):
+    assert _solved(lp_solve, lp) == _solved(fraction_lp_solve, lp)
+
+
+def test_integer_simplex_matches_fraction_simplex_on_every_status():
+    # Seeded programs of the same shape: all three statuses occur, so the
+    # agreement is not carried by one kind of program.
+    seen = set()
+    for seed in range(300):
+        lp = _seeded_lp(random.Random(seed))
+        got = _solved(lp_solve, lp)
+        assert got == _solved(fraction_lp_solve, lp)
+        seen.add(got[0])
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def _seeded_lp(rng):
+    def q():
+        return F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+    n = rng.randint(1, 4)
+    rows = [
+        ([q() for _ in range(n)], rng.choice(("<=", ">=", "=")), q())
+        for _ in range(rng.randint(1, 5))
+    ]
+    objective = None if rng.random() < 0.25 else ([q() for _ in range(n)], rng.choice(("max", "min")))
+    return n, rows, objective
+
+
+def test_negative_drive_out_pivot():
+    # Both equalities have rhs 0, so phase 1 ends at once with both
+    # artificials basic.  Driving out the last one pivots on its -1 (the
+    # tableau is negated), and the first row becomes redundant and is dropped.
+    lp = (2, [([F(1), F(-1)], "=", F(0)), ([F(-1), F(1)], "=", F(0)), ([F(1), F(1)], "<=", F(2))],
+          ([F(1), F(0)], "max"))
+    assert _solved(lp_solve, lp) == ("optimal", (F(1), F(1)), F(1)) == _solved(fraction_lp_solve, lp)
+
+
+def test_debug_line_per_solve(caplog):
+    lp = LinearProgram(2, [([F(1), F(1)], ">=", F(1, 2)), ([F(1, 3), F(1)], "<=", F(1))],
+                       ([F(1), F(2)], "max"))
+    with caplog.at_level(logging.DEBUG, logger="storalloc.lp"):
+        res = lp_solve(lp)
+        lp_solve(LinearProgram(1, [([F(1)], ">=", F(1)), ([F(1)], "<=", F(0))], None))
+    assert res.x == (F(3), F(0)) and res.objective_value == 3
+    assert [r.getMessage() for r in caplog.records if r.name == "storalloc.lp"] == [
+        "lp_solve: 2 rows, 2 columns, 1 phase-1 and 3 phase-2 pivots, optimal",
+        "lp_solve: 2 rows, 1 columns, 1 phase-1 and 0 phase-2 pivots, infeasible",
+    ]
 
 
 def _rank3(rows):
