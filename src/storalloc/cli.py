@@ -40,7 +40,6 @@ _SOLVER_FLAGS = {
     "--c-l": dict(default=str(_DEFAULTS.c_L), help="constant in the L formula"),
     "--mc-constant": dict(default=str(_DEFAULTS.mc_constant), help="constant in sample-size formulas"),
     "--seed": dict(type=int, default=_DEFAULTS.seed),
-    "--exact-eval-max-n": dict(type=int, default=_DEFAULTS.exact_eval_max_n),
     "--state-space-limit": dict(type=int, default=_DEFAULTS.state_space_limit),
 }
 
@@ -58,7 +57,6 @@ def _config(args) -> SolverConfig:
         L_cap=args.l_cap,
         mc_constant=to_fraction(args.mc_constant, limit_denominator=True),
         seed=args.seed,
-        exact_eval_max_n=args.exact_eval_max_n,
         state_space_limit=args.state_space_limit,
     )
 
@@ -91,7 +89,7 @@ def _cmd_eval(args) -> int:
         result["m"] = est.m
         result["seed"] = est.seed
     else:
-        value = exact_objective_probs(probs, weights, theta, max_n=args.exact_eval_max_n)
+        value = exact_objective_probs(probs, weights, theta)
         result["exact_objective"] = frac_str(value)
         result["exact_objective_float"] = float(value)
     _emit(json.dumps(result, indent=2) + "\n", args.out)
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help='comma-separated, e.g. "1/4,1/4,1/2"')
     p.add_argument("--mc", type=int, default=None, help="Monte-Carlo sample count (default: exact)")
     p.add_argument("--out", default=None)
-    _add_solver_flags(p, ("--seed", "--exact-eval-max-n"))
+    _add_solver_flags(p, ("--seed",))
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("oracle", help="exact optimum for tiny n")

@@ -42,7 +42,9 @@ class SolverConfig:
 
     mode="theory" uses the paper-faithful L and kappa formulas (astronomical
     for all but degenerate-tiny instances); mode="practical" allows capping L
-    and overriding kappa.
+    and overriding kappa.  state_space_limit bounds the tail DPs' states.
+    A report's "config" echoes every field in declaration order, so a knob
+    is defined here alone.
     """
 
     mode: str = "theory"
@@ -51,7 +53,6 @@ class SolverConfig:
     L_cap: Optional[int] = None
     mc_constant: Fraction = Fraction(1)
     seed: int = 0
-    exact_eval_max_n: int = 22
     state_space_limit: int = 5_000_000
 
     def __post_init__(self):
@@ -70,8 +71,8 @@ class SolverConfig:
                 f"L_cap (--l-cap) must lie in [1, {MAX_K}], the head sizes "
                 f"halfspace enumeration covers; got {self.L_cap}"
             )
-        if self.state_space_limit < 1 or self.exact_eval_max_n < 1:
-            raise InputError("limits must be positive")
+        if self.state_space_limit < 1:
+            raise InputError("state_space_limit must be positive")
         if self.mode == "theory" and (self.kappa_override is not None or self.L_cap is not None):
             raise InputError("theory mode forbids kappa_override and L_cap")
 

@@ -18,9 +18,10 @@ bytes; they are the one inherently nondeterministic field.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,6 +39,8 @@ from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
 from .small_ci import case3_kappa, find_near_opt_small_ci
 from .util import derive_seed, frac_str, to_fraction
+
+logger = logging.getLogger(__name__)
 
 SELECT_SEED_TAG = 0x5E7
 
@@ -78,6 +81,9 @@ class SolveReport:
         def opt_float(q):
             return None if q is None else float(q)
 
+        def echo(value):
+            return frac_str(value) if isinstance(value, Fraction) else value
+
         d = {
             "format": "storalloc-report-v1",
             "provenance": self.provenance,
@@ -101,16 +107,7 @@ class SolveReport:
             "L": self.L,
             "kappa_case2": opt_frac(self.kappa_case2),
             "kappa_case3": opt_frac(self.kappa_case3),
-            "config": {
-                "mode": self.config.mode,
-                "c_L": frac_str(self.config.c_L),
-                "kappa_override": opt_frac(self.config.kappa_override),
-                "L_cap": self.config.L_cap,
-                "mc_constant": frac_str(self.config.mc_constant),
-                "seed": self.config.seed,
-                "exact_eval_max_n": self.config.exact_eval_max_n,
-                "state_space_limit": self.config.state_space_limit,
-            },
+            "config": {f.name: echo(getattr(self.config, f.name)) for f in fields(SolverConfig)},
             "seed": self.seed,
         }
         if include_timings:
@@ -250,11 +247,13 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     t0 = time.perf_counter()
     exact: Optional[Fraction] = None
     try:
-        exact = exact_objective_probs(
-            instance.probs, chosen.weights, theta, max_n=config.exact_eval_max_n
+        exact = exact_objective_probs(instance.probs, chosen.weights, theta)
+    except GuardError as exc:
+        logger.info(
+            "exact_objective_probs refused, exact_objective is null: estimate=%s limit=%s",
+            exc.estimate,
+            exc.limit,
         )
-    except GuardError:
-        exact = None
     timings["exact_eval_s"] = time.perf_counter() - t0
 
     return SolveReport(

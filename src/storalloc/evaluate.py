@@ -1,11 +1,13 @@
 """Exact and Monte-Carlo evaluation of Pr[w . X >= theta].
 
-Exact evaluation is #P-hard in general, so it is bounded: coordinates
-sharing a weight collapse into one success-count variable with a
-Poisson-binomial law, and the evaluation runs for at most MAX_GROUPS
-distinct weights (any n: uniform splits, granular tails) or, failing that,
-for n <= exact_eval_max_n with every coordinate its own group.  Either way
-the product of (group size + 1) must stay within COMBO_LIMIT.
+Exact evaluation is #P-hard in general, so it is bounded by one rule:
+coordinates sharing a weight collapse into one success-count variable with
+a Poisson-binomial law, and the evaluation runs when the product of
+(group size + 1) over the groups is at most COMBO_LIMIT.  A group of s
+coordinates has s + 1 <= 2^s count values, so grouping never costs more
+than taking the coordinates one by one: any n runs for few distinct
+weights (uniform splits, granular tails), and so do up to
+log2(COMBO_LIMIT) = 24 distinct ones.
 
 The evaluation is a meet-in-the-middle merge in integer arithmetic.  The
 weights and theta are scaled by the lcm D of their denominators; each
@@ -47,20 +49,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GuardError, InputError
-from .core import ProblemInstance, SolverConfig
+from .core import ProblemInstance
 from .util import derived_rng, to_fraction
 
 logger = logging.getLogger(__name__)
 
 SAMPLE_CHUNK = 1 << 15
 
-# Default cap on n when every coordinate is its own group; the value is
-# SolverConfig's default.
-EXACT_EVAL_MAX_N = SolverConfig.exact_eval_max_n
-
-# Exact-evaluation guards: widest allowed product of (group size + 1)
-# factors, and the most distinct weight values accepted at any n.
-MAX_GROUPS = 12
+# Exact-evaluation guard: widest allowed product of (group size + 1) factors.
 COMBO_LIMIT = 1 << 24
 
 
@@ -243,18 +239,14 @@ def _grouped(probs: Sequence[Fraction], weights: Sequence[Fraction]):
     return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
 
 
-def exact_objective_probs(
-    probs: Sequence,
-    weights: Sequence,
-    theta,
-    max_n: int = EXACT_EVAL_MAX_N,
-) -> Fraction:
+def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction:
     """Exact Pr[w . X >= theta] for arbitrary probability vectors.
 
     Thresholds at or below 0 give 1 and thresholds above sum(w) give 0.
-    Otherwise GuardError when there are more than MAX_GROUPS distinct
-    weights and more than max_n nonzero ones, or when the product of
-    (group size + 1) exceeds COMBO_LIMIT (see the module docstring).
+    Otherwise the nonzero weights are grouped by value, and GuardError
+    when the product of (group size + 1) exceeds COMBO_LIMIT (see the
+    module docstring); its estimate is the partial product, taken in
+    descending weight order, that first exceeds it.
     """
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
@@ -264,17 +256,6 @@ def exact_objective_probs(
         return Fraction(0)
 
     groups = _grouped(probs, weights)
-    if len(groups) > MAX_GROUPS:
-        active = sum(1 for w in weights if w != 0)
-        if active > max_n:
-            raise GuardError(
-                f"exact evaluation needs n <= {max_n} or <= {MAX_GROUPS} distinct "
-                f"weights; got n={active} with {len(groups)} values",
-                estimate=active,
-                limit=max_n,
-            )
-        groups = [(w, [p]) for p, w in zip(probs, weights) if w != 0]  # singletons
-
     combos = 1
     for _, ps in groups:
         combos *= len(ps) + 1

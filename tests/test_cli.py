@@ -185,6 +185,9 @@ class TestCommands:
             ("solve", "--threads"),
             ("eval", "--threads"),
             ("bench", "--threads"),
+            ("solve", "--exact-eval-max-n"),
+            ("eval", "--exact-eval-max-n"),
+            ("bench", "--exact-eval-max-n"),
         ],
     )
     def test_unread_solver_flags_rejected(self, inst_file, command, flag):

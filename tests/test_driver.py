@@ -1,10 +1,12 @@
 import hashlib
 import json
+import logging
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from storalloc import evaluate
 from storalloc.core import SolverConfig, preprocess
 from storalloc.driver import _check_feasible, selection_sample_size, solve
 from storalloc.errors import GuardError, InputError
@@ -175,12 +177,12 @@ class TestReportBytes:
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5],
                 2,
-                "663833ffd65740111617f6cf1353ff0bc63c81435ad8e404914745f5252b8749",
+                "659c5b7ac8972ac009109c6fb9fb73de31f09cd290f5ea4660890d560385bde6",
             ),
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5, 0.41],
                 3,
-                "fd79f5b701c9a20b55bc189372d2b39357f55a62f38d7f3aace539128d948d8b",
+                "b4f6d7c2fe4416e39ee2130988d38de646067f15ed56174142b9d6e06b06dabe",
             ),
         ],
         ids=["n5-L2", "n6-L3"],
@@ -205,3 +207,20 @@ class TestReportBytes:
         data = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
         assert data["chosen_weights"] == weights
         assert data["exact_objective"] == exact
+
+    def test_refused_exact_evaluation_is_logged(self, monkeypatch, caplog):
+        # the n5-L2 solution (1/2 on two coordinates) is one group of 2, so
+        # its exact evaluation needs 3 combinations; a limit of 2 refuses it
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2, seed=3)
+        probs = [0.62, 0.45, 0.31, 0.58, 0.5]
+        answered = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
+        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 2)
+        with caplog.at_level(logging.INFO, logger="storalloc.driver"):
+            refused = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
+        assert refused["exact_objective"] is None and refused["exact_objective_float"] is None
+        assert [r.getMessage() for r in caplog.records if r.name == "storalloc.driver"] == [
+            "exact_objective_probs refused, exact_objective is null: estimate=3 limit=2"
+        ]
+        for key in ("exact_objective", "exact_objective_float"):
+            del answered[key], refused[key]
+        assert refused == answered

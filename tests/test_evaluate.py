@@ -140,19 +140,29 @@ class TestExactObjective:
     def test_too_large_raises(self):
         probs = [F(1, 2)] * 30
         w = [F(i + 1, 1000) for i in range(30)]  # 30 distinct values
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as info:
             # sum(w) = 0.465, so 1/5 is a threshold the vector can reach
-            exact_objective_probs(probs, w, F(1, 5), max_n=22)
+            exact_objective_probs(probs, w, F(1, 5))
+        # 30 singleton groups: the product first passes 2^24 at the 25th
+        assert (info.value.estimate, info.value.limit) == (1 << 25, COMBO_LIMIT)
+
+    @pytest.mark.parametrize("theta", [F(1, 4), F(1, 3)])
+    def test_many_coordinates_few_groups(self, theta):
+        # 30 coordinates in 13 groups: 12 distinct weights and one weight
+        # shared by 18, so 2^12 * 19 combinations, far within COMBO_LIMIT
+        probs = [F(i, 32) for i in range(1, 31)]
+        w = [F(i, 997) for i in range(1, 13)] + [F(1, 50)] * 18
+        assert exact_objective_probs(probs, w, theta) == dfs_objective(probs, w, theta)
 
     def test_trivial_thresholds_answer_before_the_guards(self):
         # the same out-of-reach vector as above: theta <= 0 is certain and
         # theta > sum(w) impossible, whatever the guards say
         probs = [F(1, 2)] * 30
         w = [F(i + 1, 1000) for i in range(30)]
-        assert exact_objective_probs(probs, w, F(0), max_n=22) == 1
-        assert exact_objective_probs(probs, w, F(-1, 2), max_n=22) == 1
-        assert exact_objective_probs(probs, w, F(2), max_n=22) == 0
-        assert exact_objective_probs(probs, w, sum(w) + F(1, 10**9), max_n=22) == 0
+        assert exact_objective_probs(probs, w, F(0)) == 1
+        assert exact_objective_probs(probs, w, F(-1, 2)) == 1
+        assert exact_objective_probs(probs, w, F(2)) == 0
+        assert exact_objective_probs(probs, w, sum(w) + F(1, 10**9)) == 0
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_matches_dfs_on_distinct_weights(self, seed):
@@ -173,12 +183,12 @@ class TestExactObjective:
         w = [F(1 << i, top) for i in range(n)]
         probs = [F(1, 2)] * n
         for t in (1, 2, 3, 12_345, 1 << 23, top - 1, top):  # every t is a reachable sum
-            assert exact_objective_probs(probs, w, F(t, top), max_n=n) == F((1 << 24) - t, 1 << 24)
+            assert exact_objective_probs(probs, w, F(t, top)) == F((1 << 24) - t, 1 << 24)
         for t in (0, 12_345, top - 1):  # between two sums: the same as the next one up
-            assert exact_objective_probs(probs, w, F(2 * t + 1, 2 * top), max_n=n) == F((1 << 24) - t - 1, 1 << 24)
+            assert exact_objective_probs(probs, w, F(2 * t + 1, 2 * top)) == F((1 << 24) - t - 1, 1 << 24)
         big = (1 << 25) - 1
         with pytest.raises(GuardError) as info:
-            exact_objective_probs([F(1, 2)] * 25, [F(1 << i, big) for i in range(25)], F(1, 2), max_n=25)
+            exact_objective_probs([F(1, 2)] * 25, [F(1 << i, big) for i in range(25)], F(1, 2))
         assert (info.value.estimate, info.value.limit) == (1 << 25, COMBO_LIMIT)
 
     def test_debug_line_reports_the_half_laws(self, caplog):
@@ -224,7 +234,7 @@ def exact_cases(draw):
     return probs, weights, theta
 
 
-# 13 distinct weights exceed MAX_GROUPS, so every coordinate is its own group.
+# 13 distinct weights, every coordinate its own group: 2^13 combinations.
 @example(([F(k, 20) for k in range(3, 16)], [F(k, 120) for k in range(1, 14)], F(1, 2)))
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(exact_cases())

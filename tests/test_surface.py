@@ -1,9 +1,16 @@
-"""The package root exports the solve and oracle API and nothing else."""
+"""The public surface: the root API, the report's config echo, the CLI options.
 
+The package root exports the solve and oracle API and nothing else.
+"""
+
+import argparse
+import dataclasses
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import storalloc
+from storalloc.cli import build_parser
 
 from conftest import child_env
 
@@ -55,3 +62,23 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_report_config_echoes_every_solver_config_field():
+    cfg = storalloc.SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2)
+    config = storalloc.solve([0.62, 0.45, 0.31], 0.5, 0.25, 0.05, cfg).to_dict()["config"]
+    assert list(config) == [f.name for f in dataclasses.fields(storalloc.SolverConfig)]
+
+
+def test_option_count_per_subcommand():
+    # a new flag shows up here as a test diff
+    def options(parser):
+        return [a for a in parser._actions if a.option_strings and a.dest not in ("help", "version")]
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    counts = {name: len(options(p)) for name, p in sub.choices.items()}
+    assert counts == {
+        "solve": 9, "eval": 4, "oracle": 2, "baseline": 1, "counterexample": 1, "bench": 10, "gen": 8,
+    }
+    assert [a.dest for a in options(parser)] == ["log_level"]
