@@ -26,14 +26,16 @@ comparison uses floats: float dot products misclassify ties, which are
 common for granular weights.
 
 Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
-chunks, one generator per chunk, and deduplicates them into distinct bit
-patterns with counts.  The patterns are classified in
-exact integer arithmetic: a weight vector and theta are scaled by the lcm
-D of their denominators, so w . x >= theta becomes (D w) . x >= D theta,
-computed by blocked numpy matmuls over many vectors at once.  A vector
-runs on int64 when sum |D w_j| and |D theta| are at most 2^63 - 1, so no
-dot can overflow, and on Python ints (dtype=object) otherwise.  Everything
-is bit-reproducible from the seed.
+chunks, one generator per chunk, packs each draw into bytes and
+deduplicates the packed rows (each one integer key up to n = 64) into
+distinct bit patterns with counts.  The patterns are classified in exact integer arithmetic: a
+weight vector and theta are scaled by the lcm D of their denominators, so
+w . x >= theta becomes (D w) . x >= D theta, and a packed pattern's dot is
+one lookup per byte in 256-entry tables of partial sums of D w, for many
+vectors at once.  Every entry and partial dot is a subset sum of D w, so
+a vector runs on int64 when sum |D w_j| and |D theta| are at most
+2^63 - 1, and on Python ints (dtype=object) otherwise.  Everything is
+bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -301,37 +303,59 @@ def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 
 # ---------------------------------------------------------------------------
 # Sampling
 
-# Size budget for each temporary array of the classification kernel.
+# Size budget for each temporary array of the sampling kernel.
 BLOCK_BYTES = 1 << 20
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Row h is the four bits of h, high bit first (np.packbits order).
+_NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]
+
+
+def _block_rows(n: int) -> int:
+    """Draw rows per block, so a block's float64 draws over n coordinates fit BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
 
 
 def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed Bernoulli bit rows over m draws, with int64 counts.
 
-    Draws come in chunks of SAMPLE_CHUNK rows, chunk c from the generator
-    derived from (seed, c).  The chunks fix the random stream a seed
-    yields, so every sampled output (and the report pins) stays
-    bit-identical, and they bound each draw's float temporary to
-    SAMPLE_CHUNK * n = 32768 n doubles.  The packed draws of all chunks
-    (m * ceil(n/8) bytes) are deduplicated by one np.unique over a 1-D void
-    view of the rows, which compares each row as one byte string
-    (np.unique(axis=0) sorts field by field and is several times slower);
+    A row is np.packbits of one draw's n bits: ceil(n/8) bytes, coordinate
+    8j + k in bit 7 - k of byte j, the last byte zero-padded.  Draws come in
+    chunks of SAMPLE_CHUNK rows, chunk c from the generator derived from
+    (seed, c).  The chunks alone fix the random stream a seed yields, so
+    every sampled output (and the report pins) stays bit-identical.  Each
+    chunk is drawn in blocks of _block_rows(n) rows, which bound the float
+    temporary to BLOCK_BYTES without touching the stream: a PCG64
+    Generator's random((a + b, n)) equals random((a, n)) followed by
+    random((b, n)).
+
+    The blocks are packed into one buffer of m rows, each zero-padded to
+    whole 8-byte words, and deduplicated by one np.unique.  A row of one
+    word (n <= 64) is compared as a big-endian uint64, a wider row as one
+    void byte string (np.unique(axis=0) sorts field by field and is several
+    times slower).  Big-endian words order like their bytes, so either way
     rows come out in ascending byte order.
     """
     n = len(probs)
+    width = (n + 7) // 8
+    if not width:  # n = 0: one empty pattern; a zero-width key is wrong
+        return np.zeros((1, 0), dtype=np.uint8), np.array([m], dtype=np.int64)
     pf = np.array([float(p) for p in probs])
-    chunks = []
+    key_bytes = 8 * ((width + 7) // 8)
+    packed = np.zeros((m, key_bytes), dtype=np.uint8)
+    step = _block_rows(n)
     for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
-        draws = derived_rng(seed, c).random((min(SAMPLE_CHUNK, m - start), n))
-        chunks.append(np.packbits(draws < pf, axis=1))
-    packed = np.concatenate(chunks)
-    width = packed.shape[1]
-    if not width:  # n = 0: one empty pattern; a zero-width void view is wrong
-        return packed[:1], np.array([m], dtype=np.int64)
-    keys = packed.view(np.dtype((np.void, width))).ravel()
-    uniq, counts = np.unique(keys, return_counts=True)
-    return uniq.view(np.uint8).reshape(-1, width), counts.astype(np.int64)
+        rng = derived_rng(seed, c)
+        stop = min(start + SAMPLE_CHUNK, m)
+        for r in range(start, stop, step):
+            end = min(r + step, stop)
+            packed[r:end, :width] = np.packbits(rng.random((end - r, n)) < pf, axis=1)
+    if key_bytes == 8:
+        keys, counts = np.unique(packed.view(">u8").ravel().astype(np.uint64), return_counts=True)
+        uniq = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    else:
+        keys, counts = np.unique(packed.view(np.dtype((np.void, key_bytes))).ravel(), return_counts=True)
+        uniq = keys.view(np.uint8).reshape(-1, key_bytes)
+    return uniq[:, :width], counts.astype(np.int64)
 
 
 def _lcm_scaled(values: Sequence) -> tuple[int, list[int]]:
@@ -346,9 +370,32 @@ def _fits_int64(weights: Sequence[int], theta: int) -> bool:
     return sum(map(abs, weights)) <= _INT64_MAX and abs(theta) <= _INT64_MAX
 
 
-def _block_rows(n: int) -> int:
-    """Pattern rows per block, so an int64 block of n columns fits BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """Per-byte partial-sum tables for packed rows, one set per column.
+
+    columns is (n, V): column v holds a vector's scaled weights D w.  The
+    result is (ceil(n/8), 256, V): entry [j, b, v] is the sum of
+    columns[i, v] over the coordinates i whose bit is set in value b of
+    byte j of a packed row (coordinate 8j + k sits in bit 7 - k), so a
+    row's dot (D w) . x is the sum over j of tables[j, row[j]].  A byte's
+    table is the sum of its two nibbles' 16-entry tables, each one product
+    with the 0/1 matrix of nibble bits; every partial sum along the way is
+    a subset sum of the column.
+    """
+    n, vectors = columns.shape
+    width = (n + 7) // 8
+    padded = np.zeros((8 * width, vectors), dtype=columns.dtype)
+    padded[:n] = columns
+    nibbles = _NIBBLE_BITS @ padded.reshape(width, 2, 4, vectors)
+    return (nibbles[:, 0, :, None] + nibbles[:, 1, None, :]).reshape(width, 256, vectors)
+
+
+def _byte_dots(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), V) dots of packed rows: one table lookup per byte column."""
+    dots = np.zeros((len(rows), tables.shape[2]), dtype=tables.dtype)
+    for j in range(rows.shape[1]):
+        dots += tables[j][rows[:, j]]
+    return dots
 
 
 def mc_hit_counts(
@@ -365,18 +412,19 @@ def mc_hit_counts(
 
     The classification is integer arithmetic.  Let D > 0 be the lcm of
     theta's and every w_j's denominator.  Then w . x >= theta holds iff
-    (D w) . x >= D theta, and both sides are integers.  A pattern x is 0/1,
-    so every partial sum of (D w) . x lies within +-sum_j |D w_j|.  A vector
-    therefore runs on int64 when that sum and |D theta| are both at most
-    2^63 - 1, where no sum can overflow, and on Python ints (dtype=object)
+    (D w) . x >= D theta, and both sides are integers.  The dot of a packed
+    pattern is a sum of per-byte table lookups (_byte_tables).  A pattern
+    x is 0/1, so every table entry and every running sum of entries is a
+    subset sum of D w and lies within +-sum_j |D w_j|.  A vector therefore
+    runs on int64 when that sum and |D theta| are both at most 2^63 - 1,
+    where nothing can overflow, and on Python ints (dtype=object)
     otherwise.  The dtype is chosen per vector; both groups take the same
-    path: hits = counts @ (bits @ W >= T), blocked over pattern rows and
-    vectors so no temporary exceeds about BLOCK_BYTES.
+    path: hits = counts @ (dots >= T), blocked over vectors and pattern
+    rows so no table set or dot block exceeds about BLOCK_BYTES.
     """
     if m < 1:
         raise InputError("m must be >= 1")
     rows, counts = _pattern_counts(probs, m, seed)
-    bits = np.unpackbits(rows, axis=1, count=len(probs))
     scaled = []
     for weights in weight_vectors:
         _, ints = _lcm_scaled([*weights, theta])
@@ -386,18 +434,17 @@ def mc_hit_counts(
         "mc_hit_counts: m=%d, %d unique patterns, %d vectors, %d on object dtype",
         m, len(rows), len(scaled), narrow.count(False),
     )
-    rows_per_block = _block_rows(len(probs))
-    vectors_per_block = max(1, BLOCK_BYTES // (8 * min(rows_per_block, len(rows))))
+    vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max(rows.shape[1], 1)))
     hits = np.zeros(len(scaled), dtype=np.int64)
     for dtype, fits in ((np.int64, True), (object, False)):
         group = [i for i, ok in enumerate(narrow) if ok == fits]
         for start in range(0, len(group), vectors_per_block):
             block = group[start:start + vectors_per_block]
-            W = np.array([scaled[i][0] for i in block], dtype=dtype).T
+            tables = _byte_tables(np.array([scaled[i][0] for i in block], dtype=dtype).T)
             T = np.array([scaled[i][1] for i in block], dtype=dtype)
-            for r in range(0, len(bits), rows_per_block):
-                x = bits[r:r + rows_per_block].astype(dtype)
-                hits[block] += counts[r:r + rows_per_block] @ (x @ W >= T)
+            step = max(1, BLOCK_BYTES // (8 * len(block)))
+            for r in range(0, len(rows), step):
+                hits[block] += counts[r:r + step] @ (_byte_dots(tables, rows[r:r + step]) >= T)
     return hits.tolist()
 
 
@@ -434,7 +481,10 @@ def sample_tail_empirical(
     Sample values are exact rationals, so jump points line up with the exact
     tail law in Kolmogorov-distance comparisons.  Each distinct pattern's
     value is the integer dot (D t) . x over D, D the lcm of the tail's
-    denominators, on int64 or Python ints by the rule of mc_hit_counts.
+    denominators, summed from per-byte tables (_byte_tables).  Every entry
+    and every running sum is a subset sum of D t, so at most sum_j D t_j:
+    it runs on int64 when that sum fits, on Python ints otherwise, by the
+    rule of mc_hit_counts.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -447,13 +497,14 @@ def sample_tail_empirical(
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
     rows, counts = _pattern_counts(probs, m, seed)
-    bits = np.unpackbits(rows, axis=1, count=len(tail))
     d, scaled = _lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object
-    w = np.array(scaled, dtype=dtype)
-    step = _block_rows(len(tail))
-    dots = np.concatenate([bits[r:r + step].astype(dtype) @ w for r in range(0, len(bits), step)])
-    values, inverse = np.unique(dots, return_inverse=True)
+    dots = _byte_dots(_byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1)), rows)
+    values, inverse = np.unique(dots[:, 0], return_inverse=True)
+    logger.debug(
+        "sample_tail_empirical: m=%d, %d unique patterns, %d distinct values, %s dtype",
+        m, len(rows), len(values), np.dtype(dtype).name,
+    )
     totals = np.zeros(len(values), dtype=np.int64)
     np.add.at(totals, inverse, counts)
     return EmpiricalDist(tuple(Fraction(v, d) for v in values.tolist()), tuple(totals.tolist()), m)

@@ -5,7 +5,8 @@ naive objective enumerates all 2^n outcomes with itertools, the DFS
 objective walks grouped partial sums in Fractions, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
-the Fraction classifiers sum one Fraction per (vector, sampled pattern),
+the Fraction classifiers sum one Fraction per (vector, sampled pattern)
+over patterns counted from the raw random stream,
 the LP junta scan solves one feasibility LP per event set, and the
 exhaustive best-head search certifies every nested chain by its LP and
 scores every witness by Fraction event probabilities, and the Fraction
@@ -20,6 +21,7 @@ import functools
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -30,11 +32,12 @@ import pytest
 
 import storalloc
 from storalloc.core import ProblemInstance
-from storalloc.evaluate import _pattern_counts
+from storalloc.evaluate import SAMPLE_CHUNK
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import chain_lp
 from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains
+from storalloc.util import derived_rng
 
 
 def naive_objective(probs, weights, theta) -> Fraction:
@@ -98,11 +101,20 @@ def dfs_objective(probs, weights, theta) -> Fraction:
     return success_prob(0, Fraction(0))
 
 
-def _sampled_patterns(probs, m: int, seed: int):
-    """(bits as a list of ints, count) per distinct pattern the library draws."""
-    rows, counts = _pattern_counts(probs, m, seed)
-    for row, count in zip(rows, counts.tolist()):
-        yield np.unpackbits(row)[: len(probs)].tolist(), count
+def sampled_patterns(probs, m: int, seed: int) -> Counter:
+    """Count of each bit tuple among the m draws of the library's sampler.
+
+    Built from the raw stream the sampler documents, chunk c of
+    SAMPLE_CHUNK rows from derived_rng(seed, c), with one random() call per
+    chunk and a Counter, so it shares neither the sampler's draw blocks nor
+    its packing nor its deduplication.
+    """
+    pf = np.array([float(p) for p in probs])
+    patterns: Counter = Counter()
+    for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
+        draws = derived_rng(seed, c).random((min(SAMPLE_CHUNK, m - start), len(probs)))
+        patterns.update(map(tuple, (draws < pf).astype(int).tolist()))
+    return patterns
 
 
 def _fraction_dot(weights, bits) -> Fraction:
@@ -112,12 +124,12 @@ def _fraction_dot(weights, bits) -> Fraction:
 def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
     """mc_hit_counts by one Fraction sum per (vector, pattern).
 
-    The patterns come from the library's sampler, so this checks the
-    classification alone.
+    The patterns are counted from the raw draws (sampled_patterns), so this
+    checks the sampler's deduplication as well as the classification.
     """
     theta = Fraction(theta)
     hits = [0] * len(vectors)
-    for bits, count in _sampled_patterns(probs, m, seed):
+    for bits, count in sampled_patterns(probs, m, seed).items():
         for i, weights in enumerate(vectors):
             if _fraction_dot(weights, bits) >= theta:
                 hits[i] += count
@@ -127,7 +139,7 @@ def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
 def fraction_tail_empirical(tail_probs, tail, m: int, seed: int):
     """(values, counts) of sample_tail_empirical by one Fraction sum per pattern."""
     agg: dict[Fraction, int] = {}
-    for bits, count in _sampled_patterns(tail_probs, m, seed):
+    for bits, count in sampled_patterns(tail_probs, m, seed).items():
         value = _fraction_dot(tail, bits)
         agg[value] = agg.get(value, 0) + count
     values = sorted(agg)

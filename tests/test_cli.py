@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from storalloc import cli
 from storalloc.cli import main
+from storalloc.core import ProblemInstance
+from storalloc.evaluate import sample_tail_empirical
 from storalloc.formats import load_instance, parse_weights, save_instance
 
 from conftest import child_env
@@ -80,7 +84,7 @@ class TestCommands:
         mc = json.loads(capsys.readouterr().out)
         assert abs(mc["mc_estimate_float"] - exact["exact_objective_float"]) < 0.05
 
-    def test_log_level_debug_reports_kernel_on_stderr(self, inst_file, capsys):
+    def test_log_level_debug_reports_kernel_on_stderr(self, inst_file, capsys, monkeypatch):
         args = ["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "100"]
         assert run_cli(args) == 0
         quiet = capsys.readouterr()
@@ -92,6 +96,19 @@ class TestCommands:
         assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err
+        # No solve a test can run reaches Case 3's tail sampling (a regular
+        # tail needs more than 40000 slots; see the small_ci docstring), so
+        # a stand-in command samples a tail under the CLI's log handler.
+        inst = ProblemInstance((F(15, 32), F(5, 16)), F(1, 2), F(1, 4), F(1, 20), (0, 1))
+
+        def sample_tail(_args):
+            sample_tail_empirical(inst, [F(1, 2)], 100, seed=3)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_eval", sample_tail)
+        assert run_cli(["--log-level", "DEBUG", *args]) == 0
+        tail = capsys.readouterr()
+        assert "sample_tail_empirical: m=100, 2 unique patterns, 2 distinct values, int64 dtype" in tail.err
 
     def test_eval_mc_zero_is_input_error(self, inst_file, capsys):
         code = run_cli(["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "0"])

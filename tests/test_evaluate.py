@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from storalloc import evaluate
 from storalloc.core import ProblemInstance
 from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
@@ -23,6 +24,7 @@ from storalloc.evaluate import (
     mc_estimate_probs,
     mc_hit_counts,
     sample_tail_empirical,
+    _block_rows,
     _pattern_counts,
 )
 from storalloc.util import derived_rng
@@ -33,6 +35,7 @@ from conftest import (
     fraction_tail_empirical,
     granular_instance,
     naive_objective,
+    sampled_patterns,
     with_one_retry,
 )
 
@@ -422,7 +425,7 @@ class TestSampling:
 
 @st.composite
 def mc_cases(draw):
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 80))  # packed rows of 0 to 10 bytes, across the 8-byte word
     probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
     weight = rationals(0, F(3, 2 * max(n, 1)))
     vectors = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=6))
@@ -445,7 +448,7 @@ def test_hit_counts_match_fraction_oracle(case):
 
 @st.composite
 def tail_cases(draw):
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 80))
     grid = F(1, 16 * n)  # eps/(4n) at eps = 1/4; p_1 < 3/4
     probs = sorted(draw(st.lists(st.integers(1, 12 * n - 1), min_size=n, max_size=n)), reverse=True)
     inst = ProblemInstance(tuple(grid * k for k in probs), F(1, 2), F(1, 4), F(1, 20), tuple(range(n)))
@@ -478,6 +481,50 @@ class TestKernel:
         inst = ProblemInstance(tuple(F(k, 40) for k in range(29, 19, -1)), theta, F(1, 4), F(1, 20), tuple(range(10)))
         values, counts = fraction_tail_empirical(inst.probs, vectors[1], m, 17)
         assert sample_tail_empirical(inst, vectors[1], m, 17) == EmpiricalDist(values, counts, m)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
+    def test_dedup_matches_counter_across_word_widths(self, n):
+        # m crosses SAMPLE_CHUNK and a draw block.  Coordinates 0-2 and the
+        # last 3 are fair coins, the rest rare, so rows repeat often and
+        # differ in the first and the last (padded) byte.
+        m = max(SAMPLE_CHUNK, _block_rows(n)) + 5_000
+        probs = [F(1, 2) if i < 3 or i >= n - 3 else F(1, 200) for i in range(n)]
+        rows, counts = _pattern_counts(probs, m, seed=23)
+        keys = [row.tobytes() for row in rows]
+        assert keys == sorted(set(keys))
+        expected = {
+            np.packbits(np.array(bits, dtype=np.uint8)).tobytes(): count
+            for bits, count in sampled_patterns(probs, m, 23).items()
+        }
+        assert dict(zip(keys, counts.tolist())) == expected
+
+    @pytest.mark.parametrize("n", [9, 65])
+    def test_block_size_leaves_outputs_unchanged(self, monkeypatch, n):
+        m = SAMPLE_CHUNK + 300
+        inst = ProblemInstance(
+            tuple(F(12 * n - 1 - 5 * i, 16 * n) for i in range(n)), F(1, 2), F(1, 4), F(1, 20), tuple(range(n))
+        )
+        d = (1 << 63) + 1  # the third vector's scaled sum is d: object dtype
+        vectors = [
+            [F(1, n)] * n,
+            [F(i + 1, n * n) for i in range(n)],
+            [F(d // 3 - 1, d), F(d // 3 + 1, d), F(1, 3)] + [F(0)] * (n - 3),
+        ]
+        tail = vectors[1][: n - 2]
+
+        def outputs():
+            rows, counts = _pattern_counts(inst.probs, m, seed=5)
+            return (
+                rows.tobytes(),
+                counts.tolist(),
+                mc_hit_counts(inst.probs, vectors, F(1, 2), m, seed=5),
+                sample_tail_empirical(inst, tail, m, seed=5),
+            )
+
+        default = outputs()
+        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 64)
+        assert _block_rows(n) == 1
+        assert outputs() == default
 
     def _classify(self, caplog, vector, theta):
         probs = [F(1, 2)] * 3
