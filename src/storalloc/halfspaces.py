@@ -3,11 +3,13 @@
 A subset S of {0,1}^k is threshold-realizable when S = {x : u.x >= c} for
 some weights u and threshold c; integer (u, c) always exist.  Sets are
 enumerated from canonical sorted non-negative integer weight vectors up to
-a per-k bound.  Each vector takes one subset-sum sweep: its 2^k dot
-products are built by adding one weight to a smaller point's sum, and the
-points, taken by dot product descending, are ORed into a mask that is
-kept at every change of value, which gives every threshold's set at once.
-The family is then closed under coordinate permutations and flips.
+a per-k bound.  The whole grid takes one vectorized sweep: U @ bits holds
+every vector's 2^k dot products, one comparison with every threshold
+level from 0 to one above the largest sum gives each level's set as a
+row of point bits at once, and np.packbits turns the rows into masks.
+The family is then closed under coordinate permutations and flips by one
+gather of the masks' bits through each transform's point table, and
+deduplicated by sort.
 Non-negative weights give upward-closed sets and permutations keep them
 so, which makes the permutation closure alone exactly the upward-closed
 family.  The bounds are checked by the tests: for k <= 4 the family
@@ -36,6 +38,9 @@ from .errors import InputError
 GRID_BOUND = {1: 1, 2: 1, 3: 2, 4: 3, 5: 9}
 
 MAX_K = max(GRID_BOUND)
+
+# Size budget for each temporary array of the family build.
+_BLOCK_BYTES = 1 << 16
 
 
 def point_bits(x: int, k: int) -> tuple[int, ...]:
@@ -76,73 +81,58 @@ def minimal_members(mask: int, k: int) -> tuple[int, ...]:
     )
 
 
-def _canonical_grid_masks(k: int, bound: int) -> set[int]:
-    """Masks from sorted non-negative integer weights up to ``bound``.
+def _masks(members: np.ndarray) -> np.ndarray:
+    """uint64 masks of boolean rows of point membership (point x last):
+    the rows' little-endian packed bytes, 1, 2 or 4 per row for k <= 5."""
+    packed = np.ascontiguousarray(np.packbits(members, axis=-1, bitorder="little"))
+    return packed.view(f"<u{packed.shape[-1]}")[..., 0].astype(np.uint64)
 
-    One subset-sum sweep per weight vector u: dots[x] = dots[x without its
-    lowest bit] + u[that bit] gives every u.x, the points are bucketed by
-    that value (a counting sort), and ORing the buckets in from the top
-    value down yields {x : u.x >= c} at each value c; the empty mask
-    stands for any c above every sum."""
-    lows = [(x & (x - 1), (x & -x).bit_length() - 1) for x in range(1, 1 << k)]
-    masks: set[int] = {0}
-    for u in itertools.combinations_with_replacement(range(bound, -1, -1), k):
-        dots = [0]
-        for rest, j in lows:
-            dots.append(dots[rest] + u[j])
-        level = [0] * (sum(u) + 1)
-        for x, dot in enumerate(dots):
-            level[dot] |= 1 << x
-        mask = 0
-        for bits in reversed(level):
-            if bits:
-                mask |= bits
-                masks.add(mask)
+
+def _merge(masks: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Distinct values of both, ascending.  Without return_counts,
+    np.unique imports numpy.ma on first use (about 10 ms)."""
+    return np.unique(np.concatenate((masks, more.ravel())), return_counts=True)[0]
+
+
+def _canonical_grid_masks(bits: np.ndarray, bound: int) -> np.ndarray:
+    """Masks from sorted non-negative integer weights up to ``bound``,
+    distinct and ascending: {x : u.x >= c} for every threshold c from 0 to
+    one above the largest sum, over one block of weight vectors u at a
+    time.  ``bits`` is the (k, 2^k) matrix of point coordinates."""
+    k, npoints = bits.shape
+    grid = np.array(list(itertools.combinations_with_replacement(range(bound, -1, -1), k)))
+    levels = np.arange(bound * k + 2)[:, None]
+    masks = np.zeros(0, dtype=np.uint64)
+    step = max(1, _BLOCK_BYTES // (len(levels) * npoints))
+    for start in range(0, len(grid), step):
+        masks = _merge(masks, _masks(grid[start:start + step, None] @ bits >= levels))
     return masks
 
 
-def _transform_tables(k: int, flips: bool) -> np.ndarray:
-    """Point-index remap tables for coordinate permutations (x flips)."""
-    tables = []
-    flip_sets = range(1 << k) if flips else (0,)
-    for perm in itertools.permutations(range(k)):
-        for fs in flip_sets:
-            table = np.empty(1 << k, dtype=np.int64)
-            for y in range(1 << k):
-                x = 0
-                for j in range(k):
-                    bit = (y >> j) & 1
-                    if (fs >> j) & 1:
-                        bit ^= 1
-                    if bit:
-                        x |= 1 << perm[j]
-                table[y] = x
-            tables.append(table)
-    return np.stack(tables)
-
-
-def _expand(masks: set[int], k: int, flips: bool) -> set[int]:
-    """Close a mask family under signed coordinate permutations."""
-    npoints = 1 << k
-    base = np.array(sorted(masks), dtype=np.uint64)
-    bits = ((base[:, None] >> np.arange(npoints, dtype=np.uint64)[None, :]) & 1).astype(bool)
-    tables = _transform_tables(k, flips)
-    weights = (1 << np.arange(npoints, dtype=np.uint64))
-    out: set[int] = set()
-    for table in tables:
-        moved = bits[:, table]
-        vals = moved @ weights
-        out.update(int(v) for v in vals)
-    return out
+def _close(masks: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The masks and their images under every point table (bit y of an
+    image is bit table[y] of the mask), distinct and ascending: one gather
+    of the masks' point bits per block of tables."""
+    members = ((masks[:, None] >> np.arange(tables.shape[1], dtype=np.uint64)) & 1).astype(bool)
+    step = max(1, _BLOCK_BYTES // members.size)
+    for start in range(0, len(tables), step):
+        masks = _merge(masks, _masks(members[:, tables[start:start + step]]))
+    return masks
 
 
 @lru_cache(maxsize=None)
 def _cached(k: int, monotone: bool) -> tuple[HalfspaceSet, ...]:
-    canonical = _canonical_grid_masks(k, GRID_BOUND[k])
-    # Non-negative weights realize upward-closed sets, and coordinate
-    # permutations keep them so; only flips leave that family.
-    closed = _expand(canonical, k, flips=not monotone)
-    return tuple(HalfspaceSet(k, m) for m in sorted(closed))
+    points = np.arange(1 << k)
+    bits = (points >> np.arange(k)[:, None]) & 1
+    perms = np.array(list(itertools.permutations(range(k))))
+    # Non-negative weights realize upward-closed sets, and permutations
+    # (table[y] moves bit j of y to bit perm[j]) keep them so.  Flips
+    # (table[y] = y ^ f) then reach every realizable set, as each signed
+    # permutation is a flip after a permutation.
+    closed = _close(_canonical_grid_masks(bits, GRID_BOUND[k]), (1 << perms) @ bits)
+    if not monotone:
+        closed = _close(closed, points[:, None] ^ points)
+    return tuple(HalfspaceSet(k, m) for m in closed.tolist())
 
 
 def enumerate_halfspace_sets(k: int, monotone: bool = False) -> list[HalfspaceSet]:

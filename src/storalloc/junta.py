@@ -26,11 +26,11 @@ zero head has value 1.
 
 The scan ranks sets on integers.  Every point x of the head cube has
 probability nums[x] / D, with D the product of the denominators of the
-p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S
-(``set_numerators``, one table lookup per byte of the mask).  All sets
-share the one D, so sorting by (-D P(S), mask) gives the same order as
-sorting by (-P(S), mask), and only the returned set's value becomes a
-Fraction.
+p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S,
+taken for a whole family at once by the Monte-Carlo classifier's per-byte
+tables (``family_numerators``).  All sets share the one D, so one stable
+sort by -D P(S) over the ascending masks gives the (-P(S), mask) order,
+and only the returned set's value becomes a Fraction.
 
 The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
 sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
@@ -51,9 +51,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InputError
+from .evaluate import _byte_dots, _byte_tables, _fits_int64
 from .halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
 from .lp import LinearProgram, lp_solve
 from .util import to_fraction
@@ -103,22 +106,27 @@ def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]
     return tuple(nums), D
 
 
-def set_numerators(nums: Sequence[int], masks: Iterable[int]) -> list[int]:
-    """The sum of the point numerators over each mask's set bits.
+@lru_cache(maxsize=None)
+def upward_family(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(masks, array, rows): the upward-closed realizable masks over
+    {0,1}^k, ascending, as ints, as uint64, and as packed rows of their 2^k
+    point bits, point x as coordinate x in np.packbits order (the form
+    evaluate's tables read)."""
+    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+    array = np.array(masks, dtype=np.uint64)
+    width = ((1 << k) + 7) // 8
+    low_bytes = array.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
+    return masks, array, np.packbits(np.unpackbits(low_bytes, axis=1, bitorder="little"), axis=1)
 
-    ``nums`` becomes one table of 256 partial sums per byte of a mask
-    (the sum over every subset of those eight points, each built from a
-    smaller subset's), so a mask costs one lookup per byte."""
-    masks = list(masks)
-    scores = [0] * len(masks)
-    for base in range(0, len(nums), 8):
-        chunk = nums[base : base + 8]
-        table = [0]
-        for v in range(1, 1 << len(chunk)):
-            low = v & -v
-            table.append(table[v ^ low] + chunk[low.bit_length() - 1])
-        scores = [s + table[(m >> base) & 255] for s, m in zip(scores, masks)]
-    return scores
+
+def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
+    """D P(S) for every set S of upward_family(k), aligned with its masks:
+    each packed row's dot with nums, by evaluate's per-byte tables.  Every
+    partial sum is a subset sum of nums, at most sum(nums) = D, so the sums
+    run on int64 when D fits and on Python ints otherwise (mc_hit_counts)."""
+    dtype = np.int64 if _fits_int64(nums, 0) else object
+    tables = _byte_tables(np.array(nums, dtype=dtype).reshape(-1, 1))
+    return _byte_dots(tables, upward_family(k)[2])[:, 0]
 
 
 def chain_lp(
@@ -168,9 +176,11 @@ def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int,
     Case-2 requests of one solve share one head, so the order is kept
     across calls."""
     nums, D = outcome_numerators(head_probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(len(head_probs), monotone=True) if s.mask]
-    order = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
-    return D, tuple(order)
+    masks = upward_family(len(head_probs))[0]
+    scores = family_numerators(nums, len(head_probs)).tolist()
+    # index 0 holds the empty set; the sort is stable, so ties keep mask order
+    order = sorted(range(1, len(masks)), key=scores.__getitem__, reverse=True)
+    return D, tuple(zip(map(scores.__getitem__, order), map(masks.__getitem__, order)))
 
 
 def find_optimal_junta(req: JuntaRequest) -> JuntaResult:

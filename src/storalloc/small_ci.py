@@ -49,9 +49,8 @@ from typing import Optional, Sequence
 
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
-from .evaluate import EmpiricalDist, sample_tail_empirical
-from .halfspaces import enumerate_halfspace_sets
-from .junta import chain_lp, outcome_numerators, set_margin, set_numerators
+from .evaluate import BLOCK_BYTES, EmpiricalDist, sample_tail_empirical
+from .junta import chain_lp, family_numerators, outcome_numerators, set_margin, upward_family
 from .large_ci import _tail_dp, _witness
 from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, to_fraction
@@ -165,13 +164,6 @@ class HeadResult:
     patterns_examined: int
 
 
-def _compress_points(points) -> tuple[list[Fraction], list[int], int]:
-    if isinstance(points, EmpiricalDist):
-        return list(points.values), list(points.counts), points.m
-    dist = EmpiricalDist.from_points(points)
-    return list(dist.values), list(dist.counts), dist.m
-
-
 def find_best_head(
     head_probs: Sequence[Fraction],
     points,
@@ -189,17 +181,19 @@ def find_best_head(
     Why the first feasible chain is exact.  Take the distinct points
     ascending, t_1 < ... < t_r, with counts c_i, at thresholds
     tau_i = theta - t_i.  A nested chain S_1 <= ... <= S_r of upward-closed
-    realizable sets has value sum(c_i P(S_i)) / m, and the chains are
-    visited by value descending, then enumeration order.  Let C be the
-    first chain whose membership LP (junta.chain_lp) is feasible, and u its
-    witness.  u realizes the sets R_i(u) = {x : u.x >= tau_i}; they contain
-    the S_i and form a nested chain of upward-closed realizable sets, which
-    is enumerated and feasible (u satisfies it), and u's value is R(u)'s
-    value.  That is at least C's value, and not more, or R(u) would have
-    been visited before C.  The optimum's own chain is enumerated and
-    feasible too, so its value, the optimum, is at most C's.  So u is
-    optimal, with C's value.  Ties go to the first chain in that order,
-    with the LP's vertex as the witness.
+    realizable sets has value sum(c_i P(S_i)) / m, taken as an integer over
+    D m with every D P(S) from one pass of junta.family_numerators, and
+    the chains are visited by value descending, then enumeration order.
+    Let C be the first chain whose membership LP (junta.chain_lp) is
+    feasible, and u its witness.  u realizes the sets
+    R_i(u) = {x : u.x >= tau_i}; they contain the S_i and form a nested
+    chain of upward-closed realizable sets, which is enumerated and
+    feasible (u satisfies it), and u's value is R(u)'s value.  That is at
+    least C's value, and not more, or R(u) would have been visited before
+    C.  The optimum's own chain is enumerated and feasible too, so its
+    value, the optimum, is at most C's.  So u is optimal, with C's value.
+    Ties go to the first chain in that order, with the LP's vertex as the
+    witness.
 
     Before its LP, a chain is skipped when some level has tau_i > 0, S_i
     non-empty and tau_i > W v(S_i), with v the cached junta.set_margin:
@@ -213,8 +207,9 @@ def find_best_head(
     theta = to_fraction(theta)
     if W < 0:
         raise InputError("negative head budget")
-    values, counts, m = _compress_points(points)
-    taus = [theta - t for t in values]
+    dist = points if isinstance(points, EmpiricalDist) else EmpiricalDist.from_points(points)
+    counts, m = dist.counts, dist.m
+    taus = [theta - t for t in dist.values]
     k = len(head_probs)
     if not k:  # the one point of {0,1}^0 reaches tau_i exactly when tau_i <= 0
         hits = sum(cnt for tau, cnt in zip(taus, counts) if tau <= 0)
@@ -223,8 +218,7 @@ def find_best_head(
 
     nums, D = outcome_numerators(head_probs)
     chains = _nested_chains(k, len(taus), max_patterns)
-    masks = set().union(*chains)
-    set_num = dict(zip(masks, set_numerators(nums, masks)))
+    set_num = dict(zip(upward_family(k)[0], family_numerators(nums, k).tolist()))
     scores = [sum(cnt * set_num[mask] for cnt, mask in zip(counts, chain)) for chain in chains]
 
     def margin_allows(mask, tau) -> bool:
@@ -251,9 +245,15 @@ def find_best_head(
 def _nested_chains(k: int, r: int, max_patterns: int) -> list[tuple[int, ...]]:
     """Every chain S_1 <= ... <= S_r of upward-closed realizable masks over
     {0,1}^k, in lexicographic mask order; GuardError if there are more
-    than ``max_patterns``."""
-    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
-    supersets = {a: [b for b in masks if a & ~b == 0] for a in masks}
+    than ``max_patterns``.  Superset lists come from the test a & ~b == 0
+    on blocks of rows a, each (rows, len(masks)) within BLOCK_BYTES."""
+    masks, array, _ = upward_family(k)
+    supersets = {}
+    step = max(1, BLOCK_BYTES // (8 * len(masks)))
+    for start in range(0, len(masks), step):
+        hits = (array[start:start + step, None] & ~array) == 0
+        for a, row in zip(masks[start:start + step], hits):
+            supersets[a] = array[row].tolist()
     ways = dict.fromkeys(masks, 1)  # chains of the remaining length starting at a
     for _ in range(r - 1):
         ways = {a: sum(ways[b] for b in supersets[a]) for a in masks}

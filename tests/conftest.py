@@ -9,7 +9,8 @@ the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
 the LP junta scan solves one feasibility LP per event set, and the
 exhaustive best-head search certifies every nested chain by its LP and
-scores every witness by Fraction event probabilities, and the Fraction
+scores every witness by Fraction event probabilities, the set sums and
+nested chains loop over masks one at a time, and the Fraction
 simplex pivots on rationals with no rescaling.  They
 exist so that every optimized routine is checked against an implementation
 too simple to share its bugs.
@@ -329,6 +330,34 @@ def mask_probability(point_probs, mask: int) -> Fraction:
     return sum(
         (pr for x, pr in enumerate(point_probs) if (mask >> x) & 1), Fraction(0)
     )
+
+
+def set_numerators(nums, masks) -> list[int]:
+    """The sum of the point numerators over each mask's set bits.
+
+    ``nums`` becomes one table of 256 partial sums per byte of a mask
+    (the sum over every subset of those eight points, each built from a
+    smaller subset's), so a mask costs one lookup per byte."""
+    masks = list(masks)
+    scores = [0] * len(masks)
+    for base in range(0, len(nums), 8):
+        chunk = nums[base : base + 8]
+        table = [0]
+        for v in range(1, 1 << len(chunk)):
+            low = v & -v
+            table.append(table[v ^ low] + chunk[low.bit_length() - 1])
+        scores = [s + table[(m >> base) & 255] for s, m in zip(scores, masks)]
+    return scores
+
+
+def nested_chains(k: int, r: int) -> list[tuple[int, ...]]:
+    """Every chain S_1 <= ... <= S_r of upward-closed realizable masks over
+    {0,1}^k in lexicographic mask order, by a pairwise superset test."""
+    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+    chains = [(a,) for a in masks]
+    for _ in range(r - 1):
+        chains = [ch + (b,) for ch in chains for b in masks if ch[-1] & ~b == 0]
+    return chains
 
 
 def exhaustive_best_head(head_probs, points, W, theta) -> tuple[Fraction, tuple]:

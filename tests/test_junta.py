@@ -7,21 +7,25 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storalloc
+from storalloc import evaluate, junta
 from storalloc.baselines import brute_force_optimum
 from storalloc.errors import InputError
 from storalloc.halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
 from storalloc.junta import (
     JuntaRequest,
+    _scan_order,
     chain_lp,
+    family_numerators,
     find_optimal_junta,
     outcome_numerators,
     set_margin,
-    set_numerators,
+    upward_family,
 )
 from storalloc.lp import lp_solve
 
@@ -32,6 +36,7 @@ from conftest import (
     mask_probability,
     naive_objective,
     outcome_probabilities,
+    set_numerators,
 )
 
 
@@ -187,15 +192,54 @@ def test_margin_decides_feasibility(rng):
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_integer_numerators_match_fraction_sums(k, data):
-    # P(S) = set_numerators / D for every upward-closed S, at arbitrary
+    # P(S) = family_numerators / D for every upward-closed S, at arbitrary
     # (large) denominators; D is the product of the p_j's denominators.
     probs = data.draw(st.lists(st.fractions(min_value=0, max_value=1), min_size=k, max_size=k))
     nums, D = outcome_numerators(probs)
     assert D == math.prod(p.denominator for p in probs) and sum(nums) == D
     point_probs = outcome_probabilities(probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
-    for mask, num in zip(masks, set_numerators(nums, masks), strict=True):
+    masks = upward_family(k)[0]
+    for mask, num in zip(masks, family_numerators(nums, k).tolist(), strict=True):
         assert F(num, D) == mask_probability(point_probs, mask)
+
+
+_head_prob = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=4),  # ties in P(S)
+    st.fractions(min_value=0, max_value=1),
+)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_scan_order_matches_sorted_reference(k, data):
+    probs = tuple(sorted(data.draw(st.lists(_head_prob, min_size=k, max_size=k)), reverse=True))
+    nums, D = outcome_numerators(probs)
+    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True) if s.mask]
+    expected = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
+    assert _scan_order.__wrapped__(probs) == (D, tuple(expected))
+
+
+@pytest.mark.parametrize(
+    "probs, dtype",
+    [
+        ((F(2, 3), F(1, 2**62 + 1)), object),  # D = 3 (2^62 + 1) > 2^63 - 1
+        ((F(2, 3), F(1, 2**61)), np.int64),  # D = 3 2^61 fits
+    ],
+)
+def test_scan_order_dtype_follows_the_common_denominator(monkeypatch, probs, dtype):
+    seen = []
+
+    def spy(columns):
+        seen.append(columns.dtype)
+        return evaluate._byte_tables(columns)
+
+    monkeypatch.setattr(junta, "_byte_tables", spy)
+    nums, D = outcome_numerators(probs)
+    masks = [s.mask for s in enumerate_halfspace_sets(2, monotone=True) if s.mask]
+    expected = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
+    assert _scan_order.__wrapped__(probs) == (D, tuple(expected))
+    assert seen == [np.dtype(dtype)]
 
 
 @pytest.mark.parametrize(

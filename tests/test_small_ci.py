@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from storalloc import small_ci
 from storalloc.core import SolverConfig
 from storalloc.errors import GuardError, InputError
+from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.lemmas import is_regular
 from storalloc.small_ci import (
     case3_kappa,
@@ -27,6 +28,7 @@ from conftest import (
     grid_best_head_value,
     head_value,
     literal_best_head_value,
+    nested_chains,
 )
 
 
@@ -240,6 +242,20 @@ class TestFindBestHead:
             assert (err.value.estimate, err.value.limit) == (count, count - 1)
             r = find_best_head((F(3, 5),), pts, F(1), F(1, 2), max_patterns=count)
             assert r.patterns_examined == count
+
+    @pytest.mark.parametrize("k, r", [(k, r) for k in range(1, 5) for r in (1, 2, 3)] + [(5, 1)])
+    def test_chains_match_pairwise_construction(self, monkeypatch, k, r):
+        expected = nested_chains(k, r)
+        assert small_ci._nested_chains(k, r, 10**9) == expected
+        monkeypatch.setattr(small_ci, "BLOCK_BYTES", 64)  # a few rows per block
+        assert small_ci._nested_chains(k, r, 10**9) == expected
+
+    def test_two_level_chain_count_at_k5(self):
+        # every subset pair of the k = 5 family, by one pairwise test each
+        masks = [s.mask for s in enumerate_halfspace_sets(5, monotone=True)]
+        with pytest.raises(GuardError) as err:
+            small_ci._nested_chains(5, 2, 0)
+        assert err.value.estimate == sum(1 for a in masks for b in masks if a & ~b == 0)
 
     def test_empty_head(self):
         # k = 0: no head coordinates, only the tail points can reach theta

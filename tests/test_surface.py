@@ -64,6 +64,38 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
     assert proc.stdout.split() == ["False", "False"]
 
 
+# Calls into every numpy-backed layer: selection and the junta in a solve,
+# the n = 5 oracle, the full k = 5 family, sampling and tail sampling.
+_NUMPY_MA_SCRIPT = """
+import sys
+from fractions import Fraction as F
+import storalloc
+from storalloc.evaluate import mc_estimate_probs, sample_tail_empirical
+from storalloc.halfspaces import enumerate_halfspace_sets
+
+cfg = storalloc.SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=3)
+storalloc.solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, 0.25, 0.05, cfg)
+pre = storalloc.preprocess([0.55, 0.62, 0.41, 0.33, 0.7], 0.5, 0.25, 0.05)
+storalloc.brute_force_optimum(pre.instance, allow_grid_n5=True)
+enumerate_halfspace_sets(5)
+mc_estimate_probs([F(1, 2), F(2, 3), F(3, 5)], [F(1, 3)] * 3, F(1, 2), 1000, 0)
+sample_tail_empirical(pre.instance, [F(1, 8), F(1, 4)], 1000, 0)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_library_calls_do_not_import_numpy_ma():
+    # plain np.unique(x) imports numpy.ma on first use, 9-12 ms
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_report_config_echoes_every_solver_config_field():
     cfg = storalloc.SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2)
     config = storalloc.solve([0.62, 0.45, 0.31], 0.5, 0.25, 0.05, cfg).to_dict()["config"]
