@@ -5,8 +5,7 @@ where X is a product of Bernoulli node-survival indicators.  The root
 exports the solve and oracle API: the case-split approximation pipeline,
 preprocessing, exact and Monte-Carlo evaluation, the exact brute-force
 optimizer for tiny instances, and the baselines.  The case solvers and
-their building blocks live in the submodules; the checkers for the
-paper's structural lemmas live in ``storalloc.lemmas``.
+their building blocks live in the submodules.
 """
 
 __version__ = "0.1.0"

@@ -42,9 +42,10 @@ class SolverConfig:
 
     mode="theory" uses the paper-faithful L and kappa formulas (astronomical
     for all but degenerate-tiny instances); mode="practical" allows capping L
-    and overriding kappa.  state_space_limit bounds the tail DPs' states.
-    A report's "config" echoes every field in declaration order, so a knob
-    is defined here alone.
+    and overriding kappa.  state_space_limit caps each tail DP's state bound,
+    checked before any state: large_ci.tail_state_bound for Case 2, a cell
+    estimate for Case 3.  A report's "config" echoes every field in
+    declaration order, so a knob is defined here alone.
     """
 
     mode: str = "theory"

@@ -50,7 +50,6 @@ class PoolMember:
     weights: tuple[Fraction, ...]  # sorted-instance order, full length
     provenance: str  # "junta" | "smallCI(K)" | "largeCI" | "trivial"
     rank: int  # provenance order for tie-breaking
-    estimate: Optional[ObjectiveEstimate] = None
 
 
 @dataclass

@@ -7,15 +7,34 @@ sharply concentrated, so only three integer statistics of the tail matter:
     B = sum w_i p_i / (kappa eps/4n) (mean, integral by granularity A2)
     C = sum w_i / kappa              (weight spent)
 
-A reachability DP over tail slots lists every achievable (A,B,C) with one
-witness tail each.  A triple T asks the junta solver to complete the head
-against the shifted threshold and budget
+A triple T asks the junta solver to complete the head against the
+shifted threshold and budget
 
     tau_T = theta - mu + s,  mu = B kappa (eps/4n),  s = kappa sqrt(ln(200/eps) A)
     W_T   = 1 - C kappa.
 
 If the optimum really is of this type, one of the assembled candidates is
 within eps/2 of it.
+
+A DP over the tail slots keeps, per reached (A, C), the largest B and one
+witness tail, stored inline as (slot, j) pairs.  The kept triples give the
+same front, with the same witnesses, as every reachable triple would:
+
+  * a step spending j units on slot t adds (j^2, j m_t, j) to any state,
+    so the largest B at an (A, C) stays largest after any common extension;
+  * at a fixed (A, C), tau falls as B rises and W depends on C alone, so a
+    smaller-B triple is strictly dominated (below) and never on the front;
+  * every predecessor of a kept triple was kept at its slot, and the
+    predecessors of one triple at one slot differ in A.  Each slot visits
+    the kept states in (A, C) order, j ascending, and replaces a state
+    only on a strictly larger B, so each witness is the first path the
+    full reachability DP (sorted (A,B,C) snapshots) finds.
+
+With J = floor(1/kappa) and C >= 1 units spent, C <= A <= C^2, so at most
+1 + sum_{C=1}^{J} (C^2 - C + 1) = (J^3 + 2J + 3)/3 states exist, and at
+most (J+1)^(n-L) granular tails.  tail_state_bound is the smaller one; the
+DP refuses before any state when it exceeds the state-space limit, and
+otherwise takes states x (n - L) x J steps.
 
 Only the (tau, W) dominance front is completed.  Head and tail are
 independent and Hoeffding gives Pr[tail < mu - s] <= (eps/200)^2, so T's
@@ -66,16 +85,6 @@ def theory_kappa_case2(n: int, L: int) -> Fraction:
     return Fraction(1, n * n * (half_power_ceil(L + 2, L + 2) + 1))
 
 
-def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstance) -> int:
-    """Cheap upper bound on DP cells: min(granular tails, conceivable triples)."""
-    jmax = int(1 / kappa)
-    tails = (jmax + 1) ** n_slots
-    a_max = jmax * jmax
-    c_max = jmax
-    b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
-    return min(tails, (a_max + 1) * (b_max + 1) * (c_max + 1))
-
-
 def case2_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Fraction:
     """Tail granularity for Case 2; practical mode may override it."""
     if config.mode == "practical" and config.kappa_override is not None:
@@ -83,65 +92,11 @@ def case2_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Frac
     return theory_kappa_case2(instance.n, L)
 
 
-def _tail_dp(
-    probs: tuple[Fraction, ...],
-    start_slot: int,
-    kappa: Fraction,
-    instance: ProblemInstance,
-    config: SolverConfig,
-    extend,
-    zero_state,
-):
-    """Layered reachability over slots start_slot..n (1-based).
-
-    ``extend(state, j, m_t)`` returns the successor after spending j kappa
-    units on slot t with granular probability multiplier m_t.  States map
-    to (slot, predecessor, j) for witness reconstruction; determinism comes
-    from sorted snapshots and ascending j.  Refuses with the state-space
-    estimate, before any work, when it exceeds config.state_space_limit.
-    """
-    estimate = _state_space_estimate(instance.n - start_slot + 1, kappa, instance)
-    if estimate > config.state_space_limit:
-        raise GuardError(
-            f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}); "
-            f"use practical mode with a coarser --kappa or raise --state-space-limit",
-            estimate=estimate,
-            limit=config.state_space_limit,
-        )
-    grid = instance.grid
-    jmax = int(1 / kappa)
-    states: dict = {zero_state: (None, None, 0)}
-    for t in range(start_slot, instance.n + 1):
-        m_t = probs[t - 1] / grid
-        if m_t.denominator != 1:
-            raise InputError("probabilities are not eps/(4n)-granular (A2)")
-        m_t = int(m_t)
-        snapshot = sorted(states)
-        for state in snapshot:
-            budget_used = state[2]  # C component, third slot by convention
-            for j in range(1, jmax - budget_used + 1):
-                nxt = extend(state, j, m_t)
-                if nxt not in states:
-                    states[nxt] = (t, state, j)
-                    if len(states) > config.state_space_limit:
-                        raise GuardError(
-                            f"tail DP exceeded {config.state_space_limit} states",
-                            estimate=len(states),
-                            limit=config.state_space_limit,
-                        )
-    return states
-
-
-def _witness(states: dict, state, start_slot: int, n: int, kappa: Fraction) -> tuple[Fraction, ...]:
-    tail = [Fraction(0)] * (n - start_slot + 1)
-    cur = state
-    while True:
-        t, prev, j = states[cur]
-        if t is None:
-            break
-        tail[t - start_slot] = j * kappa
-        cur = prev
-    return tuple(tail)
+def tail_state_bound(n_slots: int, kappa: Fraction) -> int:
+    """States the tail DP can hold, min((J+1)^n_slots, (J^3 + 2J + 3)/3)
+    with J = floor(1/kappa): granular tails, and (A, C) pairs (module docstring)."""
+    J = int(1 / kappa)
+    return min((J + 1) ** n_slots, (J**3 + 2 * J + 3) // 3)
 
 
 def construct_achievable_tails(
@@ -150,9 +105,12 @@ def construct_achievable_tails(
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
 ) -> list[TailTriple]:
-    """Every achievable (A,B,C) triple over slots L+1..n, with one witness.
+    """One triple per reached (A, C) over slots L+1..n, with the largest B
+    and one witness, in (A,B,C) order (module docstring).
 
-    L = n yields exactly the zero-tail triple (0,0,0).
+    Refuses with tail_state_bound, before any state, when it exceeds
+    config.state_space_limit.  L = n yields exactly the zero-tail triple
+    (0,0,0).
     """
     config = config or SolverConfig()
     kappa = to_fraction(kappa)
@@ -160,24 +118,32 @@ def construct_achievable_tails(
         raise InputError("kappa must lie in (0,1]")
     if not 0 <= L <= instance.n:
         raise InputError(f"L={L} outside [0, n]")
-
-    def extend(state, j, m_t):
-        a, b, c = state
-        return (a + j * j, b + j * m_t, c + j)
-
-    states = _tail_dp(instance.probs, L + 1, kappa, instance, config, extend, (0, 0, 0))
-    out = []
-    for state in sorted(states):
-        a, b, c = state
-        out.append(
-            TailTriple(
-                A=a,
-                B=b,
-                C=c,
-                kappa=kappa,
-                witness=_witness(states, state, L + 1, instance.n, kappa),
-            )
+    estimate = tail_state_bound(instance.n - L, kappa)
+    if estimate > config.state_space_limit:
+        raise GuardError(
+            f"tail DP may hold {estimate} states (limit {config.state_space_limit}); "
+            f"use practical mode with a coarser --kappa or raise --state-space-limit",
+            estimate=estimate,
+            limit=config.state_space_limit,
         )
+    jmax = int(1 / kappa)
+    states = {(0, 0): (0, ())}  # (A, C) -> (largest B, ((slot, j), ...))
+    for t in range(L + 1, instance.n + 1):
+        m_t = instance.probs[t - 1] / instance.grid
+        if m_t.denominator != 1:
+            raise InputError("probabilities are not eps/(4n)-granular (A2)")
+        m_t = int(m_t)
+        for (a, c), (b, path) in sorted(states.items()):
+            for j in range(1, jmax - c + 1):
+                key, b_next = (a + j * j, c + j), b + j * m_t
+                if key not in states or states[key][0] < b_next:
+                    states[key] = (b_next, path + ((t, j),))
+    out = []
+    for a, b, c, path in sorted((a, b, c, path) for (a, c), (b, path) in states.items()):
+        tail = [Fraction(0)] * (instance.n - L)
+        for t, j in path:
+            tail[t - L - 1] = j * kappa
+        out.append(TailTriple(A=a, B=b, C=c, kappa=kappa, witness=tuple(tail)))
     return out
 
 
@@ -241,7 +207,7 @@ def front_candidates(
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
 ) -> list[LargeCICandidate]:
-    """The DP path: every achievable triple, then one candidate per front triple."""
+    """The DP path: the kept triples, then one candidate per front triple."""
     triples = construct_achievable_tails(instance, L, kappa, config)
     ln_bound = ln_upper(Fraction(200) / instance.epsilon)
     taus = [shifted_threshold(instance, t, ln_bound) for t in triples]

@@ -51,7 +51,6 @@ from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import BLOCK_BYTES, EmpiricalDist, sample_tail_empirical
 from .junta import chain_lp, family_numerators, outcome_numerators, set_margin, upward_family
-from .large_ci import _tail_dp, _witness
 from .lp import lp_solve
 from .util import derive_seed, half_power_ceil, to_fraction
 
@@ -80,6 +79,64 @@ def case3_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Frac
     if config.mode == "practical" and config.kappa_override is not None:
         return config.kappa_override
     return theory_kappa_case3(instance.n, L, instance.epsilon, instance.gamma)
+
+
+def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstance) -> int:
+    """Cheap upper bound on DP cells: min(granular tails, conceivable triples)."""
+    jmax = int(1 / kappa)
+    b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
+    return min((jmax + 1) ** n_slots, (jmax * jmax + 1) * (b_max + 1) * (jmax + 1))
+
+
+def _tail_dp(instance: ProblemInstance, K: int, kappa: Fraction, config: SolverConfig) -> dict:
+    """Layered reachability of the quintuples (A,B,C,D,E) over slots K..n.
+
+    States map to (slot, predecessor, j) for witness reconstruction;
+    determinism comes from sorted snapshots and ascending j.  Refuses with
+    the state-space estimate, before any work, when it exceeds
+    config.state_space_limit.
+    """
+    estimate = _state_space_estimate(instance.n - K + 1, kappa, instance)
+    if estimate > config.state_space_limit:
+        raise GuardError(
+            f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}); "
+            f"use practical mode with a coarser --kappa or raise --state-space-limit",
+            estimate=estimate,
+            limit=config.state_space_limit,
+        )
+    inv_grid = 1 / instance.grid  # = 4n/eps
+    jmax = int(1 / kappa)
+    states: dict = {(0, Fraction(0), 0, 0, 0): (None, None, 0)}
+    for t in range(K, instance.n + 1):
+        m_t = instance.probs[t - 1] / instance.grid
+        if m_t.denominator != 1:
+            raise InputError("probabilities are not eps/(4n)-granular (A2)")
+        m_t = int(m_t)
+        for state in sorted(states):
+            a, b, c, d, e = state
+            for j in range(1, jmax - c + 1):
+                nxt = (a + j * m_t, b + j * j * m_t * (inv_grid - m_t), c + j, d + j * j, max(e, j))
+                if nxt not in states:
+                    states[nxt] = (t, state, j)
+                    if len(states) > config.state_space_limit:
+                        raise GuardError(
+                            f"tail DP exceeded {config.state_space_limit} states",
+                            estimate=len(states),
+                            limit=config.state_space_limit,
+                        )
+    return states
+
+
+def _witness(states: dict, state, start_slot: int, n: int, kappa: Fraction) -> tuple[Fraction, ...]:
+    tail = [Fraction(0)] * (n - start_slot + 1)
+    cur = state
+    while True:
+        t, prev, j = states[cur]
+        if t is None:
+            break
+        tail[t - start_slot] = j * kappa
+        cur = prev
+    return tuple(tail)
 
 
 def construct_achievable_regular_tails(
@@ -112,45 +169,18 @@ def construct_achievable_regular_tails(
     if eps_prime * eps_prime * min(math.floor(1 / kappa), instance.n - K + 1) < 1:
         return []
 
-    inv_grid = 1 / instance.grid  # = 4n/eps
-
-    def extend(state, j, m_t):
-        a, b, c, d, e = state
-        return (
-            a + j * m_t,
-            b + j * j * m_t * (inv_grid - m_t),
-            c + j,
-            d + j * j,
-            max(e, j),
-        )
-
-    zero = (0, Fraction(0), 0, 0, 0)
-    states = _tail_dp(instance.probs, K, kappa, instance, config, extend, zero)
+    states = _tail_dp(instance, K, kappa, config)
 
     eps_sq = eps_prime * eps_prime
     chosen: dict[tuple, tuple] = {}
     for state in sorted(states):
         a, b, c, d, e = state
-        if d == 0 or e * e > eps_sq * d:
-            continue
-        key = (a, b, c)
-        if key not in chosen:
-            chosen[key] = state
-    out = []
-    for key in sorted(chosen):
-        a, b, c, d, e = chosen[key]
-        out.append(
-            RegularTailQuintuple(
-                A=a,
-                B=b,
-                C=c,
-                D=d,
-                E=e,
-                kappa=kappa,
-                witness=_witness(states, chosen[key], K, instance.n, kappa),
-            )
-        )
-    return out
+        if d and e * e <= eps_sq * d:
+            chosen.setdefault((a, b, c), state)
+    return [
+        RegularTailQuintuple(*chosen[key], kappa=kappa, witness=_witness(states, chosen[key], K, instance.n, kappa))
+        for key in sorted(chosen)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +275,13 @@ def find_best_head(
 def _nested_chains(k: int, r: int, max_patterns: int) -> list[tuple[int, ...]]:
     """Every chain S_1 <= ... <= S_r of upward-closed realizable masks over
     {0,1}^k, in lexicographic mask order; GuardError if there are more
-    than ``max_patterns``.  Superset lists come from the test a & ~b == 0
-    on blocks of rows a, each (rows, len(masks)) within BLOCK_BYTES."""
+    than ``max_patterns``.  Superset lists, built only when r > 1, come from
+    the test a & ~b == 0 on blocks of rows a, each (rows, len(masks))
+    within BLOCK_BYTES."""
     masks, array, _ = upward_family(k)
     supersets = {}
     step = max(1, BLOCK_BYTES // (8 * len(masks)))
-    for start in range(0, len(masks), step):
+    for start in range(0, len(masks) if r > 1 else 0, step):
         hits = (array[start:start + step, None] & ~array) == 0
         for a, row in zip(masks[start:start + step], hits):
             supersets[a] = array[row].tolist()

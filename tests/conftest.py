@@ -7,7 +7,8 @@ oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
-the LP junta scan solves one feasibility LP per event set, and the
+the LP junta scan solves one feasibility LP per event set, the Case-2
+tail reference keeps every reachable triple, and the
 exhaustive best-head search certifies every nested chain by its LP and
 scores every witness by Fraction event probabilities, the set sums and
 nested chains loop over masks one at a time, and the Fraction
@@ -36,6 +37,7 @@ from storalloc.core import ProblemInstance
 from storalloc.evaluate import SAMPLE_CHUNK
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import chain_lp
+from storalloc.large_ci import TailTriple
 from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains
 from storalloc.util import derived_rng
@@ -167,6 +169,38 @@ def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction
         delta=delta,
         permutation=tuple(range(n)),
     )
+
+
+def full_tail_triples(instance: ProblemInstance, L: int, kappa: Fraction) -> list[TailTriple]:
+    """Every reachable (A,B,C) tail triple over slots L+1..n, in (A,B,C)
+    order, each with the first path a layered DP over sorted (A,B,C)
+    snapshots, j ascending, finds.  large_ci.construct_achievable_tails
+    keeps only the largest B per (A, C) of these."""
+    jmax = int(1 / kappa)
+    states: dict = {(0, 0, 0): None}  # triple -> (slot, predecessor, j)
+    for t in range(L + 1, instance.n + 1):
+        m_t = int(instance.probs[t - 1] / instance.grid)
+        for state in sorted(states):
+            a, b, c = state
+            for j in range(1, jmax - c + 1):
+                states.setdefault((a + j * j, b + j * m_t, c + j), (t, state, j))
+    out = []
+    for state in sorted(states):
+        tail = [Fraction(0)] * (instance.n - L)
+        cur = state
+        while states[cur] is not None:
+            t, cur, j = states[cur]
+            tail[t - L - 1] = j * kappa
+        out.append(TailTriple(*state, kappa=kappa, witness=tuple(tail)))
+    return out
+
+
+def max_b_keys(triples) -> set:
+    """The (A, B, C) triples whose B is the largest at their (A, C)."""
+    best: dict = {}
+    for a, b, c in triples:
+        best[a, c] = max(b, best.get((a, c), b))
+    return {(a, b, c) for (a, c), b in best.items()}
 
 
 def grid_weights(dims: int, budget: Fraction, step: Fraction):

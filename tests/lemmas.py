@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import GuardError, InputError
-from .lp import LinearProgram, lp_solve
-from .util import to_fraction
+from storalloc.errors import GuardError, InputError
+from storalloc.lp import LinearProgram, lp_solve
+from storalloc.util import to_fraction
 
 INFINITE_INDEX = math.inf
 

@@ -26,17 +26,19 @@ from storalloc.evaluate import (
 from storalloc.formats import save_instance
 from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.large_ci import construct_achievable_tails
-from storalloc.lemmas import canonicalize_tail, is_regular
 from storalloc.small_ci import construct_achievable_regular_tails, find_best_head
 
 from conftest import (
     child_env,
+    full_tail_triples,
     granular_instance,
     grid_best_head_value,
     literal_best_head_value,
     lp_threshold_masks,
+    max_b_keys,
     with_one_retry,
 )
+from lemmas import canonicalize_tail, is_regular
 from test_large_ci import brute_force_triples
 from test_lp import event_members, random_sorted_unit_weights
 from test_small_ci import brute_force_quintuples
@@ -97,7 +99,8 @@ def test_criterion_3_dp_equivalence():
         # case-2 triples
         triples = construct_achievable_tails(inst, L, kappa)
         brute = brute_force_triples(inst.probs[L:], kappa, inst.grid)
-        assert {(t.A, t.B, t.C) for t in triples} == set(brute)
+        assert {(t.A, t.B, t.C) for t in triples} == max_b_keys(brute)
+        assert {(t.A, t.B, t.C) for t in full_tail_triples(inst, L, kappa)} == set(brute)
         for t in triples:
             assert sum((w / kappa) ** 2 for w in t.witness) == t.A
             assert sum(w / kappa for w in t.witness) == t.C

@@ -220,12 +220,12 @@ class TestCommands:
         assert run_cli(["solve", missing]) == 2
 
     def test_exit_code_guard(self, tmp_path, capsys):
-        # n=20 at p=0.72: 16 tail slots hold enough p^2 that Case 2 runs its
-        # tail DP at kappa 1/16, whose estimate is 22378018 cells
+        # n=20 at p=0.72: 18 tail slots hold enough p^2 that Case 2 runs its
+        # tail DP at kappa 1/400, whose bound is (400^3 + 800 + 3)/3 states
         inst = tmp_path / "wide.json"
         save_instance(inst, [0.72] * 20, 0.5, 0.25, 0.05)
         code = run_cli(
-            ["solve", inst, "--mode", "practical", "--kappa", "1/16", "--l-cap", "2"]
+            ["solve", inst, "--mode", "practical", "--kappa", "1/400", "--l-cap", "2"]
         )
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
@@ -233,7 +233,7 @@ class TestCommands:
         guard = json.loads(lines[1])
         assert guard["guard"] == lines[0][len("guard: "):]
         assert isinstance(guard["estimate"], int) and isinstance(guard["limit"], int)
-        assert guard["estimate"] == 22_378_018 > guard["limit"] == 5_000_000
+        assert guard["estimate"] == 21_333_601 > guard["limit"] == 5_000_000
 
     @pytest.mark.parametrize("mode_args", [["--mode", "theory"], ["--mode", "practical", "--kappa", "1/8"]])
     def test_exit_code_head_cutoff_guard(self, tmp_path, capsys, mode_args):

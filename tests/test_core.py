@@ -18,9 +18,9 @@ from storalloc.core import (
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
-from storalloc.lemmas import critical_index, is_regular
 
 from conftest import granular_instance
+from lemmas import critical_index, is_regular
 
 
 class TestPreprocess:

@@ -86,12 +86,12 @@ class TestSolve:
         assert exact_objective_probs(inst.probs, w_sorted, inst.theta) == rep.exact_objective
 
     def test_guard_propagates_with_context(self):
-        # n=20 at p=0.72: Case 2 fails its closed-form skip at kappa 1/16
-        # and its tail DP would need 22378018 cells
-        cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
+        # n=20 at p=0.72: Case 2 fails its closed-form skip at kappa 1/400
+        # and its tail DP's bound is (400^3 + 800 + 3)/3 states
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 400), L_cap=2)
         with pytest.raises(GuardError) as err:
             solve([0.72] * 20, 0.5, 0.25, 0.05, cfg)
-        assert err.value.estimate == 22_378_018 > err.value.limit == cfg.state_space_limit
+        assert err.value.estimate == 21_333_601 > err.value.limit == cfg.state_space_limit
 
     def test_head_cutoff_guard_precedes_the_cases(self):
         # L = n = 6 exceeds the largest enumerable head in theory mode and in
@@ -100,6 +100,17 @@ class TestSolve:
             with pytest.raises(GuardError) as err:
                 solve([0.62, 0.45, 0.31, 0.58, 0.5, 0.4], 0.5, 0.25, 0.05, cfg)
             assert (err.value.estimate, err.value.limit) == (6, MAX_K)
+
+    @pytest.mark.parametrize("denom, value", [(12, 0.9345), (16, 0.9689)])
+    def test_case2_dp_wins_at_the_default_limit(self, denom, value):
+        # n=32, p ~ U(0.6, 0.85): Case 2 fails its skip at kappa 1/12 and 1/16,
+        # and its DP's bounds, 585 and 1377 states, fit the default limit
+        rng = random.Random("q-32-0.6")
+        p_raw = [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, denom), L_cap=2)
+        rep = solve(p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
+        assert rep.provenance == "largeCI"
+        assert round(float(rep.exact_objective), 4) == value
 
     @pytest.mark.parametrize("n, kappa", [(67, F(1, 8)), (128, F(1, 8)), (64, F(1, 9)), (8, F(1, 16))])
     def test_wide_solves_run_no_tail_dp(self, n, kappa):

@@ -1,11 +1,14 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storalloc import large_ci
 from storalloc.core import ProblemInstance, SolverConfig, preprocess
+from storalloc.driver import solve
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.junta import JuntaRequest, find_optimal_junta
@@ -16,12 +19,13 @@ from storalloc.large_ci import (
     find_near_opt_large_ci,
     front_candidates,
     shifted_threshold,
+    tail_state_bound,
     theory_kappa_case2,
     zero_tail_dominates,
 )
 from storalloc.util import ln_upper, sqrt_upper
 
-from conftest import granular_instance
+from conftest import full_tail_triples, granular_instance, max_b_keys
 
 
 def brute_force_triples(tail_probs, kappa, grid):
@@ -54,6 +58,15 @@ def brute_front(points):
     ]
 
 
+def reference_front(inst, L, kappa):
+    """front_candidates over every reachable triple (conftest.full_tail_triples)."""
+    def every_triple(inst, L, kappa, config):
+        return full_tail_triples(inst, L, kappa)
+
+    with mock.patch.object(large_ci, "construct_achievable_tails", every_triple):
+        return front_candidates(inst, L, kappa)
+
+
 def triple_points(inst, triples):
     ln_bound = ln_upper(F(200) / inst.epsilon)
     return [(shifted_threshold(inst, t, ln_bound), t.C) for t in triples]
@@ -78,8 +91,9 @@ class TestKappa:
         inst = granular_instance(rng, 8, F(1, 2), F(1, 4))
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 10**6))
         assert case2_kappa(inst, 2, cfg) == F(1, 10**6)
-        with pytest.raises(GuardError) as err:
-            construct_achievable_tails(inst, 2, F(1, 10**6), cfg)
+        with mock.patch.object(large_ci, "sorted", side_effect=AssertionError("the DP ran"), create=True):
+            with pytest.raises(GuardError) as err:
+                construct_achievable_tails(inst, 2, F(1, 10**6), cfg)
         assert err.value.estimate > err.value.limit == cfg.state_space_limit
 
 
@@ -107,7 +121,8 @@ class TestConstructAchievableTails:
                 L = 1
                 triples = construct_achievable_tails(inst, L, kappa)
                 brute = brute_force_triples(inst.probs[L:], kappa, inst.grid)
-                assert {(t.A, t.B, t.C) for t in triples} == set(brute)
+                assert {(t.A, t.B, t.C) for t in triples} == max_b_keys(brute)
+                assert {(t.A, t.B, t.C) for t in full_tail_triples(inst, L, kappa)} == set(brute)
 
     def test_witnesses_reproduce_triples(self, rng):
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
@@ -230,8 +245,45 @@ def test_skip_matches_dp_path(case):
     assert [c.triple for c in skipped] == [triples[0]]
 
 
+@st.composite
+def tied_case2_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    eps = draw(st.sampled_from([F(1, 4), F(1, 10), F(3, 10)]))
+    grid = eps / (4 * n)
+    top = int((1 - eps) / grid) - 1  # keeps p_1 < 1 - eps
+    # at most three distinct p's, so many paths reach one (A, B, C) or (A, C)
+    levels = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+    probs = tuple(sorted((grid * draw(st.sampled_from(levels)) for _ in range(n)), reverse=True))
+    inst = ProblemInstance(probs, F(draw(st.integers(1, 9)), 10), eps, F(1, 20), tuple(range(n)))
+    L = draw(st.integers(min_value=1, max_value=min(n - 1, 3)))  # heads the junta enumerates fast
+    kappa = F(1, draw(st.integers(min_value=1, max_value=9)))
+    return inst, L, kappa
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tied_case2_instances())
+def test_kept_triples_are_the_max_b_projection(case):
+    inst, L, kappa = case
+    full = full_tail_triples(inst, L, kappa)
+    kept = max_b_keys((t.A, t.B, t.C) for t in full)
+    triples = construct_achievable_tails(inst, L, kappa)
+    # the same triples, witnesses included, in the same order
+    assert triples == [t for t in full if (t.A, t.B, t.C) in kept]
+    assert len(triples) <= tail_state_bound(inst.n - L, kappa)
+    assert front_candidates(inst, L, kappa) == reference_front(inst, L, kappa)
+
+
+@pytest.mark.parametrize("n_slots", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("J", [1, 2, 3, 5, 8])
+def test_state_bound_is_the_count_of_tails_or_pairs(n_slots, J):
+    # (J+1)^n_slots granular tails, or the (A, C) pairs with C <= A <= C^2
+    pairs = 1 + sum(1 for C in range(1, J + 1) for A in range(C, C * C + 1))
+    assert tail_state_bound(n_slots, F(1, J)) == min((J + 1) ** n_slots, pairs)
+
+
 # n = 16, p about 0.72 and kappa = 1/14: the 14 tail slots hold enough
-# p^2 that the skip test fails, and 1 of the 11308 triples has tau < theta.
+# p^2 that the skip test fails, and 1 of the 11308 reachable triples has
+# tau < theta.
 NONTRIVIAL_FRONT = (
     (0.74, 0.73, 0.73, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.72, 0.71, 0.71, 0.71, 0.70, 0.70),
     2,
@@ -243,21 +295,36 @@ def test_nontrivial_front_pinned():
     probs, L, kappa = NONTRIVIAL_FRONT
     inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
     assert not zero_tail_dominates(inst, L, kappa)
-    # the DP's state-space estimate is 10596630 cells, over the default limit
+    # the guard's pin moved to kappa 1/400; here the DP fits the default limit
     with pytest.raises(GuardError) as err:
-        construct_achievable_tails(inst, L, kappa)
-    assert err.value.estimate == 10_596_630 > err.value.limit
-    cfg = SolverConfig(state_space_limit=err.value.estimate)
-    triples = construct_achievable_tails(inst, L, kappa, cfg)
-    points = triple_points(inst, triples)
-    assert len(triples) == 11308
+        construct_achievable_tails(inst, L, F(1, 400))
+    assert err.value.estimate == 21_333_601 > err.value.limit
+    triples = construct_achievable_tails(inst, L, kappa)
+    full = full_tail_triples(inst, L, kappa)
+    assert (len(triples), len(full), tail_state_bound(inst.n - L, kappa)) == (280, 11308, 925)
+    points = triple_points(inst, full)
     assert sum(tau < inst.theta for tau, _ in points) == 1
-    cands = find_near_opt_large_ci(inst, L, kappa, cfg)
+    cands = find_near_opt_large_ci(inst, L, kappa)
+    assert cands == reference_front(inst, L, kappa)
     assert [(c.triple.A, c.triple.B, c.triple.C) for c in cands] == [(0, 0, 0), (14, 2559, 14)]
     assert cands[1].shifted_threshold < inst.theta
     kept = [(c.shifted_threshold, c.triple.C) for c in cands]
     for tau, c in points:
         assert any(kt <= tau and kc <= c for kt, kc in kept)
+
+
+def test_wide_equal_p_instance_solves_at_the_default_limit():
+    # n = 20 at p = 0.72, kappa 1/16, L = 2: the skip fails, and the DP's
+    # bound is 1377 states (the old estimate, 22378018 cells, was refused)
+    inst = preprocess([0.72] * 20, 0.5, 0.25, 0.05).instance
+    assert not zero_tail_dominates(inst, 2, F(1, 16))
+    assert tail_state_bound(inst.n - 2, F(1, 16)) == 1377
+    cands = find_near_opt_large_ci(inst, 2, F(1, 16))
+    assert cands == reference_front(inst, 2, F(1, 16))
+    assert [c.triple.C for c in cands] == [0, 13, 14, 15, 16]
+    cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
+    rep = solve([0.72] * 20, 0.5, 0.25, 0.05, cfg)
+    assert (rep.provenance, rep.per_case_counts["largeCI"]) == ("largeCI", 5)
 
 
 def test_input_checks_precede_skip(rng):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storalloc.errors import InputError
-from storalloc.lemmas import CanonicalizeResult, canonicalize_tail
 from storalloc.lp import LinearProgram, lp_solve
 
 from conftest import fraction_lp_solve, naive_objective
+from lemmas import CanonicalizeResult, canonicalize_tail
 
 
 class TestSimplex:

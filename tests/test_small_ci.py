@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from storalloc import small_ci
 from storalloc.core import SolverConfig
 from storalloc.errors import GuardError, InputError
 from storalloc.halfspaces import enumerate_halfspace_sets
-from storalloc.lemmas import is_regular
+from storalloc.junta import upward_family
 from storalloc.small_ci import (
     case3_kappa,
     construct_achievable_regular_tails,
@@ -30,6 +31,7 @@ from conftest import (
     literal_best_head_value,
     nested_chains,
 )
+from lemmas import is_regular
 
 
 def brute_force_quintuples(tail_probs, kappa, grid):
@@ -249,6 +251,17 @@ class TestFindBestHead:
         assert small_ci._nested_chains(k, r, 10**9) == expected
         monkeypatch.setattr(small_ci, "BLOCK_BYTES", 64)  # a few rows per block
         assert small_ci._nested_chains(k, r, 10**9) == expected
+
+    def test_one_level_chains_build_no_superset_lists(self):
+        # the k = 5 superset lists hold about 1.8 million ints; r = 1 needs none
+        upward_family(5)
+        tracemalloc.start()
+        try:
+            chains = small_ci._nested_chains(5, 1, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chains) == len(upward_family(5)[0]) and peak < 5 * 2**20
 
     def test_two_level_chain_count_at_k5(self):
         # every subset pair of the k = 5 family, by one pairwise test each
