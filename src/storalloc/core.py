@@ -17,15 +17,17 @@ Degenerate thresholds (theta in {0,1}) and near-certain nodes
 (max p >= 1 - eps) short-circuit to closed-form solutions before any
 rounding happens.
 
-It also derives the quantities every case solver reads: gamma (the
-instance's distance from {0,1}) and the head-size cutoff L of Eq. (1).
+It also derives the quantities every case solver reads: the grid units
+p_i / (eps/(4n)) as ints (ProblemInstance.units, which the tail DPs and
+the Case-2 skip test read), gamma (the instance's distance from {0,1})
+and the head-size cutoff L of Eq. (1).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -90,6 +92,8 @@ class ProblemInstance:
     epsilon: Fraction
     delta: Fraction
     permutation: tuple[int, ...]
+    # probs[i] / grid, the integer grid units of A2, derived in __post_init__
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.probs)
@@ -99,12 +103,17 @@ class ProblemInstance:
             raise InputError("instance requires 0 < theta < 1")
         if not 0 < self.epsilon < 1 or not 0 < self.delta < 1:
             raise InputError("epsilon and delta must lie in (0,1)")
-        grid = self.grid
+        # p = a/b is k units of grid = gn/gd iff b gn divides a gd
+        gn, gd = self.epsilon.numerator, 4 * n * self.epsilon.denominator
+        units = []
         for i, p in enumerate(self.probs):
-            if p <= 0 or (p / grid).denominator != 1:
-                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={grid}")
-            if i and p > self.probs[i - 1]:
+            k, rem = divmod(p.numerator * gd, p.denominator * gn)
+            if k <= 0 or rem:
+                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={self.grid}")
+            if units and k > units[-1]:
                 raise InputError("probabilities must be sorted non-increasing (A1)")
+            units.append(k)
+        object.__setattr__(self, "units", tuple(units))
         if self.probs[0] >= 1 - self.epsilon:
             raise InputError("p_1 must be < 1 - eps (A2); preprocessing handles the shortcut")
         if sorted(self.permutation) != list(range(n)):
@@ -125,8 +134,8 @@ class ProblemInstance:
     def to_original_order(self, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a sorted-order weight vector back to the caller's index order."""
         out = [Fraction(0)] * self.n
-        for slot, w in enumerate(weights):
-            out[self.permutation[slot]] = Fraction(w)
+        for slot, w in zip(self.permutation, weights):
+            out[slot] = w
         return tuple(out)
 
 
@@ -151,10 +160,12 @@ class PreprocessResult:
 
 
 def round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
-    """Round down to the grid; values landing at 0 are clamped up one unit."""
-    k = p / grid
-    floored = k.numerator // k.denominator
-    return grid * max(floored, 1)
+    """Round down to the grid; values landing at 0 are clamped up one unit.
+
+    floor(p / grid) for p = a/b and grid = gn/gd is (a gd) // (b gn).
+    """
+    gn, gd = grid.numerator, grid.denominator
+    return Fraction(gn * max(p.numerator * gd // (p.denominator * gn), 1), gd)
 
 
 def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
@@ -178,11 +189,15 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
 
     probs = [to_fraction(p, limit_denominator=True) for p in p_raw]
     for i, p in enumerate(probs):
-        if not 0 <= p <= 1:
+        if not 0 <= p.numerator <= p.denominator:
             raise InputError(f"p[{i}]={p} outside [0,1]")
 
     n = len(probs)
-    best = max(range(n), key=lambda i: (probs[i], -i))
+    # A1: descending probability; reverse=True keeps the sort stable, so
+    # equal probabilities stay in index order, as with the key (-p, i),
+    # and order[0] is the first most probable node.
+    order = sorted(range(n), key=probs.__getitem__, reverse=True)
+    best = order[0]
 
     def unit(index: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1) if i == index else Fraction(0) for i in range(n))
@@ -199,8 +214,6 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
             shortcut=TrivialSolution(unit(best), probs[best], "high_prob_shortcut", True)
         )
 
-    # A1: stable sort, descending probability.
-    order = sorted(range(n), key=lambda i: (-probs[i], i))
     grid = epsilon / (4 * n)
     rounded = tuple(round_to_grid(probs[i], grid) for i in order)
     instance = ProblemInstance(

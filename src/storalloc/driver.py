@@ -128,13 +128,30 @@ def shared_mc_estimates(
     m: int,
     seed: int,
 ) -> list[ObjectiveEstimate]:
-    """Score every member on one shared sample set (exact classification)."""
-    hits = mc_hit_counts(instance.probs, [member.weights for member in members], instance.theta, m, seed)
-    return [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
+    """Score every member on one shared sample set (exact classification).
+
+    Each distinct weight vector is classified once; members with equal
+    weights share its estimate.  Distinct vectors are found by tuple
+    equality, as pools are a few members long.
+    """
+    distinct: list = []
+    slots = []
+    for member in members:
+        for slot, weights in enumerate(distinct):
+            if weights == member.weights:
+                break
+        else:
+            slot = len(distinct)
+            distinct.append(member.weights)
+        slots.append(slot)
+    hits = mc_hit_counts(instance.probs, distinct, instance.theta, m, seed)
+    estimates = [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
+    return [estimates[slot] for slot in slots]
 
 
 def _check_feasible(weights: Sequence[Fraction]):
-    if any(w < 0 for w in weights) or sum(weights, Fraction(0)) > 1:
+    nonzero = [w for w in weights if w]
+    if any(w < 0 for w in nonzero) or sum(nonzero, Fraction(0)) > 1:
         raise AssertionError(f"case solver produced an infeasible candidate: {weights}")
 
 
@@ -221,7 +238,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
 
     t0 = time.perf_counter()
     if L < n:
-        cands = find_near_opt_large_ci(instance, L, kappa2, config)
+        cands = find_near_opt_large_ci(instance, L, kappa2, config, junta=junta)
         counts["largeCI"] = len(cands)
         for cand in cands:
             pool.append(PoolMember(weights=cand.weights, provenance="largeCI", rank=L + 1))

@@ -64,7 +64,11 @@ COMBO_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class ObjectiveEstimate:
-    """Value of Obj(w), exact or sampled.  m=0 for the exact kind."""
+    """Value of Obj(w), exact or sampled.
+
+    A Monte-Carlo estimate has m >= 1 draws; an exact one has m = 0 and no
+    seed.
+    """
 
     value: Fraction
     kind: str  # "exact" | "monte_carlo"
@@ -74,7 +78,13 @@ class ObjectiveEstimate:
     def __post_init__(self):
         if not 0 <= self.value <= 1:
             raise InputError(f"objective value {self.value} outside [0,1]")
-        if self.kind not in ("exact", "monte_carlo"):
+        if self.kind == "monte_carlo":
+            if self.m < 1:
+                raise InputError(f"a monte_carlo estimate needs m >= 1 draws; got m={self.m}")
+        elif self.kind == "exact":
+            if self.m != 0 or self.seed is not None:
+                raise InputError(f"an exact estimate has m=0 and no seed; got m={self.m}, seed={self.seed}")
+        else:
             raise InputError(f"unknown estimate kind {self.kind!r}")
 
 

@@ -29,8 +29,10 @@ probability nums[x] / D, with D the product of the denominators of the
 p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S,
 taken for a whole family at once by the Monte-Carlo classifier's per-byte
 tables (``family_numerators``).  All sets share the one D, so one stable
-sort by -D P(S) over the ascending masks gives the (-P(S), mask) order,
-and only the returned set's value becomes a Fraction.
+sort by -D P(S) over the ascending masks gives the (-P(S), mask) order.
+The test tau <= W v(S) is cross-multiplied, tau_n W_d v_d <= W_n tau_d v_n
+with the first two products taken once per request, and only the
+returned set's value and witness become Fractions.
 
 The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
 sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
@@ -75,11 +77,12 @@ class JuntaRequest:
         object.__setattr__(self, "W", to_fraction(self.W))
         if not probs:
             raise InputError("empty head")
-        if any(not 0 < p < 1 for p in probs):
+        # on numerators: denominators are positive, a/b < c/d iff a d < c b
+        if any(not 0 < p.numerator < p.denominator for p in probs):
             raise InputError("head probabilities must lie in (0,1)")
-        if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
+        if any(p.numerator * q.denominator < q.numerator * p.denominator for p, q in zip(probs, probs[1:])):
             raise InputError("head probabilities must be sorted non-increasing")
-        if not 0 <= self.W <= 1:
+        if not 0 <= self.W.numerator <= self.W.denominator:
             raise InputError("budget W must lie in [0,1]")
 
     @property
@@ -194,8 +197,10 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
     D, order = _scan_order(req.head_probs)
+    # tau <= W v as tau_n W_d v_d <= W_n tau_d v_n (positive denominators)
+    lhs, rhs = tau.numerator * W.denominator, W.numerator * tau.denominator
     for examined, (num, mask) in enumerate(order, 1):
         v, u = set_margin(mask, L)
-        if tau <= W * v:
+        if lhs * v.denominator <= rhs * v.numerator:
             return JuntaResult(tuple(tau / v * x for x in u), Fraction(num, D), examined)
     return JuntaResult((Fraction(0),) * L, Fraction(0), len(order))

@@ -54,15 +54,24 @@ floor(1/kappa)) non-zero slots and the tail p's are non-increasing, so
 
     sum_{i=L+1}^{L+min(n-L, floor(1/kappa))} p_i^2 <= ln(200/eps)
 
-rules such triples out.  zero_tail_dominates evaluates it exactly against
-a rational lower bound on the log, and then Case 2 runs no DP at all.
-With p_1 < 1 - eps it holds at every kappa >= 1/9.
+rules such triples out.  zero_tail_dominates evaluates it exactly, on
+the instance's integer grid units, against a rational lower bound on the
+log, and then Case 2 runs no DP at all.  With p_1 < 1 - eps it holds at
+every kappa >= 1/9.
+
+A finer kappa can lower the solve's value.  The front keeps triples by
+the lower bound headval(tau, W), not by their exact value, so it can drop
+a triple whose candidate is better in fact.  On a 32-node instance
+(theta 3/5, eps 1/10, p ~ U(0.6, 0.85), L = 2) the best exact value on
+the front is 0.9689 at kappa 1/16 and 0.9471 at 1/32, although every
+1/16-granular tail is also 1/32-granular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import ProblemInstance, SolverConfig
@@ -129,10 +138,7 @@ def construct_achievable_tails(
     jmax = int(1 / kappa)
     states = {(0, 0): (0, ())}  # (A, C) -> (largest B, ((slot, j), ...))
     for t in range(L + 1, instance.n + 1):
-        m_t = instance.probs[t - 1] / instance.grid
-        if m_t.denominator != 1:
-            raise InputError("probabilities are not eps/(4n)-granular (A2)")
-        m_t = int(m_t)
+        m_t = instance.units[t - 1]
         for (a, c), (b, path) in sorted(states.items()):
             for j in range(1, jmax - c + 1):
                 key, b_next = (a + j * j, c + j), b + j * m_t
@@ -182,16 +188,36 @@ def dominance_front(points: Sequence[tuple[Fraction, int]]) -> list[int]:
     return sorted(kept)
 
 
+@lru_cache(maxsize=16)
+def _skip_log_bound(epsilon: Fraction) -> Fraction:
+    """ln_lower(200/eps), the right side of zero_tail_dominates."""
+    return ln_lower(200 / epsilon)
+
+
 def zero_tail_dominates(instance: ProblemInstance, L: int, kappa: Fraction) -> bool:
-    """The closed-form test that no triple has tau < theta (module docstring)."""
-    slots = min(instance.n - L, int(1 / kappa))
-    top = instance.probs[L : L + slots]
-    return sum((p * p for p in top), Fraction(0)) <= ln_lower(Fraction(200) / instance.epsilon)
+    """The closed-form test that no triple has tau < theta (module docstring).
+
+    With p_i = u_i gn/gd (grid units), sum p_i^2 <= ln_n/ln_d is
+    sum u_i^2 gn^2 ln_d <= ln_n gd^2, all integers.
+    """
+    slots = min(instance.n - L, kappa.denominator // kappa.numerator)
+    grid, bound = instance.grid, _skip_log_bound(instance.epsilon)
+    lhs = sum(u * u for u in instance.units[L : L + slots]) * grid.numerator**2 * bound.denominator
+    return lhs <= bound.numerator * grid.denominator**2
 
 
-def _complete(instance: ProblemInstance, L: int, triple: TailTriple, tau: Fraction) -> LargeCICandidate:
+def _complete(
+    instance: ProblemInstance,
+    L: int,
+    triple: TailTriple,
+    tau: Fraction,
+    junta: Optional[JuntaResult],
+) -> LargeCICandidate:
     budget = 1 - triple.C * triple.kappa
-    head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
+    if junta is not None and triple.C == 0:
+        head = junta  # the zero tail: tau = theta and W = 1, the junta's own request
+    else:
+        head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
     return LargeCICandidate(
         triple=triple,
         head=head,
@@ -206,13 +232,15 @@ def front_candidates(
     L: int,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
+    junta: Optional[JuntaResult] = None,
 ) -> list[LargeCICandidate]:
-    """The DP path: the kept triples, then one candidate per front triple."""
+    """The DP path: the kept triples, then one candidate per front triple.
+    ``junta`` as in find_near_opt_large_ci."""
     triples = construct_achievable_tails(instance, L, kappa, config)
     ln_bound = ln_upper(Fraction(200) / instance.epsilon)
     taus = [shifted_threshold(instance, t, ln_bound) for t in triples]
     front = dominance_front([(tau, t.C) for tau, t in zip(taus, triples)])
-    return [_complete(instance, L, triples[i], taus[i]) for i in front]
+    return [_complete(instance, L, triples[i], taus[i], junta) for i in front]
 
 
 def find_near_opt_large_ci(
@@ -220,11 +248,15 @@ def find_near_opt_large_ci(
     L: int,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
+    junta: Optional[JuntaResult] = None,
 ) -> list[LargeCICandidate]:
     """One candidate per triple on the (tau, W) dominance front (Case 2 pool).
 
     When zero_tail_dominates holds, that is the zero triple's candidate
-    alone, built without the DP.
+    alone, built without the DP.  ``junta``, if given, must be
+    find_optimal_junta's result for JuntaRequest(probs[:L], theta, 1), the
+    zero triple's request (tau = theta, W = 1); its candidate then reuses
+    it instead of solving the same request again.
     """
     if not 1 <= L < instance.n:
         raise InputError("case 2 needs 1 <= L < n")
@@ -233,5 +265,5 @@ def find_near_opt_large_ci(
         raise InputError("kappa must lie in (0,1]")
     if zero_tail_dominates(instance, L, kappa):
         zero = TailTriple(A=0, B=0, C=0, kappa=kappa, witness=(Fraction(0),) * (instance.n - L))
-        return [_complete(instance, L, zero, instance.theta)]
-    return front_candidates(instance, L, kappa, config)
+        return [_complete(instance, L, zero, instance.theta, junta)]
+    return front_candidates(instance, L, kappa, config, junta)

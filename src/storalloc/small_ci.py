@@ -108,10 +108,7 @@ def _tail_dp(instance: ProblemInstance, K: int, kappa: Fraction, config: SolverC
     jmax = int(1 / kappa)
     states: dict = {(0, Fraction(0), 0, 0, 0): (None, None, 0)}
     for t in range(K, instance.n + 1):
-        m_t = instance.probs[t - 1] / instance.grid
-        if m_t.denominator != 1:
-            raise InputError("probabilities are not eps/(4n)-granular (A2)")
-        m_t = int(m_t)
+        m_t = instance.units[t - 1]
         for state in sorted(states):
             a, b, c, d, e = state
             for j in range(1, jmax - c + 1):

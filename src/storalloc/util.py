@@ -7,6 +7,7 @@ crossings are the logarithms (bounded above explicitly) and reporting.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -19,31 +20,80 @@ FLOAT_DENOMINATOR_LIMIT = 10**6
 
 
 def to_fraction(value, limit_denominator: bool = False) -> Fraction:
-    """Convert int/float/str/Fraction to Fraction.
+    """Convert int/float/str/Fraction, or a numpy integer or float scalar, to Fraction.
 
     Strings accept "a/b" and decimal literals and are exact.  Floats are
     exact by default (every float is a dyadic rational); pass
-    ``limit_denominator=True`` for file inputs, per the instance format.
+    ``limit_denominator=True`` for file inputs, per the instance format,
+    which gives Fraction(value).limit_denominator(FLOAT_DENOMINATOR_LIMIT).
+    A numpy float must convert to a Python float exactly.  Booleans,
+    numpy's included, are refused.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise InputError(f"expected a number, got bool {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, np.integer):
+        return Fraction(operator.index(value))
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, np.floating) and not isinstance(value, float):
+        as_float = float(value)
+        if math.isfinite(as_float) and as_float != value:
+            raise InputError(f"{type(value).__name__} {value!r} is not exactly a float")
+        value = as_float
     if isinstance(value, float):
         if not math.isfinite(value):
             raise InputError(f"non-finite number {value!r}")
-        frac = Fraction(value)
+        num, den = value.as_integer_ratio()
         if limit_denominator:
-            frac = frac.limit_denominator(FLOAT_DENOMINATOR_LIMIT)
-        return frac
+            return limit_ratio(num, den, FLOAT_DENOMINATOR_LIMIT)
+        return Fraction(num, den)
     raise InputError(f"cannot convert {type(value).__name__} to rational")
+
+
+def limit_ratio(num: int, den: int, limit: int) -> Fraction:
+    """Fraction(num, den).limit_denominator(limit), on Python ints.
+
+    ``num / den`` must be in lowest terms with den > 0, as
+    float.as_integer_ratio() gives it.
+
+    Fast path: let r = k/limit be num/den rounded to a multiple of
+    1/limit.  Any other c/d with d <= limit is at least 1/limit^2 from r,
+    so when |num/den - r| < 1/(2 limit^2) r is the unique closest.  A
+    float read from a decimal with at most log10(limit) places passes.
+
+    Otherwise the walk is the standard library's: the last convergent
+    p1/q1 of the continued fraction with q1 <= limit, or the
+    semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k that keeps
+    the denominator within limit, whichever is closer to num/den, and
+    p1/q1 on a tie.  p1/q1 lies at distance d/(q1 den) and the
+    semiconvergent at 1/(q1 (q0 + k q1)) - d/(q1 den), d the remainder the
+    walk stopped at, so p1/q1 wins iff 2 d (q0 + k q1) <= den.
+    """
+    if den <= limit:
+        return Fraction(num, den)
+    k = (2 * num * limit + den) // (2 * den)
+    if 2 * limit * abs(num * limit - k * den) < den:
+        return Fraction(k, limit)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def frac_str(q: Fraction) -> str:

@@ -7,7 +7,9 @@ oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
-the LP junta scan solves one feasibility LP per event set, the Case-2
+the LP junta scan solves one feasibility LP per event set, the Fraction
+junta scan tests tau <= W v(S) on rationals, grid rounding divides
+Fractions, the Case-2
 tail reference keeps every reachable triple, and the
 exhaustive best-head search certifies every nested chain by its LP and
 scores every witness by Fraction event probabilities, the set sums and
@@ -36,7 +38,7 @@ import storalloc
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import SAMPLE_CHUNK
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
-from storalloc.junta import chain_lp
+from storalloc.junta import JuntaRequest, JuntaResult, chain_lp, set_margin
 from storalloc.large_ci import TailTriple
 from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains
@@ -171,6 +173,13 @@ def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction
     )
 
 
+def fraction_round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
+    """core.round_to_grid in Fraction arithmetic: floor(p / grid) grid
+    units, clamped up to one unit."""
+    k = p / grid
+    return grid * max(k.numerator // k.denominator, 1)
+
+
 def full_tail_triples(instance: ProblemInstance, L: int, kappa: Fraction) -> list[TailTriple]:
     """Every reachable (A,B,C) tail triple over slots L+1..n, in (A,B,C)
     order, each with the first path a layered DP over sorted (A,B,C)
@@ -272,6 +281,27 @@ def lp_scan_junta(head_probs, tau, W, sets) -> Fraction:
         if res.status == "optimal":
             best = max(best, naive_objective(head_probs, res.x, tau))
     return best
+
+
+def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
+    """junta.find_optimal_junta in Fraction arithmetic: the non-empty
+    upward-closed sets by (-P(S), mask), P(S) a Fraction sum over the set's
+    points, and the first set with tau <= W v(S) gives the witness
+    (tau / v(S)) u_S.  Only the cached margins are shared with the library."""
+    L, tau, W = req.L, req.tau, req.W
+    if tau <= 0:
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
+    point_probs = outcome_probabilities(req.head_probs)
+    sets = sorted(
+        (-mask_probability(point_probs, s.mask), s.mask)
+        for s in enumerate_halfspace_sets(L, monotone=True)
+        if s.mask
+    )
+    for examined, (neg_prob, mask) in enumerate(sets, 1):
+        v, u = set_margin(mask, L)
+        if tau <= W * v:
+            return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined)
+    return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets))
 
 
 def grid_best_head_value(head_probs, points, W, theta, step=Fraction(1, 64)) -> Fraction:

@@ -19,7 +19,7 @@ from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
 
-from conftest import granular_instance
+from conftest import fraction_round_to_grid, granular_instance
 from lemmas import critical_index, is_regular
 
 
@@ -71,8 +71,9 @@ class TestPreprocess:
     def test_instance_invariants(self):
         inst = preprocess([0.31, 0.62, 0.45], 0.5, 0.25, 0.05).instance
         grid = inst.grid
-        for p in inst.probs:
+        for p, u in zip(inst.probs, inst.units):
             assert p > 0 and (p / grid).denominator == 1
+            assert type(u) is int and u * grid == p
         assert inst.probs[0] < 1 - inst.epsilon
         assert inst.gamma >= grid
 
@@ -121,6 +122,36 @@ class TestPreprocess:
             assert exact_objective_probs(inst.probs, w_sorted, theta) == after
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=F(1, 10**4), max_value=1, max_denominator=10**4),
+    st.integers(1, 64),
+)
+def test_integer_rounding_matches_fraction_formula(p, eps, n):
+    grid = eps / (4 * n)
+    assert round_to_grid(p, grid) == fraction_round_to_grid(p, grid)
+    # a few grid units exactly, and one below, as granular inputs land
+    k = max(1, p.numerator % 50)
+    for q in (k * grid, k * grid - grid / 3):
+        if q > 0:
+            assert round_to_grid(q, grid) == fraction_round_to_grid(q, grid)
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ((F(1, 2), F(1, 3)), "not a positive multiple"),  # 1/3 is 6 2/3 units of 1/20
+        ((F(1, 2), F(0)), "not a positive multiple"),
+        ((F(1, 2), F(-1, 80)), "not a positive multiple"),
+        ((F(1, 4), F(1, 2)), "sorted non-increasing"),
+    ],
+)
+def test_granularity_and_order_checked_on_units(probs, message):
+    with pytest.raises(InputError, match=message):
+        ProblemInstance(probs, F(1, 2), F(2, 5), F(1, 20), (0, 1))
+
+
 def as_raw(draw, q):
     """q as the caller may write it: a float or an "a/b" string."""
     return draw(st.sampled_from([float(q), f"{q.numerator}/{q.denominator}"]))
@@ -161,8 +192,8 @@ def test_preprocess_round_trip(case):
     inst = res.instance
     n, grid, perm = len(probs), eps / (4 * len(probs)), inst.permutation
     assert inst.theta == theta
-    for slot, p in enumerate(inst.probs):
-        assert (p / grid).denominator == 1
+    for slot, (p, u) in enumerate(zip(inst.probs, inst.units)):
+        assert (p / grid).denominator == 1 and u * grid == p
         assert slot == 0 or p <= inst.probs[slot - 1]
         q = probs[perm[slot]]
         # one grid step below the raw value, or the clamp of a raw value below one step

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import random
@@ -18,6 +19,7 @@ from storalloc.evaluate import (
     SAMPLE_CHUNK,
     DiscreteDist,
     EmpiricalDist,
+    ObjectiveEstimate,
     exact_objective_probs,
     kolmogorov_distance,
     linear_form_dist,
@@ -330,6 +332,29 @@ class TestSampling:
             assert F(h, 3_000) == mc_estimate_probs(probs, w, F(1, 2), 3_000, seed=4).value
         assert len(set(hits)) == 3  # the vectors really differ on this sample
 
+    def test_equal_members_share_one_estimate(self):
+        # selection classifies each distinct vector once; a member equal to
+        # another (as a separate tuple) gets the same estimate, and every
+        # estimate equals scoring that member alone on the same draws
+        inst = ProblemInstance(
+            (F(5, 8), F(1, 2), F(1, 2), F(3, 8)), F(1, 2), F(1, 4), F(1, 20), (0, 1, 2, 3)
+        )
+        vectors = [
+            (F(1, 2), F(1, 2), F(0), F(0)),
+            (F(1, 3), F(1, 3), F(1, 3), F(0)),
+            (F(1, 2), F(0), F(1, 2), F(0)),
+        ]
+        picks = [0, 1, 0, 2, 1, 0]
+        members = [PoolMember(weights=tuple(F(w) for w in vectors[i]), provenance="junta", rank=r)
+                   for r, i in enumerate(picks)]
+        estimates = shared_mc_estimates(inst, members, 2_000, seed=7)
+        alone = [shared_mc_estimates(inst, [member], 2_000, seed=7)[0] for member in members]
+        assert estimates == alone
+        for i, j in itertools.combinations(range(len(picks)), 2):
+            if picks[i] == picks[j]:
+                assert estimates[i] == estimates[j]
+        assert len({e.value for e in estimates}) == 3  # the vectors differ on this sample
+
     def test_theta_zero_like_event_always_succeeds(self):
         # weights summing over theta for every outcome with a 1 anywhere is
         # not guaranteed; use the all-weight vector with theta tiny instead
@@ -585,6 +610,23 @@ class TestInputCheck:
 
 
 class TestTypes:
+    def test_objective_estimate_kinds(self):
+        ObjectiveEstimate(F(1, 2), "exact")
+        ObjectiveEstimate(F(1, 2), "monte_carlo", m=1, seed=None)
+        ObjectiveEstimate(F(1, 2), "monte_carlo", m=10, seed=3)
+        bad = [
+            (dict(kind="monte_carlo"), "m >= 1"),
+            (dict(kind="monte_carlo", m=0, seed=3), "m >= 1"),
+            (dict(kind="monte_carlo", m=-2), "m >= 1"),
+            (dict(kind="exact", m=10), "m=0 and no seed"),
+            (dict(kind="exact", seed=3), "m=0 and no seed"),
+            (dict(kind="exact", seed=0), "m=0 and no seed"),
+            (dict(kind="sampled", m=10), "unknown estimate kind"),
+        ]
+        for kwargs, message in bad:
+            with pytest.raises(InputError, match=message):
+                ObjectiveEstimate(F(1, 2), **kwargs)
+
     def test_discrete_dist_validation(self):
         with pytest.raises(InputError):
             DiscreteDist((F(0), F(0)), (F(1, 2), F(1, 2)))  # unsorted/dup

@@ -30,6 +30,7 @@ from storalloc.junta import (
 from storalloc.lp import lp_solve
 
 from conftest import (
+    fraction_junta_scan,
     granular_instance,
     grid_junta_value,
     lp_scan_junta,
@@ -141,6 +142,14 @@ class TestProperties:
             JuntaRequest((F(1, 2), F(3, 4)), F(1, 2), F(1))  # unsorted
         with pytest.raises(InputError):
             JuntaRequest((F(1, 2),), F(1, 2), F(3, 2))  # budget > 1
+        with pytest.raises(InputError):
+            JuntaRequest((F(1, 2),), F(1, 2), F(-1, 2))  # budget < 0
+        for p in (F(0), F(1), F(-1, 3), F(4, 3)):
+            with pytest.raises(InputError):
+                JuntaRequest((p,), F(1, 2), F(1))  # p outside (0, 1)
+        # ties and budgets at the ends of [0, 1] are accepted
+        JuntaRequest((F(2, 3), F(4, 6), F(1, 7)), F(1, 2), F(0))
+        JuntaRequest((F(1, 2),), F(1, 2), F(1))
 
 
 @st.composite
@@ -163,6 +172,35 @@ def test_scan_matches_lp_scan(request):
     assert r.value == lp_scan_junta(probs, tau, W, sets)
     assert all(w >= 0 for w in r.weights) and sum(r.weights) <= W
     assert naive_objective(probs, r.weights, tau) == r.value
+
+
+@st.composite
+def scan_requests(draw):
+    """Requests at the edges of the integer test tau W_d v_d <= W_n tau_d v_n:
+    tau <= 0, tau > W, W = 0, and tau exactly W v(S) for a set S of the
+    head's family (equal margins), besides free draws."""
+    L = draw(st.integers(min_value=1, max_value=4))
+    probs = tuple(sorted((F(draw(st.integers(1, 19)), 20) for _ in range(L)), reverse=True))
+    W = draw(st.sampled_from([F(0), F(1), F(draw(st.integers(1, 23)), 24)]))
+    kind = draw(st.sampled_from(["free", "nonpositive", "above_budget", "on_margin"]))
+    if kind == "nonpositive":
+        tau = F(-draw(st.integers(0, 4)), 40)
+    elif kind == "above_budget":
+        tau = W + F(draw(st.integers(1, 8)), 40)
+    elif kind == "on_margin":
+        masks = upward_family(L)[0][1:]
+        tau = W * set_margin(draw(st.sampled_from(masks)), L)[0]
+    else:
+        tau = F(draw(st.integers(-4, 52)), draw(st.sampled_from([40, 41, 120])))
+    return probs, tau, W
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(scan_requests())
+def test_integer_scan_matches_fraction_scan(request):
+    # weights, value and sets_examined all equal the Fraction reference's
+    req = JuntaRequest(*request)
+    assert find_optimal_junta(req) == fraction_junta_scan(req)
 
 
 def test_margin_decides_feasibility(rng):

@@ -23,7 +23,7 @@ from storalloc.large_ci import (
     theory_kappa_case2,
     zero_tail_dominates,
 )
-from storalloc.util import ln_upper, sqrt_upper
+from storalloc.util import ln_lower, ln_upper, sqrt_upper
 
 from conftest import full_tail_triples, granular_instance, max_b_keys
 
@@ -273,6 +273,44 @@ def test_kept_triples_are_the_max_b_projection(case):
     assert front_candidates(inst, L, kappa) == reference_front(inst, L, kappa)
 
 
+def assert_zero_triple_reuses_the_junta(inst, L, kappa):
+    # the junta's request (probs[:L], theta, 1) is the zero triple's: passing
+    # its result changes no candidate, on the skip path and on the DP path
+    junta = find_optimal_junta(JuntaRequest(inst.probs[:L], inst.theta, F(1)))
+    for build in (find_near_opt_large_ci, front_candidates):
+        reused = build(inst, L, kappa, junta=junta)
+        assert reused == build(inst, L, kappa)
+        assert [c.head is junta for c in reused] == [c.triple.C == 0 for c in reused]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(tied_case2_instances())
+def test_zero_triple_reuses_the_drivers_junta(case):
+    assert_zero_triple_reuses_the_junta(*case)
+
+
+@st.composite
+def skip_test_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    # eps numerators above 1 leave grid numerators above 1
+    eps = draw(st.sampled_from([F(1, 4), F(1, 10), F(3, 10), F(7, 100), F(1, 1000)]))
+    grid = eps / (4 * n)
+    top = -(-(1 - eps) // grid) - 1  # the largest unit count below 1 - eps
+    lo = draw(st.integers(1, top))
+    probs = tuple(sorted((grid * draw(st.integers(lo, top)) for _ in range(n)), reverse=True))
+    inst = ProblemInstance(probs, F(1, 2), eps, F(1, 20), tuple(range(n)))
+    return inst, draw(st.integers(1, n - 1)), F(1, draw(st.integers(1, 40)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(skip_test_instances())
+def test_skip_test_on_units_matches_the_fraction_sum(case):
+    inst, L, kappa = case
+    slots = min(inst.n - L, int(1 / kappa))
+    fraction_test = sum(p * p for p in inst.probs[L : L + slots]) <= ln_lower(F(200) / inst.epsilon)
+    assert zero_tail_dominates(inst, L, kappa) == fraction_test
+
+
 @pytest.mark.parametrize("n_slots", [0, 1, 2, 3, 6])
 @pytest.mark.parametrize("J", [1, 2, 3, 5, 8])
 def test_state_bound_is_the_count_of_tails_or_pairs(n_slots, J):
@@ -325,6 +363,18 @@ def test_wide_equal_p_instance_solves_at_the_default_limit():
     cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
     rep = solve([0.72] * 20, 0.5, 0.25, 0.05, cfg)
     assert (rep.provenance, rep.per_case_counts["largeCI"]) == ("largeCI", 5)
+
+
+@pytest.mark.parametrize(
+    "probs, L, kappa",
+    [NONTRIVIAL_FRONT, ([0.72] * 20, 2, F(1, 16))],
+    ids=["nontrivial-front", "wide-equal-p"],
+)
+def test_only_the_zero_triple_reuses_the_junta(probs, L, kappa):
+    # fronts with members that spend tail weight (C > 0) solve their own heads
+    inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
+    assert any(c.triple.C > 0 for c in find_near_opt_large_ci(inst, L, kappa))
+    assert_zero_triple_reuses_the_junta(inst, L, kappa)
 
 
 def test_input_checks_precede_skip(rng):
