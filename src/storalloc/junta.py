@@ -50,7 +50,7 @@ the large-critical-index case with shifted thresholds and reduced budgets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -95,6 +95,7 @@ class JuntaResult:
     weights: tuple[Fraction, ...]
     value: Fraction
     sets_examined: int
+    request: JuntaRequest = field(repr=False)  # the request this answers
 
 
 def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -195,12 +196,12 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     """
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
-        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
     D, order = _scan_order(req.head_probs)
     # tau <= W v as tau_n W_d v_d <= W_n tau_d v_n (positive denominators)
     lhs, rhs = tau.numerator * W.denominator, W.numerator * tau.denominator
     for examined, (num, mask) in enumerate(order, 1):
         v, u = set_margin(mask, L)
         if lhs * v.denominator <= rhs * v.numerator:
-            return JuntaResult(tuple(tau / v * x for x in u), Fraction(num, D), examined)
-    return JuntaResult((Fraction(0),) * L, Fraction(0), len(order))
+            return JuntaResult(tuple(tau / v * x for x in u), Fraction(num, D), examined, req)
+    return JuntaResult((Fraction(0),) * L, Fraction(0), len(order), req)

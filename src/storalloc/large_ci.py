@@ -215,7 +215,11 @@ def _complete(
 ) -> LargeCICandidate:
     budget = 1 - triple.C * triple.kappa
     if junta is not None and triple.C == 0:
-        head = junta  # the zero tail: tau = theta and W = 1, the junta's own request
+        # the zero tail's request is (probs[:L], theta, 1)
+        req = junta.request
+        if not (req.tau == tau and req.W == budget and req.head_probs == instance.probs[:L]):
+            raise InputError("junta does not answer the zero triple's request (probs[:L], theta, 1)")
+        head = junta
     else:
         head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
     return LargeCICandidate(
@@ -255,8 +259,8 @@ def find_near_opt_large_ci(
     When zero_tail_dominates holds, that is the zero triple's candidate
     alone, built without the DP.  ``junta``, if given, must be
     find_optimal_junta's result for JuntaRequest(probs[:L], theta, 1), the
-    zero triple's request (tau = theta, W = 1); its candidate then reuses
-    it instead of solving the same request again.
+    zero triple's request (tau = theta, W = 1), or InputError is raised;
+    its candidate then reuses it instead of solving the same request again.
     """
     if not 1 <= L < instance.n:
         raise InputError("case 2 needs 1 <= L < n")

@@ -58,42 +58,20 @@ def to_fraction(value, limit_denominator: bool = False) -> Fraction:
 
 
 def limit_ratio(num: int, den: int, limit: int) -> Fraction:
-    """Fraction(num, den).limit_denominator(limit), on Python ints.
-
-    ``num / den`` must be in lowest terms with den > 0, as
-    float.as_integer_ratio() gives it.
+    """Fraction(num, den).limit_denominator(limit), for den > 0.
 
     Fast path: let r = k/limit be num/den rounded to a multiple of
     1/limit.  Any other c/d with d <= limit is at least 1/limit^2 from r,
     so when |num/den - r| < 1/(2 limit^2) r is the unique closest.  A
-    float read from a decimal with at most log10(limit) places passes.
-
-    Otherwise the walk is the standard library's: the last convergent
-    p1/q1 of the continued fraction with q1 <= limit, or the
-    semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k that keeps
-    the denominator within limit, whichever is closer to num/den, and
-    p1/q1 on a tie.  p1/q1 lies at distance d/(q1 den) and the
-    semiconvergent at 1/(q1 (q0 + k q1)) - d/(q1 den), d the remainder the
-    walk stopped at, so p1/q1 wins iff 2 d (q0 + k q1) <= den.
+    float read from a decimal with at most log10(limit) places passes;
+    anything else goes to the standard library.
     """
     if den <= limit:
         return Fraction(num, den)
     k = (2 * num * limit + den) // (2 * den)
     if 2 * limit * abs(num * limit - k * den) < den:
         return Fraction(k, limit)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (limit - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+    return Fraction(num, den).limit_denominator(limit)
 
 
 def frac_str(q: Fraction) -> str:

@@ -290,7 +290,7 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     (tau / v(S)) u_S.  Only the cached margins are shared with the library."""
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
-        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
     point_probs = outcome_probabilities(req.head_probs)
     sets = sorted(
         (-mask_probability(point_probs, s.mask), s.mask)
@@ -300,8 +300,8 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     for examined, (neg_prob, mask) in enumerate(sets, 1):
         v, u = set_margin(mask, L)
         if tau <= W * v:
-            return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined)
-    return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets))
+            return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined, req)
+    return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets), req)
 
 
 def grid_best_head_value(head_probs, points, W, theta, step=Fraction(1, 64)) -> Fraction:

@@ -289,6 +289,21 @@ def test_zero_triple_reuses_the_drivers_junta(case):
     assert_zero_triple_reuses_the_junta(*case)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(tied_case2_instances())
+def test_junta_for_another_request_is_refused(case):
+    inst, L, kappa = case
+    head, theta = inst.probs[:L], inst.theta
+    others = [(head, theta + inst.grid, F(1)), (head, theta, F(1, 2))]
+    if L > 1:
+        others.append((head[:-1], theta, F(1)))
+    for probs, tau, W in others:
+        junta = find_optimal_junta(JuntaRequest(probs, tau, W))
+        for build in (find_near_opt_large_ci, front_candidates):
+            with pytest.raises(InputError, match="zero triple"):
+                build(inst, L, kappa, junta=junta)
+
+
 @st.composite
 def skip_test_instances(draw):
     n = draw(st.integers(min_value=2, max_value=40))

@@ -20,7 +20,7 @@ def same_ratio(a: F, b: F) -> bool:
         st.floats(allow_nan=False, allow_infinity=False),  # huge and subnormal included
         st.floats(min_value=0, max_value=1),
         st.integers(-(10**7), 10**7).map(lambda k: k / 10**6),  # six decimals
-        st.integers(0, 10**9).map(lambda k: k / 10**9),  # nine decimals: the walk decides
+        st.integers(0, 10**9).map(lambda k: k / 10**9),  # nine decimals: the library decides
         st.integers(1, 2**20).map(lambda k: k * 5e-324),  # subnormal multiples
     )
 )
@@ -42,13 +42,10 @@ def farey(M: int) -> list[F]:
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(st.integers(1, 40), st.data())
-def test_ties_go_to_the_convergent_as_in_the_library(M, data):
-    # Neighbours in the Farey sequence of order M are the two candidates
-    # the walk weighs; their midpoint is a deliberate tie.  (A float never
-    # ties at FLOAT_DENOMINATOR_LIMIT: the midpoint of neighbours a/b < c/d,
-    # bc - ad = 1, is (ad + bc)/(2bd) in lowest terms up to a factor 2, so
-    # it is dyadic only if b and d are powers of two.  Both are at most
-    # 10^6 with b + d > 10^6, so b = d = 2^19, and then bc - ad = 1 fails.)
+def test_fast_path_leaves_ties_to_the_library(M, data):
+    # The midpoint of neighbours a/b < c/d in the Farey sequence of order M
+    # ties between them, and sits at least 1/(2bd) >= 1/(2M^2) from every
+    # k/M, so the strict fast-path bound must pass it on to the library.
     seq = farey(M)
     i = data.draw(st.integers(0, len(seq) - 2))
     shift = data.draw(st.integers(-3, 3))
