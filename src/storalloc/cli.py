@@ -20,6 +20,7 @@ from .driver import solve
 from .errors import GuardError, InputError
 from .evaluate import exact_objective_probs, mc_estimate_probs
 from .formats import (
+    BENCH_COLUMNS,
     bench_rows_to_json,
     bench_rows_to_tsv,
     load_instance,
@@ -156,22 +157,16 @@ def _cmd_bench(args) -> int:
     for path in args.instances:
         probs, theta, epsilon, delta = load_instance(path)
         report = solve(probs, theta, epsilon, delta, config=config)
-        row = {
-            "instance": str(path),
-            "n": len(probs),
-            "theta": frac_str(theta),
-            "epsilon": frac_str(epsilon),
-            "solver_estimate": float(report.estimate.value),
-            "solver_exact": None
-            if report.exact_objective is None
-            else float(report.exact_objective),
-            "solver_provenance": report.provenance,
-            "baseline_best_k": None,
-            "baseline_value": None,
-            "oracle_value": None,
-            "gap_solver": None,
-            "gap_baseline": None,
-        }
+        row = dict.fromkeys(BENCH_COLUMNS)  # the columns in order, oracle cells None until filled
+        row.update(
+            instance=str(path),
+            n=len(probs),
+            theta=frac_str(theta),
+            epsilon=frac_str(epsilon),
+            solver_estimate=float(report.estimate.value),
+            solver_exact=None if report.exact_objective is None else float(report.exact_objective),
+            solver_provenance=report.provenance,
+        )
         pre = preprocess(probs, theta, epsilon, delta)
         if not pre.is_trivial:
             instance = pre.instance

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -47,7 +49,8 @@ class SolverConfig:
     and overriding kappa.  state_space_limit caps each tail DP's state bound,
     checked before any state: large_ci.tail_state_bound for Case 2, a cell
     estimate for Case 3.  A report's "config" echoes every field in
-    declaration order, so a knob is defined here alone.
+    declaration order, so a knob is defined here alone.  Integer knobs are
+    ints: numpy ints convert; bools, floats and strings are refused.
     """
 
     mode: str = "theory"
@@ -61,6 +64,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("theory", "practical"):
             raise InputError(f"unknown mode {self.mode!r}")
+        for name in ("L_cap", "seed", "state_space_limit"):
+            value = getattr(self, name)
+            if value is not None or name != "L_cap":  # L_cap may be None
+                if isinstance(value, bool) or not hasattr(value, "__index__"):
+                    raise InputError(f"{name} must be an integer; got {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         object.__setattr__(self, "c_L", to_fraction(self.c_L))
         object.__setattr__(self, "mc_constant", to_fraction(self.mc_constant))
         if self.kappa_override is not None:
@@ -114,7 +123,7 @@ class ProblemInstance:
                 raise InputError("probabilities must be sorted non-increasing (A1)")
             units.append(k)
         object.__setattr__(self, "units", tuple(units))
-        if self.probs[0] >= 1 - self.epsilon:
+        if units[0] * gn >= gd - 4 * n * gn:  # p_1 >= 1 - eps, as (gd - 4n gn)/gd = 1 - eps
             raise InputError("p_1 must be < 1 - eps (A2); preprocessing handles the shortcut")
         if sorted(self.permutation) != list(range(n)):
             raise InputError("permutation must be a permutation of range(n)")
@@ -123,11 +132,11 @@ class ProblemInstance:
     def n(self) -> int:
         return len(self.probs)
 
-    @property
+    @cached_property
     def grid(self) -> Fraction:
         return self.epsilon / (4 * self.n)
 
-    @property
+    @cached_property
     def gamma(self) -> Fraction:
         return compute_gamma(self)
 
@@ -180,11 +189,11 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
     theta = to_fraction(theta, limit_denominator=True)
     epsilon = to_fraction(epsilon, limit_denominator=True)
     delta = to_fraction(delta, limit_denominator=True)
-    if not 0 <= theta <= 1:
+    if not 0 <= theta.numerator <= theta.denominator:  # a/b in [0, 1] iff 0 <= a <= b
         raise InputError(f"theta={theta} outside [0,1]")
-    if not 0 < epsilon < 1:
+    if not 0 < epsilon.numerator < epsilon.denominator:
         raise InputError(f"epsilon={epsilon} outside (0,1)")
-    if not 0 < delta < 1:
+    if not 0 < delta.numerator < delta.denominator:
         raise InputError(f"delta={delta} outside (0,1)")
 
     probs = [to_fraction(p, limit_denominator=True) for p in p_raw]
@@ -193,10 +202,11 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
             raise InputError(f"p[{i}]={p} outside [0,1]")
 
     n = len(probs)
-    # A1: descending probability; reverse=True keeps the sort stable, so
-    # equal probabilities stay in index order, as with the key (-p, i),
-    # and order[0] is the first most probable node.
-    order = sorted(range(n), key=probs.__getitem__, reverse=True)
+    # A1: descending p, sorted on the integers M p (M the lcm of the denominators);
+    # reverse=True keeps the sort stable, so equal probabilities stay in index
+    # order, as with the key (-p, i), and order[0] is the first most probable node.
+    M = math.lcm(*(p.denominator for p in probs))
+    order = sorted(range(n), key=[p.numerator * (M // p.denominator) for p in probs].__getitem__, reverse=True)
     best = order[0]
 
     def unit(index: int) -> tuple[Fraction, ...]:
@@ -209,7 +219,8 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
         return PreprocessResult(
             shortcut=TrivialSolution(unit(best), probs[best], "theta_one", False)
         )
-    if probs[best] >= 1 - epsilon:
+    e_n, e_d = epsilon.numerator, epsilon.denominator  # p = a/b >= 1 - eps iff a e_d >= (e_d - e_n) b
+    if probs[best].numerator * e_d >= (e_d - e_n) * probs[best].denominator:
         return PreprocessResult(
             shortcut=TrivialSolution(unit(best), probs[best], "high_prob_shortcut", True)
         )

@@ -11,6 +11,13 @@ keeps the argmax fair, reduces variance, and makes the chosen vector a
 deterministic function of (instance, config), which the byte-stable report
 relies on.  Ties break by case provenance, then lexicographically.
 
+A winner equal to the junta head plus a zero tail (the junta member or
+Case 2's zero-triple copy of it) takes its exact objective from the junta
+scan: the scan returns the most probable feasible set S with P(S), its
+witness realizes a feasible superset R of S, so P(R) = P(S) (junta module
+docstring), and a zero tail leaves the event unchanged.  Any other winner
+is evaluated by exact_objective_probs, which may refuse.
+
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
 """
@@ -37,8 +44,8 @@ from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_hit_counts
 from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
-from .small_ci import case3_kappa, find_near_opt_small_ci
-from .util import derive_seed, frac_str, to_fraction
+from .small_ci import case3_kappa, find_near_opt_small_ci, no_regular_tail, regularity_eps
+from .util import derive_seed, frac_str, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +137,9 @@ def shared_mc_estimates(
 ) -> list[ObjectiveEstimate]:
     """Score every member on one shared sample set (exact classification).
 
-    Each distinct weight vector is classified once; members with equal
-    weights share its estimate.  Distinct vectors are found by tuple
-    equality, as pools are a few members long.
+    Each distinct weight vector is checked feasible and classified once;
+    members with equal weights share its estimate.  Distinct vectors are
+    found by tuple equality, as pools are a few members long.
     """
     distinct: list = []
     slots = []
@@ -142,6 +149,7 @@ def shared_mc_estimates(
                 break
         else:
             slot = len(distinct)
+            _check_feasible(member.weights)
             distinct.append(member.weights)
         slots.append(slot)
     hits = mc_hit_counts(instance.probs, distinct, instance.theta, m, seed)
@@ -150,17 +158,16 @@ def shared_mc_estimates(
 
 
 def _check_feasible(weights: Sequence[Fraction]):
-    nonzero = [w for w in weights if w]
-    if any(w < 0 for w in nonzero) or sum(nonzero, Fraction(0)) > 1:
+    d, scaled = lcm_scaled([w for w in weights if w])  # sum(w) <= 1 iff sum(d w) <= d
+    if any(v < 0 for v in scaled) or sum(scaled) > d:
         raise AssertionError(f"case solver produced an infeasible candidate: {weights}")
 
 
 def _trivial_report(shortcut: TrivialSolution, n: int, theta, epsilon, delta, config) -> SolveReport:
-    estimate = ObjectiveEstimate(value=shortcut.objective, kind="exact")
     return SolveReport(
         provenance="trivial",
         chosen_weights=shortcut.weights,
-        estimate=estimate,
+        estimate=ObjectiveEstimate(value=shortcut.objective, kind="exact"),
         exact_objective=shortcut.objective,
         pool_size=1,
         per_case_counts={"trivial": 1},
@@ -229,8 +236,10 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     timings["junta_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # no regular tail at K = 1 means none at any K (small_ci module docstring)
+    case3_empty = no_regular_tail(regularity_eps(instance), kappa3, n)
     for K in range(1, L + 1):
-        cands = find_near_opt_small_ci(instance, K, instance.delta / (2 * L), kappa3, config)
+        cands = [] if case3_empty else find_near_opt_small_ci(instance, K, instance.delta / (2 * L), kappa3, config)
         counts[f"smallCI({K})"] = len(cands)
         for cand in cands:
             pool.append(PoolMember(weights=cand.weights, provenance=f"smallCI({K})", rank=K))
@@ -246,30 +255,29 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
         counts["largeCI"] = 0
     timings["large_ci_s"] = time.perf_counter() - t0
 
-    for member in pool:
-        _check_feasible(member.weights)
-
     t0 = time.perf_counter()
     m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
     select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
     estimates = shared_mc_estimates(instance, pool, m_sel, select_seed)
-    best_idx = min(
-        range(len(pool)),
-        key=lambda i: (-estimates[i].value, pool[i].rank, pool[i].weights),
-    )
+    best_idx = min(range(len(pool)), key=lambda i: (-estimates[i].value, pool[i].rank, pool[i].weights))
     chosen = pool[best_idx]
     timings["selection_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     exact: Optional[Fraction] = None
-    try:
-        exact = exact_objective_probs(instance.probs, chosen.weights, theta)
-    except GuardError as exc:
-        logger.info(
-            "exact_objective_probs refused, exact_objective is null: estimate=%s limit=%s",
-            exc.estimate,
-            exc.limit,
-        )
+    if chosen.weights == head:  # the junta head plus a zero tail (module docstring)
+        exact = junta.value
+        logger.debug("exact_objective from the junta scan")
+    else:
+        try:
+            exact = exact_objective_probs(instance.probs, chosen.weights, theta)
+            logger.debug("exact_objective from exact_objective_probs")
+        except GuardError as exc:
+            logger.info(
+                "exact_objective_probs refused, exact_objective is null: estimate=%s limit=%s",
+                exc.estimate,
+                exc.limit,
+            )
     timings["exact_eval_s"] = time.perf_counter() - t0
 
     return SolveReport(

@@ -41,7 +41,6 @@ bit-reproducible from the seed.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance
-from .util import derived_rng, to_fraction
+from .util import derived_rng, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +59,9 @@ SAMPLE_CHUNK = 1 << 15
 
 # Exact-evaluation guard: widest allowed product of (group size + 1) factors.
 COMBO_LIMIT = 1 << 24
+
+# Most draws mc_hit_counts classifies unpacked, with no packing, dedup or tables.
+DIRECT_MAX_DRAWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction
 
     # Meet in the middle (module docstring): success mass is the sum over
     # left values v of mass(v) * mass(right >= D theta - v).
-    _, scaled = _lcm_scaled([*(w for w, _ in groups), theta])
+    _, scaled = lcm_scaled([*(w for w, _ in groups), theta])
     target = scaled.pop()
     int_groups, den = _integer_groups(scaled, groups)
     halves, sizes = ([], []), [1, 1]
@@ -303,7 +305,7 @@ def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 
     """Exact law of w . X over Bernoulli(probs), grouped by distinct weight."""
     probs, weights = _probs_and_weights(probs, weights)
     groups = _grouped(probs, weights)
-    d, scaled = _lcm_scaled([w for w, _ in groups])
+    d, scaled = lcm_scaled([w for w, _ in groups])
     int_groups, den = _integer_groups(scaled, groups)
     law = _sum_law(int_groups, support_limit)
     values = sorted(law)
@@ -323,6 +325,11 @@ _NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 
 def _block_rows(n: int) -> int:
     """Draw rows per block, so a block's float64 draws over n coordinates fit BLOCK_BYTES."""
     return max(1, BLOCK_BYTES // (8 * max(n, 1)))
+
+
+def _float_probs(probs: Sequence[Fraction]) -> np.ndarray:
+    """float(p) for each p, as the correctly rounded p.numerator / p.denominator."""
+    return np.array([p.numerator / p.denominator for p in probs])
 
 
 def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +356,7 @@ def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.nd
     width = (n + 7) // 8
     if not width:  # n = 0: one empty pattern; a zero-width key is wrong
         return np.zeros((1, 0), dtype=np.uint8), np.array([m], dtype=np.int64)
-    pf = np.array([float(p) for p in probs])
+    pf = _float_probs(probs)
     key_bytes = 8 * ((width + 7) // 8)
     packed = np.zeros((m, key_bytes), dtype=np.uint8)
     step = _block_rows(n)
@@ -366,13 +373,6 @@ def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.nd
         keys, counts = np.unique(packed.view(np.dtype((np.void, key_bytes))).ravel(), return_counts=True)
         uniq = keys.view(np.uint8).reshape(-1, key_bytes)
     return uniq[:, :width], counts.astype(np.int64)
-
-
-def _lcm_scaled(values: Sequence) -> tuple[int, list[int]]:
-    """(D, [D v for v in values]) with D > 0 the lcm of the denominators."""
-    values = [to_fraction(v) for v in values]
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _fits_int64(weights: Sequence[int], theta: int) -> bool:
@@ -418,31 +418,30 @@ def mc_hit_counts(
     """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
 
     Every vector is classified exactly on the same draws, so the counts of
-    different vectors are comparable draw for draw.
-
-    The classification is integer arithmetic.  Let D > 0 be the lcm of
-    theta's and every w_j's denominator.  Then w . x >= theta holds iff
-    (D w) . x >= D theta, and both sides are integers.  The dot of a packed
-    pattern is a sum of per-byte table lookups (_byte_tables).  A pattern
-    x is 0/1, so every table entry and every running sum of entries is a
-    subset sum of D w and lies within +-sum_j |D w_j|.  A vector therefore
-    runs on int64 when that sum and |D theta| are both at most 2^63 - 1,
-    where nothing can overflow, and on Python ints (dtype=object)
-    otherwise.  The dtype is chosen per vector; both groups take the same
-    path: hits = counts @ (dots >= T), blocked over vectors and pattern
-    rows so no table set or dot block exceeds about BLOCK_BYTES.
+    different vectors are comparable draw for draw.  The test is the
+    module docstring's (D w) . x >= D theta, on int64 or Python ints as
+    chosen per vector there; both groups take the same path: hits =
+    counts @ (dots >= T), blocked over vectors and rows so no table set or
+    dot block exceeds about BLOCK_BYTES.  Rows are the distinct packed
+    patterns, or, up to DIRECT_MAX_DRAWS draws within one draw block, the
+    unpacked draws with count 1, whose dots rows @ D w are subset sums too.
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    rows, counts = _pattern_counts(probs, m, seed)
+    direct = m <= min(DIRECT_MAX_DRAWS, _block_rows(len(probs)))
+    if direct:  # chunk 0's one block, the draws _pattern_counts packs
+        rows = derived_rng(seed, 0).random((m, len(probs))) < _float_probs(probs)
+        counts = np.ones(m, dtype=np.int64)
+    else:
+        rows, counts = _pattern_counts(probs, m, seed)
     scaled = []
     for weights in weight_vectors:
-        _, ints = _lcm_scaled([*weights, theta])
+        _, ints = lcm_scaled([*weights, theta])
         scaled.append((ints[:-1], ints[-1]))
     narrow = [_fits_int64(w, t) for w, t in scaled]
     logger.debug(
-        "mc_hit_counts: m=%d, %d unique patterns, %d vectors, %d on object dtype",
-        m, len(rows), len(scaled), narrow.count(False),
+        "mc_hit_counts: m=%d, %d %s rows, %d vectors, %d on object dtype",
+        m, len(rows), "unpacked" if direct else "unique packed", len(scaled), narrow.count(False),
     )
     vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max(rows.shape[1], 1)))
     hits = np.zeros(len(scaled), dtype=np.int64)
@@ -450,11 +449,13 @@ def mc_hit_counts(
         group = [i for i, ok in enumerate(narrow) if ok == fits]
         for start in range(0, len(group), vectors_per_block):
             block = group[start:start + vectors_per_block]
-            tables = _byte_tables(np.array([scaled[i][0] for i in block], dtype=dtype).T)
+            columns = np.array([scaled[i][0] for i in block], dtype=dtype).T
+            tables = columns if direct else _byte_tables(columns)
             T = np.array([scaled[i][1] for i in block], dtype=dtype)
             step = max(1, BLOCK_BYTES // (8 * len(block)))
             for r in range(0, len(rows), step):
-                hits[block] += counts[r:r + step] @ (_byte_dots(tables, rows[r:r + step]) >= T)
+                dots = rows[r:r + step] @ tables if direct else _byte_dots(tables, rows[r:r + step])
+                hits[block] += counts[r:r + step] @ (dots >= T)
     return hits.tolist()
 
 
@@ -491,10 +492,7 @@ def sample_tail_empirical(
     Sample values are exact rationals, so jump points line up with the exact
     tail law in Kolmogorov-distance comparisons.  Each distinct pattern's
     value is the integer dot (D t) . x over D, D the lcm of the tail's
-    denominators, summed from per-byte tables (_byte_tables).  Every entry
-    and every running sum is a subset sum of D t, so at most sum_j D t_j:
-    it runs on int64 when that sum fits, on Python ints otherwise, by the
-    rule of mc_hit_counts.
+    denominators, from the per-byte tables on the module docstring's dtype rule.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -507,7 +505,7 @@ def sample_tail_empirical(
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
     rows, counts = _pattern_counts(probs, m, seed)
-    d, scaled = _lcm_scaled(tail)
+    d, scaled = lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object
     dots = _byte_dots(_byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1)), rows)
     values, inverse = np.unique(dots[:, 0], return_inverse=True)

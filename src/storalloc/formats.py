@@ -36,12 +36,7 @@ def parse_instance_dict(data: dict) -> tuple[list[Fraction], Fraction, Fraction,
     if not isinstance(probs_raw, list) or not probs_raw:
         raise InputError("probs must be a non-empty list")
     probs = [to_fraction(p, limit_denominator=True) for p in probs_raw]
-    return (
-        probs,
-        to_fraction(theta, limit_denominator=True),
-        to_fraction(epsilon, limit_denominator=True),
-        to_fraction(delta, limit_denominator=True),
-    )
+    return (probs, *(to_fraction(v, limit_denominator=True) for v in (theta, epsilon, delta)))
 
 
 def load_instance(path) -> tuple[list[Fraction], Fraction, Fraction, Fraction]:

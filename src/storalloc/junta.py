@@ -30,17 +30,12 @@ p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S,
 taken for a whole family at once by the Monte-Carlo classifier's per-byte
 tables (``family_numerators``).  All sets share the one D, so one stable
 sort by -D P(S) over the ascending masks gives the (-P(S), mask) order.
-The test tau <= W v(S) is cross-multiplied, tau_n W_d v_d <= W_n tau_d v_n
-with the first two products taken once per request, and only the
-returned set's value and witness become Fractions.
+The test tau <= W v(S) is cross-multiplied, and only the returned set's
+value and witness become Fractions.
 
-The program (``chain_lp``) serves a nested chain S_1 <= ... <= S_r of such
-sets at descending thresholds tau_1 >= ... >= tau_r, as the Case-3 head
-completion against sampled tail points needs (small_ci.find_best_head).
-Its rows are membership constraints only.  That search ranks chains on
-the same integer numerators and uses the cached margins as a pre-test:
-the chain's program can be feasible only if tau_i <= W v(S_i) at every
-level with tau_i > 0 and S_i non-empty.
+``chain_lp`` is the membership program of a nested chain of such sets at
+descending thresholds, which the Case-3 head search solves after the same
+margin pre-test and integer ranking (small_ci.find_best_head).
 
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
@@ -203,5 +198,5 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     for examined, (num, mask) in enumerate(order, 1):
         v, u = set_margin(mask, L)
         if lhs * v.denominator <= rhs * v.numerator:
-            return JuntaResult(tuple(tau / v * x for x in u), Fraction(num, D), examined, req)
+            return JuntaResult(tuple(map((tau / v).__mul__, u)), Fraction(num, D), examined, req)
     return JuntaResult((Fraction(0),) * L, Fraction(0), len(order), req)

@@ -59,12 +59,9 @@ the instance's integer grid units, against a rational lower bound on the
 log, and then Case 2 runs no DP at all.  With p_1 < 1 - eps it holds at
 every kappa >= 1/9.
 
-A finer kappa can lower the solve's value.  The front keeps triples by
-the lower bound headval(tau, W), not by their exact value, so it can drop
-a triple whose candidate is better in fact.  On a 32-node instance
-(theta 3/5, eps 1/10, p ~ U(0.6, 0.85), L = 2) the best exact value on
-the front is 0.9689 at kappa 1/16 and 0.9471 at 1/32, although every
-1/16-granular tail is also 1/32-granular.
+A finer kappa can lower the solve's value: the front keeps triples by the
+lower bound headval(tau, W), not by their exact value (README's 32-node
+example: 0.9689 at kappa 1/16, 0.9471 at 1/32).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import InputError
-from .util import to_fraction
+from .util import lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -172,12 +172,6 @@ def _eliminate(row: list[int], prow: list[int], p: int, d: int, c: int) -> list[
     return [(v * p - f * w) // d for v, w in zip(row, prow)]
 
 
-def _integer_row(values) -> tuple[int, list[int]]:
-    """(lambda, lambda * values) with lambda the lcm of the denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.  See module docstring for guarantees."""
     lp = lp.normalized()
@@ -186,7 +180,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     n_struct = lp.n_vars
     specs = []  # (lambda_i, integer row with its rhs last, relation), rhs >= 0
     for con in lp.constraints:
-        scale, ints = _integer_row(con.coeffs + (con.rhs,))
+        scale, ints = lcm_scaled(con.coeffs + (con.rhs,))
         if ints[-1] < 0:
             specs.append((scale, [-v for v in ints], _FLIPPED[con.relation]))
         else:
@@ -242,7 +236,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     if lp.objective is not None:
         ocoeffs, direction = lp.objective
         sign = 1 if direction == "max" else -1
-        scale, costs2 = _integer_row(ocoeffs)
+        scale, costs2 = lcm_scaled(ocoeffs)
         tab.price([sign * c for c in costs2] + [0] * slack_count)
         status = tab.optimize(range(art_start))
         if status == "unbounded":

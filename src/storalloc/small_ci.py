@@ -17,26 +17,17 @@ the granularity assumption does not force.
 
 Heads are completed against a sampled surrogate of the tail: m exact draws
 of tail . X justify (via the DKW inequality) replacing the tail law by the
-empirical multiset R, and the best head against R is found exactly.  Any
-head vector realizes, per sampled point t_i, the event set
-{x : u.x >= theta - t_i}; with points sorted ascending these sets are
-nested, so instead of all |S|^m tuples it suffices to enumerate nested
-chains of upward-closed realizable sets.  Each chain has a value, the
-count-weighted mean of its sets' probabilities, taken as an integer over
-the product of the head's denominators.  The search visits the chains by
-value descending and returns the witness of the first one whose
-membership-only feasibility LP (the junta's) is feasible; a chain that
-fails the junta's cached margin test at some level is skipped without an
-LP.  A witness realizes a chain containing the certified one, so its
-value is at least the chain's, and the optimum's own chain is enumerated
-and feasible; the first feasible chain's value is therefore the optimum
-(proof in find_best_head).
+empirical multiset R, and the best head against R is found exactly by a
+search over nested chains of upward-closed realizable sets (find_best_head
+gives the search and its proof).
 
 Case 3 yields candidates only when eps'^2 min(floor(1/kappa), n - K + 1)
 >= 1: a regular tail needs at least 1/eps'^2 nonzero slots (proof in
 construct_achievable_regular_tails).  The solver's eps' = eps gamma/100 is
 below 1/200 (eps < 1, gamma <= 1/2), so this needs more than 40000 tail
-slots and kappa < 1/40000.
+slots and kappa < 1/40000.  no_regular_tail decides the test on
+numerators.  Its left side falls as K rises, so it holds at K = 1 exactly
+when it holds at every K <= L, and a solve decides it once, before any K.
 """
 
 from __future__ import annotations
@@ -136,6 +127,17 @@ def _witness(states: dict, state, start_slot: int, n: int, kappa: Fraction) -> t
     return tuple(tail)
 
 
+def regularity_eps(instance: ProblemInstance) -> Fraction:
+    """eps' = eps gamma / 100, the regularity parameter of Case 3."""
+    return instance.epsilon * instance.gamma / 100
+
+
+def no_regular_tail(eps_prime: Fraction, kappa: Fraction, slots: int) -> bool:
+    """eps'^2 min(floor(1/kappa), slots) < 1 as e_n^2 min(..) < e_d^2, eps' = e_n/e_d:
+    no eps'-regular tail fits in ``slots`` slots (construct_achievable_regular_tails)."""
+    return eps_prime.numerator**2 * min(kappa.denominator // kappa.numerator, slots) < eps_prime.denominator**2
+
+
 def construct_achievable_regular_tails(
     instance: ProblemInstance,
     K: int,
@@ -163,7 +165,7 @@ def construct_achievable_regular_tails(
         raise InputError("eps_prime must be positive")
     if not 1 <= K <= instance.n:
         raise InputError(f"K={K} outside [1, n]")
-    if eps_prime * eps_prime * min(math.floor(1 / kappa), instance.n - K + 1) < 1:
+    if no_regular_tail(eps_prime, kappa, instance.n - K + 1):
         return []
 
     states = _tail_dp(instance, K, kappa, config)
@@ -372,8 +374,7 @@ def find_near_opt_small_ci(
     delta = to_fraction(delta)
     if not 1 <= K <= instance.n:
         raise InputError(f"K={K} outside [1, n]")
-    eps_reg = instance.epsilon * instance.gamma / 100
-    triples = construct_achievable_regular_tails(instance, K, kappa, eps_reg, config)
+    triples = construct_achievable_regular_tails(instance, K, kappa, regularity_eps(instance), config)
     if not triples:
         return []
     delta_head = delta / (2 * len(triples))

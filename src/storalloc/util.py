@@ -74,6 +74,12 @@ def limit_ratio(num: int, den: int, limit: int) -> Fraction:
     return Fraction(num, den).limit_denominator(limit)
 
 
+def lcm_scaled(values) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) for Fractions or ints, D > 0 the lcm of their denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def frac_str(q: Fraction) -> str:
     """Render a Fraction as the canonical "a/b" (or "a") string."""
     q = Fraction(q)

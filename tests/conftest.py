@@ -9,7 +9,8 @@ the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
 the LP junta scan solves one feasibility LP per event set, the Fraction
 junta scan tests tau <= W v(S) on rationals, grid rounding divides
-Fractions, the Case-2
+Fractions, the A1 order, gamma and the Case-3 regular-tail verdict are
+taken on Fractions, the Case-2
 tail reference keeps every reachable triple, and the
 exhaustive best-head search certifies every nested chain by its LP and
 scores every witness by Fraction event probabilities, the set sums and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import random
 from collections import Counter
@@ -171,6 +173,23 @@ def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction
         delta=delta,
         permutation=tuple(range(n)),
     )
+
+
+def fraction_sort_order(probs) -> list[int]:
+    """core.preprocess's A1 order on Fractions: indices by probability
+    descending, ties in index order (a stable reverse sort)."""
+    return sorted(range(len(probs)), key=[Fraction(p) for p in probs].__getitem__, reverse=True)
+
+
+def fraction_gamma(probs) -> Fraction:
+    """core.compute_gamma on a sorted probability tuple: min(p_n, 1 - p_1)."""
+    return min(Fraction(probs[-1]), 1 - Fraction(probs[0]))
+
+
+def fraction_no_regular_tail(eps_prime: Fraction, kappa: Fraction, n: int, K: int) -> bool:
+    """small_ci.no_regular_tail as the Fraction test
+    eps'^2 min(floor(1/kappa), n - K + 1) < 1."""
+    return eps_prime * eps_prime * min(math.floor(1 / kappa), n - K + 1) < 1
 
 
 def fraction_round_to_grid(p: Fraction, grid: Fraction) -> Fraction:

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
 
-from conftest import fraction_round_to_grid, granular_instance
+from conftest import fraction_gamma, fraction_round_to_grid, fraction_sort_order, granular_instance
 from lemmas import critical_index, is_regular
 
 
@@ -204,6 +206,76 @@ def test_preprocess_round_trip(case):
     original = inst.to_original_order(weights)
     assert [original[perm[slot]] for slot in range(n)] == weights
     assert inst.to_original_order([weights[i] for i in perm]) == tuple(weights)
+
+
+@st.composite
+def order_instances(draw):
+    """Probabilities with many ties, each written as a float, a Fraction or
+    an "a/b" string whose terms carry a large common factor."""
+    n = draw(st.integers(1, 10))
+    den = draw(st.sampled_from([4, 7, 1000, 999_983, 2**61 - 1]))
+    values = draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=4))
+    raw = []
+    for _ in range(n):
+        q = F(draw(st.sampled_from(values)), den)
+        scale = draw(st.sampled_from([1, 10**9 + 7, 3**40]))
+        form = draw(st.sampled_from(["fraction", "string", "float"]))
+        if form == "float" and den <= 1000:
+            raw.append(float(q))  # den <= 10^6 snaps back to q exactly
+        elif form == "string":
+            raw.append(f"{q.numerator * scale}/{q.denominator * scale}")
+        else:
+            raw.append(q)
+    return raw
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(order_instances())
+def test_integer_sort_order_matches_fraction_order(raw):
+    # eps = 1/10^6 keeps every draw below the high-probability shortcut
+    res = preprocess(raw, F(1, 2), F(1, 10**6), F(1, 20))
+    probs = [F(p).limit_denominator(10**6) if isinstance(p, float) else F(p) for p in raw]
+    assert res.instance.permutation == tuple(fraction_sort_order(probs))
+    # the most probable node is the first of its tie under either order
+    top = preprocess(raw, F(1), F(1, 2), F(1, 20)).shortcut
+    assert top.weights.index(1) == fraction_sort_order(probs)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 1 << 32), st.sampled_from([F(1, 10), F(1, 4), F(2, 5)]))
+def test_gamma_is_computed_once_and_matches_the_fraction_formula(n, seed, eps):
+    inst = granular_instance(random.Random(seed), n, F(1, 2), eps, lo=F(1, 100), hi=F(99, 100))
+    assert "gamma" not in vars(inst)
+    first = inst.gamma
+    assert vars(inst)["gamma"] is first and inst.gamma is first
+    assert first == compute_gamma(inst) == fraction_gamma(inst.probs)
+
+
+class TestSolverConfigIntegers:
+    FIELDS = ("L_cap", "seed", "state_space_limit")
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SolverConfig(mode="practical", L_cap=np.int64(2), seed=np.int64(4), state_space_limit=np.int32(9))
+        assert [type(getattr(cfg, f)) for f in self.FIELDS] == [int, int, int]
+        assert (cfg.L_cap, cfg.seed, cfg.state_space_limit) == (2, 4, 9)
+        assert SolverConfig(mode="practical", L_cap=None).L_cap is None
+
+    def test_numpy_integer_config_report_serializes(self):
+        from storalloc.driver import solve
+
+        args = ([0.62, 0.45, 0.31], F(1, 2), F(1, 4), F(1, 20))
+        numpy_cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=np.int64(2), seed=np.int64(4))
+        plain_cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2, seed=4)
+        text = solve(*args, numpy_cfg).to_json()
+        assert text == solve(*args, plain_cfg).to_json()
+        data = json.loads(text)
+        assert data["L"] == 2 and data["config"]["L_cap"] == 2 and data["seed"] == 4
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), 2.5, 2.0, np.float64(2), "2", F(2)])
+    def test_non_integers_refused(self, field, bad):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            SolverConfig(mode="practical", **{field: bad})
 
 
 class TestDerivedParameters:

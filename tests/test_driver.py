@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from storalloc import evaluate
+from storalloc import driver, evaluate
 from storalloc.core import SolverConfig, preprocess
 from storalloc.driver import _check_feasible, selection_sample_size, solve
 from storalloc.errors import GuardError, InputError
@@ -220,18 +220,89 @@ class TestReportBytes:
         assert data["exact_objective"] == exact
 
     def test_refused_exact_evaluation_is_logged(self, monkeypatch, caplog):
-        # the n5-L2 solution (1/2 on two coordinates) is one group of 2, so
-        # its exact evaluation needs 3 combinations; a limit of 2 refuses it
-        cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2, seed=3)
-        probs = [0.62, 0.45, 0.31, 0.58, 0.5]
-        answered = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
-        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 2)
+        # the n = 32, kappa 1/12 Case-2 winner of
+        # test_case2_dp_wins_at_the_default_limit puts 1/12 on twelve tail
+        # slots and nothing on the head, so no junta scan knows its value:
+        # exact_objective_probs evaluates one group of 12, 13 combinations,
+        # and a limit of 12 refuses it
+        rng = random.Random("q-32-0.6")
+        p_raw = [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 12), L_cap=2)
+        args = (p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
+        with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
+            answered = solve(*args).to_dict()
+        assert answered["provenance"] == "largeCI" and answered["exact_objective"] is not None
+        assert "exact_objective from exact_objective_probs" in driver_messages(caplog)
+        caplog.clear()
+        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 12)
         with caplog.at_level(logging.INFO, logger="storalloc.driver"):
-            refused = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg).to_dict()
+            refused = solve(*args).to_dict()
         assert refused["exact_objective"] is None and refused["exact_objective_float"] is None
-        assert [r.getMessage() for r in caplog.records if r.name == "storalloc.driver"] == [
-            "exact_objective_probs refused, exact_objective is null: estimate=3 limit=2"
+        assert driver_messages(caplog) == [
+            "exact_objective_probs refused, exact_objective is null: estimate=13 limit=12"
         ]
         for key in ("exact_objective", "exact_objective_float"):
             del answered[key], refused[key]
         assert refused == answered
+
+    def test_junta_winner_keeps_its_exact_objective_under_a_refusing_limit(self, monkeypatch, caplog):
+        # the n5-L2 winner (1/2 on two head coordinates) is the junta head
+        # with a zero tail; its value comes from the junta scan, so a limit
+        # that refuses its evaluation (3 combinations > 2) changes no byte
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2, seed=3)
+        args = ([0.62, 0.45, 0.31, 0.58, 0.5], F(1, 2), F(1, 4), F(1, 20), cfg)
+        answered = solve(*args).to_json()
+        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 2)
+        with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
+            report = solve(*args)
+        assert report.provenance == "junta" and report.exact_objective == F(2673, 3200)
+        assert report.to_json() == answered
+        assert "exact_objective from the junta scan" in driver_messages(caplog)
+        assert not any(r.levelno >= logging.INFO for r in caplog.records if r.name == "storalloc.driver")
+
+
+def driver_messages(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "storalloc.driver"]
+
+
+def ladder_probs(n: int) -> list[float]:
+    """bench/ladder.py's probabilities for n (seed 1): one per stratum of
+    U(0.3, 0.7), rounded to 6 places, shuffled."""
+    rng = random.Random(f"storalloc-ladder-{n}-1")
+    probs = [round(0.3 + (0.7 - 0.3) * (i + rng.random()) / n, 6) for i in range(n)]
+    rng.shuffle(probs)
+    return probs
+
+
+@pytest.mark.parametrize(
+    "probs, L_cap, seed",
+    [
+        ([0.62, 0.45, 0.31, 0.58, 0.5], 2, 3),
+        ([0.62, 0.45, 0.31, 0.58, 0.5, 0.41], 3, 3),
+        *((ladder_probs(n), L_cap, 1) for n in (4, 8, 12, 16) for L_cap in (2, 3)),
+    ],
+)
+def test_exact_objective_equals_a_fresh_evaluation(probs, L_cap, seed):
+    # the TestReportBytes instances and the ladder: whichever source the
+    # report's exact value came from, it is the chosen weights' value
+    cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=seed)
+    rep = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg)
+    inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
+    w_sorted = [rep.chosen_weights[i] for i in inst.permutation]
+    assert rep.exact_objective == exact_objective_probs(inst.probs, w_sorted, inst.theta)
+
+
+def test_case3_verdict_once_per_solve_matches_every_K(monkeypatch):
+    # forcing the per-K path (no_regular_tail false for the solve) runs
+    # find_near_opt_small_ci at each K; each returns [], so the report is
+    # byte-identical to the one the once-per-solve verdict gives
+    cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=3, seed=3)
+    args = ([0.62, 0.45, 0.31, 0.58, 0.5, 0.41], F(1, 2), F(1, 4), F(1, 20), cfg)
+    once = solve(*args)
+    assert once.per_case_counts == {"junta": 1, "smallCI(1)": 0, "smallCI(2)": 0, "smallCI(3)": 0, "largeCI": 1}
+    calls = []
+    real = driver.find_near_opt_small_ci
+    monkeypatch.setattr(driver, "no_regular_tail", lambda *a: False)
+    monkeypatch.setattr(driver, "find_near_opt_small_ci", lambda inst, K, *a: calls.append(K) or real(inst, K, *a))
+    assert solve(*args).to_json() == once.to_json()
+    assert calls == [1, 2, 3]

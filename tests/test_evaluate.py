@@ -3,6 +3,7 @@ import logging
 import math
 import random
 from collections import Counter
+from unittest import mock
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +17,7 @@ from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
     COMBO_LIMIT,
+    DIRECT_MAX_DRAWS,
     SAMPLE_CHUNK,
     DiscreteDist,
     EmpiricalDist,
@@ -490,6 +492,18 @@ def test_tail_sample_matches_fraction_oracle(case):
     assert sample_tail_empirical(inst, tail, m, seed) == EmpiricalDist(values, counts, m)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mc_cases())
+def test_unpacked_classification_matches_the_packed_path(case):
+    # mc_cases draw m <= 300 <= DIRECT_MAX_DRAWS, classified unpacked; with
+    # the bound at 0 the same draws are packed, deduplicated and classified
+    # by byte tables, and every count agrees
+    probs, vectors, theta, m, seed = case
+    unpacked = mc_hit_counts(probs, vectors, theta, m, seed)
+    with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", 0):
+        assert mc_hit_counts(probs, vectors, theta, m, seed) == unpacked
+
+
 class TestKernel:
     def test_chunks_merge(self):
         m = SAMPLE_CHUNK + 5_000
@@ -573,6 +587,34 @@ class TestKernel:
         vector = [F(a, d), F(a, d), F(d - 2 * a, d)]
         _, message = self._classify(caplog, vector, F(3, 7))
         assert "1 vectors, 0 on object dtype" in message
+
+    @pytest.mark.parametrize("m", [DIRECT_MAX_DRAWS, DIRECT_MAX_DRAWS + 1])
+    def test_dtype_rule_holds_unpacked_and_packed(self, caplog, m):
+        # up to DIRECT_MAX_DRAWS draws are classified unpacked, one more
+        # packed; both put a scaled sum past int64 on object dtype and one
+        # at exactly int64 max on int64
+        big, d = (1 << 63) + 1, (1 << 63) - 1
+        a = 2 * (d // 7) - 1
+        vectors = [[F(big // 3 - 1, big), F(big // 3 + 1, big), F(1, 3)], [F(a, d), F(a, d), F(d - 2 * a, d)]]
+        probs, theta = [F(1, 2)] * 3, F(3, 7)  # 7 divides d: D = d for the second
+        with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
+            got = mc_hit_counts(probs, vectors, theta, m, seed=3)
+        assert got == fraction_hit_counts(probs, vectors, theta, m, 3)
+        kind = "unpacked" if m <= DIRECT_MAX_DRAWS else "unique packed"
+        assert f"{kind} rows, 2 vectors, 1 on object dtype" in caplog.records[-1].getMessage()
+
+    def test_unpacked_only_within_one_draw_block(self, monkeypatch, caplog):
+        # the unpacked draws must be chunk 0's first block: with blocks of
+        # 10 rows, 10 draws are classified unpacked and 11 packed
+        probs = [F(k, 12) for k in range(1, 10)]
+        vectors, theta = [[F(1, 9)] * 9, [F(k, 45) for k in range(1, 10)]], F(1, 2)
+        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 8 * 9 * 10)
+        assert _block_rows(9) == 10
+        for m, kind in ((10, "unpacked"), (11, "unique packed")):
+            with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
+                assert mc_hit_counts(probs, vectors, theta, m, 5) == fraction_hit_counts(probs, vectors, theta, m, 5)
+            message = caplog.records[-1].getMessage()
+            assert message.startswith(f"mc_hit_counts: m={m}, ") and f" {kind} rows" in message
 
     @pytest.mark.parametrize("m", [0, -5])
     def test_nonpositive_m_is_input_error(self, m):

@@ -203,6 +203,34 @@ def test_integer_scan_matches_fraction_scan(request):
     assert find_optimal_junta(req) == fraction_junta_scan(req)
 
 
+@st.composite
+def granular_heads(draw):
+    """Sorted probabilities on a 1/8 or 1/40 grid (the coarse one ties
+    often), n <= 8, L <= min(n, 5), and theta free or exactly the margin
+    v(S) of a non-empty upward-closed set S of the head (tau = W v(S))."""
+    n = draw(st.integers(1, 8))
+    L = draw(st.integers(1, min(n, 5)))
+    den = draw(st.sampled_from([8, 40]))
+    probs = tuple(sorted((F(draw(st.integers(1, den - 1)), den) for _ in range(n)), reverse=True))
+    if draw(st.booleans()):
+        theta = set_margin(draw(st.sampled_from(upward_family(L)[0][1:])), L)[0]
+    else:
+        theta = F(draw(st.integers(1, 47)), 48)
+    return probs, L, theta
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(granular_heads())
+def test_junta_value_is_the_exact_objective_of_its_head_with_a_zero_tail(case):
+    # the identity the driver's exact_objective rests on: the scan's P(S)
+    # is the probability of the event its witness realizes on the full
+    # instance when every tail weight is zero
+    probs, L, theta = case
+    r = find_optimal_junta(JuntaRequest(probs[:L], theta, F(1)))
+    weights = r.weights + (F(0),) * (len(probs) - L)
+    assert r.value == evaluate.exact_objective_probs(probs, weights, theta)
+
+
 def test_margin_decides_feasibility(rng):
     # tau <= W v(S) iff the membership LP of S is feasible, for every
     # non-empty upward-closed S with k <= 4, at random (tau > 0, W) and on

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -19,12 +20,15 @@ from storalloc.small_ci import (
     find_approximately_best_head,
     find_best_head,
     find_near_opt_small_ci,
+    no_regular_tail,
+    regularity_eps,
     sample_count,
     theory_kappa_case3,
 )
 
 from conftest import (
     exhaustive_best_head,
+    fraction_no_regular_tail,
     granular_instance,
     grid_best_head_value,
     head_value,
@@ -75,6 +79,31 @@ class TestKappa:
         with pytest.raises(GuardError) as err:
             construct_achievable_regular_tails(inst, 1, kappa, F(1))
         assert err.value.estimate > err.value.limit == SolverConfig().state_space_limit
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.integers(1, 10**4).flatmap(lambda d: st.integers(1, 2 * d).map(lambda k: F(k, d))),
+    st.integers(1, 10**4).flatmap(lambda d: st.integers(1, d).map(lambda k: F(k, d))),
+    st.integers(1, 60),
+    st.data(),
+)
+def test_numerator_verdict_matches_the_fraction_test(eps_prime, kappa, n, data):
+    K = data.draw(st.integers(1, n))
+    L = data.draw(st.integers(1, n))
+    assert no_regular_tail(eps_prime, kappa, n - K + 1) == fraction_no_regular_tail(eps_prime, kappa, n, K)
+    # one verdict at K = 1 covers every K <= L: a tail of K = 1 has the most slots
+    assert no_regular_tail(eps_prime, kappa, n) == all(
+        fraction_no_regular_tail(eps_prime, kappa, n, k) for k in range(1, L + 1)
+    )
+
+
+def test_numerator_verdict_at_its_boundary():
+    # eps'^2 s = 1 exactly is not "< 1": 1/4 with 16 slots; floor(1/kappa) binds at kappa 2/31
+    assert not no_regular_tail(F(1, 4), F(1, 16), 16) and no_regular_tail(F(1, 4), F(1, 16), 15)
+    assert no_regular_tail(F(1, 4), F(2, 31), 100) and not no_regular_tail(F(1, 4), F(2, 32), 100)
+    inst = granular_instance(random.Random(3), 6, F(1, 2), F(1, 4))
+    assert regularity_eps(inst) == inst.epsilon * min(inst.probs[-1], 1 - inst.probs[0]) / 100
 
 
 class TestRegularTails:
