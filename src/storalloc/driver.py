@@ -1,8 +1,10 @@
 """End-to-end solve: run every case, estimate the pool, pick the winner.
 
-The three case solvers are run unconditionally (the optimum's type is
-unknowable), their candidates are pooled, and every member is scored on
-one *shared* Monte-Carlo sample set of size
+Every case is run (the optimum's type is unknowable): the junta and
+Case 2 by their solvers, Case 3 by its closed-form verdict, which adds no
+candidate or refuses (small_ci.case3_verdict).  The candidates are
+pooled, and every member is scored on one *shared* Monte-Carlo sample set
+of size
 
     m = ceil(mc_constant * (1/eps^2) * ln(|pool| / delta))
 
@@ -44,7 +46,7 @@ from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_hit_counts
 from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
-from .small_ci import case3_kappa, find_near_opt_small_ci, no_regular_tail, regularity_eps
+from .small_ci import case3_kappa, case3_verdict
 from .util import derive_seed, frac_str, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
@@ -55,7 +57,7 @@ SELECT_SEED_TAG = 0x5E7
 @dataclass(frozen=True)
 class PoolMember:
     weights: tuple[Fraction, ...]  # sorted-instance order, full length
-    provenance: str  # "junta" | "smallCI(K)" | "largeCI" | "trivial"
+    provenance: str  # "junta" | "largeCI"
     rank: int  # provenance order for tie-breaking
 
 
@@ -236,13 +238,9 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     timings["junta_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # no regular tail at K = 1 means none at any K (small_ci module docstring)
-    case3_empty = no_regular_tail(regularity_eps(instance), kappa3, n)
+    case3_verdict(instance, kappa3, config)  # no candidate at any K, or GuardError
     for K in range(1, L + 1):
-        cands = [] if case3_empty else find_near_opt_small_ci(instance, K, instance.delta / (2 * L), kappa3, config)
-        counts[f"smallCI({K})"] = len(cands)
-        for cand in cands:
-            pool.append(PoolMember(weights=cand.weights, provenance=f"smallCI({K})", rank=K))
+        counts[f"smallCI({K})"] = 0
     timings["small_ci_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -250,7 +248,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
         cands = find_near_opt_large_ci(instance, L, kappa2, config, junta=junta)
         counts["largeCI"] = len(cands)
         for cand in cands:
-            pool.append(PoolMember(weights=cand.weights, provenance="largeCI", rank=L + 1))
+            pool.append(PoolMember(weights=cand.weights, provenance="largeCI", rank=1))
     else:
         counts["largeCI"] = 0
     timings["large_ci_s"] = time.perf_counter() - t0

@@ -192,6 +192,11 @@ def fraction_no_regular_tail(eps_prime: Fraction, kappa: Fraction, n: int, K: in
     return eps_prime * eps_prime * min(math.floor(1 / kappa), n - K + 1) < 1
 
 
+def fewest_regular_slots(eps_prime: Fraction) -> int:
+    """ceil(1/eps'^2): the fewest nonzero slots of an eps'-regular tail."""
+    return -(-eps_prime.denominator**2 // eps_prime.numerator**2)
+
+
 def fraction_round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
     """core.round_to_grid in Fraction arithmetic: floor(p / grid) grid
     units, clamped up to one unit."""

@@ -26,8 +26,9 @@ from storalloc.evaluate import (
 from storalloc.formats import save_instance
 from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.large_ci import construct_achievable_tails
-from storalloc.small_ci import construct_achievable_regular_tails, find_best_head
+from storalloc.small_ci import find_best_head
 
+from case3 import construct_achievable_regular_tails
 from conftest import (
     child_env,
     full_tail_triples,

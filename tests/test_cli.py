@@ -96,8 +96,8 @@ class TestCommands:
         assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err
-        # No solve a test can run reaches Case 3's tail sampling (a regular
-        # tail needs more than 40000 slots; see the small_ci docstring), so
+        # No solve samples a tail (Case 3 is decided in closed form, see
+        # small_ci.case3_verdict; its sampler is test code), so
         # a stand-in command samples a tail under the CLI's log handler.
         inst = ProblemInstance((F(15, 32), F(5, 16)), F(1, 2), F(1, 4), F(1, 20), (0, 1))
 

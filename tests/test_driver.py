@@ -3,15 +3,22 @@ import json
 import logging
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from storalloc import driver, evaluate
+from storalloc import evaluate
 from storalloc.core import SolverConfig, preprocess
-from storalloc.driver import _check_feasible, selection_sample_size, solve
+from storalloc.driver import _check_feasible, selection_sample_size, solve, solve_instance
 from storalloc.errors import GuardError, InputError
 from storalloc.halfspaces import MAX_K
 from storalloc.evaluate import exact_objective_probs
+from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps
+
+import case3
+from conftest import fewest_regular_slots
 
 
 PRACTICAL = dict(mode="practical", kappa_override=F(1, 8), L_cap=2)
@@ -292,17 +299,97 @@ def test_exact_objective_equals_a_fresh_evaluation(probs, L_cap, seed):
     assert rep.exact_objective == exact_objective_probs(inst.probs, w_sorted, inst.theta)
 
 
-def test_case3_verdict_once_per_solve_matches_every_K(monkeypatch):
-    # forcing the per-K path (no_regular_tail false for the solve) runs
-    # find_near_opt_small_ci at each K; each returns [], so the report is
-    # byte-identical to the one the once-per-solve verdict gives
-    cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=3, seed=3)
-    args = ([0.62, 0.45, 0.31, 0.58, 0.5, 0.41], F(1, 2), F(1, 4), F(1, 20), cfg)
-    once = solve(*args)
-    assert once.per_case_counts == {"junta": 1, "smallCI(1)": 0, "smallCI(2)": 0, "smallCI(3)": 0, "largeCI": 1}
-    calls = []
-    real = driver.find_near_opt_small_ci
-    monkeypatch.setattr(driver, "no_regular_tail", lambda *a: False)
-    monkeypatch.setattr(driver, "find_near_opt_small_ci", lambda inst, K, *a: calls.append(K) or real(inst, K, *a))
-    assert solve(*args).to_json() == once.to_json()
-    assert calls == [1, 2, 3]
+def _case3_outcome(run):
+    """None when ``run`` returns, else its GuardError as (message, estimate, limit)."""
+    try:
+        run()
+    except GuardError as exc:
+        return str(exc), exc.estimate, exc.limit
+    return None
+
+
+def _reference_case3(instance, L, kappa, config):
+    # the per-K loop case3_verdict replaces: each K yields no candidate, or
+    # its refusal ends the solve
+    def run():
+        for K in range(1, L + 1):
+            assert case3.find_near_opt_small_ci(instance, K, F(1, 20) / (2 * L), kappa, config) == []
+
+    return _case3_outcome(run)
+
+
+@st.composite
+def case3_stubs(draw):
+    """(instance, L, kappa, config) on a stub with n, epsilon and gamma only.
+
+    eps and gamma satisfy A2 (eps < 1 - p_1, gamma = min(p_n, 1 - p_1)) with
+    p_1 near 1/2, so a regular tail needs about 160 000 to 180 000 slots;
+    n and floor(1/kappa) are drawn at or just above it, or one of them
+    below it.  The limit stays below 4 * 10^26, under every estimate that
+    refuses: at a larger limit the reference would start its DP.  The stub
+    has no grid units, so a DP that did start would fail at once instead.
+    """
+    p_1 = F(500 - draw(st.integers(0, 20)), 1000)
+    p_n = p_1 - F(draw(st.integers(0, 5)), 1000)
+    eps = 1 - p_1 - F(draw(st.integers(1, 20)), 1000)
+    gamma = min(p_n, 1 - p_1)
+    eps_prime = eps * gamma / 100
+    threshold = fewest_regular_slots(eps_prime)
+
+    n, J = (threshold + draw(st.integers(0, 2)) for _ in range(2))
+    short = draw(st.sampled_from((None, "n", "J")))  # which falls below the threshold, if any
+    if short == "n":
+        n = draw(st.integers(1, threshold - 1))
+    elif short == "J":
+        J = draw(st.integers(1, threshold - 1))
+    a = draw(st.integers(1, 3))
+    kappa = F(a, a * J + draw(st.integers(0, a - 1)))  # floor(1/kappa) = J
+    L = draw(st.integers(1, min(n, MAX_K)))
+    limit = draw(st.integers(1, 4 * 10**26))
+    return SimpleNamespace(n=n, epsilon=eps, gamma=gamma), L, kappa, SolverConfig(state_space_limit=limit)
+
+
+def _threshold_stub(n, limit=5_000_000):
+    # eps' = (49/100)(1/2)/100 = 49/20000: a regular tail needs 166 598 slots
+    return SimpleNamespace(n=n, epsilon=F(49, 100), gamma=F(1, 2)), 2, F(1, n), SolverConfig(state_space_limit=limit)
+
+
+@settings(derandomize=True, database=None, max_examples=16, deadline=None)
+@given(case3_stubs())
+@example(_threshold_stub(166_597))
+@example(_threshold_stub(166_598))
+def test_case3_verdict_once_per_solve_matches_every_K(stub):
+    # each refusal costs about 0.25 s (the estimate's (J+1)^n term), so few examples
+    instance, L, kappa, config = stub
+    expected = _reference_case3(instance, L, kappa, config)
+    assert _case3_outcome(lambda: case3_verdict(instance, kappa, config)) == expected
+    assert (expected is None) == no_regular_tail(regularity_eps(instance), kappa, instance.n)
+
+
+class TestCase3GuardAtTheThreshold:
+    # every p = 1/2 and eps = 49/100: eps' = 49/20000, so a regular tail needs
+    # 166 598 slots, and n = 1/kappa = 170 000 has them
+    N = 170_000
+    ARGS = ([F(1, 2)] * N, F(1, 2), F(49, 100), F(1, 20))
+    KAPPA = F(1, N)
+    ESTIMATE = 1159073756861646715567527348
+
+    def message(self, limit):
+        return (
+            f"tail DP needs ~{self.ESTIMATE} cells (limit {limit}); "
+            f"use practical mode with a coarser --kappa or raise --state-space-limit"
+        )
+
+    def test_solve_refuses_as_the_reference_dp_does(self):
+        cfg = SolverConfig(mode="practical", kappa_override=self.KAPPA, L_cap=2)
+        got = _case3_outcome(lambda: solve(*self.ARGS, cfg))
+        assert got == (self.message(5_000_000), self.ESTIMATE, 5_000_000)
+        inst = preprocess(*self.ARGS).instance
+        ref = _case3_outcome(
+            lambda: case3.construct_achievable_regular_tails(inst, 1, self.KAPPA, regularity_eps(inst), cfg)
+        )
+        assert ref == got
+        # a limit at or above the estimate refuses too (the reference would
+        # start a DP of billions of states); never run the reference here
+        big = SolverConfig(mode="practical", kappa_override=self.KAPPA, L_cap=2, state_space_limit=10**28)
+        assert _case3_outcome(lambda: solve_instance(inst, big)) == (self.message(10**28), self.ESTIMATE, 10**28)

@@ -4,30 +4,36 @@ import logging
 import random
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from storalloc import small_ci
-from storalloc.core import SolverConfig
+from storalloc.core import SolverConfig, preprocess
 from storalloc.errors import GuardError, InputError
 from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.junta import upward_family
 from storalloc.small_ci import (
+    _state_space_estimate,
     case3_kappa,
-    construct_achievable_regular_tails,
-    find_approximately_best_head,
     find_best_head,
-    find_near_opt_small_ci,
     no_regular_tail,
     regularity_eps,
-    sample_count,
     theory_kappa_case3,
 )
 
+import case3
+from case3 import (
+    construct_achievable_regular_tails,
+    find_approximately_best_head,
+    find_near_opt_small_ci,
+    sample_count,
+)
 from conftest import (
     exhaustive_best_head,
+    fewest_regular_slots,
     fraction_no_regular_tail,
     granular_instance,
     grid_best_head_value,
@@ -106,6 +112,48 @@ def test_numerator_verdict_at_its_boundary():
     assert regularity_eps(inst) == inst.epsilon * min(inst.probs[-1], 1 - inst.probs[0]) / 100
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 1000), min_size=1, max_size=8),
+    st.integers(1, 999),
+    st.integers(1, 999),
+)
+def test_every_instance_has_regularity_below_1_400(p_num, theta_num, eps_num):
+    # case3_verdict's premise: A2 (p_1 < 1 - eps) and gamma <= p_n <= p_1
+    # give eps gamma < p_1 (1 - p_1) <= 1/4
+    eps = F(eps_num, 1000)
+    try:
+        pre = preprocess([F(k, 1000) for k in p_num], F(theta_num, 1000), eps, F(1, 20))
+    except InputError:
+        # preprocess clamps a p below one grid unit up to eps/(4n), which
+        # breaks A2 when eps/(4n) >= 1 - eps; it then builds no instance
+        assert eps / (4 * len(p_num)) >= 1 - eps
+        reject()
+    assume(not pre.is_trivial)
+    inst = pre.instance
+    assert inst.epsilon * inst.gamma < inst.probs[0] * (1 - inst.probs[0]) <= F(1, 4)
+    assert regularity_eps(inst) < F(1, 400)
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(st.integers(0, 20), st.integers(1, 20), st.integers(0, 2), st.integers(0, 2))
+@example(0, 1, 0, 0)
+def test_a_regular_tail_costs_more_than_4e26_cells(p_off, eps_off, dn, dj):
+    # eps gamma < 1/4 (previous test), here just below it: p_1 = p_n = 1/2 -
+    # p_off/1000, eps = 1 - p_1 - eps_off/1000.  n and floor(1/kappa) sit at
+    # or just above the fewest slots of a regular tail, where the verdict
+    # first fails; each estimate costs about 0.25 s, so few examples.
+    p_1 = F(500 - p_off, 1000)
+    eps = 1 - p_1 - F(eps_off, 1000)
+    eps_prime = regularity_eps(SimpleNamespace(epsilon=eps, gamma=min(p_1, 1 - p_1)))
+    threshold = fewest_regular_slots(eps_prime)
+    assert threshold > 160_000
+    n, kappa = threshold + dn, F(1, threshold + dj)
+    assert not no_regular_tail(eps_prime, kappa, n)
+    assert no_regular_tail(eps_prime, F(1, threshold - 1), n) and no_regular_tail(eps_prime, kappa, n - dn - 1)
+    assert _state_space_estimate(n, kappa, SimpleNamespace(n=n, epsilon=eps)) > 4 * 10**26
+
+
 class TestRegularTails:
     def test_single_slot_regularity_boundary(self, rng):
         # w=(1/2): D=1, E=1, so regular iff eps' >= 1
@@ -180,7 +228,7 @@ class TestRegularTails:
                 if D > 0 and E * E <= eps_p * eps_p * D
             }
             if closed_form:
-                monkeypatch.setattr(small_ci, "_tail_dp", no_dp)
+                monkeypatch.setattr(case3, "_tail_dp", no_dp)
             got = construct_achievable_regular_tails(inst, K, kappa, eps_p)
             monkeypatch.undo()
             assert {(q.A, q.B, q.C) for q in got} == expected

@@ -4,13 +4,16 @@ The package root exports the solve and oracle API and nothing else.
 """
 
 import argparse
+import ast
 import dataclasses
 import importlib.util
+import inspect
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import storalloc
+from storalloc import driver, small_ci
 from storalloc.cli import build_parser
 
 from conftest import child_env
@@ -65,6 +68,50 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# Case 3's DP, sampler and head completion: the test reference, tests/case3.py
+CASE3_REFERENCE = {
+    "RegularTailQuintuple",
+    "_tail_dp",
+    "_witness",
+    "construct_achievable_regular_tails",
+    "ApproxHeadResult",
+    "sample_count",
+    "find_approximately_best_head",
+    "SmallCICandidate",
+    "SMALL_CI_SEED_TAG",
+    "find_near_opt_small_ci",
+}
+SMALL_CI_API = {
+    "theory_kappa_case3",
+    "case3_kappa",
+    "regularity_eps",
+    "no_regular_tail",
+    "case3_verdict",
+    "HeadResult",
+    "find_best_head",
+}
+
+
+def _module_level_names(module) -> set:
+    """Names a module's own source binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_case3_reference_stays_out_of_the_solver():
+    # no runnable configuration completes Case 3 (small_ci.case3_verdict)
+    for module in (small_ci, driver):
+        assert not CASE3_REFERENCE & set(vars(module)), module.__name__
+    public = {name for name in _module_level_names(small_ci) if not name.startswith("_")}
+    assert public - {"logger"} == SMALL_CI_API
 
 
 # Calls into every numpy-backed layer: selection and the junta in a solve,
