@@ -12,7 +12,10 @@ available behind a flag.
 The uniform k-split baseline and the n=5 counterexample that beats it are
 kept here for benchmarking: with five nodes at p = 0.9 and theta = 5/12,
 the split (1/4, 1/4, 1/6, 1/6, 1/6) achieves 0.99711 while the best
-uniform split (k=4) only reaches 0.9963.
+uniform split (k=4) only reaches 0.9963.  A uniform split succeeds when
+enough of its k nodes survive, so one pass that grows the survivor
+count's law node by node values every k exactly in O(n^2) big-int steps,
+at any n.
 """
 
 from __future__ import annotations
@@ -64,12 +67,19 @@ class UniformSplitResult:
 def uniform_split_baseline(instance: ProblemInstance) -> UniformSplitResult:
     """Exact value of w = (1/k,...,1/k,0,...,0) for every k; argmax reported.
 
-    The two-valued weight structure keeps exact evaluation cheap at any n.
+    w . X >= theta iff the success count C_k of the first k nodes reaches
+    ceil(k theta), so the value at k is a tail of C_k's Poisson-binomial
+    law.  The law grows one node at a time, as integer numerators over the
+    product D_k of the first k denominators: O(n^2) steps for every k.
     """
-    values = []
-    for k in range(1, instance.n + 1):
-        w = [Fraction(1, k)] * k + [Fraction(0)] * (instance.n - k)
-        values.append(exact_objective_probs(instance.probs, w, instance.theta))
+    a, b = instance.theta.numerator, instance.theta.denominator
+    law, den, values = [1], 1, []
+    for k, p in enumerate(instance.probs, 1):
+        pa, pb = p.numerator, p.denominator
+        law = [x * (pb - pa) + y * pa for x, y in zip(law + [0], [0] + law)]
+        den *= pb
+        need = -(-k * a // b)  # ceil(k theta)
+        values.append(Fraction(sum(law[need:]), den))
     best_k = max(range(instance.n), key=lambda i: (values[i], -i)) + 1
     return UniformSplitResult(best_k=best_k, value=values[best_k - 1], per_k=tuple(values))
 

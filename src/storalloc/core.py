@@ -13,9 +13,9 @@ Preprocessing establishes the two standing assumptions:
        eps/(4n) (rounding moves any event probability by at most eps/4,
        by coupling).
 
-Degenerate thresholds (theta in {0,1}) and near-certain nodes
-(max p >= 1 - eps) short-circuit to closed-form solutions before any
-rounding happens.
+Degenerate thresholds (theta in {0,1}), near-certain nodes
+(max p >= 1 - eps) and grids too coarse for A2 (eps/(4n) >= 1 - eps)
+short-circuit to closed-form solutions before any rounding happens.
 
 It also derives the quantities every case solver reads: the grid units
 p_i / (eps/(4n)) as ints (ProblemInstance.units, which the tail DPs and
@@ -154,7 +154,7 @@ class TrivialSolution:
 
     weights: tuple[Fraction, ...]
     objective: Fraction
-    reason: str  # "theta_zero" | "theta_one" | "high_prob_shortcut"
+    reason: str  # "theta_zero" | "theta_one" | "high_prob_shortcut" | "below_grid_shortcut"
     eps_optimal: bool
 
 
@@ -181,8 +181,11 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
     """Validate, sort, and round an instance; or return a trivial solution.
 
     Shortcuts: theta=0 (any unit vector wins with probability 1), theta=1
-    (all weight on the most reliable node), and max p >= 1-eps (unit weight
-    on the most reliable node is eps-optimal, per A2's first claim).
+    (all weight on the most reliable node), max p >= 1-eps (unit weight
+    on the most reliable node is eps-optimal, per A2's first claim), and
+    eps/(4n) >= 1-eps ("below_grid_shortcut": then every p < 1-eps lies
+    below one grid unit, and as theta > 0 needs a surviving node,
+    opt <= sum p_i < eps/4, so the same unit weight is eps-optimal).
     """
     if len(p_raw) == 0:
         raise InputError("empty probability vector")
@@ -223,6 +226,12 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
     if probs[best].numerator * e_d >= (e_d - e_n) * probs[best].denominator:
         return PreprocessResult(
             shortcut=TrivialSolution(unit(best), probs[best], "high_prob_shortcut", True)
+        )
+    # eps/(4n) >= 1 - eps as e_n >= 4n (e_d - e_n): every p is now below one
+    # grid unit, and the clamp would lift p_1 to 1 - eps or more (A2)
+    if e_n >= 4 * n * (e_d - e_n):
+        return PreprocessResult(
+            shortcut=TrivialSolution(unit(best), probs[best], "below_grid_shortcut", True)
         )
 
     grid = epsilon / (4 * n)

@@ -27,11 +27,14 @@ zero head has value 1.
 The scan ranks sets on integers.  Every point x of the head cube has
 probability nums[x] / D, with D the product of the denominators of the
 p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S,
-taken for a whole family at once by the Monte-Carlo classifier's per-byte
-tables (``family_numerators``).  All sets share the one D, so one stable
-sort by -D P(S) over the ascending masks gives the (-P(S), mask) order.
-The test tau <= W v(S) is cross-multiplied, and only the returned set's
-value and witness become Fractions.
+taken for a whole family at once as one product of its cached 0/1 member
+matrix with nums (``family_numerators``; past int64, the Monte-Carlo
+classifier's per-byte tables on Python ints).  All sets share the one D,
+so one stable argsort of -D P(S) over the ascending masks gives the
+(-P(S), mask) order, and the scan walks it index by index, so a scan that
+stops early touches only the sets it visits.  The test tau <= W v(S) is
+cross-multiplied, and only the returned set's value and witness become
+Fractions.
 
 ``chain_lp`` is the membership program of a nested chain of such sets at
 descending thresholds, which the Case-3 head search solves after the same
@@ -118,13 +121,25 @@ def upward_family(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     return masks, array, np.packbits(np.unpackbits(low_bytes, axis=1, bitorder="little"), axis=1)
 
 
+@lru_cache(maxsize=None)
+def member_matrix(k: int) -> np.ndarray:
+    """The 0/1 uint8 matrix of upward_family(k): row i holds set i's point
+    bits, point x in column x, unpacked from the family's packed rows."""
+    members = np.unpackbits(upward_family(k)[2], axis=1)[:, : 1 << k]
+    members.flags.writeable = False  # the cache shares it
+    return members
+
+
 def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
-    """D P(S) for every set S of upward_family(k), aligned with its masks:
-    each packed row's dot with nums, by evaluate's per-byte tables.  Every
-    partial sum is a subset sum of nums, at most sum(nums) = D, so the sums
-    run on int64 when D fits and on Python ints otherwise (mc_hit_counts)."""
-    dtype = np.int64 if _fits_int64(nums, 0) else object
-    tables = _byte_tables(np.array(nums, dtype=dtype).reshape(-1, 1))
+    """D P(S) for every set S of upward_family(k), aligned with its masks.
+    Every partial sum is a subset sum of nums, at most sum(nums) = D, so
+    when D fits int64 the sums are one integer product of member_matrix(k)
+    with nums; otherwise they run on Python ints through evaluate's
+    per-byte tables, where a 0/1 product of objects is an order of
+    magnitude slower (mc_hit_counts)."""
+    if _fits_int64(nums, 0):
+        return member_matrix(k) @ np.array(nums, dtype=np.int64)
+    tables = _byte_tables(np.array(nums, dtype=object).reshape(-1, 1))
     return _byte_dots(tables, upward_family(k)[2])[:, 0]
 
 
@@ -168,18 +183,19 @@ def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 @lru_cache(maxsize=4)
-def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(D, order): order lists (D P(S), mask) for every non-empty
-    upward-closed realizable set over the head cube, by probability
-    descending, then mask ascending; every set shares the one D.  The
-    Case-2 requests of one solve share one head, so the order is kept
-    across calls."""
+def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, scores, order): scores[i] is D P(S) for set i of
+    upward_family(k), every set sharing the one D, and order indexes the
+    non-empty sets by probability descending, then mask ascending.  The
+    Case-2 requests of one solve share one head, so it is kept across
+    calls."""
     nums, D = outcome_numerators(head_probs)
-    masks = upward_family(len(head_probs))[0]
-    scores = family_numerators(nums, len(head_probs)).tolist()
-    # index 0 holds the empty set; the sort is stable, so ties keep mask order
-    order = sorted(range(1, len(masks)), key=scores.__getitem__, reverse=True)
-    return D, tuple(zip(map(scores.__getitem__, order), map(masks.__getitem__, order)))
+    scores = family_numerators(nums, len(head_probs))
+    # index 0 holds the empty set; masks ascend and the sort is stable, so
+    # ties keep mask order, and 0 <= score <= D leaves -score in range
+    order = np.argsort(-scores[1:], kind="stable") + 1
+    scores.flags.writeable = order.flags.writeable = False  # the cache shares them
+    return D, scores, order
 
 
 def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
@@ -192,11 +208,12 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
-    D, order = _scan_order(req.head_probs)
+    D, scores, order = _scan_order(req.head_probs)
+    masks = upward_family(L)[0]
     # tau <= W v as tau_n W_d v_d <= W_n tau_d v_n (positive denominators)
     lhs, rhs = tau.numerator * W.denominator, W.numerator * tau.denominator
-    for examined, (num, mask) in enumerate(order, 1):
-        v, u = set_margin(mask, L)
+    for examined, i in enumerate(order, 1):
+        v, u = set_margin(masks[i], L)
         if lhs * v.denominator <= rhs * v.numerator:
-            return JuntaResult(tuple(map((tau / v).__mul__, u)), Fraction(num, D), examined, req)
+            return JuntaResult(tuple(map((tau / v).__mul__, u)), Fraction(int(scores[i]), D), examined, req)
     return JuntaResult((Fraction(0),) * L, Fraction(0), len(order), req)

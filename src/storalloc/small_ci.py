@@ -45,10 +45,17 @@ def case3_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Frac
 
 
 def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstance) -> int:
-    """Cheap upper bound on DP cells: min(granular tails, conceivable triples)."""
+    """Cheap upper bound on DP cells: min(granular tails, conceivable triples),
+    the tails (jmax + 1)^n_slots built only while they stay the smaller."""
     jmax = int(1 / kappa)
     b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
-    return min((jmax + 1) ** n_slots, (jmax * jmax + 1) * (b_max + 1) * (jmax + 1))
+    triples = (jmax * jmax + 1) * (b_max + 1) * (jmax + 1)
+    tails = 1
+    for _ in range(n_slots):  # kappa <= 1 gives jmax >= 1: at most log2(triples) + 1 rounds
+        tails *= jmax + 1
+        if tails >= triples:
+            return triples
+    return tails
 
 
 def regularity_eps(instance: ProblemInstance) -> Fraction:

@@ -7,7 +7,8 @@ oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
-the LP junta scan solves one feasibility LP per event set, the Fraction
+the LP junta scan solves one feasibility LP per event set, the uniform
+split reference evaluates each k-split from scratch, the Fraction
 junta scan tests tau <= W v(S) on rationals, grid rounding divides
 Fractions, the A1 order, gamma and the Case-3 regular-tail verdict are
 taken on Fractions, the Case-2
@@ -37,8 +38,9 @@ import numpy as np
 import pytest
 
 import storalloc
+from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance
-from storalloc.evaluate import SAMPLE_CHUNK
+from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import JuntaRequest, JuntaResult, chain_lp, set_margin
 from storalloc.large_ci import TailTriple
@@ -173,6 +175,17 @@ def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction
         delta=delta,
         permutation=tuple(range(n)),
     )
+
+
+def per_k_uniform_split(instance: ProblemInstance) -> UniformSplitResult:
+    """baselines.uniform_split_baseline with one general exact evaluation
+    of w = (1/k,...,1/k,0,...,0) per k; ties go to the smallest k."""
+    values = []
+    for k in range(1, instance.n + 1):
+        w = [Fraction(1, k)] * k + [Fraction(0)] * (instance.n - k)
+        values.append(exact_objective_probs(instance.probs, w, instance.theta))
+    best_k = max(range(instance.n), key=lambda i: (values[i], -i)) + 1
+    return UniformSplitResult(best_k=best_k, value=values[best_k - 1], per_k=tuple(values))
 
 
 def fraction_sort_order(probs) -> list[int]:

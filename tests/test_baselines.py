@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storalloc.baselines import (
     brute_force_optimum,
@@ -12,7 +14,7 @@ from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.junta import JuntaRequest, find_optimal_junta
 
-from conftest import granular_instance, grid_junta_value
+from conftest import granular_instance, grid_junta_value, per_k_uniform_split
 
 
 class TestOracle:
@@ -104,6 +106,37 @@ class TestUniformSplit:
         inst = granular_instance(rng, 3, F(1, 2), F(1, 4))
         res = uniform_split_baseline(inst)
         assert res.per_k[0] == inst.probs[0]
+
+
+@st.composite
+def uniform_instances(draw):
+    """n <= 12 nodes on the eps/(4n) grid, eps <= 1/2 with a denominator up
+    to 10^12 (so grids as fine as 10^-13), and theta an exact tie c/k of
+    some split, within 10^-9 of 0 or 1, or free."""
+    n = draw(st.integers(1, 12))
+    e_d = draw(st.sampled_from([4, 10, 97]) | st.integers(2, 10**12))
+    eps = F(draw(st.integers(1, e_d // 2)), e_d)
+    grid = eps / (4 * n)
+    top = -(-(1 - eps) // grid) - 1  # the largest unit below 1 - eps
+    units = sorted(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)), reverse=True)
+    kind = draw(st.sampled_from(["tie", "near_zero", "near_one", "free"]))
+    if kind == "tie":
+        k = draw(st.integers(2, max(2, n)))
+        theta = F(draw(st.integers(1, k - 1)), k)
+    elif kind == "near_zero":
+        theta = F(1, draw(st.integers(2, 10**9)))
+    elif kind == "near_one":
+        theta = 1 - F(1, draw(st.integers(2, 10**9)))
+    else:
+        theta = F(draw(st.integers(1, 10**12 - 1)), 10**12)
+    return ProblemInstance(tuple(u * grid for u in units), theta, eps, F(1, 20), tuple(range(n)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(uniform_instances())
+def test_one_pass_uniform_split_matches_per_k_evaluation(inst):
+    # per_k, best_k and value all equal one exact evaluation per k
+    assert uniform_split_baseline(inst) == per_k_uniform_split(inst)
 
 
 def _all_fail(probs):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -193,6 +195,21 @@ class TestCommands:
         assert data["pool_size"] == 1
 
     @pytest.mark.parametrize(
+        "probs, epsilon",
+        [([0.05], 0.9), ([0.001], 0.8), ([0, 0], 0.9)],
+    )
+    def test_every_p_below_one_grid_unit_trips_shortcut(self, tmp_path, probs, epsilon):
+        # eps/(4n) >= 1 - eps: rounding would lift p_1 past 1 - eps (A2)
+        inst = tmp_path / "coarse.json"
+        save_instance(inst, probs, 0.5, epsilon, 0.05)
+        out = tmp_path / "rep.json"
+        assert run_cli(["solve", inst, "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["provenance"] == "trivial"
+        assert data["reason"] == "below_grid_shortcut"
+        assert data["chosen_weights"] == ["1"] + ["0"] * (len(probs) - 1)
+
+    @pytest.mark.parametrize(
         "command, flag",
         [
             ("baseline", "--seed"),
@@ -250,6 +267,26 @@ class TestCommands:
         )
         assert code == 2
         assert "--l-cap" in capsys.readouterr().err
+
+
+# sha256 of `storalloc baseline` output, written before the uniform split
+# became one pass over the survivor count's law
+PINNED_BASELINE = {
+    4: (268, "de9c952c7d6ada2a34b637441efe021aef1a475634ef3c72e774189c947be226"),
+    60: (11220, "2b008755ff6851009d266f9e1679a134bf2505e99650fc0720467b6d0808b2fd"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_BASELINE))
+def test_baseline_output_pinned(tmp_path, n):
+    rng = random.Random("baseline-60")
+    probs = [0.62, 0.45, 0.31, 0.58] if n == 4 else [round(rng.uniform(0.2, 0.85), 3) for _ in range(60)]
+    theta, epsilon = (0.5, 0.25) if n == 4 else (0.55, 0.1)
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    save_instance(inst, probs, theta, epsilon, 0.05)
+    assert run_cli(["baseline", inst, "--out", out]) == 0
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_BASELINE[n]
 
 
 class TestDeterminismBytes:

@@ -20,6 +20,7 @@ from storalloc.core import (
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
+from storalloc.util import to_fraction
 
 from conftest import fraction_gamma, fraction_round_to_grid, fraction_sort_order, granular_instance
 from lemmas import critical_index, is_regular
@@ -46,6 +47,22 @@ class TestPreprocess:
         assert res.shortcut.reason == "high_prob_shortcut"
         assert res.shortcut.eps_optimal
         assert res.shortcut.weights == (F(1), F(0))
+
+    @pytest.mark.parametrize(
+        "probs, epsilon, best",
+        [([0.05], 0.9, 0), ([0.001], 0.8, 0), ([0, 0], 0.9, 0), ([0.01, 0.02], 0.9, 1)],
+    )
+    def test_below_grid_shortcut(self, probs, epsilon, best):
+        # eps/(4n) >= 1 - eps: every p < 1 - eps is below one grid unit, so
+        # opt <= sum p < eps/4 and the unit weight on the best node is eps-optimal
+        res = preprocess(probs, 0.5, epsilon, 0.05)
+        assert res.is_trivial
+        assert res.shortcut.reason == "below_grid_shortcut"
+        assert res.shortcut.eps_optimal
+        assert res.shortcut.weights == tuple(F(int(i == best)) for i in range(len(probs)))
+        ps = [to_fraction(p, limit_denominator=True) for p in probs]
+        assert res.shortcut.objective == ps[best]
+        assert sum(ps) < to_fraction(epsilon, limit_denominator=True) / 4
 
     def test_no_shortcut_just_below_threshold(self):
         res = preprocess([0.95, 0.5], 0.5, 0.04, 0.1)
@@ -185,6 +202,8 @@ def test_preprocess_round_trip(case):
         reason = "theta_one"
     elif max(probs) >= 1 - eps:
         reason = "high_prob_shortcut"
+    elif eps / (4 * len(probs)) >= 1 - eps:
+        reason = "below_grid_shortcut"
     else:
         reason = None
     assert res.is_trivial == (reason is not None)

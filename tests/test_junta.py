@@ -275,15 +275,28 @@ _head_prob = st.one_of(
 )
 
 
+def _scan_pairs(probs):
+    """_scan_order's (D, [(D P(S), mask) in scan order]), uncached, after
+    checking that its scores align with the family's masks."""
+    D, scores, order = _scan_order.__wrapped__(probs)
+    masks = upward_family(len(probs))[0]
+    assert scores.tolist() == set_numerators(outcome_numerators(probs)[0], masks)
+    return D, [(int(scores[i]), masks[i]) for i in order.tolist()]
+
+
+def _sorted_reference(probs):
+    """(D, the non-empty upward-closed sets' (D P(S), mask) by (-P(S), mask))."""
+    nums, D = outcome_numerators(probs)
+    masks = [s.mask for s in enumerate_halfspace_sets(len(probs), monotone=True) if s.mask]
+    return D, sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_scan_order_matches_sorted_reference(k, data):
     probs = tuple(sorted(data.draw(st.lists(_head_prob, min_size=k, max_size=k)), reverse=True))
-    nums, D = outcome_numerators(probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True) if s.mask]
-    expected = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
-    assert _scan_order.__wrapped__(probs) == (D, tuple(expected))
+    assert _scan_pairs(probs) == _sorted_reference(probs)
 
 
 @pytest.mark.parametrize(
@@ -291,9 +304,13 @@ def test_scan_order_matches_sorted_reference(k, data):
     [
         ((F(2, 3), F(1, 2**62 + 1)), object),  # D = 3 (2^62 + 1) > 2^63 - 1
         ((F(2, 3), F(1, 2**61)), np.int64),  # D = 3 2^61 fits
+        # k = 5 with D of 250 bits: odd 50-bit denominators, coprime to 2^(49 - j)
+        (tuple(F(2 ** (49 - j), 2**50 - 2 * j - 1) for j in range(5)), object),
     ],
 )
 def test_scan_order_dtype_follows_the_common_denominator(monkeypatch, probs, dtype):
+    # past int64 the scores are Python ints from the per-byte tables; within
+    # it they are one int64 product with the member matrix, and no tables
     seen = []
 
     def spy(columns):
@@ -301,11 +318,11 @@ def test_scan_order_dtype_follows_the_common_denominator(monkeypatch, probs, dty
         return evaluate._byte_tables(columns)
 
     monkeypatch.setattr(junta, "_byte_tables", spy)
-    nums, D = outcome_numerators(probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(2, monotone=True) if s.mask]
-    expected = sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
-    assert _scan_order.__wrapped__(probs) == (D, tuple(expected))
-    assert seen == [np.dtype(dtype)]
+    if len(probs) == 5:
+        assert outcome_numerators(probs)[1].bit_length() == 250
+    assert _scan_pairs(probs) == _sorted_reference(probs)
+    assert seen == ([np.dtype(object)] if dtype is object else [])
+    assert _scan_order.__wrapped__(probs)[1].dtype == np.dtype(dtype)
 
 
 @pytest.mark.parametrize(

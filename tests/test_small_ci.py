@@ -122,12 +122,11 @@ def test_every_instance_has_regularity_below_1_400(p_num, theta_num, eps_num):
     # case3_verdict's premise: A2 (p_1 < 1 - eps) and gamma <= p_n <= p_1
     # give eps gamma < p_1 (1 - p_1) <= 1/4
     eps = F(eps_num, 1000)
-    try:
-        pre = preprocess([F(k, 1000) for k in p_num], F(theta_num, 1000), eps, F(1, 20))
-    except InputError:
-        # preprocess clamps a p below one grid unit up to eps/(4n), which
-        # breaks A2 when eps/(4n) >= 1 - eps; it then builds no instance
-        assert eps / (4 * len(p_num)) >= 1 - eps
+    pre = preprocess([F(k, 1000) for k in p_num], F(theta_num, 1000), eps, F(1, 20))
+    if eps / (4 * len(p_num)) >= 1 - eps:
+        # rounding would lift a p below one grid unit to eps/(4n), past
+        # 1 - eps (A2); preprocessing answers such inputs in closed form
+        assert pre.is_trivial and pre.shortcut.reason in ("high_prob_shortcut", "below_grid_shortcut")
         reject()
     assume(not pre.is_trivial)
     inst = pre.instance
@@ -135,14 +134,36 @@ def test_every_instance_has_regularity_below_1_400(p_num, theta_num, eps_num):
     assert regularity_eps(inst) < F(1, 400)
 
 
-@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+def _power_then_min_estimate(n_slots, kappa, instance):
+    """_state_space_estimate by its definition: the whole power, then the min."""
+    jmax = int(1 / kappa)
+    b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
+    return min((jmax + 1) ** n_slots, (jmax * jmax + 1) * (b_max + 1) * (jmax + 1))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(0, 400),
+    st.one_of(st.fractions(min_value=F(1, 10**6), max_value=1), st.integers(1, 10**6).map(lambda j: F(1, j))),
+    st.fractions(min_value=F(1, 10**6), max_value=F(999, 1000)),
+)
+@example(3, 3, F(1, 2), F(1, 4))  # 3^3 = 27 tails against (4 + 1)(97 + 1)(2 + 1) triples
+@example(1, 0, F(1), F(1, 2))
+def test_estimate_equals_the_power_then_min_formula(n, n_slots, kappa, eps):
+    # the tails stop growing once they reach the triples; the result is unchanged
+    instance = SimpleNamespace(n=n, epsilon=eps)
+    assert _state_space_estimate(n_slots, kappa, instance) == _power_then_min_estimate(n_slots, kappa, instance)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 20), st.integers(1, 20), st.integers(0, 2), st.integers(0, 2))
 @example(0, 1, 0, 0)
 def test_a_regular_tail_costs_more_than_4e26_cells(p_off, eps_off, dn, dj):
     # eps gamma < 1/4 (previous test), here just below it: p_1 = p_n = 1/2 -
     # p_off/1000, eps = 1 - p_1 - eps_off/1000.  n and floor(1/kappa) sit at
     # or just above the fewest slots of a regular tail, where the verdict
-    # first fails; each estimate costs about 0.25 s, so few examples.
+    # first fails.
     p_1 = F(500 - p_off, 1000)
     eps = 1 - p_1 - F(eps_off, 1000)
     eps_prime = regularity_eps(SimpleNamespace(epsilon=eps, gamma=min(p_1, 1 - p_1)))
