@@ -50,11 +50,7 @@ def brute_force_optimum(instance: ProblemInstance, allow_grid_n5: bool = False) 
     if n == ORACLE_FLAG_MAX_N and not allow_grid_n5:
         raise InputError("n=5 oracle requires allow_grid_n5=True")
     result = find_optimal_junta(JuntaRequest(instance.probs, instance.theta, Fraction(1)))
-    return OracleResult(
-        opt_value=result.value,
-        witness=result.weights,
-        sets_examined=result.sets_examined,
-    )
+    return OracleResult(result.value, result.weights, result.sets_examined)
 
 
 @dataclass(frozen=True)

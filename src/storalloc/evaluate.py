@@ -44,7 +44,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,14 +123,8 @@ class EmpiricalDist:
         pts = sorted(to_fraction(p) for p in points)
         if not pts:
             raise InputError("empty sample")
-        values, counts = [], []
-        for p in pts:
-            if values and values[-1] == p:
-                counts[-1] += 1
-            else:
-                values.append(p)
-                counts.append(1)
-        return cls(tuple(values), tuple(counts), len(pts))
+        runs = [(value, len(list(run))) for value, run in groupby(pts)]
+        return cls(tuple(v for v, _ in runs), tuple(c for _, c in runs), len(pts))
 
     def to_discrete(self) -> DiscreteDist:
         return DiscreteDist(self.values, tuple(Fraction(c, self.m) for c in self.counts))
@@ -147,22 +141,11 @@ def _as_discrete(dist) -> DiscreteDist:
 def kolmogorov_distance(d1, d2) -> Fraction:
     """sup_t |F1(t) - F2(t)| for step CDFs, exact over the merged jump points."""
     a, b = _as_discrete(d1), _as_discrete(d2)
-    ia = ib = 0
-    fa = fb = Fraction(0)
-    best = Fraction(0)
-    while ia < len(a.values) or ib < len(b.values):
-        va = a.values[ia] if ia < len(a.values) else None
-        vb = b.values[ib] if ib < len(b.values) else None
-        if vb is None or (va is not None and va <= vb):
-            t = va
-        else:
-            t = vb
-        while ia < len(a.values) and a.values[ia] == t:
-            fa += a.probs[ia]
-            ia += 1
-        while ib < len(b.values) and b.values[ib] == t:
-            fb += b.probs[ib]
-            ib += 1
+    jumps_a, jumps_b = dict(zip(a.values, a.probs)), dict(zip(b.values, b.probs))
+    fa = fb = best = Fraction(0)
+    for t in sorted(jumps_a.keys() | jumps_b.keys()):
+        fa += jumps_a.get(t, 0)
+        fb += jumps_b.get(t, 0)
         best = max(best, abs(fa - fb))
     return best
 
@@ -194,11 +177,8 @@ def _count_law(ps: Sequence[Fraction]) -> tuple[list[int], int]:
     law, den = [1], 1
     for p in ps:
         a, b = p.numerator, p.denominator
-        nxt = [0] * (len(law) + 1)
-        for k, mass in enumerate(law):
-            nxt[k] += mass * (b - a)
-            nxt[k + 1] += mass * a
-        law, den = nxt, den * b
+        law = [x * (b - a) + y * a for x, y in zip(law + [0], [0] + law)]
+        den *= b
     return law, den
 
 

@@ -9,7 +9,7 @@ S.  That is decided without an LP per request, by each set's margin
     v(S) = max over u >= 0 with sum(u) <= 1 of min over x in min(S) of u.x,
 
 where min(S) are the minimal members of S, and u_S is the maximizer.  Both
-depend on (S, L) alone, so each is one LP solved once and cached.
+depend on (S, L) alone, and v(S) not even on the order of the coordinates.
 
 Why the scan is exact.  Take tau > 0.  The program "w >= 0, sum(w) <= W,
 w.x >= tau on min(S)" is homogeneous in (w, tau), so S is feasible iff
@@ -24,17 +24,21 @@ v = 0, and every v <= 1, so tau > W rejects every set and the zero head
 with value 0 is returned.  For tau <= 0 every outcome qualifies and the
 zero head has value 1.
 
-The scan ranks sets on integers.  Every point x of the head cube has
-probability nums[x] / D, with D the product of the denominators of the
-p_j (``outcome_numerators``), so D P(S) is the integer sum of nums over S,
-taken for a whole family at once as one product of its cached 0/1 member
-matrix with nums (``family_numerators``; past int64, the Monte-Carlo
-classifier's per-byte tables on Python ints).  All sets share the one D,
-so one stable argsort of -D P(S) over the ascending masks gives the
-(-P(S), mask) order, and the scan walks it index by index, so a scan that
-stops early touches only the sets it visits.  The test tau <= W v(S) is
-cross-multiplied, and only the returned set's value and witness become
-Fractions.
+Cached per k: one v per orbit of sets under coordinate permutations (the
+5, 19, 149 and 3286 non-empty sets at k = 2..5 form 4, 9, 26 and 118),
+from the LP (``set_margin``) of its first visited member, and a returned
+set's u_S / v(S) as integers c / e, from its own LP.  So witnesses are the
+LP vertices they always were, and at most one LP runs per set visited.
+
+Built per request, on the integer pairs JuntaRequest checks: point x has
+probability nums[x] / D, D the product of the denominators, D P(S) for
+the family is one product of its 0/1 member matrix with nums, and a
+stable argsort of -D P(S) orders the scan, which tests tau <= W v(S)
+cross-multiplied and returns tau c / e.  The last four heads' orders are
+kept for Case 2's front requests, which share the driver's head; but in
+seed-7 benchmark runs 110 of 113 junta calls on `oracle` and 10 of 10 on
+`solve` brought a new head, and an n = 4 oracle call visits 8 sets on
+average, so most calls pay for that work.
 
 ``chain_lp`` is the membership program of a nested chain of such sets at
 descending thresholds, which the Case-3 head search solves after the same
@@ -56,10 +60,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .evaluate import _byte_dots, _byte_tables, _fits_int64
-from .halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
+from .evaluate import _INT64_MAX, _byte_dots, _byte_tables
+from .halfspaces import MAX_K, enumerate_halfspace_sets, minimal_members, point_bits
 from .lp import LinearProgram, lp_solve
-from .util import to_fraction
+from .util import lcm_scaled, to_fraction
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -67,20 +73,27 @@ class JuntaRequest:
     head_probs: tuple[Fraction, ...]
     tau: Fraction
     W: Fraction
+    # (numerator, denominator) of each head probability: the scan's integers
+    ratios: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = tuple(to_fraction(p) for p in self.head_probs)
+        probs, W = tuple(map(to_fraction, self.head_probs)), to_fraction(self.W)
         object.__setattr__(self, "head_probs", probs)
         object.__setattr__(self, "tau", to_fraction(self.tau))
-        object.__setattr__(self, "W", to_fraction(self.W))
+        object.__setattr__(self, "W", W)
         if not probs:
             raise InputError("empty head")
-        # on numerators: denominators are positive, a/b < c/d iff a d < c b
-        if any(not 0 < p.numerator < p.denominator for p in probs):
-            raise InputError("head probabilities must lie in (0,1)")
-        if any(p.numerator * q.denominator < q.numerator * p.denominator for p, q in zip(probs, probs[1:])):
-            raise InputError("head probabilities must be sorted non-increasing")
-        if not 0 <= self.W.numerator <= self.W.denominator:
+        ratios, c, d = [], 1, 1  # denominators are positive: a/b > c/d iff a d > c b
+        for p in probs:
+            a, b = p.numerator, p.denominator
+            if not 0 < a < b:
+                raise InputError("head probabilities must lie in (0,1)")
+            if a * d > c * b:
+                raise InputError("head probabilities must be sorted non-increasing")
+            ratios.append((a, b))
+            c, d = a, b
+        object.__setattr__(self, "ratios", tuple(ratios))
+        if not 0 <= W.numerator <= W.denominator:
             raise InputError("budget W must lie in [0,1]")
 
     @property
@@ -96,56 +109,49 @@ class JuntaResult:
     request: JuntaRequest = field(repr=False)  # the request this answers
 
 
-def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """(nums, D): the probability of point x of {0,1}^k under the product
-    law is nums[x] / D, with D = prod(denominator of p_j).  Built by
-    doubling: coordinate j = a/b appends the points with bit j set."""
+def outcome_numerators(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """(nums, D) for p_j = a_j / b_j given as (a_j, b_j): point x of {0,1}^k
+    has probability nums[x] / D, D = prod(b_j).  Built by doubling:
+    coordinate j appends the points with bit j set."""
     nums, D = [1], 1
-    for p in probs:
-        a, b = p.numerator, p.denominator
-        nums = [v * (b - a) for v in nums] + [v * a for v in nums]
+    for a, b in ratios:
+        nums = [v * c for c in (b - a, a) for v in nums]
         D *= b
     return tuple(nums), D
 
 
 @lru_cache(maxsize=None)
 def upward_family(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(masks, array, rows): the upward-closed realizable masks over
-    {0,1}^k, ascending, as ints, as uint64, and as packed rows of their 2^k
-    point bits, point x as coordinate x in np.packbits order (the form
-    evaluate's tables read)."""
+    """(masks, array, members): the upward-closed realizable masks over
+    {0,1}^k, ascending, as ints, as uint64, and as the 0/1 matrix of their
+    point bits, point x in column x: int64 up to k = 4 (19 KB), uint8 at
+    k = 5 (105 KB, where int64 would take 841 KB)."""
     masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
     array = np.array(masks, dtype=np.uint64)
-    width = ((1 << k) + 7) // 8
-    low_bytes = array.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
-    return masks, array, np.packbits(np.unpackbits(low_bytes, axis=1, bitorder="little"), axis=1)
-
-
-@lru_cache(maxsize=None)
-def member_matrix(k: int) -> np.ndarray:
-    """The 0/1 uint8 matrix of upward_family(k): row i holds set i's point
-    bits, point x in column x, unpacked from the family's packed rows."""
-    members = np.unpackbits(upward_family(k)[2], axis=1)[:, : 1 << k]
-    members.flags.writeable = False  # the cache shares it
-    return members
+    low_bytes = array.astype("<u8").view(np.uint8).reshape(-1, 8)
+    members = np.unpackbits(low_bytes, axis=1, bitorder="little")[:, : 1 << k]
+    members = members if k == MAX_K else members.astype(np.int64)
+    members.setflags(write=False)  # the cache shares it
+    return masks, array, members
 
 
 def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
     """D P(S) for every set S of upward_family(k), aligned with its masks.
-    Every partial sum is a subset sum of nums, at most sum(nums) = D, so
-    when D fits int64 the sums are one integer product of member_matrix(k)
-    with nums; otherwise they run on Python ints through evaluate's
-    per-byte tables, where a 0/1 product of objects is an order of
-    magnitude slower (mc_hit_counts)."""
-    if _fits_int64(nums, 0):
-        return member_matrix(k) @ np.array(nums, dtype=np.int64)
+    Every partial sum is a subset sum of the non-negative nums (p_j in
+    [0, 1]), at most sum(nums) = D, so
+    when D fits int64 they come from one integer product with the member
+    matrix (numpy's integer matmul casts whole operands, so the uint8 one
+    goes through einsum, which casts in small buffers), and otherwise from
+    evaluate's per-byte tables on Python ints."""
+    members = upward_family(k)[2]
+    if sum(nums) <= _INT64_MAX:
+        column = np.array(nums, dtype=np.int64)
+        return members @ column if members.dtype == np.int64 else np.einsum("ij,j->i", members, column)
     tables = _byte_tables(np.array(nums, dtype=object).reshape(-1, 1))
-    return _byte_dots(tables, upward_family(k)[2])[:, 0]
+    return _byte_dots(tables, np.packbits(members, axis=1))[:, 0]
 
 
-def chain_lp(
-    chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int
-) -> LinearProgram:
+def chain_lp(chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int) -> LinearProgram:
     """Feasibility program for heads u >= 0, sum(u) <= W, reaching tau_i on
     every member of the upward-closed S_i, for a chain S_1 <= ... <= S_r of
     masks over {0,1}^k with taus descending.
@@ -182,38 +188,63 @@ def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     return res.objective_value, res.x[:k]
 
 
+@lru_cache(maxsize=None)
+def _margin_table(k: int) -> tuple[list[int], list, list]:
+    """(orbit, margins, witnesses) over upward_family(k): orbit[i] is the
+    least index in set i's orbit; scans fill margins[orbit[i]] ((v_n, v_d))
+    and witnesses[i] ((e, c)).  A swap of coordinates j, j + 1 moves mask
+    bit x by 2^j where x_j != x_(j+1); k (k - 1) / 2 swaps reach any order."""
+    array, moves = upward_family(k)[1], []
+    for j in range(k - 1):
+        low, s = np.uint64(sum(1 << x for x in range(1 << k) if x >> j & 3 == 1)), np.uint64(1 << j)
+        moves.append(np.searchsorted(array, array & ~(low | low << s) | (array & low) << s | array >> s & low))
+    orbit = np.arange(len(array))
+    for _ in range(k * (k - 1) // 2):
+        orbit = np.minimum.reduce([orbit, *(orbit[move] for move in moves)])
+    return orbit.tolist(), [None] * len(array), [None] * len(array)
+
+
 @lru_cache(maxsize=4)
-def _scan_order(head_probs: tuple[Fraction, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(D, scores, order): scores[i] is D P(S) for set i of
-    upward_family(k), every set sharing the one D, and order indexes the
-    non-empty sets by probability descending, then mask ascending.  The
-    Case-2 requests of one solve share one head, so it is kept across
-    calls."""
-    nums, D = outcome_numerators(head_probs)
-    scores = family_numerators(nums, len(head_probs))
-    # index 0 holds the empty set; masks ascend and the sort is stable, so
-    # ties keep mask order, and 0 <= score <= D leaves -score in range
-    order = np.argsort(-scores[1:], kind="stable") + 1
-    scores.flags.writeable = order.flags.writeable = False  # the cache shares them
+def _scan_order(ratios: tuple[tuple[int, int], ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, scores, order) for a head's JuntaRequest.ratios: scores[i] is
+    D P(S) for set i of upward_family(k), and order indexes the non-empty
+    sets by probability descending, then mask ascending."""
+    nums, D = outcome_numerators(ratios)
+    scores = family_numerators(nums, len(ratios))
+    # masks ascend and the sort is stable, so ties keep mask order; every
+    # -score <= 0 is in range, and the empty set at 0, given 1, goes last
+    negated = -scores
+    negated[0] = 1
+    order = negated.argsort(kind="stable")[:-1]
+    scores.setflags(write=False)  # the cache shares them
+    order.setflags(write=False)
     return D, scores, order
 
 
 def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     """Exact maximizer of Pr[w . X >= tau] over heads w >= 0, sum(w) <= W.
 
-    Returns (tau / v(S)) u_S for the first set S of the scan (see the module
-    docstring) that tau <= W v(S) admits, with value P(S); ``sets_examined``
-    counts the sets the scan visited.
-    """
+    Returns (tau / v(S)) u_S for the first set S of the scan (module
+    docstring) with tau <= W v(S), valued P(S); ``sets_examined`` counts
+    the sets the scan visited."""
     L, tau, W = req.L, req.tau, req.W
-    if tau <= 0:
-        return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
-    D, scores, order = _scan_order(req.head_probs)
-    masks = upward_family(L)[0]
+    tau_n, tau_d = tau.numerator, tau.denominator
+    if tau_n <= 0:
+        return JuntaResult((_ZERO,) * L, Fraction(1), 0, req)
+    D, scores, order = _scan_order(req.ratios)
+    orbit, margins, witnesses = _margin_table(L)
     # tau <= W v as tau_n W_d v_d <= W_n tau_d v_n (positive denominators)
-    lhs, rhs = tau.numerator * W.denominator, W.numerator * tau.denominator
+    lhs, rhs = tau_n * W.denominator, W.numerator * tau_d
     for examined, i in enumerate(order, 1):
-        v, u = set_margin(masks[i], L)
-        if lhs * v.denominator <= rhs * v.numerator:
-            return JuntaResult(tuple(map((tau / v).__mul__, u)), Fraction(int(scores[i]), D), examined, req)
-    return JuntaResult((Fraction(0),) * L, Fraction(0), len(order), req)
+        margin = margins[orbit[i]]
+        if margin is None:  # the orbit's first visit runs this member's LP
+            v = set_margin(upward_family(L)[0][i], L)[0]
+            margin = margins[orbit[i]] = v.numerator, v.denominator
+        if lhs * margin[1] <= rhs * margin[0]:
+            if witnesses[i] is None:  # the set's own LP, which may run now
+                v, u = set_margin(upward_family(L)[0][i], L)
+                witnesses[i] = lcm_scaled([x / v for x in u])
+            e, c = witnesses[i]
+            weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])
+            return JuntaResult(weights, Fraction(int(scores[i]), D), examined, req)
+    return JuntaResult((_ZERO,) * L, _ZERO, len(order), req)

@@ -211,8 +211,7 @@ def _complete(
     junta: Optional[JuntaResult],
 ) -> LargeCICandidate:
     budget = 1 - triple.C * triple.kappa
-    if junta is not None and triple.C == 0:
-        # the zero tail's request is (probs[:L], theta, 1)
+    if junta is not None and triple.C == 0:  # the zero tail's request is (probs[:L], theta, 1)
         req = junta.request
         if not (req.tau == tau and req.W == budget and req.head_probs == instance.probs[:L]):
             raise InputError("junta does not answer the zero triple's request (probs[:L], theta, 1)")

@@ -58,13 +58,6 @@ RELATIONS = ("<=", ">=", "=")
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
-
-
 @dataclass
 class LinearProgram:
     """max/min of a linear objective over linear constraints.
@@ -88,7 +81,7 @@ class LinearProgram:
                 raise InputError("constraint row length mismatch")
             if rel not in RELATIONS:
                 raise InputError(f"unknown relation {rel!r}")
-            rows.append(Constraint(coeffs, rel, to_fraction(rhs)))
+            rows.append((coeffs, rel, to_fraction(rhs)))
         objective = None
         if self.objective is not None:
             ocoeffs, direction = self.objective
@@ -179,12 +172,12 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     # Column layout: structural columns, then slacks, then artificials.
     n_struct = lp.n_vars
     specs = []  # (lambda_i, integer row with its rhs last, relation), rhs >= 0
-    for con in lp.constraints:
-        scale, ints = lcm_scaled(con.coeffs + (con.rhs,))
+    for coeffs, rel, rhs in lp.constraints:
+        scale, ints = lcm_scaled(coeffs + (rhs,))
         if ints[-1] < 0:
-            specs.append((scale, [-v for v in ints], _FLIPPED[con.relation]))
+            specs.append((scale, [-v for v in ints], _FLIPPED[rel]))
         else:
-            specs.append((scale, ints, con.relation))
+            specs.append((scale, ints, rel))
     slack_count = sum(1 for _, _, rel in specs if rel != "=")
     art_start = n_struct + slack_count
     width = art_start + sum(1 for _, _, rel in specs if rel != "<=")

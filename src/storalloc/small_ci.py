@@ -79,24 +79,25 @@ def case3_verdict(instance: ProblemInstance, kappa: Fraction, config: SolverConf
     when no_regular_tail holds over the n slots of K = 1 no K <= L has a
     regular tail, and the function returns.
 
-    Otherwise it raises the refusal of the tail DP at K = 1, with that DP's
-    state-space estimate over n slots, and it does so even when
-    config.state_space_limit reaches the estimate.  The estimate is then
-    above 4 * 10^26.  Every ProblemInstance enforces A2, p_1 < 1 - eps, and
-    gamma = min(p_n, 1 - p_1) <= p_n <= p_1, so
+    Otherwise it refuses with the tail DP's state-space estimate at K = 1
+    over n slots, even at a config.state_space_limit above it, and names
+    the coarsest kappa that runs, 1/J for the largest J with eps'^2 J < 1.
+    The estimate is then above 4 * 10^26.  Every ProblemInstance enforces
+    A2, p_1 < 1 - eps, and gamma = min(p_n, 1 - p_1) <= p_n <= p_1, so
     eps gamma < p_1 (1 - p_1) <= 1/4 and eps' = eps gamma / 100 < 1/400.
     A regular tail thus needs s > 160 000, so n > 160 000 and
     J = floor(1/kappa) > 160 000.  With eps < 1 the estimate is at least
     (J^2 + 1)(4nJ + 2)(J + 1) > 4.19 * 10^26, and within its first two
     slots the DP would hold about J^2 / 4 > 6.4 * 10^9 states.
     """
-    n = instance.n
-    if no_regular_tail(regularity_eps(instance), kappa, n):
+    n, eps_prime = instance.n, regularity_eps(instance)
+    if no_regular_tail(eps_prime, kappa, n):
         return
     estimate = _state_space_estimate(n, kappa, instance)
+    coarse = (eps_prime.denominator**2 - 1) // eps_prime.numerator**2  # largest J with eps'^2 J < 1
     raise GuardError(
-        f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}); "
-        f"use practical mode with a coarser --kappa or raise --state-space-limit",
+        f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}), and Case 3 refuses at any "
+        f"limit; use practical mode with --kappa 1/{coarse} or coarser, where no regular tail fits",
         estimate=estimate,
         limit=config.state_space_limit,
     )
@@ -165,7 +166,7 @@ def find_best_head(
         logger.debug("find_best_head: k=0, %d points, no chains", len(taus))
         return HeadResult((), Fraction(hits, m), 0)
 
-    nums, D = outcome_numerators(head_probs)
+    nums, D = outcome_numerators([(p.numerator, p.denominator) for p in head_probs])
     chains = _nested_chains(k, len(taus), max_patterns)
     set_num = dict(zip(upward_family(k)[0], family_numerators(nums, k).tolist()))
     scores = [sum(cnt * set_num[mask] for cnt, mask in zip(counts, chain)) for chain in chains]

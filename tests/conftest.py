@@ -126,33 +126,44 @@ def sampled_patterns(probs, m: int, seed: int) -> Counter:
     return patterns
 
 
-def _fraction_dot(weights, bits) -> Fraction:
-    return sum((Fraction(w) for w, b in zip(weights, bits) if b), Fraction(0))
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """(d, [d v for v in values]) with d the lcm of the values' denominators:
+    the values as plain ints over one positive denominator."""
+    values = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
-    """mc_hit_counts by one Fraction sum per (vector, pattern).
+    """mc_hit_counts by one exact sum per (vector, pattern): each vector and
+    theta are put over the lcm of their denominators once, so a pattern's
+    w . x >= theta is a sum of plain ints against one int.
 
     The patterns are counted from the raw draws (sampled_patterns), so this
     checks the sampler's deduplication as well as the classification.
     """
-    theta = Fraction(theta)
+    scaled = []
+    for weights in vectors:
+        _, (*ints, bar) = _over_common_denominator([*weights, theta])
+        scaled.append((ints, bar))
     hits = [0] * len(vectors)
     for bits, count in sampled_patterns(probs, m, seed).items():
-        for i, weights in enumerate(vectors):
-            if _fraction_dot(weights, bits) >= theta:
+        for i, (ints, bar) in enumerate(scaled):
+            if sum(itertools.compress(ints, bits)) >= bar:
                 hits[i] += count
     return hits
 
 
 def fraction_tail_empirical(tail_probs, tail, m: int, seed: int):
-    """(values, counts) of sample_tail_empirical by one Fraction sum per pattern."""
-    agg: dict[Fraction, int] = {}
+    """(values, counts) of sample_tail_empirical by one exact sum per
+    pattern, taken on the tail's ints over the lcm d of its denominators."""
+    d, ints = _over_common_denominator(tail)
+    agg: dict[int, int] = {}
     for bits, count in sampled_patterns(tail_probs, m, seed).items():
-        value = _fraction_dot(tail, bits)
+        value = sum(itertools.compress(ints, bits))
         agg[value] = agg.get(value, 0) + count
     values = sorted(agg)
-    return tuple(values), tuple(agg[v] for v in values)
+    return tuple(Fraction(v, d) for v in values), tuple(agg[v] for v in values)
 
 
 def granular_instance(rng: random.Random, n: int, theta, epsilon, delta=Fraction(1, 20),
@@ -269,23 +280,28 @@ def _outcome_probs(head_probs):
     return outcomes, point_pr
 
 
-def _grid_masks(k: int, top: int, thresholds):
+@functools.lru_cache(maxsize=None)
+def _grid_masks(k: int, top: int, thresholds: tuple) -> frozenset:
     """Realized event masks (one per threshold) over integer grid weights.
 
-    Integer dot products make the scan exact and fast; masks are deduped so
-    probabilities are computed once per distinct event tuple.
+    Integer dot products make the scan exact and fast (an integer d reaches
+    t iff it reaches ceil(t)); masks are deduped so probabilities are
+    computed once per distinct event tuple.  A pure function of its
+    arguments, so repeated (k, top, thresholds) keys are enumerated once.
     """
-    outcomes = list(itertools.product((0, 1), repeat=k))
+    cuts = [math.ceil(t) for t in thresholds]
     seen = set()
     for combo in itertools.product(range(top + 1), repeat=k):
         if sum(combo) > top:
             continue
-        dots = [sum(j * b for j, b in zip(combo, x)) for x in outcomes]
+        dots = [0]  # combo . x over itertools.product((0, 1), repeat=k), in its order
+        for j in combo:
+            dots = [d + c for d in dots for c in (0, j)]
         key = tuple(
-            sum(1 << i for i, d in enumerate(dots) if d >= t) for t in thresholds
+            sum(1 << i for i, d in enumerate(dots) if d >= c) for c in cuts
         )
         seen.add(key)
-    return seen
+    return frozenset(seen)
 
 
 def grid_junta_value(head_probs, tau, W, step=Fraction(1, 64)) -> Fraction:
@@ -296,7 +312,7 @@ def grid_junta_value(head_probs, tau, W, step=Fraction(1, 64)) -> Fraction:
     top = int(W / step)
     _, point_pr = _outcome_probs(head_probs)
     best = Fraction(0)
-    for (mask,) in _grid_masks(k, top, [tau / step]):
+    for (mask,) in _grid_masks(k, top, (tau / step,)):
         value = sum(
             (pr for i, pr in enumerate(point_pr) if (mask >> i) & 1), Fraction(0)
         )
@@ -349,7 +365,7 @@ def grid_best_head_value(head_probs, points, W, theta, step=Fraction(1, 64)) -> 
     k = len(head_probs)
     top = int(W / step)
     _, point_pr = _outcome_probs(head_probs)
-    thresholds = [(theta - t) / step for t in points]
+    thresholds = tuple((theta - t) / step for t in points)
     m = len(points)
     best = Fraction(0)
     for masks in _grid_masks(k, top, thresholds):
@@ -662,8 +678,7 @@ def fraction_lp_solve(lp: LinearProgram) -> LPResult:
     lp = lp.normalized()
     n = lp.n_vars
     rows_spec = []
-    for con in lp.constraints:
-        coeffs, rel, rhs = con.coeffs, con.relation, con.rhs
+    for coeffs, rel, rhs in lp.constraints:
         if rhs < 0:
             coeffs, rhs = tuple(-c for c in coeffs), -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]

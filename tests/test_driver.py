@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -308,6 +309,16 @@ def _case3_outcome(run):
     return None
 
 
+def _case3_refusal(estimate, limit, eps_prime):
+    # case3_verdict's refusal text: the reference DP's estimate and limit,
+    # and the coarsest kappa 1/J that runs, J the largest with eps'^2 J < 1
+    J = math.ceil(1 / eps_prime**2) - 1
+    return (
+        f"tail DP needs ~{estimate} cells (limit {limit}), and Case 3 refuses at any limit; "
+        f"use practical mode with --kappa 1/{J} or coarser, where no regular tail fits"
+    )
+
+
 def _reference_case3(instance, L, kappa, config):
     # the per-K loop case3_verdict replaces: each K yields no candidate, or
     # its refusal ends the solve
@@ -362,8 +373,12 @@ def test_case3_verdict_once_per_solve_matches_every_K(stub):
     # each refusal costs about 0.25 s (the estimate's (J+1)^n term), so few examples
     instance, L, kappa, config = stub
     expected = _reference_case3(instance, L, kappa, config)
-    assert _case3_outcome(lambda: case3_verdict(instance, kappa, config)) == expected
-    assert (expected is None) == no_regular_tail(regularity_eps(instance), kappa, instance.n)
+    got = _case3_outcome(lambda: case3_verdict(instance, kappa, config))
+    eps_prime = regularity_eps(instance)
+    if expected is not None:  # the reference DP's estimate and limit, with the verdict's text
+        expected = (_case3_refusal(*expected[1:], eps_prime), *expected[1:])
+    assert got == expected
+    assert (expected is None) == no_regular_tail(eps_prime, kappa, instance.n)
 
 
 class TestCase3GuardAtTheThreshold:
@@ -376,8 +391,8 @@ class TestCase3GuardAtTheThreshold:
 
     def message(self, limit):
         return (
-            f"tail DP needs ~{self.ESTIMATE} cells (limit {limit}); "
-            f"use practical mode with a coarser --kappa or raise --state-space-limit"
+            f"tail DP needs ~{self.ESTIMATE} cells (limit {limit}), and Case 3 refuses at any limit; "
+            f"use practical mode with --kappa 1/166597 or coarser, where no regular tail fits"
         )
 
     def test_solve_refuses_as_the_reference_dp_does(self):
@@ -388,7 +403,11 @@ class TestCase3GuardAtTheThreshold:
         ref = _case3_outcome(
             lambda: case3.construct_achievable_regular_tails(inst, 1, self.KAPPA, regularity_eps(inst), cfg)
         )
-        assert ref == got
+        assert ref[1:] == got[1:]  # the same estimate and limit as the DP's own refusal
+        # the text names the coarsest setting that runs: 1/166597 returns
+        # (no regular tail fits), 1/166598 refuses
+        assert case3_verdict(inst, F(1, 166597), cfg) is None
+        assert _case3_outcome(lambda: case3_verdict(inst, F(1, 166598), cfg)) is not None
         # a limit at or above the estimate refuses too (the reference would
         # start a DP of billions of states); never run the reference here
         big = SolverConfig(mode="practical", kappa_override=self.KAPPA, L_cap=2, state_space_limit=10**28)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -211,10 +212,16 @@ class TestExactObjective:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _denominators(max_den):
+    # built once per bound: a fresh one_of per draw costs its validation
+    return st.one_of(st.integers(1, 64), st.integers(1, max_den))
+
+
 @st.composite
 def rationals(draw, lo, hi, max_den=1 << 40):
     """A Fraction in [lo, hi]; small and huge denominators both occur."""
-    den = draw(st.one_of(st.integers(1, 64), st.integers(1, max_den)))
+    den = draw(_denominators(max_den))
     return F(draw(st.integers(math.ceil(lo * den), math.floor(hi * den))), den)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -261,7 +262,7 @@ def test_integer_numerators_match_fraction_sums(k, data):
     # P(S) = family_numerators / D for every upward-closed S, at arbitrary
     # (large) denominators; D is the product of the p_j's denominators.
     probs = data.draw(st.lists(st.fractions(min_value=0, max_value=1), min_size=k, max_size=k))
-    nums, D = outcome_numerators(probs)
+    nums, D = outcome_numerators(ratios(probs))
     assert D == math.prod(p.denominator for p in probs) and sum(nums) == D
     point_probs = outcome_probabilities(probs)
     masks = upward_family(k)[0]
@@ -275,18 +276,23 @@ _head_prob = st.one_of(
 )
 
 
+def ratios(probs):
+    """(numerator, denominator) of each probability, as JuntaRequest.ratios."""
+    return tuple((p.numerator, p.denominator) for p in probs)
+
+
 def _scan_pairs(probs):
     """_scan_order's (D, [(D P(S), mask) in scan order]), uncached, after
     checking that its scores align with the family's masks."""
-    D, scores, order = _scan_order.__wrapped__(probs)
+    D, scores, order = _scan_order.__wrapped__(ratios(probs))
     masks = upward_family(len(probs))[0]
-    assert scores.tolist() == set_numerators(outcome_numerators(probs)[0], masks)
+    assert scores.tolist() == set_numerators(outcome_numerators(ratios(probs))[0], masks)
     return D, [(int(scores[i]), masks[i]) for i in order.tolist()]
 
 
 def _sorted_reference(probs):
     """(D, the non-empty upward-closed sets' (D P(S), mask) by (-P(S), mask))."""
-    nums, D = outcome_numerators(probs)
+    nums, D = outcome_numerators(ratios(probs))
     masks = [s.mask for s in enumerate_halfspace_sets(len(probs), monotone=True) if s.mask]
     return D, sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
 
@@ -319,10 +325,10 @@ def test_scan_order_dtype_follows_the_common_denominator(monkeypatch, probs, dty
 
     monkeypatch.setattr(junta, "_byte_tables", spy)
     if len(probs) == 5:
-        assert outcome_numerators(probs)[1].bit_length() == 250
+        assert outcome_numerators(ratios(probs))[1].bit_length() == 250
     assert _scan_pairs(probs) == _sorted_reference(probs)
     assert seen == ([np.dtype(object)] if dtype is object else [])
-    assert _scan_order.__wrapped__(probs)[1].dtype == np.dtype(dtype)
+    assert _scan_order.__wrapped__(ratios(probs))[1].dtype == np.dtype(dtype)
 
 
 @pytest.mark.parametrize(
@@ -337,6 +343,58 @@ def test_oracle_matches_lp_scan(n, seed, theta):
     sets = enumerate_halfspace_sets(n, monotone=True)
     assert res.opt_value == lp_scan_junta(inst.probs, inst.theta, 1, sets)
     assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
+
+
+def test_orbit_margin_is_every_members_own_margin():
+    # tau > W rejects every set, so the scan visits them all and fills each
+    # orbit's margin from its first member's LP; every non-empty set's own
+    # LP (about 3 500 at k <= 5) must give the same v
+    for k, orbits in ((1, 2), (2, 4), (3, 9), (4, 26), (5, 118)):
+        probs = tuple(F(9 - j, 10) for j in range(k))
+        assert find_optimal_junta(JuntaRequest(probs, F(1), F(1, 2))).value == 0
+        orbit, margins, _ = junta._margin_table(k)
+        masks = upward_family(k)[0]
+        assert len(set(orbit[1:])) == orbits
+        for i in range(1, len(masks)):
+            assert F(*margins[orbit[i]]) == set_margin(masks[i], k)[0], (k, masks[i])
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_orbits_are_the_permutation_classes(k):
+    # the swaps' least-index labels against each mask's least image under
+    # every permutation of the coordinates, computed bit by bit
+    masks = upward_family(k)[0]
+
+    def image(mask, perm):
+        return sum(1 << sum(((x >> j) & 1) << perm[j] for j in range(k)) for x in range(1 << k) if mask >> x & 1)
+
+    least = [min(image(m, perm) for perm in itertools.permutations(range(k))) for m in masks]
+    orbit = junta._margin_table(k)[0]
+    assert all((orbit[i] == orbit[j]) == (least[i] == least[j]) for i in range(len(masks)) for j in range(i))
+
+
+def test_cold_scans_solve_at_most_one_lp_per_visited_set(monkeypatch):
+    # from empty caches, a seeded run of requests at every head length
+    # solves fewer margin LPs than it visits distinct sets: one per orbit on
+    # first visit, and one more only for a returned set whose LP has not run
+    rng = random.Random("cold-margin-lps")
+    requests = []
+    for _ in range(40):
+        L = rng.randint(1, 5)
+        probs = tuple(sorted((F(rng.randint(1, 19), 20) for _ in range(L)), reverse=True))
+        requests.append(JuntaRequest(probs, F(rng.randint(-2, 24), 24), F(rng.randint(0, 24), 24)))
+    for cache in (set_margin, junta._margin_table, _scan_order):
+        cache.cache_clear()
+    solved = []
+    monkeypatch.setattr(junta, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+    results = [find_optimal_junta(req) for req in requests]
+    visited = {
+        (req.L, mask)
+        for req, r in zip(requests, results)
+        for _, mask in _sorted_reference(req.head_probs)[1][: r.sets_examined]
+    }
+    assert 0 < len(solved) < len(visited)
+    assert results == [fraction_junta_scan(req) for req in requests]  # its LPs run after the count
 
 
 # sha256 of every witness and value over the grid below, taken before the
