@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +34,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 from .halfspaces import MAX_K
-from .util import to_fraction
+from .util import to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +66,7 @@ class SolverConfig:
         for name in ("L_cap", "seed", "state_space_limit"):
             value = getattr(self, name)
             if value is not None or name != "L_cap":  # L_cap may be None
-                if isinstance(value, bool) or not hasattr(value, "__index__"):
-                    raise InputError(f"{name} must be an integer; got {value!r}")
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, to_int(value, name))
         object.__setattr__(self, "c_L", to_fraction(self.c_L))
         object.__setattr__(self, "mc_constant", to_fraction(self.mc_constant))
         if self.kappa_override is not None:
@@ -93,7 +90,8 @@ class SolverConfig:
 class ProblemInstance:
     """A preprocessed instance: sorted, granular probabilities plus parameters.
 
-    ``permutation[i]`` is the original index of sorted slot i.
+    ``permutation[i]`` is the original index of sorted slot i.  The rational
+    fields convert through util.to_fraction, as SolverConfig's do.
     """
 
     probs: tuple[Fraction, ...]
@@ -105,6 +103,9 @@ class ProblemInstance:
     units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(map(to_fraction, self.probs)))
+        for name in ("theta", "epsilon", "delta"):
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
         n = len(self.probs)
         if n == 0:
             raise InputError("empty probability vector")

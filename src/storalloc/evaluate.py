@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance
-from .util import derived_rng, lcm_scaled, to_fraction
+from .util import derived_rng, lcm_scaled, to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
@@ -453,6 +453,7 @@ def mc_estimate_probs(
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
+    m, seed = to_int(m, "m"), to_int(seed, "seed")
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
     (hits,) = mc_hit_counts(probs, [weights], theta, m, seed)
@@ -476,6 +477,7 @@ def sample_tail_empirical(
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
+    m, seed = to_int(m, "m"), to_int(seed, "seed")
     if m < 1:
         raise InputError("m must be >= 1")
     tail = [to_fraction(w) for w in tail_weights]

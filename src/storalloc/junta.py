@@ -24,25 +24,24 @@ v = 0, and every v <= 1, so tau > W rejects every set and the zero head
 with value 0 is returned.  For tau <= 0 every outcome qualifies and the
 zero head has value 1.
 
-Cached per k: one v per orbit of sets under coordinate permutations (the
-5, 19, 149 and 3286 non-empty sets at k = 2..5 form 4, 9, 26 and 118),
-from the LP (``set_margin``) of its first visited member, and a returned
-set's u_S / v(S) as integers c / e, from its own LP.  So witnesses are the
-LP vertices they always were, and at most one LP runs per set visited.
+Cached per k, in one table: one v per orbit of sets under coordinate
+permutations (the 5, 19, 149 and 3286 non-empty sets at k = 2..5 form 4,
+9, 26 and 118), and each solved set's u_S / v(S) as integers c / e.  The
+scan and small_ci.find_best_head test tau <= W v(S) by margin_admits; an
+orbit's first test solves the LP (``set_margin``) of the set asked about,
+which fills its witness too; a returned set whose LP has not run solves
+it then.  So witnesses are the LP vertices they always were, and at most
+one LP runs per set asked about.
 
-Built per request, on the integer pairs JuntaRequest checks: point x has
-probability nums[x] / D, D the product of the denominators, D P(S) for
-the family is one product of its 0/1 member matrix with nums, and a
+Built per request, on the head's (numerator, denominator) pairs: point x
+has probability nums[x] / D, D the product of the denominators, D P(S)
+for the family is one product of its 0/1 member matrix with nums, and a
 stable argsort of -D P(S) orders the scan, which tests tau <= W v(S)
-cross-multiplied and returns tau c / e.  The last four heads' orders are
-kept for Case 2's front requests, which share the driver's head; but in
-seed-7 benchmark runs 110 of 113 junta calls on `oracle` and 10 of 10 on
-`solve` brought a new head, and an n = 4 oracle call visits 8 sets on
-average, so most calls pay for that work.
+cross-multiplied and returns tau c / e.
 
 ``chain_lp`` is the membership program of a nested chain of such sets at
 descending thresholds, which the Case-3 head search solves after the same
-margin pre-test and integer ranking (small_ci.find_best_head).
+margin test and integer ranking (small_ci.find_best_head).
 
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
@@ -73,8 +72,6 @@ class JuntaRequest:
     head_probs: tuple[Fraction, ...]
     tau: Fraction
     W: Fraction
-    # (numerator, denominator) of each head probability: the scan's integers
-    ratios: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs, W = tuple(map(to_fraction, self.head_probs)), to_fraction(self.W)
@@ -83,16 +80,14 @@ class JuntaRequest:
         object.__setattr__(self, "W", W)
         if not probs:
             raise InputError("empty head")
-        ratios, c, d = [], 1, 1  # denominators are positive: a/b > c/d iff a d > c b
+        c, d = 1, 1  # denominators are positive: a/b > c/d iff a d > c b
         for p in probs:
             a, b = p.numerator, p.denominator
             if not 0 < a < b:
                 raise InputError("head probabilities must lie in (0,1)")
             if a * d > c * b:
                 raise InputError("head probabilities must be sorted non-increasing")
-            ratios.append((a, b))
             c, d = a, b
-        object.__setattr__(self, "ratios", tuple(ratios))
         if not 0 <= W.numerator <= W.denominator:
             raise InputError("budget W must lie in [0,1]")
 
@@ -109,12 +104,13 @@ class JuntaResult:
     request: JuntaRequest = field(repr=False)  # the request this answers
 
 
-def outcome_numerators(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """(nums, D) for p_j = a_j / b_j given as (a_j, b_j): point x of {0,1}^k
-    has probability nums[x] / D, D = prod(b_j).  Built by doubling:
-    coordinate j appends the points with bit j set."""
+def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(nums, D) for p_j = a_j / b_j: point x of {0,1}^k has probability
+    nums[x] / D, D = prod(b_j).  Built by doubling: coordinate j appends
+    the points with bit j set."""
     nums, D = [1], 1
-    for a, b in ratios:
+    for p in probs:
+        a, b = p.numerator, p.denominator
         nums = [v * c for c in (b - a, a) for v in nums]
         D *= b
     return tuple(nums), D
@@ -173,7 +169,6 @@ def chain_lp(chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int
     return LinearProgram(k, cons, objective=None)
 
 
-@lru_cache(maxsize=None)
 def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(v(S), u_S) for the upward-closed mask S over {0,1}^k: the largest
     t with u.x >= t on every minimal member x of S, over u >= 0 with
@@ -191,9 +186,9 @@ def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
 @lru_cache(maxsize=None)
 def _margin_table(k: int) -> tuple[list[int], list, list]:
     """(orbit, margins, witnesses) over upward_family(k): orbit[i] is the
-    least index in set i's orbit; scans fill margins[orbit[i]] ((v_n, v_d))
-    and witnesses[i] ((e, c)).  A swap of coordinates j, j + 1 moves mask
-    bit x by 2^j where x_j != x_(j+1); k (k - 1) / 2 swaps reach any order."""
+    least index in set i's orbit; _solve_set fills margins[orbit[i]] and
+    witnesses[i].  A swap of coordinates j, j + 1 moves mask bit x by 2^j
+    where x_j != x_(j+1); k (k - 1) / 2 swaps reach any order."""
     array, moves = upward_family(k)[1], []
     for j in range(k - 1):
         low, s = np.uint64(sum(1 << x for x in range(1 << k) if x >> j & 3 == 1)), np.uint64(1 << j)
@@ -204,21 +199,36 @@ def _margin_table(k: int) -> tuple[list[int], list, list]:
     return orbit.tolist(), [None] * len(array), [None] * len(array)
 
 
-@lru_cache(maxsize=4)
-def _scan_order(ratios: tuple[tuple[int, int], ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(D, scores, order) for a head's JuntaRequest.ratios: scores[i] is
-    D P(S) for set i of upward_family(k), and order indexes the non-empty
-    sets by probability descending, then mask ascending."""
-    nums, D = outcome_numerators(ratios)
-    scores = family_numerators(nums, len(ratios))
+def _solve_set(i: int, k: int) -> tuple[int, int]:
+    """Solve set i's margin LP: store its orbit's v as (v_n, v_d), returned,
+    and unless v = 0 (S holds the zero point) its u_S / v = c / e as (e, c)."""
+    orbit, margins, witnesses = _margin_table(k)
+    v, u = set_margin(upward_family(k)[0][i], k)
+    if v:
+        witnesses[i] = lcm_scaled([x / v for x in u])
+    margins[orbit[i]] = v.numerator, v.denominator
+    return margins[orbit[i]]
+
+
+def margin_admits(i: int, k: int, lhs: int, rhs: int) -> bool:
+    """tau <= W v(S) for set i of upward_family(k), as lhs v_d <= rhs v_n with
+    lhs = tau_n W_d and rhs = W_n tau_d; the orbit's first test solves set i."""
+    orbit, margins, _ = _margin_table(k)
+    v_n, v_d = margins[orbit[i]] or _solve_set(i, k)
+    return lhs * v_d <= rhs * v_n
+
+
+def _scan_order(probs: Sequence[Fraction]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, scores, order) for a head's probabilities: scores[i] is D P(S)
+    for set i of upward_family(k), and order indexes the non-empty sets by
+    probability descending, then mask ascending."""
+    nums, D = outcome_numerators(probs)
+    scores = family_numerators(nums, len(probs))
     # masks ascend and the sort is stable, so ties keep mask order; every
     # -score <= 0 is in range, and the empty set at 0, given 1, goes last
     negated = -scores
     negated[0] = 1
-    order = negated.argsort(kind="stable")[:-1]
-    scores.setflags(write=False)  # the cache shares them
-    order.setflags(write=False)
-    return D, scores, order
+    return D, scores, negated.argsort(kind="stable")[:-1]
 
 
 def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
@@ -231,19 +241,13 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     tau_n, tau_d = tau.numerator, tau.denominator
     if tau_n <= 0:
         return JuntaResult((_ZERO,) * L, Fraction(1), 0, req)
-    D, scores, order = _scan_order(req.ratios)
-    orbit, margins, witnesses = _margin_table(L)
-    # tau <= W v as tau_n W_d v_d <= W_n tau_d v_n (positive denominators)
-    lhs, rhs = tau_n * W.denominator, W.numerator * tau_d
+    D, scores, order = _scan_order(req.head_probs)
+    witnesses = _margin_table(L)[2]
+    lhs, rhs = tau_n * W.denominator, W.numerator * tau_d  # denominators are positive
     for examined, i in enumerate(order, 1):
-        margin = margins[orbit[i]]
-        if margin is None:  # the orbit's first visit runs this member's LP
-            v = set_margin(upward_family(L)[0][i], L)[0]
-            margin = margins[orbit[i]] = v.numerator, v.denominator
-        if lhs * margin[1] <= rhs * margin[0]:
-            if witnesses[i] is None:  # the set's own LP, which may run now
-                v, u = set_margin(upward_family(L)[0][i], L)
-                witnesses[i] = lcm_scaled([x / v for x in u])
+        if margin_admits(i, L, lhs, rhs):
+            if witnesses[i] is None:  # another member filled the orbit's margin
+                _solve_set(i, L)
             e, c = witnesses[i]
             weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])
             return JuntaResult(weights, Fraction(int(scores[i]), D), examined, req)

@@ -24,7 +24,7 @@ from typing import Sequence
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import BLOCK_BYTES, EmpiricalDist
-from .junta import chain_lp, family_numerators, outcome_numerators, set_margin, upward_family
+from .junta import chain_lp, family_numerators, margin_admits, outcome_numerators, upward_family
 from .lp import lp_solve
 from .util import half_power_ceil, to_fraction
 
@@ -146,9 +146,10 @@ def find_best_head(
     witness.
 
     Before its LP, a chain is skipped when some level has tau_i > 0, S_i
-    non-empty and tau_i > W v(S_i), with v the cached junta.set_margin:
-    each level alone is then infeasible (junta module docstring), so the
-    test never skips a feasible chain.
+    non-empty and tau_i > W v(S_i), by the junta scan's own test on its
+    cached orbit margins (junta.margin_admits): each level alone is then
+    infeasible (junta module docstring), so the test never skips a
+    feasible chain.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -157,6 +158,8 @@ def find_best_head(
     theta = to_fraction(theta)
     if W < 0:
         raise InputError("negative head budget")
+    if not all(0 <= p.numerator <= p.denominator for p in head_probs):
+        raise InputError("head probabilities must lie in [0,1]")
     dist = points if isinstance(points, EmpiricalDist) else EmpiricalDist.from_points(points)
     counts, m = dist.counts, dist.m
     taus = [theta - t for t in dist.values]
@@ -166,18 +169,18 @@ def find_best_head(
         logger.debug("find_best_head: k=0, %d points, no chains", len(taus))
         return HeadResult((), Fraction(hits, m), 0)
 
-    nums, D = outcome_numerators([(p.numerator, p.denominator) for p in head_probs])
+    nums, D = outcome_numerators(head_probs)
     chains = _nested_chains(k, len(taus), max_patterns)
-    set_num = dict(zip(upward_family(k)[0], family_numerators(nums, k).tolist()))
-    scores = [sum(cnt * set_num[mask] for cnt, mask in zip(counts, chain)) for chain in chains]
-
-    def margin_allows(mask, tau) -> bool:
-        return tau <= 0 or not mask or tau <= W * set_margin(mask, k)[0]
+    index = {mask: i for i, mask in enumerate(upward_family(k)[0])}
+    set_num = family_numerators(nums, k).tolist()
+    scores = [sum(cnt * set_num[index[mask]] for cnt, mask in zip(counts, chain)) for chain in chains]
+    bounds = [(tau.numerator * W.denominator, W.numerator * tau.denominator) for tau in taus]
 
     skipped = solved = 0
     for rank, idx in enumerate(sorted(range(len(chains)), key=lambda i: (-scores[i], i)), 1):
         chain = chains[idx]
-        if not all(margin_allows(mask, tau) for mask, tau in zip(chain, taus)):
+        if not all(lhs <= 0 or not mask or margin_admits(index[mask], k, lhs, rhs)
+                   for mask, (lhs, rhs) in zip(chain, bounds)):
             skipped += 1
             continue
         solved += 1

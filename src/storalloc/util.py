@@ -57,6 +57,13 @@ def to_fraction(value, limit_denominator: bool = False) -> Fraction:
     raise InputError(f"cannot convert {type(value).__name__} to rational")
 
 
+def to_int(value, name: str) -> int:
+    """value as an int: numpy ints convert; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InputError(f"{name} must be an integer; got {value!r}")
+    return operator.index(value)
+
+
 def limit_ratio(num: int, den: int, limit: int) -> Fraction:
     """Fraction(num, den).limit_denominator(limit), for den > 0.
 

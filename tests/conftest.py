@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 import storalloc
+from storalloc import junta
 from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
@@ -336,11 +337,16 @@ def lp_scan_junta(head_probs, tau, W, sets) -> Fraction:
     return best
 
 
+# set_margin solves one LP per call; the references and strategies that ask
+# for the same margins over and over share this test-side cache
+cached_set_margin = functools.lru_cache(maxsize=None)(set_margin)
+
+
 def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     """junta.find_optimal_junta in Fraction arithmetic: the non-empty
     upward-closed sets by (-P(S), mask), P(S) a Fraction sum over the set's
     points, and the first set with tau <= W v(S) gives the witness
-    (tau / v(S)) u_S.  Only the cached margins are shared with the library."""
+    (tau / v(S)) u_S.  Only set_margin's LP is shared with the library."""
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
@@ -351,7 +357,7 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
         if s.mask
     )
     for examined, (neg_prob, mask) in enumerate(sets, 1):
-        v, u = set_margin(mask, L)
+        v, u = cached_set_margin(mask, L)
         if tau <= W * v:
             return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined, req)
     return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets), req)
@@ -747,3 +753,11 @@ def with_one_retry(check, seeds=(0, 1)):
 @pytest.fixture
 def rng():
     return random.Random(0xA110C)
+
+
+@pytest.fixture
+def cold_junta(monkeypatch):
+    """Empty junta caches for one test: fresh caches of upward_family and
+    _margin_table stand in for the process's, which come back afterwards."""
+    for name in ("upward_family", "_margin_table"):
+        monkeypatch.setattr(junta, name, functools.lru_cache(maxsize=None)(getattr(junta, name).__wrapped__))

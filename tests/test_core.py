@@ -171,6 +171,27 @@ def test_granularity_and_order_checked_on_units(probs, message):
         ProblemInstance(probs, F(1, 2), F(2, 5), F(1, 20), (0, 1))
 
 
+def test_float_fields_convert_exactly():
+    # rational fields go through util.to_fraction: floats convert exactly,
+    # so a dyadic grid is met and a non-dyadic one is an input error
+    inst = ProblemInstance((0.75, 0.5), 0.5, 0.125, 0.25, (0, 1))
+    assert (inst.probs, inst.theta, inst.epsilon, inst.delta) == ((F(3, 4), F(1, 2)), F(1, 2), F(1, 8), F(1, 4))
+    assert all(type(q) is F for q in (*inst.probs, inst.theta, inst.epsilon, inst.delta))
+    assert inst.units == (48, 32)
+    assert ProblemInstance(["1/2", "1/4"], "1/2", "2/5", np.float64(0.5), (0, 1)).probs == (F(1, 2), F(1, 4))
+    with pytest.raises(InputError, match="not a positive multiple"):
+        ProblemInstance((0.5, 0.5), F(1, 2), 0.1, F(1, 20), (0, 1))
+
+
+@pytest.mark.parametrize("field", ["probs", "theta", "epsilon", "delta"])
+@pytest.mark.parametrize("bad", [None, True, "half", float("nan")])
+def test_non_numbers_refused_in_rational_fields(field, bad):
+    args = dict(probs=(F(1, 2), F(1, 2)), theta=F(1, 2), epsilon=F(2, 5), delta=F(1, 20), permutation=(0, 1))
+    args[field] = (bad, F(1, 2)) if field == "probs" else bad
+    with pytest.raises(InputError):
+        ProblemInstance(**args)
+
+
 def as_raw(draw, q):
     """q as the caller may write it: a float or an "a/b" string."""
     return draw(st.sampled_from([float(q), f"{q.numerator}/{q.denominator}"]))

@@ -658,6 +658,30 @@ class TestInputCheck:
                 call(probs, w)
 
 
+class TestSampleCounts:
+    # m and seed follow SolverConfig's integer rule (util.to_int)
+    CALLS = {
+        "mc": lambda m, seed: mc_estimate_probs([F(1, 2), F(2, 3)], [F(1, 2)] * 2, F(1, 2), m, seed),
+        "tail": lambda m, seed: sample_tail_empirical(small_instance(), [F(1, 4)], m, seed),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [2.5, 1500.0, "10", True, np.float64(10), None])
+    def test_non_integers_refused(self, entry, bad):
+        with pytest.raises(InputError, match="m must be an integer"):
+            self.CALLS[entry](bad, 0)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            self.CALLS[entry](10, bad)
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_numpy_integers_convert(self, entry):
+        assert self.CALLS[entry](np.int64(100), np.int32(3)) == self.CALLS[entry](100, 3)
+
+    def test_estimate_carries_python_ints(self):
+        est = mc_estimate_probs([F(1, 2)], [F(1)], F(1, 2), np.int64(10), np.uint8(3))
+        assert (type(est.m), type(est.seed), est.m, est.seed) == (int, int, 10, 3)
+
+
 class TestTypes:
     def test_objective_estimate_kinds(self):
         ObjectiveEstimate(F(1, 2), "exact")

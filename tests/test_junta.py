@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storalloc
-from storalloc import evaluate, junta
+from storalloc import evaluate, junta, small_ci
 from storalloc.baselines import brute_force_optimum
 from storalloc.errors import InputError
 from storalloc.halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
@@ -31,6 +31,8 @@ from storalloc.junta import (
 from storalloc.lp import lp_solve
 
 from conftest import (
+    cached_set_margin,
+    exhaustive_best_head,
     fraction_junta_scan,
     granular_instance,
     grid_junta_value,
@@ -190,7 +192,7 @@ def scan_requests(draw):
         tau = W + F(draw(st.integers(1, 8)), 40)
     elif kind == "on_margin":
         masks = upward_family(L)[0][1:]
-        tau = W * set_margin(draw(st.sampled_from(masks)), L)[0]
+        tau = W * cached_set_margin(draw(st.sampled_from(masks)), L)[0]
     else:
         tau = F(draw(st.integers(-4, 52)), draw(st.sampled_from([40, 41, 120])))
     return probs, tau, W
@@ -214,7 +216,7 @@ def granular_heads(draw):
     den = draw(st.sampled_from([8, 40]))
     probs = tuple(sorted((F(draw(st.integers(1, den - 1)), den) for _ in range(n)), reverse=True))
     if draw(st.booleans()):
-        theta = set_margin(draw(st.sampled_from(upward_family(L)[0][1:])), L)[0]
+        theta = cached_set_margin(draw(st.sampled_from(upward_family(L)[0][1:])), L)[0]
     else:
         theta = F(draw(st.integers(1, 47)), 48)
     return probs, L, theta
@@ -262,7 +264,7 @@ def test_integer_numerators_match_fraction_sums(k, data):
     # P(S) = family_numerators / D for every upward-closed S, at arbitrary
     # (large) denominators; D is the product of the p_j's denominators.
     probs = data.draw(st.lists(st.fractions(min_value=0, max_value=1), min_size=k, max_size=k))
-    nums, D = outcome_numerators(ratios(probs))
+    nums, D = outcome_numerators(probs)
     assert D == math.prod(p.denominator for p in probs) and sum(nums) == D
     point_probs = outcome_probabilities(probs)
     masks = upward_family(k)[0]
@@ -276,23 +278,18 @@ _head_prob = st.one_of(
 )
 
 
-def ratios(probs):
-    """(numerator, denominator) of each probability, as JuntaRequest.ratios."""
-    return tuple((p.numerator, p.denominator) for p in probs)
-
-
 def _scan_pairs(probs):
-    """_scan_order's (D, [(D P(S), mask) in scan order]), uncached, after
-    checking that its scores align with the family's masks."""
-    D, scores, order = _scan_order.__wrapped__(ratios(probs))
+    """_scan_order's (D, [(D P(S), mask) in scan order]), after checking
+    that its scores align with the family's masks."""
+    D, scores, order = _scan_order(probs)
     masks = upward_family(len(probs))[0]
-    assert scores.tolist() == set_numerators(outcome_numerators(ratios(probs))[0], masks)
+    assert scores.tolist() == set_numerators(outcome_numerators(probs)[0], masks)
     return D, [(int(scores[i]), masks[i]) for i in order.tolist()]
 
 
 def _sorted_reference(probs):
     """(D, the non-empty upward-closed sets' (D P(S), mask) by (-P(S), mask))."""
-    nums, D = outcome_numerators(ratios(probs))
+    nums, D = outcome_numerators(probs)
     masks = [s.mask for s in enumerate_halfspace_sets(len(probs), monotone=True) if s.mask]
     return D, sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
 
@@ -325,10 +322,10 @@ def test_scan_order_dtype_follows_the_common_denominator(monkeypatch, probs, dty
 
     monkeypatch.setattr(junta, "_byte_tables", spy)
     if len(probs) == 5:
-        assert outcome_numerators(ratios(probs))[1].bit_length() == 250
+        assert outcome_numerators(probs)[1].bit_length() == 250
     assert _scan_pairs(probs) == _sorted_reference(probs)
     assert seen == ([np.dtype(object)] if dtype is object else [])
-    assert _scan_order.__wrapped__(ratios(probs))[1].dtype == np.dtype(dtype)
+    assert _scan_order(probs)[1].dtype == np.dtype(dtype)
 
 
 @pytest.mark.parametrize(
@@ -373,28 +370,45 @@ def test_orbits_are_the_permutation_classes(k):
     assert all((orbit[i] == orbit[j]) == (least[i] == least[j]) for i in range(len(masks)) for j in range(i))
 
 
-def test_cold_scans_solve_at_most_one_lp_per_visited_set(monkeypatch):
-    # from empty caches, a seeded run of requests at every head length
-    # solves fewer margin LPs than it visits distinct sets: one per orbit on
-    # first visit, and one more only for a returned set whose LP has not run
+def test_cold_scans_solve_at_most_one_lp_per_visited_set(cold_junta, monkeypatch):
+    # from empty caches, a seeded run of requests at every head length,
+    # interleaved with best-head searches that read the same margin table,
+    # solves each set's margin LP at most once, and fewer LPs than the
+    # distinct sets read: one per orbit on its first read, and one more only
+    # for a returned set whose LP has not run
     rng = random.Random("cold-margin-lps")
-    requests = []
+    requests, searches = [], []
     for _ in range(40):
         L = rng.randint(1, 5)
         probs = tuple(sorted((F(rng.randint(1, 19), 20) for _ in range(L)), reverse=True))
         requests.append(JuntaRequest(probs, F(rng.randint(-2, 24), 24), F(rng.randint(0, 24), 24)))
-    for cache in (set_margin, junta._margin_table, _scan_order):
-        cache.cache_clear()
-    solved = []
-    monkeypatch.setattr(junta, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
-    results = [find_optimal_junta(req) for req in requests]
-    visited = {
-        (req.L, mask)
-        for req, r in zip(requests, results)
-        for _, mask in _sorted_reference(req.head_probs)[1][: r.sets_examined]
-    }
-    assert 0 < len(solved) < len(visited)
-    assert results == [fraction_junta_scan(req) for req in requests]  # its LPs run after the count
+    for _ in range(10):
+        k = rng.randint(1, 3)
+        probs = tuple(sorted((F(rng.randint(1, 19), 20) for _ in range(k)), reverse=True))
+        points = [F(rng.randint(0, 8), 16) for _ in range(rng.randint(1, 2))]
+        searches.append((probs, points, F(rng.randint(1, 24), 24), F(rng.randint(1, 24), 24)))
+    solved, read, lps = [], set(), []
+    margin, admits = junta.set_margin, junta.margin_admits
+
+    def read_by_best_head(i, k, lhs, rhs):
+        read.add((k, junta.upward_family(k)[0][i]))
+        return admits(i, k, lhs, rhs)
+
+    monkeypatch.setattr(junta, "set_margin", lambda mask, k: solved.append((k, mask)) or margin(mask, k))
+    monkeypatch.setattr(junta, "lp_solve", lambda lp: lps.append(lp) or lp_solve(lp))
+    monkeypatch.setattr(small_ci, "margin_admits", read_by_best_head)
+    results, heads = [], []
+    for j, req in enumerate(requests):
+        results.append(find_optimal_junta(req))
+        if j % 4 == 3:
+            heads.append(small_ci.find_best_head(*searches[j // 4]))
+    for req, r in zip(requests, results):
+        read |= {(req.L, mask) for _, mask in _sorted_reference(req.head_probs)[1][: r.sets_examined]}
+    assert len(lps) == len(solved) == len(set(solved))
+    assert set(solved) <= read and 0 < len(solved) < len(read)
+    # the references' LPs run after the count
+    assert results == [fraction_junta_scan(req) for req in requests]
+    assert [h.value for h in heads] == [exhaustive_best_head(*search)[0] for search in searches]
 
 
 # sha256 of every witness and value over the grid below, taken before the
@@ -424,8 +438,8 @@ def test_witnesses_pinned():
 
 
 # Prints the results of a fixed list of requests and an n = 5 oracle;
-# with "warm", unrelated requests of every head length run first and
-# evict the list's heads from the scan-order cache.
+# with "warm", unrelated requests of every head length run first and fill
+# the margin tables, often from other members of the list's sets' orbits.
 _CACHE_SCRIPT = """
 import sys
 from fractions import Fraction as F
@@ -453,7 +467,7 @@ heads = [
     (F(9, 10), F(1, 10)),
 ]
 requests = [(head, tau, W) for head in heads for tau in (F(1, 3), F(3, 5)) for W in (F(1, 2), F(1))]
-requests += requests[:4]  # the first head again, after it left the cache
+requests += requests[:4]  # the first head again, on the tables it filled
 for r in run(requests):
     print(r)
 pre = preprocess([0.55, 0.62, 0.41, 0.33, 0.7], 0.5, 0.25, 0.05)

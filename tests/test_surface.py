@@ -1,4 +1,5 @@
-"""The public surface: the root API, the report's config echo, the CLI options.
+"""The public surface: the root API, the report's config echo, the CLI
+options and the process-wide caches.
 
 The package root exports the solve and oracle API and nothing else.
 """
@@ -11,6 +12,7 @@ import inspect
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import storalloc
 from storalloc import driver, small_ci
@@ -164,3 +166,21 @@ def test_option_count_per_subcommand():
         "solve": 9, "eval": 4, "oracle": 2, "baseline": 1, "counterexample": 1, "bench": 10, "gen": 8,
     }
     assert [a.dest for a in options(parser)] == ["log_level"]
+
+
+# Every function in src/ that holds results for the life of the process; a
+# new cache shows up here as a test diff.
+PROCESS_CACHES = {"halfspaces._cached", "junta.upward_family", "junta._margin_table", "large_ci._skip_log_bound"}
+
+
+def test_process_wide_caches_are_pinned():
+    found = set()
+    for path in Path(storalloc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("cache", "lru_cache"):
+                        found.add(f"{path.stem}.{node.name}")
+    assert found == PROCESS_CACHES

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from storalloc.driver import solve
 from storalloc.errors import InputError
-from storalloc.util import FLOAT_DENOMINATOR_LIMIT, limit_ratio, to_fraction
+from storalloc.util import FLOAT_DENOMINATOR_LIMIT, limit_ratio, to_fraction, to_int
 
 
 def same_ratio(a: F, b: F) -> bool:
@@ -98,3 +98,14 @@ def test_solve_accepts_float32_and_int64_inputs():
     reference = solve([0.6, 0.5, 0.4, 0.3], 0.5, 0.25, 0.05)
     report = solve(np.array([0.6, 0.5, 0.4, 0.3], dtype=np.float32), 0.5, 0.25, 0.05)
     assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("value", [0, -3, 7, np.int64(7), np.uint8(7), np.int32(-3)])
+def test_integers_and_numpy_integers_become_ints(value):
+    assert type(to_int(value, "m")) is int and to_int(value, "m") == int(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), 2.5, 2.0, np.float64(2), "2", F(2), None])
+def test_non_integers_are_refused_by_name(value):
+    with pytest.raises(InputError, match="seed must be an integer"):
+        to_int(value, "seed")
