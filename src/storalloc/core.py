@@ -103,6 +103,7 @@ class ProblemInstance:
     units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        raw = (*self.probs, self.epsilon)  # as given, for the grid refusal
         object.__setattr__(self, "probs", tuple(map(to_fraction, self.probs)))
         for name in ("theta", "epsilon", "delta"):
             object.__setattr__(self, name, to_fraction(getattr(self, name)))
@@ -119,7 +120,9 @@ class ProblemInstance:
         for i, p in enumerate(self.probs):
             k, rem = divmod(p.numerator * gd, p.denominator * gn)
             if k <= 0 or rem:
-                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={self.grid}")
+                floats = any(isinstance(q, float) for q in raw)
+                hint = '; floats convert exactly, so pass "a/b" strings or use preprocess' if floats else ""
+                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={self.grid}{hint}")
             if units and k > units[-1]:
                 raise InputError("probabilities must be sorted non-increasing (A1)")
             units.append(k)

@@ -13,10 +13,14 @@ keeps the argmax fair, reduces variance, and makes the chosen vector a
 deterministic function of (instance, config), which the byte-stable report
 relies on.  Ties break by case provenance, then lexicographically.
 
-A winner equal to the junta head plus a zero tail (the junta member or
-Case 2's zero-triple copy of it) takes its exact objective from the junta
-scan: the scan returns the most probable feasible set S with P(S), its
-witness realizes a feasible superset R of S, so P(R) = P(S) (junta module
+The junta member is the head-only optimum for (probs[:L], theta, 1) plus
+a zero tail.  For L < n that request is Case 2's zero triple's, always its
+first candidate, so the member takes that candidate's head, and its solve
+is timed in ``large_ci_s``; only for L = n does the driver solve it, in
+``junta_s``.  A winner equal to the junta member (or to Case 2's
+zero-triple copy of it) takes its exact objective from the junta scan:
+the scan returns the most probable feasible set S with P(S), its witness
+realizes a feasible superset R of S, so P(R) = P(S) (junta module
 docstring), and a zero tail leaves the event unchanged.  Any other winner
 is evaluated by exact_objective_probs, which may refuse.
 
@@ -228,30 +232,24 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     kappa3 = case3_kappa(instance, L, config)
     kappa2 = case2_kappa(instance, L, config) if L < n else None
 
-    pool: list[PoolMember] = []
-    counts: dict = {}
-
-    junta = find_optimal_junta(JuntaRequest(instance.probs[:L], theta, Fraction(1)))
-    head = junta.weights + (Fraction(0),) * (n - L)
-    pool.append(PoolMember(weights=head, provenance="junta", rank=0))
-    counts["junta"] = 1
+    if L == n:  # no tail, so no Case 2 to answer the head-only request
+        junta = find_optimal_junta(JuntaRequest(instance.probs, theta, Fraction(1)))
     timings["junta_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     case3_verdict(instance, kappa3, config)  # no candidate at any K, or GuardError
-    for K in range(1, L + 1):
-        counts[f"smallCI({K})"] = 0
     timings["small_ci_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if L < n:
-        cands = find_near_opt_large_ci(instance, L, kappa2, config, junta=junta)
-        counts["largeCI"] = len(cands)
-        for cand in cands:
-            pool.append(PoolMember(weights=cand.weights, provenance="largeCI", rank=1))
-    else:
-        counts["largeCI"] = 0
+    cands = find_near_opt_large_ci(instance, L, kappa2, config) if L < n else []
+    if cands:
+        junta = cands[0].head  # the zero triple's, for the request (probs[:L], theta, 1)
     timings["large_ci_s"] = time.perf_counter() - t0
+
+    head = junta.weights + (Fraction(0),) * (n - L)
+    pool = [PoolMember(weights=head, provenance="junta", rank=0)]
+    pool += [PoolMember(weights=cand.weights, provenance="largeCI", rank=1) for cand in cands]
+    counts = {"junta": 1, **{f"smallCI({K})": 0 for K in range(1, L + 1)}, "largeCI": len(cands)}
 
     t0 = time.perf_counter()
     m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)

@@ -51,7 +51,7 @@ the large-critical-index case with shifted thresholds and reduced budgets
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -101,7 +101,6 @@ class JuntaResult:
     weights: tuple[Fraction, ...]
     value: Fraction
     sets_examined: int
-    request: JuntaRequest = field(repr=False)  # the request this answers
 
 
 def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -240,7 +239,7 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     L, tau, W = req.L, req.tau, req.W
     tau_n, tau_d = tau.numerator, tau.denominator
     if tau_n <= 0:
-        return JuntaResult((_ZERO,) * L, Fraction(1), 0, req)
+        return JuntaResult((_ZERO,) * L, Fraction(1), 0)
     D, scores, order = _scan_order(req.head_probs)
     witnesses = _margin_table(L)[2]
     lhs, rhs = tau_n * W.denominator, W.numerator * tau_d  # denominators are positive
@@ -250,5 +249,5 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
                 _solve_set(i, L)
             e, c = witnesses[i]
             weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])
-            return JuntaResult(weights, Fraction(int(scores[i]), D), examined, req)
-    return JuntaResult((_ZERO,) * L, _ZERO, len(order), req)
+            return JuntaResult(weights, Fraction(int(scores[i]), D), examined)
+    return JuntaResult((_ZERO,) * L, _ZERO, len(order))

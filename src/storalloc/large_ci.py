@@ -17,8 +17,9 @@ If the optimum really is of this type, one of the assembled candidates is
 within eps/2 of it.
 
 A DP over the tail slots keeps, per reached (A, C), the largest B and one
-witness tail, stored inline as (slot, j) pairs.  The kept triples give the
-same front, with the same witnesses, as every reachable triple would:
+witness path of (slot, j) pairs, j units of kappa on that slot.  The kept
+triples give the same front, with the same paths, as every reachable
+triple would:
 
   * a step spending j units on slot t adds (j^2, j m_t, j) to any state,
     so the largest B at an (A, C) stays largest after any common extension;
@@ -30,11 +31,21 @@ same front, with the same witnesses, as every reachable triple would:
     only on a strictly larger B, so each witness is the first path the
     full reachability DP (sorted (A,B,C) snapshots) finds.
 
-With J = floor(1/kappa) and C >= 1 units spent, C <= A <= C^2, so at most
+A granular tail spends at most J = floor(1/kappa) units, so it fills at
+most J slots, and the DP stops at slot L + min(n - L, J) (live_slots).
+That changes no kept triple and no path.  The tail p's are non-increasing,
+so moving the j units of a slot past L + J to an empty slot among the
+first J keeps A and C, and B does not fall.  Every reachable (A, C) and
+its largest B are thus reached within the first J slots, and a later slot,
+which replaces a state only on a strictly larger B, would change nothing.
+
+With C >= 1 units spent, C <= A <= C^2, so at most
 1 + sum_{C=1}^{J} (C^2 - C + 1) = (J^3 + 2J + 3)/3 states exist, and at
-most (J+1)^(n-L) granular tails.  tail_state_bound is the smaller one; the
-DP refuses before any state when it exceeds the state-space limit, and
-otherwise takes states x (n - L) x J steps.
+most (J+1)^min(n-L, J) granular tails.  tail_state_bound is the smaller
+one; the DP refuses before any state when it exceeds the state-space
+limit, and otherwise takes states x min(n - L, J) x J steps.  As
+(J+1)^J >= (J^3 + 2J + 3)/3, the bound over min(n - L, J) slots equals
+the one over n - L slots.
 
 Only the (tau, W) dominance front is completed.  Head and tail are
 independent and Hoeffding gives Pr[tail < mu - s] <= (eps/200)^2, so T's
@@ -44,15 +55,15 @@ as W rises, so a triple with tau' <= tau_T and W' >= W_T keeps T's
 guarantee and T can go.  The front keeps tau ascending and W strictly
 rising (ties keep the first triple in (A,B,C) order) and is emitted in
 (A,B,C) order.  The zero triple has tau = theta and W = 1, the junta's own
-request, so it is always on the front and drops every triple with
-tau >= theta.
+request, so it is always on the front, first, and drops every triple
+with tau >= theta.  The driver takes the junta from its candidate.
 
 The front is the zero triple alone unless some triple has mu > s.  By
 Cauchy-Schwarz mu <= sqrt(sum w^2) sqrt(sum_support p^2), while
-s >= sqrt(ln(200/eps) sum w^2).  A tail has at most min(n - L,
-floor(1/kappa)) non-zero slots and the tail p's are non-increasing, so
+s >= sqrt(ln(200/eps) sum w^2).  A tail has at most min(n - L, J)
+non-zero slots and the tail p's are non-increasing, so
 
-    sum_{i=L+1}^{L+min(n-L, floor(1/kappa))} p_i^2 <= ln(200/eps)
+    sum_{i=L+1}^{L+min(n-L, J)} p_i^2 <= ln(200/eps)
 
 rules such triples out.  zero_tail_dominates evaluates it exactly, on
 the instance's integer grid units, against a rational lower bound on the
@@ -82,8 +93,7 @@ class TailTriple:
     A: int
     B: int
     C: int
-    kappa: Fraction
-    witness: tuple[Fraction, ...]
+    path: tuple[tuple[int, int], ...]  # (slot, j): j kappa units on 1-based slot
 
 
 def theory_kappa_case2(n: int, L: int) -> Fraction:
@@ -101,8 +111,14 @@ def case2_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Frac
 def tail_state_bound(n_slots: int, kappa: Fraction) -> int:
     """States the tail DP can hold, min((J+1)^n_slots, (J^3 + 2J + 3)/3)
     with J = floor(1/kappa): granular tails, and (A, C) pairs (module docstring)."""
-    J = int(1 / kappa)
+    J = kappa.denominator // kappa.numerator
     return min((J + 1) ** n_slots, (J**3 + 2 * J + 3) // 3)
+
+
+def live_slots(instance: ProblemInstance, L: int, kappa: Fraction) -> int:
+    """min(n - L, J), J = floor(1/kappa): the tail slots a granular tail can
+    fill, and the ones the DP and the skip test read (module docstring)."""
+    return min(instance.n - L, kappa.denominator // kappa.numerator)
 
 
 def construct_achievable_tails(
@@ -111,8 +127,8 @@ def construct_achievable_tails(
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
 ) -> list[TailTriple]:
-    """One triple per reached (A, C) over slots L+1..n, with the largest B
-    and one witness, in (A,B,C) order (module docstring).
+    """One triple per reached (A, C) over slots L+1..L+live_slots, with the
+    largest B and one path, in (A,B,C) order (module docstring).
 
     Refuses with tail_state_bound, before any state, when it exceeds
     config.state_space_limit.  L = n yields exactly the zero-tail triple
@@ -124,7 +140,8 @@ def construct_achievable_tails(
         raise InputError("kappa must lie in (0,1]")
     if not 0 <= L <= instance.n:
         raise InputError(f"L={L} outside [0, n]")
-    estimate = tail_state_bound(instance.n - L, kappa)
+    slots = live_slots(instance, L, kappa)
+    estimate = tail_state_bound(slots, kappa)
     if estimate > config.state_space_limit:
         raise GuardError(
             f"tail DP may hold {estimate} states (limit {config.state_space_limit}); "
@@ -132,22 +149,16 @@ def construct_achievable_tails(
             estimate=estimate,
             limit=config.state_space_limit,
         )
-    jmax = int(1 / kappa)
+    jmax = kappa.denominator // kappa.numerator
     states = {(0, 0): (0, ())}  # (A, C) -> (largest B, ((slot, j), ...))
-    for t in range(L + 1, instance.n + 1):
+    for t in range(L + 1, L + slots + 1):
         m_t = instance.units[t - 1]
         for (a, c), (b, path) in sorted(states.items()):
             for j in range(1, jmax - c + 1):
                 key, b_next = (a + j * j, c + j), b + j * m_t
                 if key not in states or states[key][0] < b_next:
                     states[key] = (b_next, path + ((t, j),))
-    out = []
-    for a, b, c, path in sorted((a, b, c, path) for (a, c), (b, path) in states.items()):
-        tail = [Fraction(0)] * (instance.n - L)
-        for t, j in path:
-            tail[t - L - 1] = j * kappa
-        out.append(TailTriple(A=a, B=b, C=c, kappa=kappa, witness=tuple(tail)))
-    return out
+    return [TailTriple(*row) for row in sorted((a, b, c, path) for (a, c), (b, path) in states.items())]
 
 
 @dataclass(frozen=True)
@@ -159,14 +170,15 @@ class LargeCICandidate:
     head_budget: Fraction
 
 
-def shifted_threshold(instance: ProblemInstance, triple: TailTriple, ln_bound: Fraction) -> Fraction:
+def shifted_threshold(
+    instance: ProblemInstance, triple: TailTriple, kappa: Fraction, ln_bound: Fraction
+) -> Fraction:
     """theta - B kappa eps/(4n) + kappa sqrt(ln_bound A), rounded up.
 
     ``ln_bound`` is ln_upper(200/eps), computed once per Case-2 call.  The
     upward rounding of the irrational shift only tightens the head
     problem, which the analysis tolerates.
     """
-    kappa = triple.kappa
     mu = triple.B * kappa * instance.grid
     shift = kappa * sqrt_upper(ln_bound * triple.A)
     return instance.theta - mu + shift
@@ -197,34 +209,21 @@ def zero_tail_dominates(instance: ProblemInstance, L: int, kappa: Fraction) -> b
     With p_i = u_i gn/gd (grid units), sum p_i^2 <= ln_n/ln_d is
     sum u_i^2 gn^2 ln_d <= ln_n gd^2, all integers.
     """
-    slots = min(instance.n - L, kappa.denominator // kappa.numerator)
+    slots = live_slots(instance, L, kappa)
     grid, bound = instance.grid, _skip_log_bound(instance.epsilon)
     lhs = sum(u * u for u in instance.units[L : L + slots]) * grid.numerator**2 * bound.denominator
     return lhs <= bound.numerator * grid.denominator**2
 
 
 def _complete(
-    instance: ProblemInstance,
-    L: int,
-    triple: TailTriple,
-    tau: Fraction,
-    junta: Optional[JuntaResult],
+    instance: ProblemInstance, L: int, kappa: Fraction, triple: TailTriple, tau: Fraction
 ) -> LargeCICandidate:
-    budget = 1 - triple.C * triple.kappa
-    if junta is not None and triple.C == 0:  # the zero tail's request is (probs[:L], theta, 1)
-        req = junta.request
-        if not (req.tau == tau and req.W == budget and req.head_probs == instance.probs[:L]):
-            raise InputError("junta does not answer the zero triple's request (probs[:L], theta, 1)")
-        head = junta
-    else:
-        head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
-    return LargeCICandidate(
-        triple=triple,
-        head=head,
-        weights=head.weights + triple.witness,
-        shifted_threshold=tau,
-        head_budget=budget,
-    )
+    budget = 1 - triple.C * kappa
+    head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
+    tail = [Fraction(0)] * (instance.n - L)
+    for t, j in triple.path:
+        tail[t - L - 1] = j * kappa
+    return LargeCICandidate(triple, head, head.weights + tuple(tail), tau, budget)
 
 
 def front_candidates(
@@ -232,15 +231,13 @@ def front_candidates(
     L: int,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
-    junta: Optional[JuntaResult] = None,
 ) -> list[LargeCICandidate]:
-    """The DP path: the kept triples, then one candidate per front triple.
-    ``junta`` as in find_near_opt_large_ci."""
+    """The DP path: the kept triples, then one candidate per front triple."""
     triples = construct_achievable_tails(instance, L, kappa, config)
     ln_bound = ln_upper(Fraction(200) / instance.epsilon)
-    taus = [shifted_threshold(instance, t, ln_bound) for t in triples]
+    taus = [shifted_threshold(instance, t, kappa, ln_bound) for t in triples]
     front = dominance_front([(tau, t.C) for tau, t in zip(taus, triples)])
-    return [_complete(instance, L, triples[i], taus[i], junta) for i in front]
+    return [_complete(instance, L, kappa, triples[i], taus[i]) for i in front]
 
 
 def find_near_opt_large_ci(
@@ -248,15 +245,12 @@ def find_near_opt_large_ci(
     L: int,
     kappa: Fraction,
     config: Optional[SolverConfig] = None,
-    junta: Optional[JuntaResult] = None,
 ) -> list[LargeCICandidate]:
     """One candidate per triple on the (tau, W) dominance front (Case 2 pool).
 
-    When zero_tail_dominates holds, that is the zero triple's candidate
-    alone, built without the DP.  ``junta``, if given, must be
-    find_optimal_junta's result for JuntaRequest(probs[:L], theta, 1), the
-    zero triple's request (tau = theta, W = 1), or InputError is raised;
-    its candidate then reuses it instead of solving the same request again.
+    The first is the zero triple's, whose head answers the junta's request
+    (probs[:L], theta, 1).  When zero_tail_dominates holds, it is the only
+    one, built without the DP.
     """
     if not 1 <= L < instance.n:
         raise InputError("case 2 needs 1 <= L < n")
@@ -264,6 +258,5 @@ def find_near_opt_large_ci(
     if not 0 < kappa <= 1:
         raise InputError("kappa must lie in (0,1]")
     if zero_tail_dominates(instance, L, kappa):
-        zero = TailTriple(A=0, B=0, C=0, kappa=kappa, witness=(Fraction(0),) * (instance.n - L))
-        return [_complete(instance, L, zero, instance.theta, junta)]
-    return front_candidates(instance, L, kappa, config, junta)
+        return [_complete(instance, L, kappa, TailTriple(0, 0, 0, ()), instance.theta)]
+    return front_candidates(instance, L, kappa, config)

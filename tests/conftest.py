@@ -230,10 +230,11 @@ def fraction_round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
 
 
 def full_tail_triples(instance: ProblemInstance, L: int, kappa: Fraction) -> list[TailTriple]:
-    """Every reachable (A,B,C) tail triple over slots L+1..n, in (A,B,C)
-    order, each with the first path a layered DP over sorted (A,B,C)
-    snapshots, j ascending, finds.  large_ci.construct_achievable_tails
-    keeps only the largest B per (A, C) of these."""
+    """Every reachable (A,B,C) tail triple over all slots L+1..n, in (A,B,C)
+    order, each with the first path, as (slot, j) pairs by slot, that a
+    layered DP over sorted (A,B,C) snapshots, j ascending, finds.
+    large_ci.construct_achievable_tails keeps only the largest B per (A, C)
+    of these, and reads fewer slots."""
     jmax = int(1 / kappa)
     states: dict = {(0, 0, 0): None}  # triple -> (slot, predecessor, j)
     for t in range(L + 1, instance.n + 1):
@@ -244,12 +245,11 @@ def full_tail_triples(instance: ProblemInstance, L: int, kappa: Fraction) -> lis
                 states.setdefault((a + j * j, b + j * m_t, c + j), (t, state, j))
     out = []
     for state in sorted(states):
-        tail = [Fraction(0)] * (instance.n - L)
-        cur = state
+        path, cur = [], state
         while states[cur] is not None:
             t, cur, j = states[cur]
-            tail[t - L - 1] = j * kappa
-        out.append(TailTriple(*state, kappa=kappa, witness=tuple(tail)))
+            path.append((t, j))
+        out.append(TailTriple(*state, path=tuple(reversed(path))))
     return out
 
 
@@ -349,7 +349,7 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     (tau / v(S)) u_S.  Only set_margin's LP is shared with the library."""
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
-        return JuntaResult((Fraction(0),) * L, Fraction(1), 0, req)
+        return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
     point_probs = outcome_probabilities(req.head_probs)
     sets = sorted(
         (-mask_probability(point_probs, s.mask), s.mask)
@@ -359,8 +359,8 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     for examined, (neg_prob, mask) in enumerate(sets, 1):
         v, u = cached_set_margin(mask, L)
         if tau <= W * v:
-            return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined, req)
-    return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets), req)
+            return JuntaResult(tuple(tau / v * x for x in u), -neg_prob, examined)
+    return JuntaResult((Fraction(0),) * L, Fraction(0), len(sets))
 
 
 def grid_best_head_value(head_probs, points, W, theta, step=Fraction(1, 64)) -> Fraction:

@@ -103,10 +103,12 @@ def test_criterion_3_dp_equivalence():
         assert {(t.A, t.B, t.C) for t in triples} == max_b_keys(brute)
         assert {(t.A, t.B, t.C) for t in full_tail_triples(inst, L, kappa)} == set(brute)
         for t in triples:
-            assert sum((w / kappa) ** 2 for w in t.witness) == t.A
-            assert sum(w / kappa for w in t.witness) == t.C
-            tail_probs = inst.probs[L:]
-            assert sum(w * p for w, p in zip(t.witness, tail_probs)) == t.B * kappa * inst.grid
+            slots = [slot for slot, _ in t.path]
+            assert slots == sorted(set(slots)) and all(L < slot <= inst.n for slot in slots)
+            assert all(j >= 1 for _, j in t.path)
+            assert sum(j * j for _, j in t.path) == t.A
+            assert sum(j for _, j in t.path) == t.C
+            assert sum(j * inst.units[slot - 1] for slot, j in t.path) == t.B
         # case-3 quintuples under the regularity filter
         K = inst.n - n_tail + 1
         eps_p = F(9, 10)

@@ -173,14 +173,20 @@ def test_granularity_and_order_checked_on_units(probs, message):
 
 def test_float_fields_convert_exactly():
     # rational fields go through util.to_fraction: floats convert exactly,
-    # so a dyadic grid is met and a non-dyadic one is an input error
+    # so a dyadic grid is met and a non-dyadic one is an input error that
+    # says so and names the ways out
     inst = ProblemInstance((0.75, 0.5), 0.5, 0.125, 0.25, (0, 1))
     assert (inst.probs, inst.theta, inst.epsilon, inst.delta) == ((F(3, 4), F(1, 2)), F(1, 2), F(1, 8), F(1, 4))
     assert all(type(q) is F for q in (*inst.probs, inst.theta, inst.epsilon, inst.delta))
     assert inst.units == (48, 32)
     assert ProblemInstance(["1/2", "1/4"], "1/2", "2/5", np.float64(0.5), (0, 1)).probs == (F(1, 2), F(1, 4))
-    with pytest.raises(InputError, match="not a positive multiple"):
+    way_out = 'not a positive multiple .*; floats convert exactly, so pass "a/b" strings or use preprocess$'
+    with pytest.raises(InputError, match=way_out):
         ProblemInstance((0.5, 0.5), F(1, 2), 0.1, F(1, 20), (0, 1))
+    with pytest.raises(InputError, match=way_out):
+        ProblemInstance((0.3, 0.25), F(1, 2), F(1, 10), F(1, 20), (0, 1))
+    with pytest.raises(InputError, match="not a positive multiple .*=1/80$"):  # no float, no hint
+        ProblemInstance((F(1, 3), F(1, 4)), F(1, 2), F(1, 10), F(1, 20), (0, 1))
 
 
 @pytest.mark.parametrize("field", ["probs", "theta", "epsilon", "delta"])

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storalloc import evaluate
+from storalloc import driver, evaluate, large_ci
 from storalloc.core import SolverConfig, preprocess
 from storalloc.driver import _check_feasible, selection_sample_size, solve, solve_instance
 from storalloc.errors import GuardError, InputError
 from storalloc.halfspaces import MAX_K
+from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.evaluate import exact_objective_probs
 from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps
 
@@ -271,6 +272,39 @@ class TestReportBytes:
 
 def driver_messages(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.name == "storalloc.driver"]
+
+
+def q32_probs():
+    rng = random.Random("q-32-0.6")
+    return [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+
+
+@pytest.mark.parametrize(
+    "probs, theta, eps, cfg, front",
+    [
+        ([0.62, 0.45, 0.31, 0.58, 0.5], F(1, 2), F(1, 4), SolverConfig(**PRACTICAL), 1),
+        (q32_probs(), F(3, 5), F(1, 10), SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2), 6),
+        ([0.62, 0.45, 0.31], F(1, 2), F(1, 4), SolverConfig(), 0),
+    ],
+    ids=["skip", "dp", "no-tail"],
+)
+def test_one_zero_tail_junta_request_per_solve(monkeypatch, probs, theta, eps, cfg, front):
+    # the junta member's request (probs[:L], theta, 1) is solved once: by
+    # Case 2 as its zero triple's (skip path and DP path), or, with no
+    # tail (L = n), by the driver; every other request is a front triple's
+    requests = []
+
+    def counting(req):
+        requests.append(req)
+        return find_optimal_junta(req)
+
+    for module in (driver, large_ci):
+        monkeypatch.setattr(module, "find_optimal_junta", counting)
+    rep = solve(probs, theta, eps, F(1, 20), cfg)
+    inst = preprocess(probs, theta, eps, F(1, 20)).instance
+    assert rep.per_case_counts["largeCI"] == front
+    assert requests.count(JuntaRequest(inst.probs[: rep.L], inst.theta, F(1))) == 1
+    assert len(requests) == max(front, 1)
 
 
 def ladder_probs(n: int) -> list[float]:

@@ -214,15 +214,25 @@ class TestExactObjective:
 
 @functools.lru_cache(maxsize=None)
 def _denominators(max_den):
-    # built once per bound: a fresh one_of per draw costs its validation
-    return st.one_of(st.integers(1, 64), st.integers(1, max_den))
+    # built once per bound, and drawn without one_of, which builds a
+    # sampled_from strategy on every draw
+    return st.integers(1, 64), st.integers(1, max_den)
+
+
+# one strategy for every numerator, instead of an integers strategy built
+# per draw: a draw inside the range is the numerator, as integers(low, high)
+# would draw it (shrinking towards 0), and one outside wraps into it, so
+# both ends are reachable
+_NUMERATORS = st.integers(-(1 << 64), 1 << 64)
 
 
 @st.composite
 def rationals(draw, lo, hi, max_den=1 << 40):
     """A Fraction in [lo, hi]; small and huge denominators both occur."""
-    den = draw(_denominators(max_den))
-    return F(draw(st.integers(math.ceil(lo * den), math.floor(hi * den))), den)
+    small, large = _denominators(max_den)
+    den = draw(small if draw(st.booleans()) else large)
+    low, high = math.ceil(lo * den), math.floor(hi * den)
+    return F(low + (draw(_NUMERATORS) - low) % (high - low + 1), den)
 
 
 grid_probs = st.integers(0, 20).map(lambda k: F(k, 20))

@@ -13,6 +13,7 @@ from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.large_ci import (
+    TailTriple,
     case2_kappa,
     construct_achievable_tails,
     dominance_front,
@@ -67,9 +68,9 @@ def reference_front(inst, L, kappa):
         return front_candidates(inst, L, kappa)
 
 
-def triple_points(inst, triples):
+def triple_points(inst, triples, kappa):
     ln_bound = ln_upper(F(200) / inst.epsilon)
-    return [(shifted_threshold(inst, t, ln_bound), t.C) for t in triples]
+    return [(shifted_threshold(inst, t, kappa, ln_bound), t.C) for t in triples]
 
 
 def headval(head_probs, tau, budget):
@@ -109,7 +110,7 @@ class TestConstructAchievableTails:
         triples = construct_achievable_tails(inst, 2, F(1, 2))
         assert len(triples) == 1
         t = triples[0]
-        assert (t.A, t.B, t.C) == (0, 0, 0) and t.witness == ()
+        assert t == TailTriple(0, 0, 0, ())
 
     def test_dp_matches_brute_force(self, rng):
         # acceptance criterion 3 exercises the full sweep; this is the
@@ -126,16 +127,17 @@ class TestConstructAchievableTails:
 
     def test_witnesses_reproduce_triples(self, rng):
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
-        for t in construct_achievable_tails(inst, 1, F(1, 4)):
-            k = t.kappa
-            assert sum((w / k) ** 2 for w in t.witness) == t.A
-            assert sum(w / k for w in t.witness) == t.C
-            tail_probs = inst.probs[1:]
-            assert (
-                sum(w * p for w, p in zip(t.witness, tail_probs))
-                == t.B * k * inst.grid
-            )
-            assert sum(t.witness) <= 1
+        k = F(1, 4)
+        for t in construct_achievable_tails(inst, 1, k):
+            # one (slot, j) pair per filled tail slot, slots ascending
+            slots = [slot for slot, _ in t.path]
+            assert slots == sorted(set(slots)) and all(1 < slot <= inst.n for slot in slots)
+            tail = [j * k for _, j in t.path]
+            assert all(w > 0 for w in tail)
+            assert sum((w / k) ** 2 for w in tail) == t.A
+            assert sum(w / k for w in tail) == t.C
+            assert sum(j * k * inst.probs[slot - 1] for slot, j in t.path) == t.B * k * inst.grid
+            assert sum(tail) <= 1
 
 
 class TestFindNearOptLargeCI:
@@ -143,11 +145,14 @@ class TestFindNearOptLargeCI:
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
         cands = find_near_opt_large_ci(inst, 2, F(1, 4))
         triples = construct_achievable_tails(inst, 2, F(1, 4))
-        front = brute_front(triple_points(inst, triples))
+        front = brute_front(triple_points(inst, triples, F(1, 4)))
         assert [c.triple for c in cands] == [triples[i] for i in front]
         for c in cands:
             assert all(w >= 0 for w in c.weights)
             assert sum(c.weights) <= 1
+            # the tail is the triple's path, j units of kappa on each slot
+            assert c.weights[:2] == c.head.weights
+            assert [(i, w / F(1, 4)) for i, w in enumerate(c.weights, 1) if i > 2 and w] == list(c.triple.path)
 
     def test_zero_triple_is_plain_junta(self, rng):
         inst = granular_instance(rng, 3, F(1, 2), F(1, 4))
@@ -159,12 +164,14 @@ class TestFindNearOptLargeCI:
 
     def test_shifted_threshold_formula(self, rng):
         inst = granular_instance(rng, 4, F(1, 2), F(1, 4))
-        for c in find_near_opt_large_ci(inst, 2, F(1, 4)):
+        kappa = F(1, 4)
+        for c in find_near_opt_large_ci(inst, 2, kappa):
             t = c.triple
-            mu = t.B * t.kappa * inst.grid
-            shift = t.kappa * sqrt_upper(ln_upper(F(200) / inst.epsilon) * t.A)
+            mu = t.B * kappa * inst.grid
+            shift = kappa * sqrt_upper(ln_upper(F(200) / inst.epsilon) * t.A)
             assert c.shifted_threshold == inst.theta - mu + shift
-            assert c.head_budget == 1 - t.C * t.kappa
+            assert c.head_budget == 1 - t.C * kappa
+            assert shifted_threshold(inst, t, kappa, ln_upper(F(200) / inst.epsilon)) == c.shifted_threshold
 
     def test_tiny_instance_covers_oracle_within_eps(self, rng):
         # n=3, L=1, practical kappa=1/4: some pool member (together with the
@@ -238,7 +245,7 @@ def test_skip_matches_dp_path(case):
     # at most 5 tail slots with p < 1 - eps: the skip holds on every draw
     assert zero_tail_dominates(inst, L, kappa)
     triples = construct_achievable_tails(inst, L, kappa)
-    points = triple_points(inst, triples)
+    points = triple_points(inst, triples, kappa)
     assert all(tau >= inst.theta for tau, _ in points)
     skipped = find_near_opt_large_ci(inst, L, kappa)
     assert skipped == front_candidates(inst, L, kappa)
@@ -267,41 +274,29 @@ def test_kept_triples_are_the_max_b_projection(case):
     full = full_tail_triples(inst, L, kappa)
     kept = max_b_keys((t.A, t.B, t.C) for t in full)
     triples = construct_achievable_tails(inst, L, kappa)
-    # the same triples, witnesses included, in the same order
+    # the same triples, paths included, in the same order, although the DP
+    # stops at slot L + min(n - L, J) and the reference runs to slot n
     assert triples == [t for t in full if (t.A, t.B, t.C) in kept]
     assert len(triples) <= tail_state_bound(inst.n - L, kappa)
     assert front_candidates(inst, L, kappa) == reference_front(inst, L, kappa)
 
 
-def assert_zero_triple_reuses_the_junta(inst, L, kappa):
-    # the junta's request (probs[:L], theta, 1) is the zero triple's: passing
-    # its result changes no candidate, on the skip path and on the DP path
+def assert_zero_triple_answers_the_junta_request(inst, L, kappa):
+    # the first candidate is the zero triple's, and its head is the junta's
+    # answer to (probs[:L], theta, 1), on the skip path and on the DP path
     junta = find_optimal_junta(JuntaRequest(inst.probs[:L], inst.theta, F(1)))
     for build in (find_near_opt_large_ci, front_candidates):
-        reused = build(inst, L, kappa, junta=junta)
-        assert reused == build(inst, L, kappa)
-        assert [c.head is junta for c in reused] == [c.triple.C == 0 for c in reused]
+        zero = build(inst, L, kappa)[0]
+        assert zero.triple == TailTriple(0, 0, 0, ())
+        assert (zero.shifted_threshold, zero.head_budget) == (inst.theta, 1)
+        assert zero.head == junta
+        assert zero.weights == junta.weights + (F(0),) * (inst.n - L)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(tied_case2_instances())
-def test_zero_triple_reuses_the_drivers_junta(case):
-    assert_zero_triple_reuses_the_junta(*case)
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(tied_case2_instances())
-def test_junta_for_another_request_is_refused(case):
-    inst, L, kappa = case
-    head, theta = inst.probs[:L], inst.theta
-    others = [(head, theta + inst.grid, F(1)), (head, theta, F(1, 2))]
-    if L > 1:
-        others.append((head[:-1], theta, F(1)))
-    for probs, tau, W in others:
-        junta = find_optimal_junta(JuntaRequest(probs, tau, W))
-        for build in (find_near_opt_large_ci, front_candidates):
-            with pytest.raises(InputError, match="zero triple"):
-                build(inst, L, kappa, junta=junta)
+def test_zero_triple_head_is_the_junta(case):
+    assert_zero_triple_answers_the_junta_request(*case)
 
 
 @st.composite
@@ -326,12 +321,14 @@ def test_skip_test_on_units_matches_the_fraction_sum(case):
     assert zero_tail_dominates(inst, L, kappa) == fraction_test
 
 
-@pytest.mark.parametrize("n_slots", [0, 1, 2, 3, 6])
-@pytest.mark.parametrize("J", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n_slots", [0, 1, 2, 3, 6, 12, 40])
+@pytest.mark.parametrize("J", [1, 2, 3, 5, 8, 13, 32, 247])
 def test_state_bound_is_the_count_of_tails_or_pairs(n_slots, J):
     # (J+1)^n_slots granular tails, or the (A, C) pairs with C <= A <= C^2
-    pairs = 1 + sum(1 for C in range(1, J + 1) for A in range(C, C * C + 1))
+    pairs = 1 + sum(len(range(C, C * C + 1)) for C in range(1, J + 1))
     assert tail_state_bound(n_slots, F(1, J)) == min((J + 1) ** n_slots, pairs)
+    # the DP reads min(n_slots, J) slots under the guard of all n_slots
+    assert tail_state_bound(min(n_slots, J), F(1, J)) == tail_state_bound(n_slots, F(1, J))
 
 
 # n = 16, p about 0.72 and kappa = 1/14: the 14 tail slots hold enough
@@ -355,7 +352,7 @@ def test_nontrivial_front_pinned():
     triples = construct_achievable_tails(inst, L, kappa)
     full = full_tail_triples(inst, L, kappa)
     assert (len(triples), len(full), tail_state_bound(inst.n - L, kappa)) == (280, 11308, 925)
-    points = triple_points(inst, full)
+    points = triple_points(inst, full, kappa)
     assert sum(tau < inst.theta for tau, _ in points) == 1
     cands = find_near_opt_large_ci(inst, L, kappa)
     assert cands == reference_front(inst, L, kappa)
@@ -385,11 +382,12 @@ def test_wide_equal_p_instance_solves_at_the_default_limit():
     [NONTRIVIAL_FRONT, ([0.72] * 20, 2, F(1, 16))],
     ids=["nontrivial-front", "wide-equal-p"],
 )
-def test_only_the_zero_triple_reuses_the_junta(probs, L, kappa):
-    # fronts with members that spend tail weight (C > 0) solve their own heads
+def test_zero_triple_head_is_the_junta_on_wide_fronts(probs, L, kappa):
+    # fronts with members that spend tail weight (C > 0), where the DP runs
     inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
+    assert not zero_tail_dominates(inst, L, kappa)
     assert any(c.triple.C > 0 for c in find_near_opt_large_ci(inst, L, kappa))
-    assert_zero_triple_reuses_the_junta(inst, L, kappa)
+    assert_zero_triple_answers_the_junta_request(inst, L, kappa)
 
 
 def test_input_checks_precede_skip(rng):
