@@ -256,12 +256,18 @@ def compute_gamma(instance: ProblemInstance) -> Fraction:
 
 
 def L_formula(epsilon: Fraction, gamma: Fraction, c_L: Fraction = Fraction(1)) -> int:
-    """ceil(c_L / (eps^2 gamma^3) * ln(1/(eps gamma)) * ln(1/eps)), natural logs."""
-    eps = float(epsilon)
-    gam = float(gamma)
-    raw = float(c_L) / (eps * eps * gam * gam) / gam
-    raw *= math.log(1.0 / (eps * gam)) * math.log(1.0 / eps)
-    return max(1, math.ceil(raw))
+    """ceil(c_L / (eps^2 gamma^3) * ln(1/(eps gamma)) * ln(1/eps)), natural logs, in floats;
+    where a float leaves its range, on the exact prefactor and logs of integers."""
+    try:
+        eps = float(epsilon)
+        gam = float(gamma)
+        raw = float(c_L) / (eps * eps * gam * gam) / gam
+        raw *= math.log(1.0 / (eps * gam)) * math.log(1.0 / eps)
+        return max(1, math.ceil(raw))
+    except (OverflowError, ZeroDivisionError):
+        (e, f), (g, h) = epsilon.as_integer_ratio(), gamma.as_integer_ratio()
+        logs = (math.log(f * h) - math.log(e * g)) * (math.log(f) - math.log(e))
+        return max(1, math.ceil(c_L / (epsilon**2 * gamma**3) * Fraction(logs)))
 
 
 def compute_L(instance: ProblemInstance, config: SolverConfig) -> int:

@@ -131,8 +131,13 @@ class SolveReport:
 
 
 def selection_sample_size(epsilon: Fraction, delta: Fraction, pool_size: int, mc_constant: Fraction) -> int:
-    raw = float(mc_constant) / float(epsilon) ** 2 * math.log(max(pool_size, 1) / float(delta))
-    return max(1, math.ceil(raw))
+    """m of the module docstring, by core.L_formula's rule for floats out of range."""
+    try:
+        raw = float(mc_constant) / float(epsilon) ** 2 * math.log(max(pool_size, 1) / float(delta))
+        return max(1, math.ceil(raw))
+    except (OverflowError, ZeroDivisionError):
+        log = math.log(max(pool_size, 1) * delta.denominator) - math.log(delta.numerator)
+        return max(1, math.ceil(mc_constant / epsilon**2 * Fraction(log)))
 
 
 def shared_mc_estimates(

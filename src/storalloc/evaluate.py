@@ -63,6 +63,10 @@ COMBO_LIMIT = 1 << 24
 # Most draws mc_hit_counts classifies unpacked, with no packing, dedup or tables.
 DIRECT_MAX_DRAWS = 1 << 10
 
+# Sampling guard: largest packed draw buffer (m draws x 8 key bytes up to
+# n = 64); deduplication copies it about twice, so a call peaks near 768 MiB.
+PACKED_LIMIT = 1 << 28
+
 
 @dataclass(frozen=True)
 class ObjectiveEstimate:
@@ -326,7 +330,8 @@ def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.nd
     random((b, n)).
 
     The blocks are packed into one buffer of m rows, each zero-padded to
-    whole 8-byte words, and deduplicated by one np.unique.  A row of one
+    whole 8-byte words (GuardError, before any draw, when the buffer would
+    exceed PACKED_LIMIT bytes), and deduplicated by one np.unique.  A row of one
     word (n <= 64) is compared as a big-endian uint64, a wider row as one
     void byte string (np.unique(axis=0) sorts field by field and is several
     times slower).  Big-endian words order like their bytes, so either way
@@ -336,8 +341,11 @@ def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.nd
     width = (n + 7) // 8
     if not width:  # n = 0: one empty pattern; a zero-width key is wrong
         return np.zeros((1, 0), dtype=np.uint8), np.array([m], dtype=np.int64)
-    pf = _float_probs(probs)
     key_bytes = 8 * ((width + 7) // 8)
+    if m * key_bytes > PACKED_LIMIT:
+        message = f"packed draw buffer of {m} draws x {key_bytes} bytes exceeds {PACKED_LIMIT} bytes"
+        raise GuardError(message, estimate=m * key_bytes, limit=PACKED_LIMIT)
+    pf = _float_probs(probs)
     packed = np.zeros((m, key_bytes), dtype=np.uint8)
     step = _block_rows(n)
     for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):

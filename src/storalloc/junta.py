@@ -9,7 +9,7 @@ S.  That is decided without an LP per request, by each set's margin
     v(S) = max over u >= 0 with sum(u) <= 1 of min over x in min(S) of u.x,
 
 where min(S) are the minimal members of S, and u_S is the maximizer.  Both
-depend on (S, L) alone, and v(S) not even on the order of the coordinates.
+depend on (S, L) alone.
 
 Why the scan is exact.  Take tau > 0.  The program "w >= 0, sum(w) <= W,
 w.x >= tau on min(S)" is homogeneous in (w, tau), so S is feasible iff
@@ -24,24 +24,31 @@ v = 0, and every v <= 1, so tau > W rejects every set and the zero head
 with value 0 is returned.  For tau <= 0 every outcome qualifies and the
 zero head has value 1.
 
-Cached per k, in one table: one v per orbit of sets under coordinate
-permutations (the 5, 19, 149 and 3286 non-empty sets at k = 2..5 form 4,
-9, 26 and 118), and each solved set's u_S / v(S) as integers c / e.  The
-scan and small_ci.find_best_head test tau <= W v(S) by margin_admits; an
-orbit's first test solves the LP (``set_margin``) of the set asked about,
-which fills its witness too; a returned set whose LP has not run solves
-it then.  So witnesses are the LP vertices they always were, and at most
-one LP runs per set asked about.
+The margin table.  v(S) and u_S are constants: one row per set of
+upward_family(k), k = 1..5, in the package file junta_margins.txt, read
+per k on first use.  A row is the digits (e, c_1..c_k) with
+u_S / v(S) = c / e, the LP vertex of the table's generator,
+tests/margin_table.py.  Then v(S) = e / sum(c), as sum(u_S) = 1 at every
+maximizer with v > 0 (else u_S / sum(u_S) raises the positive minimum).
+The full cube holds the zero point: v = 0, every u attains it, and its row
+(0, 1, ..., 1) refuses every tau > 0.  The empty set's row (1, 0, ..., 0)
+is never read.  margin_admits, which the scan and
+small_ci.find_best_head share, tests tau <= W v(S) as
+tau_n W_d sum(c) <= W_n tau_d e.
+
+Certificates.  tests/margin_certificates.txt holds, per non-empty set,
+integers lambda >= 0 over min(S) that sum to d, and a test checks in
+integer arithmetic that c >= 0 and c.x >= e on min(S) (u = c / sum(c)
+attains e / sum(c)), and that sum_x lambda_x x_j sum(c) <= e d for every j
+(every feasible u has min_x u.x <= sum_x (lambda_x / d) u.x <= e / sum(c)).
+So e / sum(c) is v(S), with no simplex.  Another test regenerates the
+table and compares bytes.
 
 Built per request, on the head's (numerator, denominator) pairs: point x
 has probability nums[x] / D, D the product of the denominators, D P(S)
 for the family is one product of its 0/1 member matrix with nums, and a
 stable argsort of -D P(S) orders the scan, which tests tau <= W v(S)
 cross-multiplied and returns tau c / e.
-
-``chain_lp`` is the membership program of a nested chain of such sets at
-descending thresholds, which the Case-3 head search solves after the same
-margin test and integer ranking (small_ci.find_best_head).
 
 Called with (p_1..p_L, theta, 1) this is exactly optimal whenever the
 optimal allocation is supported on the first L coordinates; it also serves
@@ -51,6 +58,7 @@ the large-critical-index case with shifted thresholds and reduced budgets
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,11 +68,11 @@ import numpy as np
 
 from .errors import InputError
 from .evaluate import _INT64_MAX, _byte_dots, _byte_tables
-from .halfspaces import MAX_K, enumerate_halfspace_sets, minimal_members, point_bits
-from .lp import LinearProgram, lp_solve
-from .util import lcm_scaled, to_fraction
+from .halfspaces import MAX_K, enumerate_halfspace_sets
+from .util import to_fraction
 
 _ZERO = Fraction(0)
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "junta_margins.txt")
 
 
 @dataclass(frozen=True)
@@ -146,75 +154,22 @@ def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
     return _byte_dots(tables, np.packbits(members, axis=1))[:, 0]
 
 
-def chain_lp(chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int) -> LinearProgram:
-    """Feasibility program for heads u >= 0, sum(u) <= W, reaching tau_i on
-    every member of the upward-closed S_i, for a chain S_1 <= ... <= S_r of
-    masks over {0,1}^k with taus descending.
-
-    Rows go level by level: u.x >= tau_i for each minimal member x of S_i
-    not already in S_{i-1}, in ascending point index; the budget row comes
-    last.  The rows left out are implied: u >= 0 lifts a minimal member's
-    bound to every member above it, and a member of S_{i-1} already reaches
-    tau_{i-1} >= tau_i.
-    """
-    cons = []
-    prev = 0
-    for mask, tau in zip(chain, taus):
-        for x in minimal_members(mask, k):
-            if not (prev >> x) & 1:
-                cons.append(([Fraction(b) for b in point_bits(x, k)], ">=", tau))
-        prev = mask
-    cons.append(([Fraction(1)] * k, "<=", W))
-    return LinearProgram(k, cons, objective=None)
-
-
-def set_margin(mask: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(v(S), u_S) for the upward-closed mask S over {0,1}^k: the largest
-    t with u.x >= t on every minimal member x of S, over u >= 0 with
-    sum(u) <= 1, and the u attaining it.  Variables are (u_1..u_k, t)."""
-    cons = [
-        ([Fraction(b) for b in point_bits(x, k)] + [Fraction(-1)], ">=", Fraction(0))
-        for x in minimal_members(mask, k)
-    ]
-    cons.append(([Fraction(1)] * k + [Fraction(0)], "<=", Fraction(1)))
-    objective = ([Fraction(0)] * k + [Fraction(1)], "max")
-    res = lp_solve(LinearProgram(k + 1, cons, objective))
-    return res.objective_value, res.x[:k]
-
-
 @lru_cache(maxsize=None)
-def _margin_table(k: int) -> tuple[list[int], list, list]:
-    """(orbit, margins, witnesses) over upward_family(k): orbit[i] is the
-    least index in set i's orbit; _solve_set fills margins[orbit[i]] and
-    witnesses[i].  A swap of coordinates j, j + 1 moves mask bit x by 2^j
-    where x_j != x_(j+1); k (k - 1) / 2 swaps reach any order."""
-    array, moves = upward_family(k)[1], []
-    for j in range(k - 1):
-        low, s = np.uint64(sum(1 << x for x in range(1 << k) if x >> j & 3 == 1)), np.uint64(1 << j)
-        moves.append(np.searchsorted(array, array & ~(low | low << s) | (array & low) << s | array >> s & low))
-    orbit = np.arange(len(array))
-    for _ in range(k * (k - 1) // 2):
-        orbit = np.minimum.reduce([orbit, *(orbit[move] for move in moves)])
-    return orbit.tolist(), [None] * len(array), [None] * len(array)
-
-
-def _solve_set(i: int, k: int) -> tuple[int, int]:
-    """Solve set i's margin LP: store its orbit's v as (v_n, v_d), returned,
-    and unless v = 0 (S holds the zero point) its u_S / v = c / e as (e, c)."""
-    orbit, margins, witnesses = _margin_table(k)
-    v, u = set_margin(upward_family(k)[0][i], k)
-    if v:
-        witnesses[i] = lcm_scaled([x / v for x in u])
-    margins[orbit[i]] = v.numerator, v.denominator
-    return margins[orbit[i]]
+def _load_margins(k: int) -> tuple[list[list[int]], list[int]]:
+    """(rows, sums) over upward_family(k): rows[i] is set i's (e, c_1..c_k)
+    from line k of the committed table (module docstring), and sums[i] is
+    sum(c), so v = e / sums[i]."""
+    with open(_TABLE_PATH, "rb") as fh:
+        line = fh.read().split(b"\n")[k - 1]
+    rows = np.frombuffer(line, dtype=np.uint8).reshape(-1, k + 1) - ord("0")
+    return rows.tolist(), rows[:, 1:].sum(axis=1).tolist()
 
 
 def margin_admits(i: int, k: int, lhs: int, rhs: int) -> bool:
-    """tau <= W v(S) for set i of upward_family(k), as lhs v_d <= rhs v_n with
-    lhs = tau_n W_d and rhs = W_n tau_d; the orbit's first test solves set i."""
-    orbit, margins, _ = _margin_table(k)
-    v_n, v_d = margins[orbit[i]] or _solve_set(i, k)
-    return lhs * v_d <= rhs * v_n
+    """tau <= W v(S) for set i of upward_family(k), as lhs sum(c) <= rhs e with
+    lhs = tau_n W_d and rhs = W_n tau_d."""
+    rows, sums = _load_margins(k)
+    return lhs * sums[i] <= rhs * rows[i][0]
 
 
 def _scan_order(probs: Sequence[Fraction]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -241,13 +196,10 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     if tau_n <= 0:
         return JuntaResult((_ZERO,) * L, Fraction(1), 0)
     D, scores, order = _scan_order(req.head_probs)
-    witnesses = _margin_table(L)[2]
     lhs, rhs = tau_n * W.denominator, W.numerator * tau_d  # denominators are positive
     for examined, i in enumerate(order, 1):
         if margin_admits(i, L, lhs, rhs):
-            if witnesses[i] is None:  # another member filled the orbit's margin
-                _solve_set(i, L)
-            e, c = witnesses[i]
+            e, *c = _load_margins(L)[0][i]
             weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])
             return JuntaResult(weights, Fraction(int(scores[i]), D), examined)
     return JuntaResult((_ZERO,) * L, _ZERO, len(order))

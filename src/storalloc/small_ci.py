@@ -11,7 +11,7 @@ reference, tests/case3.py.
 
 Kept here: the Case-3 granularity, reported as kappa_case3; the
 closed-form test no_regular_tail, which decides on numerators; and the
-exact best-head search find_best_head, which the reference calls.
+exact best-head search find_best_head and its chain_lp, which the reference calls.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from typing import Sequence
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import BLOCK_BYTES, EmpiricalDist
-from .junta import chain_lp, family_numerators, margin_admits, outcome_numerators, upward_family
-from .lp import lp_solve
+from .halfspaces import minimal_members, point_bits
+from .junta import family_numerators, margin_admits, outcome_numerators, upward_family
+from .lp import LinearProgram, lp_solve
 from .util import half_power_ceil, to_fraction
 
 logger = logging.getLogger(__name__)
@@ -134,7 +135,7 @@ def find_best_head(
     realizable sets has value sum(c_i P(S_i)) / m, taken as an integer over
     D m with every D P(S) from one pass of junta.family_numerators, and
     the chains are visited by value descending, then enumeration order.
-    Let C be the first chain whose membership LP (junta.chain_lp) is
+    Let C be the first chain whose membership LP (chain_lp) is
     feasible, and u its witness.  u realizes the sets
     R_i(u) = {x : u.x >= tau_i}; they contain the S_i and form a nested
     chain of upward-closed realizable sets, which is enumerated and
@@ -147,7 +148,7 @@ def find_best_head(
 
     Before its LP, a chain is skipped when some level has tau_i > 0, S_i
     non-empty and tau_i > W v(S_i), by the junta scan's own test on its
-    cached orbit margins (junta.margin_admits): each level alone is then
+    committed margin table (junta.margin_admits): each level alone is then
     infeasible (junta module docstring), so the test never skips a
     feasible chain.
     """
@@ -193,6 +194,27 @@ def find_best_head(
         k, len(taus), len(chains), skipped, solved, rank,
     )
     return HeadResult(tuple(res.x), Fraction(scores[idx], D * m), len(chains))
+
+
+def chain_lp(chain: Sequence[int], taus: Sequence[Fraction], W: Fraction, k: int) -> LinearProgram:
+    """Feasibility program for heads u >= 0, sum(u) <= W, reaching tau_i on
+    every member of the upward-closed S_i, for a chain S_1 <= ... <= S_r of
+    masks over {0,1}^k with taus descending.
+
+    Rows go level by level: u.x >= tau_i for each minimal member x of S_i
+    not already in S_{i-1}, in ascending point index; the budget row comes
+    last.  The rows left out are implied: u >= 0 lifts a minimal member's
+    bound to every member above it, and a member of S_{i-1} already reaches
+    tau_{i-1} >= tau_i.
+    """
+    cons, prev = [], 0
+    for mask, tau in zip(chain, taus):
+        for x in minimal_members(mask, k):
+            if not (prev >> x) & 1:
+                cons.append(([Fraction(b) for b in point_bits(x, k)], ">=", tau))
+        prev = mask
+    cons.append(([Fraction(1)] * k, "<=", W))
+    return LinearProgram(k, cons, objective=None)
 
 
 def _nested_chains(k: int, r: int, max_patterns: int) -> list[tuple[int, ...]]:

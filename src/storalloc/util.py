@@ -126,29 +126,32 @@ def sqrt_upper(q: Fraction, bits: int = 64) -> Fraction:
     return Fraction(s, b * scale)
 
 
-def ln_upper(q: Fraction) -> Fraction:
-    """Rational upper bound on ln(q) for q > 1.
-
-    math.log is correctly rounded to ~1 ulp; a 2**-40 pad makes the bound
-    safe, and upward slack is harmless everywhere this is used (it only
-    makes threshold shifts more conservative).
-    """
+def _ln_bound(q: Fraction, sign: int) -> Fraction:
+    """ln(q) + sign * pad for q > 1.  math.log is within ~1 ulp, and ln(q) < 710
+    wherever float(q) is finite: pad = 2**-40.  Past float range the logs of
+    q's integer numerator and denominator are each within a few ulps of their
+    own size: pad = 2**-40 (1 + both logs)."""
     q = Fraction(q)
     if q <= 1:
-        raise ValueError("ln_upper requires q > 1")
-    return Fraction(math.log(q)) + Fraction(1, 1 << 40)
+        raise ValueError("the ln bounds require q > 1")
+    try:
+        return Fraction(math.log(q)) + sign * Fraction(1, 1 << 40)
+    except OverflowError:
+        a, b = math.log(q.numerator), math.log(q.denominator)
+        return Fraction(a) - Fraction(b) + sign * Fraction(1 + a + b) / (1 << 40)
+
+
+def ln_upper(q: Fraction) -> Fraction:
+    """Rational upper bound on ln(q) for q > 1.  Upward slack is harmless
+    everywhere this is used (it only makes threshold shifts more conservative)."""
+    return _ln_bound(q, 1)
 
 
 def ln_lower(q: Fraction) -> Fraction:
     """Rational lower bound on ln(q) for q > 1, the mirror of ln_upper.
-
-    Downward slack is harmless where this is used: it only makes the
-    Case-2 skip test (large_ci.zero_tail_dominates) stricter.
-    """
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("ln_lower requires q > 1")
-    return Fraction(math.log(q)) - Fraction(1, 1 << 40)
+    Downward slack is harmless where this is used: it only makes the Case-2
+    skip test (large_ci.zero_tail_dominates) stricter."""
+    return _ln_bound(q, -1)
 
 
 # ---------------------------------------------------------------------------

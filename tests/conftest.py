@@ -43,11 +43,13 @@ from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
-from storalloc.junta import JuntaRequest, JuntaResult, chain_lp, set_margin
+from storalloc.junta import JuntaRequest, JuntaResult
 from storalloc.large_ci import TailTriple
 from storalloc.lp import LinearProgram, LPResult, lp_solve
-from storalloc.small_ci import _nested_chains
+from storalloc.small_ci import _nested_chains, chain_lp
 from storalloc.util import derived_rng
+
+from margin_table import set_margin
 
 
 def naive_objective(probs, weights, theta) -> Fraction:
@@ -323,7 +325,7 @@ def grid_junta_value(head_probs, tau, W, step=Fraction(1, 64)) -> Fraction:
 
 def lp_scan_junta(head_probs, tau, W, sets) -> Fraction:
     """Max of Pr[w . X >= tau] over heads w >= 0, sum(w) <= W, by one
-    feasibility LP (``junta.chain_lp``) per event set in ``sets``; each
+    feasibility LP (``small_ci.chain_lp``) per event set in ``sets``; each
     feasible set's witness is scored by full outcome enumeration, and the
     zero head is always a candidate."""
     head_probs = [Fraction(p) for p in head_probs]
@@ -346,7 +348,8 @@ def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     """junta.find_optimal_junta in Fraction arithmetic: the non-empty
     upward-closed sets by (-P(S), mask), P(S) a Fraction sum over the set's
     points, and the first set with tau <= W v(S) gives the witness
-    (tau / v(S)) u_S.  Only set_margin's LP is shared with the library."""
+    (tau / v(S)) u_S, from the LP of the table's generator (margin_table.py),
+    not from the committed table."""
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
@@ -486,7 +489,7 @@ def nested_chains(k: int, r: int) -> list[tuple[int, ...]]:
 def exhaustive_best_head(head_probs, points, W, theta) -> tuple[Fraction, tuple]:
     """(value, witness) of max Pr[u . X + R >= theta] over u >= 0 with
     sum(u) <= W, by certifying every nested chain with its own
-    ``junta.chain_lp`` and scoring every feasible witness by the Fraction
+    ``small_ci.chain_lp`` and scoring every feasible witness by the Fraction
     probabilities of the event sets it realizes.  Keeps the best score, and
     among equal scores the lexicographically smallest descending-sorted
     head."""
@@ -758,6 +761,6 @@ def rng():
 @pytest.fixture
 def cold_junta(monkeypatch):
     """Empty junta caches for one test: fresh caches of upward_family and
-    _margin_table stand in for the process's, which come back afterwards."""
-    for name in ("upward_family", "_margin_table"):
+    _load_margins stand in for the process's, which come back afterwards."""
+    for name in ("upward_family", "_load_margins"):
         monkeypatch.setattr(junta, name, functools.lru_cache(maxsize=None)(getattr(junta, name).__wrapped__))

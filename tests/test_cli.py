@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from storalloc import cli
+from storalloc import cli, evaluate
 from storalloc.cli import main
 from storalloc.core import ProblemInstance
 from storalloc.evaluate import sample_tail_empirical
@@ -251,6 +251,27 @@ class TestCommands:
         assert guard["guard"] == lines[0][len("guard: "):]
         assert isinstance(guard["estimate"], int) and isinstance(guard["limit"], int)
         assert guard["estimate"] == 21_333_601 > guard["limit"] == 5_000_000
+
+    def test_extreme_delta_and_epsilon_solve_or_refuse(self, tmp_path, capsys):
+        # delta = 10^-400 and eps = 10^-200 leave float range; the first
+        # solves with 16 ln(2 10^400) draws, the second asks for about
+        # 3.7 10^400 and the draw guard refuses it before allocating
+        args = ["--mode", "practical", "--kappa", "1/8", "--l-cap", "2"]
+        probs = ["3/5", "11/20", "1/2", "9/20"]
+        inst = tmp_path / "delta.json"
+        save_instance(inst, probs, "1/2", "1/4", f"1/{10**400}")
+        assert run_cli(["solve", inst, "--out", tmp_path / "r.json", *args]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["estimate_m"] == 14_748
+        save_instance(inst, probs, "1/2", f"1/{10**200}", "1/20")
+        assert run_cli(["solve", inst, *args]) == 3
+        guard = json.loads(capsys.readouterr().err.splitlines()[1])
+        assert guard["limit"] == evaluate.PACKED_LIMIT and guard["estimate"] // 10**397 == 29_511
+
+    def test_eval_mc_past_the_packed_limit_is_a_guard(self, inst_file, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * 2_000)
+        assert run_cli(["eval", inst_file, "--weights", "1/3,1/3,1/3", "--mc", "2001"]) == 3
+        guard = json.loads(capsys.readouterr().err.splitlines()[1])
+        assert (guard["estimate"], guard["limit"]) == (8 * 2_001, 8 * 2_000)
 
     @pytest.mark.parametrize("mode_args", [["--mode", "theory"], ["--mode", "practical", "--kappa", "1/8"]])
     def test_exit_code_head_cutoff_guard(self, tmp_path, capsys, mode_args):

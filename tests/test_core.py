@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -340,6 +341,16 @@ class TestDerivedParameters:
     def test_L_formula_hand_value(self):
         # eps = gamma = 1/2: 16 * 2 * ln 4 * ln 2 = 30.7 -> 31
         assert L_formula(F(1, 2), F(1, 2)) == 31
+
+    def test_L_formula_past_float_range(self):
+        # eps = 10^-200 underflows eps^2 and eps = 10^-160 overflows the
+        # quotient; the fallback agrees with a 50-digit Decimal evaluation
+        for eps in (F(1, 10**200), F(1, 10**160)):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                e, g = 1 / Decimal(eps.denominator), Decimal(1) / 4
+                ref = (1 / (e * e * g**3)) * (1 / (e * g)).ln() * (1 / e).ln()
+            assert abs(L_formula(eps, F(1, 4)) - ref) <= ref * Decimal(10) ** -12
 
     def test_L_min_clamps_at_n(self):
         # formula value far above n=3 clamps to n

@@ -187,6 +187,12 @@ class TestSolve:
         assert m == math.ceil(16 * math.log(10 / 0.05))
         assert selection_sample_size(F(1, 4), F(1, 20), 1, F(1)) >= 1
 
+    def test_selection_sample_size_past_float_range(self):
+        # float(delta) = 0 and float(eps)^2 = 0: the logs come from the
+        # integers, 16 ln(2 10^400) = 14747.6 and 10^400 ln 40 = 3.6888 10^400
+        assert selection_sample_size(F(1, 4), F(1, 10**400), 2, F(1)) == 14_748
+        assert selection_sample_size(F(1, 10**200), F(1, 20), 2, F(1)) // 10**396 == 36_888
+
 
 class TestReportBytes:
     # sha256 of to_json() for two practical solves: any change to a report

@@ -387,6 +387,28 @@ class TestSampling:
         est = mc_estimate_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta, 1, seed=5)
         assert est.value in (F(0), F(1))
 
+    def test_packed_buffer_guard_refuses_before_drawing(self, monkeypatch):
+        # PACKED_LIMIT patched down to 2 000 keys of 8 bytes (n <= 64) or
+        # 1 000 of 16 (n = 65): at the limit a call samples, past it both
+        # samplers refuse with estimate and limit before their first draw
+        # (up to DIRECT_MAX_DRAWS, mc_hit_counts packs nothing)
+        monkeypatch.setattr(evaluate, "PACKED_LIMIT", 16_000)
+        inst = small_instance()
+        w = [F(1, 2), F(1, 2)]
+        assert mc_estimate_probs(inst.probs, w, inst.theta, 2_000, seed=0).m == 2_000
+        drawn = []
+        monkeypatch.setattr(evaluate, "derived_rng", lambda *parts: drawn.append(parts))
+        calls = [
+            (lambda: mc_estimate_probs(inst.probs, w, inst.theta, 2_001, seed=0), 8 * 2_001),
+            (lambda: sample_tail_empirical(inst, [F(1, 2)], 2_001, seed=0), 8 * 2_001),
+            (lambda: mc_estimate_probs([F(1, 2)] * 65, [F(1, 65)] * 65, F(1, 2), 1_025, seed=0), 16 * 1_025),
+        ]
+        for call, estimate in calls:
+            with pytest.raises(GuardError) as info:
+                call()
+            assert (info.value.estimate, info.value.limit) == (estimate, 16_000)
+        assert drawn == []
+
     def test_mc_chernoff_example_m40000(self):
         # exact Obj = 1/4; 100 seeds at m=40000: at least 95 within +-0.02
         inst = small_instance()

@@ -1,5 +1,6 @@
+import ast
 import hashlib
-import itertools
+import inspect
 import math
 import os
 import random
@@ -14,25 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storalloc
-from storalloc import evaluate, junta, small_ci
+from storalloc import evaluate, junta, lp
 from storalloc.baselines import brute_force_optimum
+from storalloc.core import SolverConfig
 from storalloc.errors import InputError
-from storalloc.halfspaces import enumerate_halfspace_sets, minimal_members, point_bits
+from storalloc.halfspaces import MAX_K, enumerate_halfspace_sets, minimal_members, point_bits
 from storalloc.junta import (
     JuntaRequest,
     _scan_order,
-    chain_lp,
     family_numerators,
     find_optimal_junta,
     outcome_numerators,
-    set_margin,
     upward_family,
 )
 from storalloc.lp import lp_solve
+from storalloc.small_ci import chain_lp
 
+import margin_table
 from conftest import (
     cached_set_margin,
-    exhaustive_best_head,
     fraction_junta_scan,
     granular_instance,
     grid_junta_value,
@@ -236,25 +237,76 @@ def test_junta_value_is_the_exact_objective_of_its_head_with_a_zero_tail(case):
 
 def test_margin_decides_feasibility(rng):
     # tau <= W v(S) iff the membership LP of S is feasible, for every
-    # non-empty upward-closed S with k <= 4, at random (tau > 0, W) and on
-    # the boundary tau = W v(S).
+    # non-empty upward-closed S with k <= 4 and v(S) = e / sum(c) read from
+    # the committed table, at random (tau > 0, W) and on the boundary
+    # tau = W v(S); margin_admits agrees, and u = c / sum(c) attains v(S).
     for k in range(1, 5):
-        for set_ in enumerate_halfspace_sets(k, monotone=True):
-            if not set_.mask:
-                continue
-            v, u = set_margin(set_.mask, k)
-            assert all(x >= 0 for x in u) and sum(u) <= 1
-            dots = [
-                sum((w for w, b in zip(u, point_bits(x, k)) if b), F(0))
-                for x in minimal_members(set_.mask, k)
-            ]
-            assert min(dots) == v
+        rows = junta._load_margins(k)[0]
+        for i, mask in enumerate(upward_family(k)[0][1:], 1):
+            e, *c = rows[i]
+            v = F(e, sum(c))
+            dots = [sum(b * x for b, x in zip(point_bits(p, k), c)) for p in minimal_members(mask, k)]
+            assert F(min(dots), sum(c)) == v
             cases = [(F(rng.randint(1, 30), 24), F(rng.randint(0, 24), 24)) for _ in range(3)]
             if v:
                 cases.append((v / 2, F(1, 2)))
             for tau, W in cases:
-                res = lp_solve(chain_lp((set_.mask,), (tau,), W, k))
-                assert (tau <= W * v) == (res.status == "optimal"), (k, set_.mask, tau, W)
+                res = lp_solve(chain_lp((mask,), (tau,), W, k))
+                assert (tau <= W * v) == (res.status == "optimal"), (k, mask, tau, W)
+                lhs, rhs = tau.numerator * W.denominator, W.numerator * tau.denominator
+                assert junta.margin_admits(i, k, lhs, rhs) == (tau <= W * v)
+
+
+def test_every_margin_carries_a_checked_certificate():
+    # integer arithmetic only (junta module docstring): for each non-empty
+    # set, the row's u = c / sum(c) attains e / sum(c) on min(S), and the
+    # dual weights lambda / d bound every head's margin by e / sum(c); the
+    # empty set's row is (1, 0, ..., 0)
+    lines = iter(margin_table.CERTIFICATES_PATH.read_text().splitlines())
+    for k in range(1, MAX_K + 1):
+        masks, rows = upward_family(k)[0], junta._load_margins(k)[0]
+        assert len(rows) == len(masks) and rows[0] == [1] + [0] * k
+        for mask, (e, *c) in zip(masks[1:], rows[1:]):
+            d, *lam = map(int, next(lines))
+            members = [point_bits(x, k) for x in minimal_members(mask, k)]
+            total = sum(c)
+            assert e >= 0 and min(c) >= 0 and total > 0
+            assert all(sum(b * x for b, x in zip(bits, c)) >= e for bits in members), (k, mask)
+            assert len(lam) == len(members) and min(lam) >= 0 and sum(lam) == d > 0
+            for j in range(k):
+                assert sum(w * bits[j] for w, bits in zip(lam, members)) * total <= e * d, (k, mask, j)
+    assert next(lines, None) is None
+
+
+def test_committed_table_is_the_generators_output():
+    # about 3 500 exact margin LPs
+    with open(junta._TABLE_PATH, "rb") as fh:
+        assert fh.read() == margin_table.table_bytes()
+
+
+def test_solve_and_oracle_run_no_lp(cold_junta, monkeypatch):
+    # from empty junta caches, seeded solves at every L_cap and the exact
+    # oracle at every n it covers read the committed table and solve no LP
+    tree = ast.parse(inspect.getsource(junta))
+    assert "lp" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+    def refuse(program):
+        raise AssertionError("an LP was solved")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "storalloc":
+            for attr, value in list(vars(module).items()):
+                if value is lp.lp_solve:
+                    monkeypatch.setattr(module, attr, refuse)
+    rng = random.Random("no-lp")
+    for L_cap in range(1, MAX_K + 1):
+        probs = [rng.randint(30, 70) / 100 for _ in range(8)]
+        config = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=rng.randrange(1 << 31))
+        assert storalloc.solve(probs, F(1, 2), F(1, 4), F(1, 20), config).L == L_cap
+    for n in range(1, MAX_K + 1):
+        inst = granular_instance(rng, n, F(1, 2), F(1, 4))
+        res = brute_force_optimum(inst, allow_grid_n5=True)
+        assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -342,75 +394,6 @@ def test_oracle_matches_lp_scan(n, seed, theta):
     assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
 
 
-def test_orbit_margin_is_every_members_own_margin():
-    # tau > W rejects every set, so the scan visits them all and fills each
-    # orbit's margin from its first member's LP; every non-empty set's own
-    # LP (about 3 500 at k <= 5) must give the same v
-    for k, orbits in ((1, 2), (2, 4), (3, 9), (4, 26), (5, 118)):
-        probs = tuple(F(9 - j, 10) for j in range(k))
-        assert find_optimal_junta(JuntaRequest(probs, F(1), F(1, 2))).value == 0
-        orbit, margins, _ = junta._margin_table(k)
-        masks = upward_family(k)[0]
-        assert len(set(orbit[1:])) == orbits
-        for i in range(1, len(masks)):
-            assert F(*margins[orbit[i]]) == set_margin(masks[i], k)[0], (k, masks[i])
-
-
-@pytest.mark.parametrize("k", range(1, 5))
-def test_orbits_are_the_permutation_classes(k):
-    # the swaps' least-index labels against each mask's least image under
-    # every permutation of the coordinates, computed bit by bit
-    masks = upward_family(k)[0]
-
-    def image(mask, perm):
-        return sum(1 << sum(((x >> j) & 1) << perm[j] for j in range(k)) for x in range(1 << k) if mask >> x & 1)
-
-    least = [min(image(m, perm) for perm in itertools.permutations(range(k))) for m in masks]
-    orbit = junta._margin_table(k)[0]
-    assert all((orbit[i] == orbit[j]) == (least[i] == least[j]) for i in range(len(masks)) for j in range(i))
-
-
-def test_cold_scans_solve_at_most_one_lp_per_visited_set(cold_junta, monkeypatch):
-    # from empty caches, a seeded run of requests at every head length,
-    # interleaved with best-head searches that read the same margin table,
-    # solves each set's margin LP at most once, and fewer LPs than the
-    # distinct sets read: one per orbit on its first read, and one more only
-    # for a returned set whose LP has not run
-    rng = random.Random("cold-margin-lps")
-    requests, searches = [], []
-    for _ in range(40):
-        L = rng.randint(1, 5)
-        probs = tuple(sorted((F(rng.randint(1, 19), 20) for _ in range(L)), reverse=True))
-        requests.append(JuntaRequest(probs, F(rng.randint(-2, 24), 24), F(rng.randint(0, 24), 24)))
-    for _ in range(10):
-        k = rng.randint(1, 3)
-        probs = tuple(sorted((F(rng.randint(1, 19), 20) for _ in range(k)), reverse=True))
-        points = [F(rng.randint(0, 8), 16) for _ in range(rng.randint(1, 2))]
-        searches.append((probs, points, F(rng.randint(1, 24), 24), F(rng.randint(1, 24), 24)))
-    solved, read, lps = [], set(), []
-    margin, admits = junta.set_margin, junta.margin_admits
-
-    def read_by_best_head(i, k, lhs, rhs):
-        read.add((k, junta.upward_family(k)[0][i]))
-        return admits(i, k, lhs, rhs)
-
-    monkeypatch.setattr(junta, "set_margin", lambda mask, k: solved.append((k, mask)) or margin(mask, k))
-    monkeypatch.setattr(junta, "lp_solve", lambda lp: lps.append(lp) or lp_solve(lp))
-    monkeypatch.setattr(small_ci, "margin_admits", read_by_best_head)
-    results, heads = [], []
-    for j, req in enumerate(requests):
-        results.append(find_optimal_junta(req))
-        if j % 4 == 3:
-            heads.append(small_ci.find_best_head(*searches[j // 4]))
-    for req, r in zip(requests, results):
-        read |= {(req.L, mask) for _, mask in _sorted_reference(req.head_probs)[1][: r.sets_examined]}
-    assert len(lps) == len(solved) == len(set(solved))
-    assert set(solved) <= read and 0 < len(solved) < len(read)
-    # the references' LPs run after the count
-    assert results == [fraction_junta_scan(req) for req in requests]
-    assert [h.value for h in heads] == [exhaustive_best_head(*search)[0] for search in searches]
-
-
 # sha256 of every witness and value over the grid below, taken before the
 # junta scan used cached set margins; sets_examined is checked on its own.
 PINNED_WITNESSES = "39492b454b52b2b40f9cf70f0215504457942f948eb32a147279ac51cc452e56"
@@ -438,8 +421,8 @@ def test_witnesses_pinned():
 
 
 # Prints the results of a fixed list of requests and an n = 5 oracle;
-# with "warm", unrelated requests of every head length run first and fill
-# the margin tables, often from other members of the list's sets' orbits.
+# with "warm", unrelated requests of every head length run first and load
+# the family and margin tables.
 _CACHE_SCRIPT = """
 import sys
 from fractions import Fraction as F

@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from storalloc.driver import solve
 from storalloc.errors import InputError
-from storalloc.util import FLOAT_DENOMINATOR_LIMIT, limit_ratio, to_fraction, to_int
+from storalloc.util import FLOAT_DENOMINATOR_LIMIT, limit_ratio, ln_lower, ln_upper, to_fraction, to_int
 
 
 def same_ratio(a: F, b: F) -> bool:
@@ -109,3 +111,17 @@ def test_integers_and_numpy_integers_become_ints(value):
 def test_non_integers_are_refused_by_name(value):
     with pytest.raises(InputError, match="seed must be an integer"):
         to_int(value, "seed")
+
+
+@pytest.mark.parametrize("q", [F(800), F(200 * 10**300), F(10**309), F(200 * 10**400), F(3 * 10**5000, 7)])
+def test_ln_bounds_bracket_ln_past_float_range(q):
+    # within float range the bounds are math.log(q) -+ 2^-40, as always;
+    # past it they still bracket ln(q), checked against 60-digit Decimals
+    lower, upper = ln_lower(q), ln_upper(q)
+    if q < 2**1024:
+        pad = F(1, 1 << 40)
+        assert (lower, upper) == (F(math.log(q)) - pad, F(math.log(q)) + pad)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+        assert Decimal(lower.numerator) / lower.denominator < exact < Decimal(upper.numerator) / upper.denominator
