@@ -22,7 +22,8 @@ zero-triple copy of it) takes its exact objective from the junta scan:
 the scan returns the most probable feasible set S with P(S), its witness
 realizes a feasible superset R of S, so P(R) = P(S) (junta module
 docstring), and a zero tail leaves the event unchanged.  Any other winner
-is evaluated by exact_objective_probs, which may refuse.
+is evaluated by exact_objective_probs on its nonzero coordinates (a zero
+weight leaves w . X unchanged), which may refuse.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
@@ -46,7 +47,7 @@ from .core import (
     preprocess,
 )
 from .errors import GuardError, InputError
-from .evaluate import ObjectiveEstimate, exact_objective_probs, mc_hit_counts
+from .evaluate import ObjectiveEstimate, check_draws, exact_objective_probs, mc_hit_counts
 from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
@@ -218,7 +219,9 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     """Run every case, score the pool on one shared sample, report the winner.
 
     GuardError before any case runs when the head cutoff L exceeds MAX_K,
-    the largest head the halfspace enumeration covers.
+    the largest head the halfspace enumeration covers, or when the
+    selection sample for a pool of one already fails evaluate.check_draws:
+    m grows with the pool, so selection would refuse it after the cases.
     """
     config = config or SolverConfig()
     timings: dict = {}
@@ -234,6 +237,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
             estimate=L,
             limit=MAX_K,
         )
+    check_draws(selection_sample_size(instance.epsilon, instance.delta, 1, config.mc_constant), n)
     kappa3 = case3_kappa(instance, L, config)
     kappa2 = case2_kappa(instance, L, config) if L < n else None
 
@@ -271,7 +275,10 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
         logger.debug("exact_objective from the junta scan")
     else:
         try:
-            exact = exact_objective_probs(instance.probs, chosen.weights, theta)
+            support = [i for i, w in enumerate(chosen.weights) if w]
+            exact = exact_objective_probs(
+                [instance.probs[i] for i in support], [chosen.weights[i] for i in support], theta
+            )
             logger.debug("exact_objective from exact_objective_probs")
         except GuardError as exc:
             logger.info(

@@ -26,16 +26,15 @@ comparison uses floats: float dot products misclassify ties, which are
 common for granular weights.
 
 Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
-chunks, one generator per chunk, packs each draw into bytes and
-deduplicates the packed rows (each one integer key up to n = 64) into
-distinct bit patterns with counts.  The patterns are classified in exact integer arithmetic: a
-weight vector and theta are scaled by the lcm D of their denominators, so
-w . x >= theta becomes (D w) . x >= D theta, and a packed pattern's dot is
-one lookup per byte in 256-entry tables of partial sums of D w, for many
-vectors at once.  Every entry and partial dot is a subset sum of D w, so
-a vector runs on int64 when sum |D w_j| and |D theta| are at most
-2^63 - 1, and on Python ints (dtype=object) otherwise.  Everything is
-bit-reproducible from the seed.
+chunks, one generator per chunk, and packs each draw into bytes, keeping
+the m rows in draw order.  Every row is classified in exact integer
+arithmetic: a weight vector and theta are scaled by the lcm D of their
+denominators, so w . x >= theta becomes (D w) . x >= D theta, and a packed
+row's dot is one lookup per byte in 256-entry tables of partial sums of
+D w, for many vectors at once.  Every entry and partial dot is a subset
+sum of D w, so a vector runs on int64 when sum |D w_j| and |D theta| are
+at most 2^63 - 1, and on Python ints (dtype=object) otherwise.
+Everything is bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -60,11 +59,13 @@ SAMPLE_CHUNK = 1 << 15
 # Exact-evaluation guard: widest allowed product of (group size + 1) factors.
 COMBO_LIMIT = 1 << 24
 
-# Most draws mc_hit_counts classifies unpacked, with no packing, dedup or tables.
+# Most draws mc_hit_counts classifies unpacked, with no packing or tables.
 DIRECT_MAX_DRAWS = 1 << 10
 
-# Sampling guard: largest packed draw buffer (m draws x 8 key bytes up to
-# n = 64); deduplication copies it about twice, so a call peaks near 768 MiB.
+# Sampling guard on m x 8 ceil(n/64) bytes, at least the m x ceil(n/8) packed
+# rows and the tail sampler's m int64 dots.  At the limit, up to n = 64, a
+# call peaks near 256 MiB in mc_hit_counts (the rows) and 768 MiB in
+# sample_tail_empirical (the rows, the dots and one dot-sized temporary).
 PACKED_LIMIT = 1 << 28
 
 
@@ -316,51 +317,43 @@ def _float_probs(probs: Sequence[Fraction]) -> np.ndarray:
     return np.array([p.numerator / p.denominator for p in probs])
 
 
-def _pattern_counts(probs: Sequence[Fraction], m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed Bernoulli bit rows over m draws, with int64 counts.
+def check_draws(m: int, n: int) -> None:
+    """GuardError when m draws over n coordinates exceed PACKED_LIMIT.
 
-    A row is np.packbits of one draw's n bits: ceil(n/8) bytes, coordinate
-    8j + k in bit 7 - k of byte j, the last byte zero-padded.  Draws come in
-    chunks of SAMPLE_CHUNK rows, chunk c from the generator derived from
-    (seed, c).  The chunks alone fix the random stream a seed yields, so
-    every sampled output (and the report pins) stays bit-identical.  Each
-    chunk is drawn in blocks of _block_rows(n) rows, which bound the float
-    temporary to BLOCK_BYTES without touching the stream: a PCG64
-    Generator's random((a + b, n)) equals random((a, n)) followed by
-    random((b, n)).
+    The estimate is m x 8 ceil(n/64) bytes: the packed rows rounded up to
+    whole 8-byte words.  The samplers call this before their first draw,
+    and the driver before any case runs.
+    """
+    row_bytes = 8 * -(-n // 64)
+    if m * row_bytes > PACKED_LIMIT:
+        message = f"packed draw buffer of {m} draws x {row_bytes} bytes exceeds {PACKED_LIMIT} bytes"
+        raise GuardError(message, estimate=m * row_bytes, limit=PACKED_LIMIT)
 
-    The blocks are packed into one buffer of m rows, each zero-padded to
-    whole 8-byte words (GuardError, before any draw, when the buffer would
-    exceed PACKED_LIMIT bytes), and deduplicated by one np.unique.  A row of one
-    word (n <= 64) is compared as a big-endian uint64, a wider row as one
-    void byte string (np.unique(axis=0) sorts field by field and is several
-    times slower).  Big-endian words order like their bytes, so either way
-    rows come out in ascending byte order.
+
+def _packed_draws(probs: Sequence[Fraction], m: int, seed: int) -> np.ndarray:
+    """The m packed Bernoulli bit rows, in draw order, as an (m, ceil(n/8)) uint8 array.
+
+    A row is np.packbits of one draw's n bits: coordinate 8j + k in bit
+    7 - k of byte j, the last byte zero-padded.  Draws come in chunks of
+    SAMPLE_CHUNK rows, chunk c from the generator derived from (seed, c).
+    The chunks alone fix the random stream a seed yields, so every sampled
+    output (and the report pins) stays bit-identical.  Each chunk is drawn
+    in blocks of _block_rows(n) rows, which bound the float temporary to
+    BLOCK_BYTES without touching the stream: a PCG64 Generator's
+    random((a + b, n)) equals random((a, n)) followed by random((b, n)).
     """
     n = len(probs)
-    width = (n + 7) // 8
-    if not width:  # n = 0: one empty pattern; a zero-width key is wrong
-        return np.zeros((1, 0), dtype=np.uint8), np.array([m], dtype=np.int64)
-    key_bytes = 8 * ((width + 7) // 8)
-    if m * key_bytes > PACKED_LIMIT:
-        message = f"packed draw buffer of {m} draws x {key_bytes} bytes exceeds {PACKED_LIMIT} bytes"
-        raise GuardError(message, estimate=m * key_bytes, limit=PACKED_LIMIT)
+    check_draws(m, n)
     pf = _float_probs(probs)
-    packed = np.zeros((m, key_bytes), dtype=np.uint8)
+    packed = np.empty((m, (n + 7) // 8), dtype=np.uint8)
     step = _block_rows(n)
     for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
         rng = derived_rng(seed, c)
         stop = min(start + SAMPLE_CHUNK, m)
         for r in range(start, stop, step):
             end = min(r + step, stop)
-            packed[r:end, :width] = np.packbits(rng.random((end - r, n)) < pf, axis=1)
-    if key_bytes == 8:
-        keys, counts = np.unique(packed.view(">u8").ravel().astype(np.uint64), return_counts=True)
-        uniq = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
-    else:
-        keys, counts = np.unique(packed.view(np.dtype((np.void, key_bytes))).ravel(), return_counts=True)
-        uniq = keys.view(np.uint8).reshape(-1, key_bytes)
-    return uniq[:, :width], counts.astype(np.int64)
+            packed[r:end] = np.packbits(rng.random((end - r, n)) < pf, axis=1)
+    return packed
 
 
 def _fits_int64(weights: Sequence[int], theta: int) -> bool:
@@ -409,27 +402,26 @@ def mc_hit_counts(
     different vectors are comparable draw for draw.  The test is the
     module docstring's (D w) . x >= D theta, on int64 or Python ints as
     chosen per vector there; both groups take the same path: hits =
-    counts @ (dots >= T), blocked over vectors and rows so no table set or
-    dot block exceeds about BLOCK_BYTES.  Rows are the distinct packed
-    patterns, or, up to DIRECT_MAX_DRAWS draws within one draw block, the
-    unpacked draws with count 1, whose dots rows @ D w are subset sums too.
+    (dots >= T).sum(axis=0), blocked over vectors and rows so no table set
+    or dot block exceeds about BLOCK_BYTES.  Rows are the packed draws, or,
+    up to DIRECT_MAX_DRAWS draws within one draw block, the unpacked
+    draws, whose dots rows @ D w are subset sums too.
     """
     if m < 1:
         raise InputError("m must be >= 1")
     direct = m <= min(DIRECT_MAX_DRAWS, _block_rows(len(probs)))
-    if direct:  # chunk 0's one block, the draws _pattern_counts packs
+    if direct:  # chunk 0's one block, the draws _packed_draws packs
         rows = derived_rng(seed, 0).random((m, len(probs))) < _float_probs(probs)
-        counts = np.ones(m, dtype=np.int64)
     else:
-        rows, counts = _pattern_counts(probs, m, seed)
+        rows = _packed_draws(probs, m, seed)
     scaled = []
     for weights in weight_vectors:
         _, ints = lcm_scaled([*weights, theta])
         scaled.append((ints[:-1], ints[-1]))
     narrow = [_fits_int64(w, t) for w, t in scaled]
     logger.debug(
-        "mc_hit_counts: m=%d, %d %s rows, %d vectors, %d on object dtype",
-        m, len(rows), "unpacked" if direct else "unique packed", len(scaled), narrow.count(False),
+        "mc_hit_counts: m=%d, %s rows, %d vectors, %d on object dtype",
+        m, "unpacked" if direct else "packed", len(scaled), narrow.count(False),
     )
     vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max(rows.shape[1], 1)))
     hits = np.zeros(len(scaled), dtype=np.int64)
@@ -441,9 +433,9 @@ def mc_hit_counts(
             tables = columns if direct else _byte_tables(columns)
             T = np.array([scaled[i][1] for i in block], dtype=dtype)
             step = max(1, BLOCK_BYTES // (8 * len(block)))
-            for r in range(0, len(rows), step):
+            for r in range(0, m, step):
                 dots = rows[r:r + step] @ tables if direct else _byte_dots(tables, rows[r:r + step])
-                hits[block] += counts[r:r + step] @ (dots >= T)
+                hits[block] += (dots >= T).sum(axis=0)
     return hits.tolist()
 
 
@@ -479,9 +471,10 @@ def sample_tail_empirical(
 
     tail_weights pair with probs[n - len(tail_weights):] (tails are suffixes).
     Sample values are exact rationals, so jump points line up with the exact
-    tail law in Kolmogorov-distance comparisons.  Each distinct pattern's
-    value is the integer dot (D t) . x over D, D the lcm of the tail's
-    denominators, from the per-byte tables on the module docstring's dtype rule.
+    tail law in Kolmogorov-distance comparisons.  Each draw's value is the
+    integer dot (D t) . x over D, D the lcm of the tail's denominators,
+    from the per-byte tables on the module docstring's dtype rule; the
+    distinct dots are counted by np.unique.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -494,15 +487,12 @@ def sample_tail_empirical(
     if len(tail) > instance.n:
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
-    rows, counts = _pattern_counts(probs, m, seed)
     d, scaled = lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object
-    dots = _byte_dots(_byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1)), rows)
-    values, inverse = np.unique(dots[:, 0], return_inverse=True)
+    tables = _byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1))
+    dots = _byte_dots(tables, _packed_draws(probs, m, seed))  # rows unnamed: freed before np.unique
+    values, counts = np.unique(dots[:, 0], return_counts=True)
     logger.debug(
-        "sample_tail_empirical: m=%d, %d unique patterns, %d distinct values, %s dtype",
-        m, len(rows), len(values), np.dtype(dtype).name,
+        "sample_tail_empirical: m=%d, %d distinct values, %s dtype", m, len(values), np.dtype(dtype).name
     )
-    totals = np.zeros(len(values), dtype=np.int64)
-    np.add.at(totals, inverse, counts)
-    return EmpiricalDist(tuple(Fraction(v, d) for v in values.tolist()), tuple(totals.tolist()), m)
+    return EmpiricalDist(tuple(Fraction(v, d) for v in values.tolist()), tuple(counts.tolist()), m)

@@ -119,7 +119,7 @@ def sampled_patterns(probs, m: int, seed: int) -> Counter:
     Built from the raw stream the sampler documents, chunk c of
     SAMPLE_CHUNK rows from derived_rng(seed, c), with one random() call per
     chunk and a Counter, so it shares neither the sampler's draw blocks nor
-    its packing nor its deduplication.
+    its packing.
     """
     pf = np.array([float(p) for p in probs])
     patterns: Counter = Counter()
@@ -143,7 +143,7 @@ def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
     w . x >= theta is a sum of plain ints against one int.
 
     The patterns are counted from the raw draws (sampled_patterns), so this
-    checks the sampler's deduplication as well as the classification.
+    checks the sampler's stream and packing as well as the classification.
     """
     scaled = []
     for weights in vectors:

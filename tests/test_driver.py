@@ -110,6 +110,22 @@ class TestSolve:
                 solve([0.62, 0.45, 0.31, 0.58, 0.5, 0.4], 0.5, 0.25, 0.05, cfg)
             assert (err.value.estimate, err.value.limit) == (6, MAX_K)
 
+    def test_draw_guard_precedes_the_cases(self, monkeypatch):
+        # PACKED_LIMIT patched one byte below the pool-size-1 selection
+        # sample, 16 ln 20 -> 48 draws of 8 bytes: the solve refuses with
+        # that estimate, and no case solver or case parameter is reached
+        def case_ran(*args, **kwargs):
+            raise AssertionError("a case ran before the draw guard")
+
+        for name in ("case2_kappa", "case3_kappa", "find_optimal_junta", "case3_verdict", "find_near_opt_large_ci"):
+            monkeypatch.setattr(driver, name, case_ran)
+        m = selection_sample_size(F(1, 4), F(1, 20), 1, F(1))
+        assert m == 48
+        monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m - 1)
+        with pytest.raises(GuardError) as err:
+            solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, 0.25, 0.05, SolverConfig(**PRACTICAL))
+        assert (err.value.estimate, err.value.limit) == (8 * m, 8 * m - 1)
+
     @pytest.mark.parametrize("denom, value", [(12, 0.9345), (16, 0.9689)])
     def test_case2_dp_wins_at_the_default_limit(self, denom, value):
         # n=32, p ~ U(0.6, 0.85): Case 2 fails its skip at kappa 1/12 and 1/16,

@@ -3,7 +3,6 @@ import itertools
 import logging
 import math
 import random
-from collections import Counter
 from unittest import mock
 from fractions import Fraction as F
 
@@ -30,7 +29,7 @@ from storalloc.evaluate import (
     mc_hit_counts,
     sample_tail_empirical,
     _block_rows,
-    _pattern_counts,
+    _packed_draws,
 )
 from storalloc.util import derived_rng
 
@@ -40,7 +39,6 @@ from conftest import (
     fraction_tail_empirical,
     granular_instance,
     naive_objective,
-    sampled_patterns,
     with_one_retry,
 )
 
@@ -388,7 +386,7 @@ class TestSampling:
         assert est.value in (F(0), F(1))
 
     def test_packed_buffer_guard_refuses_before_drawing(self, monkeypatch):
-        # PACKED_LIMIT patched down to 2 000 keys of 8 bytes (n <= 64) or
+        # PACKED_LIMIT patched down to 2 000 draws of 8 bytes (n <= 64) or
         # 1 000 of 16 (n = 65): at the limit a call samples, past it both
         # samplers refuse with estimate and limit before their first draw
         # (up to DIRECT_MAX_DRAWS, mc_hit_counts packs nothing)
@@ -535,8 +533,8 @@ def test_tail_sample_matches_fraction_oracle(case):
 @given(mc_cases())
 def test_unpacked_classification_matches_the_packed_path(case):
     # mc_cases draw m <= 300 <= DIRECT_MAX_DRAWS, classified unpacked; with
-    # the bound at 0 the same draws are packed, deduplicated and classified
-    # by byte tables, and every count agrees
+    # the bound at 0 the same draws are packed and classified by byte
+    # tables, and every count agrees
     probs, vectors, theta, m, seed = case
     unpacked = mc_hit_counts(probs, vectors, theta, m, seed)
     with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", 0):
@@ -545,14 +543,9 @@ def test_unpacked_classification_matches_the_packed_path(case):
 
 class TestKernel:
     def test_chunks_merge(self):
+        # m crosses SAMPLE_CHUNK: both classifiers read chunk 1 after chunk 0
         m = SAMPLE_CHUNK + 5_000
         probs = [F(k, 12) for k in range(1, 11)]
-        rows, counts = _pattern_counts(probs, m, seed=17)
-        expected = Counter()
-        for c, size in enumerate((SAMPLE_CHUNK, m - SAMPLE_CHUNK)):
-            bits = derived_rng(17, c).random((size, len(probs))) < np.array([float(p) for p in probs])
-            expected.update(row.tobytes() for row in np.packbits(bits, axis=1))
-        assert {r.tobytes(): c for r, c in zip(rows, counts.tolist())} == expected
         vectors = [[F(1, 10)] * 10, [F(k, 55) for k in range(1, 11)]]
         theta = F(1, 2)
         assert mc_hit_counts(probs, vectors, theta, m, 17) == fraction_hit_counts(probs, vectors, theta, m, 17)
@@ -560,21 +553,21 @@ class TestKernel:
         values, counts = fraction_tail_empirical(inst.probs, vectors[1], m, 17)
         assert sample_tail_empirical(inst, vectors[1], m, 17) == EmpiricalDist(values, counts, m)
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
-    def test_dedup_matches_counter_across_word_widths(self, n):
-        # m crosses SAMPLE_CHUNK and a draw block.  Coordinates 0-2 and the
-        # last 3 are fair coins, the rest rare, so rows repeat often and
-        # differ in the first and the last (padded) byte.
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 129])
+    def test_packed_rows_match_the_raw_stream(self, n):
+        # m crosses SAMPLE_CHUNK and a draw block; the rows are np.packbits
+        # of the raw chunked stream (one random() call per chunk), in draw
+        # order, ceil(n/8) bytes wide
         m = max(SAMPLE_CHUNK, _block_rows(n)) + 5_000
-        probs = [F(1, 2) if i < 3 or i >= n - 3 else F(1, 200) for i in range(n)]
-        rows, counts = _pattern_counts(probs, m, seed=23)
-        keys = [row.tobytes() for row in rows]
-        assert keys == sorted(set(keys))
-        expected = {
-            np.packbits(np.array(bits, dtype=np.uint8)).tobytes(): count
-            for bits, count in sampled_patterns(probs, m, 23).items()
-        }
-        assert dict(zip(keys, counts.tolist())) == expected
+        probs = [F(i % 5 + 1, 7) for i in range(n)]
+        pf = np.array([float(p) for p in probs])
+        expected = np.concatenate([
+            np.packbits(derived_rng(23, c).random((min(SAMPLE_CHUNK, m - start), n)) < pf, axis=1)
+            for c, start in enumerate(range(0, m, SAMPLE_CHUNK))
+        ])
+        rows = _packed_draws(probs, m, seed=23)
+        assert rows.shape == (m, (n + 7) // 8) and rows.dtype == np.uint8
+        assert np.array_equal(rows, expected)
 
     @pytest.mark.parametrize("n", [9, 65])
     def test_block_size_leaves_outputs_unchanged(self, monkeypatch, n):
@@ -591,10 +584,8 @@ class TestKernel:
         tail = vectors[1][: n - 2]
 
         def outputs():
-            rows, counts = _pattern_counts(inst.probs, m, seed=5)
             return (
-                rows.tobytes(),
-                counts.tolist(),
+                _packed_draws(inst.probs, m, seed=5).tobytes(),
                 mc_hit_counts(inst.probs, vectors, F(1, 2), m, seed=5),
                 sample_tail_empirical(inst, tail, m, seed=5),
             )
@@ -639,7 +630,7 @@ class TestKernel:
         with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
             got = mc_hit_counts(probs, vectors, theta, m, seed=3)
         assert got == fraction_hit_counts(probs, vectors, theta, m, 3)
-        kind = "unpacked" if m <= DIRECT_MAX_DRAWS else "unique packed"
+        kind = "unpacked" if m <= DIRECT_MAX_DRAWS else "packed"
         assert f"{kind} rows, 2 vectors, 1 on object dtype" in caplog.records[-1].getMessage()
 
     def test_unpacked_only_within_one_draw_block(self, monkeypatch, caplog):
@@ -649,7 +640,7 @@ class TestKernel:
         vectors, theta = [[F(1, 9)] * 9, [F(k, 45) for k in range(1, 10)]], F(1, 2)
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 8 * 9 * 10)
         assert _block_rows(9) == 10
-        for m, kind in ((10, "unpacked"), (11, "unique packed")):
+        for m, kind in ((10, "unpacked"), (11, "packed")):
             with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
                 assert mc_hit_counts(probs, vectors, theta, m, 5) == fraction_hit_counts(probs, vectors, theta, m, 5)
             message = caplog.records[-1].getMessage()

@@ -118,7 +118,8 @@ def test_case3_reference_stays_out_of_the_solver():
 
 
 # Calls into every numpy-backed layer: selection and the junta in a solve,
-# the n = 5 oracle, the full k = 5 family, sampling and tail sampling.
+# the n = 5 oracle, the full k = 5 family, sampling (unpacked at 1000
+# draws, packed past DIRECT_MAX_DRAWS at 2000) and tail sampling.
 _NUMPY_MA_SCRIPT = """
 import sys
 from fractions import Fraction as F
@@ -132,6 +133,7 @@ pre = storalloc.preprocess([0.55, 0.62, 0.41, 0.33, 0.7], 0.5, 0.25, 0.05)
 storalloc.brute_force_optimum(pre.instance, allow_grid_n5=True)
 enumerate_halfspace_sets(5)
 mc_estimate_probs([F(1, 2), F(2, 3), F(3, 5)], [F(1, 3)] * 3, F(1, 2), 1000, 0)
+mc_estimate_probs([F(1, 2), F(2, 3), F(3, 5)], [F(1, 3)] * 3, F(1, 2), 2000, 0)
 sample_tail_empirical(pre.instance, [F(1, 8), F(1, 4)], 1000, 0)
 print("numpy.ma" in sys.modules)
 """
