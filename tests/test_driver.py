@@ -130,8 +130,7 @@ class TestSolve:
     def test_case2_dp_wins_at_the_default_limit(self, denom, value):
         # n=32, p ~ U(0.6, 0.85): Case 2 fails its skip at kappa 1/12 and 1/16,
         # and its DP's bounds, 585 and 1377 states, fit the default limit
-        rng = random.Random("q-32-0.6")
-        p_raw = [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+        p_raw = q_probs(32)
         cfg = SolverConfig(mode="practical", kappa_override=F(1, denom), L_cap=2)
         rep = solve(p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
         assert rep.provenance == "largeCI"
@@ -234,6 +233,23 @@ class TestReportBytes:
         rep = solve(probs, F(1, 2), F(1, 4), F(1, 20), cfg)
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
+    # Case-2 winners at n = 32 and 256, L = 2: their pool vectors are
+    # shorter than n (L + J live slots), so these pin the prefix format
+    @pytest.mark.parametrize(
+        "n, denom, digest",
+        [
+            (32, 12, "9ca6629c927294c0635fd8f0f6410fc9775b335598a82c945a4f3466e33727bd"),
+            (32, 16, "05d2f4e7999c13ac2ba8ab63e0b5ab49465cfe777bd91d16a2eda91a83e109ac"),
+            (256, 16, "a50819124db09ff97005bb7f8770e0fc30fe447fba49af19e6b44e544aa6b713"),
+        ],
+        ids=["q32-k12", "q32-k16", "q256-k16"],
+    )
+    def test_prefix_report_digest_pinned(self, n, denom, digest):
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, denom), L_cap=2)
+        rep = solve(q_probs(n), F(3, 5), F(1, 10), F(1, 20), cfg)
+        assert rep.provenance == "largeCI"
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
     # The solutions behind the two digests, pinned on their own: a digest
     # re-taken for a pool or estimate change must not hide a new solution.
     @pytest.mark.parametrize(
@@ -256,8 +272,7 @@ class TestReportBytes:
         # slots and nothing on the head, so no junta scan knows its value:
         # exact_objective_probs evaluates one group of 12, 13 combinations,
         # and a limit of 12 refuses it
-        rng = random.Random("q-32-0.6")
-        p_raw = [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+        p_raw = q_probs(32)
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 12), L_cap=2)
         args = (p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
         with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
@@ -296,16 +311,18 @@ def driver_messages(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.name == "storalloc.driver"]
 
 
-def q32_probs():
-    rng = random.Random("q-32-0.6")
-    return [round(rng.uniform(0.6, 0.85), 3) for _ in range(32)]
+def q_probs(n: int) -> list[float]:
+    """The q-{n}-0.6 probabilities: p ~ U(0.6, 0.85), rounded to 3 places."""
+    rng = random.Random(f"q-{n}-0.6")
+    return [round(rng.uniform(0.6, 0.85), 3) for _ in range(n)]
+
 
 
 @pytest.mark.parametrize(
     "probs, theta, eps, cfg, front",
     [
         ([0.62, 0.45, 0.31, 0.58, 0.5], F(1, 2), F(1, 4), SolverConfig(**PRACTICAL), 1),
-        (q32_probs(), F(3, 5), F(1, 10), SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2), 6),
+        (q_probs(32), F(3, 5), F(1, 10), SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2), 6),
         ([0.62, 0.45, 0.31], F(1, 2), F(1, 4), SolverConfig(), 0),
     ],
     ids=["skip", "dp", "no-tail"],
