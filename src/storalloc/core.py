@@ -145,7 +145,7 @@ class ProblemInstance:
         return compute_gamma(self)
 
     def to_original_order(self, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Map a sorted-order weight vector back to the caller's index order."""
+        """Map a sorted-order weight vector, or a prefix of one, to the caller's order (zeros past it)."""
         out = [Fraction(0)] * self.n
         for slot, w in zip(self.permutation, weights):
             out[slot] = w

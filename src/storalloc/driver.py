@@ -13,17 +13,17 @@ keeps the argmax fair, reduces variance, and makes the chosen vector a
 deterministic function of (instance, config), which the byte-stable report
 relies on.  Ties break by case provenance, then lexicographically.
 
-The junta member is the head-only optimum for (probs[:L], theta, 1) plus
-a zero tail.  For L < n that request is Case 2's zero triple's, always its
-first candidate, so the member takes that candidate's head, and its solve
-is timed in ``large_ci_s``; only for L = n does the driver solve it, in
-``junta_s``.  A winner equal to the junta member (or to Case 2's
-zero-triple copy of it) takes its exact objective from the junta scan:
-the scan returns the most probable feasible set S with P(S), its witness
-realizes a feasible superset R of S, so P(R) = P(S) (junta module
-docstring), and a zero tail leaves the event unchanged.  Any other winner
-is evaluated by exact_objective_probs on its nonzero coordinates (a zero
-weight leaves w . X unchanged), which may refuse.
+Pool vectors end at slot P = L + large_ci.live_slots (n if L = n), the
+last a case can weight; to_original_order pads the winner with zeros.
+The junta member is the head-only optimum for (probs[:L], theta, 1)
+plus a zero tail.  For L < n that request is Case 2's zero triple's,
+whose candidate, always the first, is the member; its solve is timed in
+``large_ci_s``, and only for L = n does the driver solve it, in ``junta_s``.
+A winner equal to the junta member takes its exact objective from the
+junta scan: the scan returns the most probable feasible set S with P(S),
+its witness realizes a feasible superset R of S, so P(R) = P(S) (junta
+module docstring), and a zero tail leaves the event unchanged.  Any
+other winner is evaluated by exact_objective_probs, which may refuse.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
@@ -61,7 +61,7 @@ SELECT_SEED_TAG = 0x5E7
 
 @dataclass(frozen=True)
 class PoolMember:
-    weights: tuple[Fraction, ...]  # sorted-instance order, full length
+    weights: tuple[Fraction, ...]  # sorted order, the P-coordinate prefix (module docstring)
     provenance: str  # "junta" | "largeCI"
     rank: int  # provenance order for tie-breaking
 
@@ -170,7 +170,7 @@ def shared_mc_estimates(
 
 
 def _check_feasible(weights: Sequence[Fraction]):
-    d, scaled = lcm_scaled([w for w in weights if w])  # sum(w) <= 1 iff sum(d w) <= d
+    d, scaled = lcm_scaled(weights)  # sum(w) <= 1 iff sum(d w) <= d
     if any(v < 0 for v in scaled) or sum(scaled) > d:
         raise AssertionError(f"case solver produced an infeasible candidate: {weights}")
 
@@ -255,7 +255,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
         junta = cands[0].head  # the zero triple's, for the request (probs[:L], theta, 1)
     timings["large_ci_s"] = time.perf_counter() - t0
 
-    head = junta.weights + (Fraction(0),) * (n - L)
+    head = cands[0].weights if cands else junta.weights
     pool = [PoolMember(weights=head, provenance="junta", rank=0)]
     pool += [PoolMember(weights=cand.weights, provenance="largeCI", rank=1) for cand in cands]
     counts = {"junta": 1, **{f"smallCI({K})": 0 for K in range(1, L + 1)}, "largeCI": len(cands)}
@@ -275,10 +275,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
         logger.debug("exact_objective from the junta scan")
     else:
         try:
-            support = [i for i, w in enumerate(chosen.weights) if w]
-            exact = exact_objective_probs(
-                [instance.probs[i] for i in support], [chosen.weights[i] for i in support], theta
-            )
+            exact = exact_objective_probs(instance.probs[: len(head)], chosen.weights, theta)
             logger.debug("exact_objective from exact_objective_probs")
         except GuardError as exc:
             logger.info(

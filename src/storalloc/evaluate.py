@@ -63,9 +63,7 @@ COMBO_LIMIT = 1 << 24
 DIRECT_MAX_DRAWS = 1 << 10
 
 # Sampling guard on m x 8 ceil(n/64) bytes, at least the m x ceil(n/8) packed
-# rows and the tail sampler's m int64 dots.  At the limit, up to n = 64, a
-# call peaks near 256 MiB in mc_hit_counts (the rows) and 768 MiB in
-# sample_tail_empirical (the rows, the dots and one dot-sized temporary).
+# rows a sampler holds beside its row blocks, so at most 256 MiB of them.
 PACKED_LIMIT = 1 << 28
 
 
@@ -382,9 +380,9 @@ def _byte_tables(columns: np.ndarray) -> np.ndarray:
 
 
 def _byte_dots(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(len(rows), V) dots of packed rows: one table lookup per byte column."""
+    """(len(rows), V) dots of packed rows, one lookup in each of their first len(tables) byte columns."""
     dots = np.zeros((len(rows), tables.shape[2]), dtype=tables.dtype)
-    for j in range(rows.shape[1]):
+    for j in range(len(tables)):
         dots += tables[j][rows[:, j]]
     return dots
 
@@ -398,20 +396,22 @@ def mc_hit_counts(
 ) -> list[int]:
     """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
 
-    Every vector is classified exactly on the same draws, so the counts of
-    different vectors are comparable draw for draw.  The test is the
-    module docstring's (D w) . x >= D theta, on int64 or Python ints as
-    chosen per vector there; both groups take the same path: hits =
-    (dots >= T).sum(axis=0), blocked over vectors and rows so no table set
-    or dot block exceeds about BLOCK_BYTES.  Rows are the packed draws, or,
-    up to DIRECT_MAX_DRAWS draws within one draw block, the unpacked
-    draws, whose dots rows @ D w are subset sums too.
+    The vectors share one width w <= len(probs) and count as if padded
+    with zeros (the draws span all of probs).  All vectors are classified
+    exactly on the same draws, so their counts compare draw for draw.  The
+    test is the module docstring's (D w) . x >= D theta, on int64 or
+    Python ints as chosen per vector there; both groups take the same
+    path: hits = (dots >= T).sum(axis=0), blocked over vectors and rows so
+    no table set or dot block exceeds about BLOCK_BYTES.  Rows are the
+    packed draws, or, up to DIRECT_MAX_DRAWS draws within one draw block,
+    the unpacked draws, whose dots rows @ D w are subset sums too.
     """
     if m < 1:
         raise InputError("m must be >= 1")
+    width = len(weight_vectors[0]) if weight_vectors else 0
     direct = m <= min(DIRECT_MAX_DRAWS, _block_rows(len(probs)))
     if direct:  # chunk 0's one block, the draws _packed_draws packs
-        rows = derived_rng(seed, 0).random((m, len(probs))) < _float_probs(probs)
+        rows = (derived_rng(seed, 0).random((m, len(probs))) < _float_probs(probs))[:, :width]
     else:
         rows = _packed_draws(probs, m, seed)
     scaled = []
@@ -423,7 +423,7 @@ def mc_hit_counts(
         "mc_hit_counts: m=%d, %s rows, %d vectors, %d on object dtype",
         m, "unpacked" if direct else "packed", len(scaled), narrow.count(False),
     )
-    vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max(rows.shape[1], 1)))
+    vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max((width + 7) // 8, 1)))
     hits = np.zeros(len(scaled), dtype=np.int64)
     for dtype, fits in ((np.int64, True), (object, False)):
         group = [i for i, ok in enumerate(narrow) if ok == fits]
@@ -473,8 +473,8 @@ def sample_tail_empirical(
     Sample values are exact rationals, so jump points line up with the exact
     tail law in Kolmogorov-distance comparisons.  Each draw's value is the
     integer dot (D t) . x over D, D the lcm of the tail's denominators,
-    from the per-byte tables on the module docstring's dtype rule; the
-    distinct dots are counted by np.unique.
+    from the per-byte tables on the module docstring's dtype rule; each
+    row block's distinct dots are counted by np.unique and merged.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
@@ -490,9 +490,12 @@ def sample_tail_empirical(
     d, scaled = lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object
     tables = _byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1))
-    dots = _byte_dots(tables, _packed_draws(probs, m, seed))  # rows unnamed: freed before np.unique
-    values, counts = np.unique(dots[:, 0], return_counts=True)
+    rows, step, merged = _packed_draws(probs, m, seed), max(1, BLOCK_BYTES // 8), {}
+    for r in range(0, m, step):
+        values, counts = np.unique(_byte_dots(tables, rows[r:r + step])[:, 0], return_counts=True)
+        merged.update({v: merged.get(v, 0) + c for v, c in zip(values.tolist(), counts.tolist())})
     logger.debug(
-        "sample_tail_empirical: m=%d, %d distinct values, %s dtype", m, len(values), np.dtype(dtype).name
+        "sample_tail_empirical: m=%d, %d distinct values, %s dtype", m, len(merged), np.dtype(dtype).name
     )
-    return EmpiricalDist(tuple(Fraction(v, d) for v in values.tolist()), tuple(counts.tolist()), m)
+    values, counts = zip(*sorted(merged.items()))
+    return EmpiricalDist(tuple(Fraction(v, d) for v in values), counts, m)

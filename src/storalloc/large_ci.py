@@ -165,7 +165,7 @@ def construct_achievable_tails(
 class LargeCICandidate:
     triple: TailTriple
     head: JuntaResult
-    weights: tuple[Fraction, ...]  # full n-vector, sorted-instance order
+    weights: tuple[Fraction, ...]  # sorted order, slots 1..L + live_slots (zero past them)
     shifted_threshold: Fraction
     head_budget: Fraction
 
@@ -220,7 +220,7 @@ def _complete(
 ) -> LargeCICandidate:
     budget = 1 - triple.C * kappa
     head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
-    tail = [Fraction(0)] * (instance.n - L)
+    tail = [Fraction(0)] * live_slots(instance, L, kappa)
     for t, j in triple.path:
         tail[t - L - 1] = j * kappa
     return LargeCICandidate(triple, head, head.weights + tuple(tail), tau, budget)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from storalloc import driver, evaluate, large_ci
 from storalloc.core import SolverConfig, preprocess
-from storalloc.driver import _check_feasible, selection_sample_size, solve, solve_instance
+from storalloc.driver import _check_feasible, selection_sample_size, shared_mc_estimates, solve, solve_instance
 from storalloc.errors import GuardError, InputError
 from storalloc.halfspaces import MAX_K
 from storalloc.junta import JuntaRequest, find_optimal_junta
@@ -317,7 +317,6 @@ def q_probs(n: int) -> list[float]:
     return [round(rng.uniform(0.6, 0.85), 3) for _ in range(n)]
 
 
-
 @pytest.mark.parametrize(
     "probs, theta, eps, cfg, front",
     [
@@ -344,6 +343,23 @@ def test_one_zero_tail_junta_request_per_solve(monkeypatch, probs, theta, eps, c
     assert rep.per_case_counts["largeCI"] == front
     assert requests.count(JuntaRequest(inst.probs[: rep.L], inst.theta, F(1))) == 1
     assert len(requests) == max(front, 1)
+
+
+def test_selection_classifies_only_the_live_prefix(monkeypatch):
+    # q-256-0.6 at kappa 1/16, L = 2: every pool vector stops at slot
+    # L + J = 18, and the report pads the winner back to n = 256
+    widths = []
+
+    def capture(instance, members, m, seed):
+        widths.append([len(member.weights) for member in members])
+        return shared_mc_estimates(instance, members, m, seed)
+
+    monkeypatch.setattr(driver, "shared_mc_estimates", capture)
+    cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
+    rep = solve(q_probs(256), F(3, 5), F(1, 10), F(1, 20), cfg)
+    assert rep.L == 2 and rep.pool_size == 8
+    assert widths == [[18] * 8]
+    assert len(rep.chosen_weights) == 256 and sum(w > 0 for w in rep.chosen_weights) <= 18
 
 
 def ladder_probs(n: int) -> list[float]:

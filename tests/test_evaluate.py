@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+import tracemalloc
 from unittest import mock
 from fractions import Fraction as F
 
@@ -541,7 +542,60 @@ def test_unpacked_classification_matches_the_packed_path(case):
         assert mc_hit_counts(probs, vectors, theta, m, seed) == unpacked
 
 
+WIDE = (1 << 63) + 1  # a weight (WIDE - 1)/WIDE scales past int64: object dtype
+
+
+@st.composite
+def prefix_cases(draw):
+    n = draw(st.integers(1, 40))  # up to 5 packed bytes
+    width = draw(st.integers(1, n))
+    probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
+    weight = rationals(0, F(3, 2 * width))
+    vectors = draw(st.lists(st.lists(weight, min_size=width, max_size=width), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        vectors[0][0] = F(WIDE - 1, WIDE)
+    theta = draw(rationals(F(-1, 2), F(3, 2)))
+    return probs, vectors, theta, draw(st.integers(1, 300)), draw(st.integers(0, 1 << 32))
+
+
+@example(([F(1, 2)] * 17, [[F(1, 9)] * 9, [F(WIDE - 1, WIDE)] + [F(0)] * 8], F(1, 2), 200, 1))
+@example(([F(1, 2)] * 16, [[F(1, 8)] * 8], F(1, 2), 200, 1))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(prefix_cases())
+def test_prefix_vectors_count_as_their_zero_padding(case):
+    # width-w vectors over n >= w draws: every count equals the count of
+    # the vectors padded with zeros to n, unpacked (m <= 300) and packed
+    probs, vectors, theta, m, seed = case
+    padded = [v + [F(0)] * (len(probs) - len(v)) for v in vectors]
+    for direct_max in (DIRECT_MAX_DRAWS, 0):
+        with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", direct_max):
+            assert mc_hit_counts(probs, vectors, theta, m, seed) == mc_hit_counts(probs, padded, theta, m, seed)
+
+
 class TestKernel:
+    @pytest.mark.parametrize(
+        "n, tail, bytes_per_draw",
+        [(64, [F(k % 3, 64) for k in range(64)], 12), (8, [F(WIDE - 1 - k, WIDE) for k in range(8)], 10)],
+        ids=["n64-int64", "n8-object"],
+    )
+    def test_tail_sampler_memory_is_the_rows_plus_blocks(self, n, tail, bytes_per_draw):
+        # dots are taken per row block, so the peak is the packed rows
+        # (8 and 1 bytes per draw) plus one block's dots, not an int64 or
+        # a Python int per draw (24.1 and 58.0 bytes per draw when all m
+        # dots were held at once)
+        m = 1 << 20
+        inst = ProblemInstance(
+            tuple(F(12 * n - 1 - i, 16 * n) for i in range(n)), F(1, 2), F(1, 4), F(1, 20), tuple(range(n))
+        )
+        tracemalloc.start()
+        try:
+            dist = sample_tail_empirical(inst, tail, m, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.m == m and len(dist.values) > 1
+        assert peak <= bytes_per_draw * m
+
     def test_chunks_merge(self):
         # m crosses SAMPLE_CHUNK: both classifiers read chunk 1 after chunk 0
         m = SAMPLE_CHUNK + 5_000

@@ -19,6 +19,7 @@ from storalloc.large_ci import (
     dominance_front,
     find_near_opt_large_ci,
     front_candidates,
+    live_slots,
     shifted_threshold,
     tail_state_bound,
     theory_kappa_case2,
@@ -290,7 +291,7 @@ def assert_zero_triple_answers_the_junta_request(inst, L, kappa):
         assert zero.triple == TailTriple(0, 0, 0, ())
         assert (zero.shifted_threshold, zero.head_budget) == (inst.theta, 1)
         assert zero.head == junta
-        assert zero.weights == junta.weights + (F(0),) * (inst.n - L)
+        assert zero.weights == junta.weights + (F(0),) * live_slots(inst, L, kappa)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
