@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve | eval | oracle | baseline | bench | gen.
+Subcommands: solve | eval | oracle | baseline | counterexample | bench | gen.
 ``--log-level`` (before the subcommand) sets the storalloc log on stderr.
 Exit codes: 0 success, 2 invalid input, 3 resource guard tripped.
 """

@@ -328,29 +328,32 @@ def check_draws(m: int, n: int) -> None:
         raise GuardError(message, estimate=m * row_bytes, limit=PACKED_LIMIT)
 
 
-def _packed_draws(probs: Sequence[Fraction], m: int, seed: int) -> np.ndarray:
-    """The m packed Bernoulli bit rows, in draw order, as an (m, ceil(n/8)) uint8 array.
+def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> np.ndarray:
+    """The m packed Bernoulli bit rows over the first ``width`` coordinates,
+    in draw order, as an (m, ceil(width/8)) uint8 array.
 
-    A row is np.packbits of one draw's n bits: coordinate 8j + k in bit
-    7 - k of byte j, the last byte zero-padded.  Draws come in chunks of
-    SAMPLE_CHUNK rows, chunk c from the generator derived from (seed, c).
-    The chunks alone fix the random stream a seed yields, so every sampled
-    output (and the report pins) stays bit-identical.  Each chunk is drawn
-    in blocks of _block_rows(n) rows, which bound the float temporary to
+    A row is np.packbits of one draw's first width bits: coordinate 8j + k
+    in bit 7 - k of byte j, the last byte zero-padded.  Draws span all n =
+    len(probs) coordinates and come in chunks of SAMPLE_CHUNK rows, chunk
+    c from the generator derived from (seed, c).  The chunks alone fix the
+    random stream a seed yields, so every sampled output (and the report
+    pins) stays bit-identical, whatever the width.  Each chunk is drawn in
+    blocks of _block_rows(n) rows, which bound the float temporary to
     BLOCK_BYTES without touching the stream: a PCG64 Generator's
     random((a + b, n)) equals random((a, n)) followed by random((b, n)).
+    Only the first width columns of a block are compared and packed.
     """
     n = len(probs)
     check_draws(m, n)
-    pf = _float_probs(probs)
-    packed = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    pf = _float_probs(probs[:width])
+    packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
     step = _block_rows(n)
     for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
         rng = derived_rng(seed, c)
         stop = min(start + SAMPLE_CHUNK, m)
         for r in range(start, stop, step):
             end = min(r + step, stop)
-            packed[r:end] = np.packbits(rng.random((end - r, n)) < pf, axis=1)
+            packed[r:end] = np.packbits(rng.random((end - r, n))[:, :width] < pf, axis=1)
     return packed
 
 
@@ -411,9 +414,9 @@ def mc_hit_counts(
     width = len(weight_vectors[0]) if weight_vectors else 0
     direct = m <= min(DIRECT_MAX_DRAWS, _block_rows(len(probs)))
     if direct:  # chunk 0's one block, the draws _packed_draws packs
-        rows = (derived_rng(seed, 0).random((m, len(probs))) < _float_probs(probs))[:, :width]
+        rows = derived_rng(seed, 0).random((m, len(probs)))[:, :width] < _float_probs(probs[:width])
     else:
-        rows = _packed_draws(probs, m, seed)
+        rows = _packed_draws(probs, m, seed, width)
     scaled = []
     for weights in weight_vectors:
         _, ints = lcm_scaled([*weights, theta])
@@ -490,7 +493,7 @@ def sample_tail_empirical(
     d, scaled = lcm_scaled(tail)
     dtype = np.int64 if _fits_int64(scaled, 0) else object
     tables = _byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1))
-    rows, step, merged = _packed_draws(probs, m, seed), max(1, BLOCK_BYTES // 8), {}
+    rows, step, merged = _packed_draws(probs, m, seed, len(probs)), max(1, BLOCK_BYTES // 8), {}
     for r in range(0, m, step):
         values, counts = np.unique(_byte_dots(tables, rows[r:r + step])[:, 0], return_counts=True)
         merged.update({v: merged.get(v, 0) + c for v, c in zip(values.tolist(), counts.tolist())})

@@ -17,6 +17,11 @@ equals, as an ordered list of masks, the one an exact LP separability
 test picks out of all 2^(2^k) Boolean functions, and at k = 5 the counts
 match the known ones and the mask lists match pinned digests.
 
+The solver enumerates nothing: the junta reads its upward-closed families
+from its committed table (junta module docstring).  The grid's callers
+are that table's generator (tests/margin_table.py), the tests, whose
+oracles it serves, and the benchmark's enumerate op.
+
 Counts by dimension (distinct realizable sets, k = 0..5):
 2, 4, 14, 104, 1882, 94572; upward-closed ones: 2, 3, 6, 20, 150, 3287.
 

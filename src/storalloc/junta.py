@@ -24,12 +24,16 @@ v = 0, and every v <= 1, so tau > W rejects every set and the zero head
 with value 0 is returned.  For tau <= 0 every outcome qualifies and the
 zero head has value 1.
 
-The margin table.  v(S) and u_S are constants: one row per set of
-upward_family(k), k = 1..5, in the package file junta_margins.txt, read
-per k on first use.  A row is the digits (e, c_1..c_k) with
+The margin table.  The family, each set's v(S) and u_S are constants:
+line k = 1..5 of the package file junta_margins.txt holds one row per
+upward-closed realizable set S over {0,1}^k, in ascending mask order,
+read per k on first use.  A row is S's mask as max(1, 2^k / 4) lowercase
+hex digits (bit x = point x), then the digits (e, c_1..c_k) with
 u_S / v(S) = c / e, the LP vertex of the table's generator,
-tests/margin_table.py.  Then v(S) = e / sum(c), as sum(u_S) = 1 at every
-maximizer with v > 0 (else u_S / sum(u_S) raises the positive minimum).
+tests/margin_table.py, which takes the masks from the halfspace weight
+grid; so no solve, oracle call or best-head search enumerates a family.
+Then v(S) = e / sum(c), as sum(u_S) = 1 at every maximizer with v > 0
+(else u_S / sum(u_S) raises the positive minimum).
 The full cube holds the zero point: v = 0, every u attains it, and its row
 (0, 1, ..., 1) refuses every tau > 0.  The empty set's row (1, 0, ..., 0)
 is never read.  margin_admits, which the scan and
@@ -42,7 +46,7 @@ integer arithmetic that c >= 0 and c.x >= e on min(S) (u = c / sum(c)
 attains e / sum(c)), and that sum_x lambda_x x_j sum(c) <= e d for every j
 (every feasible u has min_x u.x <= sum_x (lambda_x / d) u.x <= e / sum(c)).
 So e / sum(c) is v(S), with no simplex.  Another test regenerates the
-table and compares bytes.
+table, masks and margins, and compares bytes.
 
 Built per request, on the head's (numerator, denominator) pairs: point x
 has probability nums[x] / D, D the product of the denominators, D P(S)
@@ -68,7 +72,7 @@ import numpy as np
 
 from .errors import InputError
 from .evaluate import _INT64_MAX, _byte_dots, _byte_tables
-from .halfspaces import MAX_K, enumerate_halfspace_sets
+from .halfspaces import MAX_K
 from .util import to_fraction
 
 _ZERO = Fraction(0)
@@ -124,18 +128,36 @@ def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]
 
 
 @lru_cache(maxsize=None)
-def upward_family(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(masks, array, members): the upward-closed realizable masks over
-    {0,1}^k, ascending, as ints, as uint64, and as the 0/1 matrix of their
-    point bits, point x in column x: int64 up to k = 4 (19 KB), uint8 at
-    k = 5 (105 KB, where int64 would take 841 KB)."""
-    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
-    array = np.array(masks, dtype=np.uint64)
+def _load_table(k: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+    """(masks, array, members, rows, e, sums) from line k of the committed
+    table (module docstring): the family's masks, ascending, as ints and as
+    uint64; the 0/1 matrix of their point bits, point x in column x, int64
+    up to k = 4 (19 KB) and uint8 at k = 5 (105 KB, where int64 would take
+    841 KB); the uint8 matrix whose row i is set i's digits (e, c_1..c_k);
+    and e[i] and sums[i] = sum(c) as ints, so v = e[i] / sums[i]."""
+    with open(_TABLE_PATH, "rb") as fh:
+        line = fh.read().split(b"\n")[k - 1]
+    width = max(1, (1 << k) // 4)
+    table = np.frombuffer(line, dtype=np.uint8).reshape(-1, width + k + 1)
+    # the hex digits, left-padded to whole bytes, decode to big-endian masks
+    hexdigits = np.full((len(table), width + width % 2), ord("0"), dtype=np.uint8)
+    hexdigits[:, width % 2:] = table[:, :width]
+    big_endian = bytes.fromhex(hexdigits.tobytes().decode())
+    array = np.frombuffer(big_endian, dtype=f">u{hexdigits.shape[1] // 2}").astype(np.uint64)
     low_bytes = array.astype("<u8").view(np.uint8).reshape(-1, 8)
     members = np.unpackbits(low_bytes, axis=1, bitorder="little")[:, : 1 << k]
     members = members if k == MAX_K else members.astype(np.int64)
-    members.setflags(write=False)  # the cache shares it
-    return masks, array, members
+    rows = table[:, width:] - ord("0")
+    members.setflags(write=False)  # the cache shares both
+    rows.setflags(write=False)
+    return array.tolist(), array, members, rows, rows[:, 0].tolist(), rows[:, 1:].sum(axis=1).tolist()
+
+
+def upward_family(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(masks, array, members) of _load_table(k): the upward-closed
+    realizable masks over {0,1}^k, ascending, as ints, as uint64, and as
+    the 0/1 matrix of their point bits."""
+    return _load_table(k)[:3]
 
 
 def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
@@ -154,22 +176,11 @@ def family_numerators(nums: Sequence[int], k: int) -> np.ndarray:
     return _byte_dots(tables, np.packbits(members, axis=1))[:, 0]
 
 
-@lru_cache(maxsize=None)
-def _load_margins(k: int) -> tuple[list[list[int]], list[int]]:
-    """(rows, sums) over upward_family(k): rows[i] is set i's (e, c_1..c_k)
-    from line k of the committed table (module docstring), and sums[i] is
-    sum(c), so v = e / sums[i]."""
-    with open(_TABLE_PATH, "rb") as fh:
-        line = fh.read().split(b"\n")[k - 1]
-    rows = np.frombuffer(line, dtype=np.uint8).reshape(-1, k + 1) - ord("0")
-    return rows.tolist(), rows[:, 1:].sum(axis=1).tolist()
-
-
 def margin_admits(i: int, k: int, lhs: int, rhs: int) -> bool:
     """tau <= W v(S) for set i of upward_family(k), as lhs sum(c) <= rhs e with
     lhs = tau_n W_d and rhs = W_n tau_d."""
-    rows, sums = _load_margins(k)
-    return lhs * sums[i] <= rhs * rows[i][0]
+    _, _, _, _, e, sums = _load_table(k)
+    return lhs * sums[i] <= rhs * e[i]
 
 
 def _scan_order(probs: Sequence[Fraction]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -199,7 +210,7 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
     lhs, rhs = tau_n * W.denominator, W.numerator * tau_d  # denominators are positive
     for examined, i in enumerate(order, 1):
         if margin_admits(i, L, lhs, rhs):
-            e, *c = _load_margins(L)[0][i]
+            e, *c = _load_table(L)[3][i].tolist()
             weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])
             return JuntaResult(weights, Fraction(int(scores[i]), D), examined)
     return JuntaResult((_ZERO,) * L, _ZERO, len(order))

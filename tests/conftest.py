@@ -760,7 +760,6 @@ def rng():
 
 @pytest.fixture
 def cold_junta(monkeypatch):
-    """Empty junta caches for one test: fresh caches of upward_family and
-    _load_margins stand in for the process's, which come back afterwards."""
-    for name in ("upward_family", "_load_margins"):
-        monkeypatch.setattr(junta, name, functools.lru_cache(maxsize=None)(getattr(junta, name).__wrapped__))
+    """An empty junta cache for one test: a fresh cache of _load_table
+    stands in for the process's, which comes back afterwards."""
+    monkeypatch.setattr(junta, "_load_table", functools.lru_cache(maxsize=None)(junta._load_table.__wrapped__))

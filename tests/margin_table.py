@@ -3,11 +3,18 @@
     PYTHONPATH=src python tests/margin_table.py
 
 rewrites ``src/storalloc/junta_margins.txt`` (package data) and
-``tests/margin_certificates.txt`` from exact LPs.
+``tests/margin_certificates.txt`` from the halfspace weight grid and
+exact LPs.
 
-The table holds one row per set of ``junta.upward_family(k)``, k = 1..5,
-in that order: line k is k's rows run together, each row the k + 1
-decimal digits (e, c_1..c_k).  For a set S with margin v(S) > 0 and
+The table holds one row per upward-closed realizable set S over
+{0,1}^k, k = 1..5, in ascending mask order, the sets taken from
+``halfspaces.enumerate_halfspace_sets(k, monotone=True)``: line k is k's
+rows run together.  A row is S's mask as max(1, 2^k / 4) lowercase hex
+digits (bit x = point x), then the k + 1 decimal digits (e, c_1..c_k).
+The junta reads its families from these masks and enumerates nothing,
+so the test that compares the table's bytes with this generator's
+output checks the committed families against the grid as well as the
+margins against the LPs.  For a set S with margin v(S) > 0 and
 ``set_margin``'s maximizer u_S, c / e is u_S / v(S) in lowest common
 terms (``util.lcm_scaled``), so the junta's witnesses are the LP vertices
 they always were.  Every maximizer with v > 0 has sum(u_S) = 1 (scaling u
@@ -30,8 +37,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from storalloc.halfspaces import MAX_K, minimal_members, point_bits
-from storalloc.junta import upward_family
+from storalloc.halfspaces import MAX_K, enumerate_halfspace_sets, minimal_members, point_bits
 from storalloc.lp import LinearProgram, lp_solve
 from storalloc.util import lcm_scaled
 
@@ -88,15 +94,28 @@ def _digits(row) -> str:
     return "".join(map(str, row))
 
 
+def family(k: int) -> list[int]:
+    """The upward-closed realizable masks over {0,1}^k, ascending, from the weight grid."""
+    return [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+
+
+def mask_digits(mask: int, k: int) -> str:
+    """The mask as max(1, 2^k / 4) lowercase hex digits, bit x = point x."""
+    return format(mask, f"0{max(1, (1 << k) // 4)}x")
+
+
 def table_bytes() -> bytes:
-    """The package table, regenerated from set_margin's LPs."""
-    lines = ["".join(_digits(margin_row(mask, k)) for mask in upward_family(k)[0]) for k in range(1, MAX_K + 1)]
+    """The package table, regenerated from the weight grid and set_margin's LPs."""
+    lines = [
+        "".join(mask_digits(mask, k) + _digits(margin_row(mask, k)) for mask in family(k))
+        for k in range(1, MAX_K + 1)
+    ]
     return ("\n".join(lines) + "\n").encode()
 
 
 def certificates_text() -> str:
     return "".join(
-        _digits(dual_certificate(mask, k)) + "\n" for k in range(1, MAX_K + 1) for mask in upward_family(k)[0][1:]
+        _digits(dual_certificate(mask, k)) + "\n" for k in range(1, MAX_K + 1) for mask in family(k)[1:]
     )
 
 

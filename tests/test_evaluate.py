@@ -609,19 +609,21 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 129])
     def test_packed_rows_match_the_raw_stream(self, n):
-        # m crosses SAMPLE_CHUNK and a draw block; the rows are np.packbits
-        # of the raw chunked stream (one random() call per chunk), in draw
-        # order, ceil(n/8) bytes wide
+        # m crosses SAMPLE_CHUNK and a draw block; at every width the rows
+        # are np.packbits of the first width columns of the raw chunked
+        # stream over all n (one random() call per chunk), in draw order,
+        # ceil(width/8) bytes wide
         m = max(SAMPLE_CHUNK, _block_rows(n)) + 5_000
         probs = [F(i % 5 + 1, 7) for i in range(n)]
         pf = np.array([float(p) for p in probs])
-        expected = np.concatenate([
-            np.packbits(derived_rng(23, c).random((min(SAMPLE_CHUNK, m - start), n)) < pf, axis=1)
+        bits = np.concatenate([
+            derived_rng(23, c).random((min(SAMPLE_CHUNK, m - start), n)) < pf
             for c, start in enumerate(range(0, m, SAMPLE_CHUNK))
         ])
-        rows = _packed_draws(probs, m, seed=23)
-        assert rows.shape == (m, (n + 7) // 8) and rows.dtype == np.uint8
-        assert np.array_equal(rows, expected)
+        for width in sorted({n, n // 2, max(n - 9, 0), min(n, 1)}):
+            rows = _packed_draws(probs, m, 23, width)
+            assert rows.shape == (m, (width + 7) // 8) and rows.dtype == np.uint8
+            assert np.array_equal(rows, np.packbits(bits[:, :width], axis=1))
 
     @pytest.mark.parametrize("n", [9, 65])
     def test_block_size_leaves_outputs_unchanged(self, monkeypatch, n):
@@ -639,7 +641,7 @@ class TestKernel:
 
         def outputs():
             return (
-                _packed_draws(inst.probs, m, seed=5).tobytes(),
+                _packed_draws(inst.probs, m, 5, n - 2).tobytes(),
                 mc_hit_counts(inst.probs, vectors, F(1, 2), m, seed=5),
                 sample_tail_empirical(inst, tail, m, seed=5),
             )

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import storalloc
-from storalloc import evaluate, junta, lp
+from storalloc import evaluate, halfspaces, junta, lp
 from storalloc.baselines import brute_force_optimum
 from storalloc.core import SolverConfig
 from storalloc.errors import InputError
-from storalloc.halfspaces import MAX_K, enumerate_halfspace_sets, minimal_members, point_bits
+from storalloc.halfspaces import MAX_K, enumerate_halfspace_sets, is_upward_closed, minimal_members, point_bits
 from storalloc.junta import (
     JuntaRequest,
     _scan_order,
@@ -29,14 +29,17 @@ from storalloc.junta import (
     upward_family,
 )
 from storalloc.lp import lp_solve
-from storalloc.small_ci import chain_lp
+from storalloc.small_ci import chain_lp, find_best_head
 
 import margin_table
+import test_halfspaces
 from conftest import (
     cached_set_margin,
     fraction_junta_scan,
     granular_instance,
     grid_junta_value,
+    literal_best_head_value,
+    lp_threshold_masks,
     lp_scan_junta,
     mask_probability,
     naive_objective,
@@ -241,7 +244,7 @@ def test_margin_decides_feasibility(rng):
     # the committed table, at random (tau > 0, W) and on the boundary
     # tau = W v(S); margin_admits agrees, and u = c / sum(c) attains v(S).
     for k in range(1, 5):
-        rows = junta._load_margins(k)[0]
+        rows = junta._load_table(k)[3].tolist()
         for i, mask in enumerate(upward_family(k)[0][1:], 1):
             e, *c = rows[i]
             v = F(e, sum(c))
@@ -264,7 +267,7 @@ def test_every_margin_carries_a_checked_certificate():
     # empty set's row is (1, 0, ..., 0)
     lines = iter(margin_table.CERTIFICATES_PATH.read_text().splitlines())
     for k in range(1, MAX_K + 1):
-        masks, rows = upward_family(k)[0], junta._load_margins(k)[0]
+        masks, rows = upward_family(k)[0], junta._load_table(k)[3].tolist()
         assert len(rows) == len(masks) and rows[0] == [1] + [0] * k
         for mask, (e, *c) in zip(masks[1:], rows[1:]):
             d, *lam = map(int, next(lines))
@@ -307,6 +310,51 @@ def test_solve_and_oracle_run_no_lp(cold_junta, monkeypatch):
         inst = granular_instance(rng, n, F(1, 2), F(1, 4))
         res = brute_force_optimum(inst, allow_grid_n5=True)
         assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
+
+
+def test_solve_and_oracle_enumerate_no_halfspaces(cold_junta, monkeypatch):
+    # from an empty junta cache, seeded solves at every L_cap, the exact
+    # oracle at every n it covers and a best-head search read their
+    # families from the committed table and never touch the weight grid
+    assert not hasattr(junta, "enumerate_halfspace_sets")
+
+    def refuse(k, monotone):
+        raise AssertionError("a halfspace family was enumerated")
+
+    monkeypatch.setattr(halfspaces, "_cached", refuse)
+    rng = random.Random("no-enumeration")
+    for L_cap in range(1, MAX_K + 1):
+        probs = [rng.randint(30, 70) / 100 for _ in range(8)]
+        config = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=rng.randrange(1 << 31))
+        assert storalloc.solve(probs, F(1, 2), F(1, 4), F(1, 20), config).L == L_cap
+    for n in range(1, MAX_K + 1):
+        inst = granular_instance(rng, n, F(1, 2), F(1, 4))
+        res = brute_force_optimum(inst, allow_grid_n5=True)
+        assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
+    args = ((F(3, 4), F(3, 5), F(2, 5)), [F(0), F(1, 4)], F(1), F(1, 2))
+    value = find_best_head(*args).value
+    monkeypatch.undo()  # the reference enumerates
+    assert value == literal_best_head_value(*args)
+
+
+def test_committed_families_are_the_upward_closed_threshold_sets():
+    # the masks the table states, checked with no margin LP and no weight
+    # grid: ascending, upward-closed, the known counts, the empty set and
+    # the full cube at the ends with their fixed rows, the separability
+    # oracle's family up to k = 4 (cached for the session) and the pinned
+    # digest at k = 5
+    for k, count in zip(range(1, MAX_K + 1), (3, 6, 20, 150, 3287)):
+        masks, array, _, rows, _, _ = junta._load_table(k)
+        rows = rows.tolist()
+        assert len(masks) == len(rows) == count and array.tolist() == masks
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert all(is_upward_closed(mask, k) for mask in masks)
+        assert masks[0] == 0 and rows[0] == [1] + [0] * k
+        assert masks[-1] == (1 << (1 << k)) - 1 and rows[-1] == [0] + [1] * k
+        if k <= 4:
+            assert masks == list(lp_threshold_masks(k, monotone=True))
+    digest = hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest()
+    assert digest == test_halfspaces.TestEnumeration.K5_DIGESTS[True]
 
 
 @pytest.mark.parametrize("k", range(1, 6))

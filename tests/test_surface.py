@@ -173,7 +173,7 @@ def test_option_count_per_subcommand():
 
 # Every function in src/ that holds results for the life of the process; a
 # new cache shows up here as a test diff.
-PROCESS_CACHES = {"halfspaces._cached", "junta.upward_family", "junta._load_margins", "large_ci._skip_log_bound"}
+PROCESS_CACHES = {"halfspaces._cached", "junta._load_table", "large_ci._skip_log_bound"}
 
 
 def test_process_wide_caches_are_pinned():
