@@ -21,20 +21,27 @@ at any n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ProblemInstance, preprocess
 from .errors import InputError
 from .evaluate import exact_objective_probs
 from .junta import JuntaRequest, find_optimal_junta
+from .util import Record
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    opt_value: Fraction
-    witness: tuple[Fraction, ...]  # sorted-instance order
-    sets_examined: int
+class OracleResult(Record):
+    __slots__ = ("opt_value", "witness", "sets_examined")
+
+    def __init__(
+        self,
+        opt_value: Fraction,
+        witness: tuple[Fraction, ...],  # sorted-instance order
+        sets_examined: int,
+    ):
+        object.__setattr__(self, "opt_value", opt_value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "sets_examined", sets_examined)
 
 
 ORACLE_FLAG_MAX_N = 5
@@ -54,11 +61,13 @@ def brute_force_optimum(instance: ProblemInstance, allow_grid_n5: bool = False) 
     return OracleResult(result.value, result.weights, result.sets_examined)
 
 
-@dataclass(frozen=True)
-class UniformSplitResult:
-    best_k: int
-    value: Fraction
-    per_k: tuple[Fraction, ...]
+class UniformSplitResult(Record):
+    __slots__ = ("best_k", "value", "per_k")
+
+    def __init__(self, best_k: int, value: Fraction, per_k: tuple[Fraction, ...]):
+        object.__setattr__(self, "best_k", best_k)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_k", per_k)
 
 
 def uniform_split_baseline(instance: ProblemInstance) -> UniformSplitResult:
@@ -81,13 +90,22 @@ def uniform_split_baseline(instance: ProblemInstance) -> UniformSplitResult:
     return UniformSplitResult(best_k=best_k, value=values[best_k - 1], per_k=tuple(values))
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    candidate: tuple[Fraction, ...]
-    candidate_value: Fraction
-    best_uniform_k: int
-    best_uniform_value: Fraction
-    passed: bool
+class CounterexampleReport(Record):
+    __slots__ = ("candidate", "candidate_value", "best_uniform_k", "best_uniform_value", "passed")
+
+    def __init__(
+        self,
+        candidate: tuple[Fraction, ...],
+        candidate_value: Fraction,
+        best_uniform_k: int,
+        best_uniform_value: Fraction,
+        passed: bool,
+    ):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "candidate_value", candidate_value)
+        object.__setattr__(self, "best_uniform_k", best_uniform_k)
+        object.__setattr__(self, "best_uniform_value", best_uniform_value)
+        object.__setattr__(self, "passed", passed)
 
 
 def kleinberg_counterexample() -> CounterexampleReport:

@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError
 from .halfspaces import MAX_K
-from .util import to_fraction, to_int
+from .util import Record, to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Solver-wide knobs, including the constants the analysis hides in Theta(.).
 
     mode="theory" uses the paper-faithful L and kappa formulas (astronomical
@@ -48,65 +46,81 @@ class SolverConfig:
     and overriding kappa.  state_space_limit caps each tail DP's state bound,
     checked before any state: large_ci.tail_state_bound for Case 2, a cell
     estimate for Case 3.  A report's "config" echoes every field in
-    declaration order, so a knob is defined here alone.  Integer knobs are
+    ``__slots__`` order, so a knob is defined here alone.  Integer knobs are
     ints: numpy ints convert; bools, floats and strings are refused.
     """
 
-    mode: str = "theory"
-    c_L: Fraction = Fraction(1)
-    kappa_override: Optional[Fraction] = None
-    L_cap: Optional[int] = None
-    mc_constant: Fraction = Fraction(1)
-    seed: int = 0
-    state_space_limit: int = 5_000_000
+    __slots__ = ("mode", "c_L", "kappa_override", "L_cap", "mc_constant", "seed", "state_space_limit")
 
-    def __post_init__(self):
-        if self.mode not in ("theory", "practical"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        for name in ("L_cap", "seed", "state_space_limit"):
-            value = getattr(self, name)
-            if value is not None or name != "L_cap":  # L_cap may be None
-                object.__setattr__(self, name, to_int(value, name))
-        object.__setattr__(self, "c_L", to_fraction(self.c_L))
-        object.__setattr__(self, "mc_constant", to_fraction(self.mc_constant))
-        if self.kappa_override is not None:
-            object.__setattr__(self, "kappa_override", to_fraction(self.kappa_override))
-        if self.c_L <= 0 or self.mc_constant <= 0:
+    def __init__(
+        self,
+        mode: str = "theory",
+        c_L: Fraction = Fraction(1),
+        kappa_override: Optional[Fraction] = None,
+        L_cap: Optional[int] = None,
+        mc_constant: Fraction = Fraction(1),
+        seed: int = 0,
+        state_space_limit: int = 5_000_000,
+    ):
+        if mode not in ("theory", "practical"):
+            raise InputError(f"unknown mode {mode!r}")
+        if L_cap is not None:
+            L_cap = to_int(L_cap, "L_cap")
+        seed = to_int(seed, "seed")
+        state_space_limit = to_int(state_space_limit, "state_space_limit")
+        c_L = to_fraction(c_L)
+        mc_constant = to_fraction(mc_constant)
+        if kappa_override is not None:
+            kappa_override = to_fraction(kappa_override)
+        if c_L <= 0 or mc_constant <= 0:
             raise InputError("c_L and mc_constant must be positive")
-        if self.kappa_override is not None and not 0 < self.kappa_override <= 1:
-            raise InputError(f"kappa_override must lie in (0, 1]; got {self.kappa_override}")
-        if self.L_cap is not None and not 1 <= self.L_cap <= MAX_K:
+        if kappa_override is not None and not 0 < kappa_override <= 1:
+            raise InputError(f"kappa_override must lie in (0, 1]; got {kappa_override}")
+        if L_cap is not None and not 1 <= L_cap <= MAX_K:
             raise InputError(
                 f"L_cap (--l-cap) must lie in [1, {MAX_K}], the head sizes "
-                f"halfspace enumeration covers; got {self.L_cap}"
+                f"halfspace enumeration covers; got {L_cap}"
             )
-        if self.state_space_limit < 1:
+        if state_space_limit < 1:
             raise InputError("state_space_limit must be positive")
-        if self.mode == "theory" and (self.kappa_override is not None or self.L_cap is not None):
+        if mode == "theory" and (kappa_override is not None or L_cap is not None):
             raise InputError("theory mode forbids kappa_override and L_cap")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "c_L", c_L)
+        object.__setattr__(self, "kappa_override", kappa_override)
+        object.__setattr__(self, "L_cap", L_cap)
+        object.__setattr__(self, "mc_constant", mc_constant)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "state_space_limit", state_space_limit)
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Record):
     """A preprocessed instance: sorted, granular probabilities plus parameters.
 
     ``permutation[i]`` is the original index of sorted slot i.  The rational
     fields convert through util.to_fraction, as SolverConfig's do.
     """
 
-    probs: tuple[Fraction, ...]
-    theta: Fraction
-    epsilon: Fraction
-    delta: Fraction
-    permutation: tuple[int, ...]
-    # probs[i] / grid, the integer grid units of A2, derived in __post_init__
-    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # units: probs[i] / grid, the integer grid units of A2, derived in
+    # __init__; not a field, so left out of equality, hash and repr.
+    # __dict__ holds the cached properties.
+    __slots__ = ("probs", "theta", "epsilon", "delta", "permutation", "units", "__dict__")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
-        raw = (*self.probs, self.epsilon)  # as given, for the grid refusal
-        object.__setattr__(self, "probs", tuple(map(to_fraction, self.probs)))
-        for name in ("theta", "epsilon", "delta"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(
+        self,
+        probs: tuple[Fraction, ...],
+        theta: Fraction,
+        epsilon: Fraction,
+        delta: Fraction,
+        permutation: tuple[int, ...],
+    ):
+        raw = (*probs, epsilon)  # as given, for the grid refusal
+        object.__setattr__(self, "probs", tuple(map(to_fraction, probs)))
+        object.__setattr__(self, "theta", to_fraction(theta))
+        object.__setattr__(self, "epsilon", to_fraction(epsilon))
+        object.__setattr__(self, "delta", to_fraction(delta))
+        object.__setattr__(self, "permutation", permutation)
         n = len(self.probs)
         if n == 0:
             raise InputError("empty probability vector")
@@ -152,20 +166,30 @@ class ProblemInstance:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class TrivialSolution:
+class TrivialSolution(Record):
     """Closed-form answer produced by preprocessing, in original index order."""
 
-    weights: tuple[Fraction, ...]
-    objective: Fraction
-    reason: str  # "theta_zero" | "theta_one" | "high_prob_shortcut" | "below_grid_shortcut"
-    eps_optimal: bool
+    __slots__ = ("weights", "objective", "reason", "eps_optimal")
+
+    def __init__(
+        self,
+        weights: tuple[Fraction, ...],
+        objective: Fraction,
+        reason: str,  # "theta_zero" | "theta_one" | "high_prob_shortcut" | "below_grid_shortcut"
+        eps_optimal: bool,
+    ):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "eps_optimal", eps_optimal)
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
-    instance: Optional[ProblemInstance] = None
-    shortcut: Optional[TrivialSolution] = None
+class PreprocessResult(Record):
+    __slots__ = ("instance", "shortcut")
+
+    def __init__(self, instance: Optional[ProblemInstance] = None, shortcut: Optional[TrivialSolution] = None):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "shortcut", shortcut)
 
     @property
     def is_trivial(self) -> bool:

@@ -35,7 +35,6 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -52,40 +51,73 @@ from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
 from .small_ci import case3_kappa, case3_verdict
-from .util import derive_seed, frac_str, lcm_scaled, to_fraction
+from .util import Record, derive_seed, frac_str, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
 SELECT_SEED_TAG = 0x5E7
 
 
-@dataclass(frozen=True)
-class PoolMember:
-    weights: tuple[Fraction, ...]  # sorted order, the P-coordinate prefix (module docstring)
-    provenance: str  # "junta" | "largeCI"
-    rank: int  # provenance order for tie-breaking
+class PoolMember(Record):
+    __slots__ = ("weights", "provenance", "rank")
+
+    def __init__(
+        self,
+        weights: tuple[Fraction, ...],  # sorted order, the P-coordinate prefix (module docstring)
+        provenance: str,  # "junta" | "largeCI"
+        rank: int,  # provenance order for tie-breaking
+    ):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass
-class SolveReport:
-    provenance: str
-    chosen_weights: tuple[Fraction, ...]  # original index order
-    estimate: ObjectiveEstimate
-    exact_objective: Optional[Fraction]  # under the probabilities rounded to the eps/(4n) grid
-    pool_size: int
-    per_case_counts: dict
-    n: int
-    theta: Fraction
-    epsilon: Fraction
-    delta: Fraction
-    gamma: Optional[Fraction]
-    L: Optional[int]
-    kappa_case2: Optional[Fraction]
-    kappa_case3: Optional[Fraction]
-    config: SolverConfig
-    seed: int
-    reason: Optional[str] = None  # set for trivial shortcuts
-    timings: dict = field(default_factory=dict)
+class SolveReport(Record):
+    __slots__ = (
+        "provenance", "chosen_weights", "estimate", "exact_objective", "pool_size", "per_case_counts",
+        "n", "theta", "epsilon", "delta", "gamma", "L", "kappa_case2", "kappa_case3", "config", "seed",
+        "reason", "timings",
+    )
+
+    def __init__(
+        self,
+        provenance: str,
+        chosen_weights: tuple[Fraction, ...],  # original index order
+        estimate: ObjectiveEstimate,
+        exact_objective: Optional[Fraction],  # under the probabilities rounded to the eps/(4n) grid
+        pool_size: int,
+        per_case_counts: dict,
+        n: int,
+        theta: Fraction,
+        epsilon: Fraction,
+        delta: Fraction,
+        gamma: Optional[Fraction],
+        L: Optional[int],
+        kappa_case2: Optional[Fraction],
+        kappa_case3: Optional[Fraction],
+        config: SolverConfig,
+        seed: int,
+        reason: Optional[str] = None,  # set for trivial shortcuts
+        timings: Optional[dict] = None,  # None: a fresh {}
+    ):
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "chosen_weights", chosen_weights)
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "exact_objective", exact_objective)
+        object.__setattr__(self, "pool_size", pool_size)
+        object.__setattr__(self, "per_case_counts", per_case_counts)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "kappa_case2", kappa_case2)
+        object.__setattr__(self, "kappa_case3", kappa_case3)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "timings", {} if timings is None else timings)
 
     def to_dict(self, include_timings: bool = False) -> dict:
         def opt_frac(q):
@@ -120,7 +152,7 @@ class SolveReport:
             "L": self.L,
             "kappa_case2": opt_frac(self.kappa_case2),
             "kappa_case3": opt_frac(self.kappa_case3),
-            "config": {f.name: echo(getattr(self.config, f.name)) for f in fields(SolverConfig)},
+            "config": {name: echo(getattr(self.config, name)) for name in SolverConfig.__slots__},
             "seed": self.seed,
         }
         if include_timings:

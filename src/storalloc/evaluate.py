@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from typing import Optional, Sequence
@@ -50,7 +49,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance
-from .util import derived_rng, lcm_scaled, to_fraction, to_int
+from .util import Record, derived_rng, lcm_scaled, to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
@@ -67,20 +66,26 @@ DIRECT_MAX_DRAWS = 1 << 10
 PACKED_LIMIT = 1 << 28
 
 
-@dataclass(frozen=True)
-class ObjectiveEstimate:
+class ObjectiveEstimate(Record):
     """Value of Obj(w), exact or sampled.
 
     A Monte-Carlo estimate has m >= 1 draws; an exact one has m = 0 and no
     seed.
     """
 
-    value: Fraction
-    kind: str  # "exact" | "monte_carlo"
-    m: int = 0
-    seed: Optional[int] = None
+    __slots__ = ("value", "kind", "m", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        value: Fraction,
+        kind: str,  # "exact" | "monte_carlo"
+        m: int = 0,
+        seed: Optional[int] = None,
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "seed", seed)
         if not 0 <= self.value <= 1:
             raise InputError(f"objective value {self.value} outside [0,1]")
         if self.kind == "monte_carlo":
@@ -93,14 +98,14 @@ class ObjectiveEstimate:
             raise InputError(f"unknown estimate kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DiscreteDist:
+class DiscreteDist(Record):
     """Finite-support distribution with exact probabilities, sorted support."""
 
-    values: tuple[Fraction, ...]
-    probs: tuple[Fraction, ...]
+    __slots__ = ("values", "probs")
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[Fraction, ...], probs: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
         if len(self.values) != len(self.probs) or not self.values:
             raise InputError("malformed discrete distribution")
         if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
@@ -109,15 +114,15 @@ class DiscreteDist:
             raise InputError("probabilities must be non-negative and sum to 1")
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
+class EmpiricalDist(Record):
     """Multiset of m sampled points, stored run-length compressed and sorted."""
 
-    values: tuple[Fraction, ...]
-    counts: tuple[int, ...]
-    m: int
+    __slots__ = ("values", "counts", "m")
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[Fraction, ...], counts: tuple[int, ...], m: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "m", m)
         if self.m < 1 or sum(self.counts) != self.m:
             raise InputError("empirical distribution needs m >= 1 matching counts")
 

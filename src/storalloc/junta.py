@@ -63,7 +63,6 @@ the large-critical-index case with shifted thresholds and reduced budgets
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -73,22 +72,19 @@ import numpy as np
 from .errors import InputError
 from .evaluate import _INT64_MAX, _byte_dots, _byte_tables
 from .halfspaces import MAX_K
-from .util import to_fraction
+from .util import Record, to_fraction
 
 _ZERO = Fraction(0)
 _TABLE_PATH = os.path.join(os.path.dirname(__file__), "junta_margins.txt")
 
 
-@dataclass(frozen=True)
-class JuntaRequest:
-    head_probs: tuple[Fraction, ...]
-    tau: Fraction
-    W: Fraction
+class JuntaRequest(Record):
+    __slots__ = ("head_probs", "tau", "W")
 
-    def __post_init__(self):
-        probs, W = tuple(map(to_fraction, self.head_probs)), to_fraction(self.W)
+    def __init__(self, head_probs: tuple[Fraction, ...], tau: Fraction, W: Fraction):
+        probs, W = tuple(map(to_fraction, head_probs)), to_fraction(W)
         object.__setattr__(self, "head_probs", probs)
-        object.__setattr__(self, "tau", to_fraction(self.tau))
+        object.__setattr__(self, "tau", to_fraction(tau))
         object.__setattr__(self, "W", W)
         if not probs:
             raise InputError("empty head")
@@ -108,11 +104,13 @@ class JuntaRequest:
         return len(self.head_probs)
 
 
-@dataclass(frozen=True)
-class JuntaResult:
-    weights: tuple[Fraction, ...]
-    value: Fraction
-    sets_examined: int
+class JuntaResult(Record):
+    __slots__ = ("weights", "value", "sets_examined")
+
+    def __init__(self, weights: tuple[Fraction, ...], value: Fraction, sets_examined: int):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "sets_examined", sets_examined)
 
 
 def outcome_numerators(probs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -77,7 +77,6 @@ example: 0.9689 at kappa 1/16, 0.9471 at 1/32).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -85,15 +84,23 @@ from typing import Optional, Sequence
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .junta import JuntaRequest, JuntaResult, find_optimal_junta
-from .util import half_power_ceil, ln_lower, ln_upper, sqrt_upper, to_fraction
+from .util import Record, half_power_ceil, ln_lower, ln_upper, sqrt_upper, to_fraction
 
 
-@dataclass(frozen=True)
-class TailTriple:
-    A: int
-    B: int
-    C: int
-    path: tuple[tuple[int, int], ...]  # (slot, j): j kappa units on 1-based slot
+class TailTriple(Record):
+    __slots__ = ("A", "B", "C", "path")
+
+    def __init__(
+        self,
+        A: int,
+        B: int,
+        C: int,
+        path: tuple[tuple[int, int], ...],  # (slot, j): j kappa units on 1-based slot
+    ):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "path", path)
 
 
 def theory_kappa_case2(n: int, L: int) -> Fraction:
@@ -161,13 +168,22 @@ def construct_achievable_tails(
     return [TailTriple(*row) for row in sorted((a, b, c, path) for (a, c), (b, path) in states.items())]
 
 
-@dataclass(frozen=True)
-class LargeCICandidate:
-    triple: TailTriple
-    head: JuntaResult
-    weights: tuple[Fraction, ...]  # sorted order, slots 1..L + live_slots (zero past them)
-    shifted_threshold: Fraction
-    head_budget: Fraction
+class LargeCICandidate(Record):
+    __slots__ = ("triple", "head", "weights", "shifted_threshold", "head_budget")
+
+    def __init__(
+        self,
+        triple: TailTriple,
+        head: JuntaResult,
+        weights: tuple[Fraction, ...],  # sorted order, slots 1..L + live_slots (zero past them)
+        shifted_threshold: Fraction,
+        head_budget: Fraction,
+    ):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "shifted_threshold", shifted_threshold)
+        object.__setattr__(self, "head_budget", head_budget)
 
 
 def shifted_threshold(

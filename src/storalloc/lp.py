@@ -44,13 +44,12 @@ end at the same vertex.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from .errors import InputError
-from .util import lcm_scaled, to_fraction
+from .util import Record, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -58,17 +57,24 @@ RELATIONS = ("<=", ">=", "=")
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(Record):
     """max/min of a linear objective over linear constraints.
 
     Every variable is non-negative.  ``objective`` None means a pure
     feasibility problem.
     """
 
-    n_vars: int
-    constraints: list
-    objective: Optional[tuple] = None  # (coeffs, "max" | "min")
+    __slots__ = ("n_vars", "constraints", "objective")
+
+    def __init__(
+        self,
+        n_vars: int,
+        constraints: list,
+        objective: Optional[tuple] = None,  # (coeffs, "max" | "min")
+    ):
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "objective", objective)
 
     def normalized(self) -> "LinearProgram":
         if self.n_vars < 1:
@@ -92,11 +98,18 @@ class LinearProgram:
         return LinearProgram(self.n_vars, rows, objective)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: Optional[tuple[Fraction, ...]] = None
-    objective_value: Optional[Fraction] = None
+class LPResult(Record):
+    __slots__ = ("status", "x", "objective_value")
+
+    def __init__(
+        self,
+        status: str,  # "optimal" | "infeasible" | "unbounded"
+        x: Optional[tuple[Fraction, ...]] = None,
+        objective_value: Optional[Fraction] = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "objective_value", objective_value)
 
 
 class _Tableau:

@@ -17,7 +17,6 @@ exact best-head search find_best_head and its chain_lp, which the reference call
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from .evaluate import BLOCK_BYTES, EmpiricalDist
 from .halfspaces import minimal_members, point_bits
 from .junta import family_numerators, margin_admits, outcome_numerators, upward_family
 from .lp import LinearProgram, lp_solve
-from .util import half_power_ceil, to_fraction
+from .util import Record, half_power_ceil, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -108,11 +107,13 @@ def case3_verdict(instance: ProblemInstance, kappa: Fraction, config: SolverConf
 # Exact head optimization against a sampled tail surrogate
 
 
-@dataclass(frozen=True)
-class HeadResult:
-    weights: tuple[Fraction, ...]
-    value: Fraction
-    patterns_examined: int
+class HeadResult(Record):
+    __slots__ = ("weights", "value", "patterns_examined")
+
+    def __init__(self, weights: tuple[Fraction, ...], value: Fraction, patterns_examined: int):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "patterns_examined", patterns_examined)
 
 
 def find_best_head(

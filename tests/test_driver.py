@@ -159,6 +159,7 @@ class TestSolve:
             rep = solve(p_raw, F(1, 2), F(1, 4), F(1, 20), SolverConfig())
             inst = preprocess(p_raw, F(1, 2), F(1, 4), F(1, 20)).instance
             assert rep.L == n
+            assert rep.kappa_case2 is None  # no tail, so no Case 2
             assert rep.exact_objective == brute_force_optimum(inst).opt_value
 
     def test_junta_exact_when_L_equals_n(self):

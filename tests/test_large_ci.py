@@ -98,6 +98,16 @@ class TestKappa:
                 construct_achievable_tails(inst, 2, F(1, 10**6), cfg)
         assert err.value.estimate > err.value.limit == cfg.state_space_limit
 
+    def test_guard_admits_a_bound_equal_to_the_limit(self, rng):
+        inst = granular_instance(rng, 8, F(1, 2), F(1, 4))
+        kappa = F(1, 4)
+        bound = tail_state_bound(live_slots(inst, 2, kappa), kappa)
+        assert bound == 25  # min(5^4, (4^3 + 2 * 4 + 3) // 3) over 4 live slots
+        assert construct_achievable_tails(inst, 2, kappa, SolverConfig(state_space_limit=bound))
+        with pytest.raises(GuardError) as err:
+            construct_achievable_tails(inst, 2, kappa, SolverConfig(state_space_limit=bound - 1))
+        assert (err.value.estimate, err.value.limit) == (bound, bound - 1)
+
 
 class TestConstructAchievableTails:
     def test_spec_projection_example(self, rng):
@@ -364,6 +374,16 @@ def test_nontrivial_front_pinned():
         assert any(kt <= tau and kc <= c for kt, kc in kept)
 
 
+def test_skip_test_holds_when_both_sides_are_equal():
+    # a log bound of exactly sum p_i^2 over the live slots: lhs == rhs
+    inst = preprocess(NONTRIVIAL_FRONT[0], F(1, 2), F(1, 4), F(1, 20)).instance
+    L, kappa = 2, F(1, 14)
+    squares = sum(p * p for p in inst.probs[L : L + live_slots(inst, L, kappa)])
+    for bound, skips in ((squares, True), (squares - F(1, 10**12), False)):
+        with mock.patch.object(large_ci, "_skip_log_bound", return_value=bound):
+            assert zero_tail_dominates(inst, L, kappa) is skips
+
+
 def test_wide_equal_p_instance_solves_at_the_default_limit():
     # n = 20 at p = 0.72, kappa 1/16, L = 2: the skip fails, and the DP's
     # bound is 1377 states (the old estimate, 22378018 cells, was refused)
@@ -397,6 +417,8 @@ def test_input_checks_precede_skip(rng):
     for kappa in (F(0), F(-1, 4), F(5, 4)):
         with pytest.raises(InputError):
             find_near_opt_large_ci(inst, 2, kappa)
+    with pytest.raises(InputError):
+        construct_achievable_tails(inst, 2, F(0))
     for L in (0, 4, 5):
         with pytest.raises(InputError):
             find_near_opt_large_ci(inst, L, F(1, 4))

@@ -6,7 +6,6 @@ The package root exports the solve and oracle API and nothing else.
 
 import argparse
 import ast
-import dataclasses
 import importlib.util
 import inspect
 import subprocess
@@ -151,10 +150,35 @@ def test_library_calls_do_not_import_numpy_ma():
     assert proc.stdout.split() == ["False"]
 
 
+_NO_DATACLASSES_SCRIPT = """
+import sys
+import storalloc
+from storalloc import baselines, core, driver, evaluate, halfspaces, lp, small_ci
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_package_import_does_not_load_dataclasses():
+    # dataclasses compiles each record's methods at import (util.Record)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_DATACLASSES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    for path in Path(storalloc.__file__).parent.glob("*.py"):
+        assert "@dataclass" not in path.read_text(), path.name
+
+
 def test_report_config_echoes_every_solver_config_field():
     cfg = storalloc.SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2)
     config = storalloc.solve([0.62, 0.45, 0.31], 0.5, 0.25, 0.05, cfg).to_dict()["config"]
-    assert list(config) == [f.name for f in dataclasses.fields(storalloc.SolverConfig)]
+    fields = list(storalloc.SolverConfig.__slots__)
+    assert list(config) == fields
+    # every __init__ parameter is a field, in the same order
+    assert list(inspect.signature(storalloc.SolverConfig).parameters) == fields
 
 
 def test_option_count_per_subcommand():

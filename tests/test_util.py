@@ -1,4 +1,5 @@
 import math
+import pickle
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -7,9 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storalloc.driver import solve
+from storalloc.baselines import CounterexampleReport, OracleResult, UniformSplitResult
+from storalloc.core import PreprocessResult, ProblemInstance, SolverConfig, TrivialSolution
+from storalloc.driver import PoolMember, SolveReport, solve
 from storalloc.errors import InputError
-from storalloc.util import FLOAT_DENOMINATOR_LIMIT, limit_ratio, ln_lower, ln_upper, to_fraction, to_int
+from storalloc.evaluate import DiscreteDist, EmpiricalDist, ObjectiveEstimate
+from storalloc.junta import JuntaRequest, JuntaResult
+from storalloc.large_ci import LargeCICandidate, TailTriple
+from storalloc.lp import LinearProgram, LPResult
+from storalloc.small_ci import HeadResult
+from storalloc.util import (
+    FLOAT_DENOMINATOR_LIMIT,
+    Record,
+    limit_ratio,
+    ln_lower,
+    ln_upper,
+    to_fraction,
+    to_int,
+)
 
 
 def same_ratio(a: F, b: F) -> bool:
@@ -125,3 +141,76 @@ def test_ln_bounds_bracket_ln_past_float_range(q):
         ctx.prec = 60
         exact = Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
         assert Decimal(lower.numerator) / lower.denominator < exact < Decimal(upper.numerator) / upper.denominator
+
+
+# Two field sets per record type that differ in one field, both valid.
+_ESTIMATE = ObjectiveEstimate(F(1, 2), "exact")
+_REPORT = dict(
+    provenance="junta", chosen_weights=(F(1), F(0)), estimate=_ESTIMATE, exact_objective=F(1, 2),
+    pool_size=1, per_case_counts={"junta": 1}, n=2, theta=F(1, 2), epsilon=F(1, 4), delta=F(1, 20),
+    gamma=F(1, 4), L=2, kappa_case2=None, kappa_case3=F(1, 8), config=SolverConfig(), seed=0,
+)
+_INSTANCE = dict(probs=(F(1, 2), F(1, 4)), theta=F(1, 2), epsilon=F(1, 4), delta=F(1, 20), permutation=(1, 0))
+RECORDS = {
+    SolverConfig: ({}, {"seed": 1}),
+    ProblemInstance: (_INSTANCE, {**_INSTANCE, "permutation": (0, 1)}),
+    TrivialSolution: (((F(1), F(0)), F(1), "theta_zero", False), ((F(1), F(0)), F(1), "theta_one", False)),
+    PreprocessResult: ({"shortcut": TrivialSolution((F(1),), F(1), "theta_zero", False)}, {}),
+    ObjectiveEstimate: ((F(1, 2), "monte_carlo", 10, 3), (F(1, 2), "monte_carlo", 11, 3)),
+    DiscreteDist: (((F(0), F(1)), (F(1, 2), F(1, 2))), ((F(0), F(1)), (F(1, 4), F(3, 4)))),
+    EmpiricalDist: (((F(0), F(1)), (1, 3), 4), ((F(0), F(1)), (2, 2), 4)),
+    OracleResult: ((F(1, 2), (F(1), F(0)), 3), (F(1, 2), (F(1), F(0)), 4)),
+    UniformSplitResult: ((1, F(1, 2), (F(1, 2),)), (1, F(1, 3), (F(1, 2),))),
+    CounterexampleReport: (
+        ((F(1, 2), F(1, 2)), F(3, 4), 2, F(1, 2), True),
+        ((F(1, 2), F(1, 2)), F(3, 4), 2, F(1, 2), False),
+    ),
+    JuntaRequest: (((F(1, 2), F(1, 3)), F(1, 2), F(1)), ((F(1, 2), F(1, 3)), F(1, 2), F(1, 2))),
+    JuntaResult: (((F(1),), F(1, 2), 2), ((F(1),), F(1, 2), 3)),
+    TailTriple: ((1, 2, 1, ((1, 1),)), (1, 3, 1, ((1, 1),))),
+    LargeCICandidate: (
+        (TailTriple(0, 0, 0, ()), JuntaResult((F(1),), F(1, 2), 2), (F(1), F(0)), F(1, 2), F(1)),
+        (TailTriple(0, 0, 0, ()), JuntaResult((F(1),), F(1, 2), 2), (F(1), F(0)), F(1, 2), F(1, 2)),
+    ),
+    HeadResult: (((F(1),), F(1, 2), 1), ((F(1),), F(1, 2), 2)),
+    LinearProgram: ((1, [((F(1),), "<=", F(1))], ((F(1),), "max")), (1, [((F(1),), "<=", F(1))])),
+    LPResult: (("optimal", (F(1),), F(1)), ("optimal", (F(1),), F(2))),
+    PoolMember: (((F(1),), "junta", 0), ((F(1),), "junta", 1)),
+    SolveReport: (_REPORT, {**_REPORT, "pool_size": 2}),
+}
+
+
+def _build(cls, args):
+    return cls(**args) if isinstance(args, dict) else cls(*args)
+
+
+def test_every_record_type_is_covered():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    args, other_args = RECORDS[cls]
+    a, b, other = _build(cls, args), _build(cls, args), _build(cls, other_args)
+    assert a == b and not a != b
+    assert a != other
+    assert a.__eq__(object()) is NotImplemented
+    if cls in (LinearProgram, SolveReport):  # a list or dict field
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={getattr(a, n)!r}' for n in a._fields)})"
+    for name in (cls.__slots__[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        delattr(a, cls.__slots__[0])
+    assert b == a  # unchanged by the refused writes
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is cls and copy == a
+    if cls is ProblemInstance:
+        assert "units" not in repr(a)
+        assert (copy.units, copy.grid, copy.gamma) == (a.units, F(1, 32), F(1, 4))
+    if cls is SolveReport:
+        assert a.timings == {} and a.timings is not b.timings
