@@ -23,7 +23,11 @@ A winner equal to the junta member takes its exact objective from the
 junta scan: the scan returns the most probable feasible set S with P(S),
 its witness realizes a feasible superset R of S, so P(R) = P(S) (junta
 module docstring), and a zero tail leaves the event unchanged.  Any
-other winner is evaluated by exact_objective_probs, which may refuse.
+other winner is evaluated by exact_objective_probs, which refuses a law
+of more than 2^20 values (evaluate.SUPPORT_LIMIT).  A Case-2 winner
+holds at most 2^L min(J + 1, 2^s) values, s = live_slots: 7 904 at the
+default state_space_limit, so only a raised limit can meet a refusal,
+and the report then carries a null exact_objective.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.

@@ -2,12 +2,19 @@
 
 Exact evaluation is #P-hard in general, so it is bounded by one rule:
 coordinates sharing a weight collapse into one success-count variable with
-a Poisson-binomial law, and the evaluation runs when the product of
-(group size + 1) over the groups is at most COMBO_LIMIT.  A group of s
-coordinates has s + 1 <= 2^s count values, so grouping never costs more
-than taking the coordinates one by one: any n runs for few distinct
-weights (uniform splits, granular tails), and so do up to
-log2(COMBO_LIMIT) = 24 distinct ones.
+a Poisson-binomial law, and a law being built may hold at most
+SUPPORT_LIMIT = 2^20 values.  _sum_law checks after each shifted copy of
+a group and refuses as soon as the law outgrows the limit, so no law ever
+holds more than 2 SUPPORT_LIMIT values.  The rule counts distinct sums,
+not count-vectors: few distinct weights run at any n (uniform splits,
+granular tails), so do any number of weights on a grid of at most 2^20
+points, and so do 40 generic distinct weights (two halves of 2^20
+values).  The bound is reached late, not refused up front: 40 distinct
+power-of-two weights evaluate in about 3 s at a 0.3 GB peak, and 41 or
+more are refused after about 2 s at 0.34 GB.  A Case-2 pool member holds
+at most 2^L min(J + 1, 2^s) values, s = live_slots and J = floor(1/kappa):
+7 904 at the default state_space_limit, so no solve winner is refused
+there.
 
 The evaluation is a meet-in-the-middle merge in integer arithmetic.  The
 weights and theta are scaled by the lcm D of their denominators; each
@@ -55,8 +62,8 @@ logger = logging.getLogger(__name__)
 
 SAMPLE_CHUNK = 1 << 15
 
-# Exact-evaluation guard: widest allowed product of (group size + 1) factors.
-COMBO_LIMIT = 1 << 24
+# Exact-evaluation guard: most values a law may hold while it is built.
+SUPPORT_LIMIT = 1 << 20
 
 # Most draws mc_hit_counts classifies unpacked, with no packing or tables.
 DIRECT_MAX_DRAWS = 1 << 10
@@ -206,12 +213,13 @@ def _integer_groups(
     return out, den
 
 
-def _sum_law(groups: Sequence[tuple[int, list[int]]], support_limit: Optional[int] = None) -> dict[int, int]:
+def _sum_law(groups: Sequence[tuple[int, list[int]]]) -> dict[int, int]:
     """Law of sum_g w_g C_g as {value: numerator}, positive masses only.
 
     Each group is (integer weight w_g, numerators of the law of C_g), as
-    _integer_groups gives them.  With a support_limit, GuardError as soon as
-    the support outgrows it after a group.
+    _integer_groups gives them.  GuardError as soon as the law holds more
+    than SUPPORT_LIMIT values, checked after each shifted copy; its
+    estimate is the number held then.
     """
     law = {0: 1}
     for w, counts in groups:
@@ -222,13 +230,11 @@ def _sum_law(groups: Sequence[tuple[int, list[int]]], support_limit: Optional[in
                 for value, mass in law.items():
                     key = value + shift
                     nxt[key] = nxt.get(key, 0) + mass * cmass
+                if len(nxt) > SUPPORT_LIMIT:
+                    raise GuardError(
+                        f"exact law support exceeds {SUPPORT_LIMIT}", estimate=len(nxt), limit=SUPPORT_LIMIT
+                    )
         law = nxt
-        if support_limit is not None and len(law) > support_limit:
-            raise GuardError(
-                f"linear-form support exceeds {support_limit}",
-                estimate=len(law),
-                limit=support_limit,
-            )
     return law
 
 
@@ -245,10 +251,8 @@ def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction
     """Exact Pr[w . X >= theta] for arbitrary probability vectors.
 
     Thresholds at or below 0 give 1 and thresholds above sum(w) give 0.
-    Otherwise the nonzero weights are grouped by value, and GuardError
-    when the product of (group size + 1) exceeds COMBO_LIMIT (see the
-    module docstring); its estimate is the partial product, taken in
-    descending weight order, that first exceeds it.
+    Otherwise the nonzero weights are grouped by value, and each half's
+    law is built under SUPPORT_LIMIT (see the module docstring).
     """
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
@@ -258,16 +262,6 @@ def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction
         return Fraction(0)
 
     groups = _grouped(probs, weights)
-    combos = 1
-    for _, ps in groups:
-        combos *= len(ps) + 1
-        if combos > COMBO_LIMIT:
-            raise GuardError(
-                f"exact grouping state space exceeds {COMBO_LIMIT}",
-                estimate=combos,
-                limit=COMBO_LIMIT,
-            )
-
     # Meet in the middle (module docstring): success mass is the sum over
     # left values v of mass(v) * mass(right >= D theta - v).
     _, scaled = lcm_scaled([*(w for w, _ in groups), theta])
@@ -289,13 +283,14 @@ def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction
     return Fraction(hits, den)
 
 
-def linear_form_dist(weights: Sequence, probs: Sequence, support_limit: int = 1 << 20) -> DiscreteDist:
-    """Exact law of w . X over Bernoulli(probs), grouped by distinct weight."""
+def linear_form_dist(weights: Sequence, probs: Sequence) -> DiscreteDist:
+    """Exact law of w . X over Bernoulli(probs), grouped by distinct weight,
+    built under SUPPORT_LIMIT (see the module docstring)."""
     probs, weights = _probs_and_weights(probs, weights)
     groups = _grouped(probs, weights)
     d, scaled = lcm_scaled([w for w, _ in groups])
     int_groups, den = _integer_groups(scaled, groups)
-    law = _sum_law(int_groups, support_limit)
+    law = _sum_law(int_groups)
     values = sorted(law)
     return DiscreteDist(tuple(Fraction(v, d) for v in values), tuple(Fraction(law[v], den) for v in values))
 
@@ -457,7 +452,7 @@ def mc_estimate_probs(
 ) -> ObjectiveEstimate:
     """Fraction of m independent draws X ~ D_p with w . X >= theta.
 
-    Deterministic given the seed; the pattern classification is exact.
+    Deterministic given the seed; every draw is classified exactly.
     """
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")

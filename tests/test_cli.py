@@ -13,7 +13,7 @@ from storalloc.core import ProblemInstance
 from storalloc.evaluate import sample_tail_empirical
 from storalloc.formats import load_instance, parse_weights, save_instance
 
-from conftest import child_env
+from conftest import child_env, dfs_objective
 
 
 @pytest.fixture
@@ -273,6 +273,23 @@ class TestCommands:
         assert run_cli(["eval", inst_file, "--weights", "1/3,1/3,1/3", "--mc", "2001"]) == 3
         guard = json.loads(capsys.readouterr().err.splitlines()[1])
         assert (guard["estimate"], guard["limit"]) == (8 * 2_001, 8 * 2_000)
+
+    def test_eval_exact_on_forty_grid_weights_and_its_refusal(self, tmp_path, capsys, monkeypatch):
+        # 40 distinct weights i/1000: every sum is a multiple of 1/1000, so
+        # the whole law holds 821 values; a limit of 256 refuses a half law
+        probs = [F(1, 2) + F(i, 200) for i in range(1, 41)]
+        weights = [F(i, 1000) for i in range(1, 41)]
+        inst = tmp_path / "forty.json"
+        save_instance(inst, probs, "2/5", "1/4", "1/20")
+        args = ["eval", inst, "--weights", ",".join(f"{i}/1000" for i in range(1, 41))]
+        assert run_cli(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert F(out["exact_objective"]) == dfs_objective(probs, weights, F(2, 5))
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 256)
+        assert run_cli(args) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "guard: exact law support exceeds 256"
+        assert json.loads(lines[1]) == {"guard": lines[0][len("guard: "):], "estimate": 269, "limit": 256}
 
     @pytest.mark.parametrize("mode_args", [["--mode", "theory"], ["--mode", "practical", "--kappa", "1/8"]])
     def test_exit_code_head_cutoff_guard(self, tmp_path, capsys, mode_args):

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from storalloc.evaluate import exact_objective_probs
 from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps
 
 import case3
+import test_large_ci
 from conftest import fewest_regular_slots
 
 
@@ -271,8 +273,8 @@ class TestReportBytes:
         # the n = 32, kappa 1/12 Case-2 winner of
         # test_case2_dp_wins_at_the_default_limit puts 1/12 on twelve tail
         # slots and nothing on the head, so no junta scan knows its value:
-        # exact_objective_probs evaluates one group of 12, 13 combinations,
-        # and a limit of 12 refuses it
+        # exact_objective_probs builds one group of 12, whose law holds 13
+        # values, and a limit of 12 refuses it
         p_raw = q_probs(32)
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 12), L_cap=2)
         args = (p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
@@ -281,7 +283,7 @@ class TestReportBytes:
         assert answered["provenance"] == "largeCI" and answered["exact_objective"] is not None
         assert "exact_objective from exact_objective_probs" in driver_messages(caplog)
         caplog.clear()
-        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 12)
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 12)
         with caplog.at_level(logging.INFO, logger="storalloc.driver"):
             refused = solve(*args).to_dict()
         assert refused["exact_objective"] is None and refused["exact_objective_float"] is None
@@ -295,11 +297,11 @@ class TestReportBytes:
     def test_junta_winner_keeps_its_exact_objective_under_a_refusing_limit(self, monkeypatch, caplog):
         # the n5-L2 winner (1/2 on two head coordinates) is the junta head
         # with a zero tail; its value comes from the junta scan, so a limit
-        # that refuses its evaluation (3 combinations > 2) changes no byte
+        # that refuses its evaluation (a law of 3 values > 2) changes no byte
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=2, seed=3)
         args = ([0.62, 0.45, 0.31, 0.58, 0.5], F(1, 2), F(1, 4), F(1, 20), cfg)
         answered = solve(*args).to_json()
-        monkeypatch.setattr(evaluate, "COMBO_LIMIT", 2)
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 2)
         with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
             report = solve(*args)
         assert report.provenance == "junta" and report.exact_objective == F(2673, 3200)
@@ -316,6 +318,45 @@ def q_probs(n: int) -> list[float]:
     """The q-{n}-0.6 probabilities: p ~ U(0.6, 0.85), rounded to 3 places."""
     rng = random.Random(f"q-{n}-0.6")
     return [round(rng.uniform(0.6, 0.85), 3) for _ in range(n)]
+
+
+def test_case2_members_hold_few_values(monkeypatch, caplog):
+    # A Case-2 member's head takes at most 2^L sums, and its tail, j kappa
+    # on at most s = live_slots slots with C <= J units in all, takes
+    # multiples of kappa in [0, J kappa]: at most 2^L min(J + 1, 2^s)
+    # values, far under evaluate.SUPPORT_LIMIT at every default-limit kappa
+    fronts = []
+
+    def recording(instance, L, kappa, config=None):
+        cands = large_ci.find_near_opt_large_ci(instance, L, kappa, config)
+        fronts.append((instance, L, kappa, cands))
+        return cands
+
+    monkeypatch.setattr(driver, "find_near_opt_large_ci", recording)
+    # the three prefix-digest solves, then q-64-0.6 at kappa 1/32
+    for n, denom in ((32, 12), (32, 16), (256, 16), (64, 32)):
+        cfg = SolverConfig(mode="practical", kappa_override=F(1, denom), L_cap=2)
+        solve(q_probs(n), F(3, 5), F(1, 10), F(1, 20), cfg)
+    probs, L, kappa = test_large_ci.NONTRIVIAL_FRONT
+    inst = preprocess(probs, F(1, 2), F(1, 4), F(1, 20)).instance
+    fronts.append((inst, L, kappa, large_ci.find_near_opt_large_ci(inst, L, kappa)))
+    assert [len(cands) for *_, cands in fronts] == [2, 6, 7, 22, 2]
+    supports = {}
+    for inst, L, kappa, cands in fronts:
+        J, s = kappa.denominator // kappa.numerator, large_ci.live_slots(inst, L, kappa)
+        bound = 2**L * min(J + 1, 2**s)
+        for cand in cands:
+            w, probs = cand.weights, inst.probs[: len(cand.weights)]
+            support = len(evaluate.linear_form_dist(w, probs).values)
+            # the halves do not depend on theta, and theta = sum(w) builds them
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
+                exact_objective_probs(probs, w, sum(w))
+            halves = re.search(r"half laws of (\d+) and (\d+) values", caplog.records[-1].getMessage())
+            assert max(support, *map(int, halves.groups())) <= bound
+            supports.setdefault((inst.n, kappa), []).append(support)
+    # the largest, at q-64-0.6 with kappa 1/32, against a bound of 2^2 x 33
+    assert max(map(max, supports.values())) == max(supports[64, F(1, 32)]) == 33
 
 
 @pytest.mark.parametrize(

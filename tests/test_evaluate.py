@@ -17,7 +17,6 @@ from storalloc.core import ProblemInstance
 from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
-    COMBO_LIMIT,
     DIRECT_MAX_DRAWS,
     SAMPLE_CHUNK,
     DiscreteDist,
@@ -144,19 +143,18 @@ class TestExactObjective:
         inst = small_instance()
         assert exact_objective_probs(inst.probs, [F(1, 2), F(1, 2)], inst.theta) == F(1, 4)
 
-    def test_too_large_raises(self):
+    def test_thirty_distinct_grid_weights_evaluate(self):
+        # 30 singleton groups, but every sum is a multiple of 1/1000 in
+        # [0, 0.465]: each half law holds at most 466 values
         probs = [F(1, 2)] * 30
-        w = [F(i + 1, 1000) for i in range(30)]  # 30 distinct values
-        with pytest.raises(GuardError) as info:
-            # sum(w) = 0.465, so 1/5 is a threshold the vector can reach
-            exact_objective_probs(probs, w, F(1, 5))
-        # 30 singleton groups: the product first passes 2^24 at the 25th
-        assert (info.value.estimate, info.value.limit) == (1 << 25, COMBO_LIMIT)
+        w = [F(i + 1, 1000) for i in range(30)]
+        # sum(w) = 0.465, so 1/5 is a threshold the vector can reach
+        assert exact_objective_probs(probs, w, F(1, 5)) == dfs_objective(probs, w, F(1, 5))
 
     @pytest.mark.parametrize("theta", [F(1, 4), F(1, 3)])
     def test_many_coordinates_few_groups(self, theta):
         # 30 coordinates in 13 groups: 12 distinct weights and one weight
-        # shared by 18, so 2^12 * 19 combinations, far within COMBO_LIMIT
+        # shared by 18, so at most 2^12 * 19 sums, far within SUPPORT_LIMIT
         probs = [F(i, 32) for i in range(1, 31)]
         w = [F(i, 997) for i in range(1, 13)] + [F(1, 50)] * 18
         assert exact_objective_probs(probs, w, theta) == dfs_objective(probs, w, theta)
@@ -182,21 +180,46 @@ class TestExactObjective:
         w = [F(v, sum(raw)) for v in raw]
         assert exact_objective_probs(probs, w, F(1, 2)) == dfs_objective(probs, w, F(1, 2))
 
-    def test_combo_limit_edge(self):
-        # w . x = k / (2^24 - 1) for the integer k with binary digits x, and
-        # every k is equally likely: Pr[w . X >= t / (2^24 - 1)] = (2^24 - t) / 2^24.
-        # 2^24 outcomes are exactly COMBO_LIMIT.
-        n, top = 24, (1 << 24) - 1
-        w = [F(1 << i, top) for i in range(n)]
-        probs = [F(1, 2)] * n
-        for t in (1, 2, 3, 12_345, 1 << 23, top - 1, top):  # every t is a reachable sum
-            assert exact_objective_probs(probs, w, F(t, top)) == F((1 << 24) - t, 1 << 24)
-        for t in (0, 12_345, top - 1):  # between two sums: the same as the next one up
-            assert exact_objective_probs(probs, w, F(2 * t + 1, 2 * top)) == F((1 << 24) - t - 1, 1 << 24)
+    def test_support_limit_edge(self, monkeypatch):
+        # w . x = k / (2^n - 1) for the integer k with binary digits x, and
+        # every k is equally likely: Pr[w . X >= t / (2^n - 1)] = (2^n - t) / 2^n.
+        # At n = 24 and 25 the halves hold 2^12 and 2^13 values at most.
+        for n in (24, 25):
+            top = (1 << n) - 1
+            w = [F(1 << i, top) for i in range(n)]
+            probs = [F(1, 2)] * n
+            for t in (1, 2, 3, 12_345, 1 << (n - 1), top - 1, top):  # every t is a reachable sum
+                assert exact_objective_probs(probs, w, F(t, top)) == F((1 << n) - t, 1 << n)
+            for t in (0, 12_345, top - 1):  # between two sums: the same as the next one up
+                assert exact_objective_probs(probs, w, F(2 * t + 1, 2 * top)) == F((1 << n) - t - 1, 1 << n)
+        # n = 25: the left half takes 13 singletons, whose law doubles to 2^13
+        # values at its last copy; 2^12 refuses there, 2^13 admits it
         big = (1 << 25) - 1
+        probs, w = [F(1, 2)] * 25, [F(1 << i, big) for i in range(25)]
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 1 << 12)
         with pytest.raises(GuardError) as info:
-            exact_objective_probs([F(1, 2)] * 25, [F(1 << i, big) for i in range(25)], F(1, 2))
-        assert (info.value.estimate, info.value.limit) == (1 << 25, COMBO_LIMIT)
+            exact_objective_probs(probs, w, F(1, 2))
+        assert (info.value.estimate, info.value.limit) == (1 << 13, 1 << 12)
+        assert str(info.value) == "exact law support exceeds 4096"
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 1 << 13)
+        assert exact_objective_probs(probs, w, F(1, 2)) == F((1 << 25) - (big + 1) // 2, 1 << 25)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact_objective_probs", "linear_form_dist"])
+    def test_a_law_at_the_limit_evaluates_and_one_more_value_refuses(self, monkeypatch, exact):
+        # one group of k coordinates of weight 1/8 holds k + 1 values, one
+        # more per shifted copy; the exact evaluation puts it in the left half
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 8)
+
+        def run(k):
+            probs, w = [F(1, 2)] * k, [F(1, 8)] * k
+            return exact_objective_probs(probs, w, F(1, 2)) if exact else linear_form_dist(w, probs).values
+
+        # Pr[Bin(7, 1/2) >= 4] = 1/2
+        assert run(7) == (F(1, 2) if exact else tuple(F(c, 8) for c in range(8)))
+        for k in (8, 20):  # a group of 20 refuses at its ninth copy, not its last
+            with pytest.raises(GuardError) as info:
+                run(k)
+            assert (info.value.estimate, info.value.limit) == (9, 8)
 
     def test_debug_line_reports_the_half_laws(self, caplog):
         # 3 weights, 2 coordinates each: every group counts 0, 1 or 2.  The
@@ -285,11 +308,13 @@ class TestLinearFormDist:
             mass = sum(p for v, p in zip(dist.values, dist.probs) if v >= theta)
             assert mass == naive_objective(probs, w, theta)
 
-    def test_support_limit_checked_after_each_group(self):
+    def test_support_limit_checked_after_each_group(self, monkeypatch):
         w, probs = [F(1, 2), F(1, 4), F(1, 8)], [F(1, 2)] * 3
-        assert len(linear_form_dist(w, probs, support_limit=8).values) == 8
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 8)
+        assert len(linear_form_dist(w, probs).values) == 8
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 5)
         with pytest.raises(GuardError) as info:
-            linear_form_dist(w, probs, support_limit=5)  # 2, 4, then 8 values
+            linear_form_dist(w, probs)  # 2, 4, then 8 values
         assert (info.value.estimate, info.value.limit) == (8, 5)
 
 
