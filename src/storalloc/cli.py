@@ -64,7 +64,7 @@ def _config(args) -> SolverConfig:
 
 def _emit(text: str, out):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -17,10 +17,13 @@ Degenerate thresholds (theta in {0,1}), near-certain nodes
 (max p >= 1 - eps) and grids too coarse for A2 (eps/(4n) >= 1 - eps)
 short-circuit to closed-form solutions before any rounding happens.
 
-It also derives the quantities every case solver reads: the grid units
-p_i / (eps/(4n)) as ints (ProblemInstance.units, which the tail DPs and
-the Case-2 skip test read), gamma (the instance's distance from {0,1})
-and the head-size cutoff L of Eq. (1).
+Preprocessing runs on integers: each p enters once as its exact ratio a/b
+(util.to_ratio), is sorted on a (M // b), M the lcm of the denominators,
+and rounded to grid units u = max(a gd // (b gn), 1), grid gn/gd = eps/(4n)
+(ProblemInstance.units, which the tail DPs and the Case-2 skip test read).
+ProblemInstance checks A1 and A2 on the units and builds each rounded p's
+Fraction once.  gamma (from the units) and the head cutoff L of Eq. (1)
+follow.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 from .halfspaces import MAX_K
-from .util import Record, to_fraction, to_int
+from .util import Record, to_fraction, to_int, to_ratio
 
 logger = logging.getLogger(__name__)
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class SolverConfig(Record):
@@ -85,25 +90,21 @@ class SolverConfig(Record):
             raise InputError("state_space_limit must be positive")
         if mode == "theory" and (kappa_override is not None or L_cap is not None):
             raise InputError("theory mode forbids kappa_override and L_cap")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "c_L", c_L)
-        object.__setattr__(self, "kappa_override", kappa_override)
-        object.__setattr__(self, "L_cap", L_cap)
-        object.__setattr__(self, "mc_constant", mc_constant)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "state_space_limit", state_space_limit)
+        values = (mode, c_L, kappa_override, L_cap, mc_constant, seed, state_space_limit)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 class ProblemInstance(Record):
     """A preprocessed instance: sorted, granular probabilities plus parameters.
 
     ``permutation[i]`` is the original index of sorted slot i.  The rational
-    fields convert through util.to_fraction, as SolverConfig's do.
+    fields convert through util.to_ratio, as SolverConfig's do; A1 and A2
+    are checked on the integer grid units, and ``probs`` is built from them.
     """
 
-    # units: probs[i] / grid, the integer grid units of A2, derived in
-    # __init__; not a field, so left out of equality, hash and repr.
-    # __dict__ holds the cached properties.
+    # units: probs[i] / grid, the integer grid units of A2; not a field, so
+    # left out of equality, hash and repr.  __dict__ holds the cached properties.
     __slots__ = ("probs", "theta", "epsilon", "delta", "permutation", "units", "__dict__")
     _fields = __slots__[:5]
 
@@ -115,44 +116,48 @@ class ProblemInstance(Record):
         delta: Fraction,
         permutation: tuple[int, ...],
     ):
-        raw = (*probs, epsilon)  # as given, for the grid refusal
-        object.__setattr__(self, "probs", tuple(map(to_fraction, probs)))
-        object.__setattr__(self, "theta", to_fraction(theta))
-        object.__setattr__(self, "epsilon", to_fraction(epsilon))
-        object.__setattr__(self, "delta", to_fraction(delta))
-        object.__setattr__(self, "permutation", permutation)
-        n = len(self.probs)
-        if n == 0:
+        given = (*probs, epsilon)  # as given, for the grid refusal
+        ratios = [to_ratio(p) for p in given[:-1]]
+        theta, epsilon, delta = to_fraction(theta), to_fraction(epsilon), to_fraction(delta)
+        if not ratios:
             raise InputError("empty probability vector")
-        if not 0 < self.theta < 1:
+        if not 0 < theta.numerator < theta.denominator:  # denominators are positive
             raise InputError("instance requires 0 < theta < 1")
-        if not 0 < self.epsilon < 1 or not 0 < self.delta < 1:
+        if not 0 < epsilon.numerator < epsilon.denominator or not 0 < delta.numerator < delta.denominator:
             raise InputError("epsilon and delta must lie in (0,1)")
-        # p = a/b is k units of grid = gn/gd iff b gn divides a gd
-        gn, gd = self.epsilon.numerator, 4 * n * self.epsilon.denominator
-        units = []
-        for i, p in enumerate(self.probs):
-            k, rem = divmod(p.numerator * gd, p.denominator * gn)
-            if k <= 0 or rem:
-                floats = any(isinstance(q, float) for q in raw)
+        # p = a/b is k units of grid = gn/gd iff b gn divides a gd; _set refuses k = 0
+        gn, gd = epsilon.numerator, 4 * len(ratios) * epsilon.denominator
+        units = [0 if rem else k for k, rem in (divmod(a * gd, b * gn) for a, b in ratios)]
+        self._set(units, theta, epsilon, delta, permutation, given)
+
+    def _set(self, units, theta, epsilon, delta, permutation, given=()) -> None:
+        """Check A1, A2 and the permutation on the grid units, then write the fields."""
+        n = len(units)
+        gn, gd = epsilon.numerator, 4 * n * epsilon.denominator
+        previous = units[0]
+        for i, k in enumerate(units):
+            if k <= 0:
+                p, floats = to_fraction(given[i]), any(isinstance(q, float) for q in given)
                 hint = '; floats convert exactly, so pass "a/b" strings or use preprocess' if floats else ""
-                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={self.grid}{hint}")
-            if units and k > units[-1]:
+                raise InputError(f"p[{i}]={p} is not a positive multiple of eps/(4n)={Fraction(gn, gd)}{hint}")
+            if k > previous:
                 raise InputError("probabilities must be sorted non-increasing (A1)")
-            units.append(k)
-        object.__setattr__(self, "units", tuple(units))
+            previous = k
         if units[0] * gn >= gd - 4 * n * gn:  # p_1 >= 1 - eps, as (gd - 4n gn)/gd = 1 - eps
             raise InputError("p_1 must be < 1 - eps (A2); preprocessing handles the shortcut")
-        if sorted(self.permutation) != list(range(n)):
+        if sorted(permutation) != list(range(n)):
             raise InputError("permutation must be a permutation of range(n)")
+        probs = tuple([Fraction(k * gn, gd) for k in units])
+        for name, value in zip(self.__slots__, (probs, theta, epsilon, delta, permutation, tuple(units))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.probs)
+        return len(self.units)
 
     @cached_property
     def grid(self) -> Fraction:
-        return self.epsilon / (4 * self.n)
+        return Fraction(self.epsilon.numerator, 4 * self.n * self.epsilon.denominator)
 
     @cached_property
     def gamma(self) -> Fraction:
@@ -160,7 +165,7 @@ class ProblemInstance(Record):
 
     def to_original_order(self, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a sorted-order weight vector, or a prefix of one, to the caller's order (zeros past it)."""
-        out = [Fraction(0)] * self.n
+        out = [_ZERO] * self.n
         for slot, w in zip(self.permutation, weights):
             out[slot] = w
         return tuple(out)
@@ -178,10 +183,8 @@ class TrivialSolution(Record):
         reason: str,  # "theta_zero" | "theta_one" | "high_prob_shortcut" | "below_grid_shortcut"
         eps_optimal: bool,
     ):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "eps_optimal", eps_optimal)
+        for name, value in zip(self.__slots__, (weights, objective, reason, eps_optimal)):
+            object.__setattr__(self, name, value)
 
 
 class PreprocessResult(Record):
@@ -196,17 +199,21 @@ class PreprocessResult(Record):
         return self.shortcut is not None
 
 
-def round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
-    """Round down to the grid; values landing at 0 are clamped up one unit.
+def _grid_units(ratios, gn: int, gd: int) -> list[int]:
+    """floor(p / grid), clamped up to 1, for each p = a/b >= 0 and grid = gn/gd: (a gd) // (b gn) or 1."""
+    return [a * gd // (b * gn) or 1 for a, b in ratios]
 
-    floor(p / grid) for p = a/b and grid = gn/gd is (a gd) // (b gn).
-    """
-    gn, gd = grid.numerator, grid.denominator
-    return Fraction(gn * max(p.numerator * gd // (p.denominator * gn), 1), gd)
+
+def round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
+    """Round down to the grid, clamping 0 up one unit: preprocess's rounding, on one Fraction."""
+    (k,) = _grid_units([(p.numerator, p.denominator)], grid.numerator, grid.denominator)
+    return Fraction(grid.numerator * k, grid.denominator)
 
 
 def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
     """Validate, sort, and round an instance; or return a trivial solution.
+
+    On integer ratios (module docstring), with the instance format's float rule.
 
     Shortcuts: theta=0 (any unit vector wins with probability 1), theta=1
     (all weight on the most reliable node), max p >= 1-eps (unit weight
@@ -227,65 +234,57 @@ def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:
     if not 0 < delta.numerator < delta.denominator:
         raise InputError(f"delta={delta} outside (0,1)")
 
-    probs = [to_fraction(p, limit_denominator=True) for p in p_raw]
-    for i, p in enumerate(probs):
-        if not 0 <= p.numerator <= p.denominator:
-            raise InputError(f"p[{i}]={p} outside [0,1]")
+    ratios = [to_ratio(p, limit_denominator=True) for p in p_raw]
+    for i, (a, b) in enumerate(ratios):
+        if not 0 <= a <= b:
+            raise InputError(f"p[{i}]={Fraction(a, b)} outside [0,1]")
 
-    n = len(probs)
+    n = len(ratios)
     # A1: descending p, sorted on the integers M p (M the lcm of the denominators);
     # reverse=True keeps the sort stable, so equal probabilities stay in index
     # order, as with the key (-p, i), and order[0] is the first most probable node.
-    M = math.lcm(*(p.denominator for p in probs))
-    order = sorted(range(n), key=[p.numerator * (M // p.denominator) for p in probs].__getitem__, reverse=True)
+    M = math.lcm(*(b for _, b in ratios))
+    order = sorted(range(n), key=[a * (M // b) for a, b in ratios].__getitem__, reverse=True)
     best = order[0]
 
-    def unit(index: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if i == index else Fraction(0) for i in range(n))
+    def unit(index: int, objective: Fraction, reason: str, eps_optimal: bool) -> PreprocessResult:
+        weights = (_ZERO,) * index + (_ONE,) + (_ZERO,) * (n - 1 - index)
+        return PreprocessResult(shortcut=TrivialSolution(weights, objective, reason, eps_optimal))
 
-    if theta == 0:
-        return PreprocessResult(shortcut=TrivialSolution(unit(0), Fraction(1), "theta_zero", False))
-    if theta == 1:
+    if theta.numerator == 0:
+        return unit(0, _ONE, "theta_zero", False)
+    a, b = ratios[best]
+    if theta.numerator == theta.denominator:
         # w.X >= 1 with ||w||_1 <= 1 forces all weight on one surviving node.
-        return PreprocessResult(
-            shortcut=TrivialSolution(unit(best), probs[best], "theta_one", False)
-        )
+        return unit(best, Fraction(a, b), "theta_one", False)
     e_n, e_d = epsilon.numerator, epsilon.denominator  # p = a/b >= 1 - eps iff a e_d >= (e_d - e_n) b
-    if probs[best].numerator * e_d >= (e_d - e_n) * probs[best].denominator:
-        return PreprocessResult(
-            shortcut=TrivialSolution(unit(best), probs[best], "high_prob_shortcut", True)
-        )
+    if a * e_d >= (e_d - e_n) * b:
+        return unit(best, Fraction(a, b), "high_prob_shortcut", True)
     # eps/(4n) >= 1 - eps as e_n >= 4n (e_d - e_n): every p is now below one
     # grid unit, and the clamp would lift p_1 to 1 - eps or more (A2)
     if e_n >= 4 * n * (e_d - e_n):
-        return PreprocessResult(
-            shortcut=TrivialSolution(unit(best), probs[best], "below_grid_shortcut", True)
-        )
+        return unit(best, Fraction(a, b), "below_grid_shortcut", True)
 
-    grid = epsilon / (4 * n)
-    rounded = tuple(round_to_grid(probs[i], grid) for i in order)
-    instance = ProblemInstance(
-        probs=rounded,
-        theta=theta,
-        epsilon=epsilon,
-        delta=delta,
-        permutation=tuple(order),
-    )
+    instance = ProblemInstance.__new__(ProblemInstance)  # __init__ less what was converted and checked above
+    units = _grid_units(ratios, e_n, 4 * n * e_d)
+    instance._set(list(map(units.__getitem__, order)), theta, epsilon, delta, tuple(order))
     return PreprocessResult(instance=instance)
 
 
 def compute_gamma(instance: ProblemInstance) -> Fraction:
-    """gamma = min(p_n, 1 - p_1): distance of the instance from {0,1}."""
-    return min(instance.probs[-1], 1 - instance.probs[0])
+    """gamma = min(p_n, 1 - p_1): distance of the instance from {0,1}, on the
+    grid units: p_i = u_i gn/gd and 1 - p_1 = (gd - u_1 gn)/gd."""
+    gn, gd = instance.epsilon.numerator, 4 * instance.n * instance.epsilon.denominator
+    return Fraction(min(instance.units[-1] * gn, gd - instance.units[0] * gn), gd)
 
 
 def L_formula(epsilon: Fraction, gamma: Fraction, c_L: Fraction = Fraction(1)) -> int:
     """ceil(c_L / (eps^2 gamma^3) * ln(1/(eps gamma)) * ln(1/eps)), natural logs, in floats;
     where a float leaves its range, on the exact prefactor and logs of integers."""
-    try:
-        eps = float(epsilon)
-        gam = float(gamma)
-        raw = float(c_L) / (eps * eps * gam * gam) / gam
+    try:  # a / b is float(a/b), correctly rounded, without Fraction.__float__
+        eps = epsilon.numerator / epsilon.denominator
+        gam = gamma.numerator / gamma.denominator
+        raw = c_L.numerator / c_L.denominator / (eps * eps * gam * gam) / gam
         raw *= math.log(1.0 / (eps * gam)) * math.log(1.0 / eps)
         return max(1, math.ceil(raw))
     except (OverflowError, ZeroDivisionError):

@@ -137,8 +137,8 @@ class SolveReport(Record):
             "format": "storalloc-report-v1",
             "provenance": self.provenance,
             "reason": self.reason,
-            "chosen_weights": [frac_str(w) for w in self.chosen_weights],
-            "chosen_weights_float": [float(w) for w in self.chosen_weights],
+            "chosen_weights": [frac_str(w) if w else "0" for w in self.chosen_weights],
+            "chosen_weights_float": [float(w) if w else 0.0 for w in self.chosen_weights],
             "estimate_value": frac_str(self.estimate.value),
             "estimate_value_float": float(self.estimate.value),
             "estimate_kind": self.estimate.kind,
@@ -169,8 +169,9 @@ class SolveReport(Record):
 
 def selection_sample_size(epsilon: Fraction, delta: Fraction, pool_size: int, mc_constant: Fraction) -> int:
     """m of the module docstring, by core.L_formula's rule for floats out of range."""
-    try:
-        raw = float(mc_constant) / float(epsilon) ** 2 * math.log(max(pool_size, 1) / float(delta))
+    try:  # a / b is float(a/b), correctly rounded, as in core.L_formula
+        eps, dlt = epsilon.numerator / epsilon.denominator, delta.numerator / delta.denominator
+        raw = mc_constant.numerator / mc_constant.denominator / eps**2 * math.log(max(pool_size, 1) / dlt)
         return max(1, math.ceil(raw))
     except (OverflowError, ZeroDivisionError):
         log = math.log(max(pool_size, 1) * delta.denominator) - math.log(delta.numerator)
@@ -207,7 +208,7 @@ def shared_mc_estimates(
 
 def _check_feasible(weights: Sequence[Fraction]):
     d, scaled = lcm_scaled(weights)  # sum(w) <= 1 iff sum(d w) <= d
-    if any(v < 0 for v in scaled) or sum(scaled) > d:
+    if min(scaled, default=0) < 0 or sum(scaled) > d:
         raise AssertionError(f"case solver produced an infeasible candidate: {weights}")
 
 
@@ -245,10 +246,13 @@ def solve(
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     config = config or SolverConfig()
+    t0 = time.perf_counter()
     pre = preprocess(p_raw, theta, epsilon, delta)
-    if pre.is_trivial:
-        return _trivial_report(pre.shortcut, len(p_raw), theta, epsilon, delta, config)
-    return solve_instance(pre.instance, config)
+    preprocess_s = time.perf_counter() - t0
+    report = (_trivial_report(pre.shortcut, len(p_raw), theta, epsilon, delta, config) if pre.is_trivial
+              else solve_instance(pre.instance, config))
+    report.timings["preprocess_s"] = preprocess_s
+    return report
 
 
 def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = None) -> SolveReport:

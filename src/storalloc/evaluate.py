@@ -93,7 +93,7 @@ class ObjectiveEstimate(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "seed", seed)
-        if not 0 <= self.value <= 1:
+        if not 0 <= value.numerator <= value.denominator:  # a/b in [0, 1], b > 0
             raise InputError(f"objective value {self.value} outside [0,1]")
         if self.kind == "monte_carlo":
             if self.m < 1:
@@ -403,11 +403,10 @@ def mc_hit_counts(
     with zeros (the draws span all of probs).  All vectors are classified
     exactly on the same draws, so their counts compare draw for draw.  The
     test is the module docstring's (D w) . x >= D theta, on int64 or
-    Python ints as chosen per vector there; both groups take the same
-    path: hits = (dots >= T).sum(axis=0), blocked over vectors and rows so
-    no table set or dot block exceeds about BLOCK_BYTES.  Rows are the
-    packed draws, or, up to DIRECT_MAX_DRAWS draws within one draw block,
-    the unpacked draws, whose dots rows @ D w are subset sums too.
+    Python ints as chosen per vector there: hits = (dots >= T).sum(axis=0).
+    Up to DIRECT_MAX_DRAWS draws within one draw block, each dtype's dots are
+    one product of the unpacked draws with D w (subset sums too); otherwise
+    packed draws, blocked so no table set or dot block exceeds BLOCK_BYTES.
     """
     if m < 1:
         raise InputError("m must be >= 1")
@@ -427,19 +426,21 @@ def mc_hit_counts(
         m, "unpacked" if direct else "packed", len(scaled), narrow.count(False),
     )
     vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max((width + 7) // 8, 1)))
-    hits = np.zeros(len(scaled), dtype=np.int64)
+    hits = [0] * len(scaled)
     for dtype, fits in ((np.int64, True), (object, False)):
         group = [i for i, ok in enumerate(narrow) if ok == fits]
-        for start in range(0, len(group), vectors_per_block):
-            block = group[start:start + vectors_per_block]
+        size = max(len(group), 1) if direct else vectors_per_block
+        for block in (group[start:start + size] for start in range(0, len(group), size)):
             columns = np.array([scaled[i][0] for i in block], dtype=dtype).T
-            tables = columns if direct else _byte_tables(columns)
             T = np.array([scaled[i][1] for i in block], dtype=dtype)
-            step = max(1, BLOCK_BYTES // (8 * len(block)))
-            for r in range(0, m, step):
-                dots = rows[r:r + step] @ tables if direct else _byte_dots(tables, rows[r:r + step])
-                hits[block] += (dots >= T).sum(axis=0)
-    return hits.tolist()
+            if direct:
+                counts = ((rows @ columns) >= T).sum(axis=0)
+            else:
+                tables, step = _byte_tables(columns), max(1, BLOCK_BYTES // (8 * len(block)))
+                counts = sum((_byte_dots(tables, rows[r:r + step]) >= T).sum(axis=0) for r in range(0, m, step))
+            for i, count in zip(block, counts.tolist()):
+                hits[i] = count
+    return hits
 
 
 def mc_estimate_probs(

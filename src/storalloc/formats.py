@@ -7,7 +7,7 @@ Instance files are JSON objects
 
 where any number may be given as a float or an exact "a/b" string.
 Rational strings are preserved exactly; floats are snapped to the nearest
-rational with denominator <= 10^6 before preprocessing.
+rational with denominator <= 10^6 (util.to_ratio).  Files are UTF-8.
 
 Bench results can be emitted as JSON or TSV; the TSV column set is fixed
 (one row per instance) with empty oracle cells where n is out of oracle
@@ -25,44 +25,30 @@ from .errors import InputError
 from .util import frac_str, to_fraction
 
 
-def parse_instance_dict(data: dict) -> tuple[list[Fraction], Fraction, Fraction, Fraction]:
-    try:
-        probs_raw = data["probs"]
-        theta = data["theta"]
-        epsilon = data["epsilon"]
-        delta = data["delta"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"instance file missing field: {exc}") from exc
-    if not isinstance(probs_raw, list) or not probs_raw:
-        raise InputError("probs must be a non-empty list")
-    probs = [to_fraction(p, limit_denominator=True) for p in probs_raw]
-    return (probs, *(to_fraction(v, limit_denominator=True) for v in (theta, epsilon, delta)))
-
-
 def load_instance(path) -> tuple[list[Fraction], Fraction, Fraction, Fraction]:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InputError(f"instance file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_instance_dict(data)
+    try:
+        probs, *parameters = (data[key] for key in ("probs", "theta", "epsilon", "delta"))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"instance file missing field: {exc}") from exc
+    if not isinstance(probs, list) or not probs:
+        raise InputError("probs must be a non-empty list")
+    return ([to_fraction(p, limit_denominator=True) for p in probs],
+            *(to_fraction(v, limit_denominator=True) for v in parameters))
 
 
 def save_instance(path, probs: Sequence, theta, epsilon, delta) -> None:
-    data = {
-        "probs": [_number(p) for p in probs],
-        "theta": _number(theta),
-        "epsilon": _number(epsilon),
-        "delta": _number(delta),
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    def number(v):  # a Fraction as its "a/b" string
+        return frac_str(v) if isinstance(v, Fraction) else v
 
-
-def _number(v):
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    return v
+    data = {"probs": [number(p) for p in probs]}
+    data.update(theta=number(theta), epsilon=number(epsilon), delta=number(delta))
+    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def parse_weights(text: str, n: int) -> list[Fraction]:

@@ -206,7 +206,7 @@ def find_optimal_junta(req: JuntaRequest) -> JuntaResult:
         return JuntaResult((_ZERO,) * L, Fraction(1), 0)
     D, scores, order = _scan_order(req.head_probs)
     lhs, rhs = tau_n * W.denominator, W.numerator * tau_d  # denominators are positive
-    for examined, i in enumerate(order, 1):
+    for examined, i in enumerate(order.tolist(), 1):
         if margin_admits(i, L, lhs, rhs):
             e, *c = _load_table(L)[3][i].tolist()
             weights = tuple([Fraction(tau_n * x, tau_d * e) if x else _ZERO for x in c])

@@ -214,27 +214,28 @@ def dominance_front(points: Sequence[tuple[Fraction, int]]) -> list[int]:
 
 
 @lru_cache(maxsize=16)
-def _skip_log_bound(epsilon: Fraction) -> Fraction:
-    """ln_lower(200/eps), the right side of zero_tail_dominates."""
-    return ln_lower(200 / epsilon)
+def _skip_log_bound(eps_num: int, eps_den: int) -> Fraction:
+    """ln_lower(200/eps), eps = eps_num/eps_den, for zero_tail_dominates (ints hash fast)."""
+    return ln_lower(Fraction(200 * eps_den, eps_num))
 
 
 def zero_tail_dominates(instance: ProblemInstance, L: int, kappa: Fraction) -> bool:
     """The closed-form test that no triple has tau < theta (module docstring).
 
     With p_i = u_i gn/gd (grid units), sum p_i^2 <= ln_n/ln_d is
-    sum u_i^2 gn^2 ln_d <= ln_n gd^2, all integers.
+    sum u_i^2 gn^2 ln_d <= ln_n gd^2, all integers, in any terms of eps/(4n) = gn/gd.
     """
     slots = live_slots(instance, L, kappa)
-    grid, bound = instance.grid, _skip_log_bound(instance.epsilon)
-    lhs = sum(u * u for u in instance.units[L : L + slots]) * grid.numerator**2 * bound.denominator
-    return lhs <= bound.numerator * grid.denominator**2
+    gn, gd = instance.epsilon.numerator, 4 * instance.n * instance.epsilon.denominator
+    bound = _skip_log_bound(gn, instance.epsilon.denominator)
+    lhs = sum(u * u for u in instance.units[L : L + slots]) * gn**2 * bound.denominator
+    return lhs <= bound.numerator * gd**2
 
 
 def _complete(
     instance: ProblemInstance, L: int, kappa: Fraction, triple: TailTriple, tau: Fraction
 ) -> LargeCICandidate:
-    budget = 1 - triple.C * kappa
+    budget = Fraction(kappa.denominator - triple.C * kappa.numerator, kappa.denominator)  # 1 - C kappa
     head = find_optimal_junta(JuntaRequest(instance.probs[:L], tau, budget))
     tail = [Fraction(0)] * live_slots(instance, L, kappa)
     for t, j in triple.path:
@@ -271,7 +272,7 @@ def find_near_opt_large_ci(
     if not 1 <= L < instance.n:
         raise InputError("case 2 needs 1 <= L < n")
     kappa = to_fraction(kappa)
-    if not 0 < kappa <= 1:
+    if not 0 < kappa.numerator <= kappa.denominator:  # kappa in (0, 1], denominators positive
         raise InputError("kappa must lie in (0,1]")
     if zero_tail_dominates(instance, L, kappa):
         return [_complete(instance, L, kappa, TailTriple(0, 0, 0, ()), instance.theta)]

@@ -60,7 +60,8 @@ def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstan
 
 def regularity_eps(instance: ProblemInstance) -> Fraction:
     """eps' = eps gamma / 100, the regularity parameter of Case 3."""
-    return instance.epsilon * instance.gamma / 100
+    eps, gamma = instance.epsilon, instance.gamma
+    return Fraction(eps.numerator * gamma.numerator, 100 * eps.denominator * gamma.denominator)
 
 
 def no_regular_tail(eps_prime: Fraction, kappa: Fraction, slots: int) -> bool:

@@ -1,8 +1,9 @@
 """Small shared helpers: the Record base, rational conversions, directed
 rounding, RNG derivation.
 
-Everything that needs to stay exact is a Fraction; the only deliberate float
-crossings are the logarithms (bounded above explicitly) and reporting.
+Everything that needs to stay exact is a Fraction or an integer ratio; the
+only deliberate float crossings are the logarithms (bounded above
+explicitly) and reporting.
 """
 
 from __future__ import annotations
@@ -66,42 +67,46 @@ class Record:
         return type(self), self._values()
 
 
-def to_fraction(value, limit_denominator: bool = False) -> Fraction:
-    """Convert int/float/str/Fraction, or a numpy integer or float scalar, to Fraction.
+def to_ratio(value, limit_denominator: bool = False) -> tuple[int, int]:
+    """(numerator, denominator) of the Fraction of an int, float, str or
+    Fraction, or of a numpy integer or float scalar: lowest terms, b > 0.
 
     Strings accept "a/b" and decimal literals and are exact.  Floats are
     exact by default (every float is a dyadic rational); pass
     ``limit_denominator=True`` for file inputs, per the instance format,
-    which gives Fraction(value).limit_denominator(FLOAT_DENOMINATOR_LIMIT).
-    A numpy float must convert to a Python float exactly.  Booleans,
-    numpy's included, are refused.
+    for Fraction(value).limit_denominator(FLOAT_DENOMINATOR_LIMIT).  A numpy
+    float must convert to a Python float exactly.  Booleans are refused.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        raise InputError(f"expected a number, got bool {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, np.integer):
-        return Fraction(operator.index(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational from {value!r}") from exc
-    if isinstance(value, np.floating) and not isinstance(value, float):
-        as_float = float(value)
-        if math.isfinite(as_float) and as_float != value:
-            raise InputError(f"{type(value).__name__} {value!r} is not exactly a float")
-        value = as_float
-    if isinstance(value, float):
+    if isinstance(value, float):  # numpy float64 included
         if not math.isfinite(value):
             raise InputError(f"non-finite number {value!r}")
         num, den = value.as_integer_ratio()
-        if limit_denominator:
-            return limit_ratio(num, den, FLOAT_DENOMINATOR_LIMIT)
-        return Fraction(num, den)
+        return limit_ratio(num, den, FLOAT_DENOMINATOR_LIMIT) if limit_denominator else (num, den)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, (bool, np.bool_)):
+        raise InputError(f"expected a number, got bool {value!r}")
+    if isinstance(value, (int, np.integer)):
+        return operator.index(value), 1
+    if isinstance(value, str):
+        try:
+            q = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse rational from {value!r}") from exc
+        return q.numerator, q.denominator
+    if isinstance(value, np.floating):
+        as_float = float(value)
+        if math.isfinite(as_float) and as_float != value:
+            raise InputError(f"{type(value).__name__} {value!r} is not exactly a float")
+        return to_ratio(as_float, limit_denominator)
     raise InputError(f"cannot convert {type(value).__name__} to rational")
+
+
+def to_fraction(value, limit_denominator: bool = False) -> Fraction:
+    """to_ratio(value, limit_denominator) as a Fraction; a Fraction is returned as is."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*to_ratio(value, limit_denominator))
 
 
 def to_int(value, name: str) -> int:
@@ -111,8 +116,8 @@ def to_int(value, name: str) -> int:
     return operator.index(value)
 
 
-def limit_ratio(num: int, den: int, limit: int) -> Fraction:
-    """Fraction(num, den).limit_denominator(limit), for den > 0.
+def limit_ratio(num: int, den: int, limit: int) -> tuple[int, int]:
+    """Fraction(num, den).limit_denominator(limit) as a ratio, for num/den in lowest terms, den > 0.
 
     Fast path: let r = k/limit be num/den rounded to a multiple of
     1/limit.  Any other c/d with d <= limit is at least 1/limit^2 from r,
@@ -121,11 +126,13 @@ def limit_ratio(num: int, den: int, limit: int) -> Fraction:
     anything else goes to the standard library.
     """
     if den <= limit:
-        return Fraction(num, den)
+        return num, den
     k = (2 * num * limit + den) // (2 * den)
     if 2 * limit * abs(num * limit - k * den) < den:
-        return Fraction(k, limit)
-    return Fraction(num, den).limit_denominator(limit)
+        g = math.gcd(k, limit)
+        return k // g, limit // g
+    q = Fraction(num, den).limit_denominator(limit)
+    return q.numerator, q.denominator
 
 
 def lcm_scaled(values) -> tuple[int, list[int]]:
@@ -136,8 +143,8 @@ def lcm_scaled(values) -> tuple[int, list[int]]:
 
 def frac_str(q: Fraction) -> str:
     """Render a Fraction as the canonical "a/b" (or "a") string."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num, den = to_ratio(q)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def isqrt_ceil(n: int) -> int:

@@ -11,7 +11,8 @@ the LP junta scan solves one feasibility LP per event set, the uniform
 split reference evaluates each k-split from scratch, the Fraction
 junta scan tests tau <= W v(S) on rationals, grid rounding divides
 Fractions, the A1 order, gamma and the Case-3 regular-tail verdict are
-taken on Fractions, the Case-2
+taken on Fractions, preprocessing converts, checks, sorts and rounds one
+Fraction at a time through the standard library, the Case-2
 tail reference keeps every reachable triple, and the
 exhaustive best-head search certifies every nested chain by its LP and
 scores every witness by Fraction event probabilities, the set sums and
@@ -40,7 +41,8 @@ import pytest
 import storalloc
 from storalloc import junta
 from storalloc.baselines import UniformSplitResult
-from storalloc.core import ProblemInstance
+from storalloc.core import ProblemInstance, TrivialSolution
+from storalloc.errors import InputError
 from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
 from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
 from storalloc.junta import JuntaRequest, JuntaResult
@@ -211,6 +213,56 @@ def fraction_sort_order(probs) -> list[int]:
 def fraction_gamma(probs) -> Fraction:
     """core.compute_gamma on a sorted probability tuple: min(p_n, 1 - p_1)."""
     return min(Fraction(probs[-1]), 1 - Fraction(probs[0]))
+
+
+def fraction_value(value) -> Fraction:
+    """A probability or parameter as the instance format reads it, by the
+    standard library alone: a float (numpy's float64 included) is snapped
+    by Fraction.limit_denominator(10^6); anything else is exact."""
+    if isinstance(value, float):
+        return Fraction(value).limit_denominator(10**6)
+    return Fraction(int(value) if isinstance(value, np.integer) else value)
+
+
+def fraction_preprocess(p_raw, theta, epsilon, delta):
+    """core.preprocess one Fraction at a time, as it was before its integer
+    path: the same checks, messages, order, shortcuts and rounding.
+
+    Returns the shortcut's TrivialSolution, or the instance's
+    (probs, units, permutation, theta, epsilon, delta, gamma)."""
+    if len(p_raw) == 0:
+        raise InputError("empty probability vector")
+    theta, epsilon, delta = map(fraction_value, (theta, epsilon, delta))
+    if not 0 <= theta <= 1:
+        raise InputError(f"theta={theta} outside [0,1]")
+    if not 0 < epsilon < 1:
+        raise InputError(f"epsilon={epsilon} outside (0,1)")
+    if not 0 < delta < 1:
+        raise InputError(f"delta={delta} outside (0,1)")
+    probs = [fraction_value(p) for p in p_raw]
+    for i, p in enumerate(probs):
+        if not 0 <= p <= 1:
+            raise InputError(f"p[{i}]={p} outside [0,1]")
+    n = len(probs)
+    order = fraction_sort_order(probs)
+    best = order[0]
+
+    def unit(index, objective, reason, eps_optimal):
+        weights = tuple(Fraction(int(i == index)) for i in range(n))
+        return TrivialSolution(weights, objective, reason, eps_optimal)
+
+    grid = epsilon / (4 * n)
+    if theta == 0:
+        return unit(0, Fraction(1), "theta_zero", False)
+    if theta == 1:
+        return unit(best, probs[best], "theta_one", False)
+    if probs[best] >= 1 - epsilon:
+        return unit(best, probs[best], "high_prob_shortcut", True)
+    if grid >= 1 - epsilon:
+        return unit(best, probs[best], "below_grid_shortcut", True)
+    rounded = tuple(fraction_round_to_grid(probs[i], grid) for i in order)
+    units = tuple(int(p / grid) for p in rounded)
+    return rounded, units, tuple(order), theta, epsilon, delta, fraction_gamma(rounded)
 
 
 def fraction_no_regular_tail(eps_prime: Fraction, kappa: Fraction, n: int, K: int) -> bool:

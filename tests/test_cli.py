@@ -53,6 +53,22 @@ class TestFormats:
         with pytest.raises(InputError):
             load_instance(path)
 
+    def test_saved_instance_bytes(self, tmp_path):
+        # fields in the format's order; a Fraction as its "a/b" string, other numbers as given
+        path = tmp_path / "saved.json"
+        save_instance(path, [F(1, 3), 0.5], F(1, 2), 0.25, "1/20")
+        expected = '{\n  "probs": [\n    "1/3",\n    0.5\n  ],\n  "theta": "1/2",\n  "epsilon": 0.25,\n  "delta": "1/20"\n}\n'
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("probs", ["[]", "0.5", '"1/2"', "{}"])
+    def test_probs_must_be_a_non_empty_list(self, tmp_path, probs):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"probs": {probs}, "theta": 0.5, "epsilon": 0.25, "delta": 0.05}}', encoding="utf-8")
+        from storalloc.errors import InputError
+
+        with pytest.raises(InputError, match="probs must be a non-empty list"):
+            load_instance(path)
+
     def test_parse_weights(self):
         from fractions import Fraction as F
 
@@ -357,6 +373,23 @@ class TestDeterminismBytes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["best_k"] >= 1
+
+
+def test_files_are_utf8_under_encoding_warnings(tmp_path):
+    # instance and report files are JSON, so UTF-8 whatever the locale:
+    # with default-encoding warnings raised as errors, a file opened
+    # without an encoding makes the command exit 1
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "storalloc.cli"]
+    inst, report = tmp_path / "gen.json", tmp_path / "report.json"
+    for args in (
+        ["gen", "--n", "4", "--seed", "1", "--out", inst],
+        ["solve", inst, "--mode", "practical", "--kappa", "1/8", "--l-cap", "2", "--out", report],
+        ["eval", inst, "--weights", "1/2,1/2,0,0"],
+    ):
+        proc = subprocess.run([*strict, *map(str, args)], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text(encoding="utf-8"))["n"] == 4
+    assert 0 < float(json.loads(proc.stdout)["exact_objective_float"]) <= 1
 
 
 class TestColdOracle:

@@ -1,18 +1,20 @@
 import json
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storalloc.core import (
     L_formula,
     ProblemInstance,
     SolverConfig,
+    TrivialSolution,
     compute_L,
     compute_gamma,
     preprocess,
@@ -23,7 +25,13 @@ from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import MAX_K
 from storalloc.util import to_fraction
 
-from conftest import fraction_gamma, fraction_round_to_grid, fraction_sort_order, granular_instance
+from conftest import (
+    fraction_gamma,
+    fraction_preprocess,
+    fraction_round_to_grid,
+    fraction_sort_order,
+    granular_instance,
+)
 from lemmas import critical_index, is_regular
 
 
@@ -165,6 +173,7 @@ def test_integer_rounding_matches_fraction_formula(p, eps, n):
         ((F(1, 2), F(0)), "not a positive multiple"),
         ((F(1, 2), F(-1, 80)), "not a positive multiple"),
         ((F(1, 4), F(1, 2)), "sorted non-increasing"),
+        ((F(3, 5), F(1, 2)), "p_1 must be < 1 - eps"),  # 12 units of 1/20 is 1 - eps exactly
     ],
 )
 def test_granularity_and_order_checked_on_units(probs, message):
@@ -188,6 +197,19 @@ def test_float_fields_convert_exactly():
         ProblemInstance((0.3, 0.25), F(1, 2), F(1, 10), F(1, 20), (0, 1))
     with pytest.raises(InputError, match="not a positive multiple .*=1/80$"):  # no float, no hint
         ProblemInstance((F(1, 3), F(1, 4)), F(1, 2), F(1, 10), F(1, 20), (0, 1))
+
+
+@pytest.mark.parametrize("field", ["theta", "epsilon", "delta"])
+def test_parameters_refused_at_their_bounds(field):
+    # the public constructor checks theta, epsilon and delta itself, on
+    # their integer ratios: 0 and 1 are out, and a value just inside is in
+    args = dict(probs=(F(1, 2), F(1, 4)), theta=F(1, 2), epsilon=F(1, 4), delta=F(1, 20), permutation=(0, 1))
+    message = "0 < theta < 1" if field == "theta" else "must lie in \\(0,1\\)"
+    for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
+        with pytest.raises(InputError, match=message):
+            ProblemInstance(**{**args, field: bad})
+    for good in (F(1, 10**6), F(10**6 - 1, 10**6)) if field != "epsilon" else (F(1, 10**6), F(2, 5)):
+        assert getattr(ProblemInstance(**{**args, field: good}), field) == good
 
 
 @pytest.mark.parametrize("field", ["probs", "theta", "epsilon", "delta"])
@@ -383,6 +405,13 @@ class TestDerivedParameters:
             with pytest.raises(InputError, match="kappa_override"):
                 SolverConfig(mode="practical", kappa_override=kappa)
 
+    @pytest.mark.parametrize("field", ["c_L", "mc_constant"])
+    def test_constants_must_be_positive(self, field):
+        assert getattr(SolverConfig(**{field: F(1, 10**9)}), field) == F(1, 10**9)
+        for bad in (F(0), F(-1, 2)):
+            with pytest.raises(InputError, match="must be positive"):
+                SolverConfig(**{field: bad})
+
 
 class TestRegularity:
     def test_critical_index_examples(self):
@@ -436,3 +465,91 @@ class TestRegularity:
     def test_unsorted_weights_rejected(self):
         with pytest.raises(InputError):
             critical_index([1, 2], 1)
+
+
+@st.composite
+def raw_numbers(draw, bases):
+    """One of the bases (mostly in [0, 1]) as a caller may write it: a float
+    of at most six decimals, which snaps back to it, or of more, which the
+    library snaps; an "a/b" or decimal string; a Fraction; a numpy float64
+    or, for 0 and 1, an int64 or int."""
+    q = draw(st.sampled_from(bases))
+    forms = ["float", "ratio", "fraction", "float64", "long float"]
+    if q.denominator in (1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 1000):
+        forms.append("decimal")
+    if q.denominator == 1:
+        forms += ["int64", "int"]
+    form = draw(st.sampled_from(forms))
+    if form == "float":
+        return float(q)
+    if form == "long float":  # nine decimals, or any float near q: limit_denominator's fallback
+        return draw(st.sampled_from([float(q) + draw(st.integers(-999, 999)) * 1e-9, float(q) * (1 + 2**-40)]))
+    if form == "ratio":
+        scale = draw(st.sampled_from([1, 3, 10**9 + 7]))
+        return f"{q.numerator * scale}/{q.denominator * scale}"
+    if form == "decimal":
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    if form == "float64":
+        return np.float64(float(q))
+    if form == "int64":
+        return np.int64(q.numerator)
+    if form == "int":
+        return q.numerator
+    return q
+
+
+@st.composite
+def preprocess_inputs(draw):
+    """Raw preprocess inputs with many ties and, now and then, an
+    out-of-range probability or parameter."""
+    den = draw(st.sampled_from([2, 5, 8, 10, 97, 1000, 10**6, 10**7 + 19]))
+    top = draw(st.sampled_from([den, den // 2, (9 * den) // 10]))
+    bases = [F(k, den) for k in draw(st.lists(st.integers(0, top), min_size=1, max_size=4))]
+    if draw(st.integers(0, 9)) == 0:
+        bases.append(draw(st.sampled_from([F(-1, 10), F(11, 10), F(3, 2)])))
+    n = draw(st.integers(1, 12))
+    p_raw = [draw(raw_numbers(bases)) for _ in range(n)]
+    # in-range values first and most often; the shortcuts' and the refusals' later
+    thetas = [F(k, 20) for k in range(1, 20)] + [F(0), F(1), F(-1, 20), F(21, 20)]
+    epsilons = [F(1, 10), F(1, 4), F(2, 5), F(1, 20), F(3, 10), F(1, 10**6), F(9, 10), F(0), F(1), F(6, 5)]
+    deltas = [F(1, 20), F(1, 2), F(1, 10), F(3, 4), F(1, 10**9), F(0), F(1)]
+    theta = draw(raw_numbers(thetas))
+    epsilon = draw(raw_numbers(epsilons))
+    delta = draw(raw_numbers(deltas))
+    return p_raw, theta, epsilon, delta
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(preprocess_inputs())
+@example(([], 0.5, 0.25, 0.05))
+@example(([0.3, "7/10", F(3, 10), np.float64(0.3), 0.123456789], "3/5", 0.1, np.float64(0.05)))
+@example(([np.int64(1), 0.2], 0.5, 0.25, 0.05))
+@example(([0.2, 1.5], 0.5, 0.25, 0.05))
+@example(([0.01, "1/50"], 0.5, 0.9, 0.05))
+def test_integer_preprocess_matches_the_fraction_oracle(case):
+    # the integer path gives the Fraction path's instance or shortcut, and
+    # refuses what it refuses with the same text
+    p_raw, theta, epsilon, delta = case
+    try:
+        expected = fraction_preprocess(p_raw, theta, epsilon, delta)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            preprocess(p_raw, theta, epsilon, delta)
+        assert str(got.value) == str(exc)
+        return
+    res = preprocess(p_raw, theta, epsilon, delta)
+    if isinstance(expected, TrivialSolution):
+        assert res.shortcut == expected
+        assert all(type(q) is F for q in (*res.shortcut.weights, res.shortcut.objective))
+        return
+    inst = res.instance
+    assert (inst.probs, inst.units, inst.permutation, inst.theta, inst.epsilon, inst.delta, inst.gamma) == expected
+    assert all(type(q) is F for q in (*inst.probs, inst.theta, inst.epsilon, inst.delta, inst.gamma))
+    assert all(type(u) is int for u in inst.units)
+    # the public constructor on the same Fractions gives an equal instance
+    probs, _, permutation, *parameters, _ = expected
+    direct = ProblemInstance(probs, *parameters, permutation)
+    assert direct == inst and hash(direct) == hash(inst) and repr(direct) == repr(inst)
+    assert direct.units == inst.units and direct.gamma == inst.gamma
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == direct and hash(copy) == hash(direct) and copy.units == inst.units

@@ -67,7 +67,11 @@ class TestSolve:
         assert len(data["chosen_weights"]) == 3
         assert "timings" not in data
         timed = json.loads(rep.to_json(include_timings=True))
-        assert "timings" in timed
+        phases = ("junta_s", "small_ci_s", "large_ci_s", "selection_s", "exact_eval_s", "preprocess_s")
+        assert set(timed["timings"]) == set(phases) and all(timed["timings"][k] >= 0 for k in phases)
+        # a shortcut times its preprocessing alone
+        trivial = solve([0.9, 0.8], 0, 0.1, 0.1, cfg)
+        assert set(trivial.timings) == {"preprocess_s"} and "timings" not in json.loads(trivial.to_json())
         # weights come back in caller order and stay feasible
         w = [F(s) for s in data["chosen_weights"]]
         assert sum(w) <= 1 and all(x >= 0 for x in w)

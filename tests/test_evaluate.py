@@ -524,8 +524,12 @@ def mc_cases(draw):
 
 
 HALVES = [F(1, 2)] * 3
+# each p_i is exactly the first draw's u_i, and X_i = [u_i < p_i] is 0: at
+# theta = 1 that draw is no hit, and a <= in the sampler's comparison would hit
+AT_FIRST_DRAW = [F(u) for u in derived_rng(7, 0).random((1, 4))[0].tolist()]
 
 
+@example((AT_FIRST_DRAW, [[F(1, 4)] * 4], F(1), 1, 7))
 @example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(0), 50, 1))  # theta <= 0: all hit
 @example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(-1, 2), 50, 1))
 @example((HALVES, [[F(1, 3)] * 3, [F(1, 2), 0, F(1, 4)]], F(1) + F(1, 1 << 40), 50, 1))  # above every sum
@@ -555,6 +559,7 @@ def test_tail_sample_matches_fraction_oracle(case):
     assert sample_tail_empirical(inst, tail, m, seed) == EmpiricalDist(values, counts, m)
 
 
+@example((AT_FIRST_DRAW, [[F(1, 4)] * 4], F(1), 1, 7))
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(mc_cases())
 def test_unpacked_classification_matches_the_packed_path(case):

@@ -25,6 +25,7 @@ from storalloc.util import (
     ln_upper,
     to_fraction,
     to_int,
+    to_ratio,
 )
 
 
@@ -46,12 +47,17 @@ def same_ratio(a: F, b: F) -> bool:
 @example(1.7976931348623157e308)
 @example(0.5 / FLOAT_DENOMINATOR_LIMIT)
 @example(1 / 3)
+@example(0.1)  # 100000/10^6 on the fast path, in lowest terms 1/10
 def test_snapped_float_is_limit_denominator(x):
     assert same_ratio(
         to_fraction(x, limit_denominator=True),
         F(x).limit_denominator(FLOAT_DENOMINATOR_LIMIT),
     )
     assert same_ratio(to_fraction(x), F(x))
+    # to_ratio gives the same ratios, in lowest terms
+    q = F(x).limit_denominator(FLOAT_DENOMINATOR_LIMIT)
+    assert to_ratio(x, limit_denominator=True) == (q.numerator, q.denominator)
+    assert to_ratio(x) == x.as_integer_ratio()
 
 
 def farey(M: int) -> list[F]:
@@ -68,7 +74,8 @@ def test_fast_path_leaves_ties_to_the_library(M, data):
     i = data.draw(st.integers(0, len(seq) - 2))
     shift = data.draw(st.integers(-3, 3))
     for x in ((seq[i] + seq[i + 1]) / 2 + shift, -((seq[i] + seq[i + 1]) / 2) + shift):
-        assert same_ratio(limit_ratio(x.numerator, x.denominator, M), x.limit_denominator(M))
+        q = x.limit_denominator(M)
+        assert limit_ratio(x.numerator, x.denominator, M) == (q.numerator, q.denominator)
 
 
 @pytest.mark.parametrize(
