@@ -4,9 +4,9 @@ The brute-force oracle is the junta solver run at full dimension: when L
 equals n there is no tail, so the junta's scan over all upward-closed
 realizable event sets is exhaustive and the result is exactly optimal;
 ``sets_examined`` is the number of sets that scan visited.  The event sets
-are the junta's committed families, which a test checks against the
-halfspace weight grid; the tests check the grid's completeness against an
-exact LP separability oracle for n <= 4 and by count and digest at n = 5.
+are the junta's committed families, which the tests check against an
+exact LP separability oracle for n <= 4, by count and digest at n = 5,
+and against the weight grid of the table's generator at every n.
 Desk scale caps the oracle at n = 4; n = 5 (3287 upward-closed sets) is
 available behind a flag.
 

@@ -35,12 +35,15 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .halfspaces import MAX_K
 from .util import Record, to_fraction, to_int, to_ratio
 
 logger = logging.getLogger(__name__)
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+# The largest head L: the committed margin table (junta module docstring)
+# holds the upward-closed families of {0,1}^k for k = 1..MAX_K.
+MAX_K = 5
 
 
 class SolverConfig(Record):
@@ -84,7 +87,7 @@ class SolverConfig(Record):
         if L_cap is not None and not 1 <= L_cap <= MAX_K:
             raise InputError(
                 f"L_cap (--l-cap) must lie in [1, {MAX_K}], the head sizes "
-                f"halfspace enumeration covers; got {L_cap}"
+                f"the committed margin table covers; got {L_cap}"
             )
         if state_space_limit < 1:
             raise InputError("state_space_limit must be positive")
@@ -202,12 +205,6 @@ class PreprocessResult(Record):
 def _grid_units(ratios, gn: int, gd: int) -> list[int]:
     """floor(p / grid), clamped up to 1, for each p = a/b >= 0 and grid = gn/gd: (a gd) // (b gn) or 1."""
     return [a * gd // (b * gn) or 1 for a, b in ratios]
-
-
-def round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
-    """Round down to the grid, clamping 0 up one unit: preprocess's rounding, on one Fraction."""
-    (k,) = _grid_units([(p.numerator, p.denominator)], grid.numerator, grid.denominator)
-    return Fraction(grid.numerator * k, grid.denominator)
 
 
 def preprocess(p_raw: Sequence, theta, epsilon, delta) -> PreprocessResult:

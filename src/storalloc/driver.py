@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
+    MAX_K,
     ProblemInstance,
     SolverConfig,
     TrivialSolution,
@@ -51,7 +52,6 @@ from .core import (
 )
 from .errors import GuardError, InputError
 from .evaluate import ObjectiveEstimate, check_draws, exact_objective_probs, mc_hit_counts
-from .halfspaces import MAX_K
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import case2_kappa, find_near_opt_large_ci
 from .small_ci import case3_kappa, case3_verdict
@@ -259,7 +259,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     """Run every case, score the pool on one shared sample, report the winner.
 
     GuardError before any case runs when the head cutoff L exceeds MAX_K,
-    the largest head the halfspace enumeration covers, or when the
+    the largest head the committed margin table covers, or when the
     selection sample for a pool of one already fails evaluate.check_draws:
     m grows with the pool, so selection would refuse it after the cases.
     """
@@ -272,8 +272,8 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     L = compute_L(instance, config)
     if L > MAX_K:
         raise GuardError(
-            f"head cutoff L={L} exceeds {MAX_K}, the largest head the halfspace "
-            f"enumeration covers; use practical mode with --l-cap",
+            f"head cutoff L={L} exceeds {MAX_K}, the largest head the committed "
+            f"margin table covers; use practical mode with --l-cap",
             estimate=L,
             limit=MAX_K,
         )

@@ -30,8 +30,10 @@ upward-closed realizable set S over {0,1}^k, in ascending mask order,
 read per k on first use.  A row is S's mask as max(1, 2^k / 4) lowercase
 hex digits (bit x = point x), then the digits (e, c_1..c_k) with
 u_S / v(S) = c / e, the LP vertex of the table's generator,
-tests/margin_table.py, which takes the masks from the halfspace weight
-grid; so no solve, oracle call or best-head search enumerates a family.
+tests/margin_table.py, which takes the masks from its integer weight
+grid.  The table is the package's one source of families: the scan,
+small_ci.find_best_head and halfspaces.enumerate_halfspace_sets read it,
+and no module enumerates one.
 Then v(S) = e / sum(c), as sum(u_S) = 1 at every maximizer with v > 0
 (else u_S / sum(u_S) raises the positive minimum).
 The full cube holds the zero point: v = 0, every u attains it, and its row
@@ -69,9 +71,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import MAX_K
 from .errors import InputError
 from .evaluate import _INT64_MAX, _byte_dots, _byte_tables
-from .halfspaces import MAX_K
 from .util import Record, to_fraction
 
 _ZERO = Fraction(0)

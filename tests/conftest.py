@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's optimized paths: the
 naive objective enumerates all 2^n outcomes with itertools, the DFS
 objective walks grouped partial sums in Fractions, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
-decides every Boolean function on {0,1}^k by an exact separation LP, and
+decides every Boolean function on {0,1}^k by an exact separation LP, the
+set families come from the table generator's weight grid
+(margin_table.grid_family), never from the committed table, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
 over patterns counted from the raw random stream,
 the LP junta scan solves one feasibility LP per event set, the uniform
@@ -44,14 +46,14 @@ from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance, TrivialSolution
 from storalloc.errors import InputError
 from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
-from storalloc.halfspaces import enumerate_halfspace_sets, point_bits
+from storalloc.halfspaces import point_bits
 from storalloc.junta import JuntaRequest, JuntaResult
 from storalloc.large_ci import TailTriple
 from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains, chain_lp
 from storalloc.util import derived_rng
 
-from margin_table import set_margin
+from margin_table import grid_family, set_margin
 
 
 def naive_objective(probs, weights, theta) -> Fraction:
@@ -277,8 +279,8 @@ def fewest_regular_slots(eps_prime: Fraction) -> int:
 
 
 def fraction_round_to_grid(p: Fraction, grid: Fraction) -> Fraction:
-    """core.round_to_grid in Fraction arithmetic: floor(p / grid) grid
-    units, clamped up to one unit."""
+    """preprocess's rounding (core._grid_units) in Fraction arithmetic:
+    floor(p / grid) grid units, clamped up to one unit."""
     k = p / grid
     return grid * max(k.numerator // k.denominator, 1)
 
@@ -375,17 +377,17 @@ def grid_junta_value(head_probs, tau, W, step=Fraction(1, 64)) -> Fraction:
     return best
 
 
-def lp_scan_junta(head_probs, tau, W, sets) -> Fraction:
+def lp_scan_junta(head_probs, tau, W, masks) -> Fraction:
     """Max of Pr[w . X >= tau] over heads w >= 0, sum(w) <= W, by one
-    feasibility LP (``small_ci.chain_lp``) per event set in ``sets``; each
+    feasibility LP (``small_ci.chain_lp``) per event set in ``masks``; each
     feasible set's witness is scored by full outcome enumeration, and the
     zero head is always a candidate."""
     head_probs = [Fraction(p) for p in head_probs]
     tau, W = Fraction(tau), Fraction(W)
     k = len(head_probs)
     best = naive_objective(head_probs, [Fraction(0)] * k, tau)
-    for set_ in sets:
-        res = lp_solve(chain_lp((set_.mask,), (tau,), W, k))
+    for mask in masks:
+        res = lp_solve(chain_lp((mask,), (tau,), W, k))
         if res.status == "optimal":
             best = max(best, naive_objective(head_probs, res.x, tau))
     return best
@@ -398,18 +400,17 @@ cached_set_margin = functools.lru_cache(maxsize=None)(set_margin)
 
 def fraction_junta_scan(req: JuntaRequest) -> JuntaResult:
     """junta.find_optimal_junta in Fraction arithmetic: the non-empty
-    upward-closed sets by (-P(S), mask), P(S) a Fraction sum over the set's
+    upward-closed sets of the table generator's weight grid
+    (margin_table.py) by (-P(S), mask), P(S) a Fraction sum over the set's
     points, and the first set with tau <= W v(S) gives the witness
-    (tau / v(S)) u_S, from the LP of the table's generator (margin_table.py),
-    not from the committed table."""
+    (tau / v(S)) u_S, from the generator's LP; neither comes from the
+    committed table."""
     L, tau, W = req.L, req.tau, req.W
     if tau <= 0:
         return JuntaResult((Fraction(0),) * L, Fraction(1), 0)
     point_probs = outcome_probabilities(req.head_probs)
     sets = sorted(
-        (-mask_probability(point_probs, s.mask), s.mask)
-        for s in enumerate_halfspace_sets(L, monotone=True)
-        if s.mask
+        (-mask_probability(point_probs, mask), mask) for mask in grid_family(L, True) if mask
     )
     for examined, (neg_prob, mask) in enumerate(sets, 1):
         v, u = cached_set_margin(mask, L)
@@ -473,7 +474,8 @@ def head_value(head_probs, points, theta, u) -> Fraction:
 def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
     """Max of Pr[u . X + R >= theta] by the paper's literal search.
 
-    Every tuple in S^m of halfspace sets (one per sampled point) gets a
+    Every tuple in S^m of threshold-realizable sets, upward-closed or not,
+    from the table generator's weight grid (one per sampled point) gets a
     feasibility LP; each feasible witness is scored by full enumeration.
     Exponential in m, so for micro-instances only.
     """
@@ -481,7 +483,7 @@ def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
     points = sorted(Fraction(t) for t in points)
     W, theta = Fraction(W), Fraction(theta)
     k = len(head_probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(k)]
+    masks = grid_family(k, False)
     best = head_value(head_probs, points, theta, (Fraction(0),) * k)
     for tup in itertools.product(masks, repeat=len(points)):
         u = _literal_lp(tup, points, k, W, theta)
@@ -530,8 +532,9 @@ def set_numerators(nums, masks) -> list[int]:
 
 def nested_chains(k: int, r: int) -> list[tuple[int, ...]]:
     """Every chain S_1 <= ... <= S_r of upward-closed realizable masks over
-    {0,1}^k in lexicographic mask order, by a pairwise superset test."""
-    masks = [s.mask for s in enumerate_halfspace_sets(k, monotone=True)]
+    {0,1}^k, from the table generator's weight grid, in lexicographic mask
+    order, by a pairwise superset test."""
+    masks = grid_family(k, True)
     chains = [(a,) for a in masks]
     for _ in range(r - 1):
         chains = [ch + (b,) for ch in chains for b in masks if ch[-1] & ~b == 0]

@@ -24,7 +24,6 @@ from storalloc.evaluate import (
     sample_tail_empirical,
 )
 from storalloc.formats import save_instance
-from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.large_ci import construct_achievable_tails
 from storalloc.small_ci import find_best_head
 
@@ -40,6 +39,7 @@ from conftest import (
     with_one_retry,
 )
 from lemmas import canonicalize_tail, is_regular
+from margin_table import grid_family
 from test_large_ci import brute_force_triples
 from test_lp import event_members, random_sorted_unit_weights
 from test_small_ci import brute_force_quintuples
@@ -139,7 +139,7 @@ def test_criterion_4_ltf_enumeration_counts():
     expected = {1: 4, 2: 14, 3: 104, 4: 1882}
     for k, count in expected.items():
         f = lp_threshold_masks(k)
-        g = [s.mask for s in enumerate_halfspace_sets(k)]
+        g = list(grid_family(k, False))
         assert len(f) == count, f"LP oracle k={k}: {len(f)} != {count}"
         assert list(f) == g
     elapsed = time.time() - t0

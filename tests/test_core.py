@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 
 from storalloc.core import (
     L_formula,
+    MAX_K,
     ProblemInstance,
     SolverConfig,
     TrivialSolution,
+    _grid_units,
     compute_L,
     compute_gamma,
     preprocess,
-    round_to_grid,
 )
 from storalloc.errors import InputError
 from storalloc.evaluate import exact_objective_probs
-from storalloc.halfspaces import MAX_K
 from storalloc.util import to_fraction
 
 from conftest import (
@@ -79,13 +79,11 @@ class TestPreprocess:
         assert not res.is_trivial
 
     def test_grid_rounding_values(self):
-        # eps=0.2, n=2: grid 0.025; 0.87 -> 0.85, 0.61 -> 0.60.
-        grid = F(1, 40)
-        assert round_to_grid(F(87, 100), grid) == F(17, 20)
-        assert round_to_grid(F(61, 100), grid) == F(3, 5)
+        # eps=0.2, n=2: grid 0.025; 0.87 -> 0.85 (34 units), 0.61 -> 0.60 (24)
+        assert _grid_units([(87, 100), (61, 100)], 1, 40) == [34, 24]
 
     def test_rounding_clamps_zero_up(self):
-        assert round_to_grid(F(1, 1000), F(1, 40)) == F(1, 40)
+        assert _grid_units([(1, 1000), (0, 1)], 1, 40) == [1, 1]
 
     def test_sorted_descending_with_permutation(self):
         res = preprocess([0.31, 0.62, 0.45], 0.5, 0.25, 0.05)
@@ -158,12 +156,11 @@ class TestPreprocess:
 )
 def test_integer_rounding_matches_fraction_formula(p, eps, n):
     grid = eps / (4 * n)
-    assert round_to_grid(p, grid) == fraction_round_to_grid(p, grid)
-    # a few grid units exactly, and one below, as granular inputs land
+    # p, a few grid units exactly, and one below, as granular inputs land
     k = max(1, p.numerator % 50)
-    for q in (k * grid, k * grid - grid / 3):
-        if q > 0:
-            assert round_to_grid(q, grid) == fraction_round_to_grid(q, grid)
+    qs = (p, k * grid, k * grid - grid / 3)
+    units = _grid_units([(q.numerator, q.denominator) for q in qs], grid.numerator, grid.denominator)
+    assert [u * grid for u in units] == [fraction_round_to_grid(q, grid) for q in qs]
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storalloc import driver, evaluate, large_ci
-from storalloc.core import SolverConfig, preprocess
+from storalloc.core import MAX_K, SolverConfig, preprocess
 from storalloc.driver import _check_feasible, selection_sample_size, shared_mc_estimates, solve, solve_instance
 from storalloc.errors import GuardError, InputError
-from storalloc.halfspaces import MAX_K
 from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.evaluate import exact_objective_probs
 from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps

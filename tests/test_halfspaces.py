@@ -3,17 +3,16 @@ import hashlib
 import pytest
 
 from conftest import is_unate, lp_separation, lp_threshold_masks, realize_mask
+from margin_table import grid_family
+from storalloc.core import MAX_K
 from storalloc.errors import InputError
-from storalloc.halfspaces import (
-    MAX_K,
-    enumerate_halfspace_sets,
-    is_upward_closed,
-    minimal_members,
-)
+from storalloc.halfspaces import enumerate_halfspace_sets, is_upward_closed, minimal_members
 
 
 def masks(k, monotone=False):
-    return [s.mask for s in enumerate_halfspace_sets(k, monotone=monotone)]
+    """The weight grid's family (tests/margin_table.py), the reference the
+    committed table and the library's family are checked against."""
+    return list(grid_family(k, monotone))
 
 
 class TestEnumeration:
@@ -31,7 +30,7 @@ class TestEnumeration:
         assert got == set(range(16)) - {xor, xnor}
 
     def test_counts_k3(self):
-        assert len(enumerate_halfspace_sets(3)) == 104
+        assert len(masks(3)) == 104
 
     def test_paths_agree_k_small(self):
         # the grid against the LP oracle, as ordered mask lists
@@ -63,8 +62,8 @@ class TestEnumeration:
 
     def test_counts_k5(self):
         # OEIS A000609 and A000617 at k = 5; no LP oracle reaches this far
-        assert len(enumerate_halfspace_sets(5)) == 94572
-        assert len(enumerate_halfspace_sets(5, monotone=True)) == 3287
+        assert len(masks(5)) == 94572
+        assert len(masks(5, monotone=True)) == 3287
 
     def test_function_path_matches_reference_lp_at_k2(self):
         # every one of the 16 functions gets the plain one-LP test, without
@@ -74,9 +73,9 @@ class TestEnumeration:
 
     def test_witnesses_realize_their_sets(self):
         for k in (1, 2, 3):
-            for s in enumerate_halfspace_sets(k):
-                u, c = lp_separation(s.mask, k)
-                assert realize_mask(u, c, k) == s.mask
+            for mask in masks(k):
+                u, c = lp_separation(mask, k)
+                assert realize_mask(u, c, k) == mask
                 assert all(isinstance(v, int) for v in u)
                 assert isinstance(c, int)
 
@@ -85,8 +84,8 @@ class TestEnumeration:
         # LP-scaled witnesses actually come out much smaller (<= 3 at k=4).
         # k=4 samples every 29th set: each witness costs an LP.
         for k, stride in ((2, 1), (3, 1), (4, 29)):
-            for s in enumerate_halfspace_sets(k)[::stride]:
-                u, c = lp_separation(s.mask, k)
+            for mask in masks(k)[::stride]:
+                u, c = lp_separation(mask, k)
                 assert all(abs(v) <= k**k for v in u)
                 assert abs(c) <= (k + 1) ** (k + 1)
 
@@ -97,9 +96,23 @@ class TestEnumeration:
     def test_limits(self):
         assert MAX_K == 5
         with pytest.raises(InputError):
-            enumerate_halfspace_sets(MAX_K + 1)
+            enumerate_halfspace_sets(MAX_K + 1, monotone=True)
         with pytest.raises(InputError):
-            enumerate_halfspace_sets(-1)
+            enumerate_halfspace_sets(-1, monotone=True)
+
+    @pytest.mark.parametrize("k", range(MAX_K + 1))
+    def test_library_family_is_the_grids(self, k):
+        # the committed table's family, in the grid's order
+        sets = enumerate_halfspace_sets(k, monotone=True)
+        assert [s.mask for s in sets] == masks(k, monotone=True)
+        assert all(s.k == k for s in sets)
+
+    def test_full_family_is_refused(self):
+        # only the table generator's grid builds the flip closure
+        with pytest.raises(InputError):
+            enumerate_halfspace_sets(3, monotone=False)
+        with pytest.raises(TypeError):
+            enumerate_halfspace_sets(3)
 
     def test_monotone_filter(self):
         mono = enumerate_halfspace_sets(2, monotone=True)
@@ -116,8 +129,8 @@ class TestPredicates:
         assert not is_unate(0b0110, 2)
 
     def test_threshold_implies_unate_k3(self):
-        for s in enumerate_halfspace_sets(3):
-            assert is_unate(s.mask, 3)
+        for mask in masks(3):
+            assert is_unate(mask, 3)
 
     def test_minimal_members(self):
         # S = {x1=1} over k=2: points 1 and 3; minimal member is point 1

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import storalloc
 from storalloc import evaluate, halfspaces, junta, lp
 from storalloc.baselines import brute_force_optimum
-from storalloc.core import SolverConfig
+from storalloc.core import MAX_K, SolverConfig
 from storalloc.errors import InputError
-from storalloc.halfspaces import MAX_K, enumerate_halfspace_sets, is_upward_closed, minimal_members, point_bits
+from storalloc.halfspaces import is_upward_closed, minimal_members, point_bits
 from storalloc.junta import (
     JuntaRequest,
     _scan_order,
@@ -33,6 +33,7 @@ from storalloc.small_ci import chain_lp, find_best_head
 
 import margin_table
 import test_halfspaces
+from margin_table import grid_family
 from conftest import (
     cached_set_margin,
     fraction_junta_scan,
@@ -136,7 +137,7 @@ class TestProperties:
             tau = F(rng.randint(1, 12), 12)
             W = F(rng.randint(4, 12), 12)
             a = find_optimal_junta(JuntaRequest(probs, tau, W))
-            assert a.value == lp_scan_junta(probs, tau, W, enumerate_halfspace_sets(L))
+            assert a.value == lp_scan_junta(probs, tau, W, grid_family(L, False))
 
     def test_nonpositive_threshold_degenerates_to_full_event(self):
         r = find_optimal_junta(JuntaRequest((F(1, 2),), F(-1, 4), F(1)))
@@ -175,8 +176,7 @@ def junta_requests(draw):
 def test_scan_matches_lp_scan(request):
     probs, tau, W = request
     r = find_optimal_junta(JuntaRequest(probs, tau, W))
-    sets = enumerate_halfspace_sets(len(probs), monotone=True)
-    assert r.value == lp_scan_junta(probs, tau, W, sets)
+    assert r.value == lp_scan_junta(probs, tau, W, grid_family(len(probs), True))
     assert all(w >= 0 for w in r.weights) and sum(r.weights) <= W
     assert naive_objective(probs, r.weights, tau) == r.value
 
@@ -287,6 +287,12 @@ def test_committed_table_is_the_generators_output():
         assert fh.read() == margin_table.table_bytes()
 
 
+# The names of the weight grid and its closures in the table's generator
+GRID_CODE = {
+    "GRID_BOUND", "_BLOCK_BYTES", "_canonical_grid_masks", "_close", "_masks", "_merge", "grid_family",
+}
+
+
 def test_solve_and_oracle_run_no_lp(cold_junta, monkeypatch):
     # from empty junta caches, seeded solves at every L_cap and the exact
     # oracle at every n it covers read the committed table and solve no LP
@@ -312,29 +318,23 @@ def test_solve_and_oracle_run_no_lp(cold_junta, monkeypatch):
         assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
 
 
-def test_solve_and_oracle_enumerate_no_halfspaces(cold_junta, monkeypatch):
-    # from an empty junta cache, seeded solves at every L_cap, the exact
-    # oracle at every n it covers and a best-head search read their
-    # families from the committed table and never touch the weight grid
-    assert not hasattr(junta, "enumerate_halfspace_sets")
-
-    def refuse(k, monotone):
-        raise AssertionError("a halfspace family was enumerated")
-
-    monkeypatch.setattr(halfspaces, "_cached", refuse)
-    rng = random.Random("no-enumeration")
-    for L_cap in range(1, MAX_K + 1):
-        probs = [rng.randint(30, 70) / 100 for _ in range(8)]
-        config = SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=L_cap, seed=rng.randrange(1 << 31))
-        assert storalloc.solve(probs, F(1, 2), F(1, 4), F(1, 20), config).L == L_cap
-    for n in range(1, MAX_K + 1):
-        inst = granular_instance(rng, n, F(1, 2), F(1, 4))
-        res = brute_force_optimum(inst, allow_grid_n5=True)
-        assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
+def test_solve_and_oracle_enumerate_no_halfspaces(cold_junta):
+    # no package module holds the weight grid or its closures, which the
+    # table's generator does, and halfspaces hands out the table's family
+    # (one table line loaded from a cold cache), so no solve, oracle call
+    # or best-head search enumerates halfspaces; a best-head search on
+    # the table's family agrees with the literal search on the grid's
+    for path in Path(storalloc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assigned = (node.targets for node in tree.body if isinstance(node, ast.Assign))
+        names |= {t.id for targets in assigned for t in targets if isinstance(t, ast.Name)}
+        assert not names & GRID_CODE, path.name
+    assert GRID_CODE <= set(vars(margin_table))
+    halfspaces.enumerate_halfspace_sets(4, monotone=True)
+    assert junta._load_table.cache_info().currsize == 1
     args = ((F(3, 4), F(3, 5), F(2, 5)), [F(0), F(1, 4)], F(1), F(1, 2))
-    value = find_best_head(*args).value
-    monkeypatch.undo()  # the reference enumerates
-    assert value == literal_best_head_value(*args)
+    assert find_best_head(*args).value == literal_best_head_value(*args)
 
 
 def test_committed_families_are_the_upward_closed_threshold_sets():
@@ -390,7 +390,7 @@ def _scan_pairs(probs):
 def _sorted_reference(probs):
     """(D, the non-empty upward-closed sets' (D P(S), mask) by (-P(S), mask))."""
     nums, D = outcome_numerators(probs)
-    masks = [s.mask for s in enumerate_halfspace_sets(len(probs), monotone=True) if s.mask]
+    masks = [mask for mask in grid_family(len(probs), True) if mask]
     return D, sorted(zip(set_numerators(nums, masks), masks), key=lambda item: (-item[0], item[1]))
 
 
@@ -437,8 +437,7 @@ def test_oracle_matches_lp_scan(n, seed, theta):
     # enumeration.
     inst = granular_instance(random.Random(f"oracle-{n}-{seed}"), n, theta, F(1, 4))
     res = brute_force_optimum(inst, allow_grid_n5=True)
-    sets = enumerate_halfspace_sets(n, monotone=True)
-    assert res.opt_value == lp_scan_junta(inst.probs, inst.theta, 1, sets)
+    assert res.opt_value == lp_scan_junta(inst.probs, inst.theta, 1, grid_family(n, True))
     assert naive_objective(inst.probs, res.witness, inst.theta) == res.opt_value
 
 
@@ -456,7 +455,7 @@ def test_witnesses_pinned():
     }
     h = hashlib.sha256()
     for L, probs in heads.items():
-        n_sets = sum(1 for s in enumerate_halfspace_sets(L, monotone=True) if s.mask)
+        n_sets = len(grid_family(L, True)) - 1  # the empty set is never scanned
         for tau in (F(0), F(1, 8), F(1, 3), F(1, 2), F(3, 4), F(5, 4)):
             for W in (F(1, 4), F(1, 2), F(1)):
                 r = find_optimal_junta(JuntaRequest(probs, tau, W))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from storalloc import small_ci
 from storalloc.core import SolverConfig, preprocess
 from storalloc.errors import GuardError, InputError
-from storalloc.halfspaces import enumerate_halfspace_sets
 from storalloc.junta import upward_family
 from storalloc.small_ci import (
     _state_space_estimate,
@@ -42,6 +41,7 @@ from conftest import (
     nested_chains,
 )
 from lemmas import is_regular
+from margin_table import grid_family
 
 
 def brute_force_quintuples(tail_probs, kappa, grid):
@@ -372,7 +372,7 @@ class TestFindBestHead:
 
     def test_two_level_chain_count_at_k5(self):
         # every subset pair of the k = 5 family, by one pairwise test each
-        masks = [s.mask for s in enumerate_halfspace_sets(5, monotone=True)]
+        masks = grid_family(5, True)
         with pytest.raises(GuardError) as err:
             small_ci._nested_chains(5, 2, 0)
         assert err.value.estimate == sum(1 for a in masks for b in masks if a & ~b == 0)

@@ -117,7 +117,7 @@ def test_case3_reference_stays_out_of_the_solver():
 
 
 # Calls into every numpy-backed layer: selection and the junta in a solve,
-# the n = 5 oracle, the full k = 5 family, sampling (unpacked at 1000
+# the n = 5 oracle, the k = 5 family, sampling (unpacked at 1000
 # draws, packed past DIRECT_MAX_DRAWS at 2000) and tail sampling.
 _NUMPY_MA_SCRIPT = """
 import sys
@@ -130,7 +130,7 @@ cfg = storalloc.SolverConfig(mode="practical", kappa_override=F(1, 8), L_cap=3)
 storalloc.solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, 0.25, 0.05, cfg)
 pre = storalloc.preprocess([0.55, 0.62, 0.41, 0.33, 0.7], 0.5, 0.25, 0.05)
 storalloc.brute_force_optimum(pre.instance, allow_grid_n5=True)
-enumerate_halfspace_sets(5)
+enumerate_halfspace_sets(5, monotone=True)
 mc_estimate_probs([F(1, 2), F(2, 3), F(3, 5)], [F(1, 3)] * 3, F(1, 2), 1000, 0)
 mc_estimate_probs([F(1, 2), F(2, 3), F(3, 5)], [F(1, 3)] * 3, F(1, 2), 2000, 0)
 sample_tail_empirical(pre.instance, [F(1, 8), F(1, 4)], 1000, 0)
@@ -197,7 +197,7 @@ def test_option_count_per_subcommand():
 
 # Every function in src/ that holds results for the life of the process; a
 # new cache shows up here as a test diff.
-PROCESS_CACHES = {"halfspaces._cached", "junta._load_table", "large_ci._skip_log_bound"}
+PROCESS_CACHES = {"junta._load_table", "large_ci._skip_log_bound"}
 
 
 def test_process_wide_caches_are_pinned():
