@@ -164,7 +164,7 @@ def _cmd_bench(args) -> int:
             theta=frac_str(theta),
             epsilon=frac_str(epsilon),
             solver_estimate=float(report.estimate.value),
-            solver_exact=None if report.exact_objective is None else float(report.exact_objective),
+            solver_exact=float(report.exact_objective),
             solver_provenance=report.provenance,
         )
         pre = preprocess(probs, theta, epsilon, delta)
@@ -178,8 +178,7 @@ def _cmd_bench(args) -> int:
                 orc = brute_force_optimum(instance, allow_grid_n5=args.oracle_n5)
                 row["oracle_value"] = float(orc.opt_value)
                 row["gap_baseline"] = float(orc.opt_value - base.value)
-                if report.exact_objective is not None:
-                    row["gap_solver"] = float(orc.opt_value - report.exact_objective)
+                row["gap_solver"] = float(orc.opt_value - report.exact_objective)
         rows.append(row)
     text = bench_rows_to_tsv(rows) if args.tsv else bench_rows_to_json(rows)
     _emit(text, args.out)

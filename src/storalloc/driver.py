@@ -1,33 +1,47 @@
-"""End-to-end solve: run every case, estimate the pool, pick the winner.
+"""End-to-end solve: run every case, score the pool exactly, pick the winner.
 
 Every case is run (the optimum's type is unknowable): the junta and
 Case 2 by their solvers, Case 3 by its closed-form verdict, which adds no
 candidate or refuses (small_ci.case3_verdict).  The candidates are
-pooled, and every member is scored on one *shared* Monte-Carlo sample set
-of size
+pooled, each distinct member is scored once by its exact objective, and
+the best exact value wins; ties break by case provenance, then
+lexicographically.
+
+The paper scores the pool by sampling, because Pr[w . X >= theta] is
+#P-hard in general.  For the pool's own vectors it is polynomial.  A
+member has a head on L <= MAX_K coordinates and a tail of multiples of
+kappa on s = live_slots slots, summing to at most J kappa with
+J = floor(1/kappa), so its w . X takes at most 2^L min(J + 1, 2^s)
+values: 7 904 at the default state_space_limit, far under
+evaluate.SUPPORT_LIMIT = 2^20.  exact_objective_probs builds laws of that
+size in time polynomial in n and J, within the paper's
+poly(n) 2^poly(1/eps) budget.
+
+Pool vectors end at slot P = L + large_ci.live_slots (n if L = n), the
+last a case can weight, and are scored on probs[:P]; to_original_order
+pads the winner with zeros.  The junta member is the head-only optimum
+for (probs[:L], theta, 1) plus a zero tail.  For L < n that request is
+Case 2's zero triple's, whose candidate, always the first, is the member;
+its solve is timed in ``large_ci_s``, and only for L = n does the driver
+solve it, in ``junta_s``.  The junta member is scored by the junta scan:
+the scan returns the most probable feasible set S with P(S), its witness
+realizes a feasible superset R of S, so P(R) = P(S) (junta module
+docstring), and a zero tail leaves the event unchanged.  Every other
+member goes to exact_objective_probs.  Only a raised state_space_limit
+can make it refuse one; that member then leaves the pick, logged at INFO
+with the guard's estimate and limit.  The junta member always has its
+value, so the pool never empties and the winner's exact objective is
+always known.
+
+The report also carries the winner's Monte-Carlo estimate on one
+*shared* sample set of size
 
     m = ceil(mc_constant * (1/eps^2) * ln(|pool| / delta))
 
-drawn once from the instance seed.  Sharing the sample across candidates
-keeps the argmax fair, reduces variance, and makes the chosen vector a
-deterministic function of (instance, config), which the byte-stable report
-relies on.  Ties break by case provenance, then lexicographically.
-
-Pool vectors end at slot P = L + large_ci.live_slots (n if L = n), the
-last a case can weight; to_original_order pads the winner with zeros.
-The junta member is the head-only optimum for (probs[:L], theta, 1)
-plus a zero tail.  For L < n that request is Case 2's zero triple's,
-whose candidate, always the first, is the member; its solve is timed in
-``large_ci_s``, and only for L = n does the driver solve it, in ``junta_s``.
-A winner equal to the junta member takes its exact objective from the
-junta scan: the scan returns the most probable feasible set S with P(S),
-its witness realizes a feasible superset R of S, so P(R) = P(S) (junta
-module docstring), and a zero tail leaves the event unchanged.  Any
-other winner is evaluated by exact_objective_probs, which refuses a law
-of more than 2^20 values (evaluate.SUPPORT_LIMIT).  A Case-2 winner
-holds at most 2^L min(J + 1, 2^s) values, s = live_slots: 7 904 at the
-default state_space_limit, so only a raised limit can meet a refusal,
-and the report then carries a null exact_objective.
+drawn once from the instance seed over the P pool coordinates, on which
+every member is classified.  It is a deterministic function of (instance,
+config), as the byte-stable report needs, and the union bound over the
+pool covers it.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
@@ -88,7 +102,7 @@ class SolveReport(Record):
         provenance: str,
         chosen_weights: tuple[Fraction, ...],  # original index order
         estimate: ObjectiveEstimate,
-        exact_objective: Optional[Fraction],  # under the probabilities rounded to the eps/(4n) grid
+        exact_objective: Fraction,  # under the probabilities rounded to the eps/(4n) grid
         pool_size: int,
         per_case_counts: dict,
         n: int,
@@ -127,9 +141,6 @@ class SolveReport(Record):
         def opt_frac(q):
             return None if q is None else frac_str(q)
 
-        def opt_float(q):
-            return None if q is None else float(q)
-
         def echo(value):
             return frac_str(value) if isinstance(value, Fraction) else value
 
@@ -144,8 +155,8 @@ class SolveReport(Record):
             "estimate_kind": self.estimate.kind,
             "estimate_m": self.estimate.m,
             "estimate_seed": self.estimate.seed,
-            "exact_objective": opt_frac(self.exact_objective),
-            "exact_objective_float": opt_float(self.exact_objective),
+            "exact_objective": frac_str(self.exact_objective),
+            "exact_objective_float": float(self.exact_objective),
             "pool_size": self.pool_size,
             "per_case_counts": dict(self.per_case_counts),
             "n": self.n,
@@ -178,18 +189,10 @@ def selection_sample_size(epsilon: Fraction, delta: Fraction, pool_size: int, mc
         return max(1, math.ceil(mc_constant / epsilon**2 * Fraction(log)))
 
 
-def shared_mc_estimates(
-    instance: ProblemInstance,
-    members: Sequence[PoolMember],
-    m: int,
-    seed: int,
-) -> list[ObjectiveEstimate]:
-    """Score every member on one shared sample set (exact classification).
-
-    Each distinct weight vector is checked feasible and classified once;
-    members with equal weights share its estimate.  Distinct vectors are
-    found by tuple equality, as pools are a few members long.
-    """
+def _distinct(members: Sequence[PoolMember]) -> tuple[list, list[int]]:
+    """The distinct weight vectors of members, in first-seen order, and
+    each member's index into them.  Vectors are compared by tuple
+    equality, as pools are a few members long."""
     distinct: list = []
     slots = []
     for member in members:
@@ -198,12 +201,59 @@ def shared_mc_estimates(
                 break
         else:
             slot = len(distinct)
-            _check_feasible(member.weights)
             distinct.append(member.weights)
         slots.append(slot)
+    return distinct, slots
+
+
+def shared_mc_estimates(
+    instance: ProblemInstance,
+    members: Sequence[PoolMember],
+    m: int,
+    seed: int,
+) -> list[ObjectiveEstimate]:
+    """Estimate every member on one shared sample set (exact classification).
+
+    Each distinct weight vector is checked feasible and classified once;
+    members with equal weights share its estimate.
+    """
+    distinct, slots = _distinct(members)
+    for weights in distinct:
+        _check_feasible(weights)
     hits = mc_hit_counts(instance.probs, distinct, instance.theta, m, seed)
     estimates = [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
     return [estimates[slot] for slot in slots]
+
+
+def exact_scores(
+    instance: ProblemInstance,
+    members: Sequence[PoolMember],
+    head: tuple[Fraction, ...],
+    head_value: Fraction,
+) -> list[Optional[Fraction]]:
+    """Each member's exact objective on probs[:len(weights)], or None where refused.
+
+    Each distinct weight vector is evaluated once.  The junta head takes
+    head_value, its scan value (module docstring).  A vector whose
+    evaluation raises GuardError scores None and is logged at INFO with
+    the guard's estimate and limit.
+    """
+    distinct, slots = _distinct(members)
+    values: list[Optional[Fraction]] = []
+    for weights in distinct:
+        if weights == head:
+            values.append(head_value)
+            continue
+        try:
+            values.append(exact_objective_probs(instance.probs[: len(weights)], weights, instance.theta))
+        except GuardError as exc:
+            logger.info(
+                "exact_objective_probs refused a pool member, which leaves the pick: estimate=%s limit=%s",
+                exc.estimate,
+                exc.limit,
+            )
+            values.append(None)
+    return [values[slot] for slot in slots]
 
 
 def _check_feasible(weights: Sequence[Fraction]):
@@ -301,35 +351,26 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     counts = {"junta": 1, **{f"smallCI({K})": 0 for K in range(1, L + 1)}, "largeCI": len(cands)}
 
     t0 = time.perf_counter()
+    scores = exact_scores(instance, pool, head, junta.value)
+    timings["exact_eval_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
     select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
     estimates = shared_mc_estimates(instance, pool, m_sel, select_seed)
-    best_idx = min(range(len(pool)), key=lambda i: (-estimates[i].value, pool[i].rank, pool[i].weights))
+    scored = [i for i, score in enumerate(scores) if score is not None]  # the junta member's always is
+    best_idx = min(scored, key=lambda i: (-scores[i], pool[i].rank, pool[i].weights))
     chosen = pool[best_idx]
     timings["selection_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    exact: Optional[Fraction] = None
-    if chosen.weights == head:  # the junta head plus a zero tail (module docstring)
-        exact = junta.value
-        logger.debug("exact_objective from the junta scan")
-    else:
-        try:
-            exact = exact_objective_probs(instance.probs[: len(head)], chosen.weights, theta)
-            logger.debug("exact_objective from exact_objective_probs")
-        except GuardError as exc:
-            logger.info(
-                "exact_objective_probs refused, exact_objective is null: estimate=%s limit=%s",
-                exc.estimate,
-                exc.limit,
-            )
-    timings["exact_eval_s"] = time.perf_counter() - t0
+    logger.debug(
+        "exact_objective from %s", "the junta scan" if chosen.weights == head else "exact_objective_probs"
+    )
 
     return SolveReport(
         provenance=chosen.provenance,
         chosen_weights=instance.to_original_order(chosen.weights),
         estimate=estimates[best_idx],
-        exact_objective=exact,
+        exact_objective=scores[best_idx],
         pool_size=len(pool),
         per_case_counts=counts,
         n=n,

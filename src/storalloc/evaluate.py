@@ -32,13 +32,30 @@ The boundary w . x = theta counts as success everywhere, and no exact
 comparison uses floats: float dot products misclassify ties, which are
 common for granular weights.
 
-Monte-Carlo sampling draws Bernoulli bits with numpy PCG64 in fixed-size
-chunks, one generator per chunk, and packs each draw into bytes, keeping
-the m rows in draw order.  Every row is classified in exact integer
-arithmetic: a weight vector and theta are scaled by the lcm D of their
-denominators, so w . x >= theta becomes (D w) . x >= D theta, and a packed
-row's dot is one lookup per byte in 256-entry tables of partial sums of
-D w, for many vectors at once.  Every entry and partial dot is a subset
+Monte-Carlo sampling draws exact Bernoulli(p) bits, p = a/b rational,
+from 16-bit lanes of the raw PCG64 stream, over only the w coordinates
+that the vectors weight.  The draws come in chunks of
+max(1, CHUNK_LANES // w), chunk c from the PCG64 seeded by
+SeedSequence([seed, c]).  A chunk reads its rows x w lanes row-major from
+random_raw words, each word split into its four 16-bit quarters from the
+low one up through an explicit little-endian view, so the lanes are the
+same on every platform.  Lane u stands for the interval [u, u + 1) / 2^16:
+it gives 1 when (u + 1) b <= a 2^16 and 0 when u b >= a 2^16.  Otherwise
+it straddles p, once in 2^16 lanes; the chunk's straddling lanes are
+settled in row-major order after its main lanes, each appending the low
+16 bits of the generator's next raw words until its interval lies on one
+side of p.  A bit is thus 1 exactly when a uniform point of [0, 1), read
+to as many digits as it takes, lies below p: Pr = p exactly, for every
+rational p, with no float in the draw (p = 0 and p = 1 never straddle).
+The draws over the first w coordinates depend on probs[:w] alone.  Each
+chunk's bits are packed into bytes, keeping the m rows in draw order, or,
+up to DIRECT_MAX_DRAWS draws in one chunk, used as they are.
+
+Every row is classified in exact integer arithmetic: a weight vector and
+theta are scaled by the lcm D of their denominators, so w . x >= theta
+becomes (D w) . x >= D theta, and a packed row's dot is one lookup per
+byte in 256-entry tables of partial sums of D w, for many vectors at
+once.  Every entry and partial dot is a subset
 sum of D w, so a vector runs on int64 when sum |D w_j| and |D theta| are
 at most 2^63 - 1, and on Python ints (dtype=object) otherwise.
 Everything is bit-reproducible from the seed.
@@ -56,11 +73,12 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance
-from .util import Record, derived_rng, lcm_scaled, to_fraction, to_int
+from .util import Record, derived_bits, lcm_scaled, to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
-SAMPLE_CHUNK = 1 << 15
+# 16-bit lanes a sampling chunk reads for its draws (module docstring).
+CHUNK_LANES = 1 << 17
 
 # Exact-evaluation guard: most values a law may hold while it is built.
 SUPPORT_LIMIT = 1 << 20
@@ -298,21 +316,12 @@ def linear_form_dist(weights: Sequence, probs: Sequence) -> DiscreteDist:
 # ---------------------------------------------------------------------------
 # Sampling
 
-# Size budget for each temporary array of the sampling kernel.
+# Size budget for each table set and dot block of the sampling kernel.
 BLOCK_BYTES = 1 << 20
+_LANE = 1 << 16
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Row h is the four bits of h, high bit first (np.packbits order).
 _NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]
-
-
-def _block_rows(n: int) -> int:
-    """Draw rows per block, so a block's float64 draws over n coordinates fit BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
-
-
-def _float_probs(probs: Sequence[Fraction]) -> np.ndarray:
-    """float(p) for each p, as the correctly rounded p.numerator / p.denominator."""
-    return np.array([p.numerator / p.denominator for p in probs])
 
 
 def check_draws(m: int, n: int) -> None:
@@ -328,32 +337,72 @@ def check_draws(m: int, n: int) -> None:
         raise GuardError(message, estimate=m * row_bytes, limit=PACKED_LIMIT)
 
 
+def _chunk_rows(width: int) -> int:
+    """Draws per sampling chunk over width coordinates: max(1, CHUNK_LANES // width)."""
+    return max(1, CHUNK_LANES // max(width, 1))
+
+
+def _straddle_bit(u: int, a: int, b: int, bitgen) -> bool:
+    """The bit of a lane u equal to its column's threshold digit, p = a/b.
+
+    It is 1 when the lane's interval [u, u + 1) / 2^16 lies at or below p
+    and 0 when it lies at or above p.  While it straddles p, each step
+    appends the low 16 bits of the chunk's next raw word to u, narrowing
+    the interval 2^16-fold.
+    """
+    scale = _LANE
+    while True:
+        if (u + 1) * b <= a * scale:
+            return True
+        if u * b >= a * scale:
+            return False
+        u = (u << 16) | (bitgen.random_raw() & 0xFFFF)
+        scale <<= 16
+
+
+def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int):
+    """Yield (start, bits) for each chunk of the m draws over probs[:width].
+
+    bits is the chunk's bool block of draws start, start + 1, and so on,
+    by the module docstring's lane rule: one row per draw, its first width
+    columns the draw and the rest zero up to a multiple of 8, so that a
+    flat np.packbits packs it row by row.  A column's threshold digit is
+    floor(p 2^16), capped at 2^16 - 1.  Lanes below it give 1 and lanes
+    above it 0; a lane equal to it is settled by _straddle_bit, in
+    row-major order after the chunk's main lanes, and reads further words
+    only if it straddles p.  So an exact p 2^16 (p = 0 among them) and the
+    capped p = 1 settle at once.
+    """
+    probs = probs[:width]
+    digits = [min((p.numerator << 16) // p.denominator, _LANE - 1) for p in probs]
+    threshold = np.array(digits, dtype=np.uint16)
+    rows = _chunk_rows(width)
+    for c, start in enumerate(range(0, m, rows)):
+        count = min(rows, m - start)
+        bitgen = derived_bits(seed, c)
+        raw = bitgen.random_raw(-(-count * width // 4)).astype("<u8", copy=False)
+        lanes = raw.view("<u2")[: count * width].reshape(count, width)
+        bits = np.zeros((count, -(-width // 8) * 8), dtype=bool)
+        np.less(lanes, threshold, out=bits[:, :width])
+        for i in np.flatnonzero(lanes == threshold).tolist():
+            r, j = divmod(i, width)
+            bits[r, j] = _straddle_bit(digits[j], probs[j].numerator, probs[j].denominator, bitgen)
+        yield start, bits
+
+
 def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> np.ndarray:
     """The m packed Bernoulli bit rows over the first ``width`` coordinates,
     in draw order, as an (m, ceil(width/8)) uint8 array.
 
-    A row is np.packbits of one draw's first width bits: coordinate 8j + k
-    in bit 7 - k of byte j, the last byte zero-padded.  Draws span all n =
-    len(probs) coordinates and come in chunks of SAMPLE_CHUNK rows, chunk
-    c from the generator derived from (seed, c).  The chunks alone fix the
-    random stream a seed yields, so every sampled output (and the report
-    pins) stays bit-identical, whatever the width.  Each chunk is drawn in
-    blocks of _block_rows(n) rows, which bound the float temporary to
-    BLOCK_BYTES without touching the stream: a PCG64 Generator's
-    random((a + b, n)) equals random((a, n)) followed by random((b, n)).
-    Only the first width columns of a block are compared and packed.
+    A row is np.packbits of one draw's width bits: coordinate 8j + k in
+    bit 7 - k of byte j, the last byte zero-padded.  The draws are
+    _draw_chunks', so they depend on probs[:width] alone; the guard is
+    check_draws on all n = len(probs) coordinates.
     """
-    n = len(probs)
-    check_draws(m, n)
-    pf = _float_probs(probs[:width])
+    check_draws(m, len(probs))
     packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
-    step = _block_rows(n)
-    for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
-        rng = derived_rng(seed, c)
-        stop = min(start + SAMPLE_CHUNK, m)
-        for r in range(start, stop, step):
-            end = min(r + step, stop)
-            packed[r:end] = np.packbits(rng.random((end - r, n))[:, :width] < pf, axis=1)
+    for start, bits in _draw_chunks(probs, m, seed, width):
+        packed[start:start + len(bits)] = np.packbits(bits.reshape(-1)).reshape(len(bits), -1)
     return packed
 
 
@@ -399,21 +448,24 @@ def mc_hit_counts(
 ) -> list[int]:
     """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
 
-    The vectors share one width w <= len(probs) and count as if padded
-    with zeros (the draws span all of probs).  All vectors are classified
-    exactly on the same draws, so their counts compare draw for draw.  The
-    test is the module docstring's (D w) . x >= D theta, on int64 or
-    Python ints as chosen per vector there: hits = (dots >= T).sum(axis=0).
-    Up to DIRECT_MAX_DRAWS draws within one draw block, each dtype's dots are
-    one product of the unpacked draws with D w (subset sums too); otherwise
-    packed draws, blocked so no table set or dot block exceeds BLOCK_BYTES.
+    The vectors share one width w <= len(probs); the draws cover probs[:w]
+    alone, and check_draws guards them on all len(probs) coordinates.  All
+    vectors are classified exactly on the same draws, so their counts
+    compare draw for draw.  The test is the module docstring's
+    (D w) . x >= D theta, on int64 or Python ints as chosen per vector
+    there: hits = (dots >= T).sum(axis=0).  Up to DIRECT_MAX_DRAWS draws
+    within one chunk, each dtype's dots are one product of the chunk's
+    bool block with D w (subset sums too); otherwise packed draws, blocked
+    so no table set or dot block exceeds BLOCK_BYTES.
     """
     if m < 1:
         raise InputError("m must be >= 1")
     width = len(weight_vectors[0]) if weight_vectors else 0
-    direct = m <= min(DIRECT_MAX_DRAWS, _block_rows(len(probs)))
-    if direct:  # chunk 0's one block, the draws _packed_draws packs
-        rows = derived_rng(seed, 0).random((m, len(probs)))[:, :width] < _float_probs(probs[:width])
+    direct = m <= min(DIRECT_MAX_DRAWS, _chunk_rows(width))
+    if direct:  # chunk 0's bool block, the draws _packed_draws packs
+        check_draws(m, len(probs))
+        ((_, bits),) = _draw_chunks(probs, m, seed, width)
+        rows = bits[:, :width]
     else:
         rows = _packed_draws(probs, m, seed, width)
     scaled = []

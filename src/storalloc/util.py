@@ -213,16 +213,26 @@ def ln_lower(q: Fraction) -> Fraction:
 # generators derived from explicit integer seed tuples, so results are
 # bit-identical across runs and platforms.
 
+_MASK64 = (1 << 64) - 1
+
+
+def derived_bits(*seed_parts: int) -> np.random.PCG64:
+    """PCG64 bit generator seeded by SeedSequence over the parts' low 64 bits."""
+    return np.random.PCG64(np.random.SeedSequence([int(p) & _MASK64 for p in seed_parts]))
+
 
 def derived_rng(*seed_parts: int) -> np.random.Generator:
-    """Generator seeded from a tuple of non-negative integers."""
-    parts = [int(p) & 0xFFFFFFFFFFFFFFFF for p in seed_parts]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(parts)))
+    """Generator over derived_bits(*seed_parts)."""
+    return np.random.Generator(derived_bits(*seed_parts))
 
 
 def derive_seed(*seed_parts: int) -> int:
-    """Collapse a seed tuple to one 64-bit integer, stably."""
-    parts = [int(p) & 0xFFFFFFFFFFFFFFFF for p in seed_parts]
-    state = np.random.SeedSequence(parts).generate_state(2, dtype=np.uint64)
-    return int(state[0])
-
+    """Collapse a seed tuple to one 64-bit integer, stably: the splitmix64
+    finalizer folded over the parts' low 64 bits, in plain Python ints."""
+    state = 0
+    for part in seed_parts:
+        z = ((state ^ (int(part) & _MASK64)) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state = z ^ (z >> 31)
+    return state

@@ -8,7 +8,8 @@ decides every Boolean function on {0,1}^k by an exact separation LP, the
 set families come from the table generator's weight grid
 (margin_table.grid_family), never from the committed table, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
-over patterns counted from the raw random stream,
+over patterns rebuilt from the raw random stream by one integer interval
+test per 16-bit lane,
 the LP junta scan solves one feasibility LP per event set, the uniform
 split reference evaluates each k-split from scratch, the Fraction
 junta scan tests tau <= W v(S) on rationals, grid rounding divides
@@ -41,17 +42,16 @@ import numpy as np
 import pytest
 
 import storalloc
-from storalloc import junta
+from storalloc import evaluate, junta
 from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance, TrivialSolution
 from storalloc.errors import InputError
-from storalloc.evaluate import SAMPLE_CHUNK, exact_objective_probs
+from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import point_bits
 from storalloc.junta import JuntaRequest, JuntaResult
 from storalloc.large_ci import TailTriple
 from storalloc.lp import LinearProgram, LPResult, lp_solve
 from storalloc.small_ci import _nested_chains, chain_lp
-from storalloc.util import derived_rng
 
 from margin_table import grid_family, set_margin
 
@@ -117,20 +117,56 @@ def dfs_objective(probs, weights, theta) -> Fraction:
     return success_prob(0, Fraction(0))
 
 
-def sampled_patterns(probs, m: int, seed: int) -> Counter:
-    """Count of each bit tuple among the m draws of the library's sampler.
+def raw_lanes(seed: int, chunk: int, words: int) -> tuple[list[int], np.random.PCG64]:
+    """The 16-bit lanes of the first ``words`` raw words of the sampler's
+    chunk generator, PCG64 seeded by SeedSequence([seed, chunk]), each
+    word's four lanes from its low quarter up; and that generator, which
+    has drawn them."""
+    gen = np.random.PCG64(np.random.SeedSequence([seed % (1 << 64), chunk]))
+    return [(word >> shift) & 0xFFFF for word in gen.random_raw(words).tolist() for shift in (0, 16, 32, 48)], gen
 
-    Built from the raw stream the sampler documents, chunk c of
-    SAMPLE_CHUNK rows from derived_rng(seed, c), with one random() call per
-    chunk and a Counter, so it shares neither the sampler's draw blocks nor
-    its packing.
+
+def sampled_rows(probs, m: int, seed: int) -> list[tuple[int, ...]]:
+    """The m bit rows of the library's sampler over probs, in draw order.
+
+    Built from the raw stream the sampler documents.  Chunk c holds
+    max(1, CHUNK_LANES // w) draws over w = len(probs) coordinates and
+    reads their lanes row-major (raw_lanes).  Each lane is decided on its
+    own interval [u, u + 1) / 2^16 against p = a/b, on integers: 1 when
+    it lies at or below p, 0 when at or above.
+    A lane that straddles p, after all of its chunk's lanes and in
+    row-major order, refines its interval by the low 16 bits of the
+    generator's next raw words until it lies on one side.  This shares
+    neither the sampler's threshold digits nor its packing.
     """
-    pf = np.array([float(p) for p in probs])
-    patterns: Counter = Counter()
-    for c, start in enumerate(range(0, m, SAMPLE_CHUNK)):
-        draws = derived_rng(seed, c).random((min(SAMPLE_CHUNK, m - start), len(probs)))
-        patterns.update(map(tuple, (draws < pf).astype(int).tolist()))
-    return patterns
+    ratios = [(Fraction(p).numerator, Fraction(p).denominator) for p in probs]
+    w = len(ratios)
+    per_chunk = max(1, evaluate.CHUNK_LANES // max(w, 1))
+    out = []
+    for c, start in enumerate(range(0, m, per_chunk)):
+        rows = min(per_chunk, m - start)
+        lanes, gen = raw_lanes(seed, c, -(-rows * w // 4))
+        lanes = lanes[: rows * w]
+        columns = []
+        for j, (a, b) in enumerate(ratios):
+            top = a << 16  # lane u: 1 if (u + 1) b <= a 2^16, 0 if u b >= a 2^16, else it straddles
+            columns.append([1 if (u + 1) * b <= top else 0 if u * b >= top else None for u in lanes[j::w]])
+        straddles = sorted((r, j) for j, column in enumerate(columns) for r, bit in enumerate(column) if bit is None)
+        for r, j in straddles:
+            (a, b), low, scale = ratios[j], lanes[r * w + j], 1 << 16
+            while columns[j][r] is None:
+                low, scale = (low << 16) + (int(gen.random_raw()) & 0xFFFF), scale << 16
+                if (low + 1) * b <= a * scale:
+                    columns[j][r] = 1
+                elif low * b >= a * scale:
+                    columns[j][r] = 0
+        out += zip(*columns) if w else [()] * rows
+    return out
+
+
+def sampled_patterns(probs, m: int, seed: int) -> Counter:
+    """Count of each bit tuple among the m draws of the library's sampler (sampled_rows)."""
+    return Counter(sampled_rows(probs, m, seed))
 
 
 def _over_common_denominator(values) -> tuple[int, list[int]]:
@@ -146,8 +182,9 @@ def fraction_hit_counts(probs, vectors, theta, m: int, seed: int) -> list[int]:
     theta are put over the lcm of their denominators once, so a pattern's
     w . x >= theta is a sum of plain ints against one int.
 
-    The patterns are counted from the raw draws (sampled_patterns), so this
-    checks the sampler's stream and packing as well as the classification.
+    The patterns are counted from the raw stream (sampled_patterns), so
+    this checks the sampler's lanes and packing as well as the
+    classification.
     """
     scaled = []
     for weights in vectors:

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction as F
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps
 
 import case3
 import test_large_ci
-from conftest import fewest_regular_slots
+from conftest import dfs_objective, fewest_regular_slots
 
 
 PRACTICAL = dict(mode="practical", kappa_override=F(1, 8), L_cap=2)
@@ -224,12 +225,12 @@ class TestReportBytes:
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5],
                 2,
-                "659c5b7ac8972ac009109c6fb9fb73de31f09cd290f5ea4660890d560385bde6",
+                "9073c87fd5235e14cee138c33dc0618d8783eaf102fb8ac10ccc20c2ab697a73",
             ),
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5, 0.41],
                 3,
-                "b4f6d7c2fe4416e39ee2130988d38de646067f15ed56174142b9d6e06b06dabe",
+                "4f51744786590044c5530c889941b079e19bc1a75c7ce545216918feff8cc6f4",
             ),
         ],
         ids=["n5-L2", "n6-L3"],
@@ -244,9 +245,9 @@ class TestReportBytes:
     @pytest.mark.parametrize(
         "n, denom, digest",
         [
-            (32, 12, "9ca6629c927294c0635fd8f0f6410fc9775b335598a82c945a4f3466e33727bd"),
-            (32, 16, "05d2f4e7999c13ac2ba8ab63e0b5ab49465cfe777bd91d16a2eda91a83e109ac"),
-            (256, 16, "a50819124db09ff97005bb7f8770e0fc30fe447fba49af19e6b44e544aa6b713"),
+            (32, 12, "2467eac17c3affc1ed7bd3d8ff01c3e6651ef6fc0ecd799bb29edd44f3ac07bc"),
+            (32, 16, "faf28471d8543850dd105be6b31478471f8f619c690516470ec6ccc7d342a14c"),
+            (256, 16, "ae9a32e84a2b0cad736a61fe73c8288e51d4d1ef4c1aced24ea885118a91b630"),
         ],
         ids=["q32-k12", "q32-k16", "q256-k16"],
     )
@@ -277,25 +278,34 @@ class TestReportBytes:
         # test_case2_dp_wins_at_the_default_limit puts 1/12 on twelve tail
         # slots and nothing on the head, so no junta scan knows its value:
         # exact_objective_probs builds one group of 12, whose law holds 13
-        # values, and a limit of 12 refuses it
+        # values, and a limit of 12 refuses it.  The refused member leaves
+        # the pick, and the junta head wins with its scan value.
         p_raw = q_probs(32)
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 12), L_cap=2)
         args = (p_raw, F(3, 5), F(1, 10), F(1, 20), cfg)
         with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
             answered = solve(*args).to_dict()
-        assert answered["provenance"] == "largeCI" and answered["exact_objective"] is not None
+        assert answered["provenance"] == "largeCI"
         assert "exact_objective from exact_objective_probs" in driver_messages(caplog)
         caplog.clear()
         monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 12)
-        with caplog.at_level(logging.INFO, logger="storalloc.driver"):
+        with caplog.at_level(logging.DEBUG, logger="storalloc.driver"):
             refused = solve(*args).to_dict()
-        assert refused["exact_objective"] is None and refused["exact_objective_float"] is None
-        assert driver_messages(caplog) == [
-            "exact_objective_probs refused, exact_objective is null: estimate=13 limit=12"
-        ]
-        for key in ("exact_objective", "exact_objective_float"):
-            del answered[key], refused[key]
-        assert refused == answered
+        infos = [r.getMessage() for r in caplog.records if r.name == "storalloc.driver" and r.levelno >= logging.INFO]
+        assert infos == ["exact_objective_probs refused a pool member, which leaves the pick: estimate=13 limit=12"]
+        assert "exact_objective from the junta scan" in driver_messages(caplog)
+        assert refused["provenance"] == "junta" and refused["chosen_weights"].count("0") == 31
+        # the junta head's value is its exact objective, below the refused winner's
+        inst = preprocess(*args[:4]).instance
+        w_sorted = [F(refused["chosen_weights"][i]) for i in inst.permutation]
+        exact = F(refused["exact_objective"])
+        assert exact == exact_objective_probs(inst.probs, w_sorted, inst.theta) < F(answered["exact_objective"])
+        # the rest of the report is the same: the estimate is the junta
+        # member's count on the same shared sample
+        moved = {key for key in answered if answered[key] != refused[key]}
+        assert moved <= {"provenance", "chosen_weights", "chosen_weights_float", "estimate_value",
+                         "estimate_value_float", "exact_objective", "exact_objective_float"}
+        assert (refused["estimate_m"], refused["estimate_seed"]) == (answered["estimate_m"], answered["estimate_seed"])
 
     def test_junta_winner_keeps_its_exact_objective_under_a_refusing_limit(self, monkeypatch, caplog):
         # the n5-L2 winner (1/2 on two head coordinates) is the junta head
@@ -405,6 +415,45 @@ def test_selection_classifies_only_the_live_prefix(monkeypatch):
     assert rep.L == 2 and rep.pool_size == 8
     assert widths == [[18] * 8]
     assert len(rep.chosen_weights) == 256 and sum(w > 0 for w in rep.chosen_weights) <= 18
+
+
+@st.composite
+def case2_pools(draw):
+    """Solves whose Case 2 runs its DP on q-{n}-0.6-like probabilities
+    (p ~ k/1000, k in [600, 850]), n in [16, 40], kappa 1/12 to 1/20."""
+    n = draw(st.integers(16, 40))
+    probs = [draw(st.integers(600, 850)) / 1000 for _ in range(n)]
+    cfg = SolverConfig(mode="practical", kappa_override=F(1, draw(st.sampled_from((12, 16, 20)))),
+                       L_cap=draw(st.integers(1, 2)), seed=draw(st.integers(0, 1 << 16)))
+    return probs, cfg
+
+
+# a q-like pool at kappa 1/20 where the shared sample ranks the members
+# otherwise than their exact values (0.826 against the best 0.839)
+MISRANKED = ([0.679, 0.746, 0.721, 0.839, 0.732, 0.709, 0.696, 0.818, 0.629, 0.752, 0.834, 0.633, 0.635,
+              0.608, 0.776, 0.662, 0.757, 0.666, 0.629, 0.673],
+             SolverConfig(mode="practical", kappa_override=F(1, 20), L_cap=1, seed=58))
+
+
+@example(MISRANKED)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(case2_pools())
+def test_winner_has_the_largest_exact_value_in_the_pool(case):
+    # every pool member's exact objective on its prefix, by the DFS oracle:
+    # the winner's value, which the report carries, is the largest
+    probs, cfg = case
+    pools = []
+
+    def capture(instance, members, m, seed):
+        pools.append((instance, members))
+        return shared_mc_estimates(instance, members, m, seed)
+
+    with mock.patch.object(driver, "shared_mc_estimates", capture):
+        rep = solve(probs, F(3, 5), F(1, 10), F(1, 20), cfg)
+    ((inst, members),) = pools
+    values = {m.weights: dfs_objective(inst.probs[: len(m.weights)], m.weights, inst.theta) for m in members}
+    w_sorted = [rep.chosen_weights[i] for i in inst.permutation]
+    assert rep.exact_objective == dfs_objective(inst.probs, w_sorted, inst.theta) == max(values.values())
 
 
 def ladder_probs(n: int) -> list[float]:

@@ -18,7 +18,6 @@ from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
     DIRECT_MAX_DRAWS,
-    SAMPLE_CHUNK,
     DiscreteDist,
     EmpiricalDist,
     ObjectiveEstimate,
@@ -28,10 +27,9 @@ from storalloc.evaluate import (
     mc_estimate_probs,
     mc_hit_counts,
     sample_tail_empirical,
-    _block_rows,
+    _chunk_rows,
     _packed_draws,
 )
-from storalloc.util import derived_rng
 
 from conftest import (
     dfs_objective,
@@ -39,6 +37,8 @@ from conftest import (
     fraction_tail_empirical,
     granular_instance,
     naive_objective,
+    raw_lanes,
+    sampled_rows,
     with_one_retry,
 )
 
@@ -414,18 +414,20 @@ class TestSampling:
     def test_packed_buffer_guard_refuses_before_drawing(self, monkeypatch):
         # PACKED_LIMIT patched down to 2 000 draws of 8 bytes (n <= 64) or
         # 1 000 of 16 (n = 65): at the limit a call samples, past it both
-        # samplers refuse with estimate and limit before their first draw
-        # (up to DIRECT_MAX_DRAWS, mc_hit_counts packs nothing)
+        # samplers refuse with estimate and limit before their first draw,
+        # on all n coordinates, and so does mc_hit_counts' unpacked path
+        # (1 000 draws of 24 bytes at n = 129)
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 16_000)
         inst = small_instance()
         w = [F(1, 2), F(1, 2)]
         assert mc_estimate_probs(inst.probs, w, inst.theta, 2_000, seed=0).m == 2_000
         drawn = []
-        monkeypatch.setattr(evaluate, "derived_rng", lambda *parts: drawn.append(parts))
+        monkeypatch.setattr(evaluate, "derived_bits", lambda *parts: drawn.append(parts))
         calls = [
             (lambda: mc_estimate_probs(inst.probs, w, inst.theta, 2_001, seed=0), 8 * 2_001),
             (lambda: sample_tail_empirical(inst, [F(1, 2)], 2_001, seed=0), 8 * 2_001),
             (lambda: mc_estimate_probs([F(1, 2)] * 65, [F(1, 65)] * 65, F(1, 2), 1_025, seed=0), 16 * 1_025),
+            (lambda: mc_estimate_probs([F(1, 2)] * 129, [F(1, 129)] * 129, F(1, 2), 1_000, seed=0), 24 * 1_000),
         ]
         for call, estimate in calls:
             with pytest.raises(GuardError) as info:
@@ -524,9 +526,10 @@ def mc_cases(draw):
 
 
 HALVES = [F(1, 2)] * 3
-# each p_i is exactly the first draw's u_i, and X_i = [u_i < p_i] is 0: at
-# theta = 1 that draw is no hit, and a <= in the sampler's comparison would hit
-AT_FIRST_DRAW = [F(u) for u in derived_rng(7, 0).random((1, 4))[0].tolist()]
+# each p_i is exactly the first draw's lane u_i over 2^16, so X_i = 0 (the
+# lane's interval lies at or above p_i): at theta = 1 that draw is no hit,
+# and a <= in the sampler's comparison would hit
+AT_FIRST_DRAW = [F(u, 1 << 16) for u in raw_lanes(7, 0, 1)[0]]
 
 
 @example((AT_FIRST_DRAW, [[F(1, 4)] * 4], F(1), 1, 7))
@@ -580,26 +583,30 @@ def prefix_cases(draw):
     n = draw(st.integers(1, 40))  # up to 5 packed bytes
     width = draw(st.integers(1, n))
     probs = draw(st.lists(grid_probs, min_size=n, max_size=n))
+    others = draw(st.lists(grid_probs, min_size=n - width, max_size=n - width))
     weight = rationals(0, F(3, 2 * width))
     vectors = draw(st.lists(st.lists(weight, min_size=width, max_size=width), min_size=1, max_size=4))
     if draw(st.booleans()):
         vectors[0][0] = F(WIDE - 1, WIDE)
     theta = draw(rationals(F(-1, 2), F(3, 2)))
-    return probs, vectors, theta, draw(st.integers(1, 300)), draw(st.integers(0, 1 << 32))
+    return probs, others, vectors, theta, draw(st.integers(1, 300)), draw(st.integers(0, 1 << 32))
 
 
-@example(([F(1, 2)] * 17, [[F(1, 9)] * 9, [F(WIDE - 1, WIDE)] + [F(0)] * 8], F(1, 2), 200, 1))
-@example(([F(1, 2)] * 16, [[F(1, 8)] * 8], F(1, 2), 200, 1))
+@example(([F(1, 2)] * 17, [F(1, 20)] * 8, [[F(1, 9)] * 9, [F(WIDE - 1, WIDE)] + [F(0)] * 8], F(1, 2), 200, 1))
+@example(([F(1, 2)] * 16, [F(0)] * 8, [[F(1, 8)] * 8], F(1, 2), 200, 1))
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(prefix_cases())
-def test_prefix_vectors_count_as_their_zero_padding(case):
-    # width-w vectors over n >= w draws: every count equals the count of
-    # the vectors padded with zeros to n, unpacked (m <= 300) and packed
-    probs, vectors, theta, m, seed = case
-    padded = [v + [F(0)] * (len(probs) - len(v)) for v in vectors]
+def test_prefix_draws_depend_only_on_the_prefix_probs(case):
+    # width-w vectors over n >= w probabilities: the draws cover the first
+    # w coordinates alone, so the counts are the oracle's on probs[:w], and
+    # other probabilities past w change nothing, unpacked (m <= 300) and packed
+    probs, others, vectors, theta, m, seed = case
+    width = len(vectors[0])
+    expected = fraction_hit_counts(probs[:width], vectors, theta, m, seed)
     for direct_max in (DIRECT_MAX_DRAWS, 0):
         with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", direct_max):
-            assert mc_hit_counts(probs, vectors, theta, m, seed) == mc_hit_counts(probs, padded, theta, m, seed)
+            assert mc_hit_counts(probs, vectors, theta, m, seed) == expected
+            assert mc_hit_counts(probs[:width] + others, vectors, theta, m, seed) == expected
 
 
 class TestKernel:
@@ -627,8 +634,8 @@ class TestKernel:
         assert peak <= bytes_per_draw * m
 
     def test_chunks_merge(self):
-        # m crosses SAMPLE_CHUNK: both classifiers read chunk 1 after chunk 0
-        m = SAMPLE_CHUNK + 5_000
+        # m crosses a chunk: both classifiers read chunk 1 after chunk 0
+        m = _chunk_rows(10) + 5_000
         probs = [F(k, 12) for k in range(1, 11)]
         vectors = [[F(1, 10)] * 10, [F(k, 55) for k in range(1, 11)]]
         theta = F(1, 2)
@@ -639,25 +646,90 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 129])
     def test_packed_rows_match_the_raw_stream(self, n):
-        # m crosses SAMPLE_CHUNK and a draw block; at every width the rows
-        # are np.packbits of the first width columns of the raw chunked
-        # stream over all n (one random() call per chunk), in draw order,
-        # ceil(width/8) bytes wide
-        m = max(SAMPLE_CHUNK, _block_rows(n)) + 5_000
+        # m crosses a chunk; at every width the rows are np.packbits of the
+        # reference's draws over the first width coordinates (rebuilt from
+        # the raw lanes), in draw order, ceil(width/8) bytes wide
         probs = [F(i % 5 + 1, 7) for i in range(n)]
-        pf = np.array([float(p) for p in probs])
-        bits = np.concatenate([
-            derived_rng(23, c).random((min(SAMPLE_CHUNK, m - start), n)) < pf
-            for c, start in enumerate(range(0, m, SAMPLE_CHUNK))
-        ])
         for width in sorted({n, n // 2, max(n - 9, 0), min(n, 1)}):
+            m = _chunk_rows(width) + 1_000
+            bits = np.array(sampled_rows(probs[:width], m, 23), dtype=bool).reshape(m, width)
             rows = _packed_draws(probs, m, 23, width)
             assert rows.shape == (m, (width + 7) // 8) and rows.dtype == np.uint8
-            assert np.array_equal(rows, np.packbits(bits[:, :width], axis=1))
+            assert np.array_equal(rows, np.packbits(bits, axis=1))
+
+    def test_forced_straddle_matches_the_reference(self):
+        # p = (3 u0 + 1) / (3 2^16) lies strictly inside the first lane's
+        # interval (u0, u0 + 1) / 2^16 of (seed 5, chunk 0), so that lane
+        # straddles p and its bit comes from the chunk's next raw words;
+        # every row matches the reference, the first one included
+        lanes, _ = raw_lanes(5, 0, 2)
+        u0, v = lanes[0], lanes[4]  # the first lane, and the low 16 bits of the second word
+        p = F(3 * u0 + 1, 3 << 16)
+        assert F(u0, 1 << 16) < p < F(u0 + 1, 1 << 16)
+        m = 3 * _chunk_rows(2) // 2  # one chunk and a half
+        bits = np.array(sampled_rows([p, F(1, 3)], m, 5), dtype=bool)
+        rows = np.unpackbits(_packed_draws([p, F(1, 3)], m, 5, 2), axis=1)[:, :2]
+        assert np.array_equal(rows, bits)
+        # one draw over one coordinate reads one word for its lane; p just
+        # above or at the refined interval (u0 2^16 + v, +1) / 2^32 of the
+        # straddle makes its bit 1 or 0
+        assert 0 < v < (1 << 16) - 1
+        for p, bit in ((F((u0 << 16) + v + 1, 1 << 32), 1), (F((u0 << 16) + v, 1 << 32), 0)):
+            assert F(u0, 1 << 16) < p < F(u0 + 1, 1 << 16)
+            assert mc_hit_counts([p], [[F(1)]], F(1), 1, 5) == [bit]
+
+    def test_boundary_lanes_read_no_further_words(self):
+        # A lane whose interval ends exactly at p is settled at once: its
+        # lower end at p gives 0 and its upper end 1, with no further word.
+        # Column 0 meets p at the first lane's lower end, or at the upper
+        # end of that lane refined by word 2; column 1 straddles
+        # p1 = (3 u1 + 1) / (3 2^16) and is settled by the next unread
+        # word w, 1 iff its low 16 bits are at most 21 844.  The seed is
+        # the first where words 2, 3 and 4 settle column 1 alternately,
+        # so a word read too many shows.
+        def settles(lanes, word):
+            return int(lanes[4 * (word - 1)] <= 21_844)
+
+        def alternating(seed):
+            lanes, _ = raw_lanes(seed, 0, 4)
+            return settles(lanes, 2) != settles(lanes, 3) != settles(lanes, 4)
+
+        seed = next(s for s in range(100) if alternating(s))
+        lanes, _ = raw_lanes(seed, 0, 4)
+        p1 = F(3 * lanes[1] + 1, 3 << 16)
+        for p0, expected in (
+            (F(lanes[0], 1 << 16), (0, settles(lanes, 2))),
+            (F((lanes[0] << 16) + lanes[4] + 1, 1 << 32), (1, settles(lanes, 3))),
+        ):
+            rows = np.unpackbits(_packed_draws([p0, p1], 1, seed, 2), axis=1)[:, :2]
+            assert tuple(rows[0].tolist()) == expected == sampled_rows([p0, p1], 1, seed)[0]
+
+    def test_certain_columns_never_straddle(self):
+        # p = 0 draws 0 and p = 1 draws 1 on every lane, 65 535 included,
+        # which against p = 1 sits at the top of the 16-bit range: the
+        # seed is the first whose chunk 0 has that lane in the p = 1 column
+        probs = [F(0), F(1), F(1, 3)]
+        m = _chunk_rows(3)
+        seed = next(s for s in range(100) if 65_535 in raw_lanes(s, 0, -(-3 * m // 4))[0][1:3 * m:3])
+        rows = np.unpackbits(_packed_draws(probs, m, seed, 3), axis=1)[:, :3]
+        assert not rows[:, 0].any() and rows[:, 1].all()
+        assert np.array_equal(rows, np.array(sampled_rows(probs, m, seed), dtype=np.uint8))
+
+    def test_column_frequencies_within_a_chernoff_bound(self):
+        # each column's frequency over m draws is within the Hoeffding radius
+        # sqrt(ln(2 k / delta) / (2 m)) of its p, delta = 10^-6 over k columns
+        probs = [F(1, 3), F(2, 7), F(1, 2), F(999_999, 1_000_000), F(1, 1 << 20), F(5, 6), F(12_345, 65_536), F(0)]
+        m = 200_000
+        rows = np.unpackbits(_packed_draws(probs, m, 11, len(probs)), axis=1)[:, : len(probs)]
+        radius = math.sqrt(math.log(2 * len(probs) / 1e-6) / (2 * m))
+        for p, ones in zip(probs, rows.sum(axis=0).tolist()):
+            assert abs(ones / m - float(p)) <= radius
 
     @pytest.mark.parametrize("n", [9, 65])
     def test_block_size_leaves_outputs_unchanged(self, monkeypatch, n):
-        m = SAMPLE_CHUNK + 300
+        # BLOCK_BYTES = 64 puts one vector in a table set and 8 rows in a
+        # dot block; the draws and every output stay the same
+        m = _chunk_rows(n - 2) + 300
         inst = ProblemInstance(
             tuple(F(12 * n - 1 - 5 * i, 16 * n) for i in range(n)), F(1, 2), F(1, 4), F(1, 20), tuple(range(n))
         )
@@ -678,7 +750,6 @@ class TestKernel:
 
         default = outputs()
         monkeypatch.setattr(evaluate, "BLOCK_BYTES", 64)
-        assert _block_rows(n) == 1
         assert outputs() == default
 
     def _classify(self, caplog, vector, theta):
@@ -720,12 +791,13 @@ class TestKernel:
         assert f"{kind} rows, 2 vectors, 1 on object dtype" in caplog.records[-1].getMessage()
 
     def test_unpacked_only_within_one_draw_block(self, monkeypatch, caplog):
-        # the unpacked draws must be chunk 0's first block: with blocks of
-        # 10 rows, 10 draws are classified unpacked and 11 packed
+        # the unpacked draws must be chunk 0's block: with chunks of 10
+        # draws over 9 coordinates, 10 draws are classified unpacked and 11
+        # packed
         probs = [F(k, 12) for k in range(1, 10)]
         vectors, theta = [[F(1, 9)] * 9, [F(k, 45) for k in range(1, 10)]], F(1, 2)
-        monkeypatch.setattr(evaluate, "BLOCK_BYTES", 8 * 9 * 10)
-        assert _block_rows(9) == 10
+        monkeypatch.setattr(evaluate, "CHUNK_LANES", 9 * 10)
+        assert _chunk_rows(9) == 10
         for m, kind in ((10, "unpacked"), (11, "packed")):
             with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
                 assert mc_hit_counts(probs, vectors, theta, m, 5) == fraction_hit_counts(probs, vectors, theta, m, 5)
