@@ -46,7 +46,12 @@ settled in row-major order after its main lanes, each appending the low
 16 bits of the generator's next raw words until its interval lies on one
 side of p.  A bit is thus 1 exactly when a uniform point of [0, 1), read
 to as many digits as it takes, lies below p: Pr = p exactly, for every
-rational p, with no float in the draw (p = 0 and p = 1 never straddle).
+rational p, with no float in the draw.  Only a column with p 2^16 not an
+integer can straddle.  At an integer p 2^16 = q < 2^16 (p = 0 among
+them) the lanes below q give 1 and the lanes from q up give 0, so a chunk
+whose columns are all exact compares each lane once and scans none for
+ties; p = 1, whose digit is capped at 2^16 - 1, is scanned, and its lane
+65 535 gives 1 without a further word.
 The draws over the first w coordinates depend on probs[:w] alone.  Each
 chunk's bits are packed into bytes, keeping the m rows in draw order, or,
 up to DIRECT_MAX_DRAWS draws in one chunk, used as they are.
@@ -82,6 +87,9 @@ CHUNK_LANES = 1 << 17
 
 # Exact-evaluation guard: most values a law may hold while it is built.
 SUPPORT_LIMIT = 1 << 20
+
+# Lanes in one row of a sampling chunk's long-row compare (_draw_chunks).
+TILE_LANES = 1 << 12
 
 # Most draws mc_hit_counts classifies unpacked, with no packing or tables.
 DIRECT_MAX_DRAWS = 1 << 10
@@ -366,28 +374,50 @@ def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int):
     bits is the chunk's bool block of draws start, start + 1, and so on,
     by the module docstring's lane rule: one row per draw, its first width
     columns the draw and the rest zero up to a multiple of 8, so that a
-    flat np.packbits packs it row by row.  A column's threshold digit is
-    floor(p 2^16), capped at 2^16 - 1.  Lanes below it give 1 and lanes
-    above it 0; a lane equal to it is settled by _straddle_bit, in
-    row-major order after the chunk's main lanes, and reads further words
-    only if it straddles p.  So an exact p 2^16 (p = 0 among them) and the
-    capped p = 1 settle at once.
+    flat np.packbits packs it row by row.  One block serves every chunk,
+    so a block is valid only until the next chunk is drawn.  A column's
+    threshold digit is floor(p 2^16), capped at 2^16 - 1.  Lanes below it
+    give 1 and lanes above it 0; a lane equal to it is settled by
+    _straddle_bit, in row-major order after the chunk's main lanes, and
+    reads further words only if it straddles p.  The equal lanes are
+    scanned only when some column has p 2^16 not an integer, or p = 1
+    (module docstring).  A chunk of more than one tile of
+    TILE_LANES // width draws (width a multiple of 8) is compared as
+    rows of whole tiles against the digits tiled that often.
     """
     probs = probs[:width]
-    digits = [min((p.numerator << 16) // p.denominator, _LANE - 1) for p in probs]
+    digits, scan = [], False
+    for p in probs:
+        q, r = divmod(p.numerator << 16, p.denominator)
+        digits.append(min(q, _LANE - 1))
+        scan = scan or r != 0 or q == _LANE
     threshold = np.array(digits, dtype=np.uint16)
-    rows = _chunk_rows(width)
+    rows = min(_chunk_rows(width), m)
+    per_tile = TILE_LANES // width if width and width % 8 == 0 else 0
+    tiled = np.tile(threshold, per_tile) if 0 < per_tile < rows else None
+
+    def compare(op, lanes, out):
+        whole = len(lanes) // per_tile * per_tile if tiled is not None else 0
+        if whole:
+            op(lanes[:whole].reshape(-1, tiled.size), tiled, out=out[:whole].reshape(-1, tiled.size))
+        op(lanes[whole:], threshold, out=out[whole:])
+        return out
+
+    bits = np.zeros((rows, -(-width // 8) * 8), dtype=bool)
+    ties = np.empty((rows, width), dtype=bool) if scan else None
     for c, start in enumerate(range(0, m, rows)):
         count = min(rows, m - start)
         bitgen = derived_bits(seed, c)
         raw = bitgen.random_raw(-(-count * width // 4)).astype("<u8", copy=False)
         lanes = raw.view("<u2")[: count * width].reshape(count, width)
-        bits = np.zeros((count, -(-width // 8) * 8), dtype=bool)
-        np.less(lanes, threshold, out=bits[:, :width])
-        for i in np.flatnonzero(lanes == threshold).tolist():
-            r, j = divmod(i, width)
-            bits[r, j] = _straddle_bit(digits[j], probs[j].numerator, probs[j].denominator, bitgen)
-        yield start, bits
+        block = bits[:count]
+        compare(np.less, lanes, block[:, :width])
+        if scan:
+            for i in np.flatnonzero(compare(np.equal, lanes, ties[:count])).tolist():
+                r, j = divmod(i, width)
+                block[r, j] = _straddle_bit(digits[j], probs[j].numerator, probs[j].denominator, bitgen)
+        del raw, lanes  # so the next chunk's words are drawn with no others alive
+        yield start, block
 
 
 def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> np.ndarray:
@@ -433,9 +463,11 @@ def _byte_tables(columns: np.ndarray) -> np.ndarray:
 
 def _byte_dots(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(len(rows), V) dots of packed rows, one lookup in each of their first len(tables) byte columns."""
-    dots = np.zeros((len(rows), tables.shape[2]), dtype=tables.dtype)
-    for j in range(len(tables)):
-        dots += tables[j][rows[:, j]]
+    if not len(tables):
+        return np.zeros((len(rows), tables.shape[2]), dtype=tables.dtype)
+    dots = tables[0].take(rows[:, 0], axis=0)
+    for j in range(1, len(tables)):
+        dots += tables[j].take(rows[:, j], axis=0)
     return dots
 
 

@@ -715,6 +715,112 @@ class TestKernel:
         assert not rows[:, 0].any() and rows[:, 1].all()
         assert np.array_equal(rows, np.array(sampled_rows(probs, m, seed), dtype=np.uint8))
 
+    @staticmethod
+    def _branch_probs(columns, width, seed):
+        # Probabilities for one branch of the draw loop, over width columns.
+        # "exact": every p 2^16 an integer, so no lane is scanned for ties;
+        # column 0 is p = u0 / 2^16 for the first lane u0, so that lane sits
+        # at its digit and gives 0, and columns 1 and 2 are p = 0 and 1/2.
+        # "mixed": exact and straddling k/7 columns, with column 0 forced to
+        # straddle at chunk 0's first lane (in a long-row tile) and column 1
+        # at chunk 1's last lane in it (past its whole tiles when m is
+        # _chunk_rows(width) + 1 000).  "certain": p = 1 beside exact
+        # columns, in the column of a lane of 65 535.
+        lanes, _ = raw_lanes(seed, 0, 15 * width)
+        probs = [F(1 + 7 * j % 1023, 1024) for j in range(width)]
+        probs[:3] = [F(lanes[0], 1 << 16), F(0), F(1, 2)]
+        if columns == "mixed":
+            last = raw_lanes(seed, 1, 250 * width)[0][999 * width + 1]
+            probs[:2] = [F(3 * lanes[0] + 1, 3 << 16), F(3 * last + 1, 3 << 16)]
+            probs[3::2] = [F(j % 6 + 1, 7) for j in range(3, width, 2)]
+        elif columns == "certain":
+            probs[lanes.index(65_535) % width] = F(1)
+        return probs
+
+    @staticmethod
+    def _seed_with_a_top_lane(width):
+        # the first seed whose chunk 0 has a lane of 65 535 among its first 60 draws
+        return next(s for s in range(10_000) if 65_535 in raw_lanes(s, 0, 15 * width)[0])
+
+    @pytest.mark.parametrize("width", [8, 9, 64, 65])
+    @pytest.mark.parametrize("columns", ["exact", "mixed", "certain"])
+    def test_each_branch_of_the_draw_loop_matches_the_reference(self, columns, width):
+        # m = _chunk_rows(width) + 1 000 ends in a partial tile of long
+        # rows (widths 8 and 64) and m = 60 is one tile; widths 9 and 65
+        # are padded to whole bytes and never tiled
+        seed = self._seed_with_a_top_lane(width)
+        probs = self._branch_probs(columns, width, seed)
+        for m in (_chunk_rows(width) + 1_000, 60):
+            bits = np.array(sampled_rows(probs, m, seed), dtype=bool)
+            assert np.array_equal(_packed_draws(probs, m, seed, width), np.packbits(bits, axis=1))
+
+    @pytest.mark.parametrize("columns", ["exact", "certain"])
+    def test_exact_columns_read_only_their_lanes(self, monkeypatch, columns):
+        # an all-exact chunk draws its lanes in one random_raw call and
+        # settles no lane, not even the one at its digit; beside a p = 1
+        # column the lanes at their digits are settled, its lane of 65 535
+        # among them, and none reads a further word
+        seed = self._seed_with_a_top_lane(8)
+        probs = self._branch_probs(columns, 8, seed)
+        reads, settled = [], []
+        derived_bits, straddle_bit = evaluate.derived_bits, evaluate._straddle_bit
+
+        class Spy:
+            def __init__(self, *parts):
+                self.bitgen = derived_bits(*parts)
+
+            def random_raw(self, *size):
+                reads.append(size)
+                return self.bitgen.random_raw(*size)
+
+        def spy_straddle(u, *rest):
+            settled.append(u)
+            return straddle_bit(u, *rest)
+
+        monkeypatch.setattr(evaluate, "derived_bits", Spy)
+        monkeypatch.setattr(evaluate, "_straddle_bit", spy_straddle)
+        rows = np.unpackbits(_packed_draws(probs, 60, seed, 8), axis=1)
+        assert np.array_equal(rows, np.array(sampled_rows(probs, 60, seed), dtype=np.uint8))
+        assert reads == [(60 * 8 // 4,)]
+        assert (settled == []) if columns == "exact" else (65_535 in settled)
+
+    @pytest.mark.parametrize(
+        "dtype, vectors, n, m",
+        [(np.int64, 1, 20, 50), (np.int64, 3, 20, 50), (object, 2, 20, 50), (np.int64, 2, 0, 5), (object, 1, 0, 5),
+         (np.int64, 3, 17, 1)],
+        ids=["int64-V1", "int64-V3", "object", "int64-no-bytes", "object-no-bytes", "one-row"],
+    )
+    def test_byte_dots_is_the_sum_of_its_lookups(self, dtype, vectors, n, m):
+        # each dot is the plain sum of one table entry per byte column;
+        # rows carry one byte column more than the tables, which is ignored
+        rng = np.random.default_rng(n * 100 + m)
+        offset = 1 << 70 if dtype is object else 0
+        columns = np.array(rng.integers(-1000, 1000, (n, vectors)), dtype=object) + offset
+        tables = evaluate._byte_tables(columns.astype(dtype))
+        rows = rng.integers(0, 256, (m, (n + 7) // 8 + 1), dtype=np.uint8)
+        dots = evaluate._byte_dots(tables, rows)
+        expected = [
+            [sum(int(tables[j, row[j], v]) for j in range(len(tables))) for v in range(vectors)] for row in rows.tolist()
+        ]
+        assert dots.shape == (m, vectors) and dots.dtype == tables.dtype
+        assert dots.tolist() == expected
+
+    @pytest.mark.parametrize("grid", [1024, 7])
+    def test_draws_hold_the_rows_and_one_chunk(self, grid):
+        # one chunk's bool block and raw words, and its ties, at a time:
+        # the traced peak stays within the packed rows plus 4.5 bytes per
+        # chunk lane (a fresh block per chunk, drawn while the last chunk's
+        # words were alive, read 857 KiB here)
+        probs = [F(300 + 5 * j, 1024) for j in range(64)] if grid == 1024 else [F(j % 6 + 1, 7) for j in range(64)]
+        _packed_draws(probs, 100, 1, 64)
+        tracemalloc.start()
+        try:
+            rows = _packed_draws(probs, 25_000, 1, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 4.5 * evaluate.CHUNK_LANES
+
     def test_column_frequencies_within_a_chernoff_bound(self):
         # each column's frequency over m draws is within the Hoeffding radius
         # sqrt(ln(2 k / delta) / (2 m)) of its p, delta = 10^-6 over k columns
