@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .util import Record, to_fraction, to_int, to_ratio
+from .util import Record, half_power_ceil, to_fraction, to_int, to_ratio
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +51,11 @@ class SolverConfig(Record):
 
     mode="theory" uses the paper-faithful L and kappa formulas (astronomical
     for all but degenerate-tiny instances); mode="practical" allows capping L
-    and overriding kappa.  state_space_limit caps each tail DP's state bound,
-    checked before any state: large_ci.tail_state_bound for Case 2, a cell
-    estimate for Case 3.  A report's "config" echoes every field in
+    and overriding kappa, and theory mode refuses both.  state_space_limit
+    caps Case 2's tail DP, checked on large_ci.tail_state_bound before any
+    state.  Case 3 runs no DP and refuses at every limit where a regular
+    tail fits (driver.case3_verdict); the limit is only reported in that
+    refusal.  A report's "config" echoes every field in
     ``__slots__`` order, so a knob is defined here alone.  Integer knobs are
     ints: numpy ints convert; bools, floats and strings are refused.
     """
@@ -290,14 +292,38 @@ def L_formula(epsilon: Fraction, gamma: Fraction, c_L: Fraction = Fraction(1)) -
         return max(1, math.ceil(c_L / (epsilon**2 * gamma**3) * Fraction(logs)))
 
 
-def compute_L(instance: ProblemInstance, config: SolverConfig) -> int:
-    """The head-size cutoff, Eq. (1), with c_L absorbing the Theta constant.
+def theory_kappa_case2(n: int, L: int) -> Fraction:
+    """kappa = 1/(n^2 ((L+2)^((L+2)/2) + 1)), the half power rounded up."""
+    return Fraction(1, n * n * (half_power_ceil(L + 2, L + 2) + 1))
 
-    Practical mode additionally caps at L_cap; the uncapped value is logged.
+
+def theory_kappa_case3(n: int, L: int, epsilon: Fraction, gamma: Fraction) -> Fraction:
+    """kappa = eps gamma^2 / (200 ((L+2)^((L+2)/2)+1)^2 n^3)."""
+    big = half_power_ceil(L + 2, L + 2) + 1
+    return epsilon * gamma * gamma / (200 * big * big * n**3)
+
+
+def compute_L(instance: ProblemInstance, config: SolverConfig) -> int:
+    """The head-size cutoff, Eq. (1), with c_L absorbing the Theta constant,
+    capped at L_cap when set (practical mode alone allows it); the uncapped
+    value is logged.
     """
     uncapped = L_formula(instance.epsilon, instance.gamma, config.c_L)
     L = min(instance.n, uncapped)
     logger.info("L cutoff: formula value %d, after min with n: %d", uncapped, L)
-    if config.mode == "practical" and config.L_cap is not None:
+    if config.L_cap is not None:
         L = min(L, config.L_cap)
     return L
+
+
+def compute_kappas(instance: ProblemInstance, L: int, config: SolverConfig) -> tuple[Optional[Fraction], Fraction]:
+    """The tail granularities (kappa_case2, kappa_case3) at head cutoff L:
+    kappa_override for both when set (practical mode alone allows it), else
+    the theory formulas.  kappa_case2 is None at L = n, where no tail is
+    left for Case 2."""
+    if config.kappa_override is not None:
+        kappa2 = kappa3 = config.kappa_override
+    else:
+        kappa2 = theory_kappa_case2(instance.n, L)
+        kappa3 = theory_kappa_case3(instance.n, L, instance.epsilon, instance.gamma)
+    return (kappa2 if L < instance.n else None), kappa3

@@ -2,7 +2,7 @@
 
 Every case is run (the optimum's type is unknowable): the junta and
 Case 2 by their solvers, Case 3 by its closed-form verdict, which adds no
-candidate or refuses (small_ci.case3_verdict).  The candidates are
+candidate or refuses (case3_verdict).  The candidates are
 pooled, each distinct member is scored once by its exact objective, and
 the best exact value wins; ties break by case provenance, then
 lexicographically.
@@ -61,14 +61,14 @@ from .core import (
     ProblemInstance,
     SolverConfig,
     TrivialSolution,
+    compute_kappas,
     compute_L,
     preprocess,
 )
 from .errors import GuardError, InputError
 from .evaluate import ObjectiveEstimate, check_draws, exact_objective_probs, mc_hit_counts
 from .junta import JuntaRequest, find_optimal_junta
-from .large_ci import case2_kappa, find_near_opt_large_ci
-from .small_ci import case3_kappa, case3_verdict
+from .large_ci import find_near_opt_large_ci, live_slots
 from .util import Record, derive_seed, frac_str, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
@@ -262,6 +262,66 @@ def _check_feasible(weights: Sequence[Fraction]):
         raise AssertionError(f"case solver produced an infeasible candidate: {weights}")
 
 
+def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstance) -> int:
+    """Cheap upper bound on DP cells: min(granular tails, conceivable triples),
+    the tails (jmax + 1)^n_slots built only while they stay the smaller."""
+    jmax = int(1 / kappa)
+    b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
+    triples = (jmax * jmax + 1) * (b_max + 1) * (jmax + 1)
+    tails = 1
+    for _ in range(n_slots):  # kappa <= 1 gives jmax >= 1: at most log2(triples) + 1 rounds
+        tails *= jmax + 1
+        if tails >= triples:
+            return triples
+    return tails
+
+
+def regularity_eps(instance: ProblemInstance) -> Fraction:
+    """eps' = eps gamma / 100, the regularity parameter of Case 3."""
+    eps, gamma = instance.epsilon, instance.gamma
+    return Fraction(eps.numerator * gamma.numerator, 100 * eps.denominator * gamma.denominator)
+
+
+def no_regular_tail(eps_prime: Fraction, kappa: Fraction, slots: int) -> bool:
+    """eps'^2 min(floor(1/kappa), slots) < 1 as e_n^2 min(..) < e_d^2, eps' = e_n/e_d:
+    no eps'-regular tail fits in ``slots`` slots (case3_verdict)."""
+    return eps_prime.numerator**2 * min(kappa.denominator // kappa.numerator, slots) < eps_prime.denominator**2
+
+
+def case3_verdict(instance: ProblemInstance, kappa: Fraction, config: SolverConfig) -> None:
+    """Case 3 for every K <= L at once: return (no candidate) or refuse.
+
+    A nonzero tail with s nonzero slots has D = sum j^2 <= s E^2, so
+    regularity E^2 <= eps'^2 D needs eps'^2 s >= 1.  Each nonzero slot
+    spends at least one kappa unit and there are n - K + 1 slots, so
+    s <= min(floor(1/kappa), n - K + 1).  That bound falls as K rises, so
+    when no_regular_tail holds over the n slots of K = 1 no K <= L has a
+    regular tail, and the function returns.
+
+    Otherwise it refuses with the tail DP's state-space estimate at K = 1
+    over n slots, even at a config.state_space_limit above it, and names
+    the coarsest kappa that runs, 1/J for the largest J with eps'^2 J < 1.
+    The estimate is then above 4 * 10^26.  Every ProblemInstance enforces
+    A2, p_1 < 1 - eps, and gamma = min(p_n, 1 - p_1) <= p_n <= p_1, so
+    eps gamma < p_1 (1 - p_1) <= 1/4 and eps' = eps gamma / 100 < 1/400.
+    A regular tail thus needs s > 160 000, so n > 160 000 and
+    J = floor(1/kappa) > 160 000.  With eps < 1 the estimate is at least
+    (J^2 + 1)(4nJ + 2)(J + 1) > 4.19 * 10^26, and within its first two
+    slots the DP would hold about J^2 / 4 > 6.4 * 10^9 states.
+    """
+    n, eps_prime = instance.n, regularity_eps(instance)
+    if no_regular_tail(eps_prime, kappa, n):
+        return
+    estimate = _state_space_estimate(n, kappa, instance)
+    coarse = (eps_prime.denominator**2 - 1) // eps_prime.numerator**2  # largest J with eps'^2 J < 1
+    raise GuardError(
+        f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}), and Case 3 refuses at any "
+        f"limit; use practical mode with --kappa 1/{coarse} or coarser, where no regular tail fits",
+        estimate=estimate,
+        limit=config.state_space_limit,
+    )
+
+
 def _trivial_report(shortcut: TrivialSolution, n: int, theta, epsilon, delta, config) -> SolveReport:
     return SolveReport(
         provenance="trivial",
@@ -310,8 +370,9 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
 
     GuardError before any case runs when the head cutoff L exceeds MAX_K,
     the largest head the committed margin table covers, or when the
-    selection sample for a pool of one already fails evaluate.check_draws:
-    m grows with the pool, so selection would refuse it after the cases.
+    selection sample for a pool of one, over the pool's P columns (module
+    docstring), already fails evaluate.check_draws: m grows with the pool,
+    so selection would refuse it after the cases.
     """
     config = config or SolverConfig()
     timings: dict = {}
@@ -327,9 +388,9 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
             estimate=L,
             limit=MAX_K,
         )
-    check_draws(selection_sample_size(instance.epsilon, instance.delta, 1, config.mc_constant), n)
-    kappa3 = case3_kappa(instance, L, config)
-    kappa2 = case2_kappa(instance, L, config) if L < n else None
+    kappa2, kappa3 = compute_kappas(instance, L, config)
+    P = L + live_slots(instance, L, kappa2) if L < n else n
+    check_draws(selection_sample_size(instance.epsilon, instance.delta, 1, config.mc_constant), P)
 
     if L == n:  # no tail, so no Case 2 to answer the head-only request
         junta = find_optimal_junta(JuntaRequest(instance.probs, theta, Fraction(1)))

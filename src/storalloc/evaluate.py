@@ -94,8 +94,9 @@ TILE_LANES = 1 << 12
 # Most draws mc_hit_counts classifies unpacked, with no packing or tables.
 DIRECT_MAX_DRAWS = 1 << 10
 
-# Sampling guard on m x 8 ceil(n/64) bytes, at least the m x ceil(n/8) packed
-# rows a sampler holds beside its row blocks, so at most 256 MiB of them.
+# Sampling guard on m x 8 ceil(w/64) bytes over the w columns drawn, at least
+# the m x ceil(w/8) packed rows a sampler holds beside its row blocks, so at
+# most 256 MiB of them.
 PACKED_LIMIT = 1 << 28
 
 
@@ -332,14 +333,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:]
 
 
-def check_draws(m: int, n: int) -> None:
-    """GuardError when m draws over n coordinates exceed PACKED_LIMIT.
+def check_draws(m: int, width: int) -> None:
+    """GuardError when m draws over ``width`` coordinates exceed PACKED_LIMIT.
 
-    The estimate is m x 8 ceil(n/64) bytes: the packed rows rounded up to
-    whole 8-byte words.  The samplers call this before their first draw,
-    and the driver before any case runs.
+    The estimate is m x 8 ceil(width/64) bytes: the packed rows rounded up
+    to whole 8-byte words.  The samplers call this on the width they draw
+    before their first draw, and the driver on the pool's width before any
+    case runs.
     """
-    row_bytes = 8 * -(-n // 64)
+    row_bytes = 8 * -(-width // 64)
     if m * row_bytes > PACKED_LIMIT:
         message = f"packed draw buffer of {m} draws x {row_bytes} bytes exceeds {PACKED_LIMIT} bytes"
         raise GuardError(message, estimate=m * row_bytes, limit=PACKED_LIMIT)
@@ -426,10 +428,10 @@ def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> n
 
     A row is np.packbits of one draw's width bits: coordinate 8j + k in
     bit 7 - k of byte j, the last byte zero-padded.  The draws are
-    _draw_chunks', so they depend on probs[:width] alone; the guard is
-    check_draws on all n = len(probs) coordinates.
+    _draw_chunks', so they depend on probs[:width] alone, and so does the
+    guard, check_draws on the width.
     """
-    check_draws(m, len(probs))
+    check_draws(m, width)
     packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
     for start, bits in _draw_chunks(probs, m, seed, width):
         packed[start:start + len(bits)] = np.packbits(bits.reshape(-1)).reshape(len(bits), -1)
@@ -481,7 +483,7 @@ def mc_hit_counts(
     """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
 
     The vectors share one width w <= len(probs); the draws cover probs[:w]
-    alone, and check_draws guards them on all len(probs) coordinates.  All
+    alone, and check_draws guards them on the width w.  All
     vectors are classified exactly on the same draws, so their counts
     compare draw for draw.  The test is the module docstring's
     (D w) . x >= D theta, on int64 or Python ints as chosen per vector
@@ -495,7 +497,7 @@ def mc_hit_counts(
     width = len(weight_vectors[0]) if weight_vectors else 0
     direct = m <= min(DIRECT_MAX_DRAWS, _chunk_rows(width))
     if direct:  # chunk 0's bool block, the draws _packed_draws packs
-        check_draws(m, len(probs))
+        check_draws(m, width)
         ((_, bits),) = _draw_chunks(probs, m, seed, width)
         rows = bits[:, :width]
     else:

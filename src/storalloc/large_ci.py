@@ -84,7 +84,7 @@ from typing import Optional, Sequence
 from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .junta import JuntaRequest, JuntaResult, find_optimal_junta
-from .util import Record, half_power_ceil, ln_lower, ln_upper, sqrt_upper, to_fraction
+from .util import Record, ln_lower, ln_upper, sqrt_upper, to_fraction
 
 
 class TailTriple(Record):
@@ -101,18 +101,6 @@ class TailTriple(Record):
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "path", path)
-
-
-def theory_kappa_case2(n: int, L: int) -> Fraction:
-    """kappa = 1/(n^2 ((L+2)^((L+2)/2) + 1)), the half power rounded up."""
-    return Fraction(1, n * n * (half_power_ceil(L + 2, L + 2) + 1))
-
-
-def case2_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Fraction:
-    """Tail granularity for Case 2; practical mode may override it."""
-    if config.mode == "practical" and config.kappa_override is not None:
-        return config.kappa_override
-    return theory_kappa_case2(instance.n, L)
 
 
 def tail_state_bound(n_slots: int, kappa: Fraction) -> int:

@@ -1,17 +1,11 @@
-"""Case 3: the optimum has small critical index K <= L.
+"""Case 3's exact head search: the best head against a sampled tail.
 
-The paper completes, for each K <= L, the eps'-regular kappa-granular
-tails over slots K..n, eps' = eps gamma / 100, with heads found against a
-sampled surrogate of the tail.  On every ProblemInstance either no such
-tail exists, by a closed-form test, or its tail DP needs more than
-4 * 10^26 cells (case3_verdict gives the proof).  So the solver decides
-Case 3 by case3_verdict alone: no candidate at any K, or the guard's
-refusal.  The tail DP, the sampler and the head completion are the test
-reference, tests/case3.py.
-
-Kept here: the Case-3 granularity, reported as kappa_case3; the
-closed-form test no_regular_tail, which decides on numerators; and the
-exact best-head search find_best_head and its chain_lp, which the reference calls.
+find_best_head maximizes Pr[u . X + R >= theta] over heads u, R uniform
+over a sample of tail values, by nested chains of upward-closed sets and
+one membership LP (chain_lp) per chain.  No solve calls it: the driver
+decides Case 3 in closed form (driver.case3_verdict), so the search
+serves the Case-3 test reference (tests/case3.py), which completes its
+heads with it, and the oracle benchmark.
 """
 
 from __future__ import annotations
@@ -20,92 +14,14 @@ import logging
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ProblemInstance, SolverConfig
 from .errors import GuardError, InputError
 from .evaluate import BLOCK_BYTES, EmpiricalDist
 from .halfspaces import minimal_members, point_bits
 from .junta import family_numerators, margin_admits, outcome_numerators, upward_family
 from .lp import LinearProgram, lp_solve
-from .util import Record, half_power_ceil, to_fraction
+from .util import Record, to_fraction
 
 logger = logging.getLogger(__name__)
-
-
-def theory_kappa_case3(n: int, L: int, epsilon: Fraction, gamma: Fraction) -> Fraction:
-    """kappa = eps gamma^2 / (200 ((L+2)^((L+2)/2)+1)^2 n^3)."""
-    big = half_power_ceil(L + 2, L + 2) + 1
-    return epsilon * gamma * gamma / (200 * big * big * n**3)
-
-
-def case3_kappa(instance: ProblemInstance, L: int, config: SolverConfig) -> Fraction:
-    """Tail granularity for Case 3; practical mode may override it."""
-    if config.mode == "practical" and config.kappa_override is not None:
-        return config.kappa_override
-    return theory_kappa_case3(instance.n, L, instance.epsilon, instance.gamma)
-
-
-def _state_space_estimate(n_slots: int, kappa: Fraction, instance: ProblemInstance) -> int:
-    """Cheap upper bound on DP cells: min(granular tails, conceivable triples),
-    the tails (jmax + 1)^n_slots built only while they stay the smaller."""
-    jmax = int(1 / kappa)
-    b_max = int(4 * instance.n / (kappa * instance.epsilon)) + 1
-    triples = (jmax * jmax + 1) * (b_max + 1) * (jmax + 1)
-    tails = 1
-    for _ in range(n_slots):  # kappa <= 1 gives jmax >= 1: at most log2(triples) + 1 rounds
-        tails *= jmax + 1
-        if tails >= triples:
-            return triples
-    return tails
-
-
-def regularity_eps(instance: ProblemInstance) -> Fraction:
-    """eps' = eps gamma / 100, the regularity parameter of Case 3."""
-    eps, gamma = instance.epsilon, instance.gamma
-    return Fraction(eps.numerator * gamma.numerator, 100 * eps.denominator * gamma.denominator)
-
-
-def no_regular_tail(eps_prime: Fraction, kappa: Fraction, slots: int) -> bool:
-    """eps'^2 min(floor(1/kappa), slots) < 1 as e_n^2 min(..) < e_d^2, eps' = e_n/e_d:
-    no eps'-regular tail fits in ``slots`` slots (case3_verdict)."""
-    return eps_prime.numerator**2 * min(kappa.denominator // kappa.numerator, slots) < eps_prime.denominator**2
-
-
-def case3_verdict(instance: ProblemInstance, kappa: Fraction, config: SolverConfig) -> None:
-    """Case 3 for every K <= L at once: return (no candidate) or refuse.
-
-    A nonzero tail with s nonzero slots has D = sum j^2 <= s E^2, so
-    regularity E^2 <= eps'^2 D needs eps'^2 s >= 1.  Each nonzero slot
-    spends at least one kappa unit and there are n - K + 1 slots, so
-    s <= min(floor(1/kappa), n - K + 1).  That bound falls as K rises, so
-    when no_regular_tail holds over the n slots of K = 1 no K <= L has a
-    regular tail, and the function returns.
-
-    Otherwise it refuses with the tail DP's state-space estimate at K = 1
-    over n slots, even at a config.state_space_limit above it, and names
-    the coarsest kappa that runs, 1/J for the largest J with eps'^2 J < 1.
-    The estimate is then above 4 * 10^26.  Every ProblemInstance enforces
-    A2, p_1 < 1 - eps, and gamma = min(p_n, 1 - p_1) <= p_n <= p_1, so
-    eps gamma < p_1 (1 - p_1) <= 1/4 and eps' = eps gamma / 100 < 1/400.
-    A regular tail thus needs s > 160 000, so n > 160 000 and
-    J = floor(1/kappa) > 160 000.  With eps < 1 the estimate is at least
-    (J^2 + 1)(4nJ + 2)(J + 1) > 4.19 * 10^26, and within its first two
-    slots the DP would hold about J^2 / 4 > 6.4 * 10^9 states.
-    """
-    n, eps_prime = instance.n, regularity_eps(instance)
-    if no_regular_tail(eps_prime, kappa, n):
-        return
-    estimate = _state_space_estimate(n, kappa, instance)
-    coarse = (eps_prime.denominator**2 - 1) // eps_prime.numerator**2  # largest J with eps'^2 J < 1
-    raise GuardError(
-        f"tail DP needs ~{estimate} cells (limit {config.state_space_limit}), and Case 3 refuses at any "
-        f"limit; use practical mode with --kappa 1/{coarse} or coarser, where no regular tail fits",
-        estimate=estimate,
-        limit=config.state_space_limit,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact head optimization against a sampled tail surrogate
 
 
 class HeadResult(Record):

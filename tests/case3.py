@@ -23,11 +23,12 @@ small_ci.find_best_head.
 
 On every ProblemInstance this path either returns no candidate in closed
 form or refuses at its state guard before building a state
-(small_ci.case3_verdict gives the proof), so the solver runs
-small_ci.case3_verdict instead.  This module is the executable reference
+(driver.case3_verdict gives the proof), so the solver runs
+driver.case3_verdict instead.  This module is the executable reference
 that verdict is checked against, and the DP, sampler and head completion
-keep their tests here on small inputs with a large eps'.  Nothing in the
-solver imports it.
+keep their tests here on small inputs with a large eps'.  It shares the
+verdict's closed forms (regularity_eps, no_regular_tail and the state-space
+estimate) with the driver.  Nothing in the solver imports it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from typing import Optional, Sequence
 from storalloc.core import ProblemInstance, SolverConfig
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import EmpiricalDist, sample_tail_empirical
-from storalloc.small_ci import HeadResult, _state_space_estimate, find_best_head, no_regular_tail, regularity_eps
+from storalloc.driver import _state_space_estimate, no_regular_tail, regularity_eps
+from storalloc.small_ci import HeadResult, find_best_head
 from storalloc.util import derive_seed, to_fraction
 
 

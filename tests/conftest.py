@@ -508,21 +508,42 @@ def head_value(head_probs, points, theta, u) -> Fraction:
     return total / len(points)
 
 
+def upward_closure(mask: int, k: int) -> int:
+    """The points of {0,1}^k at or above some point of mask, coordinatewise."""
+    closed = 0
+    for x in range(1 << k):
+        if (mask >> x) & 1:
+            for y in range(1 << k):
+                if y & x == x:
+                    closed |= 1 << y
+    return closed
+
+
 def literal_best_head_value(head_probs, points, W, theta) -> Fraction:
     """Max of Pr[u . X + R >= theta] by the paper's literal search.
 
     Every tuple in S^m of threshold-realizable sets, upward-closed or not,
-    from the table generator's weight grid (one per sampled point) gets a
+    from the table generator's weight grid (one per sampled point) has its
     feasibility LP; each feasible witness is scored by full enumeration.
     Exponential in m, so for micro-instances only.
+
+    Each LP is solved once per tuple of upward closures.  With u >= 0,
+    u . y >= u . x whenever y >= x, so a set's membership rows hold
+    exactly when its closure's rows hold, and a tuple of sets has the same
+    feasible region as the tuple of their closures.  The maximum is
+    unchanged whichever witness a region yields: every witness is a
+    feasible head, and the optimum u* realizes the upward-closed sets
+    {x : u* . x >= theta - t}, a tuple of grid sets that is its own
+    closure tuple, whose witness realizes supersets of them and so scores
+    at least u*'s value.
     """
     head_probs = [Fraction(p) for p in head_probs]
     points = sorted(Fraction(t) for t in points)
     W, theta = Fraction(W), Fraction(theta)
     k = len(head_probs)
-    masks = grid_family(k, False)
+    closures = sorted({upward_closure(mask, k) for mask in grid_family(k, False)})
     best = head_value(head_probs, points, theta, (Fraction(0),) * k)
-    for tup in itertools.product(masks, repeat=len(points)):
+    for tup in itertools.product(closures, repeat=len(points)):
         u = _literal_lp(tup, points, k, W, theta)
         if u is not None:
             best = max(best, head_value(head_probs, points, theta, u))

@@ -115,7 +115,7 @@ class TestCommands:
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err
         # No solve samples a tail (Case 3 is decided in closed form, see
-        # small_ci.case3_verdict; its sampler is test code), so
+        # driver.case3_verdict; its sampler is test code), so
         # a stand-in command samples a tail under the CLI's log handler.
         inst = ProblemInstance((F(15, 32), F(5, 16)), F(1, 2), F(1, 4), F(1, 20), (0, 1))
 

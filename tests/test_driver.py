@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 
 from storalloc import driver, evaluate, large_ci
 from storalloc.core import MAX_K, SolverConfig, preprocess
-from storalloc.driver import _check_feasible, selection_sample_size, shared_mc_estimates, solve, solve_instance
+from storalloc.driver import (
+    _check_feasible,
+    case3_verdict,
+    no_regular_tail,
+    regularity_eps,
+    selection_sample_size,
+    shared_mc_estimates,
+    solve,
+    solve_instance,
+)
 from storalloc.errors import GuardError, InputError
 from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.evaluate import exact_objective_probs
-from storalloc.small_ci import case3_verdict, no_regular_tail, regularity_eps
 
 import case3
 import test_large_ci
@@ -119,17 +127,36 @@ class TestSolve:
     def test_draw_guard_precedes_the_cases(self, monkeypatch):
         # PACKED_LIMIT patched one byte below the pool-size-1 selection
         # sample, 16 ln 20 -> 48 draws of 8 bytes: the solve refuses with
-        # that estimate, and no case solver or case parameter is reached
+        # that estimate, and no case solver is reached (the closed-form
+        # kappas run first: the guard reads the pool's width from them)
         def case_ran(*args, **kwargs):
             raise AssertionError("a case ran before the draw guard")
 
-        for name in ("case2_kappa", "case3_kappa", "find_optimal_junta", "case3_verdict", "find_near_opt_large_ci"):
+        for name in ("find_optimal_junta", "case3_verdict", "find_near_opt_large_ci"):
             monkeypatch.setattr(driver, name, case_ran)
         m = selection_sample_size(F(1, 4), F(1, 20), 1, F(1))
         assert m == 48
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m - 1)
         with pytest.raises(GuardError) as err:
             solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, 0.25, 0.05, SolverConfig(**PRACTICAL))
+        assert (err.value.estimate, err.value.limit) == (8 * m, 8 * m - 1)
+
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 40)])
+    def test_draw_guard_counts_the_drawn_columns(self, monkeypatch, eps):
+        # n = 200 at kappa 1/8 and L_cap 2: pool vectors end at slot
+        # P = 2 + 8, so a selection draw is one 8-byte guard word, where all
+        # n coordinates would take 32.  A limit of 8 bytes per final draw
+        # admits the same report, unpacked (eps 1/10, m <= DIRECT_MAX_DRAWS)
+        # and packed (eps 1/40); one byte less refuses at selection.
+        args = (q_probs(200), F(3, 5), eps, F(1, 20), SolverConfig(**PRACTICAL))
+        report = solve(*args)
+        m = report.estimate.m
+        assert (m > evaluate.DIRECT_MAX_DRAWS) == (eps == F(1, 40))
+        monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m)
+        assert solve(*args).to_json() == report.to_json()
+        monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m - 1)
+        with pytest.raises(GuardError) as err:
+            solve(*args)
         assert (err.value.estimate, err.value.limit) == (8 * m, 8 * m - 1)
 
     @pytest.mark.parametrize("denom, value", [(12, 0.9345), (16, 0.9689)])

@@ -415,7 +415,7 @@ class TestSampling:
         # PACKED_LIMIT patched down to 2 000 draws of 8 bytes (n <= 64) or
         # 1 000 of 16 (n = 65): at the limit a call samples, past it both
         # samplers refuse with estimate and limit before their first draw,
-        # on all n coordinates, and so does mc_hit_counts' unpacked path
+        # on the width drawn (all n here), and so does mc_hit_counts' unpacked path
         # (1 000 draws of 24 bytes at n = 129)
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 16_000)
         inst = small_instance()

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storalloc import large_ci
-from storalloc.core import ProblemInstance, SolverConfig, preprocess
+from storalloc.core import ProblemInstance, SolverConfig, compute_kappas, preprocess, theory_kappa_case2
 from storalloc.driver import solve
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.junta import JuntaRequest, find_optimal_junta
 from storalloc.large_ci import (
     TailTriple,
-    case2_kappa,
     construct_achievable_tails,
     dominance_front,
     find_near_opt_large_ci,
@@ -22,7 +21,6 @@ from storalloc.large_ci import (
     live_slots,
     shifted_threshold,
     tail_state_bound,
-    theory_kappa_case2,
     zero_tail_dominates,
 )
 from storalloc.util import ln_lower, ln_upper, sqrt_upper
@@ -86,13 +84,14 @@ class TestKappa:
     def test_practical_override(self, rng):
         inst = granular_instance(rng, 3, F(1, 2), F(1, 4))
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 20))
-        assert case2_kappa(inst, 1, cfg) == F(1, 20)
+        assert compute_kappas(inst, 1, cfg) == (F(1, 20), F(1, 20))
+        assert compute_kappas(inst, 3, cfg) == (None, F(1, 20))  # L = n: no tail for Case 2
 
     def test_guard_trips_on_tiny_kappa(self, rng):
         # the guard sits in the DP, ahead of any state: choosing kappa is free
         inst = granular_instance(rng, 8, F(1, 2), F(1, 4))
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 10**6))
-        assert case2_kappa(inst, 2, cfg) == F(1, 10**6)
+        assert compute_kappas(inst, 2, cfg)[0] == F(1, 10**6)
         with mock.patch.object(large_ci, "sorted", side_effect=AssertionError("the DP ran"), create=True):
             with pytest.raises(GuardError) as err:
                 construct_achievable_tails(inst, 2, F(1, 10**6), cfg)

@@ -11,17 +11,11 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from storalloc import small_ci
-from storalloc.core import SolverConfig, preprocess
+from storalloc.core import SolverConfig, compute_kappas, preprocess, theory_kappa_case2, theory_kappa_case3
+from storalloc.driver import _state_space_estimate, no_regular_tail, regularity_eps
 from storalloc.errors import GuardError, InputError
 from storalloc.junta import upward_family
-from storalloc.small_ci import (
-    _state_space_estimate,
-    case3_kappa,
-    find_best_head,
-    no_regular_tail,
-    regularity_eps,
-    theory_kappa_case3,
-)
+from storalloc.small_ci import find_best_head
 
 import case3
 from case3 import (
@@ -66,8 +60,6 @@ def brute_force_quintuples(tail_probs, kappa, grid):
 
 class TestKappa:
     def test_strictly_finer_than_case2(self, rng):
-        from storalloc.large_ci import theory_kappa_case2
-
         inst = granular_instance(rng, 3, F(1, 2), F(1, 4))
         k3 = theory_kappa_case3(inst.n, 2, inst.epsilon, inst.gamma)
         assert k3 < theory_kappa_case2(inst.n, 2)
@@ -75,13 +67,13 @@ class TestKappa:
     def test_practical_override(self, rng):
         inst = granular_instance(rng, 3, F(1, 2), F(1, 4))
         cfg = SolverConfig(mode="practical", kappa_override=F(1, 10))
-        assert case3_kappa(inst, 2, cfg) == F(1, 10)
+        assert compute_kappas(inst, 2, cfg)[1] == F(1, 10)
 
     def test_theory_guard_trips_n10_L3(self, rng):
         # theory kappa at n=10, L=3 is tiny; at eps'=1 the 10 slots pass the
         # closed-form test, so the DP is about to run and its guard refuses
         inst = granular_instance(rng, 10, F(1, 2), F(1, 4))
-        kappa = case3_kappa(inst, 3, SolverConfig())
+        kappa = compute_kappas(inst, 3, SolverConfig())[1]
         with pytest.raises(GuardError) as err:
             construct_achievable_regular_tails(inst, 1, kappa, F(1))
         assert err.value.estimate > err.value.limit == SolverConfig().state_space_limit

@@ -56,10 +56,15 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
     # the lemma checkers are test code (tests/lemmas.py), not a package module
     assert importlib.util.find_spec("storalloc.lemmas") is None
     # nor a thread pool: the library runs on the calling thread (numpy
-    # alone does not load concurrent.futures)
+    # alone does not load concurrent.futures); nor, through a practical
+    # solve, the exact head search, the simplex or the halfspace helpers:
+    # a solve decides Case 3 in closed form (driver.case3_verdict)
+    unloaded = ("concurrent.futures", "storalloc.lp", "storalloc.small_ci", "storalloc.halfspaces")
     code = (
-        "import sys, storalloc.driver, storalloc.baselines, storalloc.cli, storalloc.evaluate; "
-        "print('concurrent.futures' in sys.modules)"
+        "import sys, storalloc.driver, storalloc.baselines, storalloc.cli, storalloc.evaluate\n"
+        "cfg = storalloc.SolverConfig(mode='practical', kappa_override='1/8', L_cap=2)\n"
+        "storalloc.solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, 0.25, 0.05, cfg)\n"
+        f"print(*(name in sys.modules for name in {unloaded!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -68,7 +73,7 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False"] * len(unloaded)
 
 
 # Case 3's DP, sampler and head completion: the test reference, tests/case3.py
@@ -85,11 +90,6 @@ CASE3_REFERENCE = {
     "find_near_opt_small_ci",
 }
 SMALL_CI_API = {
-    "theory_kappa_case3",
-    "case3_kappa",
-    "regularity_eps",
-    "no_regular_tail",
-    "case3_verdict",
     "HeadResult",
     "find_best_head",
     "chain_lp",
@@ -109,7 +109,7 @@ def _module_level_names(module) -> set:
 
 
 def test_case3_reference_stays_out_of_the_solver():
-    # no runnable configuration completes Case 3 (small_ci.case3_verdict)
+    # no runnable configuration completes Case 3 (driver.case3_verdict)
     for module in (small_ci, driver):
         assert not CASE3_REFERENCE & set(vars(module)), module.__name__
     public = {name for name in _module_level_names(small_ci) if not name.startswith("_")}

@@ -1,4 +1,4 @@
-"""Seeded in-process timings of the sampling layer, written as BENCH_<label>.json.
+"""Seeded timings of the sampling layer and of cold CLI runs, written as BENCH_<label>.json.
 
     python3 tools/scale_ladder.py [--src PATH] [--label NAME] [--quick] [--out DIR]
 
@@ -22,9 +22,22 @@ delta = 1/20, p ~ U(0.3, 0.7) stratified and rounded by
 Each row holds the median and quartiles of its call's seconds over
 ``reps`` timed calls after one untimed call, and a SHA-256 digest of that
 call's output, so a row also shows whether the answer moved.  ``--quick``
-times 3 calls per row.  The rows are the sampling rows of the scale
-ladder in ROADMAP item 14; its solve, Case-2 and exact-bound rows are not
-here yet.
+times 3 calls per row.
+
+The cold rows time whole fresh interpreters, ``python -B -X
+pycache_prefix=<empty directory>``, so no bytecode cache is read or
+written, neither the package's nor numpy's nor the standard library's:
+
+- ``cli_solve_k8`` and ``cli_solve_k32``: ``storalloc solve`` on
+  ``gen-64`` (``storalloc gen --n 64 --lo 0.6 --hi 0.85 --theta 0.6
+  --epsilon 0.1 --seed 1``) in practical mode at kappa 1/8 and 1/32,
+  L_cap 2, each with the SHA-256 of its report file;
+- ``cli_import``: a bare ``import storalloc.cli``.
+
+Each holds the median and quartiles of 5 runs (1 under ``--quick``).
+These are the sampling and cold-CLI rows of the scale ladder in ROADMAP
+item 14; its in-process phase, Case-2 and exact-bound rows are not here
+yet.
 """
 
 from __future__ import annotations
@@ -36,7 +49,9 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +62,8 @@ ROOT = Path(__file__).resolve().parents[1]
 THETA, EPS, DELTA = Fraction(1, 2), Fraction(1, 4), Fraction(1, 20)
 DRAWS = 25_000
 REPS, QUICK_REPS = 300, 3
+COLD_RUNS, QUICK_COLD_RUNS = 5, 1
+GEN_64 = ["gen", "--n", "64", "--lo", "0.6", "--hi", "0.85", "--theta", "0.6", "--epsilon", "0.1", "--seed", "1"]
 
 
 def import_package(src: Path):
@@ -59,9 +76,9 @@ def import_package(src: Path):
 
     if Path(storalloc.__file__).resolve() != init.resolve():
         sys.exit(f"scale_ladder: imported storalloc from {storalloc.__file__}, not from {init.parent}")
-    from storalloc import core, evaluate
+    from storalloc import cli, core, evaluate
 
-    return core, evaluate
+    return cli, core, evaluate
 
 
 def stratified_probs(rng: random.Random, n: int) -> list[float]:
@@ -121,6 +138,12 @@ def ops(core, evaluate) -> list[tuple]:
     ]
 
 
+def quartiles(times: list[float]) -> dict:
+    """The count, median and quartiles of times; one time is all three."""
+    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {"reps": len(times), "median_s": median, "q1_s": q1, "q3_s": q3}
+
+
 def measure(call, reps: int, output=None) -> dict:
     """Median and quartiles of reps timed calls, after one untimed call of output (default: call), digested."""
     out = digest((output or call)())
@@ -129,8 +152,35 @@ def measure(call, reps: int, output=None) -> dict:
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"reps": reps, "median_s": median, "q1_s": q1, "q3_s": q3, "digest": out}
+    return {**quartiles(times), "digest": out}
+
+
+def cold_commands(instance: Path, report: Path) -> list[tuple]:
+    """(name, shape, interpreter arguments, report file or None) per cold row."""
+    solve = ["-m", "storalloc.cli", "solve", str(instance), "--mode", "practical", "--l-cap", "2", "--out", str(report)]
+    return [
+        ("cli_solve_k8", "storalloc solve gen-64, kappa 1/8, L_cap 2", [*solve, "--kappa", "1/8"], report),
+        ("cli_solve_k32", "storalloc solve gen-64, kappa 1/32, L_cap 2", [*solve, "--kappa", "1/32"], report),
+        ("cli_import", "import storalloc.cli", ["-c", "import storalloc.cli"], None),
+    ]
+
+
+def cold(src: Path, args: list[str], runs: int, report: Path = None) -> dict:
+    """Wall seconds of runs fresh interpreters running args on src/src's
+    storalloc, each with an empty bytecode-cache prefix and none written,
+    and the SHA-256 of the report file they write (None without one)."""
+    path = os.pathsep.join(filter(None, (str(src / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    times, digests = [], set()
+    for _ in range(runs):
+        with tempfile.TemporaryDirectory() as cache:
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-B", "-X", f"pycache_prefix={cache}", *args], check=True, env=env)
+            times.append(time.perf_counter() - t0)
+        digests.add(hashlib.sha256(report.read_bytes()).hexdigest() if report else None)
+    if len(digests) > 1:
+        sys.exit(f"scale_ladder: the report of {args} moved between runs")
+    return {**quartiles(times), "digest": digests.pop()}
 
 
 def main(argv=None) -> None:
@@ -141,12 +191,19 @@ def main(argv=None) -> None:
     ap.add_argument("--out", type=Path, default=ROOT, help="directory for BENCH_<label>.json")
     args = ap.parse_args(argv)
 
-    core, evaluate = import_package(args.src.resolve())
-    reps = QUICK_REPS if args.quick else REPS
+    src = args.src.resolve()
+    cli, core, evaluate = import_package(src)
+    reps, runs = (QUICK_REPS, QUICK_COLD_RUNS) if args.quick else (REPS, COLD_RUNS)
     rows = []
     for name, shape, call, *output in ops(core, evaluate):
         rows.append({"op": name, "shape": shape, **measure(call, reps, *output)})
         print(f"{name:13s} {rows[-1]['median_s'] * 1e3:9.3f} ms  {rows[-1]['digest'][:12]}", flush=True)
+    with tempfile.TemporaryDirectory() as work:
+        instance, report = Path(work) / "gen-64.json", Path(work) / "report.json"
+        cli.main([*GEN_64, "--out", str(instance)])
+        for name, shape, argv, out in cold_commands(instance, report):
+            rows.append({"op": name, "shape": shape, **cold(src, argv, runs, out)})
+            print(f"{name:13s} {rows[-1]['median_s'] * 1e3:9.3f} ms  {(rows[-1]['digest'] or '-')[:12]}", flush=True)
     report = {
         "label": args.label,
         "quick": args.quick,
