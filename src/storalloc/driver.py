@@ -3,9 +3,9 @@
 Every case is run (the optimum's type is unknowable): the junta and
 Case 2 by their solvers, Case 3 by its closed-form verdict, which adds no
 candidate or refuses (case3_verdict).  The candidates are
-pooled, each distinct member is scored once by its exact objective, and
-the best exact value wins; ties break by case provenance, then
-lexicographically.
+pooled, each distinct member is checked feasible and scored once by its
+exact objective, and the best exact value wins; ties break by case
+provenance, then lexicographically.
 
 The paper scores the pool by sampling, because Pr[w . X >= theta] is
 #P-hard in general.  For the pool's own vectors it is polynomial.  A
@@ -33,15 +33,14 @@ with the guard's estimate and limit.  The junta member always has its
 value, so the pool never empties and the winner's exact objective is
 always known.
 
-The report also carries the winner's Monte-Carlo estimate on one
-*shared* sample set of size
-
-    m = ceil(mc_constant * (1/eps^2) * ln(|pool| / delta))
-
-drawn once from the instance seed over the P pool coordinates, on which
-every member is classified.  It is a deterministic function of (instance,
-config), as the byte-stable report needs, and the union bound over the
-pool covers it.
+The report also carries the winner's Monte-Carlo estimate, drawn after
+the pick, for the winner alone, from the instance seed over its P
+coordinates, with m = ceil(mc_constant (1/eps^2) ln(|pool| / delta))
+draws: a deterministic function of (instance, config), as the
+byte-stable report needs.  The pick does not read it.  m keeps the
+|pool| term from when the sample ranked the pool (a union bound over
+it), so that every report byte stays as it was until ROADMAP item 2b
+drops sampling from the solve.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
@@ -206,25 +205,6 @@ def _distinct(members: Sequence[PoolMember]) -> tuple[list, list[int]]:
     return distinct, slots
 
 
-def shared_mc_estimates(
-    instance: ProblemInstance,
-    members: Sequence[PoolMember],
-    m: int,
-    seed: int,
-) -> list[ObjectiveEstimate]:
-    """Estimate every member on one shared sample set (exact classification).
-
-    Each distinct weight vector is checked feasible and classified once;
-    members with equal weights share its estimate.
-    """
-    distinct, slots = _distinct(members)
-    for weights in distinct:
-        _check_feasible(weights)
-    hits = mc_hit_counts(instance.probs, distinct, instance.theta, m, seed)
-    estimates = [ObjectiveEstimate(value=Fraction(h, m), kind="monte_carlo", m=m, seed=seed) for h in hits]
-    return [estimates[slot] for slot in slots]
-
-
 def exact_scores(
     instance: ProblemInstance,
     members: Sequence[PoolMember],
@@ -233,7 +213,8 @@ def exact_scores(
 ) -> list[Optional[Fraction]]:
     """Each member's exact objective on probs[:len(weights)], or None where refused.
 
-    Each distinct weight vector is evaluated once.  The junta head takes
+    Each distinct weight vector is checked feasible (AssertionError
+    otherwise), then evaluated once.  The junta head takes
     head_value, its scan value (module docstring).  A vector whose
     evaluation raises GuardError scores None and is logged at INFO with
     the guard's estimate and limit.
@@ -241,6 +222,7 @@ def exact_scores(
     distinct, slots = _distinct(members)
     values: list[Optional[Fraction]] = []
     for weights in distinct:
+        _check_feasible(weights)
         if weights == head:
             values.append(head_value)
             continue
@@ -366,13 +348,13 @@ def solve(
 
 
 def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = None) -> SolveReport:
-    """Run every case, score the pool on one shared sample, report the winner.
+    """Run every case, score the pool exactly, report the winner with its sample.
 
     GuardError before any case runs when the head cutoff L exceeds MAX_K,
     the largest head the committed margin table covers, or when the
-    selection sample for a pool of one, over the pool's P columns (module
+    winner's sample for a pool of one, over the pool's P columns (module
     docstring), already fails evaluate.check_draws: m grows with the pool,
-    so selection would refuse it after the cases.
+    so the sample would refuse it after the cases.
     """
     config = config or SolverConfig()
     timings: dict = {}
@@ -416,12 +398,13 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     timings["exact_eval_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
-    select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
-    estimates = shared_mc_estimates(instance, pool, m_sel, select_seed)
     scored = [i for i, score in enumerate(scores) if score is not None]  # the junta member's always is
     best_idx = min(scored, key=lambda i: (-scores[i], pool[i].rank, pool[i].weights))
     chosen = pool[best_idx]
+    m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
+    select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
+    hits = mc_hit_counts(instance.probs[:P], chosen.weights, theta, m_sel, select_seed)  # pool vectors are checked
+    estimate = ObjectiveEstimate(Fraction(hits, m_sel), "monte_carlo", m_sel, select_seed)
     timings["selection_s"] = time.perf_counter() - t0
     logger.debug(
         "exact_objective from %s", "the junta scan" if chosen.weights == head else "exact_objective_probs"
@@ -430,7 +413,7 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     return SolveReport(
         provenance=chosen.provenance,
         chosen_weights=instance.to_original_order(chosen.weights),
-        estimate=estimates[best_idx],
+        estimate=estimate,
         exact_objective=scores[best_idx],
         pool_size=len(pool),
         per_case_counts=counts,

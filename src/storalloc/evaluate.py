@@ -34,7 +34,7 @@ common for granular weights.
 
 Monte-Carlo sampling draws exact Bernoulli(p) bits, p = a/b rational,
 from 16-bit lanes of the raw PCG64 stream, over only the w coordinates
-that the vectors weight.  The draws come in chunks of
+that the vector weights.  The draws come in chunks of
 max(1, CHUNK_LANES // w), chunk c from the PCG64 seeded by
 SeedSequence([seed, c]).  A chunk reads its rows x w lanes row-major from
 random_raw words, each word split into its four 16-bit quarters from the
@@ -53,17 +53,20 @@ whose columns are all exact compares each lane once and scans none for
 ties; p = 1, whose digit is capped at 2^16 - 1, is scanned, and its lane
 65 535 gives 1 without a further word.
 The draws over the first w coordinates depend on probs[:w] alone.  Each
-chunk's bits are packed into bytes, keeping the m rows in draw order, or,
-up to DIRECT_MAX_DRAWS draws in one chunk, used as they are.
+chunk's bits are packed into bytes, keeping the m rows in draw order.
 
-Every row is classified in exact integer arithmetic: a weight vector and
-theta are scaled by the lcm D of their denominators, so w . x >= theta
-becomes (D w) . x >= D theta, and a packed row's dot is one lookup per
-byte in 256-entry tables of partial sums of D w, for many vectors at
-once.  Every entry and partial dot is a subset
-sum of D w, so a vector runs on int64 when sum |D w_j| and |D theta| are
-at most 2^63 - 1, and on Python ints (dtype=object) otherwise.
-Everything is bit-reproducible from the seed.
+Every row is classified in exact integer arithmetic: the weight vector
+and theta are scaled by the lcm D of their denominators, so
+w . x >= theta becomes (D w) . x >= D theta, and a packed row's dot is
+one lookup per byte in 256-entry tables of partial sums of D w.  Every
+entry and partial dot is a subset sum of D w, so the dots run on int64
+when sum |D w_j| and |D theta| are at most 2^63 - 1, and on Python ints
+(dtype=object) otherwise.  The tail sampler takes the same dots with
+theta = 0.  Everything is bit-reproducible from the seed.
+
+A solve samples its winner alone; its m keeps a pool-size term so that
+reports stay byte-stable until sampling leaves the solve (driver module
+docstring).
 """
 
 from __future__ import annotations
@@ -90,9 +93,6 @@ SUPPORT_LIMIT = 1 << 20
 
 # Lanes in one row of a sampling chunk's long-row compare (_draw_chunks).
 TILE_LANES = 1 << 12
-
-# Most draws mc_hit_counts classifies unpacked, with no packing or tables.
-DIRECT_MAX_DRAWS = 1 << 10
 
 # Sampling guard on m x 8 ceil(w/64) bytes over the w columns drawn, at least
 # the m x ceil(w/8) packed rows a sampler holds beside its row blocks, so at
@@ -438,9 +438,9 @@ def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> n
     return packed
 
 
-def _fits_int64(weights: Sequence[int], theta: int) -> bool:
-    """No partial sum of weights . x over x in {0,1}^n, nor theta, leaves int64."""
-    return sum(map(abs, weights)) <= _INT64_MAX and abs(theta) <= _INT64_MAX
+def _dot_dtype(weights: Sequence[int], theta: int):
+    """np.int64 if every subset sum of weights, and theta, fits int64; else object (Python ints)."""
+    return np.int64 if sum(map(abs, weights)) <= _INT64_MAX and abs(theta) <= _INT64_MAX else object
 
 
 def _byte_tables(columns: np.ndarray) -> np.ndarray:
@@ -473,59 +473,31 @@ def _byte_dots(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dots
 
 
-def mc_hit_counts(
-    probs: Sequence[Fraction],
-    weight_vectors: Sequence[Sequence[Fraction]],
-    theta: Fraction,
-    m: int,
-    seed: int,
-) -> list[int]:
-    """Per weight vector, how many of m draws X ~ D_p have w . X >= theta.
-
-    The vectors share one width w <= len(probs); the draws cover probs[:w]
-    alone, and check_draws guards them on the width w.  All
-    vectors are classified exactly on the same draws, so their counts
-    compare draw for draw.  The test is the module docstring's
-    (D w) . x >= D theta, on int64 or Python ints as chosen per vector
-    there: hits = (dots >= T).sum(axis=0).  Up to DIRECT_MAX_DRAWS draws
-    within one chunk, each dtype's dots are one product of the chunk's
-    bool block with D w (subset sums too); otherwise packed draws, blocked
-    so no table set or dot block exceeds BLOCK_BYTES.
-    """
+def _dot_blocks(probs: Sequence[Fraction], weights: Sequence[int], dtype, m: int, seed: int, reduce):
+    """Yield reduce(dots) for each block of at most BLOCK_BYTES // 8 rows
+    of the m draws over probs[:len(weights)], in draw order, from
+    _packed_draws (guarded on that width before the first draw); dots
+    holds each row's weights . x from per-byte tables on dtype.  A
+    block's dots are dropped before it yields."""
     if m < 1:
         raise InputError("m must be >= 1")
-    width = len(weight_vectors[0]) if weight_vectors else 0
-    direct = m <= min(DIRECT_MAX_DRAWS, _chunk_rows(width))
-    if direct:  # chunk 0's bool block, the draws _packed_draws packs
-        check_draws(m, width)
-        ((_, bits),) = _draw_chunks(probs, m, seed, width)
-        rows = bits[:, :width]
-    else:
-        rows = _packed_draws(probs, m, seed, width)
-    scaled = []
-    for weights in weight_vectors:
-        _, ints = lcm_scaled([*weights, theta])
-        scaled.append((ints[:-1], ints[-1]))
-    narrow = [_fits_int64(w, t) for w, t in scaled]
-    logger.debug(
-        "mc_hit_counts: m=%d, %s rows, %d vectors, %d on object dtype",
-        m, "unpacked" if direct else "packed", len(scaled), narrow.count(False),
-    )
-    vectors_per_block = max(1, BLOCK_BYTES // (8 * 256 * max((width + 7) // 8, 1)))
-    hits = [0] * len(scaled)
-    for dtype, fits in ((np.int64, True), (object, False)):
-        group = [i for i, ok in enumerate(narrow) if ok == fits]
-        size = max(len(group), 1) if direct else vectors_per_block
-        for block in (group[start:start + size] for start in range(0, len(group), size)):
-            columns = np.array([scaled[i][0] for i in block], dtype=dtype).T
-            T = np.array([scaled[i][1] for i in block], dtype=dtype)
-            if direct:
-                counts = ((rows @ columns) >= T).sum(axis=0)
-            else:
-                tables, step = _byte_tables(columns), max(1, BLOCK_BYTES // (8 * len(block)))
-                counts = sum((_byte_dots(tables, rows[r:r + step]) >= T).sum(axis=0) for r in range(0, m, step))
-            for i, count in zip(block, counts.tolist()):
-                hits[i] = count
+    tables = _byte_tables(np.array(weights, dtype=dtype).reshape(-1, 1))
+    rows, step = _packed_draws(probs, m, seed, len(weights)), max(1, BLOCK_BYTES // 8)
+    for r in range(0, m, step):
+        yield reduce(_byte_dots(tables, rows[r:r + step])[:, 0])
+
+
+def mc_hit_counts(probs: Sequence[Fraction], weights: Sequence[Fraction], theta: Fraction, m: int, seed: int) -> int:
+    """How many of m draws X ~ D_p have w . X >= theta.
+
+    The draws cover probs[:len(weights)] alone, and check_draws guards
+    them on that width.  Each is classified exactly, by the module
+    docstring's (D w) . x >= D theta on its dtype rule.
+    """
+    _, (*scaled, target) = lcm_scaled([*weights, theta])
+    dtype = _dot_dtype(scaled, target)
+    hits = sum(_dot_blocks(probs, scaled, dtype, m, seed, lambda dots: int((dots >= target).sum())))
+    logger.debug("mc_hit_counts: m=%d, %d hits, %s dtype", m, hits, np.dtype(dtype))
     return hits
 
 
@@ -546,8 +518,7 @@ def mc_estimate_probs(
     m, seed = to_int(m, "m"), to_int(seed, "seed")
     probs, weights = _probs_and_weights(probs, weights)
     theta = to_fraction(theta)
-    (hits,) = mc_hit_counts(probs, [weights], theta, m, seed)
-    return ObjectiveEstimate(value=Fraction(hits, m), kind="monte_carlo", m=m, seed=seed)
+    return ObjectiveEstimate(Fraction(mc_hit_counts(probs, weights, theta, m, seed), m), "monte_carlo", m, seed)
 
 
 def sample_tail_empirical(
@@ -569,8 +540,6 @@ def sample_tail_empirical(
     if threads != 1:  # bench/ passes threads=1; ROADMAP item 1's next benchmark change drops it
         raise InputError(f"threads must be 1 (the library runs on the calling thread); got {threads!r}")
     m, seed = to_int(m, "m"), to_int(seed, "seed")
-    if m < 1:
-        raise InputError("m must be >= 1")
     tail = [to_fraction(w) for w in tail_weights]
     if any(w < 0 for w in tail):
         raise InputError("tail weights must be non-negative")
@@ -578,14 +547,11 @@ def sample_tail_empirical(
         raise InputError("tail longer than the instance")
     probs = instance.probs[instance.n - len(tail):]
     d, scaled = lcm_scaled(tail)
-    dtype = np.int64 if _fits_int64(scaled, 0) else object
-    tables = _byte_tables(np.array(scaled, dtype=dtype).reshape(-1, 1))
-    rows, step, merged = _packed_draws(probs, m, seed, len(probs)), max(1, BLOCK_BYTES // 8), {}
-    for r in range(0, m, step):
-        values, counts = np.unique(_byte_dots(tables, rows[r:r + step])[:, 0], return_counts=True)
+    dtype, merged = _dot_dtype(scaled, 0), {}
+    for values, counts in _dot_blocks(probs, scaled, dtype, m, seed, lambda dots: np.unique(dots, return_counts=True)):
         merged.update({v: merged.get(v, 0) + c for v, c in zip(values.tolist(), counts.tolist())})
     logger.debug(
-        "sample_tail_empirical: m=%d, %d distinct values, %s dtype", m, len(merged), np.dtype(dtype).name
+        "sample_tail_empirical: m=%d, %d distinct values, %s dtype", m, len(merged), np.dtype(dtype)
     )
     values, counts = zip(*sorted(merged.items()))
     return EmpiricalDist(tuple(Fraction(v, d) for v in values), counts, m)

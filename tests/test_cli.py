@@ -110,7 +110,7 @@ class TestCommands:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         assert quiet.err == ""
-        assert "mc_hit_counts: m=100," in loud.err and "on object dtype" in loud.err
+        assert "mc_hit_counts: m=100, " in loud.err and " hits, int64 dtype" in loud.err
         assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err

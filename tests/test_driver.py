@@ -13,20 +13,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storalloc import driver, evaluate, large_ci
-from storalloc.core import MAX_K, SolverConfig, preprocess
+from storalloc.core import MAX_K, ProblemInstance, SolverConfig, preprocess
 from storalloc.driver import (
+    PoolMember,
     _check_feasible,
     case3_verdict,
+    exact_scores,
     no_regular_tail,
     regularity_eps,
     selection_sample_size,
-    shared_mc_estimates,
     solve,
     solve_instance,
 )
 from storalloc.errors import GuardError, InputError
 from storalloc.junta import JuntaRequest, find_optimal_junta
-from storalloc.evaluate import exact_objective_probs
+from storalloc.evaluate import exact_objective_probs, mc_estimate_probs
 
 import case3
 import test_large_ci
@@ -56,6 +57,35 @@ def test_candidate_feasibility_check():
     for bad in ((F(-1, 4), F(1, 4)), (F(3, 4), F(1, 2))):
         with pytest.raises(AssertionError, match="infeasible candidate"):
             _check_feasible(bad)
+
+
+def test_exact_scores_check_and_evaluate_each_distinct_vector_once(monkeypatch):
+    # equal members (separate tuples) share one feasibility check and one
+    # value; the junta head takes its scan value unevaluated, and an
+    # infeasible member stops the scoring before it is evaluated
+    inst = ProblemInstance((F(5, 8), F(1, 2), F(1, 2), F(3, 8)), F(1, 2), F(1, 4), F(1, 20), (0, 1, 2, 3))
+    vectors = [(F(1, 2), F(1, 2), F(0), F(0)), (F(1, 3), F(1, 3), F(1, 3), F(0)), (F(1, 2), F(0), F(1, 2), F(0))]
+    picks = [0, 1, 0, 2, 1, 0]
+    members = [PoolMember(weights=tuple(F(w) for w in vectors[i]), provenance="largeCI", rank=1) for i in picks]
+    checked, evaluated = [], []
+
+    def evaluating(probs, w, theta):
+        evaluated.append(w)
+        return exact_objective_probs(probs, w, theta)
+
+    monkeypatch.setattr(driver, "_check_feasible", lambda w: checked.append(w) or _check_feasible(w))
+    monkeypatch.setattr(driver, "exact_objective_probs", evaluating)
+    head_value = F(7, 10)  # taken as given, not evaluated
+    scores = exact_scores(inst, members, vectors[0], head_value)
+    assert checked == vectors and evaluated == vectors[1:]
+    values = [head_value] + [exact_objective_probs(inst.probs, w, inst.theta) for w in vectors[1:]]
+    assert scores == [values[i] for i in picks]
+    checked.clear()
+    evaluated.clear()
+    bad = PoolMember(weights=(F(3, 4), F(1, 2), F(0), F(0)), provenance="largeCI", rank=1)
+    with pytest.raises(AssertionError, match="infeasible candidate"):
+        exact_scores(inst, [members[1], bad, members[3]], vectors[0], head_value)
+    assert checked == [vectors[1], bad.weights] and evaluated == [vectors[1]]
 
 
 class TestSolve:
@@ -144,14 +174,14 @@ class TestSolve:
     @pytest.mark.parametrize("eps", [F(1, 10), F(1, 40)])
     def test_draw_guard_counts_the_drawn_columns(self, monkeypatch, eps):
         # n = 200 at kappa 1/8 and L_cap 2: pool vectors end at slot
-        # P = 2 + 8, so a selection draw is one 8-byte guard word, where all
-        # n coordinates would take 32.  A limit of 8 bytes per final draw
-        # admits the same report, unpacked (eps 1/10, m <= DIRECT_MAX_DRAWS)
-        # and packed (eps 1/40); one byte less refuses at selection.
+        # P = 2 + 8, so a draw of the winner's sample is one 8-byte guard
+        # word, where all n coordinates would take 32.  A limit of 8 bytes
+        # per draw of the report's m (a few hundred at eps 1/10, thousands
+        # at 1/40) admits the same report; one byte less refuses at the sample.
         args = (q_probs(200), F(3, 5), eps, F(1, 20), SolverConfig(**PRACTICAL))
         report = solve(*args)
         m = report.estimate.m
-        assert (m > evaluate.DIRECT_MAX_DRAWS) == (eps == F(1, 40))
+        assert m == selection_sample_size(eps, F(1, 20), report.pool_size, args[-1].mc_constant)
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m)
         assert solve(*args).to_json() == report.to_json()
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 8 * m - 1)
@@ -328,7 +358,7 @@ class TestReportBytes:
         exact = F(refused["exact_objective"])
         assert exact == exact_objective_probs(inst.probs, w_sorted, inst.theta) < F(answered["exact_objective"])
         # the rest of the report is the same: the estimate is the junta
-        # member's count on the same shared sample
+        # member's, drawn with the same m and seed
         moved = {key for key in answered if answered[key] != refused[key]}
         assert moved <= {"provenance", "chosen_weights", "chosen_weights_float", "estimate_value",
                          "estimate_value_float", "exact_objective", "exact_objective_float"}
@@ -428,19 +458,26 @@ def test_one_zero_tail_junta_request_per_solve(monkeypatch, probs, theta, eps, c
 
 
 def test_selection_classifies_only_the_live_prefix(monkeypatch):
-    # q-256-0.6 at kappa 1/16, L = 2: every pool vector stops at slot
-    # L + J = 18, and the report pads the winner back to n = 256
-    widths = []
+    # q-256-0.6 at kappa 1/16, L = 2, a pool of 8: every pool vector stops
+    # at slot L + J = 18.  The solve samples once, for the winner alone,
+    # on those 18 columns with the report's m and seed, and the report
+    # pads the winner back to n = 256
+    calls = []
 
-    def capture(instance, members, m, seed):
-        widths.append([len(member.weights) for member in members])
-        return shared_mc_estimates(instance, members, m, seed)
+    def capture(probs, weights, theta, m, seed):
+        calls.append((probs, weights, m, seed))
+        return evaluate.mc_hit_counts(probs, weights, theta, m, seed)
 
-    monkeypatch.setattr(driver, "shared_mc_estimates", capture)
-    cfg = SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2)
-    rep = solve(q_probs(256), F(3, 5), F(1, 10), F(1, 20), cfg)
+    monkeypatch.setattr(driver, "mc_hit_counts", capture)
+    args = (q_probs(256), F(3, 5), F(1, 10), F(1, 20))
+    rep = solve(*args, SolverConfig(mode="practical", kappa_override=F(1, 16), L_cap=2))
     assert rep.L == 2 and rep.pool_size == 8
-    assert widths == [[18] * 8]
+    ((probs, weights, m, seed),) = calls
+    assert len(probs) == len(weights) == 18 and (m, seed) == (rep.estimate.m, rep.estimate.seed)
+    inst = preprocess(*args).instance
+    w_sorted = [rep.chosen_weights[i] for i in inst.permutation]
+    assert list(weights) == w_sorted[:18] and not any(w_sorted[18:])
+    assert rep.estimate == mc_estimate_probs(inst.probs[:18], weights, inst.theta, m, seed)
     assert len(rep.chosen_weights) == 256 and sum(w > 0 for w in rep.chosen_weights) <= 18
 
 
@@ -455,8 +492,9 @@ def case2_pools(draw):
     return probs, cfg
 
 
-# a q-like pool at kappa 1/20 where the shared sample ranks the members
-# otherwise than their exact values (0.826 against the best 0.839)
+# a q-like pool at kappa 1/20 where one shared sample of every member, as
+# the solve once drew, ranked them otherwise than their exact values (0.826
+# against the best 0.839)
 MISRANKED = ([0.679, 0.746, 0.721, 0.839, 0.732, 0.709, 0.696, 0.818, 0.629, 0.752, 0.834, 0.633, 0.635,
               0.608, 0.776, 0.662, 0.757, 0.666, 0.629, 0.673],
              SolverConfig(mode="practical", kappa_override=F(1, 20), L_cap=1, seed=58))
@@ -471,11 +509,11 @@ def test_winner_has_the_largest_exact_value_in_the_pool(case):
     probs, cfg = case
     pools = []
 
-    def capture(instance, members, m, seed):
+    def capture(instance, members, head, head_value):
         pools.append((instance, members))
-        return shared_mc_estimates(instance, members, m, seed)
+        return exact_scores(instance, members, head, head_value)
 
-    with mock.patch.object(driver, "shared_mc_estimates", capture):
+    with mock.patch.object(driver, "exact_scores", capture):
         rep = solve(probs, F(3, 5), F(1, 10), F(1, 20), cfg)
     ((inst, members),) = pools
     values = {m.weights: dfs_objective(inst.probs[: len(m.weights)], m.weights, inst.theta) for m in members}

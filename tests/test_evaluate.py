@@ -1,10 +1,8 @@
 import functools
-import itertools
 import logging
 import math
 import random
 import tracemalloc
-from unittest import mock
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,10 +12,8 @@ from hypothesis import strategies as st
 
 from storalloc import evaluate
 from storalloc.core import ProblemInstance
-from storalloc.driver import PoolMember, shared_mc_estimates
 from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import (
-    DIRECT_MAX_DRAWS,
     DiscreteDist,
     EmpiricalDist,
     ObjectiveEstimate,
@@ -363,41 +359,6 @@ class TestSampling:
             with pytest.raises(InputError, match="threads must be 1"):
                 sample_tail_empirical(inst, [F(1, 2)], 10, seed=1, threads=threads)
 
-    def test_hit_counts_match_single_vector_estimates(self):
-        probs = [F(3, 5), F(1, 2), F(2, 5)]
-        vectors = [
-            (F(1, 2), F(1, 2), F(0)),
-            (F(1, 3), F(1, 3), F(1, 3)),
-            (F(1), F(0), F(0)),
-        ]
-        hits = mc_hit_counts(probs, vectors, F(1, 2), 3_000, seed=4)
-        for w, h in zip(vectors, hits):
-            assert F(h, 3_000) == mc_estimate_probs(probs, w, F(1, 2), 3_000, seed=4).value
-        assert len(set(hits)) == 3  # the vectors really differ on this sample
-
-    def test_equal_members_share_one_estimate(self):
-        # selection classifies each distinct vector once; a member equal to
-        # another (as a separate tuple) gets the same estimate, and every
-        # estimate equals scoring that member alone on the same draws
-        inst = ProblemInstance(
-            (F(5, 8), F(1, 2), F(1, 2), F(3, 8)), F(1, 2), F(1, 4), F(1, 20), (0, 1, 2, 3)
-        )
-        vectors = [
-            (F(1, 2), F(1, 2), F(0), F(0)),
-            (F(1, 3), F(1, 3), F(1, 3), F(0)),
-            (F(1, 2), F(0), F(1, 2), F(0)),
-        ]
-        picks = [0, 1, 0, 2, 1, 0]
-        members = [PoolMember(weights=tuple(F(w) for w in vectors[i]), provenance="junta", rank=r)
-                   for r, i in enumerate(picks)]
-        estimates = shared_mc_estimates(inst, members, 2_000, seed=7)
-        alone = [shared_mc_estimates(inst, [member], 2_000, seed=7)[0] for member in members]
-        assert estimates == alone
-        for i, j in itertools.combinations(range(len(picks)), 2):
-            if picks[i] == picks[j]:
-                assert estimates[i] == estimates[j]
-        assert len({e.value for e in estimates}) == 3  # the vectors differ on this sample
-
     def test_theta_zero_like_event_always_succeeds(self):
         # weights summing over theta for every outcome with a 1 anywhere is
         # not guaranteed; use the all-weight vector with theta tiny instead
@@ -415,7 +376,7 @@ class TestSampling:
         # PACKED_LIMIT patched down to 2 000 draws of 8 bytes (n <= 64) or
         # 1 000 of 16 (n = 65): at the limit a call samples, past it both
         # samplers refuse with estimate and limit before their first draw,
-        # on the width drawn (all n here), and so does mc_hit_counts' unpacked path
+        # on the width drawn (all n here), and so does a sample of one chunk
         # (1 000 draws of 24 bytes at n = 129)
         monkeypatch.setattr(evaluate, "PACKED_LIMIT", 16_000)
         inst = small_instance()
@@ -539,8 +500,11 @@ AT_FIRST_DRAW = [F(u, 1 << 16) for u in raw_lanes(7, 0, 1)[0]]
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(mc_cases())
 def test_hit_counts_match_fraction_oracle(case):
+    # one call per vector, all on the same draws: m <= 300 within one
+    # chunk, packed and classified by byte tables like any other sample
     probs, vectors, theta, m, seed = case
-    assert mc_hit_counts(probs, vectors, theta, m, seed) == fraction_hit_counts(probs, vectors, theta, m, seed)
+    got = [mc_hit_counts(probs, w, theta, m, seed) for w in vectors]
+    assert got == fraction_hit_counts(probs, vectors, theta, m, seed)
 
 
 @st.composite
@@ -560,19 +524,6 @@ def test_tail_sample_matches_fraction_oracle(case):
     inst, tail, m, seed = case
     values, counts = fraction_tail_empirical(inst.probs[inst.n - len(tail):], tail, m, seed)
     assert sample_tail_empirical(inst, tail, m, seed) == EmpiricalDist(values, counts, m)
-
-
-@example((AT_FIRST_DRAW, [[F(1, 4)] * 4], F(1), 1, 7))
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(mc_cases())
-def test_unpacked_classification_matches_the_packed_path(case):
-    # mc_cases draw m <= 300 <= DIRECT_MAX_DRAWS, classified unpacked; with
-    # the bound at 0 the same draws are packed and classified by byte
-    # tables, and every count agrees
-    probs, vectors, theta, m, seed = case
-    unpacked = mc_hit_counts(probs, vectors, theta, m, seed)
-    with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", 0):
-        assert mc_hit_counts(probs, vectors, theta, m, seed) == unpacked
 
 
 WIDE = (1 << 63) + 1  # a weight (WIDE - 1)/WIDE scales past int64: object dtype
@@ -599,14 +550,12 @@ def prefix_cases(draw):
 def test_prefix_draws_depend_only_on_the_prefix_probs(case):
     # width-w vectors over n >= w probabilities: the draws cover the first
     # w coordinates alone, so the counts are the oracle's on probs[:w], and
-    # other probabilities past w change nothing, unpacked (m <= 300) and packed
+    # other probabilities past w change nothing
     probs, others, vectors, theta, m, seed = case
     width = len(vectors[0])
     expected = fraction_hit_counts(probs[:width], vectors, theta, m, seed)
-    for direct_max in (DIRECT_MAX_DRAWS, 0):
-        with mock.patch.object(evaluate, "DIRECT_MAX_DRAWS", direct_max):
-            assert mc_hit_counts(probs, vectors, theta, m, seed) == expected
-            assert mc_hit_counts(probs[:width] + others, vectors, theta, m, seed) == expected
+    assert [mc_hit_counts(probs, w, theta, m, seed) for w in vectors] == expected
+    assert [mc_hit_counts(probs[:width] + others, w, theta, m, seed) for w in vectors] == expected
 
 
 class TestKernel:
@@ -639,7 +588,8 @@ class TestKernel:
         probs = [F(k, 12) for k in range(1, 11)]
         vectors = [[F(1, 10)] * 10, [F(k, 55) for k in range(1, 11)]]
         theta = F(1, 2)
-        assert mc_hit_counts(probs, vectors, theta, m, 17) == fraction_hit_counts(probs, vectors, theta, m, 17)
+        got = [mc_hit_counts(probs, w, theta, m, 17) for w in vectors]
+        assert got == fraction_hit_counts(probs, vectors, theta, m, 17)
         inst = ProblemInstance(tuple(F(k, 40) for k in range(29, 19, -1)), theta, F(1, 4), F(1, 20), tuple(range(10)))
         values, counts = fraction_tail_empirical(inst.probs, vectors[1], m, 17)
         assert sample_tail_empirical(inst, vectors[1], m, 17) == EmpiricalDist(values, counts, m)
@@ -676,7 +626,7 @@ class TestKernel:
         assert 0 < v < (1 << 16) - 1
         for p, bit in ((F((u0 << 16) + v + 1, 1 << 32), 1), (F((u0 << 16) + v, 1 << 32), 0)):
             assert F(u0, 1 << 16) < p < F(u0 + 1, 1 << 16)
-            assert mc_hit_counts([p], [[F(1)]], F(1), 1, 5) == [bit]
+            assert mc_hit_counts([p], [F(1)], F(1), 1, 5) == bit
 
     def test_boundary_lanes_read_no_further_words(self):
         # A lane whose interval ends exactly at p is settled at once: its
@@ -833,8 +783,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [9, 65])
     def test_block_size_leaves_outputs_unchanged(self, monkeypatch, n):
-        # BLOCK_BYTES = 64 puts one vector in a table set and 8 rows in a
-        # dot block; the draws and every output stay the same
+        # BLOCK_BYTES = 64 puts 8 rows in a dot block; the draws and every
+        # output stay the same
         m = _chunk_rows(n - 2) + 300
         inst = ProblemInstance(
             tuple(F(12 * n - 1 - 5 * i, 16 * n) for i in range(n)), F(1, 2), F(1, 4), F(1, 20), tuple(range(n))
@@ -850,7 +800,7 @@ class TestKernel:
         def outputs():
             return (
                 _packed_draws(inst.probs, m, 5, n - 2).tobytes(),
-                mc_hit_counts(inst.probs, vectors, F(1, 2), m, seed=5),
+                [mc_hit_counts(inst.probs, w, F(1, 2), m, seed=5) for w in vectors],
                 sample_tail_empirical(inst, tail, m, seed=5),
             )
 
@@ -861,8 +811,8 @@ class TestKernel:
     def _classify(self, caplog, vector, theta):
         probs = [F(1, 2)] * 3
         with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
-            got = mc_hit_counts(probs, [vector], theta, 2_000, seed=3)
-        assert got == fraction_hit_counts(probs, [vector], theta, 2_000, 3)
+            got = mc_hit_counts(probs, vector, theta, 2_000, seed=3)
+        assert [got] == fraction_hit_counts(probs, [vector], theta, 2_000, 3)
         return got, caplog.records[-1].getMessage()
 
     def test_scaled_sum_past_int64_goes_to_object(self, caplog):
@@ -870,8 +820,8 @@ class TestKernel:
         # not, so an int64 dot of (1, 1, 1) would wrap below D theta.
         d = (1 << 63) + 1
         vector = [F(d // 3 - 1, d), F(d // 3 + 1, d), F(1, 3)]
-        (hits,), message = self._classify(caplog, vector, F(1, 3))
-        assert "1 vectors, 1 on object dtype" in message
+        hits, message = self._classify(caplog, vector, F(1, 3))
+        assert message.endswith(", object dtype")
         assert hits > 0
 
     def test_scaled_sum_at_int64_max_stays_int64(self, caplog):
@@ -879,45 +829,33 @@ class TestKernel:
         a = 2 * (d // 7) - 1
         vector = [F(a, d), F(a, d), F(d - 2 * a, d)]
         _, message = self._classify(caplog, vector, F(3, 7))
-        assert "1 vectors, 0 on object dtype" in message
+        assert message.endswith(", int64 dtype")
 
-    @pytest.mark.parametrize("m", [DIRECT_MAX_DRAWS, DIRECT_MAX_DRAWS + 1])
+    @pytest.mark.parametrize("m", [1024, 1025])
     def test_dtype_rule_holds_unpacked_and_packed(self, caplog, m):
-        # up to DIRECT_MAX_DRAWS draws are classified unpacked, one more
-        # packed; both put a scaled sum past int64 on object dtype and one
-        # at exactly int64 max on int64
+        # at 1 024 draws and one more (both within one chunk, and both
+        # packed), each vector's dtype is its own: a scaled sum past int64
+        # goes to object dtype and one at exactly int64 max stays on int64,
+        # named in that call's DEBUG line with its m
         big, d = (1 << 63) + 1, (1 << 63) - 1
         a = 2 * (d // 7) - 1
         vectors = [[F(big // 3 - 1, big), F(big // 3 + 1, big), F(1, 3)], [F(a, d), F(a, d), F(d - 2 * a, d)]]
         probs, theta = [F(1, 2)] * 3, F(3, 7)  # 7 divides d: D = d for the second
-        with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
-            got = mc_hit_counts(probs, vectors, theta, m, seed=3)
-        assert got == fraction_hit_counts(probs, vectors, theta, m, 3)
-        kind = "unpacked" if m <= DIRECT_MAX_DRAWS else "packed"
-        assert f"{kind} rows, 2 vectors, 1 on object dtype" in caplog.records[-1].getMessage()
-
-    def test_unpacked_only_within_one_draw_block(self, monkeypatch, caplog):
-        # the unpacked draws must be chunk 0's block: with chunks of 10
-        # draws over 9 coordinates, 10 draws are classified unpacked and 11
-        # packed
-        probs = [F(k, 12) for k in range(1, 10)]
-        vectors, theta = [[F(1, 9)] * 9, [F(k, 45) for k in range(1, 10)]], F(1, 2)
-        monkeypatch.setattr(evaluate, "CHUNK_LANES", 9 * 10)
-        assert _chunk_rows(9) == 10
-        for m, kind in ((10, "unpacked"), (11, "packed")):
+        got = []
+        for w, dtype in zip(vectors, ("object", "int64")):
             with caplog.at_level(logging.DEBUG, logger="storalloc.evaluate"):
-                assert mc_hit_counts(probs, vectors, theta, m, 5) == fraction_hit_counts(probs, vectors, theta, m, 5)
+                got.append(mc_hit_counts(probs, w, theta, m, seed=3))
             message = caplog.records[-1].getMessage()
-            assert message.startswith(f"mc_hit_counts: m={m}, ") and f" {kind} rows" in message
+            assert message.startswith(f"mc_hit_counts: m={m}, ") and message.endswith(f", {dtype} dtype")
+        assert got == fraction_hit_counts(probs, vectors, theta, m, 3)
 
     @pytest.mark.parametrize("m", [0, -5])
     def test_nonpositive_m_is_input_error(self, m):
         with pytest.raises(InputError, match="m must be >= 1"):
-            mc_hit_counts([F(1, 2)] * 3, [[F(1, 3)] * 3], F(1, 2), m, seed=1)
+            mc_hit_counts([F(1, 2)] * 3, [F(1, 3)] * 3, F(1, 2), m, seed=1)
         inst = ProblemInstance((F(1, 2), F(1, 2)), F(1, 2), F(1, 4), F(1, 20), (0, 1))
-        member = PoolMember(weights=(F(1, 2), F(1, 2)), provenance="junta", rank=0)
         with pytest.raises(InputError, match="m must be >= 1"):
-            shared_mc_estimates(inst, [member], m, seed=1)
+            sample_tail_empirical(inst, [F(1, 2), F(1, 2)], m, seed=1)
 
 
 # Each entry point that takes (probs, weights) as given, with its other

@@ -117,8 +117,8 @@ def test_case3_reference_stays_out_of_the_solver():
 
 
 # Calls into every numpy-backed layer: selection and the junta in a solve,
-# the n = 5 oracle, the k = 5 family, sampling (unpacked at 1000
-# draws, packed past DIRECT_MAX_DRAWS at 2000) and tail sampling.
+# the n = 5 oracle, the k = 5 family, sampling (at 1000 draws and at
+# 2000) and tail sampling.
 _NUMPY_MA_SCRIPT = """
 import sys
 from fractions import Fraction as F

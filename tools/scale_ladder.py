@@ -14,8 +14,8 @@ delta = 1/20, p ~ U(0.3, 0.7) stratified and rounded by
   vector, and ``exact_objective_probs`` on it;
 - ``tail32``: ``sample_tail_empirical`` of a 32-long tail of an n = 40
   instance;
-- ``selection``: ``mc_hit_counts`` with two vectors over 8 coordinates
-  and m = 60, the one-chunk call a small solve's selection makes;
+- ``selection``: ``mc_estimate_probs`` on one vector over 8 coordinates
+  and m = 60, the sample a small solve draws for its winner;
 - ``draw_chunks``, ``packed_draws`` and ``byte_dots``: the three layers
   under ``mc64``, on its input.
 
@@ -109,7 +109,7 @@ def ops(core, evaluate) -> list[tuple]:
     inst40 = granular(40)
     tail, s40 = [Fraction(rng.randint(0, 2), 64) for _ in range(32)], rng.randrange(1 << 31)
     p8 = list(granular(8).probs)
-    v8 = [[Fraction(1, 8)] * 8, [Fraction(k, 36) for k in range(1, 9)]]
+    w8 = [Fraction(k, 36) for k in range(1, 9)]
     s8 = rng.randrange(1 << 31)
 
     tables = evaluate._byte_tables(np.ones((64, 1), dtype=np.int64))
@@ -131,7 +131,7 @@ def ops(core, evaluate) -> list[tuple]:
         ("mc22", "n=22 m=25000 generic weights", lambda: evaluate.mc_estimate_probs(p22, w22, THETA, DRAWS, s22).value),
         ("exact22", "n=22 generic weights", lambda: evaluate.exact_objective_probs(p22, w22, THETA)),
         ("tail32", "32-long tail of n=40, m=25000", tail_sample),
-        ("selection", "w=8 m=60 two vectors", lambda: evaluate.mc_hit_counts(p8, v8, THETA, 60, s8)),
+        ("selection", "w=8 m=60 one vector", lambda: evaluate.mc_estimate_probs(p8, w8, THETA, 60, s8).value),
         ("draw_chunks", "mc64's draws, chunks unpacked", chunks, packed_chunks),
         ("packed_draws", "mc64's draws", lambda: evaluate._packed_draws(p64, DRAWS, s64, 64)),
         ("byte_dots", "mc64's rows, one int64 vector", lambda: evaluate._byte_dots(tables, rows64)),
