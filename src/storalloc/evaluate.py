@@ -4,29 +4,33 @@ Exact evaluation is #P-hard in general, so it is bounded by one rule:
 coordinates sharing a weight collapse into one success-count variable with
 a Poisson-binomial law, and a law being built may hold at most
 SUPPORT_LIMIT = 2^20 values.  _sum_law checks after each shifted copy of
-a group and refuses as soon as the law outgrows the limit, so no law ever
-holds more than 2 SUPPORT_LIMIT values.  The rule counts distinct sums,
-not count-vectors: few distinct weights run at any n (uniform splits,
-granular tails), so do any number of weights on a grid of at most 2^20
-points, and so do 40 generic distinct weights (two halves of 2^20
+a group and refuses as soon as the law outgrows the limit, and no array it
+sorts holds more than 2 SUPPORT_LIMIT values.  The rule counts distinct
+sums, not count-vectors: few distinct weights run at any n (uniform
+splits, granular tails), so do any number of weights on a grid of at most
+2^20 points, and so do 40 generic distinct weights (two halves of 2^20
 values).  The bound is reached late, not refused up front: 40 distinct
-power-of-two weights evaluate in about 3 s at a 0.3 GB peak, and 41 or
-more are refused after about 2 s at 0.34 GB.  A Case-2 pool member holds
-at most 2^L min(J + 1, 2^s) values, s = live_slots and J = floor(1/kappa):
-7 904 at the default state_space_limit, so no solve winner is refused
-there.
+power-of-two weights evaluate in about 0.8 s at a 0.29 GB peak, and 41
+or more are refused after about 0.8 s at 0.40 GB (tools/scale_ladder.py's
+exact40 and exact41 rows).  A Case-2 pool member holds at most
+2^L min(J + 1, 2^s) values, s = live_slots and J = floor(1/kappa): 7 904
+at the default state_space_limit, so no solve winner is refused there.
 
 The evaluation is a meet-in-the-middle merge in integer arithmetic.  The
 weights and theta are scaled by the lcm D of their denominators; each
 group's count law is kept as integer numerators over the product of its
 probabilities' denominators.  The groups are split into two halves of
-balanced prod(size + 1), each half's law of the scaled partial sum becomes
-a dict from integer value to integer mass, and the right half is sorted
-with suffix sums of its masses.  Each left value v then finds its
-successes by one bisection for D theta - v, so about 2^(n/2) values are
-built instead of 2^n outcomes.  The result is one Fraction over the
-product of all denominators.  linear_form_dist builds its full law from
-the same integer group laws.
+balanced prod(size + 1), and each half's law of the scaled partial sum is
+built as two arrays: its distinct values ascending, on int64 or, when a
+partial sum or D theta can pass int64, on Python ints (dtype=object), and
+their masses as Python ints.  A group adds its shifted copies of the law
+in a few numpy calls (_sum_law), with no Python step per value.  The
+right half's masses get suffix sums, each left value v finds its
+successes by one np.searchsorted for D theta - v, and one object np.dot
+sums the left masses times those tails, so about 2^(n/2) values are built
+instead of 2^n outcomes.  The result is one Fraction over the product of
+all denominators.  linear_form_dist builds its full law from the same
+integer group laws and arrays.
 
 The boundary w . x = theta counts as success everywhere, and no exact
 comparison uses floats: float dot products misclassify ties, which are
@@ -59,9 +63,10 @@ Every row is classified in exact integer arithmetic: the weight vector
 and theta are scaled by the lcm D of their denominators, so
 w . x >= theta becomes (D w) . x >= D theta, and a packed row's dot is
 one lookup per byte in 256-entry tables of partial sums of D w.  Every
-entry and partial dot is a subset sum of D w, so the dots run on int64
-when sum |D w_j| and |D theta| are at most 2^63 - 1, and on Python ints
-(dtype=object) otherwise.  The tail sampler takes the same dots with
+entry and partial dot is a subset sum of D w, so the dots run on the
+narrowest of int16, int32 and int64 whose maximum holds sum |D w_j| and
+|D theta|, and on Python ints (dtype=object) when int64 does not (the
+DEBUG lines name it).  The tail sampler takes the same dots with
 theta = 0.  Everything is bit-reproducible from the seed.
 
 A solve samples its winner alone; its m keeps a pool-size term so that
@@ -72,9 +77,8 @@ docstring).
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,9 +202,9 @@ def _probs_and_weights(probs: Sequence, weights: Sequence) -> tuple[list[Fractio
     weights = [to_fraction(w) for w in weights]
     if len(probs) != len(weights):
         raise InputError("probs and weights length mismatch")
-    if any(not 0 <= p <= 1 for p in probs):
+    if any(not 0 <= p.numerator <= p.denominator for p in probs):  # denominators are positive
         raise InputError("probabilities must lie in [0,1]")
-    if any(w < 0 for w in weights):
+    if any(w.numerator < 0 for w in weights):
         raise InputError("weights must be non-negative")
     return probs, weights
 
@@ -224,54 +228,75 @@ def _count_law(ps: Sequence[Fraction]) -> tuple[list[int], int]:
     return law, den
 
 
-def _integer_groups(
-    scaled: Sequence[int], groups: Sequence[tuple[Fraction, list[Fraction]]]
-) -> tuple[list[tuple[int, list[int]]], int]:
-    """Each group's scaled weight with its count law, and the laws' common denominator.
-
-    scaled[g] is group g's weight times the lcm of the weights'
-    denominators; the common denominator is the product of every law's own.
-    """
+def _integer_groups(probs: Sequence[Fraction], scaled: Sequence[int]) -> tuple[list[tuple[int, list[int]]], int]:
+    """The distinct nonzero scaled weights, descending, each with the count
+    law of its coordinates, and the laws' common denominator, the product
+    of every law's own."""
+    by_weight: dict[int, list[Fraction]] = {}
+    for p, w in zip(probs, scaled):
+        if w:
+            by_weight.setdefault(w, []).append(p)
     out, den = [], 1
-    for w, (_, ps) in zip(scaled, groups):
-        counts, group_den = _count_law(ps)
+    for w in sorted(by_weight, reverse=True):
+        counts, group_den = _count_law(by_weight[w])
         out.append((w, counts))
         den *= group_den
     return out, den
 
 
-def _sum_law(groups: Sequence[tuple[int, list[int]]]) -> dict[int, int]:
-    """Law of sum_g w_g C_g as {value: numerator}, positive masses only.
+def _collapse(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values ascending, the sum of each one's masses, and the
+    index in values of its first occurrence: one stable argsort and one
+    np.add.reduceat over the runs of equal values."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.add.reduceat(masses[order], starts), order[starts]
+
+
+def _sum_law(groups: Sequence[tuple[int, list[int]]], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Law of sum_g w_g C_g as (values, masses): the distinct values
+    ascending on dtype, and their numerators, all positive, as Python ints
+    on object dtype.
 
     Each group is (integer weight w_g, numerators of the law of C_g), as
-    _integer_groups gives them.  GuardError as soon as the law holds more
-    than SUPPORT_LIMIT values, checked after each shifted copy; its
-    estimate is the number held then.
+    _integer_groups gives them.  A group adds the law's copies shifted by
+    c w_g, one per count c of positive mass, in order of c and in batches
+    of at most max(1, SUPPORT_LIMIT // len(law)) copies: one broadcast,
+    then _collapse of the values held and the batch's.  So no array holds
+    more than 2 SUPPORT_LIMIT values.  GuardError as soon as the law holds
+    more than SUPPORT_LIMIT values, checked after each copy; its estimate
+    is the number held after the copy that crossed.
     """
-    law = {0: 1}
+    values, masses = np.zeros(1, dtype=dtype), np.ones(1, dtype=object)
     for w, counts in groups:
-        nxt: dict[int, int] = {}
-        for c, cmass in enumerate(counts):
-            if cmass:
-                shift = w * c
-                for value, mass in law.items():
-                    key = value + shift
-                    nxt[key] = nxt.get(key, 0) + mass * cmass
-                if len(nxt) > SUPPORT_LIMIT:
-                    raise GuardError(
-                        f"exact law support exceeds {SUPPORT_LIMIT}", estimate=len(nxt), limit=SUPPORT_LIMIT
-                    )
-        law = nxt
-    return law
+        copies = [(c * w, mass) for c, mass in enumerate(counts) if mass]
+        size, step = len(values), max(1, SUPPORT_LIMIT // len(values))
+        held, held_masses = values[:0], masses[:0]
+        for i in range(0, len(copies), step):
+            shifts, cmasses = zip(*copies[i:i + step])
+            start = len(held)
+            held, held_masses, first = _collapse(
+                np.concatenate((held, (np.array(shifts, dtype=dtype)[:, None] + values).reshape(-1))),
+                np.concatenate((held_masses, np.multiply.outer(np.array(cmasses, dtype=object), masses).reshape(-1))),
+            )
+            if len(held) > SUPPORT_LIMIT:
+                # a value is new at the copy of its first occurrence
+                new = np.bincount((first[first >= start] - start) // size, minlength=len(shifts))
+                after = start + np.cumsum(new)
+                raise GuardError(
+                    f"exact law support exceeds {SUPPORT_LIMIT}",
+                    estimate=int(after[np.argmax(after > SUPPORT_LIMIT)]),
+                    limit=SUPPORT_LIMIT,
+                )
+        values, masses = held, held_masses
+    return values, masses
 
 
-def _grouped(probs: Sequence[Fraction], weights: Sequence[Fraction]):
-    """Distinct nonzero weights (descending) with their probability lists."""
-    groups: dict[Fraction, list[Fraction]] = {}
-    for p, w in zip(probs, weights):
-        if w != 0:
-            groups.setdefault(w, []).append(p)
-    return sorted(groups.items(), key=lambda kv: kv[0], reverse=True)
+def _law_dtype(groups: Sequence[tuple[int, list[int]]], theta: int):
+    """np.int64 if every partial sum of the groups' laws, and theta, fits
+    int64, else object: _dot_dtype's rule on each group's largest shift."""
+    return np.result_type(_dot_dtype([w * (len(counts) - 1) for w, counts in groups], theta), np.int64)
 
 
 def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction:
@@ -282,44 +307,41 @@ def exact_objective_probs(probs: Sequence, weights: Sequence, theta) -> Fraction
     law is built under SUPPORT_LIMIT (see the module docstring).
     """
     probs, weights = _probs_and_weights(probs, weights)
-    theta = to_fraction(theta)
-    if theta <= 0:
+    _, (*scaled, target) = lcm_scaled([*weights, to_fraction(theta)])
+    if target <= 0:
         return Fraction(1)
-    if theta > sum(weights, Fraction(0)):
+    if target > sum(scaled):
         return Fraction(0)
 
-    groups = _grouped(probs, weights)
     # Meet in the middle (module docstring): success mass is the sum over
     # left values v of mass(v) * mass(right >= D theta - v).
-    _, scaled = lcm_scaled([*(w for w, _ in groups), theta])
-    target = scaled.pop()
-    int_groups, den = _integer_groups(scaled, groups)
+    int_groups, den = _integer_groups(probs, scaled)
     halves, sizes = ([], []), [1, 1]
     for group in sorted(int_groups, key=lambda g: len(g[1]), reverse=True):
         side = int(sizes[1] < sizes[0])
         halves[side].append(group)
         sizes[side] *= len(group[1])
-    left, right = map(_sum_law, halves)
+    dtype = _law_dtype(int_groups, target)
+    (left, left_masses), (right, right_masses) = (_sum_law(half, dtype) for half in halves)
     logger.debug(
         "exact_objective_probs: n=%d active, %d groups, half laws of %d and %d values",
-        sum(len(ps) for _, ps in groups), len(groups), len(left), len(right),
+        sum(len(counts) - 1 for _, counts in int_groups), len(int_groups), len(left), len(right),
     )
-    values = sorted(right)
-    tails = list(accumulate((right[v] for v in reversed(values)), initial=0))[::-1]
-    hits = sum(mass * tails[bisect_left(values, target - v)] for v, mass in left.items())
-    return Fraction(hits, den)
+    tails = np.zeros(len(right) + 1, dtype=object)
+    tails[:-1] = np.cumsum(right_masses[::-1])[::-1]
+    return Fraction(np.dot(left_masses, tails[np.searchsorted(right, target - left)]), den)
 
 
 def linear_form_dist(weights: Sequence, probs: Sequence) -> DiscreteDist:
     """Exact law of w . X over Bernoulli(probs), grouped by distinct weight,
     built under SUPPORT_LIMIT (see the module docstring)."""
     probs, weights = _probs_and_weights(probs, weights)
-    groups = _grouped(probs, weights)
-    d, scaled = lcm_scaled([w for w, _ in groups])
-    int_groups, den = _integer_groups(scaled, groups)
-    law = _sum_law(int_groups)
-    values = sorted(law)
-    return DiscreteDist(tuple(Fraction(v, d) for v in values), tuple(Fraction(law[v], den) for v in values))
+    d, scaled = lcm_scaled(weights)
+    int_groups, den = _integer_groups(probs, scaled)
+    values, masses = _sum_law(int_groups, _law_dtype(int_groups, 0))
+    return DiscreteDist(
+        tuple(Fraction(v, d) for v in values.tolist()), tuple(Fraction(m, den) for m in masses.tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +461,10 @@ def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> n
 
 
 def _dot_dtype(weights: Sequence[int], theta: int):
-    """np.int64 if every subset sum of weights, and theta, fits int64; else object (Python ints)."""
-    return np.int64 if sum(map(abs, weights)) <= _INT64_MAX and abs(theta) <= _INT64_MAX else object
+    """The narrowest of int16, int32 and int64 that holds every subset sum
+    of weights, and theta; object (Python ints) if int64 does not."""
+    bound = max(sum(map(abs, weights)), abs(theta))
+    return next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
 
 
 def _byte_tables(columns: np.ndarray) -> np.ndarray:

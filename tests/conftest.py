@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's optimized paths: the
 naive objective enumerates all 2^n outcomes with itertools, the DFS
-objective walks grouped partial sums in Fractions, the grid
+objective walks grouped partial sums in Fractions, the exact laws are
+built one value at a time in dicts, the grid
 oracles scan dense 1/64-step weight grids, the threshold-set oracle
 decides every Boolean function on {0,1}^k by an exact separation LP, the
 set families come from the table generator's weight grid
@@ -45,7 +46,7 @@ import storalloc
 from storalloc import evaluate, junta
 from storalloc.baselines import UniformSplitResult
 from storalloc.core import ProblemInstance, TrivialSolution
-from storalloc.errors import InputError
+from storalloc.errors import GuardError, InputError
 from storalloc.evaluate import exact_objective_probs
 from storalloc.halfspaces import point_bits
 from storalloc.junta import JuntaRequest, JuntaResult
@@ -115,6 +116,38 @@ def dfs_objective(probs, weights, theta) -> Fraction:
         )
 
     return success_prob(0, Fraction(0))
+
+
+def dict_sum_law(groups, limit: int) -> dict[int, int]:
+    """evaluate._sum_law's law as {value: numerator}, built one value at a
+    time in a dict: each group adds its shifted copies in order of count,
+    and a law of more than ``limit`` values after any copy raises
+    GuardError with the number held then."""
+    law = {0: 1}
+    for w, counts in groups:
+        nxt: dict[int, int] = {}
+        for c, cmass in enumerate(counts):
+            if cmass:
+                for value, mass in law.items():
+                    nxt[value + w * c] = nxt.get(value + w * c, 0) + mass * cmass
+                if len(nxt) > limit:
+                    raise GuardError(f"exact law support exceeds {limit}", estimate=len(nxt), limit=limit)
+        law = nxt
+    return law
+
+
+def fraction_law(weights, probs) -> dict[Fraction, Fraction]:
+    """The law of w . X as {value: probability}, one coordinate at a time
+    in Fractions, with no grouping or scaling."""
+    law = {Fraction(0): Fraction(1)}
+    for w, p in zip(map(Fraction, weights), map(Fraction, probs)):
+        nxt: dict[Fraction, Fraction] = {}
+        for value, mass in law.items():
+            for bit, q in ((0, 1 - p), (1, p)):
+                if q:
+                    nxt[value + w * bit] = nxt.get(value + w * bit, 0) + mass * q
+        law = nxt
+    return law
 
 
 def raw_lanes(seed: int, chunk: int, words: int) -> tuple[list[int], np.random.PCG64]:

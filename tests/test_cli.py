@@ -110,7 +110,7 @@ class TestCommands:
         loud = capsys.readouterr()
         assert loud.out == quiet.out
         assert quiet.err == ""
-        assert "mc_hit_counts: m=100, " in loud.err and " hits, int64 dtype" in loud.err
+        assert "mc_hit_counts: m=100, " in loud.err and " hits, int16 dtype" in loud.err
         assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err
@@ -126,7 +126,7 @@ class TestCommands:
         monkeypatch.setattr(cli, "_cmd_eval", sample_tail)
         assert run_cli(["--log-level", "DEBUG", *args]) == 0
         tail = capsys.readouterr()
-        assert "sample_tail_empirical: m=100, 2 distinct values, int64 dtype" in tail.err
+        assert "sample_tail_empirical: m=100, 2 distinct values, int16 dtype" in tail.err
 
     def test_eval_mc_zero_is_input_error(self, inst_file, capsys):
         code = run_cli(["eval", inst_file, "--weights", "1/2,1/4,1/4", "--mc", "0"])

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from storalloc.evaluate import (
 
 from conftest import (
     dfs_objective,
+    dict_sum_law,
+    fraction_law,
     fraction_hit_counts,
     fraction_tail_empirical,
     granular_instance,
@@ -312,6 +315,129 @@ class TestLinearFormDist:
         with pytest.raises(GuardError) as info:
             linear_form_dist(w, probs)  # 2, 4, then 8 values
         assert (info.value.estimate, info.value.limit) == (8, 5)
+
+
+# Group laws for evaluate._sum_law, one (integer weight, count numerators)
+# per group.  Grid weights repeat and collide; generic ones rarely do, so
+# their groups are drawn to at most 4 096 count-vectors; wide ones scale
+# every sum past int64, onto object dtype.
+GROUP_WEIGHTS = {
+    "grid": st.integers(1, 6),
+    "generic": st.integers(1, 1 << 30),
+    "wide": st.integers(1 << 62, 1 << 64),
+}
+
+
+@st.composite
+def law_groups(draw):
+    kind = draw(st.sampled_from(sorted(GROUP_WEIGHTS)))
+    groups, budget = [], 4096 if kind != "grid" else 1 << 40
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, min(24, budget - 1))) if budget > 1 else 0
+        if not size:
+            break
+        budget //= size + 1
+        ps = draw(st.lists(st.one_of(grid_probs, rationals(0, 1)), min_size=size, max_size=size))
+        groups.append((draw(GROUP_WEIGHTS[kind]), evaluate._count_law(ps)[0]))
+    return groups
+
+
+@st.composite
+def law_inputs(draw):
+    """(probs, weights) with grid weights that repeat and collide, distinct
+    generic ones, or ones whose scaled sums pass int64."""
+    kind = draw(st.sampled_from(["grid", "generic", "wide"]))
+    n = draw(st.integers(1, 24 if kind == "grid" else 11))
+    probs = draw(st.lists(st.one_of(grid_probs, rationals(0, 1)), min_size=n, max_size=n))
+    if kind == "grid":
+        weights = draw(st.lists(st.integers(0, 8).map(lambda k: F(k, 8 * n)), min_size=n, max_size=n))
+    elif kind == "generic":
+        weights = draw(st.lists(rationals(0, F(1, n), max_den=1 << 12), min_size=n, max_size=n, unique=True))
+    else:
+        big = (1 << 64) + 13  # the lcm; the scaled weights sum past int64
+        weights = [F(k, big) for k in draw(st.lists(st.integers(big // (2 * n), big // n), min_size=n, max_size=n))]
+    return probs, weights
+
+
+class TestSumLaw:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(law_groups())
+    def test_array_law_matches_the_dict_reference(self, groups):
+        dtype = evaluate._law_dtype(groups, 0)
+        values, masses = evaluate._sum_law(groups, dtype)
+        reference = dict_sum_law(groups, evaluate.SUPPORT_LIMIT)
+        assert values.tolist() == sorted(reference)
+        assert masses.tolist() == [reference[v] for v in sorted(reference)]
+        assert all(type(m) is int for m in masses.tolist())
+        wide = sum(w * (len(counts) - 1) for w, counts in groups) > np.iinfo(np.int64).max
+        assert values.dtype == (np.dtype(object) if wide else np.int64) and masses.dtype == np.dtype(object)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(law_inputs())
+    def test_linear_form_dist_matches_the_fraction_law(self, case):
+        probs, weights = case
+        law = fraction_law(weights, probs)
+        dist = linear_form_dist(weights, probs)
+        assert dist.values == tuple(sorted(law))
+        assert dist.probs == tuple(law[v] for v in dist.values)
+        theta = dist.values[len(dist.values) // 2]  # a reachable sum: the tie counts
+        expected = sum((p for v, p in law.items() if v >= theta), F(0))
+        assert exact_objective_probs(probs, weights, theta) == expected
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(law_groups(), st.integers(1, 200))
+    def test_refusal_estimate_is_the_count_after_the_crossing_copy(self, groups, limit):
+        # batches of max(1, limit // len(law)) copies: the estimate is
+        # still the count after the copy that crossed, wherever it sits
+        with mock.patch.object(evaluate, "SUPPORT_LIMIT", limit):
+            try:
+                reference = dict_sum_law(groups, limit)
+            except GuardError as refused:
+                with pytest.raises(GuardError) as info:
+                    evaluate._sum_law(groups, evaluate._law_dtype(groups, 0))
+                assert (info.value.estimate, info.value.limit) == (refused.estimate, limit)
+                assert str(info.value) == str(refused)
+            else:
+                values, masses = evaluate._sum_law(groups, evaluate._law_dtype(groups, 0))
+                assert dict(zip(values.tolist(), masses.tolist())) == reference
+
+    @pytest.mark.parametrize("limit", range(1, 41))
+    def test_refusal_estimates_per_copy_across_batches(self, monkeypatch, limit):
+        # a law of 1, then 4, then 12 values; the copies of weight 1 and 5
+        # overlap, so batches cross the limit at their first, middle and
+        # last copies as the limit moves
+        groups = [(3, [1, 3, 3, 1]), (1, [2, 1, 1, 5, 1, 1, 2, 1, 1]), (5, [1, 4, 6, 4, 1])]
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", limit)
+        try:
+            reference = dict_sum_law(groups, limit)
+        except GuardError as refused:
+            with pytest.raises(GuardError) as info:
+                evaluate._sum_law(groups, np.int64)
+            assert info.value.estimate == refused.estimate
+        else:
+            values, masses = evaluate._sum_law(groups, np.int64)
+            assert dict(zip(values.tolist(), masses.tolist())) == reference
+
+    def test_no_array_holds_more_than_twice_the_limit(self, monkeypatch):
+        # every array _sum_law sorts is the values held plus one batch; a
+        # law of 8 values, then copies shifted by 2 that add 2 values each,
+        # reach 2 SUPPORT_LIMIT exactly at a limit of 8 and stay under it
+        # at every other
+        sizes = []
+        collapse = evaluate._collapse
+        monkeypatch.setattr(evaluate, "_collapse", lambda values, masses: sizes.append(len(values)) or collapse(values, masses))
+        groups = [(1, [1] * 8), (2, [1] * 7)]
+        ratios = []
+        for limit in range(1, 41):
+            monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", limit)
+            sizes.clear()
+            try:
+                evaluate._sum_law(groups, np.int64)
+            except GuardError:
+                pass
+            assert max(sizes) <= 2 * limit
+            ratios.append(F(max(sizes), limit))
+        assert max(ratios) == 2
 
 
 class TestKolmogorov:
@@ -830,6 +956,27 @@ class TestKernel:
         vector = [F(a, d), F(a, d), F(d - 2 * a, d)]
         _, message = self._classify(caplog, vector, F(3, 7))
         assert message.endswith(", int64 dtype")
+
+    @pytest.mark.parametrize(
+        "total, target, dtype",
+        [
+            ((1 << 15) - 1, 1 << 14, "int16"),
+            (1 << 15, 1 << 14, "int32"),
+            (3, 1 << 15, "int32"),  # D theta alone passes int16
+            ((1 << 31) - 1, 1 << 30, "int32"),
+            (1 << 31, 1 << 30, "int64"),
+            (3, 1 << 31, "int64"),
+        ],
+    )
+    def test_dots_run_on_the_narrowest_dtype_that_holds_them(self, caplog, total, target, dtype):
+        # D is total + 1, so the scaled weights are 1, b and c with
+        # 1 + b + c = total, and D theta = target
+        d = total + 1
+        b = (total - 1) // 2
+        vector, theta = [F(1, d), F(b, d), F(total - 1 - b, d)], F(target, d)
+        assert evaluate._dot_dtype([1, b, total - 1 - b], target) == getattr(np, dtype)
+        _, message = self._classify(caplog, vector, theta)
+        assert message.endswith(f", {dtype} dtype")
 
     @pytest.mark.parametrize("m", [1024, 1025])
     def test_dtype_rule_holds_unpacked_and_packed(self, caplog, m):

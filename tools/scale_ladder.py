@@ -1,4 +1,4 @@
-"""Seeded timings of the sampling layer and of cold CLI runs, written as BENCH_<label>.json.
+"""Seeded timings of sampling, of exact evaluation and of cold CLI runs, written as BENCH_<label>.json.
 
     python3 tools/scale_ladder.py [--src PATH] [--label NAME] [--quick] [--out DIR]
 
@@ -17,7 +17,12 @@ delta = 1/20, p ~ U(0.3, 0.7) stratified and rounded by
 - ``selection``: ``mc_estimate_probs`` on one vector over 8 coordinates
   and m = 60, the sample a small solve draws for its winner;
 - ``draw_chunks``, ``packed_draws`` and ``byte_dots``: the three layers
-  under ``mc64``, on its input.
+  under ``mc64``, on its input, ``byte_dots`` on the dtype that
+  ``_dot_dtype`` picks for it;
+- ``draw_chunks22``: ``draw_chunks`` on ``mc22``'s draws, whose width is
+  not a multiple of 8;
+- ``exact_small``: ``exact_objective_probs`` on the counterexample of
+  ``baselines.kleinberg_counterexample``, a law of two groups.
 
 Each row holds the median and quartiles of its call's seconds over
 ``reps`` timed calls after one untimed call, and a SHA-256 digest of that
@@ -34,9 +39,22 @@ written, neither the package's nor numpy's nor the standard library's:
   L_cap 2, each with the SHA-256 of its report file;
 - ``cli_import``: a bare ``import storalloc.cli``.
 
-Each holds the median and quartiles of 5 runs (1 under ``--quick``).
-These are the sampling and cold-CLI rows of the scale ladder in ROADMAP
-item 14; its in-process phase, Case-2 and exact-bound rows are not here
+The exact-bound rows run ``exact_objective_probs`` once per fresh
+interpreter, on 40 and on 41 coordinates with the distinct power-of-two
+weights 2^i / (2^n - 1), whose 2^n sums are all distinct, granular
+probabilities and theta = 1/2:
+
+- ``exact40``: two half laws of 2^20 values, which evaluate;
+- ``exact41``: a half law of 2^21 values, refused by SUPPORT_LIMIT.
+
+Each of these holds the median and quartiles over its runs of the call's
+seconds and of the interpreter's peak RSS in MiB (``ru_maxrss``,
+``*_rss_mb``), and the SHA-256 of the value or of the refusal's
+estimate.
+
+Each cold and exact-bound row holds 5 runs (1 under ``--quick``).
+These are the sampling, exact-bound and cold-CLI rows of the scale ladder
+in ROADMAP item 14; its in-process phase and Case-2 rows are not here
 yet.
 """
 
@@ -112,8 +130,11 @@ def ops(core, evaluate) -> list[tuple]:
     w8 = [Fraction(k, 36) for k in range(1, 9)]
     s8 = rng.randrange(1 << 31)
 
-    tables = evaluate._byte_tables(np.ones((64, 1), dtype=np.int64))
+    tables = evaluate._byte_tables(np.ones((64, 1), dtype=evaluate._dot_dtype([1] * 64, 32)))  # mc64's D w and D theta
     rows64 = evaluate._packed_draws(p64, DRAWS, s64, 64)
+
+    def dots64():
+        return evaluate._byte_dots(tables, rows64)
 
     def chunks():
         for _ in evaluate._draw_chunks(p64, DRAWS, s64, 64):
@@ -126,6 +147,16 @@ def ops(core, evaluate) -> list[tuple]:
         dist = evaluate.sample_tail_empirical(inst40, tail, DRAWS, s40)
         return dist.values, dist.counts
 
+    def chunks22():
+        for _ in evaluate._draw_chunks(p22, DRAWS, s22, 22):
+            pass
+
+    def packed_chunks22():
+        return [(start, np.packbits(bits).tobytes()) for start, bits in evaluate._draw_chunks(p22, DRAWS, s22, 22)]
+
+    small = core.preprocess([0.9] * 5, Fraction(5, 12), Fraction(1, 20), Fraction(1, 20)).instance.probs
+    candidate = [Fraction(1, 4)] * 2 + [Fraction(1, 6)] * 3
+
     return [
         ("mc64", "n=64 m=25000 uniform weights", lambda: evaluate.mc_estimate_probs(p64, w64, THETA, DRAWS, s64).value),
         ("mc22", "n=22 m=25000 generic weights", lambda: evaluate.mc_estimate_probs(p22, w22, THETA, DRAWS, s22).value),
@@ -134,14 +165,16 @@ def ops(core, evaluate) -> list[tuple]:
         ("selection", "w=8 m=60 one vector", lambda: evaluate.mc_estimate_probs(p8, w8, THETA, 60, s8).value),
         ("draw_chunks", "mc64's draws, chunks unpacked", chunks, packed_chunks),
         ("packed_draws", "mc64's draws", lambda: evaluate._packed_draws(p64, DRAWS, s64, 64)),
-        ("byte_dots", "mc64's rows, one int64 vector", lambda: evaluate._byte_dots(tables, rows64)),
+        ("byte_dots", "mc64's rows, one vector on its dot dtype", dots64, lambda: dots64().astype(np.int64)),
+        ("draw_chunks22", "mc22's draws, chunks unpacked", chunks22, packed_chunks22),
+        ("exact_small", "n=5 counterexample, 2 groups", lambda: evaluate.exact_objective_probs(small, candidate, Fraction(5, 12))),
     ]
 
 
-def quartiles(times: list[float]) -> dict:
-    """The count, median and quartiles of times; one time is all three."""
-    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-    return {"reps": len(times), "median_s": median, "q1_s": q1, "q3_s": q3}
+def quartiles(values: list[float], unit: str = "s") -> dict:
+    """The count, median and quartiles of values, keyed by unit; one value is all three."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"reps": len(values), f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3}
 
 
 def measure(call, reps: int, output=None) -> dict:
@@ -153,6 +186,56 @@ def measure(call, reps: int, output=None) -> dict:
         call()
         times.append(time.perf_counter() - t0)
     return {**quartiles(times), "digest": out}
+
+
+# One exact evaluation in a fresh interpreter: argv is the probabilities
+# and the weights, comma-separated; it prints the call's seconds, the
+# peak RSS in KiB and the value, or the refusal's estimate.
+EXACT_CHILD = """
+import resource, sys, time
+from fractions import Fraction
+from storalloc import evaluate
+from storalloc.errors import GuardError
+probs, weights = ([Fraction(x) for x in arg.split(",")] for arg in sys.argv[1:3])
+t0 = time.perf_counter()
+try:
+    out = str(evaluate.exact_objective_probs(probs, weights, Fraction(1, 2)))
+except GuardError as refused:
+    out = f"refused: estimate {refused.estimate}, limit {refused.limit}"
+seconds = time.perf_counter() - t0
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, out)
+"""
+
+
+def exact_inputs(core) -> list[tuple]:
+    """(name, shape, probabilities, weights) per exact-bound row."""
+    rng = random.Random("storalloc-scale-ladder-exact")
+    rows = []
+    for name, n in (("exact40", 40), ("exact41", 41)):
+        probs = core.preprocess(stratified_probs(rng, n), THETA, EPS, DELTA).instance.probs
+        weights = [Fraction(1 << i, (1 << n) - 1) for i in range(n)]
+        rows.append((name, f"n={n} power-of-two weights, theta=1/2", list(probs), weights))
+    return rows
+
+
+def exact_child(src: Path, probs, weights, runs: int) -> dict:
+    """Seconds and peak RSS of runs fresh interpreters that each evaluate
+    (probs, weights) once on src/src's storalloc, and the digest of what
+    they return."""
+    path = os.pathsep.join(filter(None, (str(src / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = [",".join(map(str, probs)), ",".join(map(str, weights))]
+    times, rss, outs = [], [], set()
+    for _ in range(runs):
+        line = subprocess.run(
+            [sys.executable, "-c", EXACT_CHILD, *args], check=True, env=env, capture_output=True, text=True
+        ).stdout.split(maxsplit=2)
+        times.append(float(line[0]))
+        rss.append(int(line[1]) / 1024)
+        outs.add(line[2].strip())
+    if len(outs) > 1:
+        sys.exit("scale_ladder: an exact evaluation moved between runs")
+    return {**quartiles(times), **quartiles(rss, "rss_mb"), "digest": digest(outs.pop())}
 
 
 def cold_commands(instance: Path, report: Path) -> list[tuple]:
@@ -198,6 +281,10 @@ def main(argv=None) -> None:
     for name, shape, call, *output in ops(core, evaluate):
         rows.append({"op": name, "shape": shape, **measure(call, reps, *output)})
         print(f"{name:13s} {rows[-1]['median_s'] * 1e3:9.3f} ms  {rows[-1]['digest'][:12]}", flush=True)
+    for name, shape, probs, weights in exact_inputs(core):
+        rows.append({"op": name, "shape": shape, **exact_child(src, probs, weights, runs)})
+        row = rows[-1]
+        print(f"{name:13s} {row['median_s'] * 1e3:9.3f} ms  {row['median_rss_mb']:7.1f} MB  {row['digest'][:12]}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         instance, report = Path(work) / "gen-64.json", Path(work) / "report.json"
         cli.main([*GEN_64, "--out", str(instance)])
