@@ -10,8 +10,8 @@ sums, not count-vectors: few distinct weights run at any n (uniform
 splits, granular tails), so do any number of weights on a grid of at most
 2^20 points, and so do 40 generic distinct weights (two halves of 2^20
 values).  The bound is reached late, not refused up front: 40 distinct
-power-of-two weights evaluate in about 0.8 s at a 0.29 GB peak, and 41
-or more are refused after about 0.8 s at 0.40 GB (tools/scale_ladder.py's
+power-of-two weights evaluate in about 0.7 s at a 0.28 GB peak, and 41
+or more are refused after about 0.5 s at 0.30 GB (tools/scale_ladder.py's
 exact40 and exact41 rows).  A Case-2 pool member holds at most
 2^L min(J + 1, 2^s) values, s = live_slots and J = floor(1/kappa): 7 904
 at the default state_space_limit, so no solve winner is refused there.
@@ -244,14 +244,13 @@ def _integer_groups(probs: Sequence[Fraction], scaled: Sequence[int]) -> tuple[l
     return out, den
 
 
-def _collapse(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values ascending, the sum of each one's masses, and the
-    index in values of its first occurrence: one stable argsort and one
-    np.add.reduceat over the runs of equal values."""
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values ascending, values' stable sort order, and the
+    position in that order where each run of equal values starts."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return ordered[starts], np.add.reduceat(masses[order], starts), order[starts]
+    return ordered[starts], order, starts
 
 
 def _sum_law(groups: Sequence[tuple[int, list[int]]], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +262,12 @@ def _sum_law(groups: Sequence[tuple[int, list[int]]], dtype) -> tuple[np.ndarray
     _integer_groups gives them.  A group adds the law's copies shifted by
     c w_g, one per count c of positive mass, in order of c and in batches
     of at most max(1, SUPPORT_LIMIT // len(law)) copies: one broadcast,
-    then _collapse of the values held and the batch's.  So no array holds
-    more than 2 SUPPORT_LIMIT values.  GuardError as soon as the law holds
-    more than SUPPORT_LIMIT values, checked after each copy; its estimate
-    is the number held after the copy that crossed.
+    then _runs of the values held and the batch's, and one np.add.reduceat
+    of their masses over those runs.  So no array holds more than
+    2 SUPPORT_LIMIT values.  GuardError as soon as the law holds more than
+    SUPPORT_LIMIT values, checked after each copy, before the batch's
+    masses are multiplied out; its estimate is the number held after the
+    copy that crossed.
     """
     values, masses = np.zeros(1, dtype=dtype), np.ones(1, dtype=object)
     for w, counts in groups:
@@ -276,12 +277,12 @@ def _sum_law(groups: Sequence[tuple[int, list[int]]], dtype) -> tuple[np.ndarray
         for i in range(0, len(copies), step):
             shifts, cmasses = zip(*copies[i:i + step])
             start = len(held)
-            held, held_masses, first = _collapse(
-                np.concatenate((held, (np.array(shifts, dtype=dtype)[:, None] + values).reshape(-1))),
-                np.concatenate((held_masses, np.multiply.outer(np.array(cmasses, dtype=object), masses).reshape(-1))),
+            distinct, order, starts = _runs(
+                np.concatenate((held, (np.array(shifts, dtype=dtype)[:, None] + values).reshape(-1)))
             )
-            if len(held) > SUPPORT_LIMIT:
+            if len(distinct) > SUPPORT_LIMIT:
                 # a value is new at the copy of its first occurrence
+                first = order[starts]
                 new = np.bincount((first[first >= start] - start) // size, minlength=len(shifts))
                 after = start + np.cumsum(new)
                 raise GuardError(
@@ -289,6 +290,8 @@ def _sum_law(groups: Sequence[tuple[int, list[int]]], dtype) -> tuple[np.ndarray
                     estimate=int(after[np.argmax(after > SUPPORT_LIMIT)]),
                     limit=SUPPORT_LIMIT,
                 )
+            batch_masses = np.multiply.outer(np.array(cmasses, dtype=object), masses).reshape(-1)
+            held, held_masses = distinct, np.add.reduceat(np.concatenate((held_masses, batch_masses))[order], starts)
         values, masses = held, held_masses
     return values, masses
 

@@ -424,8 +424,8 @@ class TestSumLaw:
         # reach 2 SUPPORT_LIMIT exactly at a limit of 8 and stay under it
         # at every other
         sizes = []
-        collapse = evaluate._collapse
-        monkeypatch.setattr(evaluate, "_collapse", lambda values, masses: sizes.append(len(values)) or collapse(values, masses))
+        runs = evaluate._runs
+        monkeypatch.setattr(evaluate, "_runs", lambda values: sizes.append(len(values)) or runs(values))
         groups = [(1, [1] * 8), (2, [1] * 7)]
         ratios = []
         for limit in range(1, 41):
@@ -438,6 +438,22 @@ class TestSumLaw:
             assert max(sizes) <= 2 * limit
             ratios.append(F(max(sizes), limit))
         assert max(ratios) == 2
+
+    def test_a_refused_batch_multiplies_no_masses(self, monkeypatch):
+        # a law of 8 values, then one copy shifted by 8 that crosses a
+        # limit of 10: the refusal comes before that copy's mass meets the
+        # 8 masses held, so a refused law costs no more than its values
+        class Mass(int):
+            products = 0
+
+            def __mul__(self, other):
+                Mass.products += 1
+                return int(self) * other
+
+        monkeypatch.setattr(evaluate, "SUPPORT_LIMIT", 10)
+        with pytest.raises(GuardError) as info:
+            evaluate._sum_law([(1, [1] * 8), (8, [1, Mass(1)])], np.int64)
+        assert (info.value.estimate, Mass.products) == (16, 0)
 
 
 class TestKolmogorov:
