@@ -13,12 +13,14 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .baselines import brute_force_optimum, kleinberg_counterexample, uniform_split_baseline
 from .core import SolverConfig, preprocess
 from .driver import solve
 from .errors import GuardError, InputError
-from .evaluate import exact_objective_probs, mc_estimate_probs
+from .evaluate import derived_bits, exact_objective_probs, mc_estimate_probs
 from .formats import (
     BENCH_COLUMNS,
     bench_rows_to_json,
@@ -27,7 +29,7 @@ from .formats import (
     parse_weights,
     save_instance,
 )
-from .util import derived_rng, frac_str, to_fraction
+from .util import frac_str, to_fraction
 
 
 _DEFAULTS = SolverConfig()
@@ -183,6 +185,12 @@ def _cmd_bench(args) -> int:
     text = bench_rows_to_tsv(rows) if args.tsv else bench_rows_to_json(rows)
     _emit(text, args.out)
     return 0
+
+
+def derived_rng(*seed_parts: int) -> np.random.Generator:
+    """Generator over evaluate.derived_bits(*seed_parts): gen's draws, which
+    define the gen-{n} instances."""
+    return np.random.Generator(derived_bits(*seed_parts))
 
 
 def _cmd_gen(args) -> int:

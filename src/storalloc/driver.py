@@ -39,8 +39,12 @@ coordinates, with m = ceil(mc_constant (1/eps^2) ln(|pool| / delta))
 draws: a deterministic function of (instance, config), as the
 byte-stable report needs.  The pick does not read it.  m keeps the
 |pool| term from when the sample ranked the pool (a union bound over
-it), so that every report byte stays as it was until ROADMAP item 2b
-drops sampling from the solve.
+it) until ROADMAP item 2b drops sampling from the solve.  Its chunks
+read the splitmix64 stream (util.SplitMix64), not PCG64, through
+evaluate's lane rule: the numpy.random import that PCG64 needs cost a
+fresh process more than the rest of a small solve, so no solve loads
+numpy.random.  So eval --mc with the same m and seed draws other bits,
+and its estimate differs from the report's.
 
 Wall-clock timings are collected but excluded from the canonical report
 bytes; they are the one inherently nondeterministic field.
@@ -68,7 +72,7 @@ from .errors import GuardError, InputError
 from .evaluate import ObjectiveEstimate, check_draws, exact_objective_probs, mc_hit_counts
 from .junta import JuntaRequest, find_optimal_junta
 from .large_ci import find_near_opt_large_ci, live_slots
-from .util import Record, derive_seed, frac_str, lcm_scaled, to_fraction
+from .util import Record, SplitMix64, derive_seed, frac_str, lcm_scaled, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -403,7 +407,8 @@ def solve_instance(instance: ProblemInstance, config: Optional[SolverConfig] = N
     chosen = pool[best_idx]
     m_sel = selection_sample_size(instance.epsilon, instance.delta, len(pool), config.mc_constant)
     select_seed = derive_seed(config.seed, SELECT_SEED_TAG)
-    hits = mc_hit_counts(instance.probs[:P], chosen.weights, theta, m_sel, select_seed)  # pool vectors are checked
+    # pool vectors are checked; the sample reads splitmix64 (module docstring)
+    hits = mc_hit_counts(instance.probs[:P], chosen.weights, theta, m_sel, select_seed, SplitMix64)
     estimate = ObjectiveEstimate(Fraction(hits, m_sel), "monte_carlo", m_sel, select_seed)
     timings["selection_s"] = time.perf_counter() - t0
     logger.debug(

@@ -37,13 +37,15 @@ comparison uses floats: float dot products misclassify ties, which are
 common for granular weights.
 
 Monte-Carlo sampling draws exact Bernoulli(p) bits, p = a/b rational,
-from 16-bit lanes of the raw PCG64 stream, over only the w coordinates
+from 16-bit lanes of a raw 64-bit stream, over only the w coordinates
 that the vector weights.  The draws come in chunks of
-max(1, CHUNK_LANES // w), chunk c from the PCG64 seeded by
-SeedSequence([seed, c]).  A chunk reads its rows x w lanes row-major from
-random_raw words, each word split into its four 16-bit quarters from the
-low one up through an explicit little-endian view, so the lanes are the
-same on every platform.  Lane u stands for the interval [u, u + 1) / 2^16:
+max(1, CHUNK_LANES // w), chunk c from the generator stream(seed, c):
+by default derived_bits, the PCG64 seeded by SeedSequence([seed, c]);
+a solve passes util.SplitMix64, which needs no numpy.random.  A chunk
+reads its rows x w lanes row-major from random_raw words, each word
+split into its four 16-bit quarters from the low one up through an
+explicit little-endian view, so the lanes are the same on every
+platform.  Lane u stands for the interval [u, u + 1) / 2^16:
 it gives 1 when (u + 1) b <= a 2^16 and 0 when u b >= a 2^16.  Otherwise
 it straddles p, once in 2^16 lanes; the chunk's straddling lanes are
 settled in row-major order after its main lanes, each appending the low
@@ -69,9 +71,12 @@ narrowest of int16, int32 and int64 whose maximum holds sum |D w_j| and
 DEBUG lines name it).  The tail sampler takes the same dots with
 theta = 0.  Everything is bit-reproducible from the seed.
 
-A solve samples its winner alone; its m keeps a pool-size term so that
-reports stay byte-stable until sampling leaves the solve (driver module
-docstring).
+A solve samples its winner alone, on the splitmix64 stream; its m keeps
+a pool-size term until sampling leaves the solve (driver module
+docstring).  mc_estimate_probs and sample_tail_empirical keep PCG64,
+which draws a full chunk's 32 768 words in 1.5-2.4 times less time than
+splitmix64's numpy rounds; splitmix64 wins on the few words of a small
+sample, and above all spares the numpy.random import.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .core import ProblemInstance
-from .util import Record, derived_bits, lcm_scaled, to_fraction, to_int
+from .util import Record, lcm_scaled, to_fraction, to_int
 
 logger = logging.getLogger(__name__)
 
@@ -372,6 +377,13 @@ def check_draws(m: int, width: int) -> None:
         raise GuardError(message, estimate=m * row_bytes, limit=PACKED_LIMIT)
 
 
+def derived_bits(*seed_parts: int) -> np.random.PCG64:
+    """PCG64 bit generator seeded by SeedSequence over the parts' low 64
+    bits: the samplers' default chunk generator, chunk c of seed s being
+    derived_bits(s, c).  It imports numpy.random on its first call."""
+    return np.random.PCG64(np.random.SeedSequence([int(p) & ((1 << 64) - 1) for p in seed_parts]))
+
+
 def _chunk_rows(width: int) -> int:
     """Draws per sampling chunk over width coordinates: max(1, CHUNK_LANES // width)."""
     return max(1, CHUNK_LANES // max(width, 1))
@@ -395,8 +407,12 @@ def _straddle_bit(u: int, a: int, b: int, bitgen) -> bool:
         scale <<= 16
 
 
-def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int):
+def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int, stream=None):
     """Yield (start, bits) for each chunk of the m draws over probs[:width].
+
+    Chunk c reads its raw words from stream(seed, c), any factory of
+    objects with a bit generator's random_raw(size=None); None stands for
+    derived_bits (PCG64), looked up at each call.
 
     bits is the chunk's bool block of draws start, start + 1, and so on,
     by the module docstring's lane rule: one row per draw, its first width
@@ -432,9 +448,10 @@ def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int):
 
     bits = np.zeros((rows, -(-width // 8) * 8), dtype=bool)
     ties = np.empty((rows, width), dtype=bool) if scan else None
+    stream = derived_bits if stream is None else stream
     for c, start in enumerate(range(0, m, rows)):
         count = min(rows, m - start)
-        bitgen = derived_bits(seed, c)
+        bitgen = stream(seed, c)
         raw = bitgen.random_raw(-(-count * width // 4)).astype("<u8", copy=False)
         lanes = raw.view("<u2")[: count * width].reshape(count, width)
         block = bits[:count]
@@ -447,18 +464,18 @@ def _draw_chunks(probs: Sequence[Fraction], m: int, seed: int, width: int):
         yield start, block
 
 
-def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int) -> np.ndarray:
+def _packed_draws(probs: Sequence[Fraction], m: int, seed: int, width: int, stream=None) -> np.ndarray:
     """The m packed Bernoulli bit rows over the first ``width`` coordinates,
     in draw order, as an (m, ceil(width/8)) uint8 array.
 
     A row is np.packbits of one draw's width bits: coordinate 8j + k in
     bit 7 - k of byte j, the last byte zero-padded.  The draws are
-    _draw_chunks', so they depend on probs[:width] alone, and so does the
-    guard, check_draws on the width.
+    _draw_chunks' from stream, so they depend on probs[:width] alone, and
+    so does the guard, check_draws on the width.
     """
     check_draws(m, width)
     packed = np.empty((m, (width + 7) // 8), dtype=np.uint8)
-    for start, bits in _draw_chunks(probs, m, seed, width):
+    for start, bits in _draw_chunks(probs, m, seed, width, stream):
         packed[start:start + len(bits)] = np.packbits(bits.reshape(-1)).reshape(len(bits), -1)
     return packed
 
@@ -500,31 +517,37 @@ def _byte_dots(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _dot_blocks(probs: Sequence[Fraction], weights: Sequence[int], dtype, m: int, seed: int, reduce):
+def _dot_blocks(probs: Sequence[Fraction], weights: Sequence[int], dtype, m: int, seed: int, reduce, stream=None):
     """Yield reduce(dots) for each block of at most BLOCK_BYTES // 8 rows
     of the m draws over probs[:len(weights)], in draw order, from
-    _packed_draws (guarded on that width before the first draw); dots
+    _packed_draws on stream (guarded on that width before the first draw); dots
     holds each row's weights . x from per-byte tables on dtype.  A
     block's dots are dropped before it yields."""
     if m < 1:
         raise InputError("m must be >= 1")
     tables = _byte_tables(np.array(weights, dtype=dtype).reshape(-1, 1))
-    rows, step = _packed_draws(probs, m, seed, len(weights)), max(1, BLOCK_BYTES // 8)
+    rows, step = _packed_draws(probs, m, seed, len(weights), stream), max(1, BLOCK_BYTES // 8)
     for r in range(0, m, step):
         yield reduce(_byte_dots(tables, rows[r:r + step])[:, 0])
 
 
-def mc_hit_counts(probs: Sequence[Fraction], weights: Sequence[Fraction], theta: Fraction, m: int, seed: int) -> int:
+def mc_hit_counts(
+    probs: Sequence[Fraction], weights: Sequence[Fraction], theta: Fraction, m: int, seed: int, stream=None
+) -> int:
     """How many of m draws X ~ D_p have w . X >= theta.
 
     The draws cover probs[:len(weights)] alone, and check_draws guards
-    them on that width.  Each is classified exactly, by the module
-    docstring's (D w) . x >= D theta on its dtype rule.
+    them on that width; their chunks read stream (_draw_chunks; None for
+    PCG64, the driver passes util.SplitMix64).  Each is classified
+    exactly, by the module docstring's (D w) . x >= D theta on its dtype
+    rule.
     """
     _, (*scaled, target) = lcm_scaled([*weights, theta])
     dtype = _dot_dtype(scaled, target)
-    hits = sum(_dot_blocks(probs, scaled, dtype, m, seed, lambda dots: int((dots >= target).sum())))
-    logger.debug("mc_hit_counts: m=%d, %d hits, %s dtype", m, hits, np.dtype(dtype))
+    hits = sum(_dot_blocks(probs, scaled, dtype, m, seed, lambda dots: int((dots >= target).sum()), stream))
+    logger.debug(
+        "mc_hit_counts: m=%d, %s stream, %d hits, %s dtype", m, getattr(stream, "name", "pcg64"), hits, np.dtype(dtype)
+    )
     return hits
 
 

@@ -1,9 +1,14 @@
 """Small shared helpers: the Record base, rational conversions, directed
-rounding, RNG derivation.
+rounding, seed derivation and the splitmix64 stream.
 
 Everything that needs to stay exact is a Fraction or an integer ratio; the
 only deliberate float crossings are the logarithms (bounded above
 explicitly) and reporting.
+
+This module refers to no numpy.random name, so importing it, or drawing
+from SplitMix64, loads no numpy.random module (nine extension modules,
+several ms in a fresh process).  The PCG64 chunk generators live in
+evaluate and the instance generator in cli.
 """
 
 from __future__ import annotations
@@ -209,30 +214,60 @@ def ln_lower(q: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Reproducible randomness.  All sampling in the package goes through PCG64
-# generators derived from explicit integer seed tuples, so results are
-# bit-identical across runs and platforms.
+# Reproducible randomness: seed tuples collapse to 64-bit keys, and a key
+# drives a splitmix64 counter stream (Steele, Lea & Flood, "Fast Splittable
+# Pseudorandom Number Generators", OOPSLA 2014).  Both are bit-identical
+# across runs and platforms.
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+_MIX64 = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
-def derived_bits(*seed_parts: int) -> np.random.PCG64:
-    """PCG64 bit generator seeded by SeedSequence over the parts' low 64 bits."""
-    return np.random.PCG64(np.random.SeedSequence([int(p) & _MASK64 for p in seed_parts]))
-
-
-def derived_rng(*seed_parts: int) -> np.random.Generator:
-    """Generator over derived_bits(*seed_parts)."""
-    return np.random.Generator(derived_bits(*seed_parts))
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit integer, in plain Python ints."""
+    z = ((z ^ (z >> 30)) * _MIX64[0]) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX64[1]) & _MASK64
+    return z ^ (z >> 31)
 
 
 def derive_seed(*seed_parts: int) -> int:
-    """Collapse a seed tuple to one 64-bit integer, stably: the splitmix64
-    finalizer folded over the parts' low 64 bits, in plain Python ints."""
+    """Collapse a seed tuple to one 64-bit integer, stably: _mix64 folded
+    over the parts' low 64 bits, each added to the golden gamma."""
     state = 0
     for part in seed_parts:
-        z = ((state ^ (int(part) & _MASK64)) + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        state = z ^ (z >> 31)
+        state = _mix64(((state ^ (int(part) & _MASK64)) + _GOLDEN64) & _MASK64)
     return state
+
+
+class SplitMix64:
+    """The splitmix64 stream keyed by derive_seed(*seed_parts), behind the
+    random_raw interface of a numpy bit generator.
+
+    Word k = 1, 2, ... of the stream is _mix64(key + k 0x9E3779B97F4A7C15
+    mod 2^64).  random_raw(n) returns the next n words as a uint64 array,
+    computed on wrapping uint64 arrays with numpy core ops;
+    random_raw() returns the next word as an int.
+    """
+
+    __slots__ = ("_key", "_drawn")
+    name = "splitmix64"
+
+    def __init__(self, *seed_parts: int):
+        self._key = derive_seed(*seed_parts)
+        self._drawn = 0
+
+    def random_raw(self, size=None):
+        if size is None:
+            self._drawn += 1
+            return _mix64((self._key + self._drawn * _GOLDEN64) & _MASK64)
+        z = np.arange(self._drawn + 1, self._drawn + size + 1, dtype=np.uint64)
+        self._drawn += size
+        z *= np.uint64(_GOLDEN64)
+        z += np.uint64(self._key)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX64[0])
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX64[1])
+        z ^= z >> np.uint64(31)
+        return z

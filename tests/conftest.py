@@ -9,7 +9,8 @@ decides every Boolean function on {0,1}^k by an exact separation LP, the
 set families come from the table generator's weight grid
 (margin_table.grid_family), never from the committed table, and
 the Fraction classifiers sum one Fraction per (vector, sampled pattern)
-over patterns rebuilt from the raw random stream by one integer interval
+over patterns rebuilt from the raw random stream (numpy PCG64, or
+splitmix64 written as its pure-Python recurrence) by one integer interval
 test per 16-bit lane,
 the LP junta scan solves one feasibility LP per event set, the uniform
 split reference evaluates each k-split from scratch, the Fraction
@@ -159,14 +160,45 @@ def raw_lanes(seed: int, chunk: int, words: int) -> tuple[list[int], np.random.P
     return [(word >> shift) & 0xFFFF for word in gen.random_raw(words).tolist() for shift in (0, 16, 32, 48)], gen
 
 
-def sampled_rows(probs, m: int, seed: int) -> list[tuple[int, ...]]:
+class _SplitMixWords:
+    """splitmix64 (Steele, Lea & Flood, OOPSLA 2014) written as its
+    recurrence: each random_raw() adds the golden gamma to the state and
+    returns the state's finalized value."""
+
+    def __init__(self, state: int):
+        self.state = state
+
+    def random_raw(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % (1 << 64)
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % (1 << 64)
+        return z ^ (z >> 31)
+
+
+def splitmix_lanes(seed: int, chunk: int, words: int) -> tuple[list[int], _SplitMixWords]:
+    """raw_lanes for the solve's stream: the 16-bit lanes of the first
+    ``words`` words of the splitmix64 stream that the sampler's chunk
+    ``chunk`` of ``seed`` reads, and that stream, which has drawn them.
+
+    Its state is the first word of the stream started at the first word
+    of the stream started at seed (mod 2^64), xor chunk: the library's
+    derive_seed(seed, chunk), one pure-Python splitmix64 step per part."""
+    key = _SplitMixWords(_SplitMixWords(seed % (1 << 64)).random_raw() ^ chunk).random_raw()
+    gen = _SplitMixWords(key)
+    raw = [gen.random_raw() for _ in range(words)]
+    return [(word >> shift) & 0xFFFF for word in raw for shift in (0, 16, 32, 48)], gen
+
+
+def sampled_rows(probs, m: int, seed: int, lanes_of=raw_lanes) -> list[tuple[int, ...]]:
     """The m bit rows of the library's sampler over probs, in draw order.
 
-    Built from the raw stream the sampler documents.  Chunk c holds
-    max(1, CHUNK_LANES // w) draws over w = len(probs) coordinates and
-    reads their lanes row-major (raw_lanes).  Each lane is decided on its
-    own interval [u, u + 1) / 2^16 against p = a/b, on integers: 1 when
-    it lies at or below p, 0 when at or above.
+    Built from the raw stream the sampler documents, lanes_of
+    (raw_lanes for PCG64, splitmix_lanes for the solve's stream).  Chunk
+    c holds max(1, CHUNK_LANES // w) draws over w = len(probs)
+    coordinates and reads their lanes row-major.  Each lane is decided
+    on its own interval [u, u + 1) / 2^16 against p = a/b, on integers:
+    1 when it lies at or below p, 0 when at or above.
     A lane that straddles p, after all of its chunk's lanes and in
     row-major order, refines its interval by the low 16 bits of the
     generator's next raw words until it lies on one side.  This shares
@@ -178,7 +210,7 @@ def sampled_rows(probs, m: int, seed: int) -> list[tuple[int, ...]]:
     out = []
     for c, start in enumerate(range(0, m, per_chunk)):
         rows = min(per_chunk, m - start)
-        lanes, gen = raw_lanes(seed, c, -(-rows * w // 4))
+        lanes, gen = lanes_of(seed, c, -(-rows * w // 4))
         lanes = lanes[: rows * w]
         columns = []
         for j, (a, b) in enumerate(ratios):

@@ -111,6 +111,10 @@ class TestCommands:
         assert loud.out == quiet.out
         assert quiet.err == ""
         assert "mc_hit_counts: m=100, " in loud.err and " hits, int16 dtype" in loud.err
+        assert "mc_hit_counts: m=100, pcg64 stream, " in loud.err  # eval --mc keeps PCG64
+        assert run_cli(["--log-level", "DEBUG", "solve", inst_file, "--mode", "practical", "--l-cap", "2"]) == 0
+        solved = capsys.readouterr()
+        assert "mc_hit_counts: m=60, splitmix64 stream, " in solved.err
         assert run_cli(["--log-level", "DEBUG", "eval", inst_file, "--weights", "1/2,1/4,1/4"]) == 0
         exact = capsys.readouterr()
         assert "exact_objective_probs: n=3 active, 2 groups, half laws of" in exact.err

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -27,11 +28,11 @@ from storalloc.driver import (
 )
 from storalloc.errors import GuardError, InputError
 from storalloc.junta import JuntaRequest, find_optimal_junta
-from storalloc.evaluate import exact_objective_probs, mc_estimate_probs
+from storalloc.evaluate import exact_objective_probs
 
 import case3
 import test_large_ci
-from conftest import dfs_objective, fewest_regular_slots
+from conftest import dfs_objective, fewest_regular_slots, sampled_rows, splitmix_lanes
 
 
 PRACTICAL = dict(mode="practical", kappa_override=F(1, 8), L_cap=2)
@@ -282,12 +283,12 @@ class TestReportBytes:
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5],
                 2,
-                "9073c87fd5235e14cee138c33dc0618d8783eaf102fb8ac10ccc20c2ab697a73",
+                "a2c9b0b23b9350dc97e2dcf8e2d8e934043c55d2d7f5526fb0660c8df2461863",
             ),
             (
                 [0.62, 0.45, 0.31, 0.58, 0.5, 0.41],
                 3,
-                "4f51744786590044c5530c889941b079e19bc1a75c7ce545216918feff8cc6f4",
+                "963b58b5fe72182718b7b2a1a0071c0185552cf53d9044e28e99d5cec5da8520",
             ),
         ],
         ids=["n5-L2", "n6-L3"],
@@ -302,9 +303,9 @@ class TestReportBytes:
     @pytest.mark.parametrize(
         "n, denom, digest",
         [
-            (32, 12, "2467eac17c3affc1ed7bd3d8ff01c3e6651ef6fc0ecd799bb29edd44f3ac07bc"),
-            (32, 16, "faf28471d8543850dd105be6b31478471f8f619c690516470ec6ccc7d342a14c"),
-            (256, 16, "ae9a32e84a2b0cad736a61fe73c8288e51d4d1ef4c1aced24ea885118a91b630"),
+            (32, 12, "77019d4b856d29ab519845678879d09a962a61d94fbdde55c6bf6493668adf66"),
+            (32, 16, "f5d1a556bc75614f7e33ecc2642835ea76ebefeb83fe9f91675871ac7cb9310b"),
+            (256, 16, "ca3bd23586cd3cff7e5161771206d161e015c69223b73d5483ddfca917095cea"),
         ],
         ids=["q32-k12", "q32-k16", "q256-k16"],
     )
@@ -460,13 +461,15 @@ def test_one_zero_tail_junta_request_per_solve(monkeypatch, probs, theta, eps, c
 def test_selection_classifies_only_the_live_prefix(monkeypatch):
     # q-256-0.6 at kappa 1/16, L = 2, a pool of 8: every pool vector stops
     # at slot L + J = 18.  The solve samples once, for the winner alone,
-    # on those 18 columns with the report's m and seed, and the report
-    # pads the winner back to n = 256
+    # on those 18 columns with the report's m and seed, from the
+    # splitmix64 stream: its estimate is the share of the reference's rows
+    # over that stream's lanes that meet theta.  The report pads the
+    # winner back to n = 256
     calls = []
 
-    def capture(probs, weights, theta, m, seed):
+    def capture(probs, weights, theta, m, seed, stream):
         calls.append((probs, weights, m, seed))
-        return evaluate.mc_hit_counts(probs, weights, theta, m, seed)
+        return evaluate.mc_hit_counts(probs, weights, theta, m, seed, stream)
 
     monkeypatch.setattr(driver, "mc_hit_counts", capture)
     args = (q_probs(256), F(3, 5), F(1, 10), F(1, 20))
@@ -477,7 +480,9 @@ def test_selection_classifies_only_the_live_prefix(monkeypatch):
     inst = preprocess(*args).instance
     w_sorted = [rep.chosen_weights[i] for i in inst.permutation]
     assert list(weights) == w_sorted[:18] and not any(w_sorted[18:])
-    assert rep.estimate == mc_estimate_probs(inst.probs[:18], weights, inst.theta, m, seed)
+    rows = sampled_rows(inst.probs[:18], m, seed, splitmix_lanes)
+    hits = sum(sum(itertools.compress(weights, row)) >= inst.theta for row in rows)
+    assert rep.estimate.value == F(hits, m) and rep.estimate.kind == "monte_carlo"
     assert len(rep.chosen_weights) == 256 and sum(w > 0 for w in rep.chosen_weights) <= 18
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from storalloc import evaluate
 from storalloc.core import ProblemInstance
 from storalloc.errors import GuardError, InputError
+from storalloc.util import SplitMix64
 from storalloc.evaluate import (
     DiscreteDist,
     EmpiricalDist,
@@ -38,6 +39,7 @@ from conftest import (
     naive_objective,
     raw_lanes,
     sampled_rows,
+    splitmix_lanes,
     with_one_retry,
 )
 
@@ -875,6 +877,43 @@ class TestKernel:
         assert np.array_equal(rows, np.array(sampled_rows(probs, 60, seed), dtype=np.uint8))
         assert reads == [(60 * 8 // 4,)]
         assert (settled == []) if columns == "exact" else (65_535 in settled)
+
+    @pytest.mark.parametrize("width", [3, 8, 9])
+    def test_packed_rows_match_the_splitmix_stream(self, width):
+        # the solve's stream: m crosses a chunk, chunk c reads
+        # SplitMix64(seed, c), and the rows are the reference's over the
+        # pure-Python splitmix64 lanes
+        probs = [F(i % 5 + 1, 7) for i in range(width)]
+        m = _chunk_rows(width) + 1_000
+        bits = np.array(sampled_rows(probs, m, 23, splitmix_lanes), dtype=bool)
+        assert np.array_equal(_packed_draws(probs, m, 23, width, SplitMix64), np.packbits(bits, axis=1))
+
+    def test_splitmix_straddle_matches_the_reference(self):
+        # k/7 is not dyadic, so the lane equal to a column's digit
+        # floor(k 2^16 / 7) straddles and reads further words one at a
+        # time; the seed is the first whose chunk 0 has such a lane among
+        # its 60 draws over 8 columns
+        probs = [F(j % 6 + 1, 7) for j in range(8)]
+        digits = [(p.numerator << 16) // p.denominator for p in probs]
+
+        def straddles(seed):
+            return [i for i, u in enumerate(splitmix_lanes(seed, 0, 120)[0]) if u == digits[i % 8]]
+
+        seed = next(s for s in range(10_000) if straddles(s))
+        reads = []
+
+        class Spy(SplitMix64):
+            def random_raw(self, size=None):
+                reads.append(size)
+                return super().random_raw(size)
+
+        bits = sampled_rows(probs, 60, seed, splitmix_lanes)
+        rows = np.unpackbits(_packed_draws(probs, 60, seed, 8, Spy), axis=1)
+        assert np.array_equal(rows, np.array(bits, dtype=np.uint8))
+        assert reads[0] == 120 and len(reads) > 1 and set(reads[1:]) == {None}
+        j = straddles(seed)[0] % 8
+        weights = [F(int(i == j)) for i in range(8)]
+        assert mc_hit_counts(probs, weights, F(1), 60, seed, SplitMix64) == sum(row[j] for row in bits)
 
     @pytest.mark.parametrize(
         "dtype, vectors, n, m",

@@ -32,12 +32,14 @@ def run_quick(ladder, out: Path, label: str) -> dict:
 def test_quick_ladder_writes_its_rows_and_repeats_its_digests(tmp_path, monkeypatch):
     # every row holds three ordered timings and a digest of its output;
     # the inputs come from fixed seeds, so a second run digests the same.
-    # A cold run takes about 0.6 s on a 2-vCPU host and an exact-bound run
-    # up to a few seconds, so these runs leave those rows to the tests below.
+    # A cold run takes about 0.6 s on a 2-vCPU host, an exact-bound run up
+    # to a few seconds and a first-solve run about 0.3 s, so these runs
+    # leave those rows to the tests below.
     ladder = load_ladder()
     monkeypatch.setattr(sys, "path", sys.path[:])  # the ladder puts its --src first
     monkeypatch.setattr(ladder, "cold_commands", lambda instance, report: [])
     monkeypatch.setattr(ladder, "exact_inputs", lambda core: [])
+    monkeypatch.setattr(ladder, "first_solve_inputs", lambda: [])
     first, second = run_quick(ladder, tmp_path, "a"), run_quick(ladder, tmp_path, "b")
     assert first["label"] == "a" and first["quick"] is True
     assert tuple(row["op"] for row in first["rows"]) == ROWS
@@ -79,3 +81,15 @@ def test_exact_child_digests_the_value_an_in_process_call_returns():
     assert row["reps"] == 1 and 0 < row["q1_s"] == row["median_s"] == row["q3_s"]
     assert 0 < row["q1_rss_mb"] == row["median_rss_mb"] == row["q3_rss_mb"]
     assert row["digest"] == ladder.digest(str(storalloc.exact_objective_probs(probs, weights, F(1, 2))))
+
+
+def test_first_solve_row_imports_no_numpy_random():
+    # one fresh interpreter's first solve, in the benchmark's n = 8 shape:
+    # the modules it newly imports, digested, and numpy.random not among them
+    ladder = load_ladder()
+    ((name, _, probs, L_cap, seed),) = ladder.first_solve_inputs()
+    assert name == "first_solve" and len(probs) == 8 and L_cap == 2
+    row = ladder.first_solve(ROOT, probs, L_cap, seed, 1)
+    assert row["reps"] == 1 and 0 < row["q1_s"] == row["median_s"] == row["q3_s"]
+    assert row["modules"] == sorted(row["modules"]) and row["digest"] == ladder.digest(row["modules"])
+    assert not [module for module in row["modules"] if module.startswith("numpy.random")]

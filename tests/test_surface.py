@@ -76,6 +76,39 @@ def test_solver_and_cli_do_not_load_the_lemma_checkers():
     assert proc.stdout.split() == ["False"] * len(unloaded)
 
 
+# Package import, CLI import, then practical solves at eps 1/4 (m = 60)
+# and at eps 1/100 (m = 36 889, three chunks), each followed by a look at
+# sys.modules
+_NUMPY_RANDOM_SCRIPT = """
+import sys
+import numpy
+loaded = []
+import storalloc
+loaded.append("numpy.random" in sys.modules)
+import storalloc.cli
+loaded.append("numpy.random" in sys.modules)
+cfg = storalloc.SolverConfig(mode="practical", kappa_override="1/8", L_cap=2)
+for eps, m in ((0.25, 60), (0.01, 36_889)):
+    report = storalloc.solve([0.62, 0.55, 0.48, 0.45, 0.4, 0.37, 0.33, 0.31], 0.5, eps, 0.05, cfg)
+    assert report.estimate.m == m, report.estimate.m
+    loaded.append("numpy.random" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_solves_do_not_import_numpy_random():
+    # the solve's sample reads the splitmix64 stream (util.SplitMix64);
+    # PCG64 would import numpy.random, nine extension modules
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 4
+
+
 # Case 3's DP, sampler and head completion: the test reference, tests/case3.py
 CASE3_REFERENCE = {
     "RegularTailQuintuple",

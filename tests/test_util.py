@@ -20,6 +20,9 @@ from storalloc.small_ci import HeadResult
 from storalloc.util import (
     FLOAT_DENOMINATOR_LIMIT,
     Record,
+    SplitMix64,
+    _mix64,
+    derive_seed,
     limit_ratio,
     ln_lower,
     ln_upper,
@@ -221,3 +224,53 @@ def test_record_semantics(cls):
         assert (copy.units, copy.grid, copy.gamma) == (a.units, F(1, 32), F(1, 4))
     if cls is SolveReport:
         assert a.timings == {} and a.timings is not b.timings
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_WORD = 1 << 64
+
+
+def _unshift(z: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == z, for 64-bit z."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _part_keying(key: int) -> int:
+    """The seed part p with derive_seed(p) == key: _mix64 inverted step by step."""
+    z = _unshift(key, 31) * pow(0x94D049BB133111EB, -1, _WORD) % _WORD
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, _WORD) % _WORD
+    return (_unshift(z, 30) - _GOLDEN) % _WORD
+
+
+@pytest.mark.parametrize("key", [_WORD - 1, _WORD - _GOLDEN, _WORD - 2, 0, 1234567])
+def test_splitmix_words_are_the_finalized_counter_across_wraparound(key):
+    # keys near 2^64 wrap key + k gamma at once; the array rounds and the
+    # single-word path give word k = _mix64(key + k gamma mod 2^64) in
+    # stream order, whatever mix of random_raw(n) and random_raw() reads it
+    part = _part_keying(key)
+    assert derive_seed(part) == key
+    gen = SplitMix64(part)
+    first, second = gen.random_raw(3), gen.random_raw(0)
+    assert first.dtype == np.uint64 and first.shape == (3,) and second.shape == (0,)
+    words = [*first.tolist(), gen.random_raw(), *gen.random_raw(5).tolist(), gen.random_raw(), gen.random_raw()]
+    assert all(type(word) is int for word in words[3:4] + words[9:])
+    assert words == [_mix64((key + k * _GOLDEN) % _WORD) for k in range(1, 12)]
+
+
+def test_splitmix_matches_the_published_stream():
+    # the first five outputs of the splitmix64 reference (Vigna's
+    # splitmix64.c) from state 1234567
+    gen = SplitMix64(_part_keying(1234567))
+    assert gen.random_raw(5).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821,
+    ]
+
+
+def test_derive_seed_is_pinned():
+    # report seeds and the chunk keys come from it: values taken before
+    # its finalizer became _mix64; parts count by their low 64 bits
+    assert derive_seed(0, 0x5E7) == derive_seed(0, 0x5E7 + _WORD)
+    assert [derive_seed(), derive_seed(7), derive_seed(3, 0x5E7)] == [0, 7191089600892374487, 3168224808390087489]

@@ -14,8 +14,10 @@ delta = 1/20, p ~ U(0.3, 0.7) stratified and rounded by
   vector, and ``exact_objective_probs`` on it;
 - ``tail32``: ``sample_tail_empirical`` of a 32-long tail of an n = 40
   instance;
-- ``selection``: ``mc_estimate_probs`` on one vector over 8 coordinates
-  and m = 60, the sample a small solve draws for its winner;
+- ``selection``: ``mc_hit_counts`` on one vector over 8 coordinates and
+  m = 60 from the solve's own stream, the sample a small solve draws for
+  its winner: ``util.SplitMix64``, or PCG64 in a tree without it, whose
+  solves sampled PCG64;
 - ``draw_chunks``, ``packed_draws`` and ``byte_dots``: the three layers
   under ``mc64``, on its input, ``byte_dots`` on the dtype that
   ``_dot_dtype`` picks for it;
@@ -52,7 +54,16 @@ seconds and of the interpreter's peak RSS in MiB (``ru_maxrss``,
 ``*_rss_mb``), and the SHA-256 of the value or of the refusal's
 estimate.
 
-Each cold and exact-bound row holds 5 runs (1 under ``--quick``).
+The ``first_solve`` row runs, in a fresh interpreter that has imported
+numpy and storalloc, one practical ``solve`` in the benchmark's
+``solve`` shape (n = 8 stratified probabilities, kappa 1/8, L_cap 2): the
+first solve of a process, which pays for every module it imports.  It
+holds the median and quartiles of that call's seconds, the sorted names
+of the modules the call newly imported (``modules``) and their SHA-256,
+which are the same on every run of a tree.
+
+Each cold, exact-bound and first-solve row holds 5 runs (1 under
+``--quick``).
 These are the sampling, exact-bound and cold-CLI rows of the scale ladder
 in ROADMAP item 14; its in-process phase and Case-2 rows are not here
 yet.
@@ -129,6 +140,12 @@ def ops(core, evaluate) -> list[tuple]:
     p8 = list(granular(8).probs)
     w8 = [Fraction(k, 36) for k in range(1, 9)]
     s8 = rng.randrange(1 << 31)
+    from storalloc import util  # the copy import_package loaded
+
+    solve_stream = getattr(util, "SplitMix64", None)
+
+    def selection():
+        return evaluate.mc_hit_counts(p8, w8, THETA, 60, s8, *([solve_stream] if solve_stream else []))
 
     tables = evaluate._byte_tables(np.ones((64, 1), dtype=evaluate._dot_dtype([1] * 64, 32)))  # mc64's D w and D theta
     rows64 = evaluate._packed_draws(p64, DRAWS, s64, 64)
@@ -162,7 +179,7 @@ def ops(core, evaluate) -> list[tuple]:
         ("mc22", "n=22 m=25000 generic weights", lambda: evaluate.mc_estimate_probs(p22, w22, THETA, DRAWS, s22).value),
         ("exact22", "n=22 generic weights", lambda: evaluate.exact_objective_probs(p22, w22, THETA)),
         ("tail32", "32-long tail of n=40, m=25000", tail_sample),
-        ("selection", "w=8 m=60 one vector", lambda: evaluate.mc_estimate_probs(p8, w8, THETA, 60, s8).value),
+        ("selection", "w=8 m=60 one vector, the solve's stream", selection),
         ("draw_chunks", "mc64's draws, chunks unpacked", chunks, packed_chunks),
         ("packed_draws", "mc64's draws", lambda: evaluate._packed_draws(p64, DRAWS, s64, 64)),
         ("byte_dots", "mc64's rows, one vector on its dot dtype", dots64, lambda: dots64().astype(np.int64)),
@@ -186,6 +203,11 @@ def measure(call, reps: int, output=None) -> dict:
         call()
         times.append(time.perf_counter() - t0)
     return {**quartiles(times), "digest": out}
+
+
+def child_env(src: Path) -> dict:
+    """Environment for a fresh interpreter that imports src/src's storalloc."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src / "src"), os.environ.get("PYTHONPATH")))))
 
 
 # One exact evaluation in a fresh interpreter: argv is the probabilities
@@ -222,8 +244,7 @@ def exact_child(src: Path, probs, weights, runs: int) -> dict:
     """Seconds and peak RSS of runs fresh interpreters that each evaluate
     (probs, weights) once on src/src's storalloc, and the digest of what
     they return."""
-    path = os.pathsep.join(filter(None, (str(src / "src"), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = child_env(src)
     args = [",".join(map(str, probs)), ",".join(map(str, weights))]
     times, rss, outs = [], [], set()
     for _ in range(runs):
@@ -236,6 +257,48 @@ def exact_child(src: Path, probs, weights, runs: int) -> dict:
     if len(outs) > 1:
         sys.exit("scale_ladder: an exact evaluation moved between runs")
     return {**quartiles(times), **quartiles(rss, "rss_mb"), "digest": digest(outs.pop())}
+
+
+# One solve in a fresh interpreter with numpy and storalloc imported: argv
+# is the probabilities, comma-separated, the L_cap and the seed; it prints
+# the call's seconds and the modules the call newly imported.
+FIRST_SOLVE_CHILD = """
+import sys, time
+from fractions import Fraction
+import numpy
+import storalloc
+probs = [float(x) for x in sys.argv[1].split(",")]
+cfg = storalloc.SolverConfig(mode="practical", kappa_override=Fraction(1, 8), L_cap=int(sys.argv[2]), seed=int(sys.argv[3]))
+before = set(sys.modules)
+t0 = time.perf_counter()
+storalloc.solve(probs, Fraction(1, 2), Fraction(1, 4), Fraction(1, 20), cfg)
+seconds = time.perf_counter() - t0
+print(seconds, *sorted(set(sys.modules) - before))
+"""
+
+
+def first_solve_inputs() -> list[tuple]:
+    """(name, shape, probabilities, L_cap, seed) per first-solve row."""
+    rng = random.Random("storalloc-scale-ladder-first-solve")
+    return [("first_solve", "a fresh process's first solve, n=8, L_cap 2", stratified_probs(rng, 8), 2, rng.randrange(1 << 31))]
+
+
+def first_solve(src: Path, probs, L_cap: int, seed: int, runs: int) -> dict:
+    """Seconds of runs fresh interpreters' first solve of (probs, L_cap,
+    seed) on src/src's storalloc, and the modules that solve imported."""
+    env = child_env(src)
+    args = [",".join(map(repr, probs)), str(L_cap), str(seed)]
+    times, lists = [], set()
+    for _ in range(runs):
+        seconds, *modules = subprocess.run(
+            [sys.executable, "-c", FIRST_SOLVE_CHILD, *args], check=True, env=env, capture_output=True, text=True
+        ).stdout.split()
+        times.append(float(seconds))
+        lists.add(tuple(modules))
+    if len(lists) > 1:
+        sys.exit("scale_ladder: a first solve's imports moved between runs")
+    modules = list(lists.pop())
+    return {**quartiles(times), "modules": modules, "digest": digest(modules)}
 
 
 def cold_commands(instance: Path, report: Path) -> list[tuple]:
@@ -252,8 +315,7 @@ def cold(src: Path, args: list[str], runs: int, report: Path = None) -> dict:
     """Wall seconds of runs fresh interpreters running args on src/src's
     storalloc, each with an empty bytecode-cache prefix and none written,
     and the SHA-256 of the report file they write (None without one)."""
-    path = os.pathsep.join(filter(None, (str(src / "src"), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = child_env(src)
     times, digests = [], set()
     for _ in range(runs):
         with tempfile.TemporaryDirectory() as cache:
@@ -285,6 +347,10 @@ def main(argv=None) -> None:
         rows.append({"op": name, "shape": shape, **exact_child(src, probs, weights, runs)})
         row = rows[-1]
         print(f"{name:13s} {row['median_s'] * 1e3:9.3f} ms  {row['median_rss_mb']:7.1f} MB  {row['digest'][:12]}", flush=True)
+    for name, shape, probs, L_cap, seed in first_solve_inputs():
+        rows.append({"op": name, "shape": shape, **first_solve(src, probs, L_cap, seed, runs)})
+        row = rows[-1]
+        print(f"{name:13s} {row['median_s'] * 1e3:9.3f} ms  {len(row['modules']):4d} modules  {row['digest'][:12]}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         instance, report = Path(work) / "gen-64.json", Path(work) / "report.json"
         cli.main([*GEN_64, "--out", str(instance)])
